@@ -36,6 +36,16 @@ impl DirEntry {
 /// every coherence request, and the trusted line-address keys need none of
 /// SipHash's DoS hardening. Entry *values* are unchanged, so timing and
 /// protocol behaviour are bit-identical to the SipHash representation.
+///
+/// Deliberately *not* a `LineMap`. Every L1 miss inserts an entry and
+/// removes another, and hashbrown answers that churn differently by hash
+/// quality: bare FxHash funnels the 64-byte-aligned keys through a few
+/// probe chains, where a new key soon reuses a removed one's tombstone,
+/// so the table stays at the size its entry count needs; index hashing
+/// spreads the keys, tombstones go unreclaimed until the growth allowance
+/// is spent, and the table — 56-byte buckets — doubles. Measured:
+/// `cache.dir_ns` 19 → 13 ns and ~1 % of `stamp_eager` host time, for
+/// +7.6 % `peak_rss_mb` on `overflow_stm`, against a bound of 8 %.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     entries: FxHashMap<LineAddr, DirEntry>,

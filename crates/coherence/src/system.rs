@@ -66,6 +66,11 @@ pub struct MemStats {
 pub struct MemorySystem {
     cfg: MachineConfig,
     l1s: Vec<TagArray<L1Meta>>,
+    /// Per core, the lines marked speculative since the last gang-clear.
+    /// A superset of the currently marked lines (a mark dies with its line
+    /// on eviction or invalidation), so the clear visits these instead of
+    /// sweeping the whole tag array.
+    spec_lines: Vec<Vec<LineAddr>>,
     l2: TagArray<()>,
     dir: Directory,
     mesh: Mesh,
@@ -83,6 +88,7 @@ impl MemorySystem {
         MemorySystem {
             cfg: *cfg,
             l1s: (0..cfg.n_cores).map(|_| TagArray::new(&cfg.l1)).collect(),
+            spec_lines: vec![Vec::new(); cfg.n_cores],
             l2: TagArray::new(&cfg.l2),
             dir: Directory::new(),
             mesh: Mesh::new(cfg),
@@ -432,9 +438,13 @@ impl MemorySystem {
     /// Mark `core`'s copy of the line as speculatively written (FasTM).
     /// Returns false when the line is not resident.
     pub fn mark_speculative(&mut self, core: CoreId, addr: Addr) -> bool {
-        match self.l1s[core].meta_mut(line_of(addr)) {
+        let line = line_of(addr);
+        match self.l1s[core].meta_mut(line) {
             Some(m) => {
-                m.speculative = true;
+                if !m.speculative {
+                    m.speculative = true;
+                    self.spec_lines[core].push(line);
+                }
                 true
             }
             None => false,
@@ -442,14 +452,17 @@ impl MemorySystem {
     }
 
     /// Clear all speculative marks in `core`'s L1; returns how many lines
-    /// were marked (the gang-clear at commit/abort). Single pass over the
-    /// tag array instead of one by-address lookup per resident line.
+    /// were marked (the gang-clear at commit/abort). Visits only the lines
+    /// marked since the previous clear: a line that lost its mark meanwhile
+    /// (evicted or invalidated, perhaps refilled clean) or was recorded
+    /// twice (marked, displaced, refilled, marked again) counts at most
+    /// once, exactly as a sweep of the tag array would count it.
     pub fn clear_speculative(&mut self, core: CoreId) -> u64 {
+        let l1 = &mut self.l1s[core];
         let mut n = 0;
-        for m in self.l1s[core].metas_mut() {
-            if m.speculative {
-                m.speculative = false;
-                n += 1;
+        for line in self.spec_lines[core].drain(..) {
+            if let Some(m) = l1.meta_mut(line) {
+                n += u64::from(std::mem::take(&mut m.speculative));
             }
         }
         n
@@ -680,6 +693,43 @@ mod prop_tests {
                     }
                 }
                 now += 1;
+            }
+        }
+
+        /// `clear_speculative` visits only the recorded lines; its count and
+        /// its effect must equal a sweep over every resident way, whatever
+        /// happened to the marked lines in between: eviction by the core's
+        /// own fills (a 2-way L1), invalidation by a remote store or a
+        /// local discard, a clean refill, a second mark.
+        #[test]
+        fn clear_speculative_equals_full_sweep(ops in proptest::collection::vec(
+            (0u8..6, 0usize..2, 0u64..12), 1..300))
+        {
+            let mut cfg = MachineConfig::small_test();
+            cfg.l1.capacity_bytes = 256; // 2 sets x 2 ways: constant eviction
+            cfg.l1.ways = 2;
+            let mut s = MemorySystem::new(&cfg);
+            let marked = |s: &mut MemorySystem, core: usize| {
+                s.l1s[core].metas_mut().filter(|m| m.speculative).count() as u64
+            };
+            for (now, (op, core, l)) in ops.into_iter().enumerate() {
+                let addr = l * 64;
+                match op {
+                    0 => { s.fill(now as u64, core, addr, AccessKind::Load); }
+                    1 => { s.fill(now as u64, core, addr, AccessKind::Store); }
+                    2 | 3 => { s.mark_speculative(core, addr); }
+                    4 => s.invalidate_local(core, addr),
+                    _ => {
+                        let want = marked(&mut s, core);
+                        prop_assert_eq!(s.clear_speculative(core), want);
+                        prop_assert_eq!(marked(&mut s, core), 0, "a mark survived the clear");
+                    }
+                }
+            }
+            for core in 0..2 {
+                let want = marked(&mut s, core);
+                prop_assert_eq!(s.clear_speculative(core), want);
+                prop_assert_eq!(marked(&mut s, core), 0);
             }
         }
 

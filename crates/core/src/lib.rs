@@ -16,15 +16,19 @@
 //! * [`table`] — the two-level redirect table: per-core zero-latency
 //!   512-entry fully-associative first level, shared 16K-entry 8-way
 //!   second level, memory spill with speculative bypass;
+//! * [`lru`] — the exact true-LRU set that models the first level in
+//!   constant host time;
 //! * [`suvvm`] — the [`suv_htm::VersionManager`] implementation tying the
 //!   table, the redirect pool and the summary signature together.
 
 #![forbid(unsafe_code)]
 
 pub mod entry;
+pub mod lru;
 pub mod suvvm;
 pub mod table;
 
 pub use entry::{EntryState, PackedEntry};
+pub use lru::LruSet;
 pub use suvvm::SuvVm;
 pub use table::{LookupHit, RedirectTable, Transient};

@@ -10,12 +10,15 @@
 //! so only lookups whose entry genuinely lives in memory pay the search.
 
 use crate::entry::EntryState;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use crate::lru::LruSet;
+use std::collections::BTreeSet;
 use suv_cache::TagArray;
 use suv_mem::PoolAllocator;
 use suv_sig::SummarySignature;
 use suv_trace::RedirectLevel;
-use suv_types::{CacheGeom, CoreId, Cycle, LineAddr, RedirectStats, SuvConfig};
+use suv_types::{
+    CacheGeom, CoreId, Cycle, LineAddr, LineMap, LineSet, RedirectStats, SuvConfig, LINE_SHIFT,
+};
 
 /// A transaction's in-flight operation on one line's redirect state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +82,11 @@ pub struct LookupHit {
 /// function of the line address, so it is deterministic and needs no
 /// inter-bank coordination.
 pub struct RedirectTable {
-    map: HashMap<LineAddr, LineEntry>,
-    l1: Vec<TagArray<()>>,
+    map: LineMap<LineEntry>,
+    /// Per-core first level: one fully-associative true-LRU set.
+    l1: Vec<LruSet>,
     l2: Vec<TagArray<()>>,
-    in_memory: HashSet<LineAddr>,
+    in_memory: LineSet,
     tx_entries: Vec<BTreeSet<LineAddr>>,
     ovf_l1: Vec<bool>,
     ovf_mem: Vec<bool>,
@@ -98,13 +102,6 @@ pub struct RedirectTable {
 impl RedirectTable {
     /// Build the table for `n_cores` cores.
     pub fn new(n_cores: usize, cfg: &SuvConfig) -> Self {
-        let l1_geom = CacheGeom {
-            // One set x l1_entries ways: fully associative.
-            capacity_bytes: cfg.l1_entries as u64 * 64,
-            ways: cfg.l1_entries,
-            line_bytes: 64,
-            latency: cfg.l1_latency,
-        };
         // The configured entry budget is split evenly across the banks;
         // with one bank (<=16 cores) this is exactly the unbanked table.
         let banks = cfg.l2_bank_count(n_cores);
@@ -115,10 +112,10 @@ impl RedirectTable {
             latency: cfg.l2_latency,
         };
         RedirectTable {
-            map: HashMap::new(),
-            l1: (0..n_cores).map(|_| TagArray::new(&l1_geom)).collect(),
+            map: LineMap::default(),
+            l1: (0..n_cores).map(|_| LruSet::new(cfg.l1_entries)).collect(),
             l2: (0..banks).map(|_| TagArray::new(&l2_geom)).collect(),
-            in_memory: HashSet::new(),
+            in_memory: LineSet::default(),
             tx_entries: (0..n_cores).map(|_| BTreeSet::new()).collect(),
             ovf_l1: vec![false; n_cores],
             ovf_mem: vec![false; n_cores],
@@ -150,7 +147,7 @@ impl RedirectTable {
 
     /// Second-level bank holding `line` (address-interleaved).
     fn bank_of(&self, line: LineAddr) -> usize {
-        (line >> 6) as usize % self.l2.len()
+        (line >> LINE_SHIFT) as usize % self.l2.len()
     }
 
     /// Number of second-level banks (stats / tests).
@@ -161,22 +158,22 @@ impl RedirectTable {
     /// Install `line` into the caching hierarchy after a lookup or insert,
     /// tracking redirect-table overflow events.
     fn install(&mut self, core: CoreId, line: LineAddr) {
-        if let Some(ev) = self.l1[core].insert(line, false) {
-            if self.tx_entries[core].contains(&ev.line) {
+        if let Some(victim) = self.l1[core].insert(line) {
+            if self.tx_entries[core].contains(&victim) {
                 self.ovf_l1[core] = true;
             }
         }
         let bank = self.bank_of(line);
         if let Some(ev) = self.l2[bank].insert(line, false) {
-            if self.map.contains_key(&ev.line) {
+            if let Some(e) = self.map.get(&ev.line) {
                 self.in_memory.insert(ev.line);
                 if self.log_swaps {
                     self.swap_log.push(ev.line);
                 }
-                for (c, set) in self.tx_entries.iter().enumerate() {
-                    if set.contains(&ev.line) {
-                        self.ovf_mem[c] = true;
-                    }
+                // The transactions whose entry this is are exactly the
+                // owners of its transients (INV-6).
+                for &(c, _) in &e.transients {
+                    self.ovf_mem[c] = true;
                 }
             }
         }
@@ -377,7 +374,7 @@ impl RedirectTable {
         summary: &SummarySignature,
         pool: &PoolAllocator,
     ) -> Result<(), String> {
-        let mut live_slots: HashSet<LineAddr> = HashSet::new();
+        let mut live_slots = LineSet::default();
         let mut claim_slot = |line: LineAddr, slot: LineAddr, what: &str| -> Result<(), String> {
             // INV-5: no two live mappings share a pool slot.
             if !live_slots.insert(slot) {

@@ -7,15 +7,14 @@
 //! the buffer. DynTM uses this as its lazy execution mode.
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
-use std::collections::HashMap;
 use suv_coherence::AccessKind;
 use suv_trace::TraceEvent;
-use suv_types::{line_of, word_of, Addr, CoreId, Cycle, LineAddr, SchemeKind};
+use suv_types::{line_of, word_of, Addr, CoreId, Cycle, LineAddr, SchemeKind, WordMap};
 
 #[derive(Debug, Default)]
 struct Buffer {
     /// Buffered word values.
-    words: HashMap<Addr, u64>,
+    words: WordMap<u64>,
     /// Lines touched, in first-write order (merge order is deterministic).
     lines: Vec<LineAddr>,
 }
@@ -115,7 +114,7 @@ impl VersionManager for LazyVm {
         // Merge: acquire ownership of each written line and write the
         // buffered words through. This is the commit-side data movement
         // lazy schemes pay.
-        let b = std::mem::take(&mut self.bufs[core]);
+        let b = &mut self.bufs[core];
         env.tracer.emit(
             env.now,
             core,
@@ -129,9 +128,12 @@ impl VersionManager for LazyVm {
                 env.sys.fill(env.now + lat, core, *line, AccessKind::Store).latency
             };
         }
-        for (addr, v) in &b.words {
-            env.mem.write_word(*addr, *v);
+        // The buffered words are distinct, so the merge order (the hash
+        // table's) cannot show in memory.
+        for (addr, v) in b.words.drain() {
+            env.mem.write_word(addr, v);
         }
+        b.lines.clear();
         lat
     }
 

@@ -33,7 +33,7 @@ use suv_mem::Memory;
 use suv_trace::{TraceEvent, Tracer};
 use suv_types::{
     line_of, word_of, Addr, CheckLevel, CoreId, Cycle, LineAddr, MachineConfig, OverflowStats,
-    TxSite, TxStats,
+    SharerSet, TxSite, TxStats,
 };
 
 /// Outcome of a memory access through the machine.
@@ -94,6 +94,13 @@ pub struct HtmMachine {
     /// Timing model (public for tests that inspect cache state).
     pub sys: MemorySystem,
     txs: Vec<TxState>,
+    /// The cores whose descriptor is not `Idle` (INV-14): inserted at the
+    /// outermost begin, removed where [`HtmMachine::settle`] closes the
+    /// isolation window. Every search for a defender, a conflictor or a
+    /// window to close walks this set, in ascending core order, instead of
+    /// all `n_cores` descriptors — an `Idle` descriptor defends nothing,
+    /// holds no flag and has no window, so the answers are the same.
+    live: SharerSet,
     vm: Box<dyn VersionManager>,
     /// The STM-mode software fallback tier, alongside the hardware scheme.
     sw: SwVm,
@@ -136,6 +143,7 @@ impl HtmMachine {
                     )
                 })
                 .collect(),
+            live: SharerSet::new(),
             vm,
             sw,
             tx_stats: vec![TxStats::default(); cfg.n_cores],
@@ -199,25 +207,19 @@ impl HtmMachine {
             return; // no isolation window can have expired yet
         }
         let mut due = u64::MAX;
-        for t in &mut self.txs {
+        let txs = &mut self.txs;
+        self.live.retain(|c| {
+            let t = &mut txs[c];
             match t.status {
-                TxStatus::Aborting { until } => {
-                    if now >= until {
-                        t.clear_attempt();
-                    } else {
-                        due = due.min(until);
-                    }
+                TxStatus::Aborting { until } if now >= until => t.clear_attempt(),
+                TxStatus::Committing { until } if now >= until => t.clear_dynamic(),
+                TxStatus::Aborting { until } | TxStatus::Committing { until } => {
+                    due = due.min(until);
                 }
-                TxStatus::Committing { until } => {
-                    if now >= until {
-                        t.clear_dynamic();
-                    } else {
-                        due = due.min(until);
-                    }
-                }
-                _ => {}
+                TxStatus::Active | TxStatus::Idle => {}
             }
-        }
+            t.status != TxStatus::Idle
+        });
         self.settle_due = due;
     }
 
@@ -230,7 +232,31 @@ impl HtmMachine {
         line: LineAddr,
         is_write: bool,
     ) -> Option<CoreId> {
-        for (c, t) in self.txs.iter().enumerate() {
+        let found = self.first_defender(self.live.iter(), now, requester, line, is_write);
+        if self.cfg.check >= CheckLevel::Full {
+            let scan = self.first_defender(0..self.txs.len(), now, requester, line, is_write);
+            assert_eq!(
+                found, scan,
+                "INV-14 violated at t={now}: the live set {:?} and the all-cores scan \
+                 disagree on the defender of {line:#x} against core {requester}",
+                self.live
+            );
+        }
+        found
+    }
+
+    /// The first of `cores` (other than `requester`) whose transaction
+    /// defends `line` against the access.
+    fn first_defender(
+        &self,
+        cores: impl Iterator<Item = CoreId>,
+        now: Cycle,
+        requester: CoreId,
+        line: LineAddr,
+        is_write: bool,
+    ) -> Option<CoreId> {
+        for c in cores {
+            let t = &self.txs[c];
             if c == requester || !t.isolation_live(now) {
                 continue;
             }
@@ -259,7 +285,7 @@ impl HtmMachine {
     /// writers (DynTM's mixed-mode rule). Without this, a lazy transaction
     /// could commit stale reads over an eagerly-committed update.
     fn doom_lazy_conflictors(&mut self, now: Cycle, requester: CoreId, line: LineAddr) {
-        for c in 0..self.txs.len() {
+        for c in self.live.iter() {
             if c == requester {
                 continue;
             }
@@ -401,7 +427,7 @@ impl HtmMachine {
         let lazy = if irrevocable { false } else { self.vm.choose_mode(core, site) };
         if irrevocable {
             if self.cfg.check >= CheckLevel::Cheap {
-                if let Some(other) = (0..self.txs.len()).find(|&c| self.txs[c].irrevocable) {
+                if let Some(other) = self.live.iter().find(|&c| self.txs[c].irrevocable) {
                     panic!(
                         "INV-11 violated at t={now}: core {core} begins irrevocable \
                          while core {other} is irrevocable"
@@ -413,6 +439,7 @@ impl HtmMachine {
         let t = &mut self.txs[core];
         debug_assert_eq!(t.status, TxStatus::Idle, "core {core} beginning while busy");
         t.status = TxStatus::Active;
+        self.live.insert(core);
         t.depth = 1;
         t.site = site;
         t.lazy = lazy;
@@ -632,23 +659,24 @@ impl HtmMachine {
         // Validate: the committer's write set against every live
         // transaction. Eager transactions own their lines — the committer
         // loses. Conflicting lazy transactions are doomed.
-        let write_set: Vec<LineAddr> = self.txs[core].all_write_lines();
+        let me = &self.txs[core];
         // A live software commit window on any write line: the lazy
         // committer loses (the software commit already owns those lines).
-        for &l in &write_set {
-            if self.sw.lock_owner(start, l, core).is_some() {
-                self.tx_stats[core].lazy_validation_aborts += 1;
-                self.tx_stats[core].hw_sw_conflicts += 1;
-                self.tracer.emit(now, core, TraceEvent::HwSwConflict { line: l, dir: 0 });
-                return CommitOutcome::MustAbort { latency: wait };
-            }
+        // The lowest such line is the one reported.
+        let locked = me.write_lines().filter(|&l| self.sw.lock_owner(start, l, core).is_some());
+        if let Some(l) = locked.min() {
+            self.tx_stats[core].lazy_validation_aborts += 1;
+            self.tx_stats[core].hw_sw_conflicts += 1;
+            self.tracer.emit(now, core, TraceEvent::HwSwConflict { line: l, dir: 0 });
+            return CommitOutcome::MustAbort { latency: wait };
         }
         let mut doom: Vec<CoreId> = Vec::new();
-        for (c, t) in self.txs.iter().enumerate() {
+        for c in self.live.iter() {
+            let t = &self.txs[c];
             if c == core || !t.isolation_live(start) {
                 continue;
             }
-            let conflicted = write_set.iter().any(|l| t.rsig_hit(*l) || t.wsig_hit(*l));
+            let conflicted = me.write_lines().any(|l| t.rsig_hit(l) || t.wsig_hit(l));
             if !conflicted {
                 continue;
             }
@@ -729,24 +757,18 @@ impl HtmMachine {
         if rt_mem {
             self.overflow.rt_full_overflow_txns += 1;
         }
-        let write_lines = self.txs[core].all_write_lines();
         // A hardware commit invalidates every in-flight software
         // transaction whose read set it overlaps: value validation alone
         // cannot catch an ABA overwrite, so the doom is eager.
-        if committed && !write_lines.is_empty() {
-            for c in 0..self.txs.len() {
-                if c == core || !self.sw.active(c) || self.sw.doomed(c) {
-                    continue;
-                }
-                if let Some(&l) = write_lines.iter().find(|&&l| self.sw.reads_line(c, l)) {
-                    self.sw.doom(c);
-                    self.tx_stats[c].hw_sw_conflicts += 1;
-                    self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 1 });
-                }
+        if committed {
+            for (c, l) in self.sw.readers_of(core, &self.txs[core].write_lines()) {
+                self.sw.doom(c);
+                self.tx_stats[c].hw_sw_conflicts += 1;
+                self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 1 });
             }
         }
         let st = &mut self.tx_stats[core];
-        st.max_write_set = st.max_write_set.max(write_lines.len() as u64);
+        st.max_write_set = st.max_write_set.max(self.txs[core].write_line_count() as u64);
         if committed {
             st.commits += 1;
             st.committed_tx_cycles += now + window - self.txs[core].begin_time;
@@ -778,7 +800,7 @@ impl HtmMachine {
         }
         // Transaction-boundary invariant audits (never charged cycles).
         if self.cfg.check >= CheckLevel::Cheap {
-            let owners = self.txs.iter().filter(|t| t.irrevocable).count();
+            let owners = self.live.iter().filter(|&c| self.txs[c].irrevocable).count();
             assert!(
                 owners <= 1,
                 "INV-11 violated at tx end (t={now}): {owners} irrevocable owners"
@@ -791,8 +813,20 @@ impl HtmMachine {
                 if let Err(v) = self.sys.check_invariants() {
                     panic!("coherence invariant violated at tx end (t={now}): {v}");
                 }
+                self.check_inv14(now);
             }
         }
+    }
+
+    /// INV-14: the live set is exactly the set of cores whose descriptor
+    /// is not `Idle`. (The one audit allowed to look at every core.)
+    fn check_inv14(&self, now: Cycle) {
+        let busy: SharerSet =
+            (0..self.txs.len()).filter(|&c| self.txs[c].status != TxStatus::Idle).collect();
+        assert_eq!(
+            self.live, busy,
+            "INV-14 violated at t={now}: live set out of step with the descriptors"
+        );
     }
 
     /// Record an escalation of `core`'s next attempt to the next ladder
@@ -859,7 +893,8 @@ impl HtmMachine {
     /// commit, and the lazy committer defers to live software locks.
     fn check_inv13(&self, now: Cycle) {
         for (line, owner) in self.sw.live_locks(now) {
-            for (c, t) in self.txs.iter().enumerate() {
+            for c in self.live.iter() {
+                let t = &self.txs[c];
                 assert!(
                     c == owner || t.lazy || !t.isolation_live(now) || !t.writes_contain(line),
                     "INV-13 violated at t={now}: line {line:#x} is software-locked by \
@@ -998,7 +1033,8 @@ impl HtmMachine {
         }
         // Phase 2: hardware conflicts on the write set.
         for &l in &write_lines {
-            for (c, t) in self.txs.iter().enumerate() {
+            for c in self.live.iter() {
+                let t = &self.txs[c];
                 if c == core || !t.isolation_live(now) {
                     continue;
                 }
@@ -1061,7 +1097,7 @@ impl HtmMachine {
             self.shadow_nontx_store(addr, value);
         }
         for &l in &write_lines {
-            for c in 0..self.txs.len() {
+            for c in self.live.iter() {
                 if c == core {
                     continue;
                 }
@@ -1082,14 +1118,9 @@ impl HtmMachine {
         // validation is word-granular, so a commit that changes a
         // different word of a read line would slip through it — while
         // conflict serializability (INV-11) is judged line-granular.
-        for c in 0..self.txs.len() {
-            if c == core || !self.sw.active(c) || self.sw.doomed(c) {
-                continue;
-            }
-            if let Some(&l) = write_lines.iter().find(|&&l| self.sw.reads_line(c, l)) {
-                self.sw.doom(c);
-                self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 3 });
-            }
+        for (c, l) in self.sw.readers_of(core, &write_lines.iter().copied()) {
+            self.sw.doom(c);
+            self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 3 });
         }
         self.sw.lock(core, &write_lines, now, now + latency);
         let begin = self.sw.begin_time(core);
@@ -1105,6 +1136,9 @@ impl HtmMachine {
             self.check_inv13(now);
             if let Err(v) = VersionManager::check_invariants(&self.sw) {
                 panic!("software-tier invariant violated at tx end (t={now}): {v}");
+            }
+            if self.cfg.check >= CheckLevel::Full {
+                self.check_inv14(now);
             }
         }
         SwCommitOutcome::Committed { latency }
@@ -1424,6 +1458,44 @@ mod tests {
         let t2 = t0 + d + 100;
         let (v, _) = must_done(m.tx_load(t2, 1, 0x500));
         assert_eq!(v, 3);
+    }
+
+    fn full_check_machine() -> HtmMachine {
+        let mut cfg = MachineConfig::small_test();
+        cfg.check = CheckLevel::Full;
+        HtmMachine::new(&cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)))
+    }
+
+    #[test]
+    fn live_set_tracks_begin_and_window_close() {
+        let mut m = full_check_machine();
+        assert!(m.live.is_empty());
+        let mut t0 = m.begin_tx(0, 2, TxSite(1));
+        assert_eq!(m.live.iter().collect::<Vec<_>>(), vec![2]);
+        let (_, l) = must_done(m.tx_store(t0, 2, 0x700, 1));
+        t0 += l;
+        let window = match m.commit_tx(t0, 2) {
+            CommitOutcome::Committed { latency, .. } => latency,
+            other => panic!("{other:?}"),
+        };
+        assert!(m.live.contains(2), "a committing window still defends");
+        // The next operation after the window settles the descriptor.
+        m.begin_tx(t0 + window, 3, TxSite(1));
+        assert_eq!(m.live.iter().collect::<Vec<_>>(), vec![3]);
+        m.check_inv14(t0 + window);
+    }
+
+    #[test]
+    #[should_panic(expected = "INV-14")]
+    fn full_check_catches_a_defender_missing_from_the_live_set() {
+        let mut m = full_check_machine();
+        let t0 = m.begin_tx(0, 0, TxSite(1));
+        must_done(m.tx_load(t0, 0, 0x300));
+        // Seeded bug: core 0 falls out of the live set while Active. The
+        // all-cores scan still finds it defending the line it read.
+        m.live.remove(0);
+        let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
+        let _ = m.tx_store(t1, 1, 0x300, 2);
     }
 
     #[test]

@@ -16,25 +16,24 @@
 //! events, so the *offline* serializability oracle in `suv-check` cannot
 //! see them — this runtime oracle can, which is why both exist.
 
-use std::collections::HashMap;
-use suv_types::{word_of, Addr, CoreId};
+use suv_types::{word_of, Addr, CoreId, WordMap};
 
 /// The shadow model. All addresses are normalized to word addresses.
 #[derive(Debug)]
 pub struct ShadowOracle {
     /// Committed word values; absent words are 0, matching the sparse
     /// functional [`suv_mem::Memory`].
-    committed: HashMap<Addr, u64>,
+    committed: WordMap<u64>,
     /// Per-core pending-write frames, innermost last. Empty = not in a
     /// transaction.
-    frames: Vec<Vec<HashMap<Addr, u64>>>,
+    frames: Vec<Vec<WordMap<u64>>>,
 }
 
 impl ShadowOracle {
     /// Fresh oracle for `n_cores` cores over an all-zero memory.
     #[must_use]
     pub fn new(n_cores: usize) -> Self {
-        ShadowOracle { committed: HashMap::new(), frames: vec![Vec::new(); n_cores] }
+        ShadowOracle { committed: WordMap::default(), frames: vec![Vec::new(); n_cores] }
     }
 
     /// A non-transactional (or setup `poke`) store became visible.
@@ -46,12 +45,12 @@ impl ShadowOracle {
     pub fn begin(&mut self, core: CoreId) {
         debug_assert!(self.frames[core].is_empty(), "core {core} began while frames pending");
         self.frames[core].clear();
-        self.frames[core].push(HashMap::new());
+        self.frames[core].push(WordMap::default());
     }
 
     /// A partial-abort nesting level was pushed on `core`.
     pub fn push_level(&mut self, core: CoreId) {
-        self.frames[core].push(HashMap::new());
+        self.frames[core].push(WordMap::default());
     }
 
     /// The innermost nesting level committed into its parent.

@@ -40,7 +40,10 @@
 //! schemes.
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
-use suv_types::{line_of, Addr, CoreId, Cycle, FxHashMap, FxHashSet, LineAddr, SchemeKind, TxSite};
+use suv_types::{
+    line_of, Addr, CoreId, Cycle, LineAddr, LineMap, LineSet, SchemeKind, SharerSet, TxSite,
+    WordMap,
+};
 
 /// Fixed software cost of entering the fallback tier (checkpointing the
 /// retry context and installing the STM dispatch).
@@ -67,24 +70,22 @@ struct SwLock {
 /// Per-core software transaction descriptor.
 #[derive(Debug, Default)]
 struct SwTx {
-    active: bool,
     doomed: bool,
     begin_time: Cycle,
     /// Value-based read log, in program order: `(word address, observed
     /// committed value)`.
     reads: Vec<(Addr, u64)>,
     /// Distinct lines read (hardware-commit invalidation checks).
-    read_lines: FxHashSet<LineAddr>,
+    read_lines: LineSet,
     /// Redo log: latest value per word address, in first-write order.
     writes: Vec<(Addr, u64)>,
-    write_index: FxHashMap<Addr, usize>,
+    write_index: WordMap<usize>,
     /// Distinct lines written.
-    write_lines: FxHashSet<LineAddr>,
+    write_lines: LineSet,
 }
 
 impl SwTx {
     fn reset(&mut self) {
-        self.active = false;
         self.doomed = false;
         self.reads.clear();
         self.read_lines.clear();
@@ -101,7 +102,11 @@ pub struct SwVm {
     /// The hardware scheme this software tier backs (reporting only).
     host: SchemeKind,
     txs: Vec<SwTx>,
-    locks: FxHashMap<LineAddr, SwLock>,
+    /// Cores inside a software transaction. Empty on every run that never
+    /// escalates, which is what lets the hardware commit path skip its
+    /// software-reader invalidation without looking at any core.
+    active: SharerSet,
+    locks: LineMap<SwLock>,
     /// Latest `until` of any lock ever published; `lock_owner` is a single
     /// compare before this instant, so hardware paths pay one predictable
     /// branch when the software tier is idle (the default).
@@ -115,7 +120,8 @@ impl SwVm {
         SwVm {
             host,
             txs: (0..n_cores).map(|_| SwTx::default()).collect(),
-            locks: FxHashMap::default(),
+            active: SharerSet::new(),
+            locks: LineMap::default(),
             locks_live_until: 0,
         }
     }
@@ -123,7 +129,7 @@ impl SwVm {
     /// Is `core` inside a software transaction?
     #[must_use]
     pub fn active(&self, core: CoreId) -> bool {
-        self.txs[core].active
+        self.active.contains(core)
     }
 
     /// Was `core`'s software transaction invalidated by a hardware commit?
@@ -139,10 +145,10 @@ impl SwVm {
 
     /// Begin a software attempt for `core` at time `now`.
     pub fn begin_sw(&mut self, core: CoreId, _site: TxSite, now: Cycle) {
+        let fresh = self.active.insert(core);
+        debug_assert!(fresh, "core {core} begins a software tx while one is active");
         let t = &mut self.txs[core];
-        debug_assert!(!t.active, "core {core} begins a software tx while one is active");
         t.reset();
-        t.active = true;
         t.begin_time = now;
     }
 
@@ -163,6 +169,26 @@ impl SwVm {
     #[must_use]
     pub fn reads_line(&self, core: CoreId, line: LineAddr) -> bool {
         self.txs[core].read_lines.contains(&line)
+    }
+
+    /// The in-flight, not yet doomed software transactions other than
+    /// `core`'s whose read set covers one of `lines`, each with the lowest
+    /// such line, in ascending core order. Empty — without looking at
+    /// `lines` — when no software transaction is active.
+    #[must_use]
+    pub fn readers_of(
+        &self,
+        core: CoreId,
+        lines: &(impl Iterator<Item = LineAddr> + Clone),
+    ) -> Vec<(CoreId, LineAddr)> {
+        self.active
+            .iter()
+            .filter(|&c| c != core && !self.doomed(c))
+            .filter_map(|c| {
+                let lowest = lines.clone().filter(|&l| self.reads_line(c, l)).min();
+                lowest.map(|l| (c, l))
+            })
+            .collect()
     }
 
     /// The value-based read log, in program order.
@@ -251,6 +277,7 @@ impl SwVm {
     /// End `core`'s software transaction (commit or abort).
     pub fn finish(&mut self, core: CoreId) {
         self.txs[core].reset();
+        self.active.remove(core);
     }
 }
 
@@ -311,7 +338,7 @@ impl VersionManager for SwVm {
 
     fn check_invariants(&self) -> Result<(), String> {
         for (core, t) in self.txs.iter().enumerate() {
-            if !t.active && (!t.reads.is_empty() || !t.writes.is_empty()) {
+            if !self.active(core) && (!t.reads.is_empty() || !t.writes.is_empty()) {
                 return Err(format!("core {core}: retired software tx kept its logs"));
             }
             if t.writes.len() != t.write_index.len() {

@@ -1,8 +1,7 @@
 //! Per-core transaction descriptors.
 
-use std::collections::HashSet;
 use suv_sig::Signature;
-use suv_types::{Cycle, LineAddr, TxSite};
+use suv_types::{Cycle, LineAddr, LineSet, TxSite};
 
 /// Lifecycle of a core's hardware transaction.
 ///
@@ -32,9 +31,9 @@ pub struct NestFrame {
     /// This level's write signature.
     pub wsig: Signature,
     /// This level's exact write set.
-    pub write_set: HashSet<LineAddr>,
+    pub write_set: LineSet,
     /// This level's exact read set.
-    pub read_set: HashSet<LineAddr>,
+    pub read_set: LineSet,
 }
 
 /// State of (at most) one transaction per core.
@@ -70,9 +69,9 @@ pub struct TxState {
     /// Exact write set (distinct lines) — used for lazy commit validation
     /// and overflow statistics; the signatures remain the *detection*
     /// mechanism.
-    pub write_set: HashSet<LineAddr>,
+    pub write_set: LineSet,
     /// Distinct lines read (statistics only).
-    pub read_set: HashSet<LineAddr>,
+    pub read_set: LineSet,
     /// Consecutive aborts of the current dynamic transaction (backoff).
     pub attempts: u32,
     /// Cycle at which the current attempt began.
@@ -110,8 +109,8 @@ impl TxState {
             depth: 0,
             rsig: make(sig_bits, sig_hashes),
             wsig: make(sig_bits, sig_hashes),
-            write_set: HashSet::new(),
-            read_set: HashSet::new(),
+            write_set: LineSet::default(),
+            read_set: LineSet::default(),
             attempts: 0,
             begin_time: 0,
             overflowed_l1: false,
@@ -134,8 +133,8 @@ impl TxState {
         self.frames.push(NestFrame {
             rsig: self.make_sig(),
             wsig: self.make_sig(),
-            write_set: HashSet::new(),
-            read_set: HashSet::new(),
+            write_set: LineSet::default(),
+            read_set: LineSet::default(),
         });
     }
 
@@ -211,17 +210,22 @@ impl TxState {
         self.write_set.contains(&line) || self.frames.iter().any(|f| f.write_set.contains(&line))
     }
 
-    /// All distinct written lines across levels (lazy commit validation,
-    /// statistics).
+    /// Every written line of every level, in no particular order and with
+    /// a line repeated when several levels wrote it. Callers must reduce
+    /// it order-free (`any`, `min`): the order is the hash table's.
+    pub fn write_lines(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {
+        self.write_set.iter().chain(self.frames.iter().flat_map(|f| &f.write_set)).copied()
+    }
+
+    /// Number of distinct written lines across levels (statistics).
     #[must_use]
-    pub fn all_write_lines(&self) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = self.write_set.iter().copied().collect();
-        for f in &self.frames {
-            v.extend(f.write_set.iter().copied());
+    pub fn write_line_count(&self) -> usize {
+        if self.frames.is_empty() {
+            return self.write_set.len();
         }
-        v.sort_unstable();
-        v.dedup();
-        v
+        let mut all = self.write_set.clone();
+        all.extend(self.frames.iter().flat_map(|f| &f.write_set));
+        all.len()
     }
 
     /// Is the transaction currently defending its sets at time `now`?

@@ -262,7 +262,7 @@ impl PoolAllocator {
     /// catch double frees and out-of-region frees too. Returns the first
     /// inconsistency found.
     pub fn check_consistency(&self) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = suv_types::LineSet::default();
         for &a in &self.free {
             if !self.region.contains(a) {
                 return Err(format!("freed slot {a:#x} lies outside the pool region"));

@@ -1,6 +1,7 @@
 //! Read/write Bloom-filter signatures (LogTM-SE style).
 
 use crate::{BitVec, HashFamily};
+// siphash-ok: `exact` exists only in the perfect-signature ablation, never on a default run.
 use std::collections::HashSet;
 use suv_types::{line_of, Addr};
 

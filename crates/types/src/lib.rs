@@ -21,7 +21,7 @@ pub use config::{
     BackoffConfig, CacheGeom, CheckLevel, ConflictPolicy, DynTmConfig, FallbackMode, FaultSpec,
     HtmConfig, MachineConfig, RobustnessConfig, SchemeKind, SuvConfig,
 };
-pub use fx::{FxHashMap, FxHashSet, FxHasher};
+pub use fx::{AlignedFxHasher, FxHashMap, FxHashSet, FxHasher, LineMap, LineSet, WordMap};
 pub use sharers::{SharerSet, MAX_SHARER_CORE};
 pub use stats::{Breakdown, BreakdownKind, MachineStats, OverflowStats, RedirectStats, TxStats};
 

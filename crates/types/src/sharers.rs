@@ -152,6 +152,23 @@ impl SharerSet {
         self.ext.clear();
     }
 
+    /// Keep only the cores for which `keep` returns true, visiting members
+    /// in ascending order (in-place filter: no clone of a spilled set).
+    pub fn retain(&mut self, mut keep: impl FnMut(CoreId) -> bool) {
+        let words = std::iter::once(&mut self.inline).chain(self.ext.iter_mut());
+        for (wi, w) in words.enumerate() {
+            let mut bits = *w;
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !keep(wi * WORD_BITS + bit) {
+                    *w &= !(1u64 << bit);
+                }
+            }
+        }
+        self.trim();
+    }
+
     /// The set minus core `c` (the "all other sharers" victim set).
     #[must_use]
     pub fn without(&self, c: CoreId) -> SharerSet {
@@ -279,6 +296,19 @@ mod tests {
         let w = v.without(130);
         assert_eq!(w, [1usize, 63].into_iter().collect::<SharerSet>());
         assert_eq!(w.to_word(), Some((1 << 1) | (1 << 63)));
+    }
+
+    #[test]
+    fn retain_filters_in_order_and_stays_canonical() {
+        let mut s: SharerSet = [1usize, 63, 64, 130, 200].into_iter().collect();
+        let mut visited = Vec::new();
+        s.retain(|c| {
+            visited.push(c);
+            c % 2 == 1
+        });
+        assert_eq!(visited, vec![1, 63, 64, 130, 200], "ascending visit order");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 63]);
+        assert_eq!(s, [1usize, 63].into_iter().collect::<SharerSet>(), "extension trimmed");
     }
 
     #[test]

@@ -70,6 +70,29 @@ fn remaining_schemes_spot_checked_under_full() {
 }
 
 #[test]
+fn live_set_audit_is_clean_on_the_wide_and_software_paths() {
+    // `CheckLevel::Full` cross-checks every live-set defender search
+    // against the all-cores scan and audits INV-14 at each transaction
+    // boundary. The STAMP matrix above exercises that on 4 cores; these
+    // two cells add a spilled (two-word) live set with the banked
+    // redirect table — 66 cores: just past the word boundary, since the
+    // Full-level sweeps cost O(cores) per transaction — and the software
+    // tier's own active-core set. CI's `checked-run` job runs the
+    // 128-core cell in a release build.
+    let mut cfg = MachineConfig { n_cores: 66, check: CheckLevel::Full, ..Default::default() };
+    let mut w = by_name("oltp", SuiteScale::Tiny).expect("known app");
+    let r = run_workload(&cfg, SchemeKind::DynTmSuv, w.as_mut());
+    assert!(r.stats.tx.commits > 0 && r.stats.tx.aborts > 0, "the cell must contend");
+
+    cfg.n_cores = 8;
+    cfg.robust.fallback = FallbackMode::Stm;
+    cfg.robust.faults = Some(parse_fault_spec("seed=7,overflow=25").expect("valid spec"));
+    let mut w = by_name("oltp-storm", SuiteScale::Tiny).expect("known app");
+    let r = run_workload(&cfg, SchemeKind::DynTmSuv, w.as_mut());
+    assert!(r.stats.tx.sw_commits > 0, "the software tier must run");
+}
+
+#[test]
 fn checking_never_perturbs_the_simulation() {
     // The oracles observe; they must not change a single simulated cycle.
     // Identical runs at Off and Full must produce identical results.

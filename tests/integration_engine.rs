@@ -116,31 +116,40 @@ fn run_mixed(scheme: SchemeKind, cores: usize, seed: u64) -> RunResult {
 }
 
 /// Golden cells beyond the STAMP-style 1–16-core matrix: the open-loop
-/// OLTP latency path (request arrival cycles, latency histograms) and a
-/// 128-core many-core cell, pinned so the engine is proven trace-hash
-/// identical on those paths too. `(name, scheme, cores)` →
+/// OLTP latency path (request arrival cycles, latency histograms), two
+/// 128-core many-core cells (SUV-TM, and DynTM+SUV for the banked
+/// second-level redirect table under lazy conflict detection), and a
+/// software-tier cell (`--fallback stm` under `--faults seed=7,overflow=25`,
+/// the `stm` column), pinned so the engine is proven trace-hash identical
+/// on those paths too. `(name, scheme, cores, stm)` →
 /// `(trace_hash, cycles, aborts)`.
-const GOLDEN_WIDE: &[(&str, SchemeKind, usize, u64, u64, u64)] = &[
-    ("oltp-storm", SchemeKind::SuvTm, 8, 0xeb87c97894052f90, 36871, 236),
-    ("oltp-storm", SchemeKind::LogTmSe, 8, 0xdcfda137c6054d7f, 66145, 320),
-    ("vacation", SchemeKind::SuvTm, 128, 0xf8efc6775bdb6e66, 8955699, 209115),
+const GOLDEN_WIDE: &[(&str, SchemeKind, usize, bool, u64, u64, u64)] = &[
+    ("oltp-storm", SchemeKind::SuvTm, 8, false, 0xeb87c97894052f90, 36871, 236),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, false, 0xdcfda137c6054d7f, 66145, 320),
+    ("vacation", SchemeKind::SuvTm, 128, false, 0xf8efc6775bdb6e66, 8955699, 209115),
+    ("oltp", SchemeKind::DynTmSuv, 128, false, 0xa768f3df6dac35e9, 31895, 746),
+    ("oltp-storm", SchemeKind::DynTmSuv, 8, true, 0x19cb1d0c05a9269e, 23442, 245),
 ];
 
-fn run_named(name: &str, scheme: SchemeKind, cores: usize) -> RunResult {
-    let cfg = MachineConfig { n_cores: cores, ..Default::default() };
+fn run_named(name: &str, scheme: SchemeKind, cores: usize, stm: bool) -> RunResult {
+    let mut cfg = MachineConfig { n_cores: cores, ..Default::default() };
+    if stm {
+        cfg.robust.fallback = FallbackMode::Stm;
+        cfg.robust.faults = Some(parse_fault_spec("seed=7,overflow=25").expect("valid spec"));
+    }
     let mut w = by_name(name, SuiteScale::Tiny).expect("registered workload");
     run_workload_traced(&cfg, scheme, w.as_mut(), Some(TraceConfig::default()))
 }
 
 #[test]
 fn oltp_and_many_core_schedules_match_goldens() {
-    for &(name, scheme, cores, hash, cycles, aborts) in GOLDEN_WIDE {
-        let r = run_named(name, scheme, cores);
+    for &(name, scheme, cores, stm, hash, cycles, aborts) in GOLDEN_WIDE {
+        let r = run_named(name, scheme, cores, stm);
         assert_eq!(
             (r.trace_hash, r.stats.cycles, r.stats.tx.aborts),
             (hash, cycles, aborts),
-            "{name}/{scheme:?}/{cores}c: schedule diverged (got hash {:#018x}, {} cycles, \
-             {} aborts)",
+            "{name}/{scheme:?}/{cores}c/stm={stm}: schedule diverged (got hash {:#018x}, \
+             {} cycles, {} aborts)",
             r.trace_hash,
             r.stats.cycles,
             r.stats.tx.aborts,
@@ -148,6 +157,7 @@ fn oltp_and_many_core_schedules_match_goldens() {
         if name.starts_with("oltp") {
             assert!(r.latency.is_some(), "open-loop cell must record latency");
         }
+        assert_eq!(r.stats.tx.sw_commits > 0, stm, "software tier runs exactly in the stm cell");
     }
 }
 
@@ -192,10 +202,10 @@ fn print_goldens() {
             r.trace_hash, r.stats.cycles, r.stats.tx.aborts
         );
     }
-    for &(name, scheme, cores, ..) in GOLDEN_WIDE {
-        let r = run_named(name, scheme, cores);
+    for &(name, scheme, cores, stm, ..) in GOLDEN_WIDE {
+        let r = run_named(name, scheme, cores, stm);
         println!(
-            "    (\"{name}\", SchemeKind::{scheme:?}, {cores}, {:#018x}, {}, {}),",
+            "    (\"{name}\", SchemeKind::{scheme:?}, {cores}, {stm}, {:#018x}, {}, {}),",
             r.trace_hash, r.stats.cycles, r.stats.tx.aborts
         );
     }

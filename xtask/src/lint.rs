@@ -23,6 +23,14 @@
 //!   `debug_assert!`, a `suv-check` audit, or a `suv-verify` predicate —
 //!   the invariant number is baked into the check's message string), so
 //!   the catalogue cannot drift into wishful documentation.
+//! * **siphash** — the crates an access crosses (`suv-htm`, `suv-core`,
+//!   `suv-coherence`, `suv-cache`, `suv-mem`, `suv-sig`) keep
+//!   `std::collections::{HashMap, HashSet}` out of their non-test code:
+//!   SipHash costs more than the bookkeeping it indexes, and its
+//!   per-process key makes iteration order a determinism hazard. The
+//!   `suv_types` `LineMap` / `LineSet` / `WordMap` / `FxHashMap` containers
+//!   replace them. A use off the simulated path is allowed by a
+//!   `// siphash-ok: <reason>` comment on the line or the line above.
 //!
 //! The content rules match on a *token-aware scrub* of each source file
 //! ([`strip_noncode`]): comments (line, doc and nested block) and —
@@ -260,6 +268,45 @@ pub fn lint_unwrap(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// Crate directories whose non-test code the **siphash** rule covers.
+const SIPHASH_FREE_CRATES: [&str; 6] = ["htm", "core", "coherence", "cache", "mem", "sig"];
+
+/// Flag `std::collections::{HashMap, HashSet}` in the non-test portion of
+/// a hot-path source file: every `std::collections::` path or `use` whose
+/// statement names one of the two, unless the line or the one above
+/// carries a `siphash-ok:` comment.
+pub fn lint_siphash(file: &str, src: &str) -> Vec<Violation> {
+    const PATH: &str = "std::collections::";
+    let mut out = Vec::new();
+    let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
+    let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
+    let raw_lines: Vec<&str> = src.lines().collect();
+    let allowed = |line: usize| {
+        (line.saturating_sub(1)..=line)
+            .any(|l| raw_lines.get(l).is_some_and(|t| t.contains("siphash-ok:")))
+    };
+    for (at, _) in nontest.match_indices(PATH) {
+        let rest = &nontest[at + PATH.len()..];
+        let stmt = &rest[..rest.find(';').unwrap_or(rest.len())];
+        let names_std_hash = stmt
+            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+            .any(|word| word == "HashMap" || word == "HashSet");
+        let line = nontest[..at].matches('\n').count();
+        if names_std_hash && !allowed(line) {
+            out.push(Violation {
+                file: file.to_string(),
+                line: line + 1,
+                rule: "siphash",
+                msg: "`std::collections::{HashMap, HashSet}` on the access path; use \
+                      `suv_types::{LineMap, LineSet, WordMap, FxHashMap}`, or mark an \
+                      off-path use with `// siphash-ok: <reason>`"
+                    .to_string(),
+            });
+        }
+    }
+    out
+}
+
 /// Require `#![forbid(unsafe_code)]` in a crate root.
 pub fn lint_forbid_unsafe(file: &str, src: &str) -> Vec<Violation> {
     if src.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]") {
@@ -476,6 +523,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut inv_refs: BTreeSet<u32> = BTreeSet::new();
     for crate_dir in &crate_dirs {
         let is_bench = crate_dir.file_name().is_some_and(|n| n == "bench");
+        let siphash_free =
+            crate_dir.file_name().is_some_and(|n| SIPHASH_FREE_CRATES.iter().any(|c| n == *c));
         let mut files = Vec::new();
         rust_files(crate_dir, &mut files)?;
         for f in &files {
@@ -486,6 +535,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
                 if name.contains("/src/") {
                     violations.extend(lint_unwrap(&name, &src));
                 }
+            }
+            if siphash_free && name.contains("/src/") {
+                violations.extend(lint_siphash(&name, &src));
             }
             violations.extend(lint_vm_impl(&name, &src));
             inv_refs.extend(invariant_refs(&src));
@@ -590,6 +642,34 @@ mod tests {
         assert!(lint_unwrap("x.rs", trailing).is_empty());
         let real = "let v = x.unwrap(); // bad\n";
         assert_eq!(lint_unwrap("x.rs", real).len(), 1);
+    }
+
+    #[test]
+    fn siphash_flags_std_hash_containers_outside_tests() {
+        let import = "use std::collections::{BTreeSet, HashMap};\nfn f() {}\n";
+        let v = lint_siphash("x.rs", import);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (1, "siphash"));
+        let inline = "fn f() {\n    let s = std::collections::HashSet::<u64>::new();\n}\n";
+        assert_eq!(lint_siphash("x.rs", inline)[0].line, 2);
+        // A brace group split over lines is one statement.
+        let split = "use std::collections::{\n    BTreeMap,\n    HashSet,\n};\n";
+        assert_eq!(lint_siphash("x.rs", split).len(), 1);
+    }
+
+    #[test]
+    fn siphash_accepts_other_collections_tests_and_marked_uses() {
+        let fine = "use std::collections::BTreeSet;\nuse suv_types::{FxHashMap, LineSet};\n\
+                    fn f() { let m: FxHashMap<u64, u64> = FxHashMap::default(); }\n";
+        assert!(lint_siphash("x.rs", fine).is_empty(), "{:?}", lint_siphash("x.rs", fine));
+        let test_only = "fn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
+        assert!(lint_siphash("x.rs", test_only).is_empty());
+        let documented = "/// was a std::collections::HashMap once\nfn f() {}\n";
+        assert!(lint_siphash("x.rs", documented).is_empty());
+        let marked = "// siphash-ok: ablation-only exact set\nuse std::collections::HashSet;\n";
+        assert!(lint_siphash("x.rs", marked).is_empty());
+        let marker_too_far = "// siphash-ok: stale\n\nuse std::collections::HashSet;\n";
+        assert_eq!(lint_siphash("x.rs", marker_too_far).len(), 1);
     }
 
     #[test]
