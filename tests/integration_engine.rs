@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use suv::prelude::*;
 use suv::sim::{SetupCtx, ThreadCtx};
-use suv::types::Addr;
+use suv::types::{Addr, TxStats};
 
 /// Randomized mixed read/write workload over `slots` shared words.
 struct MixedWorkload {
@@ -115,41 +115,79 @@ fn run_mixed(scheme: SchemeKind, cores: usize, seed: u64) -> RunResult {
     run_workload_traced(&cfg, scheme, &mut w, Some(TraceConfig::default()))
 }
 
+/// The robustness column of a wide golden cell: the ladder mode, the
+/// `--faults` spec (`""` = unarmed), the threshold overrides applied over
+/// the `RobustnessConfig` defaults, and a counter the cell exists to
+/// exercise (asserted non-zero, so a row cannot silently stop covering
+/// its rung or hook).
+type Robust = (FallbackMode, &'static str, fn(&mut RobustnessConfig), fn(&TxStats) -> u64);
+
+/// No faults, default thresholds, nothing beyond a commit to prove.
+const PLAIN: Robust = (FallbackMode::IrrevocableOnly, "", |_| {}, |t| t.commits);
+/// The overflow storm that drives the ladder, and the same storm with
+/// spurious NACKs and NoC delays on top (every retry loop's fault hooks,
+/// hardware and software).
+const STORM: &str = "seed=7,overflow=25";
+const MIX: &str = "seed=3,nack=10,delay=10:30,overflow=25";
+const STM: Robust = (FallbackMode::Stm, STORM, |_| {}, |t| t.sw_commits);
+const STM_MIX: Robust = (FallbackMode::Stm, MIX, |_| {}, |t| t.sw_commits);
+const IRREVOCABLE: Robust =
+    (FallbackMode::IrrevocableOnly, STORM, |_| {}, |t| t.irrevocable_commits);
+/// One software abort exhausts the software rung: Sw → Irrevocable.
+const SW_EXHAUSTED: Robust =
+    (FallbackMode::Stm, STORM, |r| r.sw_retries = 1, |t| t.esc_sw_validation);
+/// The abort-count watchdog, with no fault armed.
+const WATCHDOG: Robust =
+    (FallbackMode::IrrevocableOnly, "", |r| r.max_tx_aborts = 2, |t| t.esc_abort_watchdog);
+
 /// Golden cells beyond the STAMP-style 1–16-core matrix: the open-loop
 /// OLTP latency path (request arrival cycles, latency histograms), two
 /// 128-core many-core cells (SUV-TM, and DynTM+SUV for the banked
-/// second-level redirect table under lazy conflict detection), and a
-/// software-tier cell (`--fallback stm` under `--faults seed=7,overflow=25`,
-/// the `stm` column), pinned so the engine is proven trace-hash identical
-/// on those paths too. `(name, scheme, cores, stm)` →
+/// second-level redirect table under lazy conflict detection), and one
+/// cell per ladder rung and fault hook — the software tier, the
+/// irrevocable-only ladder under the same storm, the fault mix on an
+/// eager and a lazy scheme, the Sw → Irrevocable escalation and the
+/// abort-count watchdog — pinned so the engine is proven trace-hash
+/// identical on those paths too. `(name, scheme, cores, robust)` →
 /// `(trace_hash, cycles, aborts)`.
-const GOLDEN_WIDE: &[(&str, SchemeKind, usize, bool, u64, u64, u64)] = &[
-    ("oltp-storm", SchemeKind::SuvTm, 8, false, 0xeb87c97894052f90, 36871, 236),
-    ("oltp-storm", SchemeKind::LogTmSe, 8, false, 0xdcfda137c6054d7f, 66145, 320),
-    ("vacation", SchemeKind::SuvTm, 128, false, 0xf8efc6775bdb6e66, 8955699, 209115),
-    ("oltp", SchemeKind::DynTmSuv, 128, false, 0xa768f3df6dac35e9, 31895, 746),
-    ("oltp-storm", SchemeKind::DynTmSuv, 8, true, 0x19cb1d0c05a9269e, 23442, 245),
+const GOLDEN_WIDE: &[(&str, SchemeKind, usize, Robust, u64, u64, u64)] = &[
+    ("oltp-storm", SchemeKind::SuvTm, 8, PLAIN, 0xeb87c97894052f90, 36871, 236),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, PLAIN, 0xdcfda137c6054d7f, 66145, 320),
+    ("vacation", SchemeKind::SuvTm, 128, PLAIN, 0xf8efc6775bdb6e66, 8955699, 209115),
+    ("oltp", SchemeKind::DynTmSuv, 128, PLAIN, 0xa768f3df6dac35e9, 31895, 746),
+    ("oltp-storm", SchemeKind::DynTmSuv, 8, STM, 0x19cb1d0c05a9269e, 23442, 245),
+    ("oltp-storm", SchemeKind::DynTmSuv, 8, IRREVOCABLE, 0xe35104e3aeef1726, 26262, 292),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, STM_MIX, 0xc43cdb70c59aa6b8, 37899, 327),
+    ("oltp-storm", SchemeKind::Lazy, 8, STM_MIX, 0x04900448c3d78334, 26000, 247),
+    ("oltp-storm", SchemeKind::SuvTm, 8, SW_EXHAUSTED, 0x34c56961d672ddc1, 33416, 308),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, WATCHDOG, 0x7b2782861ad0905c, 33770, 77),
 ];
 
-fn run_named(name: &str, scheme: SchemeKind, cores: usize, stm: bool) -> RunResult {
+fn run_named(name: &str, scheme: SchemeKind, cores: usize, robust: Robust) -> RunResult {
+    let (fallback, faults, overrides, _) = robust;
     let mut cfg = MachineConfig { n_cores: cores, ..Default::default() };
-    if stm {
-        cfg.robust.fallback = FallbackMode::Stm;
-        cfg.robust.faults = Some(parse_fault_spec("seed=7,overflow=25").expect("valid spec"));
+    cfg.robust.fallback = fallback;
+    if !faults.is_empty() {
+        cfg.robust.faults = Some(parse_fault_spec(faults).expect("valid spec"));
     }
+    overrides(&mut cfg.robust);
     let mut w = by_name(name, SuiteScale::Tiny).expect("registered workload");
     run_workload_traced(&cfg, scheme, w.as_mut(), Some(TraceConfig::default()))
 }
 
 #[test]
 fn oltp_and_many_core_schedules_match_goldens() {
-    for &(name, scheme, cores, stm, hash, cycles, aborts) in GOLDEN_WIDE {
-        let r = run_named(name, scheme, cores, stm);
+    for (row, &(name, scheme, cores, robust, hash, cycles, aborts)) in
+        GOLDEN_WIDE.iter().enumerate()
+    {
+        let r = run_named(name, scheme, cores, robust);
         assert_eq!(
             (r.trace_hash, r.stats.cycles, r.stats.tx.aborts),
             (hash, cycles, aborts),
-            "{name}/{scheme:?}/{cores}c/stm={stm}: schedule diverged (got hash {:#018x}, \
-             {} cycles, {} aborts)",
+            "row {row} ({name}/{scheme:?}/{cores}c/{}/`{}`): schedule diverged (got hash \
+             {:#018x}, {} cycles, {} aborts)",
+            robust.0.name(),
+            robust.1,
             r.trace_hash,
             r.stats.cycles,
             r.stats.tx.aborts,
@@ -157,7 +195,12 @@ fn oltp_and_many_core_schedules_match_goldens() {
         if name.starts_with("oltp") {
             assert!(r.latency.is_some(), "open-loop cell must record latency");
         }
-        assert_eq!(r.stats.tx.sw_commits > 0, stm, "software tier runs exactly in the stm cell");
+        assert!(robust.3(&r.stats.tx) > 0, "row {row} no longer exercises what it pins");
+        assert_eq!(
+            r.stats.tx.sw_commits > 0,
+            robust.0 == FallbackMode::Stm,
+            "row {row}: the software tier runs exactly in the stm cells"
+        );
     }
 }
 
@@ -202,11 +245,26 @@ fn print_goldens() {
             r.trace_hash, r.stats.cycles, r.stats.tx.aborts
         );
     }
-    for &(name, scheme, cores, stm, ..) in GOLDEN_WIDE {
-        let r = run_named(name, scheme, cores, stm);
+    // The robustness column is not printable (it holds fn pointers):
+    // paste the three numbers into the row by position.
+    for (row, &(name, scheme, cores, robust, ..)) in GOLDEN_WIDE.iter().enumerate() {
+        let r = run_named(name, scheme, cores, robust);
+        let t = &r.stats.tx;
         println!(
-            "    (\"{name}\", SchemeKind::{scheme:?}, {cores}, {stm}, {:#018x}, {}, {}),",
-            r.trace_hash, r.stats.cycles, r.stats.tx.aborts
+            "    row {row} {name}/{scheme:?}/{cores}c/{}/`{}`: {:#018x}, {}, {}   \
+             [probe={} sw_commits={} irrevocable={} esc={}/{}/{}/{}]",
+            robust.0.name(),
+            robust.1,
+            r.trace_hash,
+            r.stats.cycles,
+            t.aborts,
+            robust.3(t),
+            t.sw_commits,
+            t.irrevocable_commits,
+            t.esc_overflow,
+            t.esc_abort_watchdog,
+            t.esc_starvation,
+            t.esc_sw_validation,
         );
     }
 }
