@@ -49,6 +49,7 @@ use suv::oltp::Oltp;
 use suv::prelude::*;
 use suv::registry::workload_names;
 use suv::sim::default_workers;
+use suv::trace::EscalationReason;
 use suv_bench::cli::{self, BenchMode, BenchOpts, Command, RunOpts, VerifyOpts, USAGE};
 use suv_bench::engine::{
     cell_key, resume_plan, run_matrix, scale_name, sweep_json, CellOutcome, HostMeta,
@@ -112,11 +113,9 @@ fn run_oracles(r: &RunResult) -> bool {
 /// `--trace-summary` (and mirrored by the `--json` resilience block):
 /// why transactions left the hardware tier, bucketed by ladder reason.
 fn escalation_report(indent: &str, t: &suv::types::TxStats) -> String {
-    format!(
-        "{indent}escalations: overflow={} abort-watchdog={} starvation-watchdog={} \
-         sw-validation-failure={}\n",
-        t.esc_overflow, t.esc_abort_watchdog, t.esc_starvation, t.esc_sw_validation,
-    )
+    let counts =
+        EscalationReason::ALL.map(|e| format!(" {}={}", e.key().replace('_', "-"), e.count(t)));
+    format!("{indent}escalations:{}\n", counts.concat())
 }
 
 fn report(r: &RunResult, breakdown: bool) {

@@ -10,6 +10,7 @@ pub mod probe;
 pub mod profile;
 
 pub use suv::prelude::*;
+use suv::trace::EscalationReason;
 pub use suv::trace::Json;
 use suv::types::Cycle;
 
@@ -81,12 +82,9 @@ pub fn run_json(r: &RunResult) -> Json {
                 ("hw_sw_conflicts", Json::U64(r.stats.tx.hw_sw_conflicts)),
                 (
                     "escalations",
-                    Json::obj([
-                        ("overflow", Json::U64(r.stats.tx.esc_overflow)),
-                        ("abort_watchdog", Json::U64(r.stats.tx.esc_abort_watchdog)),
-                        ("starvation_watchdog", Json::U64(r.stats.tx.esc_starvation)),
-                        ("sw_validation_failure", Json::U64(r.stats.tx.esc_sw_validation)),
-                    ]),
+                    Json::obj(
+                        EscalationReason::ALL.map(|e| (e.key(), Json::U64(e.count(&r.stats.tx)))),
+                    ),
                 ),
             ]),
         ),

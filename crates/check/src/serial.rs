@@ -330,7 +330,7 @@ fn tarjan_sccs(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use suv_trace::TraceEvent as E;
+    use suv_trace::{ConflictDir, FallbackAbortReason, TraceEvent as E};
 
     fn rec(t: u64, core: CoreId, ev: E) -> TraceRecord {
         TraceRecord { t, core, ev }
@@ -447,7 +447,7 @@ mod tests {
             rec(3, 0, E::TxWrite { line: 0xB0 }),
             rec(4, 0, E::TxCommit { window: 1, committing: 0 }),
             rec(5, 1, E::TxRead { line: 0xB0 }),
-            rec(6, 1, E::HwSwConflict { line: 0xA0, dir: 0 }),
+            rec(6, 1, E::HwSwConflict { line: 0xA0, dir: ConflictDir::SwLockBlocksHw }),
             rec(7, 1, E::FallbackCommit { writes: 1 }),
             rec(7, 1, E::TxCommit { window: 2, committing: 2 }),
         ];
@@ -492,7 +492,7 @@ mod tests {
             rec(3, 0, E::TxWrite { line: 0xA0 }),
             rec(4, 0, E::TxCommit { window: 1, committing: 0 }),
             rec(5, 1, E::TxWrite { line: 0xB0 }),
-            rec(6, 1, E::FallbackAbort { reason: 0 }),
+            rec(6, 1, E::FallbackAbort { reason: FallbackAbortReason::ValidationFailed }),
             rec(6, 1, E::TxAbort { window: 1 }),
         ];
         let r = check_serializability(&trace);

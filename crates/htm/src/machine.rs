@@ -21,6 +21,17 @@
 //!   owners.
 //! * **Strong isolation** — non-transactional accesses run the same
 //!   resolution and conflict checks.
+//!
+//! # One access pipeline
+//!
+//! Every access of every tier (non-transactional, hardware, software) is
+//! a short sequence of the same stages, each of which exists once:
+//! `settle` → doomed check → `sw_lock_nack` → version-manager resolve
+//! (`with_vm`) → `find_conflict` → NACK assembly (`nack`) → `fill` →
+//! functional read/write → tracking (sets, statistics, trace, shadow).
+//! The tiers differ only in which stages run, in what order and at what
+//! latency charge: the entry points spell each sequence out and
+//! DESIGN.md §9 tabulates them.
 
 use crate::shadow::ShadowOracle;
 use crate::swvm::{self, SwVm};
@@ -30,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use suv_coherence::{AccessKind, MemorySystem};
 use suv_mem::Memory;
-use suv_trace::{TraceEvent, Tracer};
+use suv_trace::{ConflictDir, EscalationReason, FallbackAbortReason, TraceEvent, Tracer};
 use suv_types::{
     line_of, word_of, Addr, CheckLevel, CoreId, Cycle, LineAddr, MachineConfig, OverflowStats,
     SharerSet, TxSite, TxStats,
@@ -79,11 +90,9 @@ pub enum SwCommitOutcome {
     /// transaction touched. The window closes unconditionally, so the
     /// caller stalls `latency` and retries the commit — never aborts.
     Busy { nacker: CoreId, latency: Cycle },
-    /// The commit lost (reason codes mirror
-    /// [`TraceEvent::FallbackAbort`]): 0 = value validation failed,
-    /// 2 = a live hardware transaction wins the conflict. The caller must
-    /// abort via [`HtmMachine::abort_sw_tx`].
-    MustAbort { reason: u32, latency: Cycle },
+    /// The commit lost, for `reason`. The caller must abort via
+    /// [`HtmMachine::abort_sw_tx`].
+    MustAbort { reason: FallbackAbortReason, latency: Cycle },
 }
 
 /// The HTM controller.
@@ -129,7 +138,6 @@ impl HtmMachine {
     /// Build a machine running the given version-management scheme.
     #[must_use]
     pub fn new(cfg: &MachineConfig, vm: Box<dyn VersionManager>) -> Self {
-        let sw = SwVm::new(cfg.n_cores, vm.kind());
         HtmMachine {
             cfg: *cfg,
             mem: Memory::new(),
@@ -145,7 +153,7 @@ impl HtmMachine {
                 .collect(),
             live: SharerSet::new(),
             vm,
-            sw,
+            sw: SwVm::new(cfg.n_cores),
             tx_stats: vec![TxStats::default(); cfg.n_cores],
             overflow: OverflowStats::default(),
             commit_token_free: 0,
@@ -193,10 +201,17 @@ impl HtmMachine {
         self.txs[core].depth > 0 && matches!(self.txs[core].status, TxStatus::Active)
     }
 
-    /// Current nesting depth of `core`'s transaction.
-    #[must_use]
-    pub fn depth(&self, core: CoreId) -> usize {
-        self.txs[core].depth
+    /// Run `f` on the version manager, handing it the view of the machine
+    /// it operates through at time `now`.
+    #[inline]
+    fn with_vm<R>(
+        &mut self,
+        now: Cycle,
+        f: impl FnOnce(&mut dyn VersionManager, &mut VmEnv) -> R,
+    ) -> R {
+        let mut env =
+            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
+        f(self.vm.as_mut(), &mut env)
     }
 
     /// Close expired isolation windows. Called at the head of every
@@ -246,7 +261,9 @@ impl HtmMachine {
     }
 
     /// The first of `cores` (other than `requester`) whose transaction
-    /// defends `line` against the access.
+    /// defends `line` against the access. A plain loop: this is the
+    /// machine's hottest scan, and `Iterator::find` over the live set
+    /// measured 3 % of end-to-end host time slower.
     fn first_defender(
         &self,
         cores: impl Iterator<Item = CoreId>,
@@ -257,22 +274,9 @@ impl HtmMachine {
     ) -> Option<CoreId> {
         for c in cores {
             let t = &self.txs[c];
-            if c == requester || !t.isolation_live(now) {
-                continue;
-            }
-            // Active lazy transactions are invisible until they commit;
-            // aborting/committing windows always defend.
-            let defends = match t.status {
-                TxStatus::Active => !t.lazy,
-                TxStatus::Aborting { .. } | TxStatus::Committing { .. } => true,
-                TxStatus::Idle => false,
-            };
-            if !defends {
-                continue;
-            }
-            let hit =
-                if is_write { t.rsig_hit(line) || t.wsig_hit(line) } else { t.wsig_hit(line) };
-            if hit {
+            let defends = c != requester && t.isolation_live(now) && t.defends();
+            // Against a write, readers conflict too (probed first: likelier).
+            if defends && ((is_write && t.rsig_hit(line)) || t.wsig_hit(line)) {
                 return Some(c);
             }
         }
@@ -284,18 +288,12 @@ impl HtmMachine {
     /// set: lazy transactions hold no ownership and lose against eager
     /// writers (DynTM's mixed-mode rule). Without this, a lazy transaction
     /// could commit stale reads over an eagerly-committed update.
-    fn doom_lazy_conflictors(&mut self, now: Cycle, requester: CoreId, line: LineAddr) {
+    fn doom_lazy_conflictors(&mut self, requester: CoreId, line: LineAddr) {
         for c in self.live.iter() {
-            if c == requester {
-                continue;
-            }
-            let t = &self.txs[c];
-            if t.lazy
-                && matches!(t.status, TxStatus::Active)
-                && t.isolation_live(now)
-                && (t.rsig_hit(line) || t.wsig_hit(line))
-            {
-                self.txs[c].doomed = true;
+            let t = &mut self.txs[c];
+            let active_lazy = t.lazy && matches!(t.status, TxStatus::Active);
+            if c != requester && active_lazy && (t.rsig_hit(line) || t.wsig_hit(line)) {
+                t.doomed = true;
             }
         }
     }
@@ -332,21 +330,36 @@ impl HtmMachine {
         must_abort
     }
 
-    /// Trace a NACK: the NACK proper is attributed to the defender and the
-    /// resulting stall to the requester, so per-core `nack` event counts
-    /// reconcile with `nacks_sent` and `stall` counts with
-    /// `nacks_received`.
-    fn trace_nack(
+    /// NACK assembly: the one place a refused request is counted, timed,
+    /// traced and turned into the [`Access`] its issuer sees. `lead` is
+    /// the latency the requester had already spent (resolution or
+    /// version-management work) when the refusal left; `hw_tx` says the
+    /// requester is a hardware transaction, subject to the possible-cycle
+    /// rule — every other requester only ever stalls. The NACK proper is
+    /// attributed to the defender and the resulting stall to the requester,
+    /// so per-core `nack` event counts reconcile with `nacks_sent` and
+    /// `stall` counts with `nacks_received`.
+    fn nack(
         &mut self,
         now: Cycle,
         requester: CoreId,
         nacker: CoreId,
         line: LineAddr,
-        stall: Cycle,
-        must_abort: bool,
-    ) {
+        lead: Cycle,
+        hw_tx: bool,
+    ) -> Access {
+        let must_abort = self.note_nack(requester, nacker, hw_tx);
+        let latency = lead + self.sys.nack_latency(now + lead, requester, line, nacker);
         self.tracer.emit(now, nacker, TraceEvent::Nack { requester: requester as u32, must_abort });
-        self.tracer.emit(now, requester, TraceEvent::Stall { line, cycles: stall });
+        self.tracer.emit(now, requester, TraceEvent::Stall { line, cycles: latency });
+        Access::Nacked { nacker, latency, must_abort }
+    }
+
+    /// Count and trace a hardware/software cross-tier conflict against
+    /// `core`, the side that lost.
+    fn cross_tier(&mut self, now: Cycle, core: CoreId, line: LineAddr, dir: ConflictDir) {
+        self.tx_stats[core].hw_sw_conflicts += 1;
+        self.tracer.emit(now, core, TraceEvent::HwSwConflict { line, dir });
     }
 
     /// NACK the access when `line` sits inside a live software commit
@@ -358,21 +371,96 @@ impl HtmMachine {
     /// is idle. The window closes unconditionally, so the requester only
     /// ever stalls (`must_abort` is never set; even an irrevocable owner
     /// can afford the bounded wait without risking a dependence cycle).
-    fn sw_lock_nacked(
+    fn sw_lock_nack(&mut self, now: Cycle, core: CoreId, line: LineAddr) -> Option<Access> {
+        let owner = self.sw.lock_owner(now, line, core)?;
+        self.cross_tier(now, core, line, ConflictDir::SwLockBlocksHw);
+        Some(self.nack(now, core, owner, line, 0, false))
+    }
+
+    /// Fill stage: the coherence transaction for a permission miss, issued
+    /// once the `lead` cycles of resolution work are spent, with the
+    /// eviction it causes reported to the version manager. A
+    /// *transactional* fill that evicts one of the core's own speculative
+    /// lines is the L1 data overflow of Table V.
+    fn fill<const TX: bool>(
+        &mut self,
+        now: Cycle,
+        lead: Cycle,
+        core: CoreId,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Cycle {
+        let f = self.sys.fill_traced(now + lead, core, addr, kind, &mut self.tracer);
+        if let Some(ev) = f.evicted {
+            self.vm.on_eviction(core, &ev);
+            if TX && ev.speculative {
+                self.txs[core].overflowed_l1 = true;
+                self.overflow.speculative_evictions += 1;
+                self.tracer.emit(now, core, TraceEvent::SpecEviction { line: ev.line });
+            }
+        }
+        f.latency
+    }
+
+    /// The *committed* value of `addr` and the resolution latency: the
+    /// hardware scheme resolves the location non-transactionally (on SUV
+    /// that follows committed redirect entries), then the word is read
+    /// functionally. Software loads, software commit validation and
+    /// [`Self::peek`] all read through here.
+    fn read_committed(&mut self, now: Cycle, core: CoreId, addr: Addr) -> (u64, Cycle) {
+        match self.with_vm(now, |vm, env| vm.resolve_load(env, core, addr, false)) {
+            (LoadTarget::Mem(p), lat) => (self.mem.read_word(word_of(p)), lat),
+            (LoadTarget::Value(v), lat) => (v, lat),
+        }
+    }
+
+    /// The committed location a non-transactional store of `value` lands
+    /// at, and the version-management latency. Such stores never allocate
+    /// version-manager capacity (no logging, no buffering; SUV
+    /// redirect-back only frees slots), so they can neither be buffered
+    /// nor overflow. A software commit publishes its redo log through
+    /// here, exactly like a non-transactional store.
+    fn prepare_committed_store(
         &mut self,
         now: Cycle,
         core: CoreId,
-        line: LineAddr,
-        res_lat: Cycle,
-    ) -> Option<Access> {
-        let owner = self.sw.lock_owner(now, line, core)?;
-        self.tx_stats[core].nacks_received += 1;
-        self.tx_stats[owner].nacks_sent += 1;
-        self.tx_stats[core].hw_sw_conflicts += 1;
-        let latency = res_lat + self.sys.nack_latency(now + res_lat, core, line, owner);
-        self.tracer.emit(now, core, TraceEvent::HwSwConflict { line, dir: 0 });
-        self.trace_nack(now, core, owner, line, latency, false);
-        Some(Access::Nacked { nacker: owner, latency, must_abort: false })
+        addr: Addr,
+        value: u64,
+    ) -> (Addr, Cycle) {
+        match self.with_vm(now, |vm, env| vm.prepare_store(env, core, addr, value, false)) {
+            (StoreTarget::Mem(p), lat) => (p, lat),
+            (other, _) => unreachable!("non-transactional store was answered {other:?}"),
+        }
+    }
+
+    /// Tracking stage of a transactional load, hardware or software: the
+    /// statistic and the trace record.
+    fn count_tx_load(&mut self, now: Cycle, core: CoreId, line: LineAddr) {
+        self.tx_stats[core].tx_loads += 1;
+        self.tracer.emit(now, core, TraceEvent::TxRead { line });
+    }
+
+    /// Let the shadow-memory oracle, when armed, record a state change.
+    fn shadow(&mut self, f: impl FnOnce(&mut ShadowOracle)) {
+        if let Some(s) = &mut self.shadow {
+            f(s);
+        }
+    }
+
+    /// Shadow-oracle stage of a load (`CheckLevel::Full`, INV-9): a
+    /// hardware transaction (`hw_tx`) must observe its own speculative state;
+    /// every other reader — non-transactional (strong isolation), software,
+    /// [`Self::peek`] — exactly the committed state.
+    fn shadow_check_load(&self, now: Cycle, core: CoreId, addr: Addr, value: u64, hw_tx: bool) {
+        let Some(s) = &self.shadow else { return };
+        let verdict = if hw_tx {
+            s.check_tx_load(core, addr, value)
+        } else {
+            s.check_nontx_load(core, addr, value)
+        };
+        if let Err(v) = verdict {
+            panic!("isolation violated at t={now}: {v}");
+        }
     }
 
     /// Begin (or nest) a transaction. Returns the begin latency.
@@ -412,12 +500,8 @@ impl HtmMachine {
                 // LogTM-Nested stacked frame: per-level signatures plus a
                 // version-manager watermark, enabling partial abort.
                 self.txs[core].push_frame();
-                if let Some(s) = &mut self.shadow {
-                    s.push_level(core);
-                }
-                let mut env =
-                    VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-                return 2 + self.vm.begin_level(&mut env, core);
+                self.shadow(|s| s.push_level(core));
+                return 2 + self.with_vm(now, |vm, env| vm.begin_level(env, core));
             }
             return 1; // flattened (subsumed) nesting
         }
@@ -457,77 +541,69 @@ impl HtmMachine {
             t.timestamp = (now << 8) | core as u64;
         }
         self.tracer.emit(now, core, TraceEvent::TxBegin { site: site.0, lazy });
-        if let Some(s) = &mut self.shadow {
-            s.begin(core);
-        }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        self.cfg.htm.checkpoint_cycles + self.vm.begin(&mut env, core, lazy)
+        self.shadow(|s| s.begin(core));
+        self.cfg.htm.checkpoint_cycles + self.with_vm(now, |vm, env| vm.begin(env, core, lazy))
     }
 
     /// Transactional load.
+    #[inline]
     pub fn tx_load(&mut self, now: Cycle, core: CoreId, addr: Addr) -> Access {
+        self.load::<true>(now, core, addr)
+    }
+
+    /// Non-transactional load (strong isolation: the same resolution and
+    /// conflict checks apply).
+    #[inline]
+    pub fn nontx_load(&mut self, now: Cycle, core: CoreId, addr: Addr) -> Access {
+        self.load::<false>(now, core, addr)
+    }
+
+    /// The load sequence of the hardware tier (`TX`) and of
+    /// non-transactional code: resolve first, check conflicts only on a
+    /// permission miss, once the `res_lat` resolution cycles are spent.
+    fn load<const TX: bool>(&mut self, now: Cycle, core: CoreId, addr: Addr) -> Access {
         self.settle(now);
-        debug_assert!(self.in_tx(core), "tx_load outside a transaction");
-        if self.txs[core].doomed {
-            return Access::MustAbort { latency: 1 };
+        if TX {
+            debug_assert!(self.in_tx(core), "tx_load outside a transaction");
+            if self.txs[core].doomed {
+                return Access::MustAbort { latency: 1 };
+            }
         }
         let line = line_of(addr);
-        if let Some(a) = self.sw_lock_nacked(now, core, line, 0) {
+        if let Some(a) = self.sw_lock_nack(now, core, line) {
             return a;
         }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let (target, res_lat) = self.vm.resolve_load(&mut env, core, addr, true);
-        let (value, latency) = match target {
-            LoadTarget::Value(v) => (v, res_lat + self.cfg.l1.latency),
+        let (target, res_lat) = self.with_vm(now, |vm, env| vm.resolve_load(env, core, addr, TX));
+        let (value, lat) = match target {
+            // A private-buffer hit never leaves the core: an L1 access
+            // inside a transaction, a single cycle outside one.
+            LoadTarget::Value(v) => (v, if TX { self.cfg.l1.latency } else { 1 }),
             LoadTarget::Mem(phys) => {
                 // Coherence and caching always key on the ORIGINAL address
                 // (SUV's "a load/(store) that misses on block B generates a
                 // GETS(B)/(GETM(B))"); only the functional data location is
                 // redirected.
-                if !self.sys.has_permission(core, addr, AccessKind::Load) {
-                    if let Some(nacker) = self.find_conflict(now, core, line, false) {
-                        let must_abort = self.note_nack(core, nacker, true);
-                        let latency =
-                            res_lat + self.sys.nack_latency(now + res_lat, core, line, nacker);
-                        self.trace_nack(now, core, nacker, line, latency, must_abort);
-                        return Access::Nacked { nacker, latency, must_abort };
-                    }
-                    let f = self.sys.fill_traced(
-                        now + res_lat,
-                        core,
-                        addr,
-                        AccessKind::Load,
-                        &mut self.tracer,
-                    );
-                    if let Some(ev) = f.evicted {
-                        self.vm.on_eviction(core, &ev);
-                        if ev.speculative {
-                            self.txs[core].overflowed_l1 = true;
-                            self.overflow.speculative_evictions += 1;
-                            self.tracer.emit(now, core, TraceEvent::SpecEviction { line: ev.line });
-                        }
-                    }
-                    (self.mem.read_word(word_of(phys)), res_lat + f.latency)
+                let lat = if self.sys.has_permission(core, addr, AccessKind::Load) {
+                    self.sys.access_hit(core, addr, AccessKind::Load)
                 } else {
-                    let hit = self.sys.access_hit(core, addr, AccessKind::Load);
-                    (self.mem.read_word(word_of(phys)), res_lat + hit)
-                }
+                    if let Some(nacker) = self.find_conflict(now, core, line, false) {
+                        return self.nack(now, core, nacker, line, res_lat, TX);
+                    }
+                    self.fill::<TX>(now, res_lat, core, addr, AccessKind::Load)
+                };
+                (self.mem.read_word(word_of(phys)), lat)
             }
         };
-        self.txs[core].note_read(line);
-        self.tx_stats[core].tx_loads += 1;
-        self.tracer.emit(now, core, TraceEvent::TxRead { line });
-        if let Some(s) = &self.shadow {
-            if let Err(v) = s.check_tx_load(core, addr, value) {
-                panic!("isolation violated at t={now}: {v}");
-            }
+        if TX {
+            self.txs[core].note_read(line);
+            self.count_tx_load(now, core, line);
         }
-        Access::Done { value, latency }
+        self.shadow_check_load(now, core, addr, value, TX);
+        Access::Done { value, latency: res_lat + lat }
     }
 
-    /// Transactional store.
+    /// Transactional store. The hardware tier's store sequence checks
+    /// conflicts *before* version management, at `now`.
     pub fn tx_store(&mut self, now: Cycle, core: CoreId, addr: Addr, value: u64) -> Access {
         self.settle(now);
         debug_assert!(self.in_tx(core), "tx_store outside a transaction");
@@ -535,28 +611,23 @@ impl HtmMachine {
             return Access::MustAbort { latency: 1 };
         }
         let line = line_of(addr);
-        if let Some(a) = self.sw_lock_nacked(now, core, line, 0) {
+        if let Some(a) = self.sw_lock_nack(now, core, line) {
             return a;
         }
-        // Eager conflict check before any bookkeeping, unless this
-        // transaction already owns the line (exact write-set check: a
-        // signature false positive must not skip the check). Lazy
-        // transactions defer all conflicts to commit.
-        let owned = self.txs[core].writes_contain(line);
-        if !self.txs[core].lazy && !owned {
-            if let Some(nacker) = self.find_conflict(now, core, line, true) {
-                let must_abort = self.note_nack(core, nacker, true);
-                let latency = self.sys.nack_latency(now, core, line, nacker);
-                self.trace_nack(now, core, nacker, line, latency, must_abort);
-                return Access::Nacked { nacker, latency, must_abort };
-            }
-            self.doom_lazy_conflictors(now, core, line);
-        }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let (target, vm_lat) = self.vm.prepare_store(&mut env, core, addr, value, true);
+        // Eager conflict check before any bookkeeping, whatever the
+        // coherence permission, unless this transaction already owns the
+        // line (exact write-set check: a signature false positive must not
+        // skip the check). Lazy transactions defer all conflicts to commit.
         let lazy = self.txs[core].lazy;
-        let latency = match target {
+        if !lazy && !self.txs[core].writes_contain(line) {
+            if let Some(nacker) = self.find_conflict(now, core, line, true) {
+                return self.nack(now, core, nacker, line, 0, true);
+            }
+            self.doom_lazy_conflictors(core, line);
+        }
+        let (target, vm_lat) =
+            self.with_vm(now, |vm, env| vm.prepare_store(env, core, addr, value, true));
+        let lat = match target {
             StoreTarget::Overflow => {
                 // Capacity exhausted before any bookkeeping: the write
                 // signature and write set were not touched, so the abort
@@ -566,7 +637,7 @@ impl HtmMachine {
                 self.tracer.emit(now, core, TraceEvent::OverflowAbort { line });
                 return Access::Overflow { latency: vm_lat + 1 };
             }
-            StoreTarget::Buffered => vm_lat + self.cfg.l1.latency,
+            StoreTarget::Buffered => self.cfg.l1.latency,
             StoreTarget::Mem(phys) if lazy => {
                 // Lazy conflict detection: the store stays private until
                 // commit — no ownership request, no invalidations. With
@@ -574,7 +645,7 @@ impl HtmMachine {
                 // (redirected) location *is* the final data movement; the
                 // commit merely flips the entry.
                 self.mem.write_word(word_of(phys), value);
-                vm_lat + self.cfg.l1.latency
+                self.cfg.l1.latency
             }
             StoreTarget::Mem(phys) => {
                 // As with loads: GETM targets the original address; only
@@ -583,35 +654,23 @@ impl HtmMachine {
                 let lat = if self.sys.has_permission(core, addr, AccessKind::Store) {
                     self.sys.access_hit(core, addr, AccessKind::Store)
                 } else {
-                    let f = self.sys.fill_traced(
-                        now + vm_lat,
-                        core,
-                        addr,
-                        AccessKind::Store,
-                        &mut self.tracer,
-                    );
-                    if let Some(ev) = f.evicted {
-                        self.vm.on_eviction(core, &ev);
-                        if ev.speculative {
-                            self.txs[core].overflowed_l1 = true;
-                            self.overflow.speculative_evictions += 1;
-                            self.tracer.emit(now, core, TraceEvent::SpecEviction { line: ev.line });
-                        }
-                    }
-                    f.latency
+                    self.fill::<true>(now, vm_lat, core, addr, AccessKind::Store)
                 };
                 self.mem.write_word(word_of(phys), value);
                 self.sys.mark_speculative(core, addr);
-                vm_lat + lat
+                lat
             }
         };
         self.txs[core].note_write(line);
+        self.count_tx_store(now, core, line);
+        self.shadow(|s| s.record_store(core, addr, value));
+        Access::Done { value: 0, latency: vm_lat + lat }
+    }
+
+    /// Tracking stage of a transactional store, hardware or software.
+    fn count_tx_store(&mut self, now: Cycle, core: CoreId, line: LineAddr) {
         self.tx_stats[core].tx_stores += 1;
         self.tracer.emit(now, core, TraceEvent::TxWrite { line });
-        if let Some(s) = &mut self.shadow {
-            s.record_store(core, addr, value);
-        }
-        Access::Done { value: 0, latency }
     }
 
     /// Commit the core's transaction (or pop one nesting level).
@@ -620,32 +679,21 @@ impl HtmMachine {
         debug_assert!(self.in_tx(core), "commit outside a transaction");
         if self.txs[core].depth > 1 {
             self.txs[core].depth -= 1;
+            let mut latency = 1;
             if !self.txs[core].frames.is_empty() {
                 self.txs[core].merge_top_frame();
-                if let Some(s) = &mut self.shadow {
-                    s.merge_level(core);
-                }
-                let mut env =
-                    VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-                let lat = 1 + self.vm.commit_level(&mut env, core);
-                return CommitOutcome::Committed { latency: lat, committing: 0 };
+                self.shadow(|s| s.merge_level(core));
+                latency += self.with_vm(now, |vm, env| vm.commit_level(env, core));
             }
-            return CommitOutcome::Committed { latency: 1, committing: 0 };
+            return CommitOutcome::Committed { latency, committing: 0 };
         }
         if self.txs[core].doomed {
             return CommitOutcome::MustAbort { latency: 1 };
         }
         if self.txs[core].lazy {
-            self.commit_lazy(now, core)
-        } else {
-            self.commit_eager(now, core)
+            return self.commit_lazy(now, core);
         }
-    }
-
-    fn commit_eager(&mut self, now: Cycle, core: CoreId) -> CommitOutcome {
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let lat = self.vm.commit(&mut env, core);
+        let lat = self.with_vm(now, |vm, env| vm.commit(env, core));
         self.tracer.emit(now, core, TraceEvent::TxCommit { window: lat, committing: 0 });
         self.finish_tx(now, core, true, lat);
         CommitOutcome::Committed { latency: lat, committing: 0 }
@@ -656,35 +704,30 @@ impl HtmMachine {
         let start = now.max(self.commit_token_free) + self.cfg.dyntm.commit_arbitration_cycles;
         let wait = start - now;
         self.tracer.emit(now, core, TraceEvent::CommitArbitration { wait });
+        // A live software commit window on any write line: the lazy
+        // committer loses (the software commit already owns those lines).
+        // The lowest such line is the one reported.
+        let writes = self.txs[core].write_lines();
+        let locked = writes.filter(|&l| self.sw.lock_owner(start, l, core).is_some()).min();
+        if let Some(l) = locked {
+            self.tx_stats[core].lazy_validation_aborts += 1;
+            self.cross_tier(now, core, l, ConflictDir::SwLockBlocksHw);
+            return CommitOutcome::MustAbort { latency: wait };
+        }
         // Validate: the committer's write set against every live
         // transaction. Eager transactions own their lines — the committer
         // loses. Conflicting lazy transactions are doomed.
         let me = &self.txs[core];
-        // A live software commit window on any write line: the lazy
-        // committer loses (the software commit already owns those lines).
-        // The lowest such line is the one reported.
-        let locked = me.write_lines().filter(|&l| self.sw.lock_owner(start, l, core).is_some());
-        if let Some(l) = locked.min() {
-            self.tx_stats[core].lazy_validation_aborts += 1;
-            self.tx_stats[core].hw_sw_conflicts += 1;
-            self.tracer.emit(now, core, TraceEvent::HwSwConflict { line: l, dir: 0 });
-            return CommitOutcome::MustAbort { latency: wait };
-        }
         let mut doom: Vec<CoreId> = Vec::new();
         for c in self.live.iter() {
             let t = &self.txs[c];
-            if c == core || !t.isolation_live(start) {
+            if c == core
+                || !t.isolation_live(start)
+                || !me.write_lines().any(|l| t.rsig_hit(l) || t.wsig_hit(l))
+            {
                 continue;
             }
-            let conflicted = me.write_lines().any(|l| t.rsig_hit(l) || t.wsig_hit(l));
-            if !conflicted {
-                continue;
-            }
-            let defender_wins = match t.status {
-                TxStatus::Active => !t.lazy,
-                _ => true, // committing/aborting windows always win
-            };
-            if defender_wins {
+            if t.defends() {
                 self.tx_stats[core].lazy_validation_aborts += 1;
                 return CommitOutcome::MustAbort { latency: wait };
             }
@@ -695,9 +738,7 @@ impl HtmMachine {
         }
         // Merge (write-buffer drain, or an SUV flash when SUV backs the
         // lazy mode), holding the token.
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now: start };
-        let merge = self.vm.commit(&mut env, core);
+        let merge = self.with_vm(start, |vm, env| vm.commit(env, core));
         self.commit_token_free = start + merge;
         let total = wait + merge;
         self.tracer.emit(now, core, TraceEvent::TxCommit { window: total, committing: total });
@@ -718,12 +759,8 @@ impl HtmMachine {
         }
         t.depth -= 1;
         t.drop_top_frame();
-        if let Some(s) = &mut self.shadow {
-            s.drop_level(core);
-        }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        Some(self.vm.abort_level(&mut env, core) + 1)
+        self.shadow(|s| s.drop_level(core));
+        Some(self.with_vm(now, |vm, env| vm.abort_level(env, core)) + 1)
     }
 
     /// Abort the core's transaction. Returns the abort (repair) duration;
@@ -736,9 +773,7 @@ impl HtmMachine {
             "irrevocable transaction on core {core} aborted at t={now} — the escalation \
              ladder's commit guarantee is broken"
         );
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let lat = self.vm.abort(&mut env, core) + self.cfg.htm.restore_cycles;
+        let lat = self.with_vm(now, |vm, env| vm.abort(env, core)) + self.cfg.htm.restore_cycles;
         self.tracer.emit(now, core, TraceEvent::TxAbort { window: lat });
         self.finish_tx(now, core, false, lat);
         lat
@@ -761,10 +796,10 @@ impl HtmMachine {
         // transaction whose read set it overlaps: value validation alone
         // cannot catch an ABA overwrite, so the doom is eager.
         if committed {
-            for (c, l) in self.sw.readers_of(core, &self.txs[core].write_lines()) {
+            let doomed = self.sw.readers_of(core, &self.txs[core].write_lines());
+            for (c, l) in doomed {
                 self.sw.doom(c);
-                self.tx_stats[c].hw_sw_conflicts += 1;
-                self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 1 });
+                self.cross_tier(now, c, l, ConflictDir::HwCommitDoomsSw);
             }
         }
         let st = &mut self.tx_stats[core];
@@ -795,26 +830,41 @@ impl HtmMachine {
         self.sys.clear_speculative(core);
         let site = self.txs[core].site;
         self.vm.tx_finished(core, site, committed);
-        if let Some(s) = &mut self.shadow {
-            s.finish(core, committed);
+        self.shadow(|s| s.finish(core, committed));
+        self.audit_tx_end(now);
+    }
+
+    /// Transaction-boundary invariant audits, at every hardware and
+    /// software transaction end (never charged cycles).
+    fn audit_tx_end(&self, now: Cycle) {
+        if self.cfg.check < CheckLevel::Cheap {
+            return;
         }
-        // Transaction-boundary invariant audits (never charged cycles).
-        if self.cfg.check >= CheckLevel::Cheap {
-            let owners = self.live.iter().filter(|&c| self.txs[c].irrevocable).count();
-            assert!(
-                owners <= 1,
-                "INV-11 violated at tx end (t={now}): {owners} irrevocable owners"
-            );
-            if let Err(v) = self.vm.check_invariants() {
-                panic!("version-manager invariant violated at tx end (t={now}): {v}");
+        let owners = self.live.iter().filter(|&c| self.txs[c].irrevocable).count();
+        assert!(owners <= 1, "INV-11 violated at tx end (t={now}): {owners} irrevocable owners");
+        if let Err(v) = self.vm.check_invariants().and(self.sw.check_invariants()) {
+            panic!("version-manager invariant violated at tx end (t={now}): {v}");
+        }
+        // INV-13: no line is ever concurrently software-locked and held in
+        // a live *eager* hardware write set (an eager writer owns its lines
+        // in place — a software commit window over the same line would mean
+        // two owners). Lazy write sets are exempt: they hold no ownership
+        // until commit, and the lazy committer defers to live software locks.
+        for (line, owner) in self.sw.live_locks(now) {
+            for c in self.live.iter() {
+                let t = &self.txs[c];
+                assert!(
+                    c == owner || t.lazy || !t.isolation_live(now) || !t.writes_contain(line),
+                    "INV-13 violated at t={now}: line {line:#x} is software-locked by \
+                     core {owner} while core {c}'s live eager hardware write set holds it"
+                );
             }
-            self.check_inv13(now);
-            if self.cfg.check >= CheckLevel::Full {
-                if let Err(v) = self.sys.check_invariants() {
-                    panic!("coherence invariant violated at tx end (t={now}): {v}");
-                }
-                self.check_inv14(now);
+        }
+        if self.cfg.check >= CheckLevel::Full {
+            if let Err(v) = self.sys.check_invariants() {
+                panic!("coherence invariant violated at tx end (t={now}): {v}");
             }
+            self.check_inv14(now);
         }
     }
 
@@ -830,19 +880,12 @@ impl HtmMachine {
     }
 
     /// Record an escalation of `core`'s next attempt to the next ladder
-    /// tier (reason codes: 0 = overflow retry budget spent, 1 =
-    /// abort-count watchdog, 2 = starvation-cycles watchdog, 3 =
-    /// software-fallback retry budget spent). Called by the sim layer when
-    /// the ladder or the watchdog fires.
-    pub fn note_escalation(&mut self, now: Cycle, core: CoreId, reason: u32) {
+    /// rung. Called by the sim layer when a rung's budget or the watchdog
+    /// fires.
+    pub fn note_escalation(&mut self, now: Cycle, core: CoreId, reason: EscalationReason) {
         let st = &mut self.tx_stats[core];
         st.watchdog_escalations += 1;
-        match reason {
-            0 => st.esc_overflow += 1,
-            1 => st.esc_abort_watchdog += 1,
-            2 => st.esc_starvation += 1,
-            _ => st.esc_sw_validation += 1,
-        }
+        *reason.counter(st) += 1;
         self.tracer.emit(now, core, TraceEvent::WatchdogEscalation { reason });
     }
 
@@ -853,13 +896,6 @@ impl HtmMachine {
     pub fn note_injected_overflow(&mut self, now: Cycle, core: CoreId) {
         self.tx_stats[core].overflow_aborts += 1;
         self.tracer.emit(now, core, TraceEvent::OverflowAbort { line: 0 });
-    }
-
-    /// Consecutive aborts of `core`'s current dynamic transaction (the
-    /// watchdog's abort-count signal).
-    #[must_use]
-    pub fn tx_attempts(&self, core: CoreId) -> u32 {
-        self.txs[core].attempts
     }
 
     /// Randomized exponential backoff after an abort, in cycles. With
@@ -886,33 +922,9 @@ impl HtmMachine {
         cycles
     }
 
-    /// INV-13: no line is ever concurrently software-locked and held in a
-    /// live *eager* hardware write set (an eager writer owns its lines in
-    /// place — a software commit window over the same line would mean two
-    /// owners). Lazy write sets are exempt: they hold no ownership until
-    /// commit, and the lazy committer defers to live software locks.
-    fn check_inv13(&self, now: Cycle) {
-        for (line, owner) in self.sw.live_locks(now) {
-            for c in self.live.iter() {
-                let t = &self.txs[c];
-                assert!(
-                    c == owner || t.lazy || !t.isolation_live(now) || !t.writes_contain(line),
-                    "INV-13 violated at t={now}: line {line:#x} is software-locked by \
-                     core {owner} while core {c}'s live eager hardware write set holds it"
-                );
-            }
-        }
-    }
-
-    /// Is `core` inside a software-fallback transaction?
-    #[must_use]
-    pub fn in_sw_tx(&self, core: CoreId) -> bool {
-        self.sw.active(core)
-    }
-
     /// Begin a software-fallback attempt (`attempt` counts fallback
-    /// retries of this dynamic transaction, for the trace). The episode is
-    /// announced as a *lazy* transaction — software writes are buffered
+    /// attempts of this dynamic transaction, for the trace). The episode
+    /// is announced as a *lazy* transaction — software writes are buffered
     /// and take effect at commit, which is exactly what the
     /// serializability checker's lazy replay models.
     pub fn begin_sw_tx(&mut self, now: Cycle, core: CoreId, site: TxSite, attempt: u32) -> Cycle {
@@ -920,15 +932,17 @@ impl HtmMachine {
         debug_assert_eq!(self.txs[core].depth, 0, "software fallback under a hardware tx");
         self.tracer.emit(now, core, TraceEvent::FallbackBegin { attempt });
         self.tracer.emit(now, core, TraceEvent::TxBegin { site: site.0, lazy: true });
-        self.sw.begin_sw(core, site, now);
+        self.sw.begin_sw(core, now);
         self.cfg.htm.checkpoint_cycles + swvm::SW_BEGIN_CYCLES
     }
 
-    /// Software-fallback load: redo-log hit, else the *committed* value.
-    /// A line a live eager hardware writer owns is NACKed (its in-place
-    /// speculative value must never enter a software read set), as is a
-    /// line inside another software commit window. Validated reads are
-    /// value-logged for commit-time validation.
+    /// Software-fallback load: redo-log hit, else the *committed* value,
+    /// value-logged for commit-time validation. The software tier's load
+    /// sequence checks conflicts *before* resolving, at `now` and whatever
+    /// the coherence permission: a line a live eager hardware writer owns
+    /// is NACKed (its in-place speculative value must never enter a
+    /// software read set), as is a line inside another software commit
+    /// window.
     pub fn sw_load(&mut self, now: Cycle, core: CoreId, addr: Addr) -> Access {
         self.settle(now);
         debug_assert!(self.sw.active(core), "sw_load outside a software transaction");
@@ -936,41 +950,21 @@ impl HtmMachine {
             return Access::MustAbort { latency: 1 };
         }
         let line = line_of(addr);
-        if let Some(v) = self.sw.buffered_value(core, addr) {
-            self.tx_stats[core].tx_loads += 1;
-            self.tracer.emit(now, core, TraceEvent::TxRead { line });
-            return Access::Done {
-                value: v,
-                latency: swvm::SW_ACCESS_CYCLES + self.cfg.l1.latency,
-            };
+        if let Some(value) = self.sw.buffered_value(core, addr) {
+            self.count_tx_load(now, core, line);
+            return Access::Done { value, latency: swvm::SW_ACCESS_CYCLES + self.cfg.l1.latency };
         }
-        if let Some(a) = self.sw_lock_nacked(now, core, line, 0) {
+        if let Some(a) = self.sw_lock_nack(now, core, line) {
             return a;
         }
         if let Some(nacker) = self.find_conflict(now, core, line, false) {
-            let must_abort = self.note_nack(core, nacker, false);
             self.tx_stats[core].hw_sw_conflicts += 1;
-            let latency = self.sys.nack_latency(now, core, line, nacker);
-            self.trace_nack(now, core, nacker, line, latency, must_abort);
-            return Access::Nacked { nacker, latency, must_abort };
+            return self.nack(now, core, nacker, line, 0, false);
         }
-        let target = {
-            let mut env =
-                VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-            self.vm.resolve_load(&mut env, core, addr, false)
-        };
-        let (value, res_lat) = match target {
-            (LoadTarget::Mem(p), l) => (self.mem.read_word(word_of(p)), l),
-            (LoadTarget::Value(v), l) => (v, l),
-        };
+        let (value, res_lat) = self.read_committed(now, core, addr);
         self.sw.note_read(core, addr, value);
-        self.tx_stats[core].tx_loads += 1;
-        self.tracer.emit(now, core, TraceEvent::TxRead { line });
-        if let Some(s) = &self.shadow {
-            if let Err(v) = s.check_nontx_load(core, addr, value) {
-                panic!("software-read isolation violated at t={now}: {v}");
-            }
-        }
+        self.count_tx_load(now, core, line);
+        self.shadow_check_load(now, core, addr, value, false);
         // Software reads run through instrumented barriers and are not
         // cached speculatively: charge an L2-class access plus the
         // software bookkeeping.
@@ -987,8 +981,7 @@ impl HtmMachine {
             return Access::MustAbort { latency: 1 };
         }
         self.sw.buffer_store(core, addr, value);
-        self.tx_stats[core].tx_stores += 1;
-        self.tracer.emit(now, core, TraceEvent::TxWrite { line: line_of(addr) });
+        self.count_tx_store(now, core, line_of(addr));
         Access::Done { value: 0, latency: swvm::SW_ACCESS_CYCLES + self.cfg.l1.latency }
     }
 
@@ -1005,51 +998,37 @@ impl HtmMachine {
     /// hardware *readers* of published lines are doomed (the software
     /// commit wins, exactly like a lazy committer dooming lazy readers).
     pub fn commit_sw_tx(&mut self, now: Cycle, core: CoreId) -> SwCommitOutcome {
+        use FallbackAbortReason::{HwConflict, ValidationFailed};
         self.settle(now);
         debug_assert!(self.sw.active(core), "commit_sw_tx outside a software transaction");
         if self.sw.doomed(core) {
-            return SwCommitOutcome::MustAbort { reason: 2, latency: 1 };
+            return SwCommitOutcome::MustAbort { reason: HwConflict, latency: 1 };
         }
         let write_lines = self.sw.write_lines_sorted(core);
         // Phase 1: another software committer's live lock window on
-        // anything we touched — stall until it closes, then retry.
-        for &l in &write_lines {
-            if let Some(owner) = self.sw.lock_owner(now, l, core) {
-                let must_abort = self.note_nack(core, owner, false);
-                let latency = self.sys.nack_latency(now, core, l, owner);
-                self.trace_nack(now, core, owner, l, latency, must_abort);
-                return SwCommitOutcome::Busy { nacker: owner, latency };
-            }
-        }
-        for i in 0..self.sw.reads(core).len() {
-            let (addr, _) = self.sw.reads(core)[i];
-            let l = line_of(addr);
-            if let Some(owner) = self.sw.lock_owner(now, l, core) {
-                let must_abort = self.note_nack(core, owner, false);
-                let latency = self.sys.nack_latency(now, core, l, owner);
-                self.trace_nack(now, core, owner, l, latency, must_abort);
-                return SwCommitOutcome::Busy { nacker: owner, latency };
-            }
+        // anything we touched (written lines first, then reads in program
+        // order) — stall until it closes, then retry.
+        let read_lines = self.sw.reads(core).iter().map(|r| line_of(r.0));
+        let mut touched = write_lines.iter().copied().chain(read_lines);
+        let busy = touched.find_map(|l| Some((l, self.sw.lock_owner(now, l, core)?)));
+        if let Some((l, owner)) = busy {
+            return match self.nack(now, core, owner, l, 0, false) {
+                Access::Nacked { nacker, latency, .. } => SwCommitOutcome::Busy { nacker, latency },
+                other => unreachable!("NACK assembly returned {other:?}"),
+            };
         }
         // Phase 2: hardware conflicts on the write set.
         for &l in &write_lines {
-            for c in self.live.iter() {
+            let hw_wins = self.live.iter().any(|c| {
                 let t = &self.txs[c];
-                if c == core || !t.isolation_live(now) {
-                    continue;
-                }
-                let defends = match t.status {
-                    TxStatus::Active => !t.lazy,
-                    TxStatus::Aborting { .. } | TxStatus::Committing { .. } => true,
-                    TxStatus::Idle => false,
-                };
-                let hw_wins = (defends && t.wsig_hit(l))
-                    || (t.irrevocable && (t.rsig_hit(l) || t.wsig_hit(l)));
-                if hw_wins {
-                    self.tx_stats[core].hw_sw_conflicts += 1;
-                    self.tracer.emit(now, core, TraceEvent::HwSwConflict { line: l, dir: 2 });
-                    return SwCommitOutcome::MustAbort { reason: 2, latency: 1 };
-                }
+                c != core
+                    && t.isolation_live(now)
+                    && ((t.defends() && t.wsig_hit(l))
+                        || (t.irrevocable && (t.rsig_hit(l) || t.wsig_hit(l))))
+            });
+            if hw_wins {
+                self.cross_tier(now, core, l, ConflictDir::SwCommitVsHw);
+                return SwCommitOutcome::MustAbort { reason: HwConflict, latency: 1 };
             }
         }
         // Phase 3: value validation. A read line a live hardware writer
@@ -1059,68 +1038,46 @@ impl HtmMachine {
         // a consistent snapshot at the commit point.
         let reads: Vec<(Addr, u64)> = self.sw.reads(core).to_vec();
         for &(addr, observed) in &reads {
-            let l = line_of(addr);
-            if self.find_conflict(now, core, l, false).is_some() {
-                return SwCommitOutcome::MustAbort { reason: 0, latency: 1 };
-            }
-            let target = {
-                let mut env =
-                    VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-                self.vm.resolve_load(&mut env, core, addr, false).0
-            };
-            let current = match target {
-                LoadTarget::Mem(p) => self.mem.read_word(word_of(p)),
-                LoadTarget::Value(v) => v,
-            };
-            if current != observed {
-                return SwCommitOutcome::MustAbort { reason: 0, latency: 1 };
+            if self.find_conflict(now, core, line_of(addr), false).is_some()
+                || self.read_committed(now, core, addr).0 != observed
+            {
+                return SwCommitOutcome::MustAbort { reason: ValidationFailed, latency: 1 };
             }
         }
-        // Phase 4: publish the redo log (through the hardware scheme's
-        // committed-location resolution, exactly like a non-transactional
-        // store) and doom hardware readers of the published lines.
+        // Phase 4: publish the redo log and doom hardware readers of the
+        // published lines.
         let writes: Vec<(Addr, u64)> = self.sw.writes(core).to_vec();
         let latency = swvm::SW_COMMIT_BASE_CYCLES
             + swvm::SW_COMMIT_PER_LINE_CYCLES * write_lines.len() as Cycle;
         for &(addr, value) in &writes {
-            let target = {
-                let mut env =
-                    VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-                self.vm.prepare_store(&mut env, core, addr, value, false).0
-            };
-            match target {
-                StoreTarget::Mem(p) => self.mem.write_word(word_of(p), value),
-                StoreTarget::Buffered | StoreTarget::Overflow => {
-                    unreachable!("software publish can neither buffer nor overflow")
-                }
-            }
-            self.shadow_nontx_store(addr, value);
+            let (phys, _) = self.prepare_committed_store(now, core, addr, value);
+            self.mem.write_word(word_of(phys), value);
+            self.shadow(|s| s.note_nontx_store(addr, value));
         }
         for &l in &write_lines {
-            for c in self.live.iter() {
-                if c == core {
-                    continue;
-                }
+            let readers = self.live.iter().filter(|&c| {
                 let t = &self.txs[c];
-                if !matches!(t.status, TxStatus::Active) || t.doomed || t.irrevocable {
-                    continue;
-                }
-                let hit = if t.lazy { t.rsig_hit(l) || t.wsig_hit(l) } else { t.rsig_hit(l) };
-                if hit {
-                    self.txs[c].doomed = true;
-                    self.tx_stats[c].hw_sw_conflicts += 1;
-                    self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 2 });
-                }
+                c != core
+                    && matches!(t.status, TxStatus::Active)
+                    && !t.doomed
+                    && !t.irrevocable
+                    && (t.rsig_hit(l) || (t.lazy && t.wsig_hit(l)))
+            });
+            for c in readers.collect::<Vec<CoreId>>() {
+                self.txs[c].doomed = true;
+                self.cross_tier(now, c, l, ConflictDir::SwCommitVsHw);
             }
         }
         // ... and every concurrent *software* reader of a published line,
         // for the same reason a hardware commit dooms them: value
         // validation is word-granular, so a commit that changes a
         // different word of a read line would slip through it — while
-        // conflict serializability (INV-11) is judged line-granular.
+        // conflict serializability (INV-11) is judged line-granular. Not a
+        // hardware/software conflict, so traced but not counted as one.
         for (c, l) in self.sw.readers_of(core, &write_lines.iter().copied()) {
             self.sw.doom(c);
-            self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir: 3 });
+            let dir = ConflictDir::SwCommitDoomsSw;
+            self.tracer.emit(now, c, TraceEvent::HwSwConflict { line: l, dir });
         }
         self.sw.lock(core, &write_lines, now, now + latency);
         let begin = self.sw.begin_time(core);
@@ -1132,22 +1089,14 @@ impl HtmMachine {
         self.tracer.emit(now, core, TraceEvent::FallbackCommit { writes: writes.len() as u64 });
         self.tracer.emit(now, core, TraceEvent::TxCommit { window: latency, committing: latency });
         self.sw.finish(core);
-        if self.cfg.check >= CheckLevel::Cheap {
-            self.check_inv13(now);
-            if let Err(v) = VersionManager::check_invariants(&self.sw) {
-                panic!("software-tier invariant violated at tx end (t={now}): {v}");
-            }
-            if self.cfg.check >= CheckLevel::Full {
-                self.check_inv14(now);
-            }
-        }
+        self.audit_tx_end(now);
         SwCommitOutcome::Committed { latency }
     }
 
-    /// Abort a software-fallback transaction (reason codes mirror
-    /// [`TraceEvent::FallbackAbort`]). Cheap: the redo log is discarded;
-    /// nothing was written in place, so there is no repair window.
-    pub fn abort_sw_tx(&mut self, now: Cycle, core: CoreId, reason: u32) -> Cycle {
+    /// Abort a software-fallback transaction. Cheap: the redo log is
+    /// discarded; nothing was written in place, so there is no repair
+    /// window.
+    pub fn abort_sw_tx(&mut self, now: Cycle, core: CoreId, reason: FallbackAbortReason) -> Cycle {
         self.settle(now);
         debug_assert!(self.sw.active(core), "abort_sw_tx outside a software transaction");
         let latency = swvm::SW_ABORT_CYCLES;
@@ -1160,131 +1109,46 @@ impl HtmMachine {
         latency
     }
 
-    /// Non-transactional load (strong isolation: the same resolution and
-    /// conflict checks apply).
-    pub fn nontx_load(&mut self, now: Cycle, core: CoreId, addr: Addr) -> Access {
-        self.settle(now);
-        let line = line_of(addr);
-        if let Some(a) = self.sw_lock_nacked(now, core, line, 0) {
-            return a;
-        }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let (target, res_lat) = self.vm.resolve_load(&mut env, core, addr, false);
-        let phys = match target {
-            LoadTarget::Mem(p) => p,
-            LoadTarget::Value(v) => {
-                if let Some(s) = &self.shadow {
-                    if let Err(e) = s.check_nontx_load(core, addr, v) {
-                        panic!("strong isolation violated at t={now}: {e}");
-                    }
-                }
-                return Access::Done { value: v, latency: res_lat + 1 };
-            }
-        };
-        let (value, latency) = if !self.sys.has_permission(core, addr, AccessKind::Load) {
-            if let Some(nacker) = self.find_conflict(now, core, line, false) {
-                let must_abort = self.note_nack(core, nacker, false);
-                let latency = res_lat + self.sys.nack_latency(now + res_lat, core, line, nacker);
-                self.trace_nack(now, core, nacker, line, latency, must_abort);
-                return Access::Nacked { nacker, latency, must_abort };
-            }
-            let f =
-                self.sys.fill_traced(now + res_lat, core, addr, AccessKind::Load, &mut self.tracer);
-            if let Some(ev) = f.evicted {
-                self.vm.on_eviction(core, &ev);
-            }
-            (self.mem.read_word(word_of(phys)), res_lat + f.latency)
-        } else {
-            let hit = self.sys.access_hit(core, addr, AccessKind::Load);
-            (self.mem.read_word(word_of(phys)), res_lat + hit)
-        };
-        if let Some(s) = &self.shadow {
-            if let Err(v) = s.check_nontx_load(core, addr, value) {
-                panic!("strong isolation violated at t={now}: {v}");
-            }
-        }
-        Access::Done { value, latency }
-    }
-
-    /// Non-transactional store.
+    /// Non-transactional store. Its sequence runs version management
+    /// *first* and checks conflicts only on a permission miss, once the
+    /// `vm_lat` cycles are spent.
     pub fn nontx_store(&mut self, now: Cycle, core: CoreId, addr: Addr, value: u64) -> Access {
         self.settle(now);
         let line = line_of(addr);
-        if let Some(a) = self.sw_lock_nacked(now, core, line, 0) {
+        if let Some(a) = self.sw_lock_nack(now, core, line) {
             return a;
         }
-        let mut env =
-            VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        let (target, vm_lat) = self.vm.prepare_store(&mut env, core, addr, value, false);
-        let phys = match target {
-            StoreTarget::Mem(p) => p,
-            StoreTarget::Buffered => unreachable!("non-transactional stores are never buffered"),
-            StoreTarget::Overflow => {
-                // Non-transactional stores never allocate version-manager
-                // capacity (no logging, no buffering; SUV redirect-back
-                // only frees slots).
-                unreachable!("non-transactional store overflowed")
-            }
-        };
-        if !self.sys.has_permission(core, addr, AccessKind::Store) {
-            if let Some(nacker) = self.find_conflict(now, core, line, true) {
-                let must_abort = self.note_nack(core, nacker, false);
-                let latency = vm_lat + self.sys.nack_latency(now + vm_lat, core, line, nacker);
-                self.trace_nack(now, core, nacker, line, latency, must_abort);
-                return Access::Nacked { nacker, latency, must_abort };
-            }
-            self.doom_lazy_conflictors(now, core, line);
-            let f =
-                self.sys.fill_traced(now + vm_lat, core, addr, AccessKind::Store, &mut self.tracer);
-            if let Some(ev) = f.evicted {
-                self.vm.on_eviction(core, &ev);
-            }
-            self.mem.write_word(word_of(phys), value);
-            self.shadow_nontx_store(addr, value);
-            Access::Done { value: 0, latency: vm_lat + f.latency }
+        let (phys, vm_lat) = self.prepare_committed_store(now, core, addr, value);
+        let lat = if self.sys.has_permission(core, addr, AccessKind::Store) {
+            self.sys.access_hit(core, addr, AccessKind::Store)
         } else {
-            let hit = self.sys.access_hit(core, addr, AccessKind::Store);
-            self.mem.write_word(word_of(phys), value);
-            self.shadow_nontx_store(addr, value);
-            Access::Done { value: 0, latency: vm_lat + hit }
-        }
-    }
-
-    fn shadow_nontx_store(&mut self, addr: Addr, value: u64) {
-        if let Some(s) = &mut self.shadow {
-            s.note_nontx_store(addr, value);
-        }
+            if let Some(nacker) = self.find_conflict(now, core, line, true) {
+                return self.nack(now, core, nacker, line, vm_lat, false);
+            }
+            self.doom_lazy_conflictors(core, line);
+            self.fill::<false>(now, vm_lat, core, addr, AccessKind::Store)
+        };
+        self.mem.write_word(word_of(phys), value);
+        self.shadow(|s| s.note_nontx_store(addr, value));
+        Access::Done { value: 0, latency: vm_lat + lat }
     }
 
     /// Fast setup write used by workload initialization (functional only,
     /// no timing, no isolation).
     pub fn poke(&mut self, addr: Addr, value: u64) {
         self.mem.write_word(word_of(addr), value);
-        self.shadow_nontx_store(addr, value);
+        self.shadow(|s| s.note_nontx_store(addr, value));
     }
 
     /// Fast functional read for result verification (no timing). Resolves
     /// committed redirections through the version manager.
     pub fn peek(&mut self, addr: Addr) -> u64 {
-        let mut env = VmEnv {
-            mem: &mut self.mem,
-            sys: &mut self.sys,
-            tracer: &mut self.tracer,
-            now: u64::MAX / 2,
-        };
-        let value = match self.vm.resolve_load(&mut env, 0, addr, false) {
-            (LoadTarget::Mem(p), _) => self.mem.read_word(word_of(p)),
-            (LoadTarget::Value(v), _) => v,
-        };
+        let now = u64::MAX / 2;
+        let (value, _) = self.read_committed(now, 0, addr);
         // With no speculative state pending, a peek must see exactly the
         // committed shadow state — the end-of-run value oracle.
-        if let Some(s) = &self.shadow {
-            if s.quiescent() {
-                if let Err(v) = s.check_nontx_load(0, addr, value) {
-                    panic!("committed state diverged from shadow: {v}");
-                }
-            }
+        if self.shadow.as_ref().is_some_and(ShadowOracle::quiescent) {
+            self.shadow_check_load(now, 0, addr, value, false);
         }
         value
     }
@@ -1521,20 +1385,20 @@ mod tests {
         let mut now = 0;
         now += m.begin_tx(now, 0, TxSite(1));
         now += m.begin_tx(now, 0, TxSite(2));
-        assert_eq!(m.depth(0), 2);
+        assert_eq!(m.txs[0].depth, 2);
         let (_, l) = must_done(m.tx_store(now, 0, 0x700, 1));
         now += l;
         match m.commit_tx(now, 0) {
             CommitOutcome::Committed { latency, .. } => now += latency,
             other => panic!("{other:?}"),
         }
-        assert_eq!(m.depth(0), 1, "inner commit pops one level");
+        assert_eq!(m.txs[0].depth, 1, "inner commit pops one level");
         assert!(m.in_tx(0));
         match m.commit_tx(now, 0) {
             CommitOutcome::Committed { .. } => {}
             other => panic!("{other:?}"),
         }
-        assert_eq!(m.depth(0), 0);
+        assert_eq!(m.txs[0].depth, 0);
         assert_eq!(m.tx_stats().commits, 1, "only the outermost commit counts");
     }
 
@@ -1607,7 +1471,7 @@ mod nesting_tests {
         t += l;
         let d = m.abort_nested(t, 0).expect("LogTM-SE supports partial abort");
         t += d;
-        assert_eq!(m.depth(0), 1, "back at the outer level");
+        assert_eq!(m.txs[0].depth, 1, "back at the outer level");
         assert_eq!(m.mem.read_word(0x140), 2, "inner write rolled back");
         assert_eq!(m.mem.read_word(0x100), 10, "outer write survives");
         match m.commit_tx(t, 0) {
@@ -1715,7 +1579,7 @@ mod sw_fallback_tests {
         m.poke(0x100, 5);
         let mut t = 0;
         t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        assert!(m.in_sw_tx(0));
+        assert!(m.sw.active(0));
         let (v, l) = done(m.sw_load(t, 0, 0x100));
         assert_eq!(v, 5);
         t += l;
@@ -1728,7 +1592,7 @@ mod sw_fallback_tests {
             SwCommitOutcome::Committed { latency } => assert!(latency > 0),
             other => panic!("{other:?}"),
         }
-        assert!(!m.in_sw_tx(0));
+        assert!(!m.sw.active(0));
         assert_eq!(m.peek(0x100), 6);
         let s = m.tx_stats();
         assert_eq!(s.commits, 1);
@@ -1795,7 +1659,7 @@ mod sw_fallback_tests {
             Access::MustAbort { .. } => {}
             other => panic!("software tx must be doomed by the hardware commit, got {other:?}"),
         }
-        let lat = m.abort_sw_tx(t1 + 2, 0, 2);
+        let lat = m.abort_sw_tx(t1 + 2, 0, FallbackAbortReason::HwConflict);
         assert!(lat > 0);
         let s = m.tx_stats();
         assert_eq!(s.sw_aborts, 1);
@@ -1815,10 +1679,10 @@ mod sw_fallback_tests {
         let (_, l) = done(m.sw_store(t, 0, 0x400, 2)); // buffered, unchecked
         t += l;
         match m.commit_sw_tx(t, 0) {
-            SwCommitOutcome::MustAbort { reason: 2, .. } => {}
+            SwCommitOutcome::MustAbort { reason: FallbackAbortReason::HwConflict, .. } => {}
             other => panic!("hardware writer must win, got {other:?}"),
         }
-        m.abort_sw_tx(t + 1, 0, 2);
+        m.abort_sw_tx(t + 1, 0, FallbackAbortReason::HwConflict);
         // The hardware transaction is untouched and commits its value.
         match m.commit_tx(t + 2, 1) {
             CommitOutcome::Committed { .. } => {}
@@ -1842,10 +1706,12 @@ mod sw_fallback_tests {
         // isolation lets it through: software readers do not defend).
         done(m.nontx_store(t, 1, 0x500, 6));
         match m.commit_sw_tx(t + 20, 0) {
-            SwCommitOutcome::MustAbort { reason: 0, .. } => {}
+            SwCommitOutcome::MustAbort {
+                reason: FallbackAbortReason::ValidationFailed, ..
+            } => {}
             other => panic!("value validation must fail, got {other:?}"),
         }
-        m.abort_sw_tx(t + 21, 0, 0);
+        m.abort_sw_tx(t + 21, 0, FallbackAbortReason::ValidationFailed);
         assert_eq!(m.peek(0x540), 0, "aborted redo log never published");
     }
 
@@ -1866,7 +1732,7 @@ mod sw_fallback_tests {
             }
             other => panic!("speculative value must not leak into a software read: {other:?}"),
         }
-        m.abort_sw_tx(t + 1, 0, 2);
+        m.abort_sw_tx(t + 1, 0, FallbackAbortReason::HwConflict);
     }
 
     #[test]

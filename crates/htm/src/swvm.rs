@@ -12,38 +12,20 @@
 //! clamped to one page), at the price of software-overhead cycles on every
 //! access and value validation at commit.
 //!
-//! Conflict rules between the tiers (DESIGN.md §9):
+//! The conflict rules between the tiers — who NACKs, who dooms, who loses,
+//! each a [`ConflictDir`](suv_trace::ConflictDir) — and INV-13 (no line is
+//! ever both in a live eager hardware write set and software-locked) are
+//! tabulated in DESIGN.md §9; the machine enforces them, not this module.
 //!
-//! * A software *read* of a line a live eager hardware transaction has
-//!   written is NACKed (in-place speculative values must never leak into a
-//!   software read set).
-//! * A software *commit* loses to any live hardware transaction that has a
-//!   write line in its own write set (aborting the hardware writer would
-//!   let its undo-restore clobber the software commit), and to every
-//!   irrevocable transaction; it wins against hardware *readers*, which
-//!   are doomed when the commit publishes.
-//! * A committing software transaction's write lines stay *locked* for the
-//!   commit window; hardware and non-transactional accesses to a locked
-//!   line are NACKed (the sentinel ownership the directory publishes).
-//!   INV-13: no line is ever concurrently in a live eager hardware write
-//!   set and software-locked.
-//! * A hardware commit invalidates the read sets of in-flight software
-//!   transactions it overlaps (dooming them), closing the window value
-//!   validation alone cannot see.
-//!
-//! The [`SwVm`] implements [`VersionManager`] — begin/read-resolution/
-//! store-buffering/commit/abort all go through the same trait surface the
-//! hardware schemes use — with inherent methods for the pieces that are
-//! unique to the software tier (ownership records, read-set validation
-//! state). The [`HtmMachine`](crate::machine::HtmMachine) orchestrates the
-//! cross-tier conflict detection, exactly as it does for the hardware
-//! schemes.
+//! [`SwVm`] is *not* a [`VersionManager`](crate::vm::VersionManager): it
+//! holds only the software tier's own state (redo logs, value-logged read
+//! sets, ownership records) behind inherent methods. The
+//! [`HtmMachine`](crate::machine::HtmMachine) drives it from the software
+//! tier's stage sequences and orchestrates the cross-tier conflict
+//! detection; committed data locations are still resolved by the hardware
+//! scheme's version manager.
 
-use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
-use suv_types::{
-    line_of, Addr, CoreId, Cycle, LineAddr, LineMap, LineSet, SchemeKind, SharerSet, TxSite,
-    WordMap,
-};
+use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, LineMap, LineSet, SharerSet, WordMap};
 
 /// Fixed software cost of entering the fallback tier (checkpointing the
 /// retry context and installing the STM dispatch).
@@ -99,8 +81,6 @@ impl SwTx {
 /// cores, alongside the hardware scheme (which keeps resolving *committed*
 /// data locations — on SUV a software read still follows redirect entries).
 pub struct SwVm {
-    /// The hardware scheme this software tier backs (reporting only).
-    host: SchemeKind,
     txs: Vec<SwTx>,
     /// Cores inside a software transaction. Empty on every run that never
     /// escalates, which is what lets the hardware commit path skip its
@@ -114,11 +94,10 @@ pub struct SwVm {
 }
 
 impl SwVm {
-    /// Software tier for an `n_cores` machine backing `host`.
+    /// Software tier for an `n_cores` machine.
     #[must_use]
-    pub fn new(n_cores: usize, host: SchemeKind) -> Self {
+    pub fn new(n_cores: usize) -> Self {
         SwVm {
-            host,
             txs: (0..n_cores).map(|_| SwTx::default()).collect(),
             active: SharerSet::new(),
             locks: LineMap::default(),
@@ -144,7 +123,7 @@ impl SwVm {
     }
 
     /// Begin a software attempt for `core` at time `now`.
-    pub fn begin_sw(&mut self, core: CoreId, _site: TxSite, now: Cycle) {
+    pub fn begin_sw(&mut self, core: CoreId, now: Cycle) {
         let fresh = self.active.insert(core);
         debug_assert!(fresh, "core {core} begins a software tx while one is active");
         let t = &mut self.txs[core];
@@ -279,64 +258,11 @@ impl SwVm {
         self.txs[core].reset();
         self.active.remove(core);
     }
-}
 
-impl VersionManager for SwVm {
-    fn kind(&self) -> SchemeKind {
-        self.host
-    }
-
-    fn begin(&mut self, env: &mut VmEnv, core: CoreId, _lazy: bool) -> Cycle {
-        self.begin_sw(core, TxSite::ANON, env.now);
-        SW_BEGIN_CYCLES
-    }
-
-    /// Software read resolution: redo-log hit or committed memory (the
-    /// *hardware* scheme still resolves the committed location — the
-    /// machine chains the two).
-    fn resolve_load(
-        &mut self,
-        _env: &mut VmEnv,
-        core: CoreId,
-        addr: Addr,
-        in_tx: bool,
-    ) -> (LoadTarget, Cycle) {
-        if in_tx {
-            if let Some(v) = self.buffered_value(core, addr) {
-                return (LoadTarget::Value(v), SW_ACCESS_CYCLES);
-            }
-        }
-        (LoadTarget::Mem(addr), SW_ACCESS_CYCLES)
-    }
-
-    fn prepare_store(
-        &mut self,
-        _env: &mut VmEnv,
-        core: CoreId,
-        addr: Addr,
-        value: u64,
-        in_tx: bool,
-    ) -> (StoreTarget, Cycle) {
-        debug_assert!(in_tx, "the software tier only runs transactional stores");
-        self.buffer_store(core, addr, value);
-        (StoreTarget::Buffered, SW_ACCESS_CYCLES)
-    }
-
-    /// Commit cost (the machine publishes the redo log itself, then calls
-    /// this to charge the window and retire the descriptor).
-    fn commit(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        let lat = SW_COMMIT_BASE_CYCLES
-            + SW_COMMIT_PER_LINE_CYCLES * self.txs[core].write_lines.len() as Cycle;
-        self.finish(core);
-        lat
-    }
-
-    fn abort(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        self.finish(core);
-        SW_ABORT_CYCLES
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
+    /// Audit the descriptors: a retired transaction keeps no logs, and the
+    /// redo log and its index agree. Called by the machine at software
+    /// transaction boundaries when `CheckLevel >= Cheap`.
+    pub fn check_invariants(&self) -> Result<(), String> {
         for (core, t) in self.txs.iter().enumerate() {
             if !self.active(core) && (!t.reads.is_empty() || !t.writes.is_empty()) {
                 return Err(format!("core {core}: retired software tx kept its logs"));
@@ -352,15 +278,11 @@ impl VersionManager for SwVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use suv_coherence::MemorySystem;
-    use suv_mem::Memory;
-    use suv_trace::Tracer;
-    use suv_types::MachineConfig;
 
     #[test]
     fn redo_log_keeps_latest_value_and_first_write_order() {
-        let mut sw = SwVm::new(2, SchemeKind::SuvTm);
-        sw.begin_sw(0, TxSite(1), 0);
+        let mut sw = SwVm::new(2);
+        sw.begin_sw(0, 0);
         sw.buffer_store(0, 0x100, 1);
         sw.buffer_store(0, 0x200, 2);
         sw.buffer_store(0, 0x100, 3);
@@ -371,7 +293,7 @@ mod tests {
 
     #[test]
     fn ownership_records_expire_and_ignore_their_owner() {
-        let mut sw = SwVm::new(2, SchemeKind::SuvTm);
+        let mut sw = SwVm::new(2);
         sw.lock(0, &[0x40], 100, 150);
         assert_eq!(sw.lock_owner(120, 0x40, 1), Some(0));
         assert_eq!(sw.lock_owner(120, 0x40, 0), None, "own record never conflicts");
@@ -382,32 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn trait_surface_buffers_and_clears() {
-        let mut sw = SwVm::new(1, SchemeKind::LogTmSe);
-        let mut mem = Memory::new();
-        let mut sys = MemorySystem::new(&MachineConfig::small_test());
-        let mut tr = Tracer::disabled();
-        let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 5, tracer: &mut tr };
-        assert_eq!(sw.begin(&mut env, 0, false), SW_BEGIN_CYCLES);
-        assert!(sw.active(0));
-        assert_eq!(sw.begin_time(0), 5);
-        let (t, _) = sw.prepare_store(&mut env, 0, 0x40, 9, true);
-        assert_eq!(t, StoreTarget::Buffered);
-        let (t, _) = sw.resolve_load(&mut env, 0, 0x40, true);
-        assert_eq!(t, LoadTarget::Value(9), "read-own-write hits the redo log");
-        let (t, _) = sw.resolve_load(&mut env, 0, 0x80, true);
-        assert_eq!(t, LoadTarget::Mem(0x80));
-        assert!(sw.check_invariants().is_ok());
-        let lat = sw.commit(&mut env, 0);
-        assert_eq!(lat, SW_COMMIT_BASE_CYCLES + SW_COMMIT_PER_LINE_CYCLES);
-        assert!(!sw.active(0));
-        assert!(sw.check_invariants().is_ok());
-    }
-
-    #[test]
     fn doom_marks_and_finish_clears() {
-        let mut sw = SwVm::new(2, SchemeKind::DynTm);
-        sw.begin_sw(1, TxSite(3), 10);
+        let mut sw = SwVm::new(2);
+        sw.begin_sw(1, 10);
+        assert_eq!(sw.begin_time(1), 10);
         sw.note_read(1, 0x100, 7);
         assert!(sw.reads_line(1, line_of(0x100)));
         assert_eq!(sw.reads(1), &[(0x100, 7)]);
@@ -416,5 +316,6 @@ mod tests {
         sw.finish(1);
         assert!(!sw.active(1));
         assert!(!sw.doomed(1));
+        assert!(sw.check_invariants().is_ok(), "a retired transaction keeps no logs");
     }
 }

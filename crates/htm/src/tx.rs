@@ -88,12 +88,6 @@ pub struct TxState {
 }
 
 impl TxState {
-    /// Fresh descriptor with signatures of the given geometry.
-    #[must_use]
-    pub fn new(sig_bits: usize, sig_hashes: usize) -> Self {
-        Self::with_mode(sig_bits, sig_hashes, false)
-    }
-
     /// Fresh descriptor; `perfect` selects exact-set signatures (ablation).
     #[must_use]
     pub fn with_mode(sig_bits: usize, sig_hashes: usize, perfect: bool) -> Self {
@@ -239,6 +233,18 @@ impl TxState {
         }
     }
 
+    /// Does the transaction refuse conflicting requests while its isolation
+    /// is live? Active lazy transactions are invisible until they commit;
+    /// aborting/committing windows always defend.
+    #[must_use]
+    pub fn defends(&self) -> bool {
+        match self.status {
+            TxStatus::Active => !self.lazy,
+            TxStatus::Aborting { .. } | TxStatus::Committing { .. } => true,
+            TxStatus::Idle => false,
+        }
+    }
+
     /// Reset per-attempt state (after the isolation window closes).
     pub fn clear_attempt(&mut self) {
         self.status = TxStatus::Idle;
@@ -268,7 +274,7 @@ mod tests {
     use super::*;
 
     fn tx() -> TxState {
-        TxState::new(256, 2)
+        TxState::with_mode(256, 2, false)
     }
 
     #[test]

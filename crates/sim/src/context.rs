@@ -17,9 +17,6 @@
 //! users. All cores of a cell share one [`Engine`] — the machine plus
 //! the [`Scheduler`] — through an `Rc`; per-access machine calls go
 //! through a `RefCell` borrow, which is a counter increment, not a lock.
-//! The old engine's quantum-scoped `MachineSlot`/`MachineHold` protocol
-//! (take the machine out of a mutex at baton receipt, park it back
-//! before the handoff) is gone entirely.
 
 use crate::fault::FaultInjector;
 use crate::sched::Scheduler;
@@ -32,10 +29,10 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 use suv_htm::machine::{Access, CommitOutcome, HtmMachine, SwCommitOutcome};
 use suv_mem::{BumpAllocator, Region};
-use suv_trace::{LatencyHistogram, TraceEvent};
+use suv_trace::{EscalationReason, FallbackAbortReason, FaultKind, LatencyHistogram, TraceEvent};
 use suv_types::{Addr, Breakdown, BreakdownKind, Cycle, FallbackMode, RobustnessConfig, TxSite};
 
-/// Which rung of the escalation ladder the next attempt runs on.
+/// A rung of the escalation ladder: the tier a transaction attempt runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     /// Normal hardware transaction.
@@ -44,6 +41,49 @@ enum Tier {
     Sw,
     /// Serialized irrevocable execution (the last rung: guaranteed commit).
     Irrevocable,
+}
+
+/// The rungs a transaction climbs under `mode`, bottom first. The ladder
+/// is this data: [`ThreadCtx::txn`] only ever moves one rung up it.
+fn ladder(mode: FallbackMode) -> &'static [Tier] {
+    match mode {
+        FallbackMode::Off => &[Tier::Hw],
+        FallbackMode::IrrevocableOnly => &[Tier::Hw, Tier::Irrevocable],
+        FallbackMode::Stm => &[Tier::Hw, Tier::Sw, Tier::Irrevocable],
+    }
+}
+
+/// What one dynamic transaction has been through so far: the inputs of
+/// every rung's exhaustion test.
+#[derive(Debug, Clone, Copy, Default)]
+struct Attempts {
+    /// Aborted attempts, on any tier.
+    aborts: u32,
+    /// Hardware attempts that died of a capacity overflow.
+    overflow_aborts: u32,
+    /// Software attempts begun.
+    sw: u32,
+    /// Cycles since the first begin.
+    starved: Cycle,
+}
+
+/// The exhaustion test of rung `tier`: has the transaction spent its
+/// budget there, and which budget? A threshold of 0 disables that trigger;
+/// the irrevocable rung has none (it always commits).
+fn exhausted(r: &RobustnessConfig, tier: Tier, a: &Attempts) -> Option<EscalationReason> {
+    match tier {
+        Tier::Hw if r.overflow_retries != 0 && a.overflow_aborts >= r.overflow_retries => {
+            Some(EscalationReason::OverflowBudget)
+        }
+        Tier::Hw if r.max_tx_aborts != 0 && a.aborts >= r.max_tx_aborts => {
+            Some(EscalationReason::AbortWatchdog)
+        }
+        Tier::Hw if r.max_starvation_cycles != 0 && a.starved >= r.max_starvation_cycles => {
+            Some(EscalationReason::StarvationWatchdog)
+        }
+        Tier::Sw if r.sw_retries != 0 && a.sw >= r.sw_retries => Some(EscalationReason::SwBudget),
+        _ => None,
+    }
 }
 
 /// Marker propagated by `?` out of a transaction body when the hardware
@@ -139,7 +179,6 @@ impl<'a> SetupCtx<'a> {
 }
 
 /// Per-core simulation context.
-#[allow(clippy::struct_excessive_bools)] // attempt-state flags, not a config surface
 pub struct ThreadCtx {
     engine: Rc<Engine>,
     tid: usize,
@@ -148,7 +187,11 @@ pub struct ThreadCtx {
     /// Transactional cycles of the current attempt (reclassified to Wasted
     /// when the attempt aborts).
     attempt_trans: Cycle,
-    in_tx: bool,
+    /// The tier of the transaction attempt in flight (`None` outside
+    /// transactions). The `Tx` guard dispatches its accesses on it, and an
+    /// irrevocable attempt — which can never abort — is exempt from the
+    /// spurious-overflow fault.
+    tier: Option<Tier>,
     retry_interval: Cycle,
     /// Deterministic per-thread RNG for workload decisions.
     pub rng: StdRng,
@@ -169,14 +212,6 @@ pub struct ThreadCtx {
     /// overflow ([`Access::Overflow`]); consumed by the retry loop to
     /// drive the escalation ladder.
     overflow_hit: bool,
-    /// The current attempt runs on the software-fallback tier: the `Tx`
-    /// guard dispatches accesses to the STM paths instead of the hardware
-    /// ones.
-    sw_mode: bool,
-    /// The current attempt runs irrevocable: capacity clamps are bypassed
-    /// in the machine, so the spurious-overflow fault must not fire either
-    /// (an irrevocable transaction can never abort).
-    irrev_mode: bool,
     /// Per-thread request-latency samples (recorded by open-loop workloads
     /// via [`ThreadCtx::record_latency`]; harvested by the runner).
     latency: LatencyHistogram,
@@ -196,7 +231,7 @@ impl ThreadCtx {
             now: 0,
             breakdown: Breakdown::default(),
             attempt_trans: 0,
-            in_tx: false,
+            tier: None,
             retry_interval,
             rng: StdRng::seed_from_u64(0x57A3F + tid as u64 * 0x9E37),
             max_cycles: 50_000_000_000,
@@ -205,8 +240,6 @@ impl ThreadCtx {
             robust,
             faults,
             overflow_hit: false,
-            sw_mode: false,
-            irrev_mode: false,
             latency: LatencyHistogram::new(),
         }
     }
@@ -241,7 +274,7 @@ impl ThreadCtx {
     fn spend(&mut self, kind: BreakdownKind, cycles: Cycle) {
         self.now += cycles;
         assert!(self.now < self.max_cycles, "simulated time explosion on thread {}", self.tid);
-        if self.in_tx && kind == BreakdownKind::Trans {
+        if self.tier.is_some() && kind == BreakdownKind::Trans {
             self.attempt_trans += cycles;
         } else {
             self.breakdown.add(kind, cycles);
@@ -268,7 +301,7 @@ impl ThreadCtx {
     /// Spend `cycles` of computation (one cycle per instruction on the
     /// in-order core). Inside a transaction this is transactional work.
     pub fn work(&mut self, cycles: Cycle) {
-        let kind = if self.in_tx { BreakdownKind::Trans } else { BreakdownKind::NoTrans };
+        let kind = if self.tier.is_some() { BreakdownKind::Trans } else { BreakdownKind::NoTrans };
         self.spend(kind, cycles);
     }
 
@@ -294,6 +327,13 @@ impl ThreadCtx {
         &self.latency
     }
 
+    /// Trace a fault the injector just drew (no-op on untraced runs).
+    fn trace_fault(&mut self, kind: FaultKind, cycles: Cycle) {
+        if self.trace_on {
+            self.m().trace_emit(self.now, self.tid, TraceEvent::FaultInjected { kind, cycles });
+        }
+    }
+
     /// Fault hook before an access issues: a spurious NACK consumes this
     /// issue slot (the caller retries after the stall). Deterministic —
     /// the roll comes from the per-core seeded stream.
@@ -302,32 +342,20 @@ impl ThreadCtx {
         if !f.spurious_nack() {
             return false;
         }
-        let (now, stall) = (self.now, self.retry_interval);
-        if self.trace_on {
-            self.m().trace_emit(
-                now,
-                self.tid,
-                TraceEvent::FaultInjected { kind: 0, cycles: stall },
-            );
-        }
-        self.spend(BreakdownKind::Stalled, stall);
+        self.trace_fault(FaultKind::SpuriousNack, self.retry_interval);
+        self.spend(BreakdownKind::Stalled, self.retry_interval);
         true
     }
 
-    /// Fault hook after an access completes: extra NoC cycles to charge
-    /// (0 = no fault drawn).
-    fn inject_delay(&mut self) -> Cycle {
-        let Some(f) = self.faults.as_mut() else { return 0 };
+    /// Fault hook after an access completes: extra NoC cycles, charged as
+    /// a stall.
+    fn inject_delay(&mut self) {
+        let Some(f) = self.faults.as_mut() else { return };
         let extra = f.extra_delay();
-        if extra > 0 && self.trace_on {
-            let now = self.now;
-            self.m().trace_emit(
-                now,
-                self.tid,
-                TraceEvent::FaultInjected { kind: 1, cycles: extra },
-            );
+        if extra > 0 {
+            self.trace_fault(FaultKind::NocDelay, extra);
+            self.spend(BreakdownKind::Stalled, extra);
         }
-        extra
     }
 
     /// Fault hook before a hardware transactional store: a spurious
@@ -335,79 +363,110 @@ impl ThreadCtx {
     /// if the version manager's pool were exhausted, driving the
     /// escalation ladder without any real capacity pressure.
     fn inject_overflow(&mut self) -> bool {
-        if self.irrev_mode {
-            // Irrevocable attempts bypass the version manager's capacity
-            // clamps, so the spurious pool-exhaustion fault cannot apply —
-            // and must not, since an irrevocable transaction never aborts.
+        if self.tier != Some(Tier::Hw) {
+            // Only hardware capacity can overflow. Irrevocable attempts
+            // bypass the version manager's capacity clamps, so the
+            // spurious pool-exhaustion fault cannot apply — and must not,
+            // since an irrevocable transaction never aborts.
             return false;
         }
         let Some(f) = self.faults.as_mut() else { return false };
         if !f.spurious_overflow() {
             return false;
         }
-        let now = self.now;
-        if self.trace_on {
-            self.m().trace_emit(now, self.tid, TraceEvent::FaultInjected { kind: 2, cycles: 1 });
-        }
-        self.m().note_injected_overflow(now, self.tid);
+        self.trace_fault(FaultKind::SpuriousOverflow, 1);
+        self.m().note_injected_overflow(self.now, self.tid);
         self.spend(BreakdownKind::Stalled, 1);
         self.overflow_hit = true;
         true
     }
 
-    /// Non-transactional load.
-    pub async fn load(&mut self, addr: Addr) -> u64 {
-        debug_assert!(!self.in_tx, "use the Tx guard inside transactions");
+    /// The one access retry loop: every load (`STORE = false`, `value`
+    /// ignored) and store of every tier — the attempt's in flight, else
+    /// non-transactional. `Err(Abort)`: the attempt must die (possible-cycle
+    /// rule, doom, capacity overflow); never outside a transaction.
+    async fn access<const STORE: bool>(&mut self, addr: Addr, value: u64) -> Result<u64, Abort> {
         loop {
             self.sync().await;
-            if self.inject_nack() {
-                continue;
-            }
-            let r = self.m().nontx_load(self.now, self.tid, addr);
-            match r {
-                Access::Done { value, latency } => {
-                    self.spend(BreakdownKind::NoTrans, latency);
-                    let extra = self.inject_delay();
-                    self.spend(BreakdownKind::Stalled, extra);
-                    return value;
-                }
-                Access::Nacked { latency, .. } => {
-                    self.spend(BreakdownKind::Stalled, latency + self.retry_interval);
-                }
-                Access::MustAbort { .. } => unreachable!("non-transactional access doomed"),
-                Access::Overflow { .. } => unreachable!("non-transactional access overflowed"),
+            if let Some(outcome) = self.issue::<STORE>(addr, value) {
+                return outcome;
             }
         }
+    }
+
+    /// One issue slot of [`Self::access`]: fault hooks, the machine call of
+    /// the tier in flight, and the outcome's charge. `None` = stalled
+    /// (NACKed, really or spuriously): retry.
+    #[inline]
+    fn issue<const STORE: bool>(&mut self, addr: Addr, value: u64) -> Option<Result<u64, Abort>> {
+        let tier = self.tier;
+        // The software write barrier only buffers into the core's private
+        // redo log: nothing leaves the core, so no fault hook applies.
+        let hooks = !(STORE && tier == Some(Tier::Sw));
+        if hooks && self.inject_nack() {
+            return None;
+        }
+        if STORE && self.inject_overflow() {
+            return Some(Err(Abort));
+        }
+        let (now, tid) = (self.now, self.tid);
+        let r = match (tier, STORE) {
+            (None, false) => self.m().nontx_load(now, tid, addr),
+            (None, true) => self.m().nontx_store(now, tid, addr, value),
+            (Some(Tier::Sw), false) => self.m().sw_load(now, tid, addr),
+            (Some(Tier::Sw), true) => self.m().sw_store(now, tid, addr, value),
+            (Some(Tier::Hw | Tier::Irrevocable), false) => self.m().tx_load(now, tid, addr),
+            (Some(Tier::Hw | Tier::Irrevocable), true) => self.m().tx_store(now, tid, addr, value),
+        };
+        match r {
+            Access::Done { value, latency } => {
+                // (`work` does this too, but as an out-of-line call here.)
+                let done =
+                    if tier.is_some() { BreakdownKind::Trans } else { BreakdownKind::NoTrans };
+                self.spend(done, latency);
+                if hooks {
+                    self.inject_delay();
+                }
+                Some(Ok(value))
+            }
+            Access::Nacked { latency, must_abort, .. } => {
+                self.spend(BreakdownKind::Stalled, latency);
+                if must_abort {
+                    return Some(Err(Abort));
+                }
+                self.spend(BreakdownKind::Stalled, self.retry_interval);
+                None
+            }
+            Access::MustAbort { latency } => {
+                self.spend(BreakdownKind::Stalled, latency);
+                Some(Err(Abort))
+            }
+            Access::Overflow { latency } => {
+                // The VM refused the store for capacity (no bookkeeping
+                // was done): die now and let the retry loop climb the
+                // escalation ladder.
+                self.spend(BreakdownKind::Stalled, latency);
+                self.overflow_hit = true;
+                Some(Err(Abort))
+            }
+        }
+    }
+
+    /// Non-transactional load.
+    pub async fn load(&mut self, addr: Addr) -> u64 {
+        debug_assert!(self.tier.is_none(), "use the Tx guard inside transactions");
+        self.access::<false>(addr, 0).await.expect("non-transactional load told to abort")
     }
 
     /// Non-transactional store.
     pub async fn store(&mut self, addr: Addr, value: u64) {
-        debug_assert!(!self.in_tx, "use the Tx guard inside transactions");
-        loop {
-            self.sync().await;
-            if self.inject_nack() {
-                continue;
-            }
-            let r = self.m().nontx_store(self.now, self.tid, addr, value);
-            match r {
-                Access::Done { latency, .. } => {
-                    self.spend(BreakdownKind::NoTrans, latency);
-                    let extra = self.inject_delay();
-                    self.spend(BreakdownKind::Stalled, extra);
-                    return;
-                }
-                Access::Nacked { latency, .. } => {
-                    self.spend(BreakdownKind::Stalled, latency + self.retry_interval);
-                }
-                Access::MustAbort { .. } => unreachable!("non-transactional access doomed"),
-                Access::Overflow { .. } => unreachable!("non-transactional access overflowed"),
-            }
-        }
+        debug_assert!(self.tier.is_none(), "use the Tx guard inside transactions");
+        self.access::<true>(addr, value).await.expect("non-transactional store told to abort");
     }
 
     /// Wait at the program barrier.
     pub async fn barrier(&mut self) {
-        assert!(!self.in_tx, "barrier inside a transaction");
+        assert!(self.tier.is_none(), "barrier inside a transaction");
         if !self.engine.sched.barrier_arrive(self.tid, self.now) {
             YieldNow { yielded: false }.await;
         }
@@ -426,225 +485,146 @@ impl ThreadCtx {
     ///
     /// # The escalation ladder
     ///
-    /// A transaction that keeps dying climbs a three-tier ladder:
-    /// `hardware → software fallback → irrevocable`. A ladder trigger —
-    /// [`RobustnessConfig::overflow_retries`] capacity-overflow aborts,
-    /// [`RobustnessConfig::max_tx_aborts`] total aborts, or
-    /// [`RobustnessConfig::max_starvation_cycles`] since the first begin —
-    /// moves the transaction off the hardware tier. Where it lands is
-    /// governed by [`RobustnessConfig::fallback`]:
+    /// A transaction that keeps dying climbs the [`ladder`] its
+    /// [`RobustnessConfig::fallback`] mode selects, one rung per retry
+    /// boundary, whenever the rung it is on is [`exhausted`]:
     ///
-    /// * `Stm` — re-execute as a *software* transaction (redo-logged,
-    ///   value-validated, committed under per-line ownership records)
-    ///   while hardware transactions keep running concurrently on the
-    ///   other cores. After [`RobustnessConfig::sw_retries`] software
-    ///   aborts the ladder escalates once more, to irrevocable (reason 3).
-    /// * `IrrevocableOnly` — the pre-fallback two-tier ladder: claim the
-    ///   chip-wide irrevocable token (spinning in simulated time while
-    ///   another holder runs — no isolation is held while spinning, so
-    ///   the wait cannot deadlock) and re-execute serialized: forced
-    ///   eager, capacity clamps bypassed, every conflict won; guaranteed
-    ///   to commit, bounding both overflow livelock and starvation.
-    /// * `Off` — never escalate (measurement runs that want the raw
-    ///   abort/livelock behaviour; progress is not guaranteed).
+    /// * `Hw` is exhausted by [`RobustnessConfig::overflow_retries`]
+    ///   capacity-overflow aborts, [`RobustnessConfig::max_tx_aborts`]
+    ///   total aborts, or [`RobustnessConfig::max_starvation_cycles`]
+    ///   since the first begin.
+    /// * `Sw` (`Stm` only) re-executes as a *software* transaction
+    ///   (redo-logged, value-validated, committed under per-line ownership
+    ///   records) while hardware transactions keep running concurrently on
+    ///   the other cores; it is exhausted by
+    ///   [`RobustnessConfig::sw_retries`] software attempts.
+    /// * `Irrevocable` claims the chip-wide irrevocable token and
+    ///   re-executes serialized: forced eager, capacity clamps bypassed,
+    ///   every conflict won; guaranteed to commit, bounding overflow
+    ///   livelock, starvation and software validation livelock alike.
+    ///
+    /// `Off` never leaves `Hw` (measurement runs that want the raw
+    /// abort/livelock behaviour; progress is not guaranteed).
     pub async fn txn<F>(&mut self, site: TxSite, mut body: F)
     where
         F: AsyncFnMut(&mut Tx<'_>) -> Result<(), Abort>,
     {
-        assert!(!self.in_tx, "nested txn() calls: use Tx::nested instead");
+        assert!(self.tier.is_none(), "nested txn() calls: use Tx::nested instead");
         let first_begin = self.now;
-        let mut aborts: u32 = 0;
-        let mut overflow_aborts: u32 = 0;
-        let mut sw_attempts: u32 = 0;
-        let mut tier = Tier::Hw;
+        let rungs = ladder(self.robust.fallback);
+        let mut rung = 0;
+        let mut tried = Attempts::default();
         loop {
-            match tier {
-                Tier::Hw => {
-                    if let Some(reason) =
-                        self.escalation_reason(aborts, overflow_aborts, first_begin)
-                    {
-                        match self.robust.fallback {
-                            FallbackMode::Off => {}
-                            FallbackMode::Stm => {
-                                self.sync().await;
-                                let now = self.now;
-                                self.m().note_escalation(now, self.tid, reason);
-                                tier = Tier::Sw;
-                            }
-                            FallbackMode::IrrevocableOnly => {
-                                self.escalate(reason).await;
-                                tier = Tier::Irrevocable;
-                            }
-                        }
-                    }
-                }
-                Tier::Sw => {
-                    if self.robust.sw_retries != 0 && sw_attempts >= self.robust.sw_retries {
-                        // Software retry budget spent (reason 3: repeated
-                        // validation failures / hardware conflicts).
-                        self.escalate(3).await;
-                        tier = Tier::Irrevocable;
-                    }
-                }
-                Tier::Irrevocable => {}
+            tried.starved = self.now.saturating_sub(first_begin);
+            if let (Some(&next), Some(reason)) =
+                (rungs.get(rung + 1), exhausted(&self.robust, rungs[rung], &tried))
+            {
+                self.escalate(reason, next).await;
+                rung += 1;
             }
-            if tier == Tier::Sw {
-                sw_attempts += 1;
-                self.sync().await;
-                let begin_lat = self.m().begin_sw_tx(self.now, self.tid, site, sw_attempts);
-                self.in_tx = true;
-                self.sw_mode = true;
-                self.attempt_trans = 0;
-                self.spend(BreakdownKind::Trans, begin_lat);
-                let result = body(&mut Tx { ctx: self }).await;
-                let committed = if result.is_ok() {
-                    self.sw_commit().await
-                } else {
-                    // The only forced-abort path in software mode is a
-                    // hardware-side invalidation (reason 2).
-                    self.sw_abort(2).await;
-                    false
-                };
-                if committed {
-                    return;
-                }
-                aborts = aborts.saturating_add(1);
-                continue;
-            }
-            let irrevocable = tier == Tier::Irrevocable;
-            self.irrev_mode = irrevocable;
+            let tier = rungs[rung];
             self.sync().await;
-            let begin_lat = if irrevocable {
-                self.m().begin_tx_irrevocable(self.now, self.tid, site)
-            } else {
-                self.m().begin_tx(self.now, self.tid, site)
+            let begin_lat = match tier {
+                Tier::Hw => self.m().begin_tx(self.now, self.tid, site),
+                Tier::Irrevocable => self.m().begin_tx_irrevocable(self.now, self.tid, site),
+                Tier::Sw => {
+                    tried.sw += 1;
+                    self.m().begin_sw_tx(self.now, self.tid, site, tried.sw)
+                }
             };
-            self.in_tx = true;
+            self.tier = Some(tier);
             self.attempt_trans = 0;
             self.spend(BreakdownKind::Trans, begin_lat);
 
-            let result = body(&mut Tx { ctx: self }).await;
-
-            let committed = if let Ok(()) = result {
-                self.sync().await;
-                let out = self.m().commit_tx(self.now, self.tid);
-                match out {
-                    CommitOutcome::Committed { latency, committing } => {
-                        self.in_tx = false;
-                        self.breakdown.add(BreakdownKind::Trans, self.attempt_trans);
-                        self.spend(BreakdownKind::Trans, latency - committing);
-                        self.spend(BreakdownKind::Committing, committing);
-                        true
-                    }
-                    CommitOutcome::MustAbort { latency } => {
-                        self.spend(BreakdownKind::Stalled, latency);
-                        self.do_abort().await;
-                        false
-                    }
-                }
+            let committed = if body(&mut Tx { ctx: self }).await.is_ok() {
+                self.commit().await
             } else {
-                self.do_abort().await;
+                // The only forced abort of a software attempt is a
+                // hardware-side invalidation.
+                self.abort(FallbackAbortReason::HwConflict).await;
                 false
             };
             if committed {
-                if irrevocable {
+                if tier == Tier::Irrevocable {
                     self.engine.sched.release_irrevocable(self.tid);
                 }
                 return;
             }
-            aborts = aborts.saturating_add(1);
+            tried.aborts = tried.aborts.saturating_add(1);
             if std::mem::take(&mut self.overflow_hit) {
-                overflow_aborts = overflow_aborts.saturating_add(1);
+                tried.overflow_aborts = tried.overflow_aborts.saturating_add(1);
             }
         }
     }
 
-    /// Should the next attempt run irrevocable, and why? Reasons match
-    /// [`TraceEvent::WatchdogEscalation`]: 0 = overflow ladder,
-    /// 1 = abort-count watchdog, 2 = starvation-cycles watchdog. A
-    /// threshold of 0 disables that trigger.
-    fn escalation_reason(
-        &self,
-        aborts: u32,
-        overflow_aborts: u32,
-        first_begin: Cycle,
-    ) -> Option<u32> {
-        let r = &self.robust;
-        if r.overflow_retries != 0 && overflow_aborts >= r.overflow_retries {
-            return Some(0);
-        }
-        if r.max_tx_aborts != 0 && aborts >= r.max_tx_aborts {
-            return Some(1);
-        }
-        if r.max_starvation_cycles != 0
-            && self.now.saturating_sub(first_begin) >= r.max_starvation_cycles
-        {
-            return Some(2);
-        }
-        None
-    }
-
-    /// Claim the chip-wide irrevocable token, spinning in simulated time
-    /// while another transaction holds it. Called between attempts — no
-    /// transactional isolation is held here, so the current owner can
-    /// always make progress and eventually release.
-    async fn escalate(&mut self, reason: u32) {
+    /// Move the transaction up to rung `to`, between attempts: record why,
+    /// and for the irrevocable rung claim the chip-wide token, spinning in
+    /// simulated time while another transaction holds it. No transactional
+    /// isolation is held here, so the current owner can always make
+    /// progress and eventually release — the wait cannot deadlock.
+    async fn escalate(&mut self, reason: EscalationReason, to: Tier) {
         self.sync().await;
-        let now = self.now;
-        self.m().note_escalation(now, self.tid, reason);
-        while !self.engine.sched.try_acquire_irrevocable(self.tid) {
+        self.m().note_escalation(self.now, self.tid, reason);
+        while to == Tier::Irrevocable && !self.engine.sched.try_acquire_irrevocable(self.tid) {
             self.spend(BreakdownKind::Stalled, self.retry_interval);
             self.sync().await;
         }
     }
 
-    /// Hardware abort + backoff; reclassifies the attempt's work.
-    async fn do_abort(&mut self) {
-        self.sync().await;
-        let dur = self.m().abort_tx(self.now, self.tid);
-        self.in_tx = false;
-        // The attempt's transactional work was wasted.
-        self.breakdown.add(BreakdownKind::Wasted, self.attempt_trans);
-        self.attempt_trans = 0;
-        self.spend(BreakdownKind::Aborting, dur);
-        let backoff = self.m().backoff_cycles(self.now, self.tid);
-        self.spend(BreakdownKind::Backoff, backoff);
-    }
-
-    /// Software-fallback commit: retry while another software commit
-    /// window holds a touched line (the window closes unconditionally, so
-    /// the wait is bounded), abort on validation failure or a hardware
-    /// conflict. Returns whether the transaction committed.
-    async fn sw_commit(&mut self) -> bool {
-        loop {
+    /// Commit the attempt in flight, or abort it when the machine refuses.
+    /// Returns whether it committed. A software commit retries while
+    /// another software commit window holds a touched line (the window
+    /// closes unconditionally, so the wait is bounded).
+    async fn commit(&mut self) -> bool {
+        let outcome = loop {
             self.sync().await;
+            if self.tier != Some(Tier::Sw) {
+                let out = self.m().commit_tx(self.now, self.tid);
+                break match out {
+                    CommitOutcome::Committed { latency, committing } => Ok((latency, committing)),
+                    // A hardware abort carries no reason: `abort` ignores it.
+                    CommitOutcome::MustAbort { latency } => {
+                        Err((latency, FallbackAbortReason::HwConflict))
+                    }
+                };
+            }
             let out = self.m().commit_sw_tx(self.now, self.tid);
             match out {
-                SwCommitOutcome::Committed { latency } => {
-                    self.in_tx = false;
-                    self.sw_mode = false;
-                    self.breakdown.add(BreakdownKind::Trans, self.attempt_trans);
-                    self.spend(BreakdownKind::Committing, latency);
-                    return true;
-                }
+                SwCommitOutcome::Committed { latency } => break Ok((latency, latency)),
+                SwCommitOutcome::MustAbort { reason, latency } => break Err((latency, reason)),
                 SwCommitOutcome::Busy { latency, .. } => {
                     self.spend(BreakdownKind::Stalled, latency + self.retry_interval);
                 }
-                SwCommitOutcome::MustAbort { reason, latency } => {
-                    self.spend(BreakdownKind::Stalled, latency);
-                    self.sw_abort(reason).await;
-                    return false;
-                }
+            }
+        };
+        match outcome {
+            Ok((latency, committing)) => {
+                self.tier = None;
+                self.breakdown.add(BreakdownKind::Trans, self.attempt_trans);
+                self.spend(BreakdownKind::Trans, latency - committing);
+                self.spend(BreakdownKind::Committing, committing);
+                true
+            }
+            Err((latency, sw_reason)) => {
+                self.spend(BreakdownKind::Stalled, latency);
+                self.abort(sw_reason).await;
+                false
             }
         }
     }
 
-    /// Software-fallback abort + backoff; reclassifies the attempt's work.
-    async fn sw_abort(&mut self, reason: u32) {
+    /// Abort the attempt in flight and back off; reclassifies the
+    /// attempt's work as wasted. `sw_reason` is recorded for a software
+    /// attempt only (a hardware abort's cause is the NACK, doom or overflow
+    /// already in the trace).
+    async fn abort(&mut self, sw_reason: FallbackAbortReason) {
         self.sync().await;
-        let dur = self.m().abort_sw_tx(self.now, self.tid, reason);
-        self.in_tx = false;
-        self.sw_mode = false;
+        let dur = if self.tier == Some(Tier::Sw) {
+            self.m().abort_sw_tx(self.now, self.tid, sw_reason)
+        } else {
+            self.m().abort_tx(self.now, self.tid)
+        };
+        self.tier = None;
         self.breakdown.add(BreakdownKind::Wasted, self.attempt_trans);
         self.attempt_trans = 0;
         self.spend(BreakdownKind::Aborting, dur);
@@ -676,135 +656,14 @@ impl Tx<'_> {
         self.ctx.spend(BreakdownKind::Trans, cycles);
     }
 
-    /// Transactional load.
+    /// Transactional load, on the attempt's tier.
     pub async fn load(&mut self, addr: Addr) -> Result<u64, Abort> {
-        if self.ctx.sw_mode {
-            return self.sw_load(addr).await;
-        }
-        loop {
-            self.ctx.sync().await;
-            if self.ctx.inject_nack() {
-                continue;
-            }
-            let r = self.ctx.m().tx_load(self.ctx.now, self.ctx.tid, addr);
-            match r {
-                Access::Done { value, latency } => {
-                    self.ctx.spend(BreakdownKind::Trans, latency);
-                    let extra = self.ctx.inject_delay();
-                    self.ctx.spend(BreakdownKind::Stalled, extra);
-                    return Ok(value);
-                }
-                Access::Nacked { latency, must_abort, .. } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    if must_abort {
-                        return Err(Abort);
-                    }
-                    self.ctx.spend(BreakdownKind::Stalled, self.ctx.retry_interval);
-                }
-                Access::MustAbort { latency } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    return Err(Abort);
-                }
-                Access::Overflow { latency } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    self.ctx.overflow_hit = true;
-                    return Err(Abort);
-                }
-            }
-        }
+        self.ctx.access::<false>(addr, 0).await
     }
 
-    /// Transactional store.
+    /// Transactional store, on the attempt's tier.
     pub async fn store(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
-        if self.ctx.sw_mode {
-            return self.sw_store(addr, value).await;
-        }
-        loop {
-            self.ctx.sync().await;
-            if self.ctx.inject_nack() {
-                continue;
-            }
-            if self.ctx.inject_overflow() {
-                return Err(Abort);
-            }
-            let r = self.ctx.m().tx_store(self.ctx.now, self.ctx.tid, addr, value);
-            match r {
-                Access::Done { latency, .. } => {
-                    self.ctx.spend(BreakdownKind::Trans, latency);
-                    let extra = self.ctx.inject_delay();
-                    self.ctx.spend(BreakdownKind::Stalled, extra);
-                    return Ok(());
-                }
-                Access::Nacked { latency, must_abort, .. } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    if must_abort {
-                        return Err(Abort);
-                    }
-                    self.ctx.spend(BreakdownKind::Stalled, self.ctx.retry_interval);
-                }
-                Access::MustAbort { latency } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    return Err(Abort);
-                }
-                Access::Overflow { latency } => {
-                    // The VM refused the store for capacity (no bookkeeping
-                    // was done): die now and let the retry loop climb the
-                    // escalation ladder.
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    self.ctx.overflow_hit = true;
-                    return Err(Abort);
-                }
-            }
-        }
-    }
-
-    /// Software-fallback load (STM read barrier).
-    async fn sw_load(&mut self, addr: Addr) -> Result<u64, Abort> {
-        loop {
-            self.ctx.sync().await;
-            if self.ctx.inject_nack() {
-                continue;
-            }
-            let r = self.ctx.m().sw_load(self.ctx.now, self.ctx.tid, addr);
-            match r {
-                Access::Done { value, latency } => {
-                    self.ctx.spend(BreakdownKind::Trans, latency);
-                    let extra = self.ctx.inject_delay();
-                    self.ctx.spend(BreakdownKind::Stalled, extra);
-                    return Ok(value);
-                }
-                Access::Nacked { latency, must_abort, .. } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    if must_abort {
-                        return Err(Abort);
-                    }
-                    self.ctx.spend(BreakdownKind::Stalled, self.ctx.retry_interval);
-                }
-                Access::MustAbort { latency } => {
-                    self.ctx.spend(BreakdownKind::Stalled, latency);
-                    return Err(Abort);
-                }
-                Access::Overflow { .. } => unreachable!("software loads never overflow"),
-            }
-        }
-    }
-
-    /// Software-fallback store (STM write barrier: purely local redo-log
-    /// buffering, so no fault hooks and no NACKs apply).
-    async fn sw_store(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
-        self.ctx.sync().await;
-        let r = self.ctx.m().sw_store(self.ctx.now, self.ctx.tid, addr, value);
-        match r {
-            Access::Done { latency, .. } => {
-                self.ctx.spend(BreakdownKind::Trans, latency);
-                Ok(())
-            }
-            Access::MustAbort { latency } => {
-                self.ctx.spend(BreakdownKind::Stalled, latency);
-                Err(Abort)
-            }
-            other => unreachable!("software stores neither NACK nor overflow: {other:?}"),
-        }
+        self.ctx.access::<true>(addr, value).await.map(drop)
     }
 
     /// Closed-nested transaction (flattened: subsumed into the outer one).
@@ -812,7 +671,7 @@ impl Tx<'_> {
     where
         F: AsyncFnMut(&mut Tx<'_>) -> Result<(), Abort>,
     {
-        if self.ctx.sw_mode {
+        if self.ctx.tier == Some(Tier::Sw) {
             // The software tier subsumes nesting into the flat redo log.
             self.ctx.spend(BreakdownKind::Trans, 1);
             return body(self).await;
@@ -835,5 +694,50 @@ impl Tx<'_> {
             }
         }
         r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_fallback_mode_yields_its_documented_ladder() {
+        use Tier::{Hw, Irrevocable, Sw};
+        assert_eq!(ladder(FallbackMode::Off), [Hw], "Off never leaves the hardware tier");
+        assert_eq!(ladder(FallbackMode::IrrevocableOnly), [Hw, Irrevocable]);
+        assert_eq!(ladder(FallbackMode::Stm), [Hw, Sw, Irrevocable]);
+    }
+
+    #[test]
+    fn each_rung_has_its_own_exhaustion_test() {
+        use EscalationReason as E;
+        let r = RobustnessConfig {
+            overflow_retries: 2,
+            max_tx_aborts: 5,
+            max_starvation_cycles: 1000,
+            sw_retries: 3,
+            ..Default::default()
+        };
+        let spent = Attempts { aborts: 9, overflow_aborts: 9, sw: 9, starved: 9999 };
+        assert_eq!(exhausted(&r, Tier::Hw, &Attempts::default()), None);
+        assert_eq!(exhausted(&r, Tier::Hw, &spent), Some(E::OverflowBudget), "overflow first");
+        let a = Attempts { overflow_aborts: 1, ..spent };
+        assert_eq!(exhausted(&r, Tier::Hw, &a), Some(E::AbortWatchdog));
+        let a = Attempts { aborts: 4, ..a };
+        assert_eq!(exhausted(&r, Tier::Hw, &a), Some(E::StarvationWatchdog));
+        assert_eq!(exhausted(&r, Tier::Sw, &Attempts { sw: 2, ..spent }), None);
+        assert_eq!(exhausted(&r, Tier::Sw, &spent), Some(E::SwBudget));
+        assert_eq!(exhausted(&r, Tier::Irrevocable, &spent), None, "the last rung always commits");
+        // A threshold of 0 disables its trigger.
+        let off = RobustnessConfig {
+            overflow_retries: 0,
+            max_tx_aborts: 0,
+            max_starvation_cycles: 0,
+            sw_retries: 0,
+            ..r
+        };
+        assert_eq!(exhausted(&off, Tier::Hw, &spent), None);
+        assert_eq!(exhausted(&off, Tier::Sw, &spent), None);
     }
 }

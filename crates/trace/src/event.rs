@@ -6,30 +6,25 @@
 //! payload: undo-log walk lengths for LogTM-SE, redirect hit levels and
 //! pool allocations for SUV, commit-arbitration windows for lazy/DynTM.
 
-use suv_types::{CoreId, Cycle};
+use suv_types::{CoreId, Cycle, TxStats};
 
 /// Which level of the redirect structure answered a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedirectLevel {
     /// The summary signature filtered the access (no lookup at all).
-    Filtered,
+    Filtered = 0,
     /// Per-core L1 redirect table hit.
-    L1,
+    L1 = 1,
     /// Shared L2 redirect table hit.
-    L2,
+    L2 = 2,
     /// Entry had been swapped out; resolved from the in-memory table.
-    Memory,
+    Memory = 3,
 }
 
 impl RedirectLevel {
-    /// Stable small id (hashing / export).
+    /// Stable small id (hashing / export): the declared discriminant.
     pub fn id(self) -> u64 {
-        match self {
-            RedirectLevel::Filtered => 0,
-            RedirectLevel::L1 => 1,
-            RedirectLevel::L2 => 2,
-            RedirectLevel::Memory => 3,
-        }
+        self as u64
     }
 
     /// Human-readable label.
@@ -40,6 +35,120 @@ impl RedirectLevel {
             RedirectLevel::L2 => "l2",
             RedirectLevel::Memory => "memory",
         }
+    }
+}
+
+/// Why a transaction left its rung of the escalation ladder (Hw → Sw,
+/// Hw → Irrevocable or Sw → Irrevocable).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EscalationReason {
+    /// `RobustnessConfig::overflow_retries` capacity-overflow aborts spent.
+    OverflowBudget = 0,
+    /// Abort-count watchdog: `RobustnessConfig::max_tx_aborts` aborts of
+    /// one dynamic transaction.
+    AbortWatchdog = 1,
+    /// Starvation watchdog: `RobustnessConfig::max_starvation_cycles`
+    /// since the transaction's first begin.
+    StarvationWatchdog = 2,
+    /// `RobustnessConfig::sw_retries` software-tier aborts spent (repeated
+    /// validation failures or hardware conflicts): Sw → Irrevocable.
+    SwBudget = 3,
+}
+
+impl EscalationReason {
+    /// Every reason, in id order.
+    pub const ALL: [Self; 4] =
+        [Self::OverflowBudget, Self::AbortWatchdog, Self::StarvationWatchdog, Self::SwBudget];
+
+    /// Stable small id (hashing / export): the declared discriminant.
+    pub fn id(self) -> u64 {
+        self as u64
+    }
+
+    /// The reason's key in the `--json` `resilience.escalations` block.
+    pub fn key(self) -> &'static str {
+        match self {
+            Self::OverflowBudget => "overflow",
+            Self::AbortWatchdog => "abort_watchdog",
+            Self::StarvationWatchdog => "starvation_watchdog",
+            Self::SwBudget => "sw_validation_failure",
+        }
+    }
+
+    /// The reason's own `TxStats::esc_*` counter.
+    pub fn counter(self, stats: &mut TxStats) -> &mut u64 {
+        match self {
+            Self::OverflowBudget => &mut stats.esc_overflow,
+            Self::AbortWatchdog => &mut stats.esc_abort_watchdog,
+            Self::StarvationWatchdog => &mut stats.esc_starvation,
+            Self::SwBudget => &mut stats.esc_sw_validation,
+        }
+    }
+
+    /// Escalations `stats` recorded for this reason ([`Self::counter`] is
+    /// the one reason → field map; this reads it through a copy).
+    pub fn count(self, stats: &TxStats) -> u64 {
+        *self.counter(&mut { *stats })
+    }
+}
+
+/// Why a software-fallback attempt aborted. (A busy commit lock is not a
+/// reason: the committer stalls and retries, it never aborts.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackAbortReason {
+    /// Commit-time value validation failed.
+    ValidationFailed = 0,
+    /// A hardware transaction won: a live owner refused the commit, or a
+    /// hardware commit invalidated the read set.
+    HwConflict = 2,
+}
+
+impl FallbackAbortReason {
+    /// Stable small id (hashing / export): the declared discriminant. 1
+    /// is retired, never reuse it.
+    pub fn id(self) -> u64 {
+        self as u64
+    }
+}
+
+/// What the deterministic fault injector did to a core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A spurious NACK consumed the access's issue slot.
+    SpuriousNack = 0,
+    /// Extra NoC cycles on a completed access.
+    NocDelay = 1,
+    /// A hardware transactional store spuriously reported pool exhaustion.
+    SpuriousOverflow = 2,
+}
+
+impl FaultKind {
+    /// Stable small id (hashing / export): the declared discriminant.
+    pub fn id(self) -> u64 {
+        self as u64
+    }
+}
+
+/// Direction of a hardware/software cross-tier conflict (DESIGN.md §9).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConflictDir {
+    /// A hardware or non-transactional access was NACKed by a software
+    /// commit lock (a lazy committer finding one loses instead).
+    SwLockBlocksHw = 0,
+    /// A hardware commit invalidated a software read set.
+    HwCommitDoomsSw = 1,
+    /// A software commit met hardware: refused by a live owner, or — when
+    /// it went through — dooming a hardware reader of a published line.
+    SwCommitVsHw = 2,
+    /// A software commit invalidated another *software* read set (the
+    /// line-granular doom that word-granular value validation cannot see).
+    SwCommitDoomsSw = 3,
+}
+
+impl ConflictDir {
+    /// Stable small id (hashing / export): the declared discriminant.
+    pub fn id(self) -> u64 {
+        self as u64
     }
 }
 
@@ -167,12 +276,11 @@ pub enum TraceEvent {
         /// The line whose store overflowed.
         line: u64,
     },
-    /// A transaction was escalated to irrevocable serialized mode.
-    /// Reasons: 0 = overflow retry budget spent, 1 = abort-count watchdog,
-    /// 2 = starvation-cycles watchdog.
+    /// A transaction was escalated to the next rung of the ladder (the
+    /// software tier or irrevocable serialized mode).
     WatchdogEscalation {
-        /// Escalation reason code (see above).
-        reason: u32,
+        /// Which budget or watchdog fired.
+        reason: EscalationReason,
     },
     /// An irrevocable transaction committed and released the chip-wide
     /// irrevocable token.
@@ -180,18 +288,17 @@ pub enum TraceEvent {
         /// Total commit latency (same as the paired `TxCommit` window).
         window: u64,
     },
-    /// The deterministic fault injector perturbed this core: kind 0 =
-    /// spurious NACK, 1 = extra NoC delay, 2 = spurious capacity overflow.
+    /// The deterministic fault injector perturbed this core.
     FaultInjected {
-        /// Fault kind code (see above).
-        kind: u32,
+        /// What was injected.
+        kind: FaultKind,
         /// Cycles the fault cost this core.
         cycles: u64,
     },
     /// A transaction entered (or re-entered) the STM-mode software
     /// fallback tier of the escalation ladder.
     FallbackBegin {
-        /// Software attempt number of this dynamic transaction (0-based).
+        /// Software attempt number of this dynamic transaction (1-based).
         attempt: u32,
     },
     /// A software-fallback transaction validated and committed; its commit
@@ -200,24 +307,17 @@ pub enum TraceEvent {
         /// Distinct lines written back at commit.
         writes: u64,
     },
-    /// A software-fallback attempt aborted. Reasons: 0 = value validation
-    /// failed, 1 = commit locks busy, 2 = hardware conflict (owner wins or
-    /// a hardware commit invalidated the read set).
+    /// A software-fallback attempt aborted.
     FallbackAbort {
-        /// Abort reason code (see above).
-        reason: u32,
+        /// Why it lost.
+        reason: FallbackAbortReason,
     },
-    /// A hardware/software cross-tier conflict on `line`. Directions:
-    /// 0 = hardware access NACKed by a software commit lock, 1 = software
-    /// read set invalidated by a hardware commit, 2 = software commit
-    /// refused or a hardware reader doomed by a software commit, 3 =
-    /// software read set invalidated by another *software* commit (the
-    /// line-granular doom that word-granular value validation cannot see).
+    /// A hardware/software cross-tier conflict on `line`.
     HwSwConflict {
         /// Conflicting line.
         line: u64,
-        /// Direction code (see above).
-        dir: u32,
+        /// Which tier lost to which.
+        dir: ConflictDir,
     },
 }
 
@@ -225,8 +325,8 @@ pub enum TraceEvent {
 /// `kind_id()` always indexes a `[_; KIND_COUNT]` table.
 pub const KIND_COUNT: usize = 29;
 
-/// Kind name by kind id (index 0 is unused padding). Kept in sync with
-/// [`TraceEvent::kind_name`] by the `kind_tables_agree` test.
+/// Kind name by kind id (index 0 is unused padding); the
+/// `kind_tables_agree` test keeps it as long as the id space.
 pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "",
     "tx_begin",
@@ -296,36 +396,7 @@ impl TraceEvent {
 
     /// Stable kind name (metrics keys, summaries, Chrome event names).
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            TraceEvent::TxBegin { .. } => "tx_begin",
-            TraceEvent::TxRead { .. } => "tx_read",
-            TraceEvent::TxWrite { .. } => "tx_write",
-            TraceEvent::Nack { .. } => "nack",
-            TraceEvent::Stall { .. } => "stall",
-            TraceEvent::TxAbort { .. } => "tx_abort",
-            TraceEvent::TxCommit { .. } => "tx_commit",
-            TraceEvent::Backoff { .. } => "backoff",
-            TraceEvent::CommitArbitration { .. } => "commit_arbitration",
-            TraceEvent::UndoWalk { .. } => "undo_walk",
-            TraceEvent::GangInvalidate { .. } => "gang_invalidate",
-            TraceEvent::WriteBufferDrain { .. } => "write_buffer_drain",
-            TraceEvent::RedirectLookup { .. } => "redirect_lookup",
-            TraceEvent::PoolAlloc { .. } => "pool_alloc",
-            TraceEvent::RedirectBack => "redirect_back",
-            TraceEvent::TableSwapOut { .. } => "table_swap_out",
-            TraceEvent::L1Miss { .. } => "l1_miss",
-            TraceEvent::L2Miss { .. } => "l2_miss",
-            TraceEvent::SpecEviction { .. } => "spec_eviction",
-            TraceEvent::BarrierWait { .. } => "barrier_wait",
-            TraceEvent::OverflowAbort { .. } => "overflow_abort",
-            TraceEvent::WatchdogEscalation { .. } => "watchdog_escalation",
-            TraceEvent::IrrevocableCommit { .. } => "irrevocable_commit",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::FallbackBegin { .. } => "fallback_begin",
-            TraceEvent::FallbackCommit { .. } => "fallback_commit",
-            TraceEvent::FallbackAbort { .. } => "fallback_abort",
-            TraceEvent::HwSwConflict { .. } => "hw_sw_conflict",
-        }
+        KIND_NAMES[self.kind_id() as usize]
     }
 
     /// Two payload words folded into the trace hash (exhaustive over every
@@ -355,13 +426,13 @@ impl TraceEvent {
             TraceEvent::SpecEviction { line } => (line, 0),
             TraceEvent::BarrierWait { cycles } => (cycles, 0),
             TraceEvent::OverflowAbort { line } => (line, 0),
-            TraceEvent::WatchdogEscalation { reason } => (u64::from(reason), 0),
+            TraceEvent::WatchdogEscalation { reason } => (reason.id(), 0),
             TraceEvent::IrrevocableCommit { window } => (window, 0),
-            TraceEvent::FaultInjected { kind, cycles } => (u64::from(kind), cycles),
+            TraceEvent::FaultInjected { kind, cycles } => (kind.id(), cycles),
             TraceEvent::FallbackBegin { attempt } => (u64::from(attempt), 0),
             TraceEvent::FallbackCommit { writes } => (writes, 0),
-            TraceEvent::FallbackAbort { reason } => (u64::from(reason), 0),
-            TraceEvent::HwSwConflict { line, dir } => (line, u64::from(dir)),
+            TraceEvent::FallbackAbort { reason } => (reason.id(), 0),
+            TraceEvent::HwSwConflict { line, dir } => (line, dir.id()),
         }
     }
 
@@ -401,9 +472,9 @@ pub struct TraceRecord {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kind_ids_are_unique() {
-        let events = [
+    /// One event of every kind.
+    fn one_of_each() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::TxBegin { site: 0, lazy: false },
             TraceEvent::TxRead { line: 0 },
             TraceEvent::TxWrite { line: 0 },
@@ -425,14 +496,19 @@ mod tests {
             TraceEvent::SpecEviction { line: 0 },
             TraceEvent::BarrierWait { cycles: 0 },
             TraceEvent::OverflowAbort { line: 0 },
-            TraceEvent::WatchdogEscalation { reason: 0 },
+            TraceEvent::WatchdogEscalation { reason: EscalationReason::OverflowBudget },
             TraceEvent::IrrevocableCommit { window: 0 },
-            TraceEvent::FaultInjected { kind: 0, cycles: 0 },
+            TraceEvent::FaultInjected { kind: FaultKind::SpuriousNack, cycles: 0 },
             TraceEvent::FallbackBegin { attempt: 0 },
             TraceEvent::FallbackCommit { writes: 0 },
-            TraceEvent::FallbackAbort { reason: 0 },
-            TraceEvent::HwSwConflict { line: 0, dir: 0 },
-        ];
+            TraceEvent::FallbackAbort { reason: FallbackAbortReason::ValidationFailed },
+            TraceEvent::HwSwConflict { line: 0, dir: ConflictDir::SwLockBlocksHw },
+        ]
+    }
+
+    #[test]
+    fn kind_ids_are_unique() {
+        let events = one_of_each();
         let mut ids: Vec<u64> = events.iter().map(super::TraceEvent::kind_id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -443,42 +519,41 @@ mod tests {
         assert_eq!(names.len(), events.len(), "duplicate kind names");
     }
 
+    /// The typed vocabulary hashes and exports exactly as the `u32` codes
+    /// it replaced: this table is the only place those integers appear.
+    #[test]
+    fn reason_ids_counters_and_keys_are_stable() {
+        use {ConflictDir as D, EscalationReason as E, FallbackAbortReason as A, FaultKind as K};
+        assert_eq!(E::ALL.map(E::id), [0, 1, 2, 3]);
+        assert_eq!([A::ValidationFailed, A::HwConflict].map(A::id), [0, 2]);
+        assert_eq!([K::SpuriousNack, K::NocDelay, K::SpuriousOverflow].map(K::id), [0, 1, 2]);
+        assert_eq!(
+            [D::SwLockBlocksHw, D::HwCommitDoomsSw, D::SwCommitVsHw, D::SwCommitDoomsSw].map(D::id),
+            [0, 1, 2, 3]
+        );
+        // Each reason bumps exactly its own counter and keeps its JSON key.
+        let fields: [(fn(&mut TxStats) -> &mut u64, &str); 4] = [
+            (|t| &mut t.esc_overflow, "overflow"),
+            (|t| &mut t.esc_abort_watchdog, "abort_watchdog"),
+            (|t| &mut t.esc_starvation, "starvation_watchdog"),
+            (|t| &mut t.esc_sw_validation, "sw_validation_failure"),
+        ];
+        for (reason, (field, key)) in E::ALL.into_iter().zip(fields) {
+            let (mut got, mut want) = (TxStats::default(), TxStats::default());
+            *reason.counter(&mut got) += 1;
+            *field(&mut want) += 1;
+            assert_eq!(got, want, "{reason:?} bumped the wrong counter");
+            assert_eq!(reason.key(), key);
+        }
+    }
+
     #[test]
     fn kind_tables_agree() {
-        let events = [
-            TraceEvent::TxBegin { site: 0, lazy: false },
-            TraceEvent::TxRead { line: 0 },
-            TraceEvent::TxWrite { line: 0 },
-            TraceEvent::Nack { requester: 0, must_abort: false },
-            TraceEvent::Stall { line: 0, cycles: 0 },
-            TraceEvent::TxAbort { window: 0 },
-            TraceEvent::TxCommit { window: 0, committing: 0 },
-            TraceEvent::Backoff { cycles: 0 },
-            TraceEvent::CommitArbitration { wait: 0 },
-            TraceEvent::UndoWalk { entries: 0 },
-            TraceEvent::GangInvalidate { lines: 0 },
-            TraceEvent::WriteBufferDrain { lines: 0 },
-            TraceEvent::RedirectLookup { level: RedirectLevel::L1 },
-            TraceEvent::PoolAlloc { fresh_page: false },
-            TraceEvent::RedirectBack,
-            TraceEvent::TableSwapOut { line: 0 },
-            TraceEvent::L1Miss { line: 0 },
-            TraceEvent::L2Miss { line: 0 },
-            TraceEvent::SpecEviction { line: 0 },
-            TraceEvent::BarrierWait { cycles: 0 },
-            TraceEvent::OverflowAbort { line: 0 },
-            TraceEvent::WatchdogEscalation { reason: 0 },
-            TraceEvent::IrrevocableCommit { window: 0 },
-            TraceEvent::FaultInjected { kind: 0, cycles: 0 },
-            TraceEvent::FallbackBegin { attempt: 0 },
-            TraceEvent::FallbackCommit { writes: 0 },
-            TraceEvent::FallbackAbort { reason: 0 },
-            TraceEvent::HwSwConflict { line: 0, dir: 0 },
-        ];
+        let events = one_of_each();
         assert_eq!(events.len() + 1, KIND_COUNT);
         for e in events {
-            assert_eq!(KIND_NAMES[e.kind_id() as usize], e.kind_name());
             assert!((e.kind_id() as usize) < KIND_COUNT);
+            assert!(!e.kind_name().is_empty(), "kind {} has no name", e.kind_id());
         }
     }
 

@@ -37,7 +37,10 @@ pub mod summary;
 pub mod tracer;
 
 pub use chrome::chrome_trace_json;
-pub use event::{RedirectLevel, TraceEvent, TraceRecord};
+pub use event::{
+    ConflictDir, EscalationReason, FallbackAbortReason, FaultKind, RedirectLevel, TraceEvent,
+    TraceRecord,
+};
 pub use json::{escape_into, Json};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use metrics::{Histogram, MetricsRegistry};

@@ -149,26 +149,27 @@ pub struct TxStats {
     /// Transactions that committed in irrevocable (serialized) mode after
     /// climbing the escalation ladder.
     pub irrevocable_commits: u64,
-    /// Escalations to irrevocable mode (overflow ladder or the
-    /// livelock/starvation watchdog).
+    /// Escalations to the next ladder rung — the software tier or
+    /// irrevocable mode (every reason; the `esc_*` fields split it).
     pub watchdog_escalations: u64,
     /// Transactions that committed in the STM-mode software fallback tier.
     pub sw_commits: u64,
-    /// Software-fallback attempts that aborted (failed value validation,
-    /// lock busy-wait give-ups, or hardware conflicts).
+    /// Software-fallback attempts that aborted (failed value validation
+    /// or hardware conflicts; a busy commit lock stalls, never aborts).
     pub sw_aborts: u64,
     /// Hardware/software cross-tier conflicts: hardware accesses NACKed by
     /// a software commit lock, software transactions invalidated by a
     /// hardware commit, and software commits refused by hardware owners.
     pub hw_sw_conflicts: u64,
-    /// Escalations triggered by the overflow retry budget (reason 0).
+    /// Escalations triggered by the overflow retry budget (`EscalationReason::OverflowBudget`).
     pub esc_overflow: u64,
-    /// Escalations triggered by the abort-count watchdog (reason 1).
+    /// Escalations triggered by the abort-count watchdog (`AbortWatchdog`).
     pub esc_abort_watchdog: u64,
-    /// Escalations triggered by the starvation-cycles watchdog (reason 2).
+    /// Escalations triggered by the starvation-cycles watchdog
+    /// (`StarvationWatchdog`).
     pub esc_starvation: u64,
     /// Escalations out of the software tier after repeated validation
-    /// failures (reason 3).
+    /// failures or hardware conflicts (`SwBudget`).
     pub esc_sw_validation: u64,
 }
 

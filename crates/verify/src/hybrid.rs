@@ -8,7 +8,7 @@
 //! mirrors the real machine in `suv-htm`:
 //!
 //! * the software lock NACKs hardware reads *and* writes while held
-//!   (`sw_lock_nacked`), so a locked address is never concurrently
+//!   (`sw_lock_nack`), so a locked address is never concurrently
 //!   hardware-write-owned — the INV-13 state predicate;
 //! * the software commit aborts when a live hardware writer owns the
 //!   cell, value-validates its read set at the atomic commit instant,
@@ -30,7 +30,7 @@
 //! as an INV-13 violation).
 
 use crate::explore::{explore, ExploreReport, Model};
-use suv_trace::{TraceEvent, TraceRecord};
+use suv_trace::{ConflictDir, TraceEvent, TraceRecord};
 
 /// Retry counters saturate here; aborts past the cap simply stop
 /// counting, keeping the state space finite without disabling retries.
@@ -285,7 +285,9 @@ impl Model for HybridModel {
             HybridAction::HwAbort => (0, TraceEvent::TxAbort { window: 0 }),
             HybridAction::SwBegin => (1, TraceEvent::FallbackBegin { attempt: 0 }),
             HybridAction::SwRead => (1, TraceEvent::TxRead { line: 0 }),
-            HybridAction::SwLock => (1, TraceEvent::HwSwConflict { line: 0, dir: 0 }),
+            HybridAction::SwLock => {
+                (1, TraceEvent::HwSwConflict { line: 0, dir: ConflictDir::SwLockBlocksHw })
+            }
             HybridAction::SwCommit => (1, TraceEvent::FallbackCommit { writes: 1 }),
         };
         TraceRecord { t: step as u64, core, ev }
