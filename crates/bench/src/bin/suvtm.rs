@@ -1,47 +1,14 @@
-//! `suvtm` — command-line driver for the simulator.
+//! `suvtm` — command-line driver for the simulator; [`cli::USAGE`] (what
+//! `suvtm` prints when run without arguments) documents every command.
 //!
-//! ```text
-//! suvtm run   --app genome --scheme suv [--cores 16] [--scale paper] [--breakdown]
-//!             [--trace out.json] [--trace-summary] [--check off|cheap|full]
-//!             [--traffic zipf=0.99,rw=90:10,...] [--json]   # oltp workloads
-//! suvtm sweep --app yada               # all schemes on one app
-//! suvtm sweep --all [--jobs N]         # full matrix, parallel
-//! suvtm bench [--apps A,B] [--schemes S,..] [--cores N,M] [--jobs N]
-//!             [--serial] [--out PATH]  # parallel matrix -> BENCH_sweep.json
-//! suvtm bench --profile [--reps N] [--baseline PATH] [--tolerance PCT]
-//!                                      # host throughput -> BENCH_host.json
-//! suvtm list                           # workloads and schemes
-//! ```
+//! `run` simulates one cell; `sweep`, `bench` and `exp` fan theirs out
+//! through the one parallel engine (`suv_bench::engine`), bit-identically
+//! for any `--jobs`; `verify` runs the small-scope model checkers.
 //!
-//! `bench --profile` times the engine-sensitive profile matrix serially
-//! (min wall-time of `--reps` repetitions per cell, with the scheduler-
-//! wait / machine-time / trace-overhead breakdown from the host probe)
-//! and writes `BENCH_host.json` (schema `suv-bench-host/v1`). With
-//! `--baseline`, the run exits 1 when geomean throughput regressed more
-//! than `--tolerance` percent below the committed baseline — the CI
-//! `perf-smoke` gate.
-//!
-//! `bench` (and `sweep --all`) runs the workload × scheme × core-count
-//! matrix as independent deterministic simulations fanned out across host
-//! threads, and writes a machine-readable `BENCH_sweep.json` (schema
-//! documented in README.md) with per-cell simulated cycles, trace hashes
-//! and host wall-times. `--serial` / `--jobs 1` runs the same matrix on
-//! one host thread and produces bit-identical simulation results.
-//!
-//! `--trace out.json` records the run's event stream and writes it in
-//! Chrome Trace Event format — open it in `chrome://tracing` or Perfetto.
-//! `--trace-summary` prints a top-N per-event report to stdout instead of
-//! (or in addition to) the JSON file.
-//!
-//! `--check cheap` turns on the in-line invariant assertions (MESI,
-//! redirect table); `--check full` additionally runs the shadow-memory
-//! isolation oracle during the run, then the offline serializability and
-//! MESI-reachability oracles from `suv-check` after it (tracing is forced
-//! on so the serializability oracle has an event stream to replay). The
-//! checkers observe only — simulated cycle counts are unchanged.
-//!
-//! Malformed invocations print the usage message and exit with status 2;
-//! correctness-oracle violations exit with status 1.
+//! Exit status: 2 for a malformed invocation (with the usage message), 1
+//! for an oracle or model-checker violation, a throughput regression, a
+//! dead experiment cell, a failed write or an unreadable `--baseline`
+//! (each a one-line `suvtm: …` message), 3 for a simulated out-of-memory.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -49,33 +16,38 @@ use suv::oltp::Oltp;
 use suv::prelude::*;
 use suv::registry::workload_names;
 use suv::sim::default_workers;
-use suv::trace::EscalationReason;
-use suv_bench::cli::{self, BenchMode, BenchOpts, Command, RunOpts, VerifyOpts, USAGE};
+use suv::trace::{EscalationReason, Json};
+use suv_bench::cli::{self, BenchOpts, Command, ExpOpts, RunOpts, VerifyOpts, USAGE};
 use suv_bench::engine::{
-    cell_key, resume_plan, run_matrix, scale_name, sweep_json, CellOutcome, HostMeta,
+    cell_key, cycles_per_sec, resume_plan, run_matrix, scale_name, sweep_json, CellOutcome,
+    CellSpec, HostMeta, SCALES,
 };
+use suv_bench::exp::{reports, run_experiment, BenchMode};
 use suv_bench::profile::{
     baseline_geomean, check_regression, geomean_cycles_per_sec, host_json, run_cell_profiled,
 };
-use suv_bench::run_json;
+use suv_bench::{run_json, txns_per_kcycle};
 
-fn config(cores: usize, check: CheckLevel) -> MachineConfig {
-    MachineConfig { n_cores: cores, check, ..Default::default() }
-}
-
-/// Fold a `--faults` spec into the machine config: arm the injector and
-/// apply its resource clamps (`pool=`/`log=`/`wb=`, 0 = leave unclamped).
-fn apply_faults(cfg: &mut MachineConfig, spec: FaultSpec) {
-    cfg.robust.faults = Some(spec);
-    if spec.pool_pages != 0 {
-        cfg.robust.pool_pages = spec.pool_pages;
+/// The machine `run` and `sweep` simulate: Table III with the requested
+/// core count, check level and fallback tier, and a `--faults` spec
+/// folded in — the injector armed and its resource clamps applied
+/// (`pool=`/`log=`/`wb=`, 0 = leave unclamped).
+fn machine(o: &RunOpts) -> MachineConfig {
+    let mut cfg = MachineConfig { n_cores: o.cores, check: o.check, ..Default::default() };
+    cfg.robust.fallback = o.fallback;
+    if let Some(spec) = o.faults {
+        cfg.robust.faults = Some(spec);
+        if spec.pool_pages != 0 {
+            cfg.robust.pool_pages = spec.pool_pages;
+        }
+        if spec.log_bytes != 0 {
+            cfg.robust.log_bytes = spec.log_bytes;
+        }
+        if spec.write_buffer_lines != 0 {
+            cfg.robust.write_buffer_lines = spec.write_buffer_lines;
+        }
     }
-    if spec.log_bytes != 0 {
-        cfg.robust.log_bytes = spec.log_bytes;
-    }
-    if spec.write_buffer_lines != 0 {
-        cfg.robust.write_buffer_lines = spec.write_buffer_lines;
-    }
+    cfg
 }
 
 /// Run the offline `suv-check` oracles over a finished traced run and
@@ -119,15 +91,16 @@ fn escalation_report(indent: &str, t: &suv::types::TxStats) -> String {
 }
 
 fn report(r: &RunResult, breakdown: bool) {
+    let t = &r.stats.tx;
     println!(
         "{:<10} {:<10} {:>10} cycles  commits={} aborts={} (ratio {:.1}%) nacks={}",
         r.workload,
         r.scheme.name(),
         r.stats.cycles,
-        r.stats.tx.commits,
-        r.stats.tx.aborts,
-        100.0 * r.stats.tx.abort_ratio(),
-        r.stats.tx.nacks_received,
+        t.commits,
+        t.aborts,
+        100.0 * t.abort_ratio(),
+        t.nacks_received,
     );
     if breakdown {
         let b = r.stats.total_breakdown();
@@ -138,7 +111,10 @@ fn report(r: &RunResult, breakdown: bool) {
                 println!("    {:<10} {:>5.1}%", k.label(), pct);
             }
         }
-        let t = &r.stats.tx;
+        println!(
+            "    write set: max {} lines; {} possible-cycle aborts",
+            t.max_write_set, t.cycle_aborts
+        );
         if t.overflow_aborts + t.irrevocable_commits + t.sw_commits + t.hw_sw_conflicts > 0 {
             println!(
                 "    resilience: {} overflow aborts, {} irrevocable commits, {} watchdog escalations, \
@@ -164,21 +140,19 @@ fn report(r: &RunResult, breakdown: bool) {
     }
     if let Some(lat) = &r.latency {
         let s = lat.summary();
-        let kcycles = r.stats.cycles.max(1) as f64 / 1000.0;
         println!(
-            "    latency: {} reqs  p50={} p99={} p999={} max={} cycles  \
-             ({:.2} txns/kcycle)",
+            "    latency: {} reqs  p50={} p99={} p999={} max={} cycles  ({:.2} txns/kcycle)",
             s.count,
             s.p50,
             s.p99,
             s.p999,
             s.max,
-            r.stats.tx.commits as f64 / kcycles,
+            txns_per_kcycle(r),
         );
     }
 }
 
-fn cmd_run(o: &RunOpts) {
+fn cmd_run(o: &RunOpts) -> Result<(), String> {
     // A `--traffic` spec parameterizes the oltp kernel directly; every
     // other app comes from the registry.
     let mut w: Box<dyn Workload> = match o.traffic {
@@ -200,12 +174,7 @@ fn cmd_run(o: &RunOpts) {
             TraceConfig::default().ring_capacity
         },
     });
-    let mut cfg = config(o.cores, o.check);
-    cfg.robust.fallback = o.fallback;
-    if let Some(spec) = o.faults {
-        apply_faults(&mut cfg, spec);
-    }
-    let r = run_workload_traced(&cfg, o.scheme, w.as_mut(), tc);
+    let r = run_workload_traced(&machine(o), o.scheme, w.as_mut(), tc);
     if !o.json {
         report(&r, o.breakdown);
     }
@@ -221,9 +190,8 @@ fn cmd_run(o: &RunOpts) {
             );
         }
         if let Some(path) = &o.trace_path {
-            let json = chrome_trace_json(&out.records, o.cores, out.dropped);
-            std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("wrote {path} (open in chrome://tracing)");
+            write_doc(path, &chrome_trace_json(&out.records, o.cores, out.dropped))?;
+            eprintln!("(open it in chrome://tracing)");
         }
         if o.trace_summary && !o.json {
             print!("{}", summary_report(out, 10));
@@ -232,54 +200,72 @@ fn cmd_run(o: &RunOpts) {
     }
     if o.json {
         let mut doc = run_json(&r);
-        if let suv::trace::Json::Obj(pairs) = &mut doc {
-            pairs.push(("cores".to_string(), suv::trace::Json::U64(o.cores as u64)));
-            pairs.push(("scale".to_string(), suv::trace::Json::from(scale_name(o.scale))));
-            pairs.push((
-                "trace_hash".to_string(),
-                suv::trace::Json::Str(format!("{:016x}", r.trace_hash)),
-            ));
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.push(("cores".to_string(), Json::U64(o.cores as u64)));
+            pairs.push(("scale".to_string(), Json::from(scale_name(o.scale))));
+            pairs.push(("trace_hash".to_string(), Json::Str(format!("{:016x}", r.trace_hash))));
         }
         println!("{}", doc.render());
     }
+    Ok(())
 }
 
-fn cmd_sweep_one(o: &RunOpts) {
+/// `suvtm sweep --app X`: every scheme on one app, as one engine matrix.
+fn cmd_sweep_one(o: &RunOpts) -> Result<(), String> {
+    let cells =
+        SchemeKind::ALL.map(|scheme| CellSpec { app: o.app.clone(), scheme, cfg: machine(o) });
     let mut base = None;
-    for scheme in [
-        SchemeKind::LogTmSe,
-        SchemeKind::FasTm,
-        SchemeKind::Lazy,
-        SchemeKind::DynTm,
-        SchemeKind::SuvTm,
-        SchemeKind::DynTmSuv,
-    ] {
-        let mut w = by_name(&o.app, o.scale).expect("app validated by the parser");
-        let mut cfg = config(o.cores, o.check);
-        cfg.robust.fallback = o.fallback;
-        let r = run_workload(&cfg, scheme, w.as_mut());
+    for outcome in run_matrix(&cells, o.scale, default_workers()) {
+        let r = outcome.into_ok()?.result;
         let b = *base.get_or_insert(r.stats.cycles);
         report(&r, o.breakdown);
         println!("    speedup vs LogTM-SE: {:.2}x", b as f64 / r.stats.cycles as f64);
     }
+    Ok(())
 }
 
-/// Write a rendered JSON document, creating parent directories.
-fn write_doc(path: &str, body: String) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+/// Write a rendered document, creating parent directories.
+fn write_doc(path: &str, body: &str) -> Result<(), String> {
+    let parent = std::path::Path::new(path).parent().filter(|dir| !dir.as_os_str().is_empty());
+    parent
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, body))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// `suvtm exp`: run each named row of the experiment table at its scale
+/// and print its text report — or, with `--out`, write `<name>.txt` (and
+/// `<name>.json` for the rows that have one) into that directory.
+fn cmd_exp(o: &ExpOpts) -> Result<(), String> {
+    let workers = o.jobs.unwrap_or_else(default_workers);
+    for e in &o.experiments {
+        let (text, json) = run_experiment(e, e.scale, workers)?;
+        match &o.out {
+            Some(dir) => write_doc(&format!("{dir}/{}.txt", e.name), &text)?,
+            None => print!("{text}"),
+        }
+        if let Some(doc) = json {
+            let in_dir = o.out.iter().map(|dir| format!("{dir}/{}.json", e.name));
+            for path in in_dir.chain(o.json.clone()) {
+                write_doc(&path, &doc)?;
+            }
         }
     }
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// The left-hand columns of a `bench` progress line.
+fn cell_label(spec: &CellSpec) -> String {
+    format!("{:<14} {:<10} {:>2} cores", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
 /// `suvtm bench --profile`: host-throughput profiling over the
 /// engine-sensitive matrix, with the optional baseline regression gate.
-fn cmd_bench_profile(o: &BenchOpts) {
+fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
     eprintln!(
-        "suvtm bench --profile: {} cells ({}), min of {} rep{}, serial",
+        "suvtm bench --profile: {} cells ({}), min of {} rep{}, one worker",
         o.cells.len(),
         scale_name(o.scale),
         o.reps,
@@ -289,87 +275,69 @@ fn cmd_bench_profile(o: &BenchOpts) {
     let cells: Vec<_> = o.cells.iter().map(|c| run_cell_profiled(c, o.scale, o.reps)).collect();
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     for c in &cells {
+        let taken = c.sched_counter("sched.handoffs_taken");
         println!(
-            "{:<14} {:<10} {:>2} cores {:>12} cycles  {:>8.1} ms  {:>6.1} Mcyc/s  \
-             wait={:<7.1} machine={:<7.1} trace={:<6.1} ms  handoffs {}/{} taken",
-            c.spec.app,
-            c.spec.scheme.name(),
-            c.spec.cores,
+            "{} {:>12} cycles  {:>8.1} ms  {:>6.1} Mcyc/s  wait={:<7.1} machine={:<7.1} \
+             trace={:<6.1} ms  handoffs {taken}/{} taken",
+            cell_label(&c.spec),
             c.result.stats.cycles,
             c.host_ms,
             c.cycles_per_sec() / 1e6,
             c.sched_wait_ms,
             c.machine_ms,
             c.trace_overhead_ms(),
-            c.sched_counter("sched.handoffs_taken"),
-            c.sched_counter("sched.handoffs_taken") + c.sched_counter("sched.handoffs_elided"),
+            taken + c.sched_counter("sched.handoffs_elided"),
         );
     }
     let geomean = geomean_cycles_per_sec(&cells);
-    println!(
-        "geomean: {:.2} Mcyc/s over {} cells ({:.1} ms host wall)",
-        geomean / 1e6,
-        cells.len(),
-        wall_ms,
-    );
+    let n = cells.len();
+    println!("geomean: {:.2} Mcyc/s over {n} cells ({wall_ms:.1} ms host wall)", geomean / 1e6);
     if let Some(path) = &o.out {
         let doc = host_json(&cells, o.scale, o.reps, Some(HostMeta { workers: 1, wall_ms }));
-        write_doc(path, doc.render());
+        write_doc(path, &doc.render())?;
     }
     if let Some(path) = &o.baseline {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
         let base = baseline_geomean(&text)
-            .unwrap_or_else(|| panic!("{path}: no geomean_cycles_per_sec field"));
-        match check_regression(geomean, base, o.tolerance) {
-            Ok(()) => println!(
-                "baseline: {:.2} Mcyc/s, current is {:+.1}% — ok",
-                base / 1e6,
-                100.0 * (geomean / base - 1.0),
-            ),
-            Err(msg) => {
-                eprintln!("suvtm: {msg}");
-                std::process::exit(1);
-            }
-        }
+            .ok_or_else(|| format!("baseline {path}: no geomean_cycles_per_sec field"))?;
+        check_regression(geomean, base, o.tolerance)?;
+        println!(
+            "baseline: {:.2} Mcyc/s, current is {:+.1}% — ok",
+            base / 1e6,
+            100.0 * (geomean / base - 1.0),
+        );
     }
+    Ok(())
 }
 
 /// Under `--resume`, carry completed ok rows forward from the previous
 /// `--out` file; only the remaining cells are simulated. Returns the full
 /// matrix of outcomes in matrix order.
 fn run_or_resume(o: &BenchOpts, workers: usize) -> Vec<CellOutcome> {
-    let previous = o
-        .resume
-        .then_some(o.out.as_ref())
-        .flatten()
-        .and_then(|path| std::fs::read_to_string(path).ok());
-    let Some(previous) = previous else {
+    if !o.resume {
         return run_matrix(&o.cells, o.scale, workers);
-    };
-    let mut plan = resume_plan(&o.cells, &previous);
+    }
+    // No (readable) previous file plans nothing: every cell runs.
+    let previous = o.out.as_ref().and_then(|path| std::fs::read_to_string(path).ok());
+    let plan = resume_plan(&o.cells, &previous.unwrap_or_default());
     let todo: Vec<_> =
         o.cells.iter().zip(&plan).filter(|(_, p)| p.is_none()).map(|(c, _)| c.clone()).collect();
     eprintln!(
         "suvtm bench --resume: {} of {} cells carried forward, {} to run",
-        plan.iter().filter(|p| p.is_some()).count(),
+        plan.len() - todo.len(),
         plan.len(),
         todo.len(),
     );
     let mut fresh = run_matrix(&todo, o.scale, workers).into_iter();
-    for slot in &mut plan {
-        if slot.is_none() {
-            *slot = fresh.next();
-        }
-    }
-    plan.into_iter().flatten().collect()
+    plan.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect()
 }
 
-fn cmd_bench(o: &BenchOpts) {
+fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
     if o.mode == BenchMode::Profile {
         return cmd_bench_profile(o);
     }
-    let workers = if o.serial { 1 } else { o.jobs.unwrap_or_else(default_workers) };
+    let workers = o.jobs.unwrap_or_else(default_workers);
     eprintln!(
         "suvtm bench: {} cells ({}), {} host worker{}",
         o.cells.len(),
@@ -381,13 +349,11 @@ fn cmd_bench(o: &BenchOpts) {
     let cells = run_or_resume(o, workers);
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     for outcome in &cells {
+        let label = cell_label(outcome.spec());
         match outcome {
             CellOutcome::Ok(c) => println!(
-                "{:<14} {:<10} {:>2} cores {:>12} cycles  commits={:<6} aborts={:<6} \
-                 hash={:016x}  {:>8.1} ms  {:>6.1} Mcyc/s",
-                c.spec.app,
-                c.spec.scheme.name(),
-                c.spec.cores,
+                "{label} {:>12} cycles  commits={:<6} aborts={:<6} hash={:016x}  {:>8.1} ms  \
+                 {:>6.1} Mcyc/s",
                 c.result.stats.cycles,
                 c.result.stats.tx.commits,
                 c.result.stats.tx.aborts,
@@ -395,34 +361,23 @@ fn cmd_bench(o: &BenchOpts) {
                 c.host_ms,
                 c.cycles_per_sec() / 1e6,
             ),
-            CellOutcome::Quarantined { spec, error, host_ms } => println!(
-                "{:<14} {:<10} {:>2} cores QUARANTINED after {:.1} ms: {}",
-                spec.app,
-                spec.scheme.name(),
-                spec.cores,
-                host_ms,
-                error,
-            ),
-            CellOutcome::Resumed { spec, cycles, .. } => println!(
-                "{:<14} {:<10} {:>2} cores {:>12} cycles  (resumed from previous run)",
-                spec.app,
-                spec.scheme.name(),
-                spec.cores,
-                cycles,
-            ),
+            CellOutcome::Quarantined { error, host_ms, .. } => {
+                println!("{label} QUARANTINED after {host_ms:.1} ms: {error}");
+            }
+            CellOutcome::Resumed { cycles, .. } => {
+                println!("{label} {cycles:>12} cycles  (resumed from previous run)");
+            }
         }
     }
     let total_cycles: u64 = cells.iter().map(CellOutcome::sim_cycles).sum();
     let quarantined: Vec<_> =
         cells.iter().filter(|c| matches!(c, CellOutcome::Quarantined { .. })).collect();
     println!(
-        "total: {} cells ({} quarantined), {} simulated cycles, {:.1} ms host wall \
-         ({:.1} Mcyc/s aggregate)",
+        "total: {} cells ({} quarantined), {total_cycles} simulated cycles, {wall_ms:.1} ms host \
+         wall ({:.1} Mcyc/s aggregate)",
         cells.len(),
         quarantined.len(),
-        total_cycles,
-        wall_ms,
-        if wall_ms > 0.0 { total_cycles as f64 / wall_ms / 1e3 } else { 0.0 },
+        cycles_per_sec(total_cycles, wall_ms) / 1e6,
     );
     for q in &quarantined {
         eprintln!("suvtm: quarantined cell {}", cell_key(q.spec()));
@@ -434,19 +389,19 @@ fn cmd_bench(o: &BenchOpts) {
         let host =
             if o.mode == BenchMode::Scaling { None } else { Some(HostMeta { workers, wall_ms }) };
         let doc = sweep_json(&cells, o.scale, host);
-        write_doc(path, doc.render());
+        write_doc(path, &doc.render())?;
     }
+    Ok(())
 }
 
 /// `suvtm verify`: run the small-scope model checkers and exit 1 on any
 /// violation, leaving the rendered counterexamples where CI can pick
 /// them up as an artifact.
-fn cmd_verify(o: &VerifyOpts) {
+fn cmd_verify(o: &VerifyOpts) -> Result<(), String> {
     let req = suv_verify::VerifyRequest {
         engine: o.engine,
         scheme: o.scheme,
         protocol_mutation: o.mutate_protocol,
-        sched_mutation: o.mutate_sched,
         hybrid_mutation: o.mutate_hybrid,
         max_states: o.max_states,
     };
@@ -461,16 +416,21 @@ fn cmd_verify(o: &VerifyOpts) {
     let failed = runs.iter().filter(|r| !r.ok()).count();
     println!("verify: {}/{} explorations passed", runs.len() - failed, runs.len());
     if failed > 0 {
-        write_doc(&o.out, failures);
+        write_doc(&o.out, &failures)?;
         std::process::exit(1);
     }
+    Ok(())
 }
 
 fn cmd_list() {
     println!("workloads: {}", workload_names().join(" "));
-    println!("schemes:   logtm-se fastm lazy dyntm suv dyntm-suv");
-    println!("scales:    tiny paper scale");
+    println!("schemes:   {}", SchemeKind::ALL.map(SchemeKind::flag).join(" "));
+    println!("scales:    {}", SCALES.map(|(name, _)| name).join(" "));
     println!("checks:    off cheap full");
+    println!("experiments (`suvtm exp NAME`):");
+    for e in reports() {
+        println!("  {:<14} {}", e.name, e.about);
+    }
 }
 
 /// The message of the last simulated-OOM ([`suv::mem::AllocError`]) panic,
@@ -478,10 +438,9 @@ fn cmd_list() {
 /// documented exit code 3 instead of a raw panic trace.
 static LAST_OOM: Mutex<Option<String>> = Mutex::new(None);
 
-/// Install a panic hook that (a) records simulated-OOM panics quietly,
-/// (b) drops the secondary "poisoned" panics that cascade through the
-/// other simulated cores after the first one dies, and (c) falls back to
-/// the default hook for anything else (real bugs keep their backtrace).
+/// Install a panic hook that records simulated-OOM panics quietly and
+/// falls back to the default hook for anything else (real bugs keep
+/// their backtrace).
 fn install_panic_hook() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -489,15 +448,6 @@ fn install_panic_hook() {
             if let Ok(mut slot) = LAST_OOM.lock() {
                 *slot = Some(e.to_string());
             }
-            return;
-        }
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| info.payload().downcast_ref::<String>().cloned());
-        if msg.as_deref().is_some_and(|m| m.contains("poisoned")) {
             return;
         }
         default_hook(info);
@@ -518,9 +468,17 @@ fn main() {
         Command::Run(o) => cmd_run(&o),
         Command::Sweep(o) => cmd_sweep_one(&o),
         Command::Bench(o) => cmd_bench(&o),
+        Command::Exp(o) => cmd_exp(&o),
         Command::Verify(o) => cmd_verify(&o),
-        Command::List => cmd_list(),
+        Command::List => {
+            cmd_list();
+            Ok(())
+        }
     }));
+    if let Ok(Err(msg)) = &outcome {
+        eprintln!("suvtm: {msg}");
+        std::process::exit(1);
+    }
     if outcome.is_err() {
         if let Some(msg) = LAST_OOM.lock().ok().and_then(|mut s| s.take()) {
             eprintln!(

@@ -1,19 +1,22 @@
 //! Validated argument parsing for the `suvtm` binary.
 //!
 //! Every malformed invocation — unknown subcommand, unknown flag, missing
-//! value, unknown app/scheme, out-of-range core count — comes back as a
-//! [`CliError`] so `main` can print the usage message and exit with a
-//! non-zero status instead of panicking with a backtrace.
+//! value, unknown app/scheme/experiment, out-of-range core count — comes
+//! back as a [`CliError`] so `main` can print the usage message and exit
+//! with a non-zero status instead of panicking with a backtrace.
 
-use crate::engine::{default_axes, matrix, CellSpec};
-use crate::profile::{profile_axes, PROFILE_SCALE};
+use crate::engine::{matrix, CellSpec, SCALES};
+use crate::exp::{self, BenchMode, Cells, Experiment, Output};
 use suv::oltp::{parse_traffic_spec, TrafficConfig};
 use suv::prelude::*;
 use suv::registry::by_name;
+use suv_verify::hybrid::{HybridMutation, ALL_HYBRID_MUTATIONS};
+use suv_verify::protocol::{ProtocolMutation, ALL_PROTOCOL_MUTATIONS};
+use suv_verify::VerifyEngine;
 
 /// The usage banner printed on any parse error (exit code 2).
 pub const USAGE: &str = "\
-usage: suvtm <run|sweep|bench|verify|list> [options]
+usage: suvtm <run|sweep|bench|exp|verify|list> [options]
 
   run    --app NAME [--scheme NAME] [--cores N] [--scale tiny|paper|scale]
          [--breakdown] [--trace PATH] [--trace-summary] [--check off|cheap|full]
@@ -31,11 +34,10 @@ usage: suvtm <run|sweep|bench|verify|list> [options]
          [--json]         (print the machine-readable run report, incl. the
           `latency` block with p50/p99/p999 cycles and txns/kcycle, to
           stdout; forces tracing so the payload carries the trace hash)
-  sweep  --app NAME | --all
+  sweep  --app NAME  (every scheme on one app, with speedups vs LogTM-SE)
          [--cores N] [--scale tiny|paper|scale] [--breakdown] [--check LEVEL]
-         [--jobs N] [--out PATH]            (--all: parallel full matrix)
   bench  [--apps A,B,..] [--schemes S,..] [--cores N,M,..] [--scale tiny|paper|scale]
-         [--jobs N] [--serial] [--out PATH] (default out: results/BENCH_sweep.json)
+         [--jobs N] [--out PATH] (default out: results/BENCH_sweep.json)
          [--resume]  (skip cells already present in --out; panicking cells
           are quarantined as \"status\":\"quarantined\" rows, not fatal)
          [--scaling] (many-core scaling curve: sweep cores 1..512 on the
@@ -44,19 +46,23 @@ usage: suvtm <run|sweep|bench|verify|list> [options]
           two runs of the same sweep are byte-identical)
          [--profile] [--reps N] [--baseline PATH] [--tolerance PCT]
          (--profile: host-throughput profiling on the full paper matrix,
-          serial, default out results/BENCH_host.json; with --baseline,
+          one worker, default out results/BENCH_host.json; with --baseline,
           exits 1 on a geomean regression beyond PCT, def. 15)
-  verify [--engine protocol|sched|hybrid|both] [--scheme NAME] [--max-states N]
-         [--mutate-protocol NAME] [--mutate-sched NAME] [--mutate-hybrid NAME]
-         [--out PATH]
+  exp    NAME | --all  [--jobs N] [--out DIR] [--json PATH]
+         (regenerate a figure or table of the evaluation at paper scale —
+          `suvtm list` names them; the text report goes to stdout, or with
+          --out to DIR/NAME.txt plus DIR/NAME.json for the experiments that
+          have a JSON report; --json PATH writes just that report;
+          `exp --all --out results` regenerates everything committed there)
+  verify [--engine protocol|hybrid|both] [--scheme NAME] [--max-states N]
+         [--mutate-protocol NAME] [--mutate-hybrid NAME] [--out PATH]
          (exhaustive small-scope model checking: the HTM protocol product
-          machine for every scheme, the engine's host-concurrency
-          interleavings (pool cursor/slots + event-loop cells), and the
-          HW×SW fallback product machine (lock/validation discipline);
-          exit 1 with counterexample traces — written to --out, default
-          results/VERIFY_counterexamples.txt — on any violation; --mutate-*
-          seeds a known-broken variant the checker must catch)
-  list   show workloads, schemes, scales and check levels
+          machine for every scheme and the HW×SW fallback product machine
+          (lock/validation discipline); exit 1 with counterexample traces —
+          written to --out, default results/VERIFY_counterexamples.txt — on
+          any violation; --mutate-* seeds a known-broken variant the
+          checker must catch)
+  list   show workloads, schemes, scales, check levels and experiments
 
 run `suvtm list` for valid names";
 
@@ -74,7 +80,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// Options for `suvtm run` (and the single-app `suvtm sweep`).
+/// Options for `suvtm run` and `suvtm sweep`.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Workload name.
@@ -105,23 +111,7 @@ pub struct RunOpts {
     pub json: bool,
 }
 
-/// Which engine `suvtm bench` drives; the modes are mutually exclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BenchMode {
-    /// The plain parallel sweep, writing `BENCH_sweep.json`.
-    #[default]
-    Sweep,
-    /// Host-throughput profiling (`--profile`): min-of-`reps` wall-time
-    /// per cell with the host-time breakdown, always serial, writing
-    /// `BENCH_host.json`.
-    Profile,
-    /// Many-core scaling curve (`--scaling`): sweep core counts 1..=512
-    /// on the `scale` inputs and write a host-metadata-free
-    /// `SCALING_curve.json` (byte-identical across runs).
-    Scaling,
-}
-
-/// Options for the parallel matrix commands (`bench`, `sweep --all`).
+/// Options for `suvtm bench`.
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// The cells to run, in deterministic matrix order.
@@ -130,9 +120,7 @@ pub struct BenchOpts {
     pub scale: SuiteScale,
     /// Host worker threads (`None` = the host's available parallelism).
     pub jobs: Option<usize>,
-    /// Force the serial path (equivalent to `--jobs 1`).
-    pub serial: bool,
-    /// Where to write `BENCH_sweep.json` (`None` = don't write).
+    /// Where to write the matrix document (`None` = don't write).
     pub out: Option<String>,
     /// Sweep / profile / scaling mode (see [`BenchMode`]).
     pub mode: BenchMode,
@@ -148,20 +136,32 @@ pub struct BenchOpts {
     pub resume: bool,
 }
 
+/// Options for `suvtm exp`.
+#[derive(Debug, Clone)]
+pub struct ExpOpts {
+    /// The report rows to run, in table order.
+    pub experiments: Vec<&'static Experiment>,
+    /// Host worker threads (`None` = the host's available parallelism).
+    pub jobs: Option<usize>,
+    /// Write `<name>.txt` / `<name>.json` into this directory instead of
+    /// printing the text report.
+    pub out: Option<String>,
+    /// Write the (single) experiment's JSON report here.
+    pub json: Option<String>,
+}
+
 /// Options for `suvtm verify` (the small-scope model checkers).
 #[derive(Debug, Clone)]
 pub struct VerifyOpts {
     /// Which engine(s) to run.
-    pub engine: suv_verify::VerifyEngine,
+    pub engine: VerifyEngine,
     /// Restrict the protocol engine to one scheme (`None` = all six).
     pub scheme: Option<SchemeKind>,
     /// Seeded protocol mutation (the run must then FAIL to be healthy).
-    pub mutate_protocol: Option<suv_verify::protocol::ProtocolMutation>,
-    /// Seeded scheduler mutation (the run must then FAIL to be healthy).
-    pub mutate_sched: Option<suv_verify::sched::SchedMutation>,
+    pub mutate_protocol: Option<ProtocolMutation>,
     /// Seeded hybrid-fallback mutation (the run must then FAIL to be
     /// healthy).
-    pub mutate_hybrid: Option<suv_verify::hybrid::HybridMutation>,
+    pub mutate_hybrid: Option<HybridMutation>,
     /// State budget per exploration.
     pub max_states: usize,
     /// Where to write counterexample traces on failure.
@@ -173,11 +173,13 @@ pub struct VerifyOpts {
 pub enum Command {
     /// `suvtm run`: one (app, scheme) cell, verbose report.
     Run(RunOpts),
-    /// `suvtm sweep --app X`: all schemes on one app, serial, with
-    /// speedups vs LogTM-SE.
+    /// `suvtm sweep --app X`: all schemes on one app, with speedups vs
+    /// LogTM-SE.
     Sweep(RunOpts),
-    /// `suvtm bench` / `suvtm sweep --all`: the parallel matrix engine.
+    /// `suvtm bench`: the parallel matrix engine.
     Bench(BenchOpts),
+    /// `suvtm exp`: regenerate figures and tables of the evaluation.
+    Exp(ExpOpts),
     /// `suvtm verify`: exhaustive small-scope model checking.
     Verify(VerifyOpts),
     /// `suvtm list`: print valid names.
@@ -189,101 +191,109 @@ pub enum Command {
 /// scheduler's packed horizon word, whose core-id field holds 10 bits.
 pub const MAX_CORES: usize = 1024;
 
-/// Core counts swept by `bench --scaling` (the 1 → 512 curve).
-pub const SCALING_CORES: [usize; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-
-/// Default `--scaling` apps: a low-contention STAMP kernel, a
-/// high-contention one, and the OLTP server — varied enough to show where
-/// SUV's flash commit keeps winning, small enough that the 512-core
-/// cells finish in seconds under the coroutine event loop. The
-/// intrinsic serializers (genome's global chain counter, intruder's
-/// queue header, kmeans-high's four accumulators) storm for *hours* of
-/// host time at many-core scale, so they stay opt-in via `--apps`.
-fn scaling_apps() -> Vec<String> {
-    ["vacation", "ssca2", "oltp"].map(str::to_string).to_vec()
+/// The one flag walker: a cursor over an argument list that remembers
+/// the token it last handed out, so every value and error names its flag.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
 }
 
-fn parse_scheme(s: &str) -> Result<SchemeKind, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "logtm" | "logtm-se" | "l" => Ok(SchemeKind::LogTmSe),
-        "fastm" | "f" => Ok(SchemeKind::FasTm),
-        "suv" | "suv-tm" | "s" => Ok(SchemeKind::SuvTm),
-        "lazy" | "tcc" => Ok(SchemeKind::Lazy),
-        "dyntm" | "d" => Ok(SchemeKind::DynTm),
-        "dyntm-suv" | "d+s" | "ds" => Ok(SchemeKind::DynTmSuv),
-        _ => err(format!("unknown scheme `{s}`; try logtm-se|fastm|lazy|dyntm|suv|dyntm-suv")),
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags { rest: args.iter(), flag: "" }
+    }
+
+    /// The next token (a flag, or a positional argument).
+    fn token(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, CliError> {
+        match self.rest.next() {
+            Some(v) => Ok(v),
+            None => err(format!("{} needs a value", self.flag)),
+        }
+    }
+
+    /// The current flag's value as a number ≥ 1.
+    fn positive(&mut self) -> Result<usize, CliError> {
+        let v = self.value()?;
+        match v.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => err(format!("{}: `{v}` is not a positive number", self.flag)),
+        }
+    }
+
+    /// The current flag's value through `parse`; a miss names the flag,
+    /// the rejected value and the `candidates`.
+    fn choice<T>(
+        &mut self,
+        noun: &str,
+        parse: impl Fn(&str) -> Option<T>,
+        candidates: &[&str],
+    ) -> Result<T, CliError> {
+        let v = self.value()?;
+        choose(self.flag, noun, v, parse, candidates)
+    }
+
+    /// The current flag's value as a comma-separated list.
+    fn list<T>(
+        &mut self,
+        parse_one: impl Fn(&'a str, &'a str) -> Result<T, CliError>,
+    ) -> Result<Vec<T>, CliError> {
+        let (flag, v) = (self.flag, self.value()?);
+        v.split(',').map(|entry| parse_one(flag, entry)).collect()
+    }
+
+    /// The error for a token no arm recognised.
+    fn unknown<T>(&self) -> Result<T, CliError> {
+        err(format!("unknown option `{}`", self.flag))
     }
 }
 
-fn parse_scale(s: &str) -> Result<SuiteScale, CliError> {
-    match s {
-        "tiny" => Ok(SuiteScale::Tiny),
-        "paper" => Ok(SuiteScale::Paper),
-        "scale" => Ok(SuiteScale::Scale),
-        _ => err(format!("unknown scale `{s}`; try tiny|paper|scale")),
+fn choose<T>(
+    flag: &str,
+    noun: &str,
+    v: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    candidates: &[&str],
+) -> Result<T, CliError> {
+    parse(v).ok_or_else(|| {
+        CliError(format!("{flag}: unknown {noun} `{v}`; try {}", candidates.join("|")))
+    })
+}
+
+fn parse_scheme(flag: &str, s: &str) -> Result<SchemeKind, CliError> {
+    choose(flag, "scheme", s, SchemeKind::parse, &SchemeKind::ALL.map(SchemeKind::flag))
+}
+
+fn parse_scale(f: &mut Flags) -> Result<SuiteScale, CliError> {
+    let by_name = |v: &str| SCALES.iter().find(|(name, _)| *name == v).map(|&(_, scale)| scale);
+    f.choice("scale", by_name, &SCALES.map(|(name, _)| name))
+}
+
+fn parse_cores(flag: &str, s: &str) -> Result<usize, CliError> {
+    match s.parse() {
+        Err(_) => err(format!("{flag}: `{s}` is not a number")),
+        Ok(0) => err(format!("{flag}: need at least 1 simulated core")),
+        Ok(n) if n > MAX_CORES => {
+            err(format!("{flag}: {n} exceeds the {MAX_CORES}-core limit (scheduler core-id field)"))
+        }
+        Ok(n) => Ok(n),
     }
 }
 
-fn parse_cores(s: &str) -> Result<usize, CliError> {
-    let n: usize = match s.parse() {
-        Ok(n) => n,
-        Err(_) => return err(format!("--cores: `{s}` is not a number")),
-    };
-    if n == 0 {
-        return err("--cores: need at least 1 simulated core");
-    }
-    if n > MAX_CORES {
-        return err(format!(
-            "--cores: {n} exceeds the {MAX_CORES}-core limit (scheduler core-id field)"
-        ));
-    }
-    Ok(n)
-}
-
-fn validate_app(name: &str) -> Result<String, CliError> {
+fn validate_app<'a>(flag: &str, name: &'a str) -> Result<&'a str, CliError> {
     if by_name(name, SuiteScale::Tiny).is_some() {
-        Ok(name.to_string())
+        Ok(name)
     } else {
-        err(format!("unknown app `{name}`; run `suvtm list` for valid names"))
+        err(format!("{flag}: unknown app `{name}`; run `suvtm list` for valid names"))
     }
 }
 
-fn parse_check(s: &str) -> Result<CheckLevel, CliError> {
-    CheckLevel::parse(s)
-        .ok_or_else(|| CliError(format!("unknown check level `{s}`; try off|cheap|full")))
-}
-
-/// Pull the value after a flag, or fail naming the flag.
-fn value<'a>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> Result<&'a String, CliError> {
-    it.next().ok_or_else(|| CliError(format!("{flag} needs a value")))
-}
-
-/// Parse a comma-separated list flag, prefixing any entry's error with
-/// the flag name so the offending entry is attributable (`--schemes:
-/// unknown scheme `htm9000` ...`). Entry parsers that already name the
-/// flag (e.g. `parse_cores`) are not double-prefixed.
-fn parse_list<T>(
-    flag: &str,
-    raw: &str,
-    parse_one: impl Fn(&str) -> Result<T, CliError>,
-) -> Result<Vec<T>, CliError> {
-    raw.split(',')
-        .map(|entry| {
-            parse_one(entry).map_err(|e| {
-                if e.0.starts_with(flag) {
-                    e
-                } else {
-                    CliError(format!("{flag}: {e}"))
-                }
-            })
-        })
-        .collect()
-}
-
-fn parse_run_opts(args: &[String]) -> Result<(RunOpts, bool), CliError> {
+fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
     let mut o = RunOpts {
         app: "genome".into(),
         scheme: SchemeKind::SuvTm,
@@ -298,154 +308,100 @@ fn parse_run_opts(args: &[String]) -> Result<(RunOpts, bool), CliError> {
         traffic: None,
         json: false,
     };
-    let mut all = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--app" => o.app = validate_app(value(&mut it, "--app")?)?,
-            "--scheme" => o.scheme = parse_scheme(value(&mut it, "--scheme")?)?,
-            "--cores" => o.cores = parse_cores(value(&mut it, "--cores")?)?,
-            "--scale" => o.scale = parse_scale(value(&mut it, "--scale")?)?,
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.token() {
+        match flag {
+            "--app" => o.app = validate_app(flag, f.value()?)?.to_string(),
+            "--scheme" => o.scheme = parse_scheme(flag, f.value()?)?,
+            "--cores" => o.cores = parse_cores(flag, f.value()?)?,
+            "--scale" => o.scale = parse_scale(&mut f)?,
             "--breakdown" => o.breakdown = true,
-            "--check" => o.check = parse_check(value(&mut it, "--check")?)?,
-            "--trace" => o.trace_path = Some(value(&mut it, "--trace")?.clone()),
-            "--trace-summary" => o.trace_summary = true,
-            "--faults" => {
-                o.faults = Some(parse_fault_spec(value(&mut it, "--faults")?).map_err(CliError)?);
+            "--check" => {
+                o.check = f.choice("check level", CheckLevel::parse, &["off", "cheap", "full"])?;
             }
+            "--trace" => o.trace_path = Some(f.value()?.to_string()),
+            "--trace-summary" => o.trace_summary = true,
+            "--faults" => o.faults = Some(parse_fault_spec(f.value()?).map_err(CliError)?),
             "--fallback" => {
-                let v = value(&mut it, "--fallback")?;
-                o.fallback = FallbackMode::parse(v).ok_or_else(|| {
-                    CliError(format!(
-                        "--fallback: unknown mode `{v}`; try off|stm|irrevocable-only"
-                    ))
-                })?;
+                o.fallback =
+                    f.choice("mode", FallbackMode::parse, &["off", "stm", "irrevocable-only"])?;
             }
             "--traffic" => {
-                o.traffic = Some(
-                    parse_traffic_spec(value(&mut it, "--traffic")?)
-                        .map_err(|e| CliError(format!("--traffic: {e}")))?,
-                );
+                let spec = parse_traffic_spec(f.value()?);
+                o.traffic = Some(spec.map_err(|e| CliError(format!("--traffic: {e}")))?);
             }
             "--json" => o.json = true,
-            "--all" => all = true,
-            other => return err(format!("unknown option `{other}`")),
+            _ => return f.unknown(),
         }
     }
     if o.traffic.is_some() && !o.app.starts_with("oltp") {
         return err(format!("--traffic only applies to the oltp workloads (got `{}`)", o.app));
     }
-    Ok((o, all))
+    Ok(o)
 }
 
-fn parse_bench_opts(args: &[String], allow_all_flag: bool) -> Result<BenchOpts, CliError> {
-    // `--profile` and `--scaling` change the matrix and output defaults,
-    // so detect them before walking the flags in order.
-    let profile = args.iter().any(|a| a == "--profile");
-    let scaling = args.iter().any(|a| a == "--scaling");
-    if profile && scaling {
-        return err("--profile and --scaling are mutually exclusive");
-    }
-    let (mut apps, mut schemes, mut core_counts) = if profile {
-        profile_axes()
-    } else if scaling {
-        let (_, schemes) = default_axes();
-        (scaling_apps(), schemes, SCALING_CORES.to_vec())
-    } else {
-        let (apps, schemes) = default_axes();
-        (apps, schemes, vec![16])
+fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
+    // `--profile` and `--scaling` pick the preset row whose axes, scale
+    // and output path are the defaults, so detect them before walking
+    // the flags in order.
+    let mode = match (args.iter().any(|a| a == "--profile"), args.iter().any(|a| a == "--scaling"))
+    {
+        (true, true) => return err("--profile and --scaling are mutually exclusive"),
+        (true, false) => BenchMode::Profile,
+        (false, true) => BenchMode::Scaling,
+        (false, false) => BenchMode::Sweep,
     };
+    let (preset, out) = exp::preset(mode);
+    let Cells::Matrix { apps, schemes, cores } = preset.cells else {
+        unreachable!("bench presets are matrices")
+    };
+    let (mut apps, mut schemes, mut core_counts) =
+        (apps.to_vec(), schemes.to_vec(), cores.to_vec());
     let mut o = BenchOpts {
         cells: Vec::new(),
-        scale: if profile {
-            PROFILE_SCALE
-        } else if scaling {
-            SuiteScale::Scale
-        } else {
-            SuiteScale::Tiny
-        },
+        scale: preset.scale,
         jobs: None,
-        serial: profile,
-        out: Some(
-            if profile {
-                "results/BENCH_host.json"
-            } else if scaling {
-                "results/SCALING_curve.json"
-            } else {
-                "results/BENCH_sweep.json"
-            }
-            .into(),
-        ),
-        mode: if profile {
-            BenchMode::Profile
-        } else if scaling {
-            BenchMode::Scaling
-        } else {
-            BenchMode::Sweep
-        },
+        out: Some(out.into()),
+        mode,
         reps: 3,
         baseline: None,
         tolerance: 0.15,
         resume: false,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--apps" => apps = parse_list("--apps", value(&mut it, "--apps")?, validate_app)?,
-            "--schemes" => {
-                schemes = parse_list("--schemes", value(&mut it, "--schemes")?, parse_scheme)?;
-            }
-            "--cores" => {
-                core_counts = parse_list("--cores", value(&mut it, "--cores")?, parse_cores)?;
-            }
-            "--scale" => o.scale = parse_scale(value(&mut it, "--scale")?)?,
-            "--jobs" => {
-                let s = value(&mut it, "--jobs")?;
-                let n: usize =
-                    s.parse().map_err(|_| CliError(format!("--jobs: `{s}` is not a number")))?;
-                if n == 0 {
-                    return err("--jobs: need at least 1 worker");
-                }
-                o.jobs = Some(n);
-            }
-            "--serial" => o.serial = true,
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.token() {
+        match flag {
+            "--apps" => apps = f.list(validate_app)?,
+            "--schemes" => schemes = f.list(parse_scheme)?,
+            "--cores" => core_counts = f.list(parse_cores)?,
+            "--scale" => o.scale = parse_scale(&mut f)?,
+            "--jobs" => o.jobs = Some(f.positive()?),
             "--resume" => o.resume = true,
-            "--out" => o.out = Some(value(&mut it, "--out")?.clone()),
+            "--out" => o.out = Some(f.value()?.to_string()),
             "--profile" | "--scaling" => {} // pre-scanned above
-            "--reps" => {
-                let s = value(&mut it, "--reps")?;
-                let n: usize =
-                    s.parse().map_err(|_| CliError(format!("--reps: `{s}` is not a number")))?;
-                if n == 0 {
-                    return err("--reps: need at least 1 repetition");
-                }
-                o.reps = n;
-            }
-            "--baseline" => o.baseline = Some(value(&mut it, "--baseline")?.clone()),
+            "--reps" => o.reps = f.positive()?,
+            "--baseline" => o.baseline = Some(f.value()?.to_string()),
             "--tolerance" => {
-                let s = value(&mut it, "--tolerance")?;
-                let pct: f64 = s
-                    .parse()
-                    .map_err(|_| CliError(format!("--tolerance: `{s}` is not a number")))?;
+                let s = f.value()?;
+                let pct: f64 =
+                    s.parse().map_err(|_| CliError(format!("{flag}: `{s}` is not a number")))?;
                 if !(0.0..=100.0).contains(&pct) {
                     return err("--tolerance: percent must be in 0..=100");
                 }
                 o.tolerance = pct / 100.0;
             }
-            "--all" if allow_all_flag => {}
-            other => return err(format!("unknown option `{other}`")),
+            _ => return f.unknown(),
         }
     }
-    if o.mode != BenchMode::Profile
-        && (o.baseline.is_some() || args.iter().any(|a| a == "--reps" || a == "--tolerance"))
-    {
+    if mode == BenchMode::Profile {
+        if o.jobs.is_some() {
+            return err("--profile runs on one worker; --jobs does not apply");
+        }
+        if o.resume {
+            return err("--resume does not apply to --profile runs");
+        }
+    } else if args.iter().any(|a| matches!(a.as_str(), "--reps" | "--baseline" | "--tolerance")) {
         return err("--reps/--baseline/--tolerance require --profile");
-    }
-    if o.mode == BenchMode::Profile && o.jobs.is_some() {
-        return err("--profile runs serially; --jobs does not apply");
-    }
-    if o.mode == BenchMode::Profile && o.resume {
-        return err("--resume does not apply to --profile runs");
     }
     if apps.is_empty() || schemes.is_empty() || core_counts.is_empty() {
         return err("bench: the matrix has an empty axis");
@@ -454,78 +410,78 @@ fn parse_bench_opts(args: &[String], allow_all_flag: bool) -> Result<BenchOpts, 
     Ok(o)
 }
 
+fn parse_exp_opts(args: &[String]) -> Result<ExpOpts, CliError> {
+    let valid = || exp::reports().map(|e| e.name).collect::<Vec<_>>().join(" ");
+    let mut o = ExpOpts { experiments: Vec::new(), jobs: None, out: None, json: None };
+    let mut all = false;
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.token() {
+        match flag {
+            "--all" => all = true,
+            "--jobs" => o.jobs = Some(f.positive()?),
+            "--out" => o.out = Some(f.value()?.to_string()),
+            "--json" => o.json = Some(f.value()?.to_string()),
+            name if !name.starts_with("--") => match exp::find(name) {
+                Some(e) => o.experiments.push(e),
+                None => {
+                    return err(format!("unknown experiment `{name}`; valid names: {}", valid()))
+                }
+            },
+            _ => return f.unknown(),
+        }
+    }
+    match (all, o.experiments.as_slice()) {
+        (true, []) => o.experiments = exp::reports().collect(),
+        (false, [_]) => {}
+        _ => return err(format!("exp: name one experiment, or --all; valid names: {}", valid())),
+    }
+    if o.json.is_some() {
+        match o.experiments.as_slice() {
+            [e] if matches!(e.output, Output::Report { json: true, .. }) => {}
+            [e] => return err(format!("--json: `{}` has no JSON report", e.name)),
+            _ => return err("--json names one file; with --all use --out DIR"),
+        }
+    }
+    Ok(o)
+}
+
 fn parse_verify_opts(args: &[String]) -> Result<VerifyOpts, CliError> {
     let mut o = VerifyOpts {
-        engine: suv_verify::VerifyEngine::Both,
+        engine: VerifyEngine::Both,
         scheme: None,
         mutate_protocol: None,
-        mutate_sched: None,
         mutate_hybrid: None,
         max_states: suv_verify::DEFAULT_MAX_STATES,
         out: "results/VERIFY_counterexamples.txt".into(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--engine" => {
-                o.engine = match value(&mut it, "--engine")?.as_str() {
-                    "protocol" => suv_verify::VerifyEngine::Protocol,
-                    "sched" => suv_verify::VerifyEngine::Sched,
-                    "hybrid" => suv_verify::VerifyEngine::Hybrid,
-                    "both" => suv_verify::VerifyEngine::Both,
-                    other => {
-                        return err(format!(
-                            "--engine: unknown engine `{other}`; try protocol|sched|hybrid|both"
-                        ))
-                    }
-                };
-            }
-            "--scheme" => o.scheme = Some(parse_scheme(value(&mut it, "--scheme")?)?),
+    let engine = |s: &str| match s {
+        "protocol" => Some(VerifyEngine::Protocol),
+        "hybrid" => Some(VerifyEngine::Hybrid),
+        "both" => Some(VerifyEngine::Both),
+        _ => None,
+    };
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.token() {
+        match flag {
+            "--engine" => o.engine = f.choice("engine", engine, &["protocol", "hybrid", "both"])?,
+            "--scheme" => o.scheme = Some(parse_scheme(flag, f.value()?)?),
             "--mutate-protocol" => {
-                let v = value(&mut it, "--mutate-protocol")?;
-                o.mutate_protocol =
-                    Some(suv_verify::protocol::ProtocolMutation::parse(v).ok_or_else(|| {
-                        CliError(format!(
-                            "--mutate-protocol: unknown mutation `{v}`; try {}",
-                            suv_verify::protocol::ALL_PROTOCOL_MUTATIONS
-                                .map(suv_verify::protocol::ProtocolMutation::name)
-                                .join("|")
-                        ))
-                    })?);
-            }
-            "--mutate-sched" => {
-                let v = value(&mut it, "--mutate-sched")?;
-                o.mutate_sched =
-                    Some(suv_verify::sched::SchedMutation::parse(v).ok_or_else(|| {
-                        CliError(format!(
-                            "--mutate-sched: unknown mutation `{v}`; try {}",
-                            suv_verify::sched::ALL_SCHED_MUTATIONS
-                                .map(suv_verify::sched::SchedMutation::name)
-                                .join("|")
-                        ))
-                    })?);
+                o.mutate_protocol = Some(f.choice(
+                    "mutation",
+                    ProtocolMutation::parse,
+                    &ALL_PROTOCOL_MUTATIONS.map(ProtocolMutation::name),
+                )?);
             }
             "--mutate-hybrid" => {
-                let v = value(&mut it, "--mutate-hybrid")?;
-                o.mutate_hybrid =
-                    Some(suv_verify::hybrid::HybridMutation::parse(v).ok_or_else(|| {
-                        CliError(format!(
-                            "--mutate-hybrid: unknown mutation `{v}`; try {}",
-                            suv_verify::hybrid::ALL_HYBRID_MUTATIONS
-                                .map(suv_verify::hybrid::HybridMutation::name)
-                                .join("|")
-                        ))
-                    })?);
+                o.mutate_hybrid = Some(f.choice(
+                    "mutation",
+                    HybridMutation::parse,
+                    &ALL_HYBRID_MUTATIONS.map(HybridMutation::name),
+                )?);
             }
-            "--max-states" => {
-                let v = value(&mut it, "--max-states")?;
-                o.max_states = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => return err(format!("--max-states: `{v}` is not a positive number")),
-                };
-            }
-            "--out" => o.out.clone_from(value(&mut it, "--out")?),
-            other => return err(format!("unknown option `{other}`")),
+            "--max-states" => o.max_states = f.positive()?,
+            "--out" => o.out = f.value()?.to_string(),
+            _ => return f.unknown(),
         }
     }
     Ok(o)
@@ -533,35 +489,26 @@ fn parse_verify_opts(args: &[String]) -> Result<VerifyOpts, CliError> {
 
 /// Parse a full `suvtm` argument list (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    match args.first().map(String::as_str) {
-        Some("run") => {
-            let (o, all) = parse_run_opts(&args[1..])?;
-            if all {
-                return err("--all is only valid with `sweep`");
+    let Some((command, rest)) = args.split_first() else {
+        return err("no command given");
+    };
+    match command.as_str() {
+        "run" => Ok(Command::Run(parse_run_opts(rest)?)),
+        "sweep" => {
+            let o = parse_run_opts(rest)?;
+            if o.json {
+                return err("--json is only valid with `run`");
             }
-            Ok(Command::Run(o))
+            Ok(Command::Sweep(o))
         }
-        Some("sweep") => {
-            if args[1..].iter().any(|a| a == "--all") {
-                Ok(Command::Bench(parse_bench_opts(&args[1..], true)?))
-            } else {
-                let (o, _) = parse_run_opts(&args[1..])?;
-                if o.json {
-                    return err("--json is only valid with `run`");
-                }
-                Ok(Command::Sweep(o))
-            }
-        }
-        Some("bench") => Ok(Command::Bench(parse_bench_opts(&args[1..], false)?)),
-        Some("verify") => Ok(Command::Verify(parse_verify_opts(&args[1..])?)),
-        Some("list") => {
-            if let Some(extra) = args.get(1) {
-                return err(format!("list takes no arguments (got `{extra}`)"));
-            }
-            Ok(Command::List)
-        }
-        Some(other) => err(format!("unknown command `{other}`")),
-        None => err("no command given"),
+        "bench" => Ok(Command::Bench(parse_bench_opts(rest)?)),
+        "exp" => Ok(Command::Exp(parse_exp_opts(rest)?)),
+        "verify" => Ok(Command::Verify(parse_verify_opts(rest)?)),
+        "list" => match rest.first() {
+            Some(extra) => err(format!("list takes no arguments (got `{extra}`)")),
+            None => Ok(Command::List),
+        },
+        other => err(format!("unknown command `{other}`")),
     }
 }
 
@@ -640,7 +587,6 @@ mod tests {
             Command::Bench(o) => {
                 assert_eq!(o.cells.len(), 8 * 6, "8 apps x 6 schemes x 1 core count");
                 assert_eq!(o.out.as_deref(), Some("results/BENCH_sweep.json"));
-                assert!(!o.serial);
             }
             other => panic!("expected Bench, got {other:?}"),
         }
@@ -657,11 +603,48 @@ mod tests {
     }
 
     #[test]
-    fn sweep_all_routes_to_bench() {
-        match parse(&args("sweep --all --cores 4")).expect("valid") {
-            Command::Bench(o) => assert_eq!(o.cells.len(), 8 * 6),
-            other => panic!("expected Bench, got {other:?}"),
+    fn removed_spellings_are_rejected() {
+        for gone in ["sweep --all", "run --all", "bench --serial", "bench --all"] {
+            let e = parse(&args(gone)).expect_err(gone);
+            assert!(e.0.contains("unknown option"), "{gone}: {e}");
         }
+        assert!(parse(&args("verify --engine sched")).is_err());
+        assert!(parse(&args("verify --mutate-sched stale-horizon")).is_err());
+    }
+
+    #[test]
+    fn exp_resolves_names_from_the_table() {
+        match parse(&args("exp fig6 --jobs 2 --json /tmp/fig6.json")).expect("valid") {
+            Command::Exp(o) => {
+                assert_eq!(o.experiments.len(), 1);
+                assert_eq!(o.experiments[0].name, "fig6");
+                assert_eq!(o.jobs, Some(2));
+                assert_eq!(o.json.as_deref(), Some("/tmp/fig6.json"));
+            }
+            other => panic!("expected Exp, got {other:?}"),
+        }
+        match parse(&args("exp --all --out results")).expect("valid") {
+            Command::Exp(o) => {
+                assert_eq!(o.experiments.len(), exp::reports().count());
+                assert_eq!(o.out.as_deref(), Some("results"));
+            }
+            other => panic!("expected Exp, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exp_errors_list_the_valid_names() {
+        for bad in ["exp", "exp nonesuch", "exp sweep", "exp fig6 fig7", "exp --all fig6"] {
+            let e = parse(&args(bad)).expect_err(bad);
+            assert!(e.0.contains("fig1 fig6 fig7"), "{bad}: {e}");
+            assert!(e.0.contains("fallback_cost"), "{bad}: {e}");
+        }
+        let e = parse(&args("exp fig6 --json")).expect_err("must reject");
+        assert!(e.0.contains("--json needs a value"), "{e}");
+        let e = parse(&args("exp fig7 --json /tmp/x.json")).expect_err("must reject");
+        assert!(e.0.contains("no JSON report"), "{e}");
+        assert!(parse(&args("exp --all --json /tmp/x.json")).is_err());
+        assert!(parse(&args("exp fig6 --jobs 0")).is_err());
     }
 
     #[test]
@@ -711,9 +694,8 @@ mod tests {
                 assert_eq!(o.out.as_deref(), Some("results/SCALING_curve.json"));
                 // 3 apps x 6 schemes x 10 core counts, 1 -> 512.
                 assert_eq!(o.cells.len(), 3 * 6 * 10);
-                let cores: Vec<usize> = o.cells.iter().map(|c| c.cores).collect();
+                let cores: Vec<usize> = o.cells.iter().map(|c| c.cfg.n_cores).collect();
                 assert!(cores.contains(&1) && cores.contains(&512));
-                assert!(!o.serial);
             }
             other => panic!("expected Bench, got {other:?}"),
         }
@@ -827,7 +809,7 @@ mod tests {
                 assert_eq!(o.engine, suv_verify::VerifyEngine::Both);
                 assert!(o.scheme.is_none());
                 assert!(o.mutate_protocol.is_none());
-                assert!(o.mutate_sched.is_none());
+                assert!(o.mutate_hybrid.is_none());
                 assert_eq!(o.max_states, suv_verify::DEFAULT_MAX_STATES);
                 assert_eq!(o.out, "results/VERIFY_counterexamples.txt");
             }
@@ -851,18 +833,6 @@ mod tests {
             }
             other => panic!("expected Verify, got {other:?}"),
         }
-        match parse(&args("verify --engine sched --mutate-sched cursor-no-increment"))
-            .expect("valid")
-        {
-            Command::Verify(o) => {
-                assert_eq!(o.engine, suv_verify::VerifyEngine::Sched);
-                assert_eq!(
-                    o.mutate_sched,
-                    Some(suv_verify::sched::SchedMutation::CursorNoIncrement)
-                );
-            }
-            other => panic!("expected Verify, got {other:?}"),
-        }
         match parse(&args("verify --engine hybrid --mutate-hybrid sw-skip-validation"))
             .expect("valid")
         {
@@ -880,11 +850,9 @@ mod tests {
     #[test]
     fn verify_rejects_bad_values_with_candidates() {
         let e = parse(&args("verify --engine bogus")).expect_err("must reject");
-        assert!(e.0.contains("protocol|sched|hybrid|both"), "{e}");
+        assert!(e.0.contains("protocol|hybrid|both"), "{e}");
         let e = parse(&args("verify --mutate-protocol bogus")).expect_err("must reject");
         assert!(e.0.contains("skip-flash"), "{e}");
-        let e = parse(&args("verify --mutate-sched bogus")).expect_err("must reject");
-        assert!(e.0.contains("cursor-no-increment"), "{e}");
         let e = parse(&args("verify --mutate-hybrid bogus")).expect_err("must reject");
         assert!(e.0.contains("sw-skip-validation"), "{e}");
         let e = parse(&args("verify --max-states 0")).expect_err("must reject");

@@ -1,8 +1,8 @@
-//! The parallel experiment engine behind `suvtm bench` / `suvtm sweep
-//! --all`.
+//! The parallel experiment engine behind `suvtm bench`, `suvtm exp` and
+//! `suvtm sweep`.
 //!
-//! A *cell* is one (workload, scheme, core-count) point of the paper's
-//! evaluation matrix (Figs. 6–9). Every cell is an independent,
+//! A *cell* is one (workload, scheme, machine configuration) point of the
+//! paper's evaluation (Figs. 6–9). Every cell is an independent,
 //! deterministic simulation that owns its whole `HtmMachine`, so the
 //! matrix fans out across host threads through
 //! [`suv::sim::run_jobs`] with no cross-cell state. Each cell runs with
@@ -25,15 +25,23 @@ use suv::prelude::*;
 use suv::sim::run_jobs;
 use suv::trace::Json;
 
-/// One point of the workload × scheme × core-count matrix.
+/// One point of an experiment: a workload under a scheme on a machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
     /// Workload name (see `suvtm list`).
     pub app: String,
     /// HTM scheme simulated.
     pub scheme: SchemeKind,
-    /// Simulated core count.
-    pub cores: usize,
+    /// The simulated machine (`cfg.n_cores` is the matrix's core axis).
+    pub cfg: MachineConfig,
+}
+
+impl CellSpec {
+    /// `app` under `scheme` on the Table III machine with `cores` cores.
+    pub fn new(app: &str, scheme: SchemeKind, cores: usize) -> CellSpec {
+        let cfg = MachineConfig { n_cores: cores, ..Default::default() };
+        CellSpec { app: app.to_string(), scheme, cfg }
+    }
 }
 
 /// A completed cell: the deterministic simulation results plus the host
@@ -48,44 +56,35 @@ pub struct BenchCell {
     pub host_ms: f64,
 }
 
+/// Simulated cycles per host second — the throughput figure the perf
+/// trajectory tracks; 0 when no host time was measured.
+pub fn cycles_per_sec(cycles: u64, host_ms: f64) -> f64 {
+    if host_ms <= 0.0 {
+        0.0
+    } else {
+        cycles as f64 / (host_ms / 1000.0)
+    }
+}
+
 impl BenchCell {
-    /// Simulated cycles per host second — the throughput figure the
-    /// perf trajectory tracks.
+    /// This cell's [`cycles_per_sec`].
     pub fn cycles_per_sec(&self) -> f64 {
-        if self.host_ms <= 0.0 {
-            0.0
-        } else {
-            self.result.stats.cycles as f64 / (self.host_ms / 1000.0)
-        }
+        cycles_per_sec(self.result.stats.cycles, self.host_ms)
     }
 }
 
 /// Build the full cross-product of the matrix axes, in deterministic
 /// row-major (app, scheme, cores) order.
-pub fn matrix(apps: &[String], schemes: &[SchemeKind], core_counts: &[usize]) -> Vec<CellSpec> {
+pub fn matrix(apps: &[&str], schemes: &[SchemeKind], core_counts: &[usize]) -> Vec<CellSpec> {
     let mut cells = Vec::with_capacity(apps.len() * schemes.len() * core_counts.len());
     for app in apps {
         for &scheme in schemes {
             for &cores in core_counts {
-                cells.push(CellSpec { app: app.clone(), scheme, cores });
+                cells.push(CellSpec::new(app, scheme, cores));
             }
         }
     }
     cells
-}
-
-/// The default bench axes: all eight STAMP workloads under every scheme.
-pub fn default_axes() -> (Vec<String>, Vec<SchemeKind>) {
-    let apps = suv::stamp::WORKLOAD_NAMES.iter().map(std::string::ToString::to_string).collect();
-    let schemes = vec![
-        SchemeKind::LogTmSe,
-        SchemeKind::FasTm,
-        SchemeKind::Lazy,
-        SchemeKind::DynTm,
-        SchemeKind::SuvTm,
-        SchemeKind::DynTmSuv,
-    ];
-    (apps, schemes)
 }
 
 /// How one matrix point ended: a clean result, a quarantined panic, or a
@@ -136,11 +135,17 @@ impl CellOutcome {
         }
     }
 
-    /// The completed cell, when the simulation ran to the end.
-    pub fn as_ok(&self) -> Option<&BenchCell> {
+    /// The completed cell by value, or why there is none — for callers
+    /// that need every cell of their matrix (`suvtm exp`, `suvtm sweep`).
+    pub fn into_ok(self) -> Result<BenchCell, String> {
         match self {
-            CellOutcome::Ok(c) => Some(c.as_ref()),
-            _ => None,
+            CellOutcome::Ok(c) => Ok(*c),
+            CellOutcome::Quarantined { spec, error, .. } => {
+                Err(format!("cell {} died: {error}", cell_key(&spec)))
+            }
+            CellOutcome::Resumed { spec, .. } => {
+                Err(format!("cell {} was resumed, not run", cell_key(&spec)))
+            }
         }
     }
 }
@@ -148,7 +153,7 @@ impl CellOutcome {
 /// The `"cell"` identity key of a matrix point, as written into each
 /// sweep row (and matched by `--resume`).
 pub fn cell_key(spec: &CellSpec) -> String {
-    format!("{}/{}/{}", spec.app, spec.scheme.name(), spec.cores)
+    format!("{}/{}/{}", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
 /// Run one cell: build a fresh workload and machine, simulate with tracing
@@ -156,12 +161,11 @@ pub fn cell_key(spec: &CellSpec) -> String {
 pub fn run_cell(spec: &CellSpec, scale: SuiteScale) -> BenchCell {
     let mut w = by_name(&spec.app, scale)
         .unwrap_or_else(|| panic!("unknown workload {} reached the engine", spec.app));
-    let cfg = MachineConfig { n_cores: spec.cores, ..Default::default() };
     // 4K-event ring: the stream hash covers every event regardless of ring
     // occupancy, and a small ring keeps the engine's memory bounded.
     let tc = TraceConfig { ring_capacity: 1 << 12 };
     let start = Instant::now();
-    let result = run_workload_traced(&cfg, spec.scheme, w.as_mut(), Some(tc));
+    let result = run_workload_traced(&spec.cfg, spec.scheme, w.as_mut(), Some(tc));
     let host_ms = start.elapsed().as_secs_f64() * 1000.0;
     BenchCell { spec: spec.clone(), result, host_ms }
 }
@@ -230,7 +234,7 @@ pub fn sweep_json(cells: &[CellOutcome], scale: SuiteScale, host: Option<HostMet
                 let mut row = vec![
                     ("cell", Json::Str(cell_key(&c.spec))),
                     ("status", Json::from("ok")),
-                    ("cores", Json::U64(c.spec.cores as u64)),
+                    ("cores", Json::U64(c.spec.cfg.n_cores as u64)),
                     ("trace_hash", Json::Str(format!("{:016x}", c.result.trace_hash))),
                     ("run", run_json(&c.result)),
                 ];
@@ -244,7 +248,7 @@ pub fn sweep_json(cells: &[CellOutcome], scale: SuiteScale, host: Option<HostMet
                 let mut row = vec![
                     ("cell", Json::Str(cell_key(spec))),
                     ("status", Json::from("quarantined")),
-                    ("cores", Json::U64(spec.cores as u64)),
+                    ("cores", Json::U64(spec.cfg.n_cores as u64)),
                     ("app", Json::Str(spec.app.clone())),
                     ("scheme", Json::from(spec.scheme.name())),
                     ("error", Json::Str(error.clone())),
@@ -258,19 +262,18 @@ pub fn sweep_json(cells: &[CellOutcome], scale: SuiteScale, host: Option<HostMet
         })
         .collect();
     let quarantined = cells.iter().filter(|o| matches!(o, CellOutcome::Quarantined { .. })).count();
+    let total_cycles = cells.iter().map(CellOutcome::sim_cycles).sum();
     let mut doc = vec![
         ("schema", Json::from("suv-bench-sweep/v1")),
         ("scale", Json::from(scale_name(scale))),
         ("cells", Json::Arr(rows)),
-        ("sim_cycles_total", Json::U64(cells.iter().map(CellOutcome::sim_cycles).sum())),
+        ("sim_cycles_total", Json::U64(total_cycles)),
         ("quarantined", Json::U64(quarantined as u64)),
     ];
     if let Some(h) = host {
         doc.push(("workers", Json::U64(h.workers as u64)));
         doc.push(("host_wall_ms", Json::F64(h.wall_ms)));
-        let total_cycles: u64 = cells.iter().map(CellOutcome::sim_cycles).sum();
-        let cps = if h.wall_ms > 0.0 { total_cycles as f64 / (h.wall_ms / 1000.0) } else { 0.0 };
-        doc.push(("cycles_per_sec", Json::F64(cps)));
+        doc.push(("cycles_per_sec", Json::F64(cycles_per_sec(total_cycles, h.wall_ms))));
     }
     Json::obj(doc)
 }
@@ -348,13 +351,13 @@ pub fn resume_plan(cells: &[CellSpec], previous: &str) -> Vec<Option<CellOutcome
         .collect()
 }
 
+/// The `--scale` flag spellings.
+pub const SCALES: [(&str, SuiteScale); 3] =
+    [("tiny", SuiteScale::Tiny), ("paper", SuiteScale::Paper), ("scale", SuiteScale::Scale)];
+
 /// The `--scale` flag spelling of a [`SuiteScale`].
 pub fn scale_name(scale: SuiteScale) -> &'static str {
-    match scale {
-        SuiteScale::Tiny => "tiny",
-        SuiteScale::Paper => "paper",
-        SuiteScale::Scale => "scale",
-    }
+    SCALES.iter().find(|(_, s)| *s == scale).expect("every scale is listed").0
 }
 
 #[cfg(test)]
@@ -363,24 +366,27 @@ mod tests {
 
     #[test]
     fn matrix_is_row_major_cross_product() {
-        let cells =
-            matrix(&["a".into(), "b".into()], &[SchemeKind::LogTmSe, SchemeKind::SuvTm], &[4, 8]);
+        let cells = matrix(&["a", "b"], &[SchemeKind::LogTmSe, SchemeKind::SuvTm], &[4, 8]);
         assert_eq!(cells.len(), 8);
-        assert_eq!(cells[0], CellSpec { app: "a".into(), scheme: SchemeKind::LogTmSe, cores: 4 });
-        assert_eq!(cells[1], CellSpec { app: "a".into(), scheme: SchemeKind::LogTmSe, cores: 8 });
-        assert_eq!(cells[7], CellSpec { app: "b".into(), scheme: SchemeKind::SuvTm, cores: 8 });
+        assert_eq!(cells[0], CellSpec::new("a", SchemeKind::LogTmSe, 4));
+        assert_eq!(cells[1], CellSpec::new("a", SchemeKind::LogTmSe, 8));
+        assert_eq!(cells[7], CellSpec::new("b", SchemeKind::SuvTm, 8));
     }
 
     #[test]
     fn default_axes_cover_the_paper_matrix() {
-        let (apps, schemes) = default_axes();
+        let (sweep, _) = crate::exp::preset(crate::exp::BenchMode::Sweep);
+        let crate::exp::Cells::Matrix { apps, schemes, cores } = sweep.cells else {
+            panic!("the sweep preset is a matrix");
+        };
         assert_eq!(apps.len(), 8);
         assert_eq!(schemes.len(), 6);
+        assert_eq!(cores, [16]);
     }
 
     #[test]
     fn cycles_per_sec_guards_zero_time() {
-        let spec = CellSpec { app: "kmeans".into(), scheme: SchemeKind::SuvTm, cores: 4 };
+        let spec = CellSpec::new("kmeans", SchemeKind::SuvTm, 4);
         let mut cell = run_cell(&spec, SuiteScale::Tiny);
         assert!(cell.cycles_per_sec() > 0.0);
         cell.host_ms = 0.0;
@@ -389,7 +395,7 @@ mod tests {
 
     #[test]
     fn cell_key_is_app_scheme_cores() {
-        let spec = CellSpec { app: "vacation".into(), scheme: SchemeKind::LogTmSe, cores: 16 };
+        let spec = CellSpec::new("vacation", SchemeKind::LogTmSe, 16);
         assert_eq!(cell_key(&spec), "vacation/LogTM-SE/16");
     }
 
@@ -398,8 +404,8 @@ mod tests {
         // An unknown workload makes run_cell panic; the guard must catch it
         // and the sibling cell must still complete.
         let cells = vec![
-            CellSpec { app: "no-such-app".into(), scheme: SchemeKind::SuvTm, cores: 2 },
-            CellSpec { app: "kmeans".into(), scheme: SchemeKind::SuvTm, cores: 2 },
+            CellSpec::new("no-such-app", SchemeKind::SuvTm, 2),
+            CellSpec::new("kmeans", SchemeKind::SuvTm, 2),
         ];
         let got = run_matrix(&cells, SuiteScale::Tiny, 2);
         assert_eq!(got.len(), 2);
@@ -410,7 +416,7 @@ mod tests {
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
-        assert!(got[1].as_ok().is_some());
+        assert!(matches!(got[1], CellOutcome::Ok(_)));
         let doc = sweep_json(&got, SuiteScale::Tiny, None).render();
         assert!(doc.contains(r#""status":"quarantined""#));
         assert!(doc.contains(r#""quarantined":1"#));
@@ -419,8 +425,8 @@ mod tests {
     #[test]
     fn resume_round_trips_ok_rows_byte_identically() {
         let cells = vec![
-            CellSpec { app: "kmeans".into(), scheme: SchemeKind::SuvTm, cores: 2 },
-            CellSpec { app: "kmeans".into(), scheme: SchemeKind::LogTmSe, cores: 2 },
+            CellSpec::new("kmeans", SchemeKind::SuvTm, 2),
+            CellSpec::new("kmeans", SchemeKind::LogTmSe, 2),
         ];
         let first = run_matrix(&cells, SuiteScale::Tiny, 1);
         let doc = sweep_json(&first, SuiteScale::Tiny, None).render();
@@ -439,13 +445,13 @@ mod tests {
         assert_eq!(total, orig, "cycles extracted from old rows must match");
 
         // An unseen cell yields no row and must be re-run.
-        let fresh = CellSpec { app: "vacation".into(), scheme: SchemeKind::SuvTm, cores: 2 };
+        let fresh = CellSpec::new("vacation", SchemeKind::SuvTm, 2);
         assert!(previous_ok_row(&doc, &cell_key(&fresh)).is_none());
     }
 
     #[test]
     fn previous_ok_row_skips_quarantined_rows() {
-        let spec = CellSpec { app: "no-such-app".into(), scheme: SchemeKind::SuvTm, cores: 2 };
+        let spec = CellSpec::new("no-such-app", SchemeKind::SuvTm, 2);
         let got = run_matrix(std::slice::from_ref(&spec), SuiteScale::Tiny, 1);
         let doc = sweep_json(&got, SuiteScale::Tiny, None).render();
         assert!(

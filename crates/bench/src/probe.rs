@@ -3,12 +3,14 @@
 //! from doing so by the `cargo xtask lint` entropy rule; `suv-bench` is
 //! the one crate exempted).
 //!
-//! The engine reports two host-time components through the probe at every
-//! baton pass: time spent parked waiting for the scheduler, and time
-//! spent holding the machine doing simulation work. Accumulation is a
-//! pair of relaxed atomic adds — every simulated core's OS thread reports
-//! through the same probe, and the totals are only read after the run
-//! joins.
+//! A cell's event loop (one host thread, every simulated core a
+//! coroutine) reports two host-time components through the probe around
+//! every resume: the time inside the resumed core — workload code and the
+//! machine calls it makes, up to its next suspension — and the time
+//! between resumes, spent in the scheduler's dispatch picking the next
+//! core. The `HostProbe` trait requires `Sync`, so accumulation is a pair
+//! of relaxed atomic adds, uncontended; the totals are read after the
+//! run returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,12 +40,12 @@ impl WallProbe {
         }
     }
 
-    /// Total host time workers spent parked waiting for the baton, in ms.
+    /// Total host time between resumes (scheduler dispatch), in ms.
     pub fn sched_wait_ms(&self) -> f64 {
         self.sched_wait_ns.load(Ordering::Relaxed) as f64 / 1e6
     }
 
-    /// Total host time workers spent holding the machine, in ms.
+    /// Total host time inside resumed cores (simulation work), in ms.
     pub fn machine_ms(&self) -> f64 {
         self.machine_ns.load(Ordering::Relaxed) as f64 / 1e6
     }

@@ -8,43 +8,33 @@
 //!
 //! # Cell selection
 //!
-//! The default profile matrix ([`profile_axes`]) is the full paper
-//! matrix: all eight STAMP apps × all six schemes × 8/16 cores at paper
-//! scale. Earlier engines had to carve out an "engine-sensitive subset"
-//! because every *taken* baton handoff cost an OS context switch
-//! (~1–2 µs of kernel time) that drowned the engine in handoff-heavy
-//! cells; the coroutine event loop made a handoff a function return, so
-//! every cell's wall time now tracks code this crate can actually
-//! regress — the per-access machine path, the tracer, and the dispatch
-//! loop — and nothing needs excluding.
+//! The default profile matrix (the `profile` row of the experiment
+//! table, `crate::exp`) is the full paper matrix: all eight STAMP apps ×
+//! all six schemes × 8/16 cores at paper scale. Earlier engines had to
+//! carve out an "engine-sensitive subset" because every *taken* baton
+//! handoff cost an OS context switch (~1–2 µs of kernel time) that
+//! drowned the engine in handoff-heavy cells; the coroutine event loop
+//! made a handoff a function return, so every cell's wall time now
+//! tracks code this crate can actually regress — the per-access machine
+//! path, the tracer, and the dispatch loop — and nothing needs excluding.
 //!
 //! # Methodology
 //!
 //! Each cell is run `reps` times with tracing on and `reps` times with
-//! tracing off, serially, and the minimum wall time of each group is
-//! reported (min-of-N is the standard de-noising estimator for a
-//! quantity with one-sided noise). The repeated runs double as a
+//! tracing off, on one host thread, and the minimum wall time of each
+//! group is reported (min-of-N is the standard de-noising estimator for
+//! a quantity with one-sided noise). The repeated runs double as a
 //! repeatability oracle: every rep must produce bit-identical cycles and
 //! trace hash or the profiler panics. `trace_overhead_ms` is the traced
 //! minus the untraced minimum, clamped at zero.
 
-use crate::engine::{scale_name, CellSpec, HostMeta};
+use crate::engine::{cell_key, cycles_per_sec, scale_name, CellSpec, HostMeta};
 use crate::geomean;
 use crate::probe::wall_probe;
 use std::time::Instant;
 use suv::prelude::*;
 use suv::sim::run_workload_profiled;
 use suv::trace::Json;
-
-/// The default profile matrix: the full paper matrix (all apps × all
-/// schemes × 8/16 cores — see the module docs).
-pub fn profile_axes() -> (Vec<String>, Vec<SchemeKind>, Vec<usize>) {
-    let (apps, schemes) = crate::engine::default_axes();
-    (apps, schemes, vec![8, 16])
-}
-
-/// The scale the default profile matrix runs at.
-pub const PROFILE_SCALE: SuiteScale = SuiteScale::Paper;
 
 /// One profiled cell: deterministic simulation results plus the host-time
 /// breakdown of the best (minimum-wall-time) traced repetition.
@@ -58,9 +48,11 @@ pub struct ProfiledCell {
     pub host_ms: f64,
     /// Minimum untraced wall time over the repetitions, in ms.
     pub untraced_ms: f64,
-    /// Host time workers spent parked waiting for the baton (best rep).
+    /// Host time the event loop spent between resumes — picking the next
+    /// core and switching coroutines (best rep).
     pub sched_wait_ms: f64,
-    /// Host time workers spent holding the machine (best rep).
+    /// Host time spent inside resumed cores: workload code and the
+    /// machine calls it makes (best rep).
     pub machine_ms: f64,
 }
 
@@ -69,11 +61,7 @@ impl ProfiledCell {
     /// perf trajectory tracks (from the traced minimum, the same
     /// configuration `suvtm bench` times).
     pub fn cycles_per_sec(&self) -> f64 {
-        if self.host_ms <= 0.0 {
-            0.0
-        } else {
-            self.result.stats.cycles as f64 / (self.host_ms / 1000.0)
-        }
+        cycles_per_sec(self.result.stats.cycles, self.host_ms)
     }
 
     /// Host cost of event tracing: traced minus untraced minimum wall
@@ -96,64 +84,50 @@ impl ProfiledCell {
 /// trace hash), or an unknown workload name (the CLI validates earlier).
 pub fn run_cell_profiled(spec: &CellSpec, scale: SuiteScale, reps: usize) -> ProfiledCell {
     assert!(reps >= 1, "need at least one repetition");
-    let cfg = MachineConfig { n_cores: spec.cores, ..Default::default() };
+    let (cfg, key) = (&spec.cfg, cell_key(spec));
     let tc = TraceConfig { ring_capacity: 1 << 12 };
+    let workload = || {
+        by_name(&spec.app, scale)
+            .unwrap_or_else(|| panic!("unknown workload {} reached the profiler", spec.app))
+    };
 
+    // The repetitions are asserted identical, so the fastest one stands
+    // for the cell.
     let mut best: Option<ProfiledCell> = None;
     for _ in 0..reps {
-        let mut w = by_name(&spec.app, scale)
-            .unwrap_or_else(|| panic!("unknown workload {} reached the profiler", spec.app));
         let (probe, handle) = wall_probe();
+        let mut w = workload();
         let start = Instant::now();
-        let result = run_workload_profiled(&cfg, spec.scheme, w.as_mut(), Some(tc), Some(handle));
+        let result = run_workload_profiled(cfg, spec.scheme, w.as_mut(), Some(tc), Some(handle));
         let host_ms = start.elapsed().as_secs_f64() * 1000.0;
-        match &mut best {
-            None => {
-                best = Some(ProfiledCell {
-                    spec: spec.clone(),
-                    result,
-                    host_ms,
-                    untraced_ms: 0.0,
-                    sched_wait_ms: probe.sched_wait_ms(),
-                    machine_ms: probe.machine_ms(),
-                });
-            }
-            Some(b) => {
-                assert_eq!(
-                    (result.stats.cycles, result.trace_hash),
-                    (b.result.stats.cycles, b.result.trace_hash),
-                    "{}/{}/{}: repetition diverged — simulation is not deterministic",
-                    spec.app,
-                    spec.scheme.name(),
-                    spec.cores,
-                );
-                if host_ms < b.host_ms {
-                    b.host_ms = host_ms;
-                    b.sched_wait_ms = probe.sched_wait_ms();
-                    b.machine_ms = probe.machine_ms();
-                }
-            }
+        if let Some(b) = &best {
+            assert_eq!(
+                (result.stats.cycles, result.trace_hash),
+                (b.result.stats.cycles, b.result.trace_hash),
+                "{key}: repetition diverged — simulation is not deterministic",
+            );
+        }
+        if best.as_ref().is_none_or(|b| host_ms < b.host_ms) {
+            best = Some(ProfiledCell {
+                spec: spec.clone(),
+                result,
+                host_ms,
+                untraced_ms: f64::INFINITY,
+                sched_wait_ms: probe.sched_wait_ms(),
+                machine_ms: probe.machine_ms(),
+            });
         }
     }
     let mut cell = best.expect("reps >= 1");
 
-    let mut untraced_min = f64::INFINITY;
     for _ in 0..reps {
-        let mut w = by_name(&spec.app, scale)
-            .unwrap_or_else(|| panic!("unknown workload {} reached the profiler", spec.app));
+        let mut w = workload();
         let start = Instant::now();
-        let r = run_workload_traced(&cfg, spec.scheme, w.as_mut(), None);
-        untraced_min = untraced_min.min(start.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(
-            r.stats.cycles,
-            cell.result.stats.cycles,
-            "{}/{}/{}: tracing changed the simulated outcome",
-            spec.app,
-            spec.scheme.name(),
-            spec.cores,
-        );
+        let r = run_workload_traced(cfg, spec.scheme, w.as_mut(), None);
+        cell.untraced_ms = cell.untraced_ms.min(start.elapsed().as_secs_f64() * 1000.0);
+        let cycles = cell.result.stats.cycles;
+        assert_eq!(r.stats.cycles, cycles, "{key}: tracing changed the simulated outcome");
     }
-    cell.untraced_ms = untraced_min;
     cell
 }
 
@@ -184,7 +158,7 @@ pub fn host_json(
             let mut row = vec![
                 ("app", Json::from(c.spec.app.as_str())),
                 ("scheme", Json::from(c.spec.scheme.name())),
-                ("cores", Json::U64(c.spec.cores as u64)),
+                ("cores", Json::U64(c.spec.cfg.n_cores as u64)),
                 ("cycles", Json::U64(c.result.stats.cycles)),
                 ("trace_hash", Json::Str(format!("{:016x}", c.result.trace_hash))),
                 ("handoffs_taken", Json::U64(c.sched_counter("sched.handoffs_taken"))),
@@ -261,7 +235,7 @@ mod tests {
     use super::*;
 
     fn spec() -> CellSpec {
-        CellSpec { app: "kmeans".into(), scheme: SchemeKind::SuvTm, cores: 4 }
+        CellSpec::new("kmeans", SchemeKind::SuvTm, 4)
     }
 
     #[test]
@@ -326,9 +300,13 @@ mod tests {
 
     #[test]
     fn profile_axes_are_valid_cells() {
-        let (apps, schemes, cores) = profile_axes();
+        let (profile, _) = crate::exp::preset(crate::exp::BenchMode::Profile);
+        assert_eq!(profile.scale, SuiteScale::Paper);
+        let crate::exp::Cells::Matrix { apps, schemes, cores } = profile.cells else {
+            panic!("the profile preset is a matrix");
+        };
         assert!(!apps.is_empty() && !schemes.is_empty() && !cores.is_empty());
-        for a in &apps {
+        for a in apps {
             assert!(by_name(a, SuiteScale::Tiny).is_some(), "unknown profile app {a}");
         }
         assert!(cores.iter().all(|c| *c >= 2), "profile cells must be multi-core");

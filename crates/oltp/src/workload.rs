@@ -257,14 +257,7 @@ mod tests {
 
     #[test]
     fn verifies_under_all_schemes() {
-        for s in [
-            SchemeKind::LogTmSe,
-            SchemeKind::FasTm,
-            SchemeKind::SuvTm,
-            SchemeKind::Lazy,
-            SchemeKind::DynTm,
-            SchemeKind::DynTmSuv,
-        ] {
+        for s in SchemeKind::ALL {
             smoke(Oltp::new(SuiteScale::Tiny), s);
             smoke(Oltp::storm(SuiteScale::Tiny), s);
         }

@@ -377,14 +377,7 @@ mod tests {
         // Every thread's breakdown total must equal its end-of-run clock
         // exactly: each consumed cycle is attributed to exactly one
         // component, with nothing double-counted and nothing dropped.
-        for scheme in [
-            SchemeKind::LogTmSe,
-            SchemeKind::FasTm,
-            SchemeKind::SuvTm,
-            SchemeKind::Lazy,
-            SchemeKind::DynTm,
-            SchemeKind::DynTmSuv,
-        ] {
+        for scheme in SchemeKind::ALL {
             let r = run_counter(scheme);
             assert_eq!(r.stats.per_thread.len(), r.stats.per_thread_cycles.len());
             let mut max_clock = 0;

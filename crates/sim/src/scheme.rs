@@ -91,14 +91,7 @@ mod tests {
     #[test]
     fn factory_builds_every_scheme() {
         let cfg = MachineConfig::small_test();
-        for k in [
-            SchemeKind::LogTmSe,
-            SchemeKind::FasTm,
-            SchemeKind::SuvTm,
-            SchemeKind::Lazy,
-            SchemeKind::DynTm,
-            SchemeKind::DynTmSuv,
-        ] {
+        for k in SchemeKind::ALL {
             let vm = build_vm(k, &cfg);
             assert_eq!(vm.kind(), k);
         }

@@ -404,10 +404,45 @@ impl SchemeKind {
         }
     }
 
+    /// Every scheme, in the order `suvtm` lists, sweeps and verifies them.
+    pub const ALL: [SchemeKind; 6] = [
+        SchemeKind::LogTmSe,
+        SchemeKind::FasTm,
+        SchemeKind::Lazy,
+        SchemeKind::DynTm,
+        SchemeKind::SuvTm,
+        SchemeKind::DynTmSuv,
+    ];
     /// All schemes compared in Figure 6.
     pub const FIG6: [SchemeKind; 3] = [SchemeKind::LogTmSe, SchemeKind::FasTm, SchemeKind::SuvTm];
     /// Schemes compared in Figure 9.
     pub const FIG9: [SchemeKind; 2] = [SchemeKind::DynTm, SchemeKind::DynTmSuv];
+
+    /// The canonical flag spelling (`suvtm --scheme`, `suvtm list`).
+    pub fn flag(self) -> &'static str {
+        match self {
+            SchemeKind::LogTmSe => "logtm-se",
+            SchemeKind::FasTm => "fastm",
+            SchemeKind::Lazy => "lazy",
+            SchemeKind::DynTm => "dyntm",
+            SchemeKind::SuvTm => "suv",
+            SchemeKind::DynTmSuv => "dyntm-suv",
+        }
+    }
+
+    /// Parse a `--scheme` flag value: the [`SchemeKind::flag`] spelling or
+    /// one of its aliases, case-insensitively.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.to_ascii_lowercase().as_str() {
+            "logtm" | "logtm-se" | "l" => Some(SchemeKind::LogTmSe),
+            "fastm" | "f" => Some(SchemeKind::FasTm),
+            "suv" | "suv-tm" | "s" => Some(SchemeKind::SuvTm),
+            "lazy" | "tcc" => Some(SchemeKind::Lazy),
+            "dyntm" | "d" => Some(SchemeKind::DynTm),
+            "dyntm-suv" | "d+s" | "ds" => Some(SchemeKind::DynTmSuv),
+            _ => None,
+        }
+    }
 }
 
 /// How much runtime invariant checking the machine performs.

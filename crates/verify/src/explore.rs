@@ -1,24 +1,12 @@
-//! The generic explicit-state explorers both engines run on.
+//! The generic explicit-state explorer every engine runs on.
 //!
-//! Two search strategies over the same [`Model`] interface:
+//! [`explore`] is a plain breadth-first search with parent links, so the
+//! first path that reaches a violating state is also a *minimal* one
+//! (fewest actions). The protocol and hybrid state graphs are heavily
+//! confluent and dedup well, so no partial-order reduction is needed.
 //!
-//! * [`explore`] — plain breadth-first search with parent links, so the
-//!   first path that reaches a violating state is also a *minimal* one
-//!   (fewest actions). Used by the protocol engine, whose state graph is
-//!   heavily confluent and dedups well.
-//! * [`explore_dpor`] — depth-first search over the execution tree with a
-//!   DPOR-style **sleep-set** reduction: after a branch explores action
-//!   `a`, sibling subtrees carry `a` in their sleep set until a dependent
-//!   action wakes it, so commuting interleavings of independent actions
-//!   are enumerated once per Mazurkiewicz trace instead of once per
-//!   permutation. Used by the scheduler engine, where almost all actions
-//!   of distinct threads touching disjoint cells commute. Soundness is
-//!   cross-checked by `sleep_sets_agree_with_bfs` in `sched.rs`: the
-//!   reduced search must reach the same verdict and the same terminal
-//!   states as the unreduced one.
-//!
-//! Liveness comes for free in both: a state with no enabled action that
-//! the model does not declare terminal is a deadlock, reported with the
+//! Liveness comes for free: a state with no enabled action that the
+//! model does not declare terminal is a deadlock, reported with the
 //! path that reaches it. Models tag actions with trace events from the
 //! `suv-trace` vocabulary so counterexamples print in the exact language
 //! the simulator's `--trace-summary` uses.
@@ -94,7 +82,7 @@ fn payload_text(r: &TraceRecord) -> String {
 /// What an exploration found.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
-    /// Distinct states visited (BFS) or tree nodes expanded (DPOR).
+    /// Distinct states visited.
     pub states: usize,
     /// Transitions fired.
     pub transitions: usize,
@@ -103,8 +91,6 @@ pub struct ExploreReport {
     pub violations: Vec<Counterexample>,
     /// True when the state budget stopped the search before the fixpoint.
     pub truncated: bool,
-    /// Transitions the sleep-set reduction skipped (DPOR only).
-    pub slept: usize,
 }
 
 impl ExploreReport {
@@ -195,119 +181,12 @@ pub fn explore<M: Model>(model: &M, max_states: usize) -> ExploreReport {
     report
 }
 
-/// The independence oracle the sleep-set reduction needs on top of
-/// [`Model`].
-pub trait DporModel: Model {
-    /// Which thread fires this action (sleep sets are per-thread).
-    fn thread_of(&self, a: Self::Action) -> usize;
-
-    /// May `a` and `b` be swapped without changing the outcome? Must be
-    /// conservative: when unsure, answer `false` (dependent).
-    fn independent(&self, a: Self::Action, b: Self::Action) -> bool;
-}
-
-/// Depth-first search over the execution tree with sleep sets. Every
-/// Mazurkiewicz trace of the (finite, acyclic) execution tree is explored
-/// at least once; permutations of independent actions are pruned and
-/// counted in [`ExploreReport::slept`]. Terminal states are collected
-/// into `terminals` when provided (the cross-validation hook).
-pub fn explore_dpor<M: DporModel>(
-    model: &M,
-    max_states: usize,
-    mut terminals: Option<&mut Vec<M::State>>,
-) -> ExploreReport {
-    // Explicit DFS stack: (state, sleep set, action path).
-    struct Frame<M: DporModel> {
-        state: M::State,
-        sleep: Vec<M::Action>,
-        path: Vec<M::Action>,
-    }
-    let mut report = ExploreReport::default();
-    let init = model.initial();
-    if let Err(msg) = model.check(&init) {
-        report.violations.push(Counterexample { message: msg, trace: Vec::new() });
-        report.states = 1;
-        return report;
-    }
-    let mut stack: Vec<Frame<M>> = vec![Frame { state: init, sleep: Vec::new(), path: Vec::new() }];
-    let trace_of = |model: &M, path: &[M::Action]| -> Vec<TraceRecord> {
-        path.iter().enumerate().map(|(i, &a)| model.describe(a, i)).collect()
-    };
-
-    let mut enabled = Vec::new();
-    while let Some(frame) = stack.pop() {
-        report.states += 1;
-        if report.states >= max_states {
-            report.truncated = true;
-            break;
-        }
-        enabled.clear();
-        model.actions(&frame.state, &mut enabled);
-        if enabled.is_empty() {
-            if model.is_terminal(&frame.state) {
-                if let Some(t) = terminals.as_deref_mut() {
-                    t.push(frame.state.clone());
-                }
-            } else {
-                report.violations.push(Counterexample {
-                    message: "deadlock: no enabled action in a non-terminal state".into(),
-                    trace: trace_of(model, &frame.path),
-                });
-                return report;
-            }
-            continue;
-        }
-        // Actions currently asleep are skipped: an equivalent interleaving
-        // already fired them from this state's trace-equivalence class.
-        let explore_now: Vec<M::Action> =
-            enabled.iter().copied().filter(|a| !frame.sleep.contains(a)).collect();
-        report.slept += enabled.len() - explore_now.len();
-        // After exploring sibling `a`, later siblings may skip `a` in
-        // their subtree until a dependent action wakes it.
-        let mut done: Vec<M::Action> = Vec::new();
-        for &a in &explore_now {
-            report.transitions += 1;
-            let next = match model.step(&frame.state, a) {
-                Ok(next) => next,
-                Err(msg) => {
-                    let mut path = frame.path.clone();
-                    path.push(a);
-                    report
-                        .violations
-                        .push(Counterexample { message: msg, trace: trace_of(model, &path) });
-                    return report;
-                }
-            };
-            if let Err(msg) = model.check(&next) {
-                let mut path = frame.path.clone();
-                path.push(a);
-                report
-                    .violations
-                    .push(Counterexample { message: msg, trace: trace_of(model, &path) });
-                return report;
-            }
-            // Inherited sleep set: entries independent of `a` stay asleep,
-            // dependent ones wake. Explored siblings independent of `a`
-            // fall asleep for this subtree.
-            let mut sleep: Vec<M::Action> =
-                frame.sleep.iter().copied().filter(|&b| model.independent(a, b)).collect();
-            sleep.extend(done.iter().copied().filter(|&b| model.independent(a, b)));
-            let mut path = frame.path.clone();
-            path.push(a);
-            stack.push(Frame { state: next, sleep, path });
-            done.push(a);
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use suv_trace::TraceEvent;
 
-    /// Two counters, two threads each incrementing its own counter twice:
-    /// all actions of distinct threads are independent.
+    /// Two counters, two threads each incrementing its own counter twice.
     struct TwoCounters {
         /// Seed a bug: thread 1's second increment also bumps counter 0.
         crosstalk: bool,
@@ -349,16 +228,6 @@ mod tests {
         }
     }
 
-    impl DporModel for TwoCounters {
-        fn thread_of(&self, a: usize) -> usize {
-            a
-        }
-        fn independent(&self, a: usize, b: usize) -> bool {
-            // Crosstalk makes thread 1 touch thread 0's cell: dependent.
-            !self.crosstalk && a != b
-        }
-    }
-
     #[test]
     fn bfs_reaches_fixpoint() {
         let r = explore(&TwoCounters { crosstalk: false }, 1000);
@@ -372,26 +241,6 @@ mod tests {
         assert_eq!(r.violations.len(), 1);
         // Minimal path: 0,0 then 1,1 (crosstalk overruns counter 0) = 4.
         assert_eq!(r.violations[0].trace.len(), 4, "{}", r.violations[0].render());
-        assert!(r.violations[0].message.contains("overran"));
-    }
-
-    #[test]
-    fn dpor_prunes_but_agrees() {
-        let full = explore(&TwoCounters { crosstalk: false }, 1000);
-        let mut terminals = Vec::new();
-        let reduced = explore_dpor(&TwoCounters { crosstalk: false }, 10_000, Some(&mut terminals));
-        assert!(reduced.ok(), "{:?}", reduced.violations);
-        assert!(reduced.slept > 0, "independence must prune something");
-        assert!(full.ok());
-        terminals.sort_unstable();
-        terminals.dedup();
-        assert_eq!(terminals, vec![[2, 2]], "same terminal state as BFS");
-    }
-
-    #[test]
-    fn dpor_still_finds_dependent_bug() {
-        let r = explore_dpor(&TwoCounters { crosstalk: true }, 10_000, None);
-        assert!(!r.violations.is_empty(), "sleep sets must not hide the bug");
         assert!(r.violations[0].message.contains("overran"));
     }
 

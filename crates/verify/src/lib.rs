@@ -1,41 +1,39 @@
 //! `suv-verify` — exhaustive small-scope model checkers for the SUV HTM
 //! reproduction.
 //!
-//! Three engines over one generic explorer ([`explore`]):
+//! Two engines over one generic explorer ([`explore`]):
 //!
 //! * [`protocol`] — the protocol product machine: {2 cores × 2 addresses}
 //!   × MESI × tx read/write sets × redirect-entry lifecycle, parameterized
 //!   by all six schemes, with safety predicates subsuming the runtime
 //!   invariants INV-5..INV-10 and liveness via deadlock detection.
-//! * [`sched`] — the execution engine's host concurrency: the cross-cell
-//!   job pool (cursor claim + result slots) with each worker running a
-//!   modeled event-loop cell (min-time dispatch, irrevocable token),
-//!   explored over all interleavings of 2–3 workers with a sleep-set
-//!   (DPOR-style) reduction.
 //! * [`hybrid`] — the HW×SW fallback product machine: one eager hardware
 //!   transaction racing one software-fallback transaction on a shared
 //!   cell, checking the ownership-lock/validation discipline (INV-13 and
 //!   lost-update freedom).
 //!
-//! All print minimal counterexamples in the `suv-trace` event
+//! Both print minimal counterexamples in the `suv-trace` event
 //! vocabulary. [`run_verify`] is the shared entry point behind
 //! `suvtm verify` and `cargo xtask verify`; seeded mutations
-//! ([`protocol::ProtocolMutation`], [`sched::SchedMutation`],
-//! [`hybrid::HybridMutation`]) let CI and tests prove the checkers
-//! actually catch bugs.
+//! ([`protocol::ProtocolMutation`], [`hybrid::HybridMutation`]) let CI
+//! and tests prove the checkers actually catch bugs.
+//!
+//! The execution engine's host concurrency (the sweep pool's cursor and
+//! result slots, the event loop's dispatch order and irrevocable token)
+//! is not modelled here: those properties are asserted on the code that
+//! runs, by the unit tests of `suv-sim`'s `pool` and `sched` modules
+//! (DESIGN.md §11 has the property → test table).
 
 #![forbid(unsafe_code)]
 
 pub mod explore;
 pub mod hybrid;
 pub mod protocol;
-pub mod sched;
 
-pub use explore::{explore, explore_dpor, Counterexample, DporModel, ExploreReport, Model};
+pub use explore::{explore, Counterexample, ExploreReport, Model};
 
 use hybrid::HybridMutation;
-use protocol::{ProtocolMutation, ALL_SCHEMES};
-use sched::{SchedMutation, SCENARIOS};
+use protocol::ProtocolMutation;
 use suv_types::SchemeKind;
 
 /// Default state budget: far above the ~10^5 reachable states at the
@@ -46,7 +44,6 @@ pub const DEFAULT_MAX_STATES: usize = 4_000_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyEngine {
     Protocol,
-    Sched,
     Hybrid,
     Both,
 }
@@ -58,8 +55,6 @@ pub struct VerifyRequest {
     pub scheme: Option<SchemeKind>,
     /// Seed a protocol mutation (the checker must then *fail*).
     pub protocol_mutation: Option<ProtocolMutation>,
-    /// Seed a scheduler mutation (the checker must then *fail*).
-    pub sched_mutation: Option<SchedMutation>,
     /// Seed a hybrid-fallback mutation (the checker must then *fail*).
     pub hybrid_mutation: Option<HybridMutation>,
     /// State budget per exploration.
@@ -72,7 +67,6 @@ impl Default for VerifyRequest {
             engine: VerifyEngine::Both,
             scheme: None,
             protocol_mutation: None,
-            sched_mutation: None,
             hybrid_mutation: None,
             max_states: DEFAULT_MAX_STATES,
         }
@@ -81,9 +75,9 @@ impl Default for VerifyRequest {
 
 /// One exploration's outcome, ready for printing.
 pub struct VerifyRun {
-    /// "protocol" or "sched".
+    /// "protocol" or "hybrid".
     pub engine: &'static str,
-    /// Scheme name or scenario label.
+    /// Scheme name or machine label.
     pub subject: String,
     pub report: ExploreReport,
 }
@@ -96,16 +90,11 @@ impl VerifyRun {
     /// One status line (plus rendered counterexamples on failure).
     pub fn render(&self) -> String {
         let mut s = format!(
-            "[{}] {:<24} {:>8} states {:>9} transitions{}{}\n",
+            "[{}] {:<24} {:>8} states {:>9} transitions{}\n",
             if self.ok() { "PASS" } else { "FAIL" },
             self.subject,
             self.report.states,
             self.report.transitions,
-            if self.report.slept > 0 {
-                format!(" ({} slept)", self.report.slept)
-            } else {
-                String::new()
-            },
             if self.report.truncated { " TRUNCATED" } else { "" },
         );
         for v in &self.report.violations {
@@ -116,23 +105,14 @@ impl VerifyRun {
 }
 
 /// Run the requested verifications. Deterministic order: protocol by
-/// scheme (CLI order), then scheduler by scenario.
+/// scheme ([`SchemeKind::ALL`] order), then the hybrid machine.
 pub fn run_verify(req: &VerifyRequest) -> Vec<VerifyRun> {
     let mut runs = Vec::new();
     if matches!(req.engine, VerifyEngine::Protocol | VerifyEngine::Both) {
-        let schemes: Vec<SchemeKind> = match req.scheme {
-            Some(s) => vec![s],
-            None => ALL_SCHEMES.to_vec(),
-        };
+        let schemes = req.scheme.map_or(SchemeKind::ALL.to_vec(), |s| vec![s]);
         for scheme in schemes {
             let report = protocol::check_protocol(scheme, req.protocol_mutation, req.max_states);
             runs.push(VerifyRun { engine: "protocol", subject: scheme.name().to_string(), report });
-        }
-    }
-    if matches!(req.engine, VerifyEngine::Sched | VerifyEngine::Both) {
-        for sc in SCENARIOS {
-            let report = sched::check_sched(sc, req.sched_mutation, req.max_states);
-            runs.push(VerifyRun { engine: "sched", subject: sc.label(), report });
         }
     }
     if matches!(req.engine, VerifyEngine::Hybrid | VerifyEngine::Both) {
@@ -149,7 +129,7 @@ mod tests {
     #[test]
     fn full_clean_run_passes() {
         let runs = run_verify(&VerifyRequest::default());
-        assert_eq!(runs.len(), ALL_SCHEMES.len() + SCENARIOS.len() + 1);
+        assert_eq!(runs.len(), SchemeKind::ALL.len() + 1);
         for r in &runs {
             assert!(r.ok(), "{}", r.render());
         }

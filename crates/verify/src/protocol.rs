@@ -33,16 +33,6 @@ use crate::explore::{explore, ExploreReport, Model};
 use suv_trace::{TraceEvent, TraceRecord};
 use suv_types::{SchemeKind, SharerSet};
 
-/// Every scheme the simulator implements, in CLI order.
-pub const ALL_SCHEMES: [SchemeKind; 6] = [
-    SchemeKind::LogTmSe,
-    SchemeKind::FasTm,
-    SchemeKind::SuvTm,
-    SchemeKind::DynTm,
-    SchemeKind::DynTmSuv,
-    SchemeKind::Lazy,
-];
-
 /// Cores in the small scope.
 pub const NCORES: usize = 2;
 /// Addresses in the small scope.
@@ -956,7 +946,7 @@ mod tests {
 
     #[test]
     fn all_schemes_pass_clean() {
-        for scheme in ALL_SCHEMES {
+        for scheme in SchemeKind::ALL {
             let r = check_protocol(scheme, None, CAP);
             assert!(
                 r.ok(),

@@ -18,14 +18,7 @@ fn main() {
         "scheme", "cycles", "commits", "aborts", "speedup", "stalled%", "aborting%"
     );
     let mut baseline = None;
-    for scheme in [
-        SchemeKind::LogTmSe,
-        SchemeKind::FasTm,
-        SchemeKind::Lazy,
-        SchemeKind::DynTm,
-        SchemeKind::SuvTm,
-        SchemeKind::DynTmSuv,
-    ] {
+    for scheme in SchemeKind::ALL {
         let mut w = by_name(&app, SuiteScale::Tiny)
             .unwrap_or_else(|| panic!("unknown workload {app}; use a Table IV name"));
         let r = run_workload(&cfg, scheme, w.as_mut());

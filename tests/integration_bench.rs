@@ -9,7 +9,7 @@ use suv_bench::engine::{matrix, run_matrix, sweep_json, CellOutcome};
 /// A small but multi-axis matrix: 2 apps x 3 schemes x 2 core counts.
 fn small_matrix() -> Vec<suv_bench::engine::CellSpec> {
     matrix(
-        &["kmeans".into(), "intruder".into()],
+        &["kmeans", "intruder"],
         &[SchemeKind::LogTmSe, SchemeKind::SuvTm, SchemeKind::Lazy],
         &[4, 8],
     )
@@ -18,12 +18,11 @@ fn small_matrix() -> Vec<suv_bench::engine::CellSpec> {
 fn assert_cells_identical(serial: &[CellOutcome], parallel: &[CellOutcome]) {
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(parallel) {
-        let (s, p) = (
-            s.as_ok().expect("no cell may be quarantined in this matrix"),
-            p.as_ok().expect("no cell may be quarantined in this matrix"),
-        );
+        let (CellOutcome::Ok(s), CellOutcome::Ok(p)) = (s, p) else {
+            panic!("no cell may be quarantined in this matrix");
+        };
         assert_eq!(s.spec, p.spec, "matrix order must not depend on worker count");
-        let cell = format!("{}/{:?}/{}c", s.spec.app, s.spec.scheme, s.spec.cores);
+        let cell = format!("{}/{:?}/{}c", s.spec.app, s.spec.scheme, s.spec.cfg.n_cores);
         assert_eq!(
             s.result.trace_hash, p.result.trace_hash,
             "{cell}: trace hash differs between serial and parallel"
@@ -122,7 +121,7 @@ fn oltp_same_seed_runs_have_identical_traces_and_latency() {
 /// the banked redirect table may not introduce any host-order dependence.
 #[test]
 fn many_core_cell_is_identical_serial_and_parallel() {
-    let cells = matrix(&["ssca2".into()], &[SchemeKind::SuvTm, SchemeKind::LogTmSe], &[128]);
+    let cells = matrix(&["ssca2"], &[SchemeKind::SuvTm, SchemeKind::LogTmSe], &[128]);
     let serial = run_matrix(&cells, SuiteScale::Tiny, 1);
     let parallel = run_matrix(&cells, SuiteScale::Tiny, 8);
     assert_cells_identical(&serial, &parallel);
@@ -130,11 +129,7 @@ fn many_core_cell_is_identical_serial_and_parallel() {
 
 #[test]
 fn oltp_bench_cells_are_identical_serial_and_parallel() {
-    let cells = matrix(
-        &["oltp".into(), "oltp-storm".into()],
-        &[SchemeKind::SuvTm, SchemeKind::LogTmSe],
-        &[4],
-    );
+    let cells = matrix(&["oltp", "oltp-storm"], &[SchemeKind::SuvTm, SchemeKind::LogTmSe], &[4]);
     let serial = run_matrix(&cells, SuiteScale::Tiny, 1);
     let parallel = run_matrix(&cells, SuiteScale::Tiny, 8);
     assert_cells_identical(&serial, &parallel);

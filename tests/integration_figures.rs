@@ -1,11 +1,77 @@
-//! Shape assertions for the paper's headline results, at test scale.
+//! The evaluation's figures and tables, at test scale.
 //!
-//! These do not check absolute numbers (the figure binaries regenerate
-//! those at Paper scale); they pin the *qualitative* claims so a
-//! regression that flips a comparison fails CI.
+//! Every row of the experiment table (`suv_bench::exp`) is pinned
+//! byte-for-byte against `tests/golden/exp/`, captured at `Tiny` scale
+//! from the per-figure binaries the table replaced, and every experiment
+//! name the documentation mentions must resolve in the table. The shape
+//! assertions below do not check absolute numbers (`suvtm exp`
+//! regenerates those at Paper scale and CI diffs them against
+//! `results/`); they pin the *qualitative* claims so a regression that
+//! flips a comparison fails CI.
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use suv::cacti::{estimate_fa, ArrayConfig, TechNode};
 use suv::prelude::*;
+use suv::sim::default_workers;
+use suv_bench::exp::{find, reports, run_experiment};
+
+fn repo_file(path: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Every report row reproduces its golden text and JSON, on one worker
+/// and on the host's default worker count.
+#[test]
+fn every_experiment_matches_its_golden() {
+    for workers in [1, default_workers()] {
+        for e in reports() {
+            let (text, json) = run_experiment(e, SuiteScale::Tiny, workers)
+                .unwrap_or_else(|err| panic!("{workers} worker(s): {err}"));
+            let golden = |ext: &str| repo_file(&format!("tests/golden/exp/{}.{ext}", e.name));
+            assert_eq!(text, golden("txt"), "{}.txt, {workers} worker(s)", e.name);
+            if let Some(json) = json {
+                assert_eq!(json, golden("json"), "{}.json, {workers} worker(s)", e.name);
+            }
+        }
+    }
+}
+
+/// The experiment-name-shaped words (`[a-z0-9_]+`) that sit between an
+/// `open` and a `close` marker in `text`.
+fn names_between<'a>(text: &'a str, open: &str, close: &str) -> BTreeSet<&'a str> {
+    let name = |rest: &'a str| {
+        let is_name = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+        let end = rest.find(|c| !is_name(c)).unwrap_or(rest.len());
+        (end > 0 && rest[end..].starts_with(close)).then_some(&rest[..end])
+    };
+    text.split(open).skip(1).filter_map(name).collect()
+}
+
+/// README.md, DESIGN.md's per-experiment index (§4) and the EXPERIMENTS.md
+/// headings name exactly the rows of the table: a renamed or removed
+/// experiment cannot leave a stale invocation behind, and a new one
+/// cannot go undocumented.
+#[test]
+fn documented_experiment_names_resolve_in_the_table() {
+    let table: BTreeSet<&str> = reports().map(|e| e.name).collect();
+    let (readme, design, experiments) =
+        (repo_file("README.md"), repo_file("DESIGN.md"), repo_file("EXPERIMENTS.md"));
+    let section4 = design.split("\n## ").find(|s| s.starts_with("4.")).expect("DESIGN.md has a §4");
+    // Headings introduce an experiment as "## Title (`name`, ...)".
+    let headings: String = experiments.lines().filter(|l| l.starts_with("## ")).collect();
+    for (doc, mentioned) in [
+        ("README.md", names_between(&readme, "suvtm exp ", "")),
+        ("DESIGN.md §4", names_between(section4, "suvtm exp ", "")),
+        ("EXPERIMENTS.md headings", names_between(&headings, "(`", "`")),
+    ] {
+        for name in &mentioned {
+            assert!(find(name).is_some(), "{doc} mentions `{name}`, which is not in the table");
+        }
+        assert_eq!(mentioned, table, "{doc} must mention every experiment");
+    }
+}
 
 fn run(app: &str, scheme: SchemeKind) -> RunResult {
     let cfg = MachineConfig::small_test();

@@ -277,14 +277,7 @@ mod snapshot {
 #[test]
 fn snapshot_consistency_under_every_scheme() {
     let cfg = MachineConfig::small_test();
-    for scheme in [
-        SchemeKind::LogTmSe,
-        SchemeKind::FasTm,
-        SchemeKind::Lazy,
-        SchemeKind::DynTm,
-        SchemeKind::SuvTm,
-        SchemeKind::DynTmSuv,
-    ] {
+    for scheme in SchemeKind::ALL {
         let mut w = snapshot::SnapshotWorkload { cells: 0, k: 6, rounds: 12 };
         let r = run_workload(&cfg, scheme, &mut w);
         assert!(r.stats.tx.commits > 0, "{scheme:?}");

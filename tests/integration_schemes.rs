@@ -4,15 +4,6 @@
 use suv::prelude::*;
 use suv::types::Addr;
 
-const ALL_SCHEMES: [SchemeKind; 6] = [
-    SchemeKind::LogTmSe,
-    SchemeKind::FasTm,
-    SchemeKind::Lazy,
-    SchemeKind::DynTm,
-    SchemeKind::SuvTm,
-    SchemeKind::DynTmSuv,
-];
-
 /// N threads transfer value between B accounts; the total is conserved.
 struct BankWorkload {
     accounts: Addr,
@@ -71,7 +62,7 @@ fn bank() -> BankWorkload {
 #[test]
 fn bank_conserves_money_under_every_scheme() {
     let cfg = MachineConfig::small_test();
-    for scheme in ALL_SCHEMES {
+    for scheme in SchemeKind::ALL {
         let mut w = bank();
         let r = run_workload(&cfg, scheme, &mut w);
         assert!(r.stats.tx.commits > 0, "{scheme:?}: nothing committed");
@@ -81,7 +72,7 @@ fn bank_conserves_money_under_every_scheme() {
 #[test]
 fn bank_is_deterministic_under_every_scheme() {
     let cfg = MachineConfig::small_test();
-    for scheme in ALL_SCHEMES {
+    for scheme in SchemeKind::ALL {
         let a = run_workload(&cfg, scheme, &mut bank());
         let b = run_workload(&cfg, scheme, &mut bank());
         assert_eq!(a.stats.cycles, b.stats.cycles, "{scheme:?} run not reproducible");
@@ -101,7 +92,7 @@ fn backoff_is_deterministic_under_every_scheme() {
     // cycles on every core — for all six schemes. A drift here would break
     // the trace-hash reproducibility oracle in the sweep engine.
     let cfg = MachineConfig::small_test();
-    for scheme in ALL_SCHEMES {
+    for scheme in SchemeKind::ALL {
         let a = run_workload(&cfg, scheme, &mut bank());
         let b = run_workload(&cfg, scheme, &mut bank());
         let backoff =
@@ -122,7 +113,7 @@ fn capped_backoff_is_deterministic_and_bounded() {
     let mut capped = MachineConfig::small_test();
     capped.robust.max_backoff_cycles = CAP;
     let stock = MachineConfig::small_test();
-    for scheme in ALL_SCHEMES {
+    for scheme in SchemeKind::ALL {
         let a = run_workload(&capped, scheme, &mut bank());
         let b = run_workload(&capped, scheme, &mut bank());
         let backoff =
@@ -152,8 +143,10 @@ fn commits_equal_across_schemes_for_fixed_work() {
     // The bank does a fixed number of dynamic transactions; commit counts
     // must agree across schemes even though timing differs.
     let cfg = MachineConfig::small_test();
-    let counts: Vec<u64> =
-        ALL_SCHEMES.iter().map(|s| run_workload(&cfg, *s, &mut bank()).stats.tx.commits).collect();
+    let counts: Vec<u64> = SchemeKind::ALL
+        .iter()
+        .map(|s| run_workload(&cfg, *s, &mut bank()).stats.tx.commits)
+        .collect();
     for w in counts.windows(2) {
         assert_eq!(w[0], w[1], "commit counts diverged: {counts:?}");
     }
@@ -162,7 +155,7 @@ fn commits_equal_across_schemes_for_fixed_work() {
 #[test]
 fn breakdown_totals_are_consistent() {
     let cfg = MachineConfig::small_test();
-    for scheme in ALL_SCHEMES {
+    for scheme in SchemeKind::ALL {
         let r = run_workload(&cfg, scheme, &mut bank());
         for (tid, b) in r.stats.per_thread.iter().enumerate() {
             assert!(

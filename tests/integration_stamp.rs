@@ -3,15 +3,6 @@
 
 use suv::prelude::*;
 
-const ALL_SCHEMES: [SchemeKind; 6] = [
-    SchemeKind::LogTmSe,
-    SchemeKind::FasTm,
-    SchemeKind::Lazy,
-    SchemeKind::DynTm,
-    SchemeKind::SuvTm,
-    SchemeKind::DynTmSuv,
-];
-
 fn run(app: &str, scheme: SchemeKind) -> RunResult {
     let cfg = MachineConfig::small_test();
     let mut w = by_name(app, SuiteScale::Tiny).expect("known app");
@@ -24,7 +15,7 @@ macro_rules! matrix {
         $(
             #[test]
             fn $name() {
-                for scheme in ALL_SCHEMES {
+                for scheme in SchemeKind::ALL {
                     let r = run($app, scheme);
                     assert!(r.stats.tx.commits > 0, "{:?}: no commits", scheme);
                 }
@@ -67,7 +58,8 @@ fn fixed_transaction_count_apps_agree_across_schemes() {
     // Apps whose dynamic transaction count is schedule-independent must
     // commit identical counts under every scheme.
     for app in ["kmeans", "ssca2", "vacation", "bayes"] {
-        let counts: Vec<u64> = ALL_SCHEMES.iter().map(|s| run(app, *s).stats.tx.commits).collect();
+        let counts: Vec<u64> =
+            SchemeKind::ALL.iter().map(|s| run(app, *s).stats.tx.commits).collect();
         for w in counts.windows(2) {
             assert_eq!(w[0], w[1], "{app}: commit counts diverged {counts:?}");
         }

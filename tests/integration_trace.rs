@@ -5,15 +5,6 @@ use suv::prelude::*;
 use suv::sim::TraceConfig;
 use suv::trace::chrome_trace_json;
 
-const SCHEMES: [SchemeKind; 6] = [
-    SchemeKind::LogTmSe,
-    SchemeKind::FasTm,
-    SchemeKind::Lazy,
-    SchemeKind::DynTm,
-    SchemeKind::SuvTm,
-    SchemeKind::DynTmSuv,
-];
-
 fn traced_run(scheme: SchemeKind) -> RunResult {
     let cfg = MachineConfig::small_test();
     let mut w = by_name("intruder", SuiteScale::Tiny).expect("intruder exists");
@@ -24,7 +15,7 @@ fn traced_run(scheme: SchemeKind) -> RunResult {
 /// bit-identical event streams (the trace hash is the oracle).
 #[test]
 fn traced_runs_are_bit_reproducible() {
-    for scheme in SCHEMES {
+    for scheme in SchemeKind::ALL {
         let a = traced_run(scheme);
         let b = traced_run(scheme);
         assert_eq!(a.stats, b.stats, "{scheme:?}: MachineStats diverged between runs");
@@ -38,7 +29,7 @@ fn traced_runs_are_bit_reproducible() {
 /// one Stall per NACK received.
 #[test]
 fn trace_events_reconcile_with_stats() {
-    for scheme in SCHEMES {
+    for scheme in SchemeKind::ALL {
         let r = traced_run(scheme);
         let out = r.trace.as_ref().expect("traced run carries its output");
         assert_eq!(out.dropped, 0, "{scheme:?}: ring too small for reconciliation");

@@ -1,14 +1,15 @@
 //! Integration tests for the `suvtm verify` model checkers: the CLI
 //! contract (exit codes, counterexample artifact) and the seeded-mutation
-//! matrix — every committed protocol and scheduler bug must be caught
-//! with a printed counterexample trace, and the clean product machines
-//! must pass exhaustively for all six schemes.
+//! matrix — every committed protocol and hybrid-fallback bug must be
+//! caught with a printed counterexample trace, and the clean product
+//! machines must pass exhaustively for all six schemes.
 
 use std::path::PathBuf;
 use std::process::Command;
-use suv_verify::protocol::{check_protocol, ALL_PROTOCOL_MUTATIONS, ALL_SCHEMES};
-use suv_verify::sched::{check_sched, ALL_SCHED_MUTATIONS, SCENARIOS};
-use suv_verify::DEFAULT_MAX_STATES;
+use suv::prelude::SchemeKind;
+use suv_verify::hybrid::{check_hybrid, ALL_HYBRID_MUTATIONS};
+use suv_verify::protocol::{check_protocol, ALL_PROTOCOL_MUTATIONS};
+use suv_verify::{ExploreReport, DEFAULT_MAX_STATES};
 
 fn suvtm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_suvtm"))
@@ -18,29 +19,21 @@ fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
+fn assert_clean(subject: &str, r: &ExploreReport) {
+    let why = r.violations.first().map_or("truncated".into(), suv_verify::Counterexample::render);
+    assert!(r.ok(), "{subject}: {why}");
+}
+
 /// The exhaustive clean pass the CI verify-smoke job gates on: all six
-/// schemes at the 2-core / 2-address scope, plus every scheduler
-/// scenario, with no truncation.
+/// schemes at the 2-core / 2-address scope, plus the HW×SW fallback
+/// scenario (one hardware transaction racing one software one), with no
+/// truncation.
 #[test]
 fn all_schemes_and_scenarios_verify_clean() {
-    for scheme in ALL_SCHEMES {
-        let r = check_protocol(scheme, None, DEFAULT_MAX_STATES);
-        assert!(
-            r.ok(),
-            "{}: {}",
-            scheme.name(),
-            r.violations.first().map_or("truncated".into(), suv_verify::Counterexample::render)
-        );
+    for scheme in SchemeKind::ALL {
+        assert_clean(scheme.name(), &check_protocol(scheme, None, DEFAULT_MAX_STATES));
     }
-    for sc in SCENARIOS {
-        let r = check_sched(sc, None, DEFAULT_MAX_STATES);
-        assert!(
-            r.ok(),
-            "{}: {}",
-            sc.label(),
-            r.violations.first().map_or("truncated".into(), suv_verify::Counterexample::render)
-        );
-    }
+    assert_clean("hw-sw fallback", &check_hybrid(None, DEFAULT_MAX_STATES));
 }
 
 /// Every committed seeded mutation is caught, and the counterexample is
@@ -48,19 +41,16 @@ fn all_schemes_and_scenarios_verify_clean() {
 /// suv-trace vocabulary).
 #[test]
 fn every_seeded_mutation_is_caught_with_a_trace() {
+    let caught = |name: &str, r: &ExploreReport| {
+        let cex = r.violations.first().unwrap_or_else(|| panic!("mutation {name} escaped"));
+        assert!(!cex.trace.is_empty(), "{name}: counterexample has no trace");
+        assert!(cex.render().contains("violation:"), "{name}");
+    };
     for m in ALL_PROTOCOL_MUTATIONS {
-        let r = check_protocol(m.target_scheme(), Some(m), DEFAULT_MAX_STATES);
-        assert!(!r.violations.is_empty(), "protocol mutation {} escaped", m.name());
-        let cex = &r.violations[0];
-        assert!(!cex.trace.is_empty(), "{}: counterexample has no trace", m.name());
-        assert!(cex.render().contains("violation:"), "{}", m.name());
+        caught(m.name(), &check_protocol(m.target_scheme(), Some(m), DEFAULT_MAX_STATES));
     }
-    for m in ALL_SCHED_MUTATIONS {
-        let caught = SCENARIOS.iter().any(|&sc| {
-            let r = check_sched(sc, Some(m), DEFAULT_MAX_STATES);
-            r.violations.iter().any(|v| !v.trace.is_empty())
-        });
-        assert!(caught, "sched mutation {} escaped every scenario", m.name());
+    for m in ALL_HYBRID_MUTATIONS {
+        caught(m.name(), &check_hybrid(Some(m), DEFAULT_MAX_STATES));
     }
 }
 
