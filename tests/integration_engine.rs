@@ -89,24 +89,38 @@ impl Workload for MixedWorkload {
     }
 }
 
-/// One golden cell: (scheme, cores, seed) -> (trace_hash, cycles, aborts).
-type Golden = (SchemeKind, usize, u64, u64, u64, u64);
+/// The scheduler's three counters — `sched.handoffs_taken`,
+/// `sched.handoffs_elided`, `sched.barrier_arrivals` — as the runner folds
+/// them into a traced run's metrics. Two engines can agree on every
+/// simulated number and still disagree here (an elision counted twice on a
+/// resume moves no cycle), so each golden row pins them too.
+type Handoffs = [u64; 3];
+
+fn handoffs(r: &RunResult) -> Handoffs {
+    let m = &r.trace.as_ref().expect("golden cells run traced").metrics;
+    ["sched.handoffs_taken", "sched.handoffs_elided", "sched.barrier_arrivals"]
+        .map(|name| m.counter(name))
+}
+
+/// One golden cell: (scheme, cores, seed) -> (trace_hash, cycles, aborts,
+/// handoff counters).
+type Golden = (SchemeKind, usize, u64, u64, u64, u64, Handoffs);
 
 /// Captured from the pre-change per-access-lock engine; the new engine
 /// must reproduce every tuple exactly.
 const GOLDEN: &[Golden] = &[
-    // (scheme, cores, seed, trace_hash, cycles, aborts)
-    (SchemeKind::SuvTm, 1, 1, 0x76f85a0f7a3aecc8, 1727, 0),
-    (SchemeKind::SuvTm, 2, 1, 0x5591b68080cd80c8, 5825, 22),
-    (SchemeKind::SuvTm, 4, 1, 0xacf71ce761d4ed1d, 21291, 229),
-    (SchemeKind::SuvTm, 8, 1, 0xa7f2041c858ede8f, 70799, 916),
-    (SchemeKind::SuvTm, 16, 1, 0xa69acd5d20b47a82, 262685, 3664),
-    (SchemeKind::LogTmSe, 4, 2, 0xf7410514135960b0, 39161, 246),
-    (SchemeKind::LogTmSe, 16, 2, 0xb2fee4e9d015c628, 816701, 6041),
-    (SchemeKind::FasTm, 8, 3, 0xb43a6e857fcc766a, 99951, 1130),
-    (SchemeKind::Lazy, 8, 4, 0x3266793920ff21eb, 27130, 138),
-    (SchemeKind::DynTm, 16, 5, 0x02fae6b85892d57e, 74364, 1314),
-    (SchemeKind::DynTmSuv, 16, 6, 0xa2108b08af889350, 57292, 1261),
+    // (scheme, cores, seed, trace_hash, cycles, aborts, [taken, elided, barrier])
+    (SchemeKind::SuvTm, 1, 1, 0x76f85a0f7a3aecc8, 1727, 0, [0, 264, 1]),
+    (SchemeKind::SuvTm, 2, 1, 0x5591b68080cd80c8, 5825, 22, [363, 425, 2]),
+    (SchemeKind::SuvTm, 4, 1, 0xacf71ce761d4ed1d, 21291, 229, [2247, 1337, 4]),
+    (SchemeKind::SuvTm, 8, 1, 0xa7f2041c858ede8f, 70799, 916, [8697, 3928, 8]),
+    (SchemeKind::SuvTm, 16, 1, 0xa69acd5d20b47a82, 262685, 3664, [38773, 11641, 16]),
+    (SchemeKind::LogTmSe, 4, 2, 0xf7410514135960b0, 39161, 246, [3097, 1565, 4]),
+    (SchemeKind::LogTmSe, 16, 2, 0xb2fee4e9d015c628, 816701, 6041, [100452, 20472, 16]),
+    (SchemeKind::FasTm, 8, 3, 0xb43a6e857fcc766a, 99951, 1130, [11460, 4587, 8]),
+    (SchemeKind::Lazy, 8, 4, 0x3266793920ff21eb, 27130, 138, [1192, 2039, 8]),
+    (SchemeKind::DynTm, 16, 5, 0x02fae6b85892d57e, 74364, 1314, [10361, 5346, 16]),
+    (SchemeKind::DynTmSuv, 16, 6, 0xa2108b08af889350, 57292, 1261, [9366, 5681, 16]),
 ];
 
 fn run_mixed(scheme: SchemeKind, cores: usize, seed: u64) -> RunResult {
@@ -149,18 +163,19 @@ const WATCHDOG: Robust =
 /// eager and a lazy scheme, the Sw → Irrevocable escalation and the
 /// abort-count watchdog — pinned so the engine is proven trace-hash
 /// identical on those paths too. `(name, scheme, cores, robust)` →
-/// `(trace_hash, cycles, aborts)`.
-const GOLDEN_WIDE: &[(&str, SchemeKind, usize, Robust, u64, u64, u64)] = &[
-    ("oltp-storm", SchemeKind::SuvTm, 8, PLAIN, 0xeb87c97894052f90, 36871, 236),
-    ("oltp-storm", SchemeKind::LogTmSe, 8, PLAIN, 0xdcfda137c6054d7f, 66145, 320),
-    ("vacation", SchemeKind::SuvTm, 128, PLAIN, 0xf8efc6775bdb6e66, 8955699, 209115),
-    ("oltp", SchemeKind::DynTmSuv, 128, PLAIN, 0xa768f3df6dac35e9, 31895, 746),
-    ("oltp-storm", SchemeKind::DynTmSuv, 8, STM, 0x19cb1d0c05a9269e, 23442, 245),
-    ("oltp-storm", SchemeKind::DynTmSuv, 8, IRREVOCABLE, 0xe35104e3aeef1726, 26262, 292),
-    ("oltp-storm", SchemeKind::LogTmSe, 8, STM_MIX, 0xc43cdb70c59aa6b8, 37899, 327),
-    ("oltp-storm", SchemeKind::Lazy, 8, STM_MIX, 0x04900448c3d78334, 26000, 247),
-    ("oltp-storm", SchemeKind::SuvTm, 8, SW_EXHAUSTED, 0x34c56961d672ddc1, 33416, 308),
-    ("oltp-storm", SchemeKind::LogTmSe, 8, WATCHDOG, 0x7b2782861ad0905c, 33770, 77),
+/// `(trace_hash, cycles, aborts, handoff counters)`.
+#[rustfmt::skip] // one row per line
+const GOLDEN_WIDE: &[(&str, SchemeKind, usize, Robust, u64, u64, u64, Handoffs)] = &[
+    ("oltp-storm", SchemeKind::SuvTm, 8, PLAIN, 0xeb87c97894052f90, 36871, 236, [3685, 1756, 8]),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, PLAIN, 0xdcfda137c6054d7f, 66145, 320, [5441, 2158, 8]),
+    ("vacation", SchemeKind::SuvTm, 128, PLAIN, 0xf8efc6775bdb6e66, 8955699, 209115, [17961989, 267936, 128]),
+    ("oltp", SchemeKind::DynTmSuv, 128, PLAIN, 0xa768f3df6dac35e9, 31895, 746, [25785, 3114, 128]),
+    ("oltp-storm", SchemeKind::DynTmSuv, 8, STM, 0x19cb1d0c05a9269e, 23442, 245, [2372, 2050, 8]),
+    ("oltp-storm", SchemeKind::DynTmSuv, 8, IRREVOCABLE, 0xe35104e3aeef1726, 26262, 292, [2499, 2605, 8]),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, STM_MIX, 0xc43cdb70c59aa6b8, 37899, 327, [6251, 1553, 8]),
+    ("oltp-storm", SchemeKind::Lazy, 8, STM_MIX, 0x04900448c3d78334, 26000, 247, [2800, 1905, 8]),
+    ("oltp-storm", SchemeKind::SuvTm, 8, SW_EXHAUSTED, 0x34c56961d672ddc1, 33416, 308, [3559, 2068, 8]),
+    ("oltp-storm", SchemeKind::LogTmSe, 8, WATCHDOG, 0x7b2782861ad0905c, 33770, 77, [8533, 1127, 8]),
 ];
 
 fn run_named(name: &str, scheme: SchemeKind, cores: usize, robust: Robust) -> RunResult {
@@ -177,20 +192,21 @@ fn run_named(name: &str, scheme: SchemeKind, cores: usize, robust: Robust) -> Ru
 
 #[test]
 fn oltp_and_many_core_schedules_match_goldens() {
-    for (row, &(name, scheme, cores, robust, hash, cycles, aborts)) in
+    for (row, &(name, scheme, cores, robust, hash, cycles, aborts, sched)) in
         GOLDEN_WIDE.iter().enumerate()
     {
         let r = run_named(name, scheme, cores, robust);
         assert_eq!(
-            (r.trace_hash, r.stats.cycles, r.stats.tx.aborts),
-            (hash, cycles, aborts),
+            (r.trace_hash, r.stats.cycles, r.stats.tx.aborts, handoffs(&r)),
+            (hash, cycles, aborts, sched),
             "row {row} ({name}/{scheme:?}/{cores}c/{}/`{}`): schedule diverged (got hash \
-             {:#018x}, {} cycles, {} aborts)",
+             {:#018x}, {} cycles, {} aborts, handoffs {:?})",
             robust.0.name(),
             robust.1,
             r.trace_hash,
             r.stats.cycles,
             r.stats.tx.aborts,
+            handoffs(&r),
         );
         if name.starts_with("oltp") {
             assert!(r.latency.is_some(), "open-loop cell must record latency");
@@ -206,16 +222,17 @@ fn oltp_and_many_core_schedules_match_goldens() {
 
 #[test]
 fn schedule_matches_preupgrade_goldens() {
-    for &(scheme, cores, seed, hash, cycles, aborts) in GOLDEN {
+    for &(scheme, cores, seed, hash, cycles, aborts, sched) in GOLDEN {
         let r = run_mixed(scheme, cores, seed);
         assert_eq!(
-            (r.trace_hash, r.stats.cycles, r.stats.tx.aborts),
-            (hash, cycles, aborts),
+            (r.trace_hash, r.stats.cycles, r.stats.tx.aborts, handoffs(&r)),
+            (hash, cycles, aborts, sched),
             "{scheme:?}/{cores}c/seed{seed}: schedule diverged from the \
-             pre-change engine (got hash {:#018x}, {} cycles, {} aborts)",
+             pre-change engine (got hash {:#018x}, {} cycles, {} aborts, handoffs {:?})",
             r.trace_hash,
             r.stats.cycles,
             r.stats.tx.aborts,
+            handoffs(&r),
         );
     }
 }
@@ -241,23 +258,27 @@ fn print_goldens() {
     for &(scheme, cores, seed, ..) in GOLDEN {
         let r = run_mixed(scheme, cores, seed);
         println!(
-            "    (SchemeKind::{scheme:?}, {cores}, {seed}, {:#018x}, {}, {}),",
-            r.trace_hash, r.stats.cycles, r.stats.tx.aborts
+            "    (SchemeKind::{scheme:?}, {cores}, {seed}, {:#018x}, {}, {}, {:?}),",
+            r.trace_hash,
+            r.stats.cycles,
+            r.stats.tx.aborts,
+            handoffs(&r)
         );
     }
     // The robustness column is not printable (it holds fn pointers):
-    // paste the three numbers into the row by position.
+    // paste the numbers into the row by position.
     for (row, &(name, scheme, cores, robust, ..)) in GOLDEN_WIDE.iter().enumerate() {
         let r = run_named(name, scheme, cores, robust);
         let t = &r.stats.tx;
         println!(
-            "    row {row} {name}/{scheme:?}/{cores}c/{}/`{}`: {:#018x}, {}, {}   \
+            "    row {row} {name}/{scheme:?}/{cores}c/{}/`{}`: {:#018x}, {}, {}, {:?}   \
              [probe={} sw_commits={} irrevocable={} esc={}/{}/{}/{}]",
             robust.0.name(),
             robust.1,
             r.trace_hash,
             r.stats.cycles,
             t.aborts,
+            handoffs(&r),
             robust.3(t),
             t.sw_commits,
             t.irrevocable_commits,
