@@ -39,6 +39,16 @@ fn bench_engine(c: &mut Criterion) {
             run_workload(&cfg, SchemeKind::LogTmSe, &mut w)
         });
     });
+    // Sixteen cores on private lines advance in lockstep: every access
+    // costs the same cycles, so nearly every sync loses the baton — the
+    // handoff (yield, one heap operation, resume) is most of what runs.
+    g.bench_function("lockstep_handoffs_16core", |b| {
+        let cfg = MachineConfig { n_cores: 16, ..Default::default() };
+        b.iter(|| {
+            let mut w = Spin { cell: 0, iters: 500 };
+            run_workload(&cfg, SchemeKind::LogTmSe, &mut w)
+        });
+    });
     g.bench_function("counter_txns_4core", |b| {
         let cfg = MachineConfig::small_test();
         b.iter(|| {

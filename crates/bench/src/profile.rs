@@ -21,23 +21,32 @@
 //! # Methodology
 //!
 //! Each cell is run `reps` times with tracing on and `reps` times with
-//! tracing off, on one host thread, and the minimum wall time of each
-//! group is reported (min-of-N is the standard de-noising estimator for
-//! a quantity with one-sided noise). The repeated runs double as a
-//! repeatability oracle: every rep must produce bit-identical cycles and
-//! trace hash or the profiler panics. `trace_overhead_ms` is the traced
-//! minus the untraced minimum, clamped at zero.
+//! tracing off, on one host thread and with **no probe attached**, and
+//! the minimum wall time of each group is reported (min-of-N is the
+//! standard de-noising estimator for a quantity with one-sided noise):
+//! `host_ms` — and so `cycles_per_sec` and the geomean the regression
+//! gate compares — is what `suvtm bench` pays for the cell, and
+//! `trace_overhead_ms`, the traced minus the untraced minimum clamped at
+//! zero, is the cost of the tracer alone. The dispatch / machine split
+//! comes from one further traced repetition with the wall probe on,
+//! which reads the clock three times per scheduling quantum — on a
+//! handoff-heavy cell as much host time as the tracer itself, which is
+//! why no timed repetition carries it; that repetition's own wall time
+//! is discarded. The repeated runs double as a repeatability oracle:
+//! every run must produce bit-identical cycles and — when traced — trace
+//! hash, or the profiler panics.
 
 use crate::engine::{cell_key, cycles_per_sec, scale_name, CellSpec, HostMeta};
 use crate::geomean;
 use crate::probe::wall_probe;
 use std::time::Instant;
 use suv::prelude::*;
-use suv::sim::run_workload_profiled;
+use suv::sim::{run_workload_profiled, ProbeHandle};
 use suv::trace::Json;
 
-/// One profiled cell: deterministic simulation results plus the host-time
-/// breakdown of the best (minimum-wall-time) traced repetition.
+/// One profiled cell: deterministic simulation results, the minimum wall
+/// times of the probe-free repetitions, and the host-time split of the one
+/// probed repetition.
 #[derive(Debug, Clone)]
 pub struct ProfiledCell {
     /// The matrix point this cell measured.
@@ -49,10 +58,10 @@ pub struct ProfiledCell {
     /// Minimum untraced wall time over the repetitions, in ms.
     pub untraced_ms: f64,
     /// Host time the event loop spent between resumes — picking the next
-    /// core and switching coroutines (best rep).
+    /// core and switching coroutines (the probed rep).
     pub sched_wait_ms: f64,
     /// Host time spent inside resumed cores: workload code and the
-    /// machine calls it makes (best rep).
+    /// machine calls it makes (the probed rep).
     pub machine_ms: f64,
 }
 
@@ -76,8 +85,9 @@ impl ProfiledCell {
     }
 }
 
-/// Profile one cell: `reps` traced + `reps` untraced runs, minimum wall
-/// time of each, bit-identical results asserted across every repetition.
+/// Profile one cell: `reps` traced + `reps` untraced probe-free runs,
+/// minimum wall time of each, then one probed traced run for the
+/// dispatch / machine split; bit-identical results asserted across all.
 ///
 /// # Panics
 /// On any determinism violation between repetitions (differing cycles or
@@ -86,49 +96,45 @@ pub fn run_cell_profiled(spec: &CellSpec, scale: SuiteScale, reps: usize) -> Pro
     assert!(reps >= 1, "need at least one repetition");
     let (cfg, key) = (&spec.cfg, cell_key(spec));
     let tc = TraceConfig { ring_capacity: 1 << 12 };
-    let workload = || {
-        by_name(&spec.app, scale)
-            .unwrap_or_else(|| panic!("unknown workload {} reached the profiler", spec.app))
+    // One run, timed from outside.
+    let timed = |trace: Option<TraceConfig>, probe: Option<ProbeHandle>| {
+        let mut w = by_name(&spec.app, scale)
+            .unwrap_or_else(|| panic!("unknown workload {} reached the profiler", spec.app));
+        let start = Instant::now();
+        let result = run_workload_profiled(cfg, spec.scheme, w.as_mut(), trace, probe);
+        (result, start.elapsed().as_secs_f64() * 1000.0)
     };
 
-    // The repetitions are asserted identical, so the fastest one stands
-    // for the cell.
-    let mut best: Option<ProfiledCell> = None;
-    for _ in 0..reps {
-        let (probe, handle) = wall_probe();
-        let mut w = workload();
-        let start = Instant::now();
-        let result = run_workload_profiled(cfg, spec.scheme, w.as_mut(), Some(tc), Some(handle));
-        let host_ms = start.elapsed().as_secs_f64() * 1000.0;
-        if let Some(b) = &best {
-            assert_eq!(
-                (result.stats.cycles, result.trace_hash),
-                (b.result.stats.cycles, b.result.trace_hash),
-                "{key}: repetition diverged — simulation is not deterministic",
-            );
-        }
-        if best.as_ref().is_none_or(|b| host_ms < b.host_ms) {
-            best = Some(ProfiledCell {
-                spec: spec.clone(),
-                result,
-                host_ms,
-                untraced_ms: f64::INFINITY,
-                sched_wait_ms: probe.sched_wait_ms(),
-                machine_ms: probe.machine_ms(),
-            });
-        }
+    // The repetitions are asserted identical, so any one's result stands
+    // for the cell and the fastest one's wall time for its cost.
+    let (result, mut host_ms) = timed(Some(tc), None);
+    let check = |r: &RunResult, what: &str| {
+        assert_eq!(r.stats.cycles, result.stats.cycles, "{key}: {what}");
+        assert!(r.trace.is_none() || r.trace_hash == result.trace_hash, "{key}: {what}");
+    };
+    for _ in 1..reps {
+        let (r, ms) = timed(Some(tc), None);
+        check(&r, "repetition diverged — simulation is not deterministic");
+        host_ms = host_ms.min(ms);
     }
-    let mut cell = best.expect("reps >= 1");
+    let mut untraced_ms = f64::INFINITY;
+    for _ in 0..reps {
+        let (r, ms) = timed(None, None);
+        check(&r, "tracing changed the simulated outcome");
+        untraced_ms = untraced_ms.min(ms);
+    }
+    let (probe, handle) = wall_probe();
+    let (r, _) = timed(Some(tc), Some(handle));
+    check(&r, "probing changed the simulated outcome");
 
-    for _ in 0..reps {
-        let mut w = workload();
-        let start = Instant::now();
-        let r = run_workload_traced(cfg, spec.scheme, w.as_mut(), None);
-        cell.untraced_ms = cell.untraced_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-        let cycles = cell.result.stats.cycles;
-        assert_eq!(r.stats.cycles, cycles, "{key}: tracing changed the simulated outcome");
+    ProfiledCell {
+        spec: spec.clone(),
+        result,
+        host_ms,
+        untraced_ms,
+        sched_wait_ms: probe.sched_wait_ms(),
+        machine_ms: probe.machine_ms(),
     }
-    cell
 }
 
 /// Geometric-mean throughput over the profiled cells, the single summary

@@ -5,7 +5,12 @@
 //! and backoff point is an `.await`, so the compiler turns each core's
 //! body into a resumable state machine and *suspending is a function
 //! return* into the executor loop (`runner.rs`) — no OS thread, no park,
-//! no context switch. Transactions are async closures run under
+//! no context switch. The leaf of that state machine is written by hand:
+//! a load or store is one [`Future`] ([`AccessFuture`]: sync check, `Pending`
+//! at most once per issue slot, then the machine call) that the four
+//! public access methods return directly, so a suspend or resume crosses
+//! the workload's own frames and one more — not a chain of nested
+//! compiler-generated ones. Transactions are async closures run under
 //! [`ThreadCtx::txn`]; their memory accesses go through the [`Tx`] guard
 //! and propagate [`Abort`] with `?`, which unwinds to the retry loop (the
 //! functional equivalent of the register checkpoint restore).
@@ -24,9 +29,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{RefCell, RefMut};
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 use suv_htm::machine::{Access, CommitOutcome, HtmMachine, SwCommitOutcome};
 use suv_mem::{BumpAllocator, Region};
 use suv_trace::{EscalationReason, FallbackAbortReason, FaultKind, LatencyHistogram, TraceEvent};
@@ -117,10 +123,12 @@ impl Engine {
     }
 }
 
-/// Suspend the calling coroutine once: the first poll returns `Pending`
-/// (the function-return handoff into the executor), the next returns
-/// `Ready`. The scheduler's run queue — not a waker — decides when that
-/// next poll happens, so the noop waker is correct by construction.
+/// Suspend the calling coroutine once, at the barrier: the first poll
+/// returns `Pending` (the function-return handoff into the executor), the
+/// next returns `Ready`. The scheduler's run queue — not a waker —
+/// decides when that next poll happens, so the noop waker is correct by
+/// construction. (Sync points carry the same one bit themselves: see
+/// [`ThreadCtx::poll_sync`].)
 struct YieldNow {
     yielded: bool,
 }
@@ -281,21 +289,33 @@ impl ThreadCtx {
         }
     }
 
-    /// Wait until this core's clock is the global minimum. The common
-    /// case — still the minimum — is one plain load against the cached
-    /// horizon; otherwise the coroutine suspends (a function return into
-    /// the event loop) and resumes when it is the minimum again.
+    /// One poll of a sync point: wait until this core's clock is the
+    /// global minimum. The common case — still the minimum — is one plain
+    /// load against the cached horizon; otherwise the core leaves its wake
+    /// key with the scheduler and the coroutine suspends (a function
+    /// return into the event loop). `resumed` is the sync point's whole
+    /// state: set when it suspends, and the executor only polls it again
+    /// once the core is the minimum, so that poll passes without a second
+    /// look (and without counting an elision: the handoff was taken).
     #[inline]
-    async fn sync(&mut self) {
+    fn poll_sync(&mut self, resumed: &mut bool) -> Poll<()> {
+        if std::mem::take(resumed) {
+            return Poll::Ready(());
+        }
         if self.engine.sched.fast_path(self.tid, self.now) {
             self.elided += 1;
-            return;
+            return Poll::Ready(());
         }
-        if self.engine.sched.yield_decision(self.tid, self.now) {
-            YieldNow { yielded: false }.await;
-        } else {
-            self.elided += 1;
-        }
+        self.engine.sched.yield_at(self.tid, self.now);
+        *resumed = true;
+        Poll::Pending
+    }
+
+    /// A sync point outside an access (transaction begin, commit, abort,
+    /// escalation).
+    #[inline]
+    fn sync(&mut self) -> SyncPoint<'_> {
+        SyncPoint { ctx: self, resumed: false }
     }
 
     /// Spend `cycles` of computation (one cycle per instruction on the
@@ -381,20 +401,20 @@ impl ThreadCtx {
         true
     }
 
-    /// The one access retry loop: every load (`STORE = false`, `value`
-    /// ignored) and store of every tier — the attempt's in flight, else
-    /// non-transactional. `Err(Abort)`: the attempt must die (possible-cycle
-    /// rule, doom, capacity overflow); never outside a transaction.
-    async fn access<const STORE: bool>(&mut self, addr: Addr, value: u64) -> Result<u64, Abort> {
-        loop {
-            self.sync().await;
-            if let Some(outcome) = self.issue::<STORE>(addr, value) {
-                return outcome;
-            }
-        }
+    /// The one access retry loop, as a future: every load (`STORE = false`,
+    /// `value` ignored) and store of every tier — the attempt's in flight,
+    /// else non-transactional. It resolves to `T`, the caller's view of
+    /// the outcome ([`FromOutcome`]).
+    #[inline]
+    fn access<const STORE: bool, T: FromOutcome>(
+        &mut self,
+        addr: Addr,
+        value: u64,
+    ) -> AccessFuture<'_, STORE, T> {
+        AccessFuture { ctx: self, addr, value, resumed: false, outcome: PhantomData }
     }
 
-    /// One issue slot of [`Self::access`]: fault hooks, the machine call of
+    /// One issue slot of an [`AccessFuture`]: fault hooks, the machine call of
     /// the tier in flight, and the outcome's charge. `None` = stalled
     /// (NACKed, really or spuriously): retry.
     #[inline]
@@ -453,15 +473,15 @@ impl ThreadCtx {
     }
 
     /// Non-transactional load.
-    pub async fn load(&mut self, addr: Addr) -> u64 {
+    pub fn load(&mut self, addr: Addr) -> impl Future<Output = u64> + '_ {
         debug_assert!(self.tier.is_none(), "use the Tx guard inside transactions");
-        self.access::<false>(addr, 0).await.expect("non-transactional load told to abort")
+        self.access::<false, u64>(addr, 0)
     }
 
     /// Non-transactional store.
-    pub async fn store(&mut self, addr: Addr, value: u64) {
+    pub fn store(&mut self, addr: Addr, value: u64) -> impl Future<Output = ()> + '_ {
         debug_assert!(self.tier.is_none(), "use the Tx guard inside transactions");
-        self.access::<true>(addr, value).await.expect("non-transactional store told to abort");
+        self.access::<true, ()>(addr, value)
     }
 
     /// Wait at the program barrier.
@@ -633,6 +653,88 @@ impl ThreadCtx {
     }
 }
 
+/// A sync point in flight (see [`ThreadCtx::poll_sync`]).
+struct SyncPoint<'a> {
+    ctx: &'a mut ThreadCtx,
+    resumed: bool,
+}
+
+impl Future for SyncPoint<'_> {
+    type Output = ();
+
+    #[inline]
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        this.ctx.poll_sync(&mut this.resumed)
+    }
+}
+
+/// How an access's outcome — the value loaded, or `Err(Abort)` when the
+/// attempt must die (possible-cycle rule, doom, capacity overflow) —
+/// reaches the caller of each of the four access methods.
+trait FromOutcome {
+    fn from_outcome(outcome: Result<u64, Abort>) -> Self;
+}
+
+/// `Tx::load`.
+impl FromOutcome for Result<u64, Abort> {
+    #[inline]
+    fn from_outcome(outcome: Result<u64, Abort>) -> Self {
+        outcome
+    }
+}
+
+/// `Tx::store`.
+impl FromOutcome for Result<(), Abort> {
+    #[inline]
+    fn from_outcome(outcome: Result<u64, Abort>) -> Self {
+        outcome.map(drop)
+    }
+}
+
+/// `ThreadCtx::load`: nothing can abort outside a transaction.
+impl FromOutcome for u64 {
+    #[inline]
+    fn from_outcome(outcome: Result<u64, Abort>) -> Self {
+        outcome.expect("non-transactional access told to abort")
+    }
+}
+
+/// `ThreadCtx::store`.
+impl FromOutcome for () {
+    #[inline]
+    fn from_outcome(outcome: Result<u64, Abort>) -> Self {
+        u64::from_outcome(outcome);
+    }
+}
+
+/// One load or store in flight: a sync point, then an issue slot, again
+/// while the slot comes back stalled. Written by hand so that the whole
+/// access is one state machine with one bit of state.
+struct AccessFuture<'a, const STORE: bool, T> {
+    ctx: &'a mut ThreadCtx,
+    addr: Addr,
+    value: u64,
+    /// The current slot's sync point suspended ([`ThreadCtx::poll_sync`]).
+    resumed: bool,
+    outcome: PhantomData<fn() -> T>,
+}
+
+impl<const STORE: bool, T: FromOutcome> Future for AccessFuture<'_, STORE, T> {
+    type Output = T;
+
+    #[inline]
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
+        let this = self.get_mut();
+        loop {
+            ready!(this.ctx.poll_sync(&mut this.resumed));
+            if let Some(outcome) = this.ctx.issue::<STORE>(this.addr, this.value) {
+                return Poll::Ready(T::from_outcome(outcome));
+            }
+        }
+    }
+}
+
 /// Access guard inside a transaction.
 pub struct Tx<'a> {
     ctx: &'a mut ThreadCtx,
@@ -657,13 +759,17 @@ impl Tx<'_> {
     }
 
     /// Transactional load, on the attempt's tier.
-    pub async fn load(&mut self, addr: Addr) -> Result<u64, Abort> {
-        self.ctx.access::<false>(addr, 0).await
+    pub fn load(&mut self, addr: Addr) -> impl Future<Output = Result<u64, Abort>> + '_ {
+        self.ctx.access::<false, _>(addr, 0)
     }
 
     /// Transactional store, on the attempt's tier.
-    pub async fn store(&mut self, addr: Addr, value: u64) -> Result<(), Abort> {
-        self.ctx.access::<true>(addr, value).await.map(drop)
+    pub fn store(
+        &mut self,
+        addr: Addr,
+        value: u64,
+    ) -> impl Future<Output = Result<(), Abort>> + '_ {
+        self.ctx.access::<true, _>(addr, value)
     }
 
     /// Closed-nested transaction (flattened: subsumed into the outer one).

@@ -12,6 +12,13 @@
 //! context switch. Host parallelism comes from [`pool`] fanning whole
 //! cells across threads.
 //!
+//! What the host pays per event *around* the machine is fixed cost, and
+//! kept to: one comparison for a sync that keeps the baton; for one that
+//! loses it, a `Pending` return through one hand-written access future
+//! ([`context`]) and one heap operation on packed `u64` keys ([`sched`]);
+//! no allocation, and — unless a profiling probe is attached
+//! ([`probe`]) — no call around a scheduling quantum.
+//!
 //! The per-thread clock also drives the Figure 6/9 execution-time
 //! breakdown: every consumed cycle is attributed to NoTrans, Trans,
 //! Barrier, Backoff, Stalled, Wasted, Aborting or Committing.
@@ -29,7 +36,7 @@ pub mod scheme;
 pub use context::{Abort, Engine, SetupCtx, ThreadCtx, Tx};
 pub use fault::{parse_fault_spec, FaultInjector};
 pub use pool::{default_workers, run_jobs};
-pub use probe::{null_probe, HostProbe, NullProbe, ProbeHandle};
+pub use probe::{HostProbe, ProbeHandle};
 pub use runner::{
     run_workload, run_workload_profiled, run_workload_traced, CoreFuture, RunResult, TraceConfig,
     Workload,

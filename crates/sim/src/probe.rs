@@ -6,9 +6,11 @@
 //! running the machine, or tracing. [`HostProbe`] inverts the dependency — the
 //! engine reports durations through the trait, and the only
 //! implementation that actually reads a clock lives in `suv-bench`
-//! (`WallProbe`). The [`NullProbe`] used everywhere else returns 0 for
-//! every timestamp, so default runs pay nothing but a virtual call at
-//! each resume (never on the per-access fast path).
+//! (`WallProbe`). The runner takes an `Option<ProbeHandle>`: a run given
+//! `None` — every run but a profiled one — has no probe object at all, so
+//! it pays one predictable branch where a probed run reads the clock and
+//! no virtual call anywhere (and nothing, probed or not, on the
+//! per-access fast path).
 //!
 //! Probing is observational only: no simulated quantity depends on a
 //! probe reading, so profiled runs remain bit-identical to bare ones.
@@ -22,7 +24,7 @@ use std::sync::Arc;
 pub trait HostProbe: Send + Sync {
     /// Opaque monotonic timestamp in nanoseconds. The engine only ever
     /// subtracts pairs of these; the epoch is the implementation's
-    /// choice. The [`NullProbe`] returns 0.
+    /// choice.
     fn now_ns(&self) -> u64;
 
     /// `ns` of host time the event loop spent between two resumes:
@@ -35,22 +37,5 @@ pub trait HostProbe: Send + Sync {
     fn machine_held(&self, ns: u64);
 }
 
-/// The do-nothing probe: timestamps are always 0, durations are dropped.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProbe;
-
-impl HostProbe for NullProbe {
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    fn sched_wait(&self, _ns: u64) {}
-    fn machine_held(&self, _ns: u64) {}
-}
-
 /// The probe handle threaded through the engine.
 pub type ProbeHandle = Arc<dyn HostProbe>;
-
-/// A fresh [`NullProbe`] handle.
-pub fn null_probe() -> ProbeHandle {
-    Arc::new(NullProbe)
-}

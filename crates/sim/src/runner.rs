@@ -3,13 +3,14 @@
 //! One cell = one host thread. Every simulated core's async body is boxed
 //! into a [`CoreFuture`]; the executor polls exactly one of them at a
 //! time — always the scheduler's global-minimum core — and a suspended
-//! core costs a `Poll::Pending` return plus a heap pop to pick the next.
-//! Nothing here parks, locks or touches an atomic; cross-cell
-//! parallelism comes from `pool.rs` fanning independent cells across
-//! host threads.
+//! core costs a `Poll::Pending` return plus one heap operation to pick
+//! the next. Nothing here parks, locks, allocates or touches an atomic,
+//! and an unprobed run makes no virtual call around a quantum (the probe
+//! is an `Option`, not a do-nothing object); cross-cell parallelism
+//! comes from `pool.rs` fanning independent cells across host threads.
 
 use crate::context::{Engine, SetupCtx, ThreadCtx};
-use crate::probe::{null_probe, ProbeHandle};
+use crate::probe::ProbeHandle;
 use crate::scheme::build_vm;
 use std::future::Future;
 use std::pin::Pin;
@@ -128,6 +129,7 @@ pub fn run_workload_traced(
 /// thread scope to unwind, no siblings to wake, and no scheduler state to
 /// poison — the single-threaded executor simply drops the remaining
 /// coroutines on the way out.
+#[allow(clippy::needless_pass_by_value)] // a handle is given away; the caller keeps its own `Arc`
 pub fn run_workload_profiled(
     cfg: &MachineConfig,
     scheme: SchemeKind,
@@ -144,7 +146,6 @@ pub fn run_workload_profiled(
     if let Some(tc) = trace {
         machine.set_tracer(Tracer::ring(tc.ring_capacity));
     }
-    let probe = probe.unwrap_or_else(null_probe);
     let engine = Rc::new(Engine::new(Box::new(machine), cfg.n_cores));
     let mut contexts: Vec<ThreadCtx> =
         (0..cfg.n_cores).map(|tid| ThreadCtx::new(Rc::clone(&engine), tid)).collect();
@@ -159,13 +160,17 @@ pub fn run_workload_profiled(
             .map(|(tid, ctx)| Some(workload_ref.run(tid, ctx)))
             .collect();
         let mut cx = Context::from_waker(Waker::noop());
+        // Host clock of a probed run; no call at all on an unprobed one.
+        let now_ns = || probe.as_ref().map_or(0, |p| p.now_ns());
         let mut current = engine.sched.start();
         loop {
-            let quantum_start_ns = probe.now_ns();
+            let quantum_start_ns = now_ns();
             let poll =
                 tasks[current].as_mut().expect("dispatched a finished core").as_mut().poll(&mut cx);
-            let quantum_end_ns = probe.now_ns();
-            probe.machine_held(quantum_end_ns.saturating_sub(quantum_start_ns));
+            let quantum_end_ns = now_ns();
+            if let Some(p) = &probe {
+                p.machine_held(quantum_end_ns.saturating_sub(quantum_start_ns));
+            }
             let next = match poll {
                 Poll::Pending => engine.sched.dispatch(),
                 Poll::Ready(()) => {
@@ -176,7 +181,9 @@ pub fn run_workload_profiled(
                     }
                 }
             };
-            probe.sched_wait(probe.now_ns().saturating_sub(quantum_end_ns));
+            if let Some(p) = &probe {
+                p.sched_wait(p.now_ns().saturating_sub(quantum_end_ns));
+            }
             current = next;
         }
     }

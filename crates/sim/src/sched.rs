@@ -3,21 +3,27 @@
 //! All simulated cores of a cell are multiplexed on **one host thread**:
 //! each core is a resumable coroutine (the compiler-generated state
 //! machine of its async workload body), and the scheduler is nothing but
-//! a priority queue of `(wake time, core id)` pairs drained by the
+//! a priority queue of `(wake time, core id)` keys drained by the
 //! executor loop in `runner.rs`. Exactly one core runs at any instant —
 //! the one whose local clock is smallest, ties broken by core id — so
 //! machine-state mutations happen in strict global-time order and every
-//! run is bit-reproducible.
+//! run is bit-reproducible. A key is one `u64`, `time << 10 | id`, whose
+//! integer order is the pair's lexicographic order: the heap compares and
+//! moves single words, and its head *is* the horizon word below.
 //!
 //! # A handoff is a function return
 //!
 //! The previous engine gave every simulated core its own OS thread and
 //! passed a baton with `thread::unpark`/`thread::park`, which put one
 //! mandatory OS context switch (~1–2 µs of kernel time) under every
-//! *taken* handoff. Here a core that must give up the CPU simply returns
-//! `Poll::Pending` into the executor, which pops the next `(time, id)`
-//! pair and polls that core's coroutine — a function return plus a heap
-//! pop, no atomics, no parks, no locks. Panic handling needs no protocol
+//! *taken* handoff. Here a core that must give up the CPU leaves its wake
+//! key with the scheduler ([`Scheduler::yield_at`]) and returns
+//! `Poll::Pending` into the executor, whose [`Scheduler::dispatch`] swaps
+//! that key for the heap's head — the successor leaves and the yielder
+//! re-enters in **one** sift-down under one borrow, not a push followed
+//! by a pop — and polls the successor's coroutine: a function return plus
+//! one heap operation, no atomics, no parks, no locks, no allocation (the
+//! heap never grows past `n - 1` keys). Panic handling needs no protocol
 //! either: a panicking workload body unwinds straight through the
 //! executor on the one and only thread (the old poison/park-wake dance is
 //! gone), and the irrevocable single-owner token is an ordinary
@@ -31,9 +37,10 @@
 //! `(wake time, id)` of the earliest *other* runnable core, refreshed at
 //! every point the run queue changes (start, yield, barrier, finish).
 //! The running core is never in the queue, so a single [`Cell`] load
-//! gives the *exact* answer to "am I still the minimum?" — the same
-//! `(t, tid) <= (tmin, idmin)` predicate [`Scheduler::yield_decision`]
-//! evaluates against the queue head, not a conservative approximation.
+//! gives the *exact* answer to "am I still the minimum?" — the
+//! `(t, tid) <= (tmin, idmin)` predicate against the queue head itself,
+//! not a conservative approximation, so a core that fails it *must*
+//! yield and the slow path has nothing left to decide.
 //! The schedule (and therefore every trace hash) is bit-identical to
 //! both earlier engines, asserted by the golden tuples in
 //! `tests/integration_engine.rs`.
@@ -61,6 +68,12 @@ fn pack(t: Cycle, id: usize) -> u64 {
     (t << ID_BITS) | id as u64
 }
 
+/// The core id of a packed `(time, id)` key.
+#[inline]
+fn id_of(key: u64) -> usize {
+    (key & ((1 << ID_BITS) - 1)) as usize
+}
+
 /// Horizon value meaning "no other core is runnable": every packed
 /// `(t, tid)` compares `<=` to it, so the fast path always succeeds.
 const HORIZON_OPEN: u64 = u64::MAX;
@@ -68,9 +81,9 @@ const HORIZON_OPEN: u64 = u64::MAX;
 /// The mutable event-loop state. Grouped in one `RefCell` because every
 /// operation that touches the queue also touches the barrier bookkeeping.
 struct State {
-    /// Runnable cores, keyed by (wake time, id). The running core is
-    /// never in the queue.
-    queue: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Runnable cores as packed `(wake time, id)` keys, earliest first.
+    /// The running core is never in the queue.
+    queue: BinaryHeap<Reverse<u64>>,
     /// Cores waiting at the barrier (id, arrival time).
     barrier_waiters: Vec<(usize, Cycle)>,
     /// Per-core barrier release time, written by the last arriver.
@@ -87,16 +100,13 @@ impl State {
         let tmax = self.barrier_waiters.iter().map(|(_, t)| *t).max().expect("non-empty");
         for (w, _) in std::mem::take(&mut self.barrier_waiters) {
             self.release_time[w] = tmax;
-            self.queue.push(Reverse((tmax, w)));
+            self.queue.push(Reverse(pack(tmax, w)));
         }
     }
 
-    /// The packed horizon for the current queue head.
+    /// The horizon for the current queue: its head, if it has one.
     fn horizon(&self) -> u64 {
-        match self.queue.peek() {
-            Some(Reverse((t, id))) => pack(*t, *id),
-            None => HORIZON_OPEN,
-        }
+        self.queue.peek().map_or(HORIZON_OPEN, |head| head.0)
     }
 }
 
@@ -109,9 +119,12 @@ pub struct Scheduler {
     /// [`HORIZON_OPEN`]. Kept outside the `RefCell` so the per-access
     /// fast path is one plain load.
     horizon: Cell<u64>,
+    /// Wake key of a core that is suspending at a sync, left by
+    /// [`Scheduler::yield_at`] for the next [`Scheduler::dispatch`].
+    yielding: Cell<Option<u64>>,
     /// Baton passes between distinct cores.
     handoffs_taken: Cell<u64>,
-    /// Syncs that kept the baton (fast path + re-checks).
+    /// Syncs that kept the baton (the fast path).
     handoffs_elided: Cell<u64>,
     /// Barrier arrivals.
     barrier_arrivals: Cell<u64>,
@@ -124,13 +137,14 @@ impl Scheduler {
     pub fn new(n: usize) -> Self {
         Scheduler {
             state: RefCell::new(State {
-                queue: BinaryHeap::new(),
+                queue: BinaryHeap::with_capacity(n),
                 barrier_waiters: Vec::new(),
                 release_time: vec![0; n],
                 finished: 0,
                 n,
             }),
             horizon: Cell::new(HORIZON_OPEN),
+            yielding: Cell::new(None),
             handoffs_taken: Cell::new(0),
             handoffs_elided: Cell::new(0),
             barrier_arrivals: Cell::new(0),
@@ -191,11 +205,11 @@ impl Scheduler {
     pub fn start(&self) -> usize {
         let mut g = self.state.borrow_mut();
         for tid in 0..g.n {
-            g.queue.push(Reverse((0, tid)));
+            g.queue.push(Reverse(pack(0, tid)));
         }
-        let first = g.queue.pop().expect("non-empty").0 .1;
+        let first = g.queue.pop().expect("non-empty").0;
         self.horizon.set(g.horizon());
-        first
+        id_of(first)
     }
 
     /// Lock-free check: is `(t, tid)` still at or before the earliest
@@ -216,42 +230,45 @@ impl Scheduler {
         self.handoffs_elided.set(self.handoffs_elided.get() + n);
     }
 
-    /// Slow path of a sync: decide against the queue whether to yield.
-    /// Returns `false` when the caller is still the global minimum (it
-    /// keeps running); on `true` the caller was pushed back into the run
-    /// queue and must suspend — the executor then picks the new minimum
-    /// via [`Scheduler::dispatch`].
-    pub fn yield_decision(&self, tid: usize, t: Cycle) -> bool {
-        let mut g = self.state.borrow_mut();
-        match g.queue.peek() {
-            None => return false, // nobody else runnable: keep going
-            Some(Reverse((tmin, id))) => {
-                if (t, tid) <= (*tmin, *id) {
-                    return false; // still the minimum
-                }
-            }
-        }
-        g.queue.push(Reverse((t, tid)));
-        self.handoffs_taken.set(self.handoffs_taken.get() + 1);
-        true
+    /// Slow path of a sync: `(t, tid)` failed [`Scheduler::fast_path`], so
+    /// an earlier core is runnable and the caller must suspend (the
+    /// horizon is exact: there is no second opinion to take from the
+    /// queue). Leaves the caller's wake key for the executor's
+    /// [`Scheduler::dispatch`], which re-queues it in the same heap
+    /// operation that takes the successor out.
+    #[inline]
+    pub fn yield_at(&self, tid: usize, t: Cycle) {
+        self.yielding.set(Some(pack(t, tid)));
     }
 
-    /// Pop the next core to run and refresh the horizon. Called by the
-    /// executor after a core suspends; the queue is non-empty by
-    /// construction (a yielding core pushed itself, a barrier-blocked
-    /// core left a runnable sibling).
+    /// Pick the next core to run and refresh the horizon. Called by the
+    /// executor after a core suspends. A core that yielded at a sync
+    /// replaces the queue head with its own key — the successor leaves
+    /// and the yielder re-enters in one sift-down; a core blocked at the
+    /// barrier is parked outside the queue and its successor is popped.
+    /// The queue is non-empty by construction either way (a yield lost to
+    /// the head, a barrier-blocked core left a runnable sibling).
     pub fn dispatch(&self) -> usize {
+        self.handoffs_taken.set(self.handoffs_taken.get() + 1);
         let mut g = self.state.borrow_mut();
-        let next = g.queue.pop().expect("suspended core left no successor").0 .1;
+        let next = match self.yielding.take() {
+            Some(yielder) => {
+                let mut head = g.queue.peek_mut().expect("yielded to an empty queue");
+                debug_assert!(yielder > head.0, "the yielder was still the global minimum");
+                std::mem::replace(&mut head.0, yielder)
+            }
+            None => g.queue.pop().expect("suspended core left no successor").0,
+        };
         self.horizon.set(g.horizon());
-        next
+        id_of(next)
     }
 
     /// Barrier arrival: move `tid` to the waiter list, releasing everyone
     /// at the latest arrival time if it is the last. Returns `true` when
     /// `tid` itself is the next core to run (the release put it back at
     /// the queue head) — the caller keeps the baton and must *not*
-    /// suspend. Otherwise the caller suspends and reads
+    /// suspend. Otherwise the caller suspends (the executor's
+    /// [`Scheduler::dispatch`] counts the handoff) and reads
     /// [`Scheduler::barrier_release_time`] on resume.
     pub fn barrier_arrive(&self, tid: usize, t: Cycle) -> bool {
         self.barrier_arrivals.set(self.barrier_arrivals.get() + 1);
@@ -260,18 +277,13 @@ impl Scheduler {
         if g.barrier_waiters.len() + g.finished == g.n {
             g.release_barrier();
         }
-        match g.queue.peek() {
-            Some(Reverse((_, next))) if *next == tid => {
-                g.queue.pop();
-                self.horizon.set(g.horizon());
-                true
-            }
-            Some(_) => {
-                self.handoffs_taken.set(self.handoffs_taken.get() + 1);
-                false
-            }
-            None => unreachable!("barrier with no runnable core and waiters pending"),
+        let head = g.queue.peek().expect("barrier with no runnable core and waiters pending").0;
+        if id_of(head) != tid {
+            return false;
         }
+        g.queue.pop();
+        self.horizon.set(g.horizon());
+        true
     }
 
     /// The time the last barrier released `tid` at.
@@ -288,7 +300,7 @@ impl Scheduler {
         if !g.barrier_waiters.is_empty() && g.barrier_waiters.len() + g.finished == g.n {
             g.release_barrier();
         }
-        let next = g.queue.pop().map(|Reverse((_, id))| id);
+        let next = g.queue.pop().map(|Reverse(key)| id_of(key));
         self.horizon.set(g.horizon());
         if let Some(next) = next {
             debug_assert_ne!(next, tid, "finished core re-dispatched");
@@ -301,22 +313,35 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// One step of a scripted core: spend cycles then sync, or arrive at
     /// the program barrier.
-    #[derive(Clone, Copy)]
+    #[derive(Debug, Clone, Copy)]
     enum Step {
         Work(u64),
         Barrier,
     }
 
+    /// What a scripted run observed.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Observed {
+        /// Completed syncs as (time, id), in completion order.
+        log: Vec<(u64, usize)>,
+        /// Each core's barrier release times.
+        releases: Vec<Vec<Cycle>>,
+        /// The cores resumed, in order (the first is the starter).
+        dispatched: Vec<usize>,
+        /// `[handoffs_taken, handoffs_elided, barrier_arrivals]`.
+        counters: [u64; 3],
+    }
+
     /// Drive scripted cores through the raw scheduler API exactly the way
     /// the executor + `ThreadCtx` pair does: advance the clock, try the
-    /// fast path, fall back to [`Scheduler::yield_decision`] /
+    /// fast path, fall back to [`Scheduler::yield_at`] +
     /// [`Scheduler::dispatch`], suspend at barriers, finish via
-    /// [`Scheduler::finish_core`]. Returns the observed (time, id) order
-    /// of completed syncs and each core's barrier release times.
-    fn drive(scripts: &[Vec<Step>]) -> (Vec<(u64, usize)>, Vec<Vec<Cycle>>, Scheduler) {
+    /// [`Scheduler::finish_core`].
+    fn drive(scripts: &[Vec<Step>]) -> (Observed, Scheduler) {
         let n = scripts.len();
         let sched = Scheduler::new(n);
         let mut at: Vec<usize> = vec![0; n];
@@ -327,8 +352,10 @@ mod tests {
         let mut pending_barrier: Vec<bool> = vec![false; n];
         let mut log = Vec::new();
         let mut releases: Vec<Vec<Cycle>> = vec![Vec::new(); n];
+        let mut dispatched = Vec::new();
         let mut current = sched.start();
         'outer: loop {
+            dispatched.push(current);
             if let Some(t) = pending_sync[current].take() {
                 log.push((t, current));
             }
@@ -355,13 +382,11 @@ mod tests {
                         if sched.fast_path(current, t) {
                             sched.credit_elided(1);
                             log.push((t, current));
-                        } else if sched.yield_decision(current, t) {
+                        } else {
+                            sched.yield_at(current, t);
                             pending_sync[current] = Some(t);
                             current = sched.dispatch();
                             continue 'outer;
-                        } else {
-                            sched.credit_elided(1);
-                            log.push((t, current));
                         }
                     }
                     Step::Barrier => {
@@ -379,7 +404,105 @@ mod tests {
                 }
             }
         }
-        (log, releases, sched)
+        let counters = [sched.handoffs_taken(), sched.handoffs_elided(), sched.barrier_arrivals()];
+        (Observed { log, releases, dispatched, counters }, sched)
+    }
+
+    /// The schedule from its definition, with none of the scheduler's
+    /// machinery: runnable cores are `(time, id)` tuples in a `Vec` kept
+    /// sorted, a yield is an insert followed by a remove, nothing is
+    /// packed or cached. The running core keeps the baton while it is at
+    /// or before every runnable core; a barrier releases everyone at the
+    /// latest arrival once every unfinished core waits at it.
+    fn reference(scripts: &[Vec<Step>]) -> Observed {
+        let n = scripts.len();
+        let mut runnable: Vec<(u64, usize)> = (1..n).map(|id| (0, id)).collect();
+        let mut waiting: Vec<(u64, usize)> = Vec::new();
+        let mut finished = 0;
+        let mut at = vec![0; n];
+        let mut clock = vec![0u64; n];
+        let mut unlogged: Vec<Option<u64>> = vec![None; n];
+        let mut out = Observed {
+            log: Vec::new(),
+            releases: vec![Vec::new(); n],
+            dispatched: vec![0],
+            counters: [0; 3],
+        };
+        let mut current = 0;
+        loop {
+            let step = scripts[current].get(at[current]).copied();
+            at[current] += 1;
+            match step {
+                Some(Step::Work(dt)) => {
+                    clock[current] += dt;
+                    let me = (clock[current], current);
+                    if runnable.first().is_none_or(|&head| me <= head) {
+                        out.counters[1] += 1;
+                        out.log.push(me);
+                        continue;
+                    }
+                    unlogged[current] = Some(me.0);
+                    runnable.push(me);
+                }
+                Some(Step::Barrier) => {
+                    out.counters[2] += 1;
+                    waiting.push((clock[current], current));
+                }
+                None => finished += 1,
+            }
+            // `current` stopped running: release the barrier if that
+            // completed it, then resume the earliest runnable core.
+            if !waiting.is_empty() && waiting.len() + finished == n {
+                let release = waiting.iter().map(|&(t, _)| t).max().expect("non-empty");
+                for (_, id) in waiting.drain(..) {
+                    clock[id] = release;
+                    out.releases[id].push(release);
+                    runnable.push((release, id));
+                }
+            }
+            runnable.sort_unstable();
+            if runnable.is_empty() {
+                return out;
+            }
+            let (_, next) = runnable.remove(0);
+            if next != current {
+                out.counters[0] += 1;
+                out.dispatched.push(next);
+            }
+            current = next;
+            if let Some(t) = unlogged[current].take() {
+                out.log.push((t, current));
+            }
+        }
+    }
+
+    /// Random scripts: a draw below 20 is that much work, the rest are
+    /// barriers (one step in six); zero-cycle work keeps ties in play.
+    fn scripts(n: usize) -> impl Strategy<Value = Vec<Vec<Step>>> {
+        proptest::collection::vec(proptest::collection::vec(0u64..24, 0..12), n..n + 1).prop_map(
+            |cores| {
+                let step = |draw| if draw < 20 { Step::Work(draw) } else { Step::Barrier };
+                cores.into_iter().map(|draws| draws.into_iter().map(step).collect()).collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Packed keys, the cached horizon and the one-sift-down dispatch
+        /// schedule exactly like the sorted list of tuples: same dispatch
+        /// order, same sync order, same release times, same counters — on
+        /// one core, two, a full 16 and past the 128 ids seven bits hold.
+        #[test]
+        fn agrees_with_the_sorted_vec_reference(
+            lone in scripts(1), pair in scripts(2), full in scripts(16), wide in scripts(130),
+        ) {
+            for scripts in [lone, pair, full, wide] {
+                let (observed, _) = drive(&scripts);
+                prop_assert_eq!(observed, reference(&scripts), "{} cores", scripts.len());
+            }
+        }
     }
 
     /// Cores with interleaved clocks must observe a strictly time-ordered
@@ -392,7 +515,7 @@ mod tests {
                 (0..20u64).map(|step| Step::Work(1 + ((tid as u64 * 7 + step * 3) % 11))).collect()
             })
             .collect();
-        let (log, _, sched) = drive(&scripts);
+        let (Observed { log, .. }, sched) = drive(&scripts);
         assert_eq!(log.len(), n * 20);
         for w in log.windows(2) {
             assert!(w[0].0 <= w[1].0, "events out of order: {:?} then {:?}", w[0], w[1]);
@@ -406,14 +529,10 @@ mod tests {
         let scripts: Vec<Vec<Step>> = (0..3)
             .map(|tid| (0..30u64).map(|step| Step::Work(1 + ((tid as u64 + step) % 5))).collect())
             .collect();
-        let (log_a, _, sched_a) = drive(&scripts);
-        let (log_b, _, sched_b) = drive(&scripts);
-        assert_eq!(log_a, log_b, "scheduler must be deterministic");
-        assert_eq!(
-            (sched_a.handoffs_taken(), sched_a.handoffs_elided()),
-            (sched_b.handoffs_taken(), sched_b.handoffs_elided()),
-            "handoff counts must be deterministic"
-        );
+        let (a, _) = drive(&scripts);
+        let (b, _) = drive(&scripts);
+        assert_eq!(a.log, b.log, "scheduler must be deterministic");
+        assert_eq!(a.counters, b.counters, "handoff counts must be deterministic");
     }
 
     #[test]
@@ -422,7 +541,7 @@ mod tests {
         // Arrive at 100..400; everyone must release at 400.
         let scripts: Vec<Vec<Step>> =
             (0..n).map(|tid| vec![Step::Work(100 * (tid as u64 + 1)), Step::Barrier]).collect();
-        let (_, releases, sched) = drive(&scripts);
+        let (Observed { releases, .. }, sched) = drive(&scripts);
         for (tid, r) in releases.iter().enumerate() {
             assert_eq!(r, &vec![400], "core {tid} must release at max arrival");
         }
@@ -442,7 +561,7 @@ mod tests {
                 ]
             })
             .collect();
-        let (_, releases, _) = drive(&scripts);
+        let (Observed { releases, .. }, _) = drive(&scripts);
         for (tid, r) in releases.iter().enumerate() {
             assert_eq!(r, &vec![30, 45], "core {tid}");
         }
@@ -454,7 +573,7 @@ mod tests {
         // arrivers must still release.
         let scripts =
             vec![vec![Step::Work(10), Step::Barrier], vec![Step::Work(11), Step::Barrier], vec![]];
-        let (_, releases, _) = drive(&scripts);
+        let (Observed { releases, .. }, _) = drive(&scripts);
         assert_eq!(releases[0], vec![11]);
         assert_eq!(releases[1], vec![11]);
         assert!(releases[2].is_empty());
@@ -505,9 +624,9 @@ mod tests {
     }
 
     /// The running core is never in the queue, so the horizon a core
-    /// observes is exactly the earliest *other* runnable core — and a
-    /// yield decision that pushes the core back re-derives the same head
-    /// the fast path saw.
+    /// observes is exactly the earliest *other* runnable core — and the
+    /// dispatch that swaps a yielder in hands out the very head the fast
+    /// path lost to, leaving the yielder as the next core's horizon.
     #[test]
     fn fast_path_agrees_with_yield_decision() {
         let sched = Scheduler::new(2);
@@ -517,7 +636,7 @@ mod tests {
         // (id tie-break), at t=1 it must yield.
         assert!(sched.fast_path(0, 0));
         assert!(!sched.fast_path(0, 1));
-        assert!(sched.yield_decision(0, 1));
+        sched.yield_at(0, 1);
         assert_eq!(sched.dispatch(), 1);
         // Now core 0 is queued at t=1: core 1 runs while strictly earlier
         // but loses the id tie-break at t=1.

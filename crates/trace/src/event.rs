@@ -359,39 +359,73 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "hw_sw_conflict",
 ];
 
-impl TraceEvent {
+/// Everything the tracer derives from one event, by [`TraceEvent::decode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
     /// Stable kind id (hashing; never reorder existing entries).
-    pub fn kind_id(&self) -> u64 {
-        match self {
-            TraceEvent::TxBegin { .. } => 1,
-            TraceEvent::TxRead { .. } => 2,
-            TraceEvent::TxWrite { .. } => 3,
-            TraceEvent::Nack { .. } => 4,
-            TraceEvent::Stall { .. } => 5,
-            TraceEvent::TxAbort { .. } => 6,
-            TraceEvent::TxCommit { .. } => 7,
-            TraceEvent::Backoff { .. } => 8,
-            TraceEvent::CommitArbitration { .. } => 9,
-            TraceEvent::UndoWalk { .. } => 10,
-            TraceEvent::GangInvalidate { .. } => 11,
-            TraceEvent::WriteBufferDrain { .. } => 12,
-            TraceEvent::RedirectLookup { .. } => 13,
-            TraceEvent::PoolAlloc { .. } => 14,
-            TraceEvent::RedirectBack => 15,
-            TraceEvent::TableSwapOut { .. } => 16,
-            TraceEvent::L1Miss { .. } => 17,
-            TraceEvent::L2Miss { .. } => 18,
-            TraceEvent::SpecEviction { .. } => 19,
-            TraceEvent::BarrierWait { .. } => 20,
-            TraceEvent::OverflowAbort { .. } => 21,
-            TraceEvent::WatchdogEscalation { .. } => 22,
-            TraceEvent::IrrevocableCommit { .. } => 23,
-            TraceEvent::FaultInjected { .. } => 24,
-            TraceEvent::FallbackBegin { .. } => 25,
-            TraceEvent::FallbackCommit { .. } => 26,
-            TraceEvent::FallbackAbort { .. } => 27,
-            TraceEvent::HwSwConflict { .. } => 28,
+    pub kind: u64,
+    /// Two payload words folded into the trace hash (exhaustive over every
+    /// field so any behavioural divergence changes the hash).
+    pub payload: (u64, u64),
+    /// The event's magnitude, if it has one (drives the automatic
+    /// histograms: stall lengths, backoff draws, undo-walk lengths, ...).
+    pub magnitude: Option<u64>,
+}
+
+/// An event with no magnitude.
+const fn plain(kind: u64, p0: u64, p1: u64) -> Decoded {
+    Decoded { kind, payload: (p0, p1), magnitude: None }
+}
+
+/// An event whose histogram observes `magnitude`.
+const fn sized(kind: u64, p0: u64, p1: u64, magnitude: u64) -> Decoded {
+    Decoded { kind, payload: (p0, p1), magnitude: Some(magnitude) }
+}
+
+impl TraceEvent {
+    /// Kind id, payload words and magnitude in one match: the tracer pays
+    /// one dispatch on the variant per event, and a new variant cannot be
+    /// wired into one of the three and forgotten in another (`cargo xtask
+    /// lint` keeps every variant named here, with no catch-all arm).
+    #[inline]
+    pub fn decode(&self) -> Decoded {
+        match *self {
+            TraceEvent::TxBegin { site, lazy } => plain(1, u64::from(site), u64::from(lazy)),
+            TraceEvent::TxRead { line } => plain(2, line, 0),
+            TraceEvent::TxWrite { line } => plain(3, line, 0),
+            TraceEvent::Nack { requester, must_abort } => {
+                plain(4, u64::from(requester), u64::from(must_abort))
+            }
+            TraceEvent::Stall { line, cycles } => sized(5, line, cycles, cycles),
+            TraceEvent::TxAbort { window } => sized(6, window, 0, window),
+            TraceEvent::TxCommit { window, committing } => sized(7, window, committing, window),
+            TraceEvent::Backoff { cycles } => sized(8, cycles, 0, cycles),
+            TraceEvent::CommitArbitration { wait } => sized(9, wait, 0, wait),
+            TraceEvent::UndoWalk { entries } => sized(10, entries, 0, entries),
+            TraceEvent::GangInvalidate { lines } => sized(11, lines, 0, lines),
+            TraceEvent::WriteBufferDrain { lines } => sized(12, lines, 0, lines),
+            TraceEvent::RedirectLookup { level } => plain(13, level.id(), 0),
+            TraceEvent::PoolAlloc { fresh_page } => plain(14, u64::from(fresh_page), 0),
+            TraceEvent::RedirectBack => plain(15, 0, 0),
+            TraceEvent::TableSwapOut { line } => plain(16, line, 0),
+            TraceEvent::L1Miss { line } => plain(17, line, 0),
+            TraceEvent::L2Miss { line } => plain(18, line, 0),
+            TraceEvent::SpecEviction { line } => plain(19, line, 0),
+            TraceEvent::BarrierWait { cycles } => sized(20, cycles, 0, cycles),
+            TraceEvent::OverflowAbort { line } => plain(21, line, 0),
+            TraceEvent::WatchdogEscalation { reason } => plain(22, reason.id(), 0),
+            TraceEvent::IrrevocableCommit { window } => sized(23, window, 0, window),
+            TraceEvent::FaultInjected { kind, cycles } => sized(24, kind.id(), cycles, cycles),
+            TraceEvent::FallbackBegin { attempt } => plain(25, u64::from(attempt), 0),
+            TraceEvent::FallbackCommit { writes } => sized(26, writes, 0, writes),
+            TraceEvent::FallbackAbort { reason } => plain(27, reason.id(), 0),
+            TraceEvent::HwSwConflict { line, dir } => plain(28, line, dir.id()),
         }
+    }
+
+    /// Stable kind id ([`Decoded::kind`]).
+    pub fn kind_id(&self) -> u64 {
+        self.decode().kind
     }
 
     /// Stable kind name (metrics keys, summaries, Chrome event names).
@@ -399,61 +433,9 @@ impl TraceEvent {
         KIND_NAMES[self.kind_id() as usize]
     }
 
-    /// Two payload words folded into the trace hash (exhaustive over every
-    /// field so any behavioural divergence changes the hash).
+    /// The two hashed payload words ([`Decoded::payload`]).
     pub fn payload(&self) -> (u64, u64) {
-        match *self {
-            TraceEvent::TxBegin { site, lazy } => (u64::from(site), u64::from(lazy)),
-            TraceEvent::TxRead { line } => (line, 0),
-            TraceEvent::TxWrite { line } => (line, 0),
-            TraceEvent::Nack { requester, must_abort } => {
-                (u64::from(requester), u64::from(must_abort))
-            }
-            TraceEvent::Stall { line, cycles } => (line, cycles),
-            TraceEvent::TxAbort { window } => (window, 0),
-            TraceEvent::TxCommit { window, committing } => (window, committing),
-            TraceEvent::Backoff { cycles } => (cycles, 0),
-            TraceEvent::CommitArbitration { wait } => (wait, 0),
-            TraceEvent::UndoWalk { entries } => (entries, 0),
-            TraceEvent::GangInvalidate { lines } => (lines, 0),
-            TraceEvent::WriteBufferDrain { lines } => (lines, 0),
-            TraceEvent::RedirectLookup { level } => (level.id(), 0),
-            TraceEvent::PoolAlloc { fresh_page } => (u64::from(fresh_page), 0),
-            TraceEvent::RedirectBack => (0, 0),
-            TraceEvent::TableSwapOut { line } => (line, 0),
-            TraceEvent::L1Miss { line } => (line, 0),
-            TraceEvent::L2Miss { line } => (line, 0),
-            TraceEvent::SpecEviction { line } => (line, 0),
-            TraceEvent::BarrierWait { cycles } => (cycles, 0),
-            TraceEvent::OverflowAbort { line } => (line, 0),
-            TraceEvent::WatchdogEscalation { reason } => (reason.id(), 0),
-            TraceEvent::IrrevocableCommit { window } => (window, 0),
-            TraceEvent::FaultInjected { kind, cycles } => (kind.id(), cycles),
-            TraceEvent::FallbackBegin { attempt } => (u64::from(attempt), 0),
-            TraceEvent::FallbackCommit { writes } => (writes, 0),
-            TraceEvent::FallbackAbort { reason } => (reason.id(), 0),
-            TraceEvent::HwSwConflict { line, dir } => (line, dir.id()),
-        }
-    }
-
-    /// The event's magnitude, if it has one (drives the automatic
-    /// histograms: stall lengths, backoff draws, undo-walk lengths, ...).
-    pub fn magnitude(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Stall { cycles, .. }
-            | TraceEvent::Backoff { cycles }
-            | TraceEvent::BarrierWait { cycles } => Some(cycles),
-            TraceEvent::TxAbort { window } => Some(window),
-            TraceEvent::TxCommit { window, .. } => Some(window),
-            TraceEvent::CommitArbitration { wait } => Some(wait),
-            TraceEvent::UndoWalk { entries } => Some(entries),
-            TraceEvent::GangInvalidate { lines } => Some(lines),
-            TraceEvent::WriteBufferDrain { lines } => Some(lines),
-            TraceEvent::IrrevocableCommit { window } => Some(window),
-            TraceEvent::FaultInjected { cycles, .. } => Some(cycles),
-            TraceEvent::FallbackCommit { writes } => Some(writes),
-            _ => None,
-        }
+        self.decode().payload
     }
 }
 

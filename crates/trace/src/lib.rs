@@ -9,12 +9,13 @@
 //!   (begin / read / write / NACK / stall / abort / backoff / commit, with
 //!   scheme-specific payloads) plus memory-system events (L1/L2 miss,
 //!   speculative eviction, redirect-table swap-out);
-//! * a [`TraceSink`] trait with a zero-cost disabled default and a bounded
-//!   [`RingRecorder`];
 //! * the [`Tracer`] facade the engine embeds: one `bool` test on the
-//!   disabled hot path, plus a streaming 64-bit FNV-1a hash over *every*
-//!   emitted event — independent of ring capacity, so the hash is a
-//!   bit-reproducibility oracle even when the ring drops old events;
+//!   disabled hot path; enabled, a streaming 64-bit FNV-1a hash over
+//!   *every* emitted event — independent of ring capacity, so the hash is
+//!   a bit-reproducibility oracle even when the ring drops old events,
+//!   and computed at a cost proportional to the words' significant bytes
+//!   (see [`tracer`]) — plus a bounded [`RingRecorder`] of the most recent
+//!   events, held by value: an event costs no virtual call;
 //! * a counter/histogram [`MetricsRegistry`] fed automatically from the
 //!   event stream;
 //! * a Chrome-trace JSON exporter ([`chrome_trace_json`]) producing files
@@ -44,6 +45,6 @@ pub use event::{
 pub use json::{escape_into, Json};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{NullSink, RingRecorder, TraceSink};
+pub use sink::RingRecorder;
 pub use summary::summary_report;
 pub use tracer::{TraceOutput, Tracer};

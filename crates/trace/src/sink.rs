@@ -1,41 +1,11 @@
-//! Trace sinks: where recorded events go.
+//! The bounded ring the [`crate::Tracer`] retains events in.
 
 use crate::event::TraceRecord;
 use std::collections::VecDeque;
 
-/// Destination for recorded events.
-///
-/// The engine never calls a sink directly — it goes through
-/// [`crate::Tracer`], whose disabled path is a single branch. Sinks only
-/// see events when tracing is on.
-pub trait TraceSink: Send {
-    /// Accept one event.
-    fn record(&mut self, rec: &TraceRecord);
-
-    /// Hand back everything retained, oldest first. Sinks that retain
-    /// nothing return an empty vec (the default).
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-
-    /// Events accepted but not retained (ring overwrite).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// Sink that discards everything (the default inside a disabled tracer;
-/// also useful to measure pure hashing/metrics overhead).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: &TraceRecord) {}
-}
-
 /// Bounded in-memory recorder: keeps the most recent `capacity` events,
 /// counting what it had to drop. Memory use is bounded regardless of run
-/// length; the trace *hash* (kept by the tracer, not the sink) still covers
+/// length; the trace *hash* (kept by the tracer, not the ring) still covers
 /// every event.
 #[derive(Debug)]
 pub struct RingRecorder {
@@ -60,10 +30,10 @@ impl RingRecorder {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl TraceSink for RingRecorder {
-    fn record(&mut self, rec: &TraceRecord) {
+    /// Accept one event, overwriting the oldest when full.
+    #[inline]
+    pub fn record(&mut self, rec: &TraceRecord) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -71,11 +41,13 @@ impl TraceSink for RingRecorder {
         self.buf.push_back(*rec);
     }
 
-    fn drain(&mut self) -> Vec<TraceRecord> {
+    /// Hand back everything retained, oldest first.
+    pub fn drain(&mut self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.buf).into()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Events accepted but no longer retained (ring overwrite).
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -98,14 +70,6 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let drained = r.drain();
         assert_eq!(drained.iter().map(|r| r.t).collect::<Vec<_>>(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn null_sink_retains_nothing() {
-        let mut s = NullSink;
-        s.record(&rec(1));
-        assert!(s.drain().is_empty());
-        assert_eq!(s.dropped(), 0);
     }
 
     #[test]

@@ -1,12 +1,61 @@
 //! The [`Tracer`] facade the engine embeds.
+//!
+//! # The stream hash: FNV-1a, zero runs folded
+//!
+//! The hash is 64-bit FNV-1a over the little-endian bytes of five words
+//! per event — `t`, `core`, kind id and the two payload words — and every
+//! golden in the repo pins its value, so its definition cannot move. Its
+//! cost can: one FNV-1a step is `h = (h ^ byte) * P`, and for a zero byte
+//! that is `h = h * P`, so a run of `k` zero bytes is `h = h * P^k` — and
+//! wrapping multiplication is associative, so the run merges into the
+//! step before it: one multiply by a precomputed power instead of `k + 1`
+//! dependent ones. A little-endian word's zero run is its high bytes, and
+//! the hashed words are small (a cycle count, a core id, a kind id below
+//! 29, a line address, often a zero second payload): ~15 significant
+//! bytes of the 40. [`fnv1a_word`] spends one multiply per significant
+//! byte (one for a zero word), so the hash costs what the significant
+//! bytes cost and is equal, bit for bit, to the byte-at-a-time loop (kept
+//! in the tests as the reference, and checked against it by proptest).
+//!
+//! Everything else `emit` does is flat: one match derives kind id, payload
+//! and magnitude ([`TraceEvent::decode`]), the per-kind tallies are array
+//! slots, and the bounded [`RingRecorder`] is held by value — no virtual
+//! call, no allocation, no by-name lookup per event.
 
 use crate::event::{TraceEvent, TraceRecord, KIND_COUNT, KIND_NAMES};
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::sink::{NullSink, RingRecorder, TraceSink};
+use crate::sink::RingRecorder;
 use suv_types::{CoreId, Cycle};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`: the whole effect of `k`
+/// zero bytes on an FNV-1a state.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// FNV-1a over the eight little-endian bytes of `word`: an ordinary step
+/// for each significant byte but the last, then the last one and the zero
+/// bytes above it in one multiply — `((h ^ b) * P) * P^k = (h ^ b) *
+/// P^(k+1)`. A zero word is the same formula with `b = 0`.
+#[inline]
+fn fnv1a_word(mut h: u64, word: u64) -> u64 {
+    let significant = (8 - word.leading_zeros() as usize / 8).max(1);
+    let mut rest = word;
+    for _ in 1..significant {
+        h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+        rest >>= 8;
+    }
+    (h ^ rest).wrapping_mul(FNV_PRIME_POW[9 - significant])
+}
 
 /// Everything a finished tracer hands back to the runner.
 #[derive(Debug, Clone)]
@@ -26,13 +75,14 @@ pub struct TraceOutput {
 }
 
 /// Embedded tracing front-end: one branch when disabled, full hashing +
-/// metrics + sink recording when enabled.
+/// metrics + ring recording when enabled.
 pub struct Tracer {
     /// Cached enabled flag — the only thing the hot path reads.
     enabled: bool,
     hash: u64,
     events: u64,
-    sink: Box<dyn TraceSink>,
+    /// The retained window (a one-slot ring, never written, when disabled).
+    ring: RingRecorder,
     metrics: MetricsRegistry,
     /// Flat per-kind event tallies, indexed by `kind_id`. The hot path
     /// bumps these instead of doing a by-name registry lookup per event;
@@ -62,33 +112,20 @@ impl Default for Tracer {
 impl Tracer {
     /// The zero-cost default: `emit` is a branch on a cached bool.
     pub fn disabled() -> Self {
-        Tracer {
-            enabled: false,
-            hash: 0,
-            events: 0,
-            sink: Box::new(NullSink),
-            metrics: MetricsRegistry::new(),
-            kind_counts: [0; KIND_COUNT],
-            kind_hists: Box::new(std::array::from_fn(|_| Histogram::default())),
-        }
-    }
-
-    /// Enabled tracer feeding `sink`.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            enabled: true,
-            hash: FNV_OFFSET,
-            events: 0,
-            sink,
-            metrics: MetricsRegistry::new(),
-            kind_counts: [0; KIND_COUNT],
-            kind_hists: Box::new(std::array::from_fn(|_| Histogram::default())),
-        }
+        Tracer { enabled: false, hash: 0, ..Tracer::ring(0) }
     }
 
     /// Enabled tracer over a bounded ring of `capacity` events.
     pub fn ring(capacity: usize) -> Self {
-        Tracer::with_sink(Box::new(RingRecorder::new(capacity)))
+        Tracer {
+            enabled: true,
+            hash: FNV_OFFSET,
+            events: 0,
+            ring: RingRecorder::new(capacity),
+            metrics: MetricsRegistry::new(),
+            kind_counts: [0; KIND_COUNT],
+            kind_hists: Box::new(std::array::from_fn(|_| Histogram::default())),
+        }
     }
 
     /// Is tracing on? Callers that would pay to *assemble* an event (take
@@ -110,23 +147,17 @@ impl Tracer {
 
     #[inline(never)]
     fn emit_enabled(&mut self, t: Cycle, core: CoreId, ev: TraceEvent) {
-        let (p0, p1) = ev.payload();
-        let kind = ev.kind_id();
-        let mut h = self.hash;
-        for word in [t, core as u64, kind, p0, p1] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        self.hash = h;
+        let d = ev.decode();
+        self.hash = [t, core as u64, d.kind, d.payload.0, d.payload.1]
+            .into_iter()
+            .fold(self.hash, fnv1a_word);
         self.events += 1;
         // Flat per-kind tallies: no by-name registry lookup per event.
-        self.kind_counts[kind as usize] += 1;
-        if let Some(m) = ev.magnitude() {
-            self.kind_hists[kind as usize].observe(m);
+        self.kind_counts[d.kind as usize] += 1;
+        if let Some(m) = d.magnitude {
+            self.kind_hists[d.kind as usize].observe(m);
         }
-        self.sink.record(&TraceRecord { t, core, ev });
+        self.ring.record(&TraceRecord { t, core, ev });
     }
 
     /// Merge the flat per-kind tallies into the named registry. Idempotent
@@ -180,8 +211,8 @@ impl Tracer {
         TraceOutput {
             hash: if self.enabled { self.hash } else { 0 },
             events: self.events,
-            dropped: self.sink.dropped(),
-            records: self.sink.drain(),
+            dropped: self.ring.dropped(),
+            records: self.ring.drain(),
             metrics: self.metrics,
         }
     }
@@ -190,9 +221,103 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(line: u64) -> TraceEvent {
         TraceEvent::TxWrite { line }
+    }
+
+    /// The definition of the stream hash: FNV-1a, one byte at a time, over
+    /// the little-endian bytes of `(t, core, kind, p0, p1)` per event.
+    fn reference_hash(stream: &[(Cycle, CoreId, TraceEvent)]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for &(t, core, ev) in stream {
+            let (p0, p1) = ev.payload();
+            for word in [t, core as u64, ev.kind_id(), p0, p1] {
+                for byte in word.to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(FNV_PRIME);
+                }
+            }
+        }
+        h
+    }
+
+    fn emitted_hash(stream: &[(Cycle, CoreId, TraceEvent)]) -> u64 {
+        let mut t = Tracer::ring(4);
+        for &(at, core, ev) in stream {
+            t.emit(at, core, ev);
+        }
+        assert_eq!(t.events_emitted(), stream.len() as u64);
+        t.finish().hash
+    }
+
+    /// An event of one of several payload shapes carrying `p0` / `p1`
+    /// (two words, one word, narrowed fields, none). A word that is also
+    /// the event's magnitude loses its top byte, so that a stream's
+    /// histogram sums stay in range; the other word of the pair is whole.
+    fn event(shape: usize, p0: u64, p1: u64) -> TraceEvent {
+        match shape % 6 {
+            0 => TraceEvent::Stall { line: p0, cycles: p1 >> 8 },
+            1 => TraceEvent::TxCommit { window: p0 >> 8, committing: p1 },
+            2 => TraceEvent::TxRead { line: p0 },
+            3 => TraceEvent::TxBegin { site: p0 as u32, lazy: p1 & 1 == 1 },
+            4 => TraceEvent::HwSwConflict { line: p0, dir: crate::ConflictDir::SwCommitVsHw },
+            _ => TraceEvent::RedirectBack,
+        }
+    }
+
+    /// Every significant-byte count a hashed word can have, at both edges:
+    /// `0`, `0xff`, `0x100`, `0xffff`, `0x1_0000`, ..., `u64::MAX`.
+    fn byte_length_boundaries() -> Vec<u64> {
+        let mut v = vec![0];
+        for bytes in 1..=8u32 {
+            v.push(1 << (8 * (bytes - 1)));
+            v.push(u64::MAX >> (64 - 8 * bytes));
+        }
+        v
+    }
+
+    #[test]
+    fn zero_run_folding_matches_bytewise_fnv_at_every_byte_length() {
+        let edges = byte_length_boundaries();
+        assert_eq!(edges.len(), 17);
+        assert!(edges.contains(&0xff) && edges.contains(&0x100) && edges.contains(&u64::MAX));
+        for &a in &edges {
+            for &b in &edges {
+                // Each hashed position takes each edge, next to every other
+                // edge (a word's folded tail feeds the next word's first step).
+                let stream = [
+                    (a, b as CoreId, event(0, b, a)),
+                    (b, a as CoreId, event(1, a, a)),
+                    (a, 0, event(2, b, 0)),
+                    (b, 0, event(5, 0, 0)),
+                ];
+                assert_eq!(emitted_hash(&stream), reference_hash(&stream), "edges {a:#x}, {b:#x}");
+            }
+        }
+    }
+
+    /// A word of a random significant length: uniform bits, shifted down
+    /// by 0..=64 so short words are as likely as full ones.
+    fn word() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..=64).prop_map(|(v, shift)| v.checked_shr(shift).unwrap_or(0))
+    }
+
+    proptest! {
+        #[test]
+        fn zero_run_folding_matches_bytewise_fnv_on_random_streams(
+            stream in proptest::collection::vec(
+                ((word(), word()), (0usize..6, word(), word())),
+                1..200,
+            )
+        ) {
+            let stream: Vec<_> = stream
+                .into_iter()
+                .map(|((t, core), (shape, p0, p1))| (t, core as CoreId, event(shape, p0, p1)))
+                .collect();
+            prop_assert_eq!(emitted_hash(&stream), reference_hash(&stream));
+        }
     }
 
     #[test]

@@ -154,6 +154,10 @@ const SW_EXHAUSTED: Robust =
 const WATCHDOG: Robust =
     (FallbackMode::IrrevocableOnly, "", |r| r.max_tx_aborts = 2, |t| t.esc_abort_watchdog);
 
+/// One wide golden cell: `(name, scheme, cores, robust)` →
+/// `(trace_hash, cycles, aborts, handoff counters)`.
+type WideGolden = (&'static str, SchemeKind, usize, Robust, u64, u64, u64, Handoffs);
+
 /// Golden cells beyond the STAMP-style 1–16-core matrix: the open-loop
 /// OLTP latency path (request arrival cycles, latency histograms), two
 /// 128-core many-core cells (SUV-TM, and DynTM+SUV for the banked
@@ -162,10 +166,9 @@ const WATCHDOG: Robust =
 /// irrevocable-only ladder under the same storm, the fault mix on an
 /// eager and a lazy scheme, the Sw → Irrevocable escalation and the
 /// abort-count watchdog — pinned so the engine is proven trace-hash
-/// identical on those paths too. `(name, scheme, cores, robust)` →
-/// `(trace_hash, cycles, aborts, handoff counters)`.
+/// identical on those paths too.
 #[rustfmt::skip] // one row per line
-const GOLDEN_WIDE: &[(&str, SchemeKind, usize, Robust, u64, u64, u64, Handoffs)] = &[
+const GOLDEN_WIDE: &[WideGolden] = &[
     ("oltp-storm", SchemeKind::SuvTm, 8, PLAIN, 0xeb87c97894052f90, 36871, 236, [3685, 1756, 8]),
     ("oltp-storm", SchemeKind::LogTmSe, 8, PLAIN, 0xdcfda137c6054d7f, 66145, 320, [5441, 2158, 8]),
     ("vacation", SchemeKind::SuvTm, 128, PLAIN, 0xf8efc6775bdb6e66, 8955699, 209115, [17961989, 267936, 128]),

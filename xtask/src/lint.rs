@@ -15,9 +15,10 @@
 //!   the full `commit`/`abort` pair, and a file that overrides
 //!   `begin_level` also overrides `commit_level` *and* `abort_level`
 //!   (a partial nesting implementation corrupts rollback silently).
-//! * **trace-reconcile** — every `TraceEvent` variant is wired through
-//!   `kind_id`, `kind_name` and `payload` (no catch-all arm may absorb a
-//!   newly added variant, or hashes and metrics silently lose events).
+//! * **trace-reconcile** — every `TraceEvent` variant has its own arm in
+//!   `TraceEvent::decode`, the one match that yields kind id, payload and
+//!   magnitude (no catch-all arm may absorb a newly added variant, or
+//!   hashes and metrics silently lose events).
 //! * **invariant-coverage** — every `INV-n` catalogued in DESIGN.md must
 //!   be referenced by at least one check in non-test code (a
 //!   `debug_assert!`, a `suv-check` audit, or a `suv-verify` predicate —
@@ -359,10 +360,9 @@ pub fn lint_vm_impl(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// Check that every `TraceEvent` variant is reconciled through the
-/// `kind_id`/`kind_name`/`payload` accessors (each variant name must be
-/// referenced as `TraceEvent::<Variant>` at least three times outside its
-/// declaration) and that none of those matches hides behind a catch-all.
+/// Check that every `TraceEvent` variant is reconciled through
+/// `fn decode` (each variant name must be referenced there as
+/// `TraceEvent::<Variant>`) and that the match has no catch-all arm.
 pub fn lint_trace_reconciliation(file: &str, src: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     // Extract variant names from the enum declaration.
@@ -397,36 +397,36 @@ pub fn lint_trace_reconciliation(file: &str, src: &str) -> Vec<Violation> {
         });
         return out;
     }
+    let Some(start) = src.find("fn decode") else {
+        out.push(Violation {
+            file: file.to_string(),
+            line: 0,
+            rule: "trace-reconcile",
+            msg: "could not locate `fn decode`".to_string(),
+        });
+        return out;
+    };
+    let body_end = src[start..].find("\n    }").map_or(src.len(), |e| start + e);
+    let body = &src[start..body_end];
     for v in variants {
-        let needle = format!("TraceEvent::{v}");
-        let refs = src.matches(needle.as_str()).count();
-        if refs < 3 {
+        if !body.contains(format!("TraceEvent::{v}").as_str()) {
             out.push(Violation {
                 file: file.to_string(),
                 line: 0,
                 rule: "trace-reconcile",
-                msg: format!(
-                    "variant `{v}` referenced {refs}x; kind_id, kind_name and payload \
-                     must each handle it explicitly"
-                ),
+                msg: format!("variant `{v}` has no arm of its own in `fn decode`"),
             });
         }
     }
-    for accessor in ["fn kind_id", "fn kind_name", "fn payload"] {
-        if let Some(start) = src.find(accessor) {
-            let body_end = src[start..].find("\n    }").map_or(src.len(), |e| start + e);
-            if src[start..body_end].contains("_ =>") {
-                out.push(Violation {
-                    file: file.to_string(),
-                    line: 0,
-                    rule: "trace-reconcile",
-                    msg: format!(
-                        "`{accessor}` uses a catch-all arm; new variants would be \
-                         silently folded together"
-                    ),
-                });
-            }
-        }
+    if body.contains("_ =>") {
+        out.push(Violation {
+            file: file.to_string(),
+            line: 0,
+            rule: "trace-reconcile",
+            msg: "`fn decode` uses a catch-all arm; new variants would be silently \
+                  folded together"
+                .to_string(),
+        });
     }
     out
 }
@@ -694,18 +694,17 @@ mod tests {
     #[test]
     fn trace_reconciliation_counts_references() {
         let good = "pub enum TraceEvent {\n    Foo { x: u64 },\n}\n\
-            fn kind_id() { TraceEvent::Foo => 1, }\n\
-            fn kind_name() { TraceEvent::Foo => \"foo\", }\n\
-            fn payload() { TraceEvent::Foo { x } => (x, 0), }\n";
+            impl TraceEvent {\n    fn decode() {\n        \
+            TraceEvent::Foo { x } => plain(1, x, 0),\n    }\n}\n";
         assert!(
             lint_trace_reconciliation("e.rs", good).is_empty(),
             "{:?}",
             lint_trace_reconciliation("e.rs", good)
         );
         let missing = "pub enum TraceEvent {\n    Foo { x: u64 },\n    Bar,\n}\n\
-            fn kind_id() { TraceEvent::Foo => 1, TraceEvent::Bar => 2, }\n\
-            fn kind_name() { TraceEvent::Foo => \"foo\", TraceEvent::Bar => \"bar\", }\n\
-            fn payload() { TraceEvent::Foo { x } => (x, 0), _ => (0, 0), }\n";
+            impl TraceEvent {\n    fn decode() {\n        \
+            TraceEvent::Foo { x } => plain(1, x, 0),\n        _ => plain(2, 0, 0),\n    }\n    \
+            fn elsewhere() { TraceEvent::Bar }\n}\n";
         let v = lint_trace_reconciliation("e.rs", missing);
         assert!(v.iter().any(|v| v.msg.contains("`Bar`")), "{v:?}");
         assert!(v.iter().any(|v| v.msg.contains("catch-all")), "{v:?}");
