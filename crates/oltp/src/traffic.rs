@@ -13,6 +13,8 @@
 //! multi-tenant phase schedules reshape the key distribution at
 //! deterministic request indexes.
 
+use std::sync::OnceLock;
+
 /// Hot-key storm phases: in every window of `every` requests (per core),
 /// the first `len` draw their key uniformly from the `hot` most popular
 /// keys of the active tenant's slice instead of from the full Zipfian.
@@ -293,12 +295,18 @@ impl TrafficGen {
     /// Stream for `core` under a fully-resolved config (`rate`,
     /// `reqs_per_core` and `keys` must be nonzero).
     pub fn new(cfg: &TrafficConfig, core: usize) -> Self {
+        Self::sharing(cfg, core, &OnceLock::new())
+    }
+
+    /// [`Self::new`], taking the rank sampler — a `powf` term per key to
+    /// build, the same for every core of `cfg` — from `shared`, filled once.
+    pub fn sharing(cfg: &TrafficConfig, core: usize, shared: &OnceLock<Zipfian>) -> Self {
         assert!(cfg.rate > 0 && cfg.reqs_per_core > 0 && cfg.keys > 0, "unresolved config");
         let tenants = cfg.tenants.clamp(1, cfg.keys / 2);
         let slice = cfg.keys / tenants;
         TrafficGen {
             rng: Xorshift64::new(cfg.seed ^ (core as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
-            zipf: Zipfian::new(slice, cfg.theta),
+            zipf: shared.get_or_init(|| Zipfian::new(slice, cfg.theta)).clone(),
             cfg: TrafficConfig { tenants, ..*cfg },
             core: core as u64,
             issued: 0,
@@ -451,7 +459,10 @@ mod tests {
     fn generator_is_deterministic_per_core() {
         let cfg = resolved(Some(StormSpec { every: 8, len: 2, hot: 2 }), 2);
         let mut a = TrafficGen::new(&cfg, 3);
-        let mut b = TrafficGen::new(&cfg, 3);
+        // A stream on a sampler another core built is the stream `new` builds.
+        let shared = OnceLock::new();
+        TrafficGen::sharing(&cfg, 0, &shared);
+        let mut b = TrafficGen::sharing(&cfg, 3, &shared);
         let mut other = TrafficGen::new(&cfg, 4);
         let mut differs = false;
         for _ in 0..cfg.reqs_per_core {

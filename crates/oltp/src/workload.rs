@@ -15,7 +15,8 @@
 //! the open-loop schedule, the queueing delay stays in the sample (no
 //! coordinated omission).
 
-use crate::traffic::{Op, TrafficConfig, TrafficGen, CUSTOMERS_PER_CORE};
+use crate::traffic::{Op, TrafficConfig, TrafficGen, Zipfian, CUSTOMERS_PER_CORE};
+use std::sync::OnceLock;
 use suv_sim::{CoreFuture, SetupCtx, ThreadCtx, Workload};
 use suv_stamp::ds::TxHashMap;
 use suv_stamp::SuiteScale;
@@ -34,6 +35,9 @@ fn price(item: u64) -> u64 {
 pub struct Oltp {
     name: &'static str,
     cfg: TrafficConfig,
+    /// The key sampler, built by the first core to run: in the simulated
+    /// region, like the per-core builds it replaces, but once per cell.
+    zipf: OnceLock<Zipfian>,
     inventory: TxHashMap,
     orders: TxHashMap,
     payments: TxHashMap,
@@ -88,6 +92,7 @@ impl Oltp {
         Oltp {
             name: "oltp",
             cfg,
+            zipf: OnceLock::new(),
             inventory: TxHashMap::placeholder(),
             orders: TxHashMap::placeholder(),
             payments: TxHashMap::placeholder(),
@@ -128,7 +133,7 @@ impl Workload for Oltp {
 
     fn run<'a>(&'a self, tid: usize, ctx: &'a mut ThreadCtx) -> CoreFuture<'a> {
         Box::pin(async move {
-            let mut gen = TrafficGen::new(&self.cfg, tid);
+            let mut gen = TrafficGen::sharing(&self.cfg, tid, &self.zipf);
             let (inventory, orders, payments, cust_index) =
                 (self.inventory, self.orders, self.payments, self.cust_index);
             let mut made = 0u64;
