@@ -53,6 +53,9 @@ pub struct Mesh {
     wire: Cycle,
     route: Cycle,
     model_contention: bool,
+    /// The node at each of the `rows * cols` positions, row-major: cores and
+    /// L2 banks are placed by position, up to six lookups per fill.
+    nodes: Vec<Node>,
     /// Per-link time at which the link becomes free, indexed by
     /// [`Mesh::link_id`].
     busy_until: Vec<Cycle>,
@@ -73,6 +76,7 @@ impl Mesh {
             wire: cfg.noc_wire_latency,
             route: cfg.noc_route_latency,
             model_contention: cfg.noc_contention,
+            nodes: (0..rows * cols).map(|p| Node { x: p % cols, y: p / cols }).collect(),
             busy_until: vec![0; rows * cols * DIRS],
             contention_cycles: 0,
             messages: 0,
@@ -107,16 +111,14 @@ impl Mesh {
 
     /// Node of core `c` (row-major placement).
     pub fn core_node(&self, c: usize) -> Node {
-        debug_assert!(c < self.rows * self.cols, "core {c} off the mesh");
-        Node { x: c % self.cols, y: c / self.cols }
+        self.nodes[c]
     }
 
     /// Node of the L2 bank holding line `line_addr`: banks are interleaved
     /// across all mesh nodes by line address.
     pub fn l2_bank_node(&self, line_addr: u64) -> Node {
-        let banks = self.rows * self.cols;
-        let b = (line_addr >> 6) as usize % banks;
-        Node { x: b % self.cols, y: b / self.cols }
+        let (b, banks) = ((line_addr >> 6) as usize, self.nodes.len());
+        self.nodes[if banks.is_power_of_two() { b & (banks - 1) } else { b % banks }]
     }
 
     /// Node of the memory controller serving `bank` (placed at corners,
@@ -287,6 +289,21 @@ mod tests {
             seen.insert(n);
         }
         assert_eq!(seen.len(), 15);
+    }
+
+    #[test]
+    fn node_table_is_the_row_major_arithmetic() {
+        // 16 banks take the mask, 15 and 144 the remainder.
+        for m in [mesh(), rect_mesh(3, 5), rect_mesh(12, 12)] {
+            let (banks, cols) = (m.rows() * m.cols(), m.cols());
+            for c in 0..banks {
+                assert_eq!(m.core_node(c), Node { x: c % cols, y: c / cols });
+            }
+            for i in (0..1000u64).chain([u64::MAX >> 6]) {
+                let b = i as usize % banks;
+                assert_eq!(m.l2_bank_node(i * 64 + 63), Node { x: b % cols, y: b / cols });
+            }
+        }
     }
 
     #[test]
