@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+mod conflict;
 pub mod dyntm;
 pub mod fastm;
 pub mod lazy;

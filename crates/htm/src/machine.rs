@@ -33,6 +33,7 @@
 //! latency charge: the entry points spell each sequence out and
 //! DESIGN.md §9 tabulates them.
 
+use crate::conflict::ConflictIndex;
 use crate::shadow::ShadowOracle;
 use crate::swvm::{self, SwVm};
 use crate::tx::{TxState, TxStatus};
@@ -105,11 +106,12 @@ pub struct HtmMachine {
     txs: Vec<TxState>,
     /// The cores whose descriptor is not `Idle` (INV-14): inserted at the
     /// outermost begin, removed where [`HtmMachine::settle`] closes the
-    /// isolation window. Every search for a defender, a conflictor or a
-    /// window to close walks this set, in ascending core order, instead of
-    /// all `n_cores` descriptors — an `Idle` descriptor defends nothing,
-    /// holds no flag and has no window, so the answers are the same.
+    /// isolation window. Window bookkeeping and the audits walk this set
+    /// instead of all `n_cores` descriptors.
     live: SharerSet,
+    /// Every core's signatures, transposed (INV-15): each signature search
+    /// runs its test on the cores this lists for the line, in ascending order.
+    index: ConflictIndex,
     vm: Box<dyn VersionManager>,
     /// The STM-mode software fallback tier, alongside the hardware scheme.
     sw: SwVm,
@@ -152,6 +154,7 @@ impl HtmMachine {
                 })
                 .collect(),
             live: SharerSet::new(),
+            index: ConflictIndex::new(cfg),
             vm,
             sw: SwVm::new(cfg.n_cores),
             tx_stats: vec![TxStats::default(); cfg.n_cores],
@@ -222,9 +225,13 @@ impl HtmMachine {
             return; // no isolation window can have expired yet
         }
         let mut due = u64::MAX;
-        let txs = &mut self.txs;
+        let (txs, index) = (&mut self.txs, &mut self.index);
         self.live.retain(|c| {
             let t = &mut txs[c];
+            if !t.isolation_live(now) {
+                // Closed below: the core's column empties with its signatures.
+                index.put_tx(c, t, false);
+            }
             match t.status {
                 TxStatus::Aborting { until } if now >= until => t.clear_attempt(),
                 TxStatus::Committing { until } if now >= until => t.clear_dynamic(),
@@ -238,6 +245,24 @@ impl HtmMachine {
         self.settle_due = due;
     }
 
+    /// `CheckLevel::Full` cross-check of an indexed search against the
+    /// all-cores scan (INV-15): every core a signature of which covers
+    /// `line` is a candidate, so a search's own test run on the candidates,
+    /// in ascending core order, answers what a scan over all cores would.
+    fn audit_candidates(&self, now: Cycle, line: LineAddr, readers: bool) {
+        if self.cfg.check < CheckLevel::Full {
+            return;
+        }
+        let mut found = self.index.candidates(line, readers);
+        for (c, t) in self.txs.iter().enumerate() {
+            assert!(
+                !((readers && t.rsig_hit(line)) || t.wsig_hit(line)) || found.any(|f| f == c),
+                "INV-15 violated at t={now}: core {c}'s signature covers {line:#x} but \
+                 the signature index does not list the core"
+            );
+        }
+    }
+
     /// Find a defender that conflicts with `requester`'s access to `line`.
     /// Returns the lowest-numbered conflicting core.
     fn find_conflict(
@@ -247,32 +272,10 @@ impl HtmMachine {
         line: LineAddr,
         is_write: bool,
     ) -> Option<CoreId> {
-        let found = self.first_defender(self.live.iter(), now, requester, line, is_write);
-        if self.cfg.check >= CheckLevel::Full {
-            let scan = self.first_defender(0..self.txs.len(), now, requester, line, is_write);
-            assert_eq!(
-                found, scan,
-                "INV-14 violated at t={now}: the live set {:?} and the all-cores scan \
-                 disagree on the defender of {line:#x} against core {requester}",
-                self.live
-            );
-        }
-        found
-    }
-
-    /// The first of `cores` (other than `requester`) whose transaction
-    /// defends `line` against the access. A plain loop: this is the
-    /// machine's hottest scan, and `Iterator::find` over the live set
-    /// measured 3 % of end-to-end host time slower.
-    fn first_defender(
-        &self,
-        cores: impl Iterator<Item = CoreId>,
-        now: Cycle,
-        requester: CoreId,
-        line: LineAddr,
-        is_write: bool,
-    ) -> Option<CoreId> {
-        for c in cores {
+        self.audit_candidates(now, line, is_write);
+        // A plain loop: this is the machine's hottest search, and
+        // `Iterator::find` measured 3 % of end-to-end host time slower.
+        for c in self.index.candidates(line, is_write) {
             let t = &self.txs[c];
             let defends = c != requester && t.isolation_live(now) && t.defends();
             // Against a write, readers conflict too (probed first: likelier).
@@ -288,8 +291,9 @@ impl HtmMachine {
     /// set: lazy transactions hold no ownership and lose against eager
     /// writers (DynTM's mixed-mode rule). Without this, a lazy transaction
     /// could commit stale reads over an eagerly-committed update.
-    fn doom_lazy_conflictors(&mut self, requester: CoreId, line: LineAddr) {
-        for c in self.live.iter() {
+    fn doom_lazy_conflictors(&mut self, now: Cycle, requester: CoreId, line: LineAddr) {
+        self.audit_candidates(now, line, true);
+        for c in self.index.candidates(line, true) {
             let t = &mut self.txs[c];
             let active_lazy = t.lazy && matches!(t.status, TxStatus::Active);
             if c != requester && active_lazy && (t.rsig_hit(line) || t.wsig_hit(line)) {
@@ -595,7 +599,9 @@ impl HtmMachine {
             }
         };
         if TX {
-            self.txs[core].note_read(line);
+            if self.txs[core].note(false, line) {
+                self.index.put(core, false, [&line], true);
+            }
             self.count_tx_load(now, core, line);
         }
         self.shadow_check_load(now, core, addr, value, TX);
@@ -623,7 +629,7 @@ impl HtmMachine {
             if let Some(nacker) = self.find_conflict(now, core, line, true) {
                 return self.nack(now, core, nacker, line, 0, true);
             }
-            self.doom_lazy_conflictors(core, line);
+            self.doom_lazy_conflictors(now, core, line);
         }
         let (target, vm_lat) =
             self.with_vm(now, |vm, env| vm.prepare_store(env, core, addr, value, true));
@@ -661,7 +667,9 @@ impl HtmMachine {
                 lat
             }
         };
-        self.txs[core].note_write(line);
+        if self.txs[core].note(true, line) {
+            self.index.put(core, true, [&line], true);
+        }
         self.count_tx_store(now, core, line);
         self.shadow(|s| s.record_store(core, addr, value));
         Access::Done { value: 0, latency: vm_lat + lat }
@@ -717,21 +725,20 @@ impl HtmMachine {
         // Validate: the committer's write set against every live
         // transaction. Eager transactions own their lines — the committer
         // loses. Conflicting lazy transactions are doomed.
-        let me = &self.txs[core];
         let mut doom: Vec<CoreId> = Vec::new();
-        for c in self.live.iter() {
-            let t = &self.txs[c];
-            if c == core
-                || !t.isolation_live(start)
-                || !me.write_lines().any(|l| t.rsig_hit(l) || t.wsig_hit(l))
-            {
-                continue;
+        for l in self.txs[core].write_lines() {
+            self.audit_candidates(now, l, true);
+            for c in self.index.candidates(l, true) {
+                let t = &self.txs[c];
+                if c == core || !t.isolation_live(start) || !(t.rsig_hit(l) || t.wsig_hit(l)) {
+                    continue;
+                }
+                if t.defends() {
+                    self.tx_stats[core].lazy_validation_aborts += 1;
+                    return CommitOutcome::MustAbort { latency: wait };
+                }
+                doom.push(c);
             }
-            if t.defends() {
-                self.tx_stats[core].lazy_validation_aborts += 1;
-                return CommitOutcome::MustAbort { latency: wait };
-            }
-            doom.push(c);
         }
         for c in doom {
             self.txs[c].doomed = true;
@@ -758,7 +765,11 @@ impl HtmMachine {
             return None;
         }
         t.depth -= 1;
-        t.drop_top_frame();
+        // The level's bits leave the core's column; a survivor's go back in.
+        let f = t.drop_top_frame();
+        self.index.put(core, false, &f.read_set, false);
+        self.index.put(core, true, &f.write_set, false);
+        self.index.put_tx(core, t, true);
         self.shadow(|s| s.drop_level(core));
         Some(self.with_vm(now, |vm, env| vm.abort_level(env, core)) + 1)
     }
@@ -865,6 +876,7 @@ impl HtmMachine {
                 panic!("coherence invariant violated at tx end (t={now}): {v}");
             }
             self.check_inv14(now);
+            self.check_inv15(now);
         }
     }
 
@@ -877,6 +889,16 @@ impl HtmMachine {
             self.live, busy,
             "INV-14 violated at t={now}: live set out of step with the descriptors"
         );
+    }
+
+    /// INV-15: a core's column of the signature index is the union of its
+    /// levels' signature bits — no hit is missed, only a live core has bits.
+    fn check_inv15(&self, now: Cycle) {
+        let mut want = ConflictIndex::new(&self.cfg);
+        for (c, t) in self.txs.iter().enumerate() {
+            want.put_tx(c, t, true);
+        }
+        assert!(self.index == want, "INV-15 violated at t={now}: stale signature index");
     }
 
     /// Record an escalation of `core`'s next attempt to the next ladder
@@ -1019,7 +1041,8 @@ impl HtmMachine {
         }
         // Phase 2: hardware conflicts on the write set.
         for &l in &write_lines {
-            let hw_wins = self.live.iter().any(|c| {
+            self.audit_candidates(now, l, true);
+            let hw_wins = self.index.candidates(l, true).any(|c| {
                 let t = &self.txs[c];
                 c != core
                     && t.isolation_live(now)
@@ -1055,7 +1078,8 @@ impl HtmMachine {
             self.shadow(|s| s.note_nontx_store(addr, value));
         }
         for &l in &write_lines {
-            let readers = self.live.iter().filter(|&c| {
+            self.audit_candidates(now, l, true);
+            let readers = self.index.candidates(l, true).filter(|&c| {
                 let t = &self.txs[c];
                 c != core
                     && matches!(t.status, TxStatus::Active)
@@ -1125,7 +1149,7 @@ impl HtmMachine {
             if let Some(nacker) = self.find_conflict(now, core, line, true) {
                 return self.nack(now, core, nacker, line, vm_lat, false);
             }
-            self.doom_lazy_conflictors(core, line);
+            self.doom_lazy_conflictors(now, core, line);
             self.fill::<false>(now, vm_lat, core, addr, AccessKind::Store)
         };
         self.mem.write_word(word_of(phys), value);
@@ -1350,16 +1374,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "INV-14")]
-    fn full_check_catches_a_defender_missing_from_the_live_set() {
+    #[should_panic(expected = "INV-15")]
+    fn full_check_catches_a_signature_bit_missing_from_the_index() {
         let mut m = full_check_machine();
         let t0 = m.begin_tx(0, 0, TxSite(1));
         must_done(m.tx_load(t0, 0, 0x300));
-        // Seeded bug: core 0 falls out of the live set while Active. The
-        // all-cores scan still finds it defending the line it read.
-        m.live.remove(0);
+        // Seeded bug: one of core 0's read bits falls out of its index
+        // column while it is Active. Its signature still covers the line.
+        m.index.put(0, false, [&0x300], false);
         let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
         let _ = m.tx_store(t1, 1, 0x300, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "INV-14")]
+    fn full_check_catches_a_core_missing_from_the_live_set() {
+        let mut m = full_check_machine();
+        m.begin_tx(0, 0, TxSite(1));
+        // Seeded bug: core 0 falls out of the live set while Active; the
+        // next transaction boundary's audit sees the descriptor is busy.
+        m.live.remove(0);
+        let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
+        let _ = m.commit_tx(t1, 1);
     }
 
     #[test]

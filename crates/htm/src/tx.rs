@@ -152,38 +152,31 @@ impl TxState {
         }
     }
 
-    /// Drop the top frame (partial abort: the inner level's sets stop
-    /// defending).
-    pub fn drop_top_frame(&mut self) {
-        self.frames.pop().expect("no frame to drop");
+    /// Drop the top frame and return it (partial abort: its sets stop defending).
+    pub fn drop_top_frame(&mut self) -> NestFrame {
+        self.frames.pop().expect("no frame to drop")
     }
 
-    /// Record a transactional read at the current level.
-    pub fn note_read(&mut self, line: LineAddr) {
-        match self.frames.last_mut() {
-            Some(f) => {
-                f.rsig.insert(line);
-                f.read_set.insert(line);
-            }
-            None => {
-                self.rsig.insert(line);
-                self.read_set.insert(line);
-            }
-        }
+    /// Every nesting level's exact `(read, write)` sets, outermost first.
+    pub fn levels(&self) -> impl Iterator<Item = (&LineSet, &LineSet)> {
+        std::iter::once((&self.read_set, &self.write_set))
+            .chain(self.frames.iter().map(|f| (&f.read_set, &f.write_set)))
     }
 
-    /// Record a transactional write at the current level.
-    pub fn note_write(&mut self, line: LineAddr) {
-        match self.frames.last_mut() {
-            Some(f) => {
-                f.wsig.insert(line);
-                f.write_set.insert(line);
-            }
-            None => {
-                self.wsig.insert(line);
-                self.write_set.insert(line);
-            }
+    /// Record a read (with `write`, a write) at the current level. True when
+    /// the line is new to the level's exact set (else its bits are set already).
+    pub fn note(&mut self, write: bool, line: LineAddr) -> bool {
+        let (sig, set) = match (self.frames.last_mut(), write) {
+            (Some(f), false) => (&mut f.rsig, &mut f.read_set),
+            (Some(f), true) => (&mut f.wsig, &mut f.write_set),
+            (None, false) => (&mut self.rsig, &mut self.read_set),
+            (None, true) => (&mut self.wsig, &mut self.write_set),
+        };
+        let fresh = set.insert(line);
+        if fresh {
+            sig.insert(line);
         }
+        fresh
     }
 
     /// Does any level's read signature cover this line?

@@ -58,6 +58,7 @@ impl HashFamily {
     }
 
     /// Iterate over all `k` bit indices for `key`.
+    #[inline]
     pub fn indices(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
         self.constants.iter().map(move |c| (key.wrapping_mul(*c) >> self.shift) as usize)
     }

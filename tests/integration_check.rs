@@ -71,14 +71,14 @@ fn remaining_schemes_spot_checked_under_full() {
 
 #[test]
 fn live_set_audit_is_clean_on_the_wide_and_software_paths() {
-    // `CheckLevel::Full` cross-checks every live-set defender search
-    // against the all-cores scan and audits INV-14 at each transaction
-    // boundary. The STAMP matrix above exercises that on 4 cores; these
-    // two cells add a spilled (two-word) live set with the banked
-    // redirect table — 66 cores: just past the word boundary, since the
-    // Full-level sweeps cost O(cores) per transaction — and the software
-    // tier's own active-core set. CI's `checked-run` job runs the
-    // 128-core cell in a release build.
+    // `CheckLevel::Full` cross-checks every indexed signature search
+    // against the all-cores scan and audits INV-14 and INV-15 at each
+    // transaction boundary. The STAMP matrix above exercises that on 4
+    // cores; these two cells add a spilled (two-word) live set and
+    // signature index with the banked redirect table — 66 cores: just
+    // past the word boundary, since the Full-level sweeps cost O(cores)
+    // per transaction — and the software tier's own active-core set.
+    // CI's `checked-run` job runs 128-core cells in a release build.
     let mut cfg = MachineConfig { n_cores: 66, check: CheckLevel::Full, ..Default::default() };
     let mut w = by_name("oltp", SuiteScale::Tiny).expect("known app");
     let r = run_workload(&cfg, SchemeKind::DynTmSuv, w.as_mut());
