@@ -474,6 +474,10 @@ fn main() {
             cmd_list();
             Ok(())
         }
+        Command::Help => {
+            println!("{USAGE}");
+            Ok(())
+        }
     }));
     if let Ok(Err(msg)) = &outcome {
         eprintln!("suvtm: {msg}");

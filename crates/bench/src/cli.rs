@@ -14,7 +14,8 @@ use suv_verify::hybrid::{HybridMutation, ALL_HYBRID_MUTATIONS};
 use suv_verify::protocol::{ProtocolMutation, ALL_PROTOCOL_MUTATIONS};
 use suv_verify::VerifyEngine;
 
-/// The usage banner printed on any parse error (exit code 2).
+/// The usage banner: printed to stderr on any parse error (exit code 2)
+/// and to stdout by `suvtm --help` (exit code 0).
 pub const USAGE: &str = "\
 usage: suvtm <run|sweep|bench|exp|verify|list> [options]
 
@@ -63,6 +64,7 @@ usage: suvtm <run|sweep|bench|exp|verify|list> [options]
           any violation; --mutate-* seeds a known-broken variant the
           checker must catch)
   list   show workloads, schemes, scales, check levels and experiments
+  help   (also --help, -h) print this text
 
 run `suvtm list` for valid names";
 
@@ -184,6 +186,8 @@ pub enum Command {
     Verify(VerifyOpts),
     /// `suvtm list`: print valid names.
     List,
+    /// `suvtm --help` / `-h` / `help`: print [`USAGE`] and succeed.
+    Help,
 }
 
 /// Upper bound on simulated cores. Directory sharer sets grow
@@ -508,6 +512,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Some(extra) => err(format!("list takes no arguments (got `{extra}`)")),
             None => Ok(Command::List),
         },
+        "--help" | "-h" | "help" => Ok(Command::Help),
         other => err(format!("unknown command `{other}`")),
     }
 }
@@ -600,6 +605,16 @@ mod tests {
             Command::Bench(o) => assert_eq!(o.cells.len(), 2 * 2 * 3),
             other => panic!("expected Bench, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn help_spellings_ask_for_the_usage_block() {
+        for spelling in ["--help", "-h", "help"] {
+            assert!(matches!(parse(&args(spelling)), Ok(Command::Help)), "{spelling}");
+        }
+        // No other spelling: `-help` and a help flag after a command stay errors.
+        assert!(parse(&args("-help")).is_err());
+        assert!(parse(&args("run --help")).is_err());
     }
 
     #[test]

@@ -4,7 +4,13 @@
 //! Modelled as a [`suv_cache::TagArray`] it costs a 512-way scan per
 //! lookup and two per evicting insert; here a hash index finds the entry
 //! and an intrusive doubly-linked recency list (most recent at the head)
-//! names the victim.
+//! names the victim. Each resident line carries a `u32` tag the owner may
+//! read and rewrite on a hit; the set never interprets it.
+//!
+//! A touch of the line already at the head is answered from the head node
+//! without consulting the index: moving the head to the head changes
+//! nothing, so the short-cut is the same operation, not an approximation
+//! of it. Most lookups of a core ask for the line it looked up last.
 //!
 //! The replacement decisions are those of `TagArray`'s LRU stamps, not an
 //! approximation of them. `TagArray` stamps a way with a fresh, strictly
@@ -32,6 +38,8 @@ struct Node {
     prev: u32,
     /// Towards the tail (less recently used).
     next: u32,
+    /// The owner's per-line datum.
+    tag: u32,
 }
 
 /// Fully-associative set of at most `capacity` lines with true-LRU
@@ -87,26 +95,32 @@ impl LruSet {
         self.find(line).is_some()
     }
 
-    /// Mark a resident line most recently used. Returns true on hit.
-    pub fn touch(&mut self, line: LineAddr) -> bool {
-        match self.find(line) {
-            Some((_, slot)) => {
+    /// Mark a resident line most recently used and hand out its tag;
+    /// `None` on a miss.
+    #[inline]
+    pub fn touch(&mut self, line: LineAddr) -> Option<&mut u32> {
+        let slot = match self.nodes.get(self.head as usize) {
+            Some(head) if head.line == line => self.head,
+            _ => {
+                let (_, slot) = self.find(line)?;
                 self.move_to_head(slot);
-                true
+                slot
             }
-            None => false,
-        }
+        };
+        Some(&mut self.nodes[slot as usize].tag)
     }
 
-    /// Insert the line as most recently used (or touch it when resident);
-    /// returns the least recently used line when one had to make room.
-    pub fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
-        if self.touch(line) {
+    /// Insert the line as most recently used with the given tag (or touch
+    /// it and retag it when resident); returns the least recently used
+    /// line when one had to make room.
+    pub fn insert(&mut self, line: LineAddr, tag: u32) -> Option<LineAddr> {
+        if let Some(resident) = self.touch(line) {
+            *resident = tag;
             return None;
         }
         if self.nodes.len() < self.capacity {
             let slot = self.nodes.len() as u32;
-            self.nodes.push(Node { line, prev: NIL, next: NIL });
+            self.nodes.push(Node { line, prev: NIL, next: NIL, tag });
             self.index(line, slot);
             self.link_at_head(slot);
             return None;
@@ -116,7 +130,9 @@ impl LruSet {
         let victim = self.nodes[slot as usize].line;
         let (at, _) = self.find(victim).expect("the tail line is indexed");
         self.unindex(at);
-        self.nodes[slot as usize].line = line;
+        let node = &mut self.nodes[slot as usize];
+        node.line = line;
+        node.tag = tag;
         self.index(line, slot);
         self.move_to_head(slot);
         Some(victim)
@@ -208,10 +224,10 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut s = LruSet::new(2);
-        assert_eq!(s.insert(0x000), None);
-        assert_eq!(s.insert(0x040), None);
-        assert!(s.touch(0x000)); // 0x040 is now the LRU line
-        assert_eq!(s.insert(0x080), Some(0x040));
+        assert_eq!(s.insert(0x000, 0), None);
+        assert_eq!(s.insert(0x040, 0), None);
+        assert!(s.touch(0x000).is_some()); // 0x040 is now the LRU line
+        assert_eq!(s.insert(0x080, 0), Some(0x040));
         assert!(s.contains(0x000) && s.contains(0x080) && !s.contains(0x040));
         assert_eq!(s.len(), 2);
     }
@@ -219,20 +235,35 @@ mod tests {
     #[test]
     fn reinsert_is_a_touch() {
         let mut s = LruSet::new(2);
-        s.insert(0x000);
-        s.insert(0x040);
-        assert_eq!(s.insert(0x000), None, "resident: no eviction");
-        assert_eq!(s.insert(0x080), Some(0x040), "the re-insert refreshed 0x000");
+        s.insert(0x000, 0);
+        s.insert(0x040, 0);
+        assert_eq!(s.insert(0x000, 0), None, "resident: no eviction");
+        assert_eq!(s.insert(0x080, 0), Some(0x040), "the re-insert refreshed 0x000");
     }
 
     #[test]
     fn capacity_one_always_evicts_the_previous_line() {
         let mut s = LruSet::new(1);
-        assert_eq!(s.insert(0x40), None);
-        assert!(!s.touch(0x80));
-        assert_eq!(s.insert(0x80), Some(0x40));
-        assert_eq!(s.insert(0x80), None);
-        assert_eq!(s.insert(0x40), Some(0x80));
+        assert_eq!(s.insert(0x40, 0), None);
+        assert!(s.touch(0x80).is_none());
+        assert_eq!(s.insert(0x80, 0), Some(0x40));
+        assert_eq!(s.insert(0x80, 0), None);
+        assert_eq!(s.insert(0x40, 0), Some(0x80));
+    }
+
+    #[test]
+    fn tags_follow_their_lines() {
+        let mut s = LruSet::new(2);
+        s.insert(0x000, 7);
+        s.insert(0x040, 8);
+        assert_eq!(s.touch(0x000).copied(), Some(7), "found through the index");
+        *s.touch(0x000).expect("resident") = 9; // through the head short-cut
+        assert_eq!(s.touch(0x040).copied(), Some(8));
+        assert_eq!(s.touch(0x000).copied(), Some(9));
+        s.insert(0x000, 1);
+        assert_eq!(s.touch(0x000).copied(), Some(1), "a re-insert retags");
+        assert_eq!(s.insert(0x080, 2), Some(0x040));
+        assert_eq!(s.touch(0x080).copied(), Some(2), "the recycled slot took the new tag");
     }
 }
 
@@ -251,6 +282,38 @@ mod prop_tests {
             line_bytes: 64,
             latency: 0,
         })
+    }
+
+    impl LruSet {
+        /// `touch` without the head short-cut: always through the index.
+        fn touch_plain(&mut self, line: LineAddr) -> bool {
+            match self.find(line) {
+                Some((_, slot)) => {
+                    self.move_to_head(slot);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    /// A stream in which a draw repeats the previous line `repeat` times
+    /// in 8, as a core's lookups do.
+    fn with_runs(
+        raw: Vec<(bool, u64, u8)>,
+        repeat: u8,
+        span: u64,
+        stride: u64,
+    ) -> Vec<(bool, u64)> {
+        let mut last = 0;
+        raw.into_iter()
+            .map(|(is_insert, r, again)| {
+                if again % 8 >= repeat {
+                    last = (r % span) * stride * 64;
+                }
+                (is_insert, last)
+            })
+            .collect()
     }
 
     proptest! {
@@ -276,11 +339,42 @@ mod prop_tests {
                 let line = (raw % span) * stride * 64;
                 if is_insert {
                     let want = tags.insert(line, false).map(|ev| ev.line);
-                    prop_assert_eq!(lru.insert(line), want, "insert {:#x}", line);
+                    prop_assert_eq!(lru.insert(line, 0), want, "insert {:#x}", line);
                 } else {
-                    prop_assert_eq!(lru.touch(line), tags.touch(line), "touch {:#x}", line);
+                    prop_assert_eq!(lru.touch(line).is_some(), tags.touch(line), "touch {:#x}", line);
                 }
                 prop_assert_eq!(lru.len(), tags.len());
+            }
+        }
+
+        /// The head short-cut is the plain `find` + `move_to_head`: two
+        /// sets fed one stream, one touching through the short-cut and one
+        /// always through the index, agree on every hit and every victim,
+        /// whether the stream never, sometimes or mostly repeats a line.
+        #[test]
+        fn head_short_cut_is_the_plain_touch(
+            which in 0usize..3,
+            repeat in prop_oneof![Just(0u8), Just(3), Just(7)],
+            stride in prop_oneof![Just(1u64), Just(37)],
+            raw in proptest::collection::vec((any::<bool>(), 0u64..1 << 16, any::<u8>()), 1..3000),
+        ) {
+            let capacity = [1usize, 4, 512][which];
+            let span = capacity as u64 * 3 / 2 + 2;
+            let mut short = LruSet::new(capacity);
+            let mut plain = LruSet::new(capacity);
+            for (is_insert, line) in with_runs(raw, repeat, span, stride) {
+                if is_insert {
+                    // `insert` on the plain side is its touch, then the
+                    // shared miss path (which never meets a resident line).
+                    let want = if plain.touch_plain(line) { None } else { plain.insert(line, 0) };
+                    prop_assert_eq!(short.insert(line, 0), want, "victim of {:#x}", line);
+                } else {
+                    prop_assert_eq!(
+                        short.touch(line).is_some(), plain.touch_plain(line), "touch {:#x}", line
+                    );
+                }
+                prop_assert_eq!(short.head, plain.head);
+                prop_assert_eq!(short.tail, plain.tail);
             }
         }
     }

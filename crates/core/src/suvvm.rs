@@ -15,7 +15,7 @@
 //!   (plus summary-signature add/delete at commit) — constant time, the
 //!   titular *single update*.
 
-use crate::table::{RedirectTable, Transient};
+use crate::table::{LookupHit, RedirectTable, Transient};
 use suv_htm::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_mem::{LineData, PoolAllocator, Region};
 use suv_sig::SummarySignature;
@@ -95,30 +95,57 @@ impl SuvVm {
     fn resolve(&mut self, env: &mut VmEnv, core: CoreId, addr: Addr, in_tx: bool) -> (Addr, Cycle) {
         let line = line_of(addr);
         let off = addr - line;
-        let needs_lookup = (in_tx && self.table.tx_touched(core, line)) || self.summary.query(addr);
-        if !needs_lookup {
+        if in_tx {
+            if let Some((own, lat, level)) = self.table.lookup_own(core, line) {
+                self.trace_lookup(env, core, level);
+                return (Self::own_target(own, addr), lat);
+            }
+        }
+        let (hit, lat) = self.lookup_committed(env, core, addr);
+        (hit.and_then(|h| h.committed).map_or(addr, |p| p + off), lat)
+    }
+
+    /// Where a transaction that holds `own` on `addr`'s line finds the word:
+    /// in its pool slot, or — redirecting back — at the original address.
+    fn own_target(own: Transient, addr: Addr) -> Addr {
+        match own {
+            Transient::New { slot } => slot + (addr - line_of(addr)),
+            Transient::DeleteGlobal => addr,
+        }
+    }
+
+    /// The lookup of a line the core's transaction holds no transient on:
+    /// the summary signature first, the table only on a positive.
+    fn lookup_committed(
+        &mut self,
+        env: &mut VmEnv,
+        core: CoreId,
+        addr: Addr,
+    ) -> (Option<LookupHit>, Cycle) {
+        if !self.summary.query(addr) {
             env.tracer.emit(
                 env.now,
                 core,
                 TraceEvent::RedirectLookup { level: RedirectLevel::Filtered },
             );
-            return (addr, 0);
+            return (None, 0);
         }
-        let (hit, lat, level) = self.table.lookup_leveled(core, line);
-        env.tracer.emit(env.now, core, TraceEvent::RedirectLookup { level });
-        self.drain_swaps(env, core);
-        let target = match hit {
-            None => {
-                self.table.note_false_positive();
-                addr
+        let (hit, lat, level) = self.table.lookup_leveled(core, line_of(addr));
+        self.trace_lookup(env, core, level);
+        if hit.is_none() {
+            self.table.note_false_positive();
+        }
+        (hit, lat)
+    }
+
+    /// Trace one table lookup and the swap-outs it caused.
+    fn trace_lookup(&mut self, env: &mut VmEnv, core: CoreId, level: RedirectLevel) {
+        if env.tracer.on() {
+            env.tracer.emit(env.now, core, TraceEvent::RedirectLookup { level });
+            for line in self.table.drain_swap_log() {
+                env.tracer.emit(env.now, core, TraceEvent::TableSwapOut { line });
             }
-            Some(h) => match (in_tx, h.own) {
-                (true, Some(Transient::New { slot })) => slot + off,
-                (true, Some(Transient::DeleteGlobal)) => addr,
-                _ => h.committed.map_or(addr, |p| p + off),
-            },
-        };
-        (target, lat)
+        }
     }
 
     /// Copy the current version of `line` (which may live at `from`) into
@@ -127,13 +154,6 @@ impl SuvVm {
         if from != to {
             let data = env.mem.read_line(from);
             env.mem.write_line(to, data);
-        }
-    }
-
-    /// Surface table entries swapped out to memory as trace events.
-    fn drain_swaps(&mut self, env: &mut VmEnv, core: CoreId) {
-        for line in self.table.take_swap_log() {
-            env.tracer.emit(env.now, core, TraceEvent::TableSwapOut { line });
         }
     }
 }
@@ -181,15 +201,9 @@ impl VersionManager for SuvVm {
         // level, save the target's current contents into the stacked
         // frame first so a partial abort can restore the outer level's
         // speculative value.
-        if self.table.tx_touched(core, line) {
-            let (hit, mut lat, level) = self.table.lookup_leveled(core, line);
-            env.tracer.emit(env.now, core, TraceEvent::RedirectLookup { level });
-            self.drain_swaps(env, core);
-            let own = hit.and_then(|h| h.own).expect("tx-touched line must have a transient");
-            let target = match own {
-                Transient::New { slot } => slot + off,
-                Transient::DeleteGlobal => addr,
-            };
+        if let Some((own, mut lat, level)) = self.table.lookup_own(core, line) {
+            self.trace_lookup(env, core, level);
+            let target = Self::own_target(own, addr);
             let target_line = line_of(target);
             if let Some(frame) = self.levels[core].last_mut() {
                 let mine = frame.new_lines.contains(&line);
@@ -202,22 +216,7 @@ impl VersionManager for SuvVm {
             return (StoreTarget::Mem(target), lat);
         }
         // First transactional write to this line: consult summary + table.
-        let (hit, mut lat) = if self.summary.query(addr) {
-            let (h, l, level) = self.table.lookup_leveled(core, line);
-            env.tracer.emit(env.now, core, TraceEvent::RedirectLookup { level });
-            self.drain_swaps(env, core);
-            if h.is_none() {
-                self.table.note_false_positive();
-            }
-            (h, l)
-        } else {
-            env.tracer.emit(
-                env.now,
-                core,
-                TraceEvent::RedirectLookup { level: RedirectLevel::Filtered },
-            );
-            (None, 0)
-        };
+        let (hit, mut lat) = self.lookup_committed(env, core, addr);
         let committed = hit.and_then(|h| h.committed);
         let foreign_delete = hit.is_some_and(|h| h.foreign_delete);
         if self.irrevocable[core] && (committed.is_none() || foreign_delete) {

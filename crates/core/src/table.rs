@@ -8,16 +8,25 @@
 //! a software-managed search finds them. A lookup that misses both hardware
 //! levels *speculatively proceeds with the original address* (paper §IV.A),
 //! so only lookups whose entry genuinely lives in memory pay the search.
+//!
+//! On the host a lookup is one probe (DESIGN.md §13.2). The entries sit in
+//! a slab; a transaction's own transients live in its core's hashed
+//! `line -> (transient, slab slot)` map, which answers "did this
+//! transaction touch the line" and "with what" together; and each
+//! first-level way remembers the slab slot of the line it caches, checked
+//! against the slot's line before use, so a first-level hit needs no second
+//! search for the entry.
 
 use crate::entry::EntryState;
 use crate::lru::LruSet;
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
 use suv_cache::TagArray;
 use suv_mem::PoolAllocator;
 use suv_sig::SummarySignature;
 use suv_trace::RedirectLevel;
 use suv_types::{
-    CacheGeom, CoreId, Cycle, LineAddr, LineMap, LineSet, RedirectStats, SuvConfig, LINE_SHIFT,
+    CacheGeom, CoreId, Cycle, LineAddr, LineMap, LineSet, RedirectStats, SharerSet, SuvConfig,
+    LINE_SHIFT,
 };
 
 /// A transaction's in-flight operation on one line's redirect state.
@@ -44,20 +53,42 @@ impl Transient {
     }
 }
 
-/// Redirect state of one line.
-#[derive(Debug, Default, Clone)]
+/// The `line` of a slab slot on the free list: not a line address, so no
+/// first-level way's remembered slot can mistake it for its line.
+const FREE: LineAddr = LineAddr::MAX;
+
+/// First-level tag of a line cached without a known slab slot.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Redirect state of one line: a slot of the entry slab — 64 bytes,
+/// aligned so that a lookup's slot is one host cache line, not two.
+#[derive(Debug)]
+#[repr(align(64))]
 struct LineEntry {
+    /// The line this slot describes, [`FREE`] while it describes none.
+    line: LineAddr,
     /// Committed redirection target, if any (`GLOBAL_VALID`).
     committed: Option<LineAddr>,
-    /// Live transactions' transient operations (more than one only under
-    /// lazy conflict detection).
-    transients: Vec<(CoreId, Transient)>,
+    /// The cores whose live transaction holds a transient on the line
+    /// (more than one only under lazy conflict detection). What each holds
+    /// is in its own `tx_entries` map (INV-6).
+    holders: SharerSet,
+    /// The holder whose transient is `DeleteGlobal` (at most one, INV-7).
+    deleter: Option<u32>,
 }
 
 impl LineEntry {
     fn is_empty(&self) -> bool {
-        self.committed.is_none() && self.transients.is_empty()
+        self.committed.is_none() && self.holders.is_empty()
     }
+}
+
+/// One of a transaction's own transients.
+#[derive(Debug, Clone, Copy)]
+struct Own {
+    transient: Transient,
+    /// Slab slot of the line's entry, which a holder keeps alive.
+    entry: u32,
 }
 
 /// What a lookup tells the requesting core.
@@ -82,19 +113,29 @@ pub struct LookupHit {
 /// function of the line address, so it is deterministic and needs no
 /// inter-bank coordination.
 pub struct RedirectTable {
-    map: LineMap<LineEntry>,
-    /// Per-core first level: one fully-associative true-LRU set.
+    /// Entry slab; `index` names the slot of every line that has state,
+    /// `free` the slots that describe none.
+    entries: Vec<LineEntry>,
+    index: LineMap<u32>,
+    free: Vec<u32>,
+    /// Per-core first level: one fully-associative true-LRU set, each way
+    /// tagged with the slab slot its line had when last seen.
     l1: Vec<LruSet>,
-    l2: Vec<TagArray<()>>,
-    in_memory: LineSet,
-    tx_entries: Vec<BTreeSet<LineAddr>>,
+    /// Second-level banks; each way remembers a slab slot as the first
+    /// level's do (0, checked like any other, until a lookup learns it).
+    l2: Vec<TagArray<u32>>,
+    /// Per-core transients of the running transaction. Emptied, never
+    /// dropped, when it ends, so a core's map is sized once.
+    tx_entries: Vec<LineMap<Own>>,
+    /// Scratch of [`RedirectTable::flash`] (kept for its capacity).
+    batch: Vec<(LineAddr, Own)>,
     ovf_l1: Vec<bool>,
     ovf_mem: Vec<bool>,
     cfg: SuvConfig,
     stats: RedirectStats,
     /// Swap-out trace log: lines spilled to memory since the last drain.
     /// Populated only when logging is enabled (tracing on), and drained by
-    /// the SUV version manager on every table operation.
+    /// the SUV version manager with every lookup it traces.
     swap_log: Vec<LineAddr>,
     log_swaps: bool,
 }
@@ -112,11 +153,13 @@ impl RedirectTable {
             latency: cfg.l2_latency,
         };
         RedirectTable {
-            map: LineMap::default(),
+            entries: Vec::new(),
+            index: LineMap::default(),
+            free: Vec::new(),
             l1: (0..n_cores).map(|_| LruSet::new(cfg.l1_entries)).collect(),
             l2: (0..banks).map(|_| TagArray::new(&l2_geom)).collect(),
-            in_memory: LineSet::default(),
-            tx_entries: (0..n_cores).map(|_| BTreeSet::new()).collect(),
+            tx_entries: (0..n_cores).map(|_| LineMap::default()).collect(),
+            batch: Vec::new(),
             ovf_l1: vec![false; n_cores],
             ovf_mem: vec![false; n_cores],
             cfg: *cfg,
@@ -135,14 +178,14 @@ impl RedirectTable {
     }
 
     /// Drain the swap-out trace log (empty unless logging is enabled).
-    pub fn take_swap_log(&mut self) -> Vec<LineAddr> {
-        std::mem::take(&mut self.swap_log)
+    pub fn drain_swap_log(&mut self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.swap_log.drain(..)
     }
 
-    /// Did the given core's running transaction touch this line's entry?
+    /// The transient `core`'s running transaction holds on `line`, if any.
     /// (The Figure 4 "check the write signature first" step, made exact.)
-    pub fn tx_touched(&self, core: CoreId, line: LineAddr) -> bool {
-        self.tx_entries[core].contains(&line)
+    pub fn own_transient(&self, core: CoreId, line: LineAddr) -> Option<Transient> {
+        self.tx_entries[core].get(&line).map(|own| own.transient)
     }
 
     /// Second-level bank holding `line` (address-interleaved).
@@ -155,29 +198,106 @@ impl RedirectTable {
         self.l2.len()
     }
 
-    /// Install `line` into the caching hierarchy after a lookup or insert,
-    /// tracking redirect-table overflow events.
-    fn install(&mut self, core: CoreId, line: LineAddr) {
-        if let Some(victim) = self.l1[core].insert(line) {
-            if self.tx_entries[core].contains(&victim) {
+    /// The slab slot of `line`'s entry for a lookup that found the line in
+    /// a cache way, which remembers the slot the line had when last seen in
+    /// `tag`: that slot while it still describes the line (entries come and
+    /// go under a cached line, and slots are recycled), else whatever the
+    /// index says. `known` is the slot when the caller already has it. The
+    /// way remembers the answer.
+    fn cached_slot(
+        entries: &[LineEntry],
+        index: &LineMap<u32>,
+        line: LineAddr,
+        known: Option<u32>,
+        tag: &mut u32,
+    ) -> Option<u32> {
+        let slot = known.or_else(|| {
+            if entries.get(*tag as usize).is_some_and(|e| e.line == line) {
+                Some(*tag)
+            } else {
+                index.get(&line).copied()
+            }
+        });
+        if let Some(slot) = slot {
+            *tag = slot;
+        }
+        slot
+    }
+
+    /// Cache `line` in `core`'s first level after a lookup or insert,
+    /// flagging the overflow when a line of its transaction falls out.
+    /// `slot` is its entry's slab slot, when it has an entry.
+    fn install_l1(&mut self, core: CoreId, line: LineAddr, slot: Option<u32>) {
+        if let Some(victim) = self.l1[core].insert(line, slot.unwrap_or(NO_SLOT)) {
+            if self.tx_entries[core].contains_key(&victim) {
                 self.ovf_l1[core] = true;
             }
         }
+    }
+
+    /// Cache `line` in its second-level bank (or refresh it there); an
+    /// entry that falls out is swapped out to main memory.
+    fn install_l2(&mut self, line: LineAddr, slot: Option<u32>) {
         let bank = self.bank_of(line);
-        if let Some(ev) = self.l2[bank].insert(line, false) {
-            if let Some(e) = self.map.get(&ev.line) {
-                self.in_memory.insert(ev.line);
+        let evicted = self.l2[bank].insert(line, false);
+        if let (Some(slot), Some(tag)) = (slot, self.l2[bank].meta_mut(line)) {
+            *tag = slot;
+        }
+        if let Some(mut ev) = evicted {
+            if let Some(out) =
+                Self::cached_slot(&self.entries, &self.index, ev.line, None, &mut ev.meta)
+            {
                 if self.log_swaps {
                     self.swap_log.push(ev.line);
                 }
-                // The transactions whose entry this is are exactly the
-                // owners of its transients (INV-6).
-                for &(c, _) in &e.transients {
+                // The transactions whose entry this is are exactly its
+                // holders (INV-6).
+                for c in self.entries[out as usize].holders.iter() {
                     self.ovf_mem[c] = true;
                 }
             }
         }
-        self.in_memory.remove(&line);
+    }
+
+    /// One lookup's walk down the hierarchy on behalf of `core`: counts it,
+    /// installs the line where the hardware would, and returns the latency,
+    /// the level that served it and the slab slot of the line's entry, if
+    /// it has one. `known` is that slot when the caller already has it.
+    #[inline]
+    fn walk(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        known: Option<u32>,
+    ) -> (Cycle, RedirectLevel, Option<u32>) {
+        self.stats.l1_lookups += 1;
+        if let Some(tag) = self.l1[core].touch(line) {
+            let slot = Self::cached_slot(&self.entries, &self.index, line, known, tag);
+            return (self.cfg.l1_latency, RedirectLevel::L1, slot);
+        }
+        self.stats.l1_misses += 1;
+        let bank = self.bank_of(line);
+        if let Some(tag) = self.l2[bank].hit_load(line) {
+            // The hit stamped the way most recently used; installing the
+            // line there again would only stamp it once more.
+            let slot = Self::cached_slot(&self.entries, &self.index, line, known, tag);
+            self.install_l1(core, line, slot);
+            return (self.cfg.l1_latency + self.cfg.l2_latency, RedirectLevel::L2, slot);
+        }
+        let slot = known.or_else(|| self.index.get(&line).copied());
+        if slot.is_none() {
+            // No entry anywhere: the speculative original-address bypass
+            // overlaps the second-level probe and the memory search
+            // entirely — the access proceeds with the original address at
+            // no extra cost (paper SIV.A).
+            return (self.cfg.l1_latency, RedirectLevel::L1, None);
+        }
+        // Swapped out: the software search in main memory.
+        self.stats.mem_lookups += 1;
+        self.install_l1(core, line, slot);
+        self.install_l2(line, slot);
+        let lat = self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.mem_search_cycles;
+        (lat, RedirectLevel::Memory, slot)
     }
 
     /// Look up a line's redirect state on behalf of `core`. Returns the
@@ -194,61 +314,103 @@ impl RedirectTable {
         core: CoreId,
         line: LineAddr,
     ) -> (Option<LookupHit>, Cycle, RedirectLevel) {
-        self.stats.l1_lookups += 1;
-        let lat;
-        let level;
-        if self.l1[core].touch(line) {
-            lat = self.cfg.l1_latency;
-            level = RedirectLevel::L1;
-        } else {
-            self.stats.l1_misses += 1;
-            let bank = self.bank_of(line);
-            if self.l2[bank].touch(line) {
-                lat = self.cfg.l1_latency + self.cfg.l2_latency;
-                level = RedirectLevel::L2;
-                self.install(core, line);
-            } else if self.map.contains_key(&line) {
-                // Swapped out: the software search in main memory.
-                self.stats.mem_lookups += 1;
-                lat = self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.mem_search_cycles;
-                level = RedirectLevel::Memory;
-                self.install(core, line);
-            } else {
-                // No entry anywhere: the speculative original-address
-                // bypass overlaps the second-level probe and the memory
-                // search entirely — the access proceeds with the original
-                // address at no extra cost (paper SIV.A).
-                lat = self.cfg.l1_latency;
-                level = RedirectLevel::L1;
+        let (lat, level, slot) = self.walk(core, line, None);
+        let hit = slot.map(|slot| {
+            let e = &self.entries[slot as usize];
+            LookupHit {
+                committed: e.committed,
+                own: if e.holders.contains(core) { self.own_transient(core, line) } else { None },
+                foreign_delete: e.deleter.is_some_and(|d| d as CoreId != core),
             }
-        }
-        let hit = self.map.get(&line).map(|e| LookupHit {
-            committed: e.committed,
-            own: e.transients.iter().find(|(c, _)| *c == core).map(|(_, t)| *t),
-            foreign_delete: e
-                .transients
-                .iter()
-                .any(|(c, t)| *c != core && matches!(t, Transient::DeleteGlobal)),
         });
         (hit, lat, level)
     }
 
+    /// The lookup of a line `core`'s running transaction may already hold
+    /// a transient on: `None`, with nothing counted, when it holds none;
+    /// otherwise that transient and the lookup's latency and level — one
+    /// probe of the core's own map, which also names the entry.
+    pub fn lookup_own(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+    ) -> Option<(Transient, Cycle, RedirectLevel)> {
+        let own = *self.tx_entries[core].get(&line)?;
+        let (lat, level, _) = self.walk(core, line, Some(own.entry));
+        Some((own.transient, lat, level))
+    }
+
     /// Record a transient operation by `core` on `line`.
     pub fn insert_transient(&mut self, core: CoreId, line: LineAddr, t: Transient) {
-        let e = self.map.entry(line).or_default();
-        debug_assert!(
-            !e.transients.iter().any(|(c, _)| *c == core),
-            "core {core} already has a transient on {line:#x}"
-        );
+        let slot = match self.index.entry(line) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => *v.insert(if let Some(slot) = self.free.pop() {
+                // A released slot is empty but for its line.
+                self.entries[slot as usize].line = line;
+                slot
+            } else {
+                self.entries.push(LineEntry {
+                    line,
+                    committed: None,
+                    holders: SharerSet::new(),
+                    deleter: None,
+                });
+                u32::try_from(self.entries.len() - 1).expect("entry slab fits 32 bits")
+            }),
+        };
+        let e = &mut self.entries[slot as usize];
+        let fresh_holder = e.holders.insert(core);
+        debug_assert!(fresh_holder, "core {core} already has a transient on {line:#x}");
         if matches!(t, Transient::DeleteGlobal) {
             debug_assert!(e.committed.is_some(), "redirect-back needs a committed entry");
+            debug_assert!(e.deleter.is_none(), "{line:#x} is already being redirected back");
+            e.deleter = Some(core as u32);
             self.stats.entries_redirected_back += 1;
         } else {
             self.stats.entries_added += 1;
         }
-        e.transients.push((core, t));
-        self.tx_entries[core].insert(line);
-        self.install(core, line);
+        self.tx_entries[core].insert(line, Own { transient: t, entry: slot });
+        self.install_l1(core, line, Some(slot));
+        self.install_l2(line, Some(slot));
+    }
+
+    /// End `core`'s transaction: apply `rule` to each of its transients in
+    /// ascending line order — the order the flashes free pool slots and
+    /// update the summary in, which the pool's free list makes observable —
+    /// leaving its map empty. Returns how many there were.
+    fn flash(&mut self, core: CoreId, mut rule: impl FnMut(&mut Self, LineAddr, Own)) -> usize {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.extend(self.tx_entries[core].drain());
+        batch.sort_unstable_by_key(|&(line, _)| line);
+        for &(line, own) in &batch {
+            rule(self, line, own);
+        }
+        let n = batch.len();
+        batch.clear();
+        self.batch = batch;
+        n
+    }
+
+    /// Remove `core`'s transient from its line's entry, for the caller to
+    /// apply or discard; [`release`](Self::release) follows.
+    fn detach(&mut self, core: CoreId, line: LineAddr, own: Own) -> &mut LineEntry {
+        let e = &mut self.entries[own.entry as usize];
+        debug_assert_eq!(e.line, line, "a holder keeps its entry's slot");
+        e.holders.remove(core);
+        if e.deleter == Some(core as u32) {
+            e.deleter = None;
+        }
+        e
+    }
+
+    /// Reclaim the entry in `slot` once nothing is left in it.
+    fn release(&mut self, line: LineAddr, slot: u32) {
+        let e = &mut self.entries[slot as usize];
+        if e.is_empty() {
+            e.line = FREE;
+            self.free.push(slot);
+            self.index.remove(&line);
+        }
     }
 
     /// Flash-commit `core`'s transients (Table II commit rule), updating
@@ -260,14 +422,9 @@ impl RedirectTable {
         summary: &mut SummarySignature,
         pool: &mut PoolAllocator,
     ) -> usize {
-        let lines = std::mem::take(&mut self.tx_entries[core]);
-        let n = lines.len();
-        for line in lines {
-            let e = self.map.get_mut(&line).expect("tx entry must exist");
-            let idx =
-                e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
-            let (_, t) = e.transients.swap_remove(idx);
-            match t {
+        self.flash(core, |table, line, own| {
+            let e = table.detach(core, line, own);
+            match own.transient {
                 Transient::New { slot } => {
                     // LOCAL_VALID -> GLOBAL_VALID.
                     if let Some(old) = e.committed.replace(slot) {
@@ -286,54 +443,33 @@ impl RedirectTable {
                     summary.delete(line);
                 }
             }
-            if e.is_empty() {
-                self.map.remove(&line);
-                self.in_memory.remove(&line);
-            }
-        }
-        n
+            table.release(line, own.entry);
+        })
     }
 
     /// Flash-abort `core`'s transients (Table II abort rule): new
     /// redirections die, deletions revert to `GLOBAL_VALID`.
     pub fn abort(&mut self, core: CoreId, pool: &mut PoolAllocator) -> usize {
-        let lines = std::mem::take(&mut self.tx_entries[core]);
-        let n = lines.len();
-        for line in lines {
-            let e = self.map.get_mut(&line).expect("tx entry must exist");
-            let idx =
-                e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
-            let (_, t) = e.transients.swap_remove(idx);
-            if let Transient::New { slot } = t {
-                pool.free_slot(slot);
-            }
-            if e.is_empty() {
-                self.map.remove(&line);
-                self.in_memory.remove(&line);
-            }
-        }
-        n
+        self.flash(core, |table, line, own| table.discard(core, line, own, pool))
     }
 
     /// Flash-abort a specific subset of `core`'s transients (partial
     /// abort of a nested level). Lines not in the subset stay live.
     pub fn abort_lines(&mut self, core: CoreId, lines: &[LineAddr], pool: &mut PoolAllocator) {
-        for line in lines {
-            if !self.tx_entries[core].remove(line) {
-                continue;
-            }
-            let e = self.map.get_mut(line).expect("tx entry must exist");
-            let idx =
-                e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
-            let (_, t) = e.transients.swap_remove(idx);
-            if let Transient::New { slot } = t {
-                pool.free_slot(slot);
-            }
-            if e.is_empty() {
-                self.map.remove(line);
-                self.in_memory.remove(line);
+        for &line in lines {
+            if let Some(own) = self.tx_entries[core].remove(&line) {
+                self.discard(core, line, own, pool);
             }
         }
+    }
+
+    /// The abort rule for one transient.
+    fn discard(&mut self, core: CoreId, line: LineAddr, own: Own, pool: &mut PoolAllocator) {
+        self.detach(core, line, own);
+        if let Transient::New { slot } = own.transient {
+            pool.free_slot(slot);
+        }
+        self.release(line, own.entry);
     }
 
     /// Report and reset the per-transaction overflow flags for `core`.
@@ -343,12 +479,7 @@ impl RedirectTable {
 
     /// Live entries (committed or transient).
     pub fn live_entries(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Entries currently swapped out to main memory.
-    pub fn swapped_out(&self) -> usize {
-        self.in_memory.len()
+        self.index.len()
     }
 
     /// Lookup statistics (Figures 7/8).
@@ -359,11 +490,6 @@ impl RedirectTable {
     /// Count a summary-signature false positive (lookup found nothing).
     pub fn note_false_positive(&mut self) {
         self.stats.summary_false_positives += 1;
-    }
-
-    /// Fold the summary signature's filter counters into the stats.
-    pub fn absorb_summary_stats(&mut self, summary: &SummarySignature) {
-        self.stats.summary_filtered = summary.filtered();
     }
 
     /// Audit the table against its invariants (INV-5..INV-8 and INV-10 in
@@ -392,8 +518,13 @@ impl RedirectTable {
             }
             Ok(())
         };
-        for (&line, e) in &self.map {
-            // INV-7: flash commit/abort leaves zero dangling (empty) entries.
+        for (&line, &at) in &self.index {
+            let e = &self.entries[at as usize];
+            // INV-7: flash commit/abort leaves zero dangling (empty) entries,
+            // and an indexed slab slot describes the line that names it.
+            if e.line != line {
+                return Err(format!("INV-7 line {line:#x}: indexed slot describes {:#x}", e.line));
+            }
             if e.is_empty() {
                 return Err(format!("INV-7 line {line:#x}: dangling empty entry"));
             }
@@ -406,42 +537,41 @@ impl RedirectTable {
                     return Err(format!("INV-10 line {line:#x}: committed but not in summary"));
                 }
             }
-            let mut deletes = 0;
-            for &(c, t) in &e.transients {
-                // INV-6: every transient belongs to exactly one live
-                // transaction and is tracked in its tx-entry set.
-                if e.transients.iter().filter(|(c2, _)| *c2 == c).count() > 1 {
-                    return Err(format!("INV-6 line {line:#x}: core {c} has two transients"));
-                }
-                if !self.tx_entries[c].contains(&line) {
+            for c in e.holders.iter() {
+                // INV-6: every holder is a live transaction that tracks the
+                // line, at this slot, in its tx-entry map.
+                let Some(own) = self.tx_entries[c].get(&line).filter(|own| own.entry == at) else {
                     return Err(format!(
                         "INV-6 line {line:#x}: core {c} transient not in its tx-entry set"
                     ));
-                }
-                match t {
+                };
+                match own.transient {
                     Transient::New { slot } => claim_slot(line, slot, "transient")?,
-                    Transient::DeleteGlobal => {
-                        deletes += 1;
-                        if e.committed.is_none() {
-                            return Err(format!(
-                                "INV-7 line {line:#x}: GLOBAL_DELETING without a committed entry"
-                            ));
-                        }
+                    Transient::DeleteGlobal if e.deleter != Some(c as u32) => {
+                        return Err(format!("INV-7 line {line:#x}: concurrent deletions"));
                     }
+                    Transient::DeleteGlobal => {}
                 }
             }
-            if deletes > 1 {
-                return Err(format!("INV-7 line {line:#x}: {deletes} concurrent deletions"));
+            if let Some(d) = e.deleter {
+                if e.committed.is_none() {
+                    return Err(format!(
+                        "INV-7 line {line:#x}: GLOBAL_DELETING without a committed entry"
+                    ));
+                }
+                if self.own_transient(d as CoreId, line) != Some(Transient::DeleteGlobal) {
+                    return Err(format!(
+                        "INV-6 line {line:#x}: core {d} deletes without a transient"
+                    ));
+                }
             }
         }
-        // INV-6, reverse direction: every tracked tx entry has a transient.
-        for (c, set) in self.tx_entries.iter().enumerate() {
-            for &line in set {
-                let ok = self
-                    .map
-                    .get(&line)
-                    .is_some_and(|e| e.transients.iter().any(|(c2, _)| *c2 == c));
-                if !ok {
+        // INV-6, reverse direction: every tracked tx entry is held.
+        for (c, own_lines) in self.tx_entries.iter().enumerate() {
+            for (&line, own) in own_lines {
+                let held = self.index.get(&line) == Some(&own.entry)
+                    && self.entries[own.entry as usize].holders.contains(c);
+                if !held {
                     return Err(format!(
                         "INV-6 line {line:#x}: core {c} tx entry without a transient"
                     ));
@@ -464,9 +594,9 @@ impl RedirectTable {
     }
 
     /// Fault injection for checker self-tests: drop `core`'s bookkeeping
-    /// for `line` from its tx-entry set while the transient stays live —
-    /// the commit flash would then leave a dangling transient (the seeded
-    /// INV-6 bug the oracle must catch).
+    /// for `line` from its tx-entry map while the entry still names the
+    /// core a holder — the commit flash would then leave a dangling
+    /// transient (the seeded INV-6 bug the oracle must catch).
     pub fn inject_forget_tx_entry(&mut self, core: CoreId, line: LineAddr) {
         self.tx_entries[core].remove(&line);
     }
@@ -599,13 +729,15 @@ mod tests {
             t.insert_transient(0, 0x10_0000 + i * 64, Transient::New { slot });
             t.commit(0, &mut sum, &mut pool);
         }
-        assert!(t.swapped_out() > 0, "second level must have spilled");
-        // Find a line that is in memory and look it up from core 1.
-        let spilled = *t.in_memory.iter().next().unwrap();
-        let (hit, lat) = t.lookup(1, spilled);
+        // The first line went in 63 inserts ago: its two-way set has been
+        // refilled since, so it lives in memory. Look it up from core 1.
+        let (hit, lat) = t.lookup(1, 0x10_0000);
         assert!(hit.is_some());
         assert_eq!(lat, cfg.l2_latency + cfg.mem_search_cycles);
-        assert!(t.stats().mem_lookups >= 1);
+        assert_eq!(t.stats().mem_lookups, 1);
+        // The search brought it back into both hardware levels.
+        assert_eq!(t.lookup(1, 0x10_0000).1, 0);
+        assert_eq!(t.lookup(0, 0x10_0000).1, cfg.l2_latency);
     }
 
     #[test]
@@ -706,7 +838,7 @@ mod prop_tests {
                     }
                     let (hit, _) = t.lookup(0, line);
                     let committed = hit.and_then(|h| h.committed);
-                    if t.tx_touched(0, line) {
+                    if t.own_transient(0, line).is_some() {
                         continue;
                     }
                     if committed.is_some() {
@@ -734,6 +866,101 @@ mod prop_tests {
                         prop_assert!(sum.contains(*line), "summary superset violated");
                     }
                 }
+            }
+        }
+
+        /// The per-transaction entry maps against a `BTreeMap` reference
+        /// kept here, on two cores that may hold transients on one line:
+        /// the same membership after every insert / `abort_lines` /
+        /// commit / abort, the same committed view, and the same pool
+        /// slots freed in the same order — that of a walk of the reference
+        /// in ascending line order, which is what the sort at the end of a
+        /// transaction has to restore.
+        #[test]
+        fn tx_entry_map_matches_an_ordered_reference(
+            ops in proptest::collection::vec((0usize..2, 0u8..10, 0u64..24, any::<u32>()), 1..120)
+        ) {
+            use std::collections::BTreeMap;
+            const LINES: u64 = 24;
+            let line_at = |i: u64| 0x9000 + i * 64;
+            let mut t = RedirectTable::new(2, &super::tests::small_cfg());
+            let mut sum = SummarySignature::new(256, 2);
+            let mut pool = PoolAllocator::new(Region::pool());
+            let mut committed = BTreeMap::<LineAddr, LineAddr>::new();
+            let mut own = [BTreeMap::<LineAddr, Transient>::new(), BTreeMap::new()];
+            for (core, kind, l, bits) in ops {
+                let mut freed = Vec::new();
+                match kind {
+                    // Write a line: redirect back when the table allows it.
+                    0..=5 => {
+                        let line = line_at(l);
+                        if !own[core].contains_key(&line) {
+                            let deleting = own.iter().any(|o| o.get(&line) == Some(&Transient::DeleteGlobal));
+                            let transient = if committed.contains_key(&line) && !deleting {
+                                Transient::DeleteGlobal
+                            } else {
+                                Transient::New { slot: pool.alloc_slot().0 }
+                            };
+                            t.insert_transient(core, line, transient);
+                            own[core].insert(line, transient);
+                        }
+                    }
+                    // Partial abort of an arbitrary list of lines, with
+                    // strangers and repeats, in no particular order.
+                    6 => {
+                        let lines: Vec<LineAddr> = (0..LINES)
+                            .filter(|i| bits >> i & 1 == 1)
+                            .chain([l, l])
+                            .map(|i| line_at(i * 7 % LINES))
+                            .collect();
+                        for line in &lines {
+                            if let Some(Transient::New { slot }) = own[core].remove(line) {
+                                freed.push(slot);
+                            }
+                        }
+                        t.abort_lines(core, &lines, &mut pool);
+                    }
+                    7 => {
+                        let held = std::mem::take(&mut own[core]);
+                        for transient in held.values() {
+                            if let Transient::New { slot } = *transient {
+                                freed.push(slot);
+                            }
+                        }
+                        prop_assert_eq!(t.abort(core, &mut pool), held.len());
+                    }
+                    _ => {
+                        for (line, transient) in std::mem::take(&mut own[core]) {
+                            freed.extend(match transient {
+                                Transient::New { slot } => committed.insert(line, slot),
+                                Transient::DeleteGlobal => committed.remove(&line),
+                            });
+                        }
+                        t.commit(core, &mut sum, &mut pool);
+                    }
+                }
+                // The newest entries of the pool's LIFO free list are the
+                // slots just freed, last one on top; put them back as found.
+                let top: Vec<LineAddr> = freed.iter().map(|_| pool.alloc_slot().0).collect();
+                for &slot in top.iter().rev() {
+                    pool.free_slot(slot);
+                }
+                freed.reverse();
+                prop_assert_eq!(top, freed, "pool slots freed in another order");
+                for (c, held) in own.iter().enumerate() {
+                    for line in (0..LINES).map(line_at) {
+                        prop_assert_eq!(
+                            t.own_transient(c, line), held.get(&line).copied(),
+                            "core {} line {:#x}", c, line
+                        );
+                    }
+                }
+                for line in (0..LINES).map(line_at) {
+                    let seen = t.lookup(core, line).0.and_then(|h| h.committed);
+                    prop_assert_eq!(seen, committed.get(&line).copied(), "line {:#x}", line);
+                }
+                let audit = t.check_invariants(&sum, &pool);
+                prop_assert!(audit.is_ok(), "{:?}", audit);
             }
         }
     }

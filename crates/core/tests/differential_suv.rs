@@ -38,7 +38,7 @@ use suv_core::SuvVm;
 use suv_htm::dyntm::DynTm;
 use suv_htm::{Access, CommitOutcome, HtmMachine, VersionManager};
 use suv_trace::{TraceEvent, Tracer};
-use suv_types::{CheckLevel, CoreId, Cycle, MachineConfig, TxSite};
+use suv_types::{line_of, CheckLevel, CoreId, Cycle, MachineConfig, TxSite};
 
 const STEPS: usize = 6000;
 /// A few hot lines for conflicts and redirect-back, and a cold range wider
@@ -56,10 +56,10 @@ enum Scheme {
 }
 
 fn build(cfg: &MachineConfig, scheme: Scheme) -> HtmMachine {
-    let suv = || Box::new(SuvVm::with_pool_pages(cfg.n_cores, &cfg.suv, 1));
+    let suv = SuvVm::with_pool_pages(cfg.n_cores, &cfg.suv, 1);
     let vm: Box<dyn VersionManager> = match scheme {
-        Scheme::Suv => suv(),
-        Scheme::DynTmSuv => Box::new(DynTm::with_suv(suv(), cfg.n_cores, &cfg.dyntm)),
+        Scheme::Suv => Box::new(suv),
+        Scheme::DynTmSuv => Box::new(DynTm::with_suv(suv, cfg.n_cores, &cfg.dyntm)),
     };
     HtmMachine::new(cfg, vm)
 }
@@ -184,7 +184,7 @@ impl Driver {
     /// Has a live eager transaction on another core stored to `addr`'s line?
     fn eagerly_written_elsewhere(&self, c: CoreId, addr: u64) -> bool {
         self.phase.iter().zip(&self.written).enumerate().any(|(o, (p, w))| {
-            o != c && matches!(p, Phase::Tx { lazy: false, .. }) && w.contains(&(addr & !63))
+            o != c && matches!(p, Phase::Tx { lazy: false, .. }) && w.contains(&line_of(addr))
         })
     }
 
@@ -265,7 +265,7 @@ impl Driver {
                 } else {
                     let a = self.m.tx_store(now, c, addr, v);
                     if matches!(a, Access::Done { .. }) {
-                        self.written[c].push(addr & !63);
+                        self.written[c].push(line_of(addr));
                     }
                     a
                 };

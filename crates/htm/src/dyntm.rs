@@ -54,8 +54,10 @@ impl Selector {
 ///
 /// `eager` handles eager-mode transactions (and, when `lazy_vm` is `None`,
 /// lazy-mode ones too — the D+S configuration where SUV serves both modes).
-pub struct DynTm {
-    eager: Box<dyn VersionManager>,
+/// It is held by value: the machine reaches the composite through one
+/// `dyn` call and the composite reaches its halves through none.
+pub struct DynTm<E> {
+    eager: E,
     lazy_vm: Option<LazyVm>,
     selector: Selector,
     /// Current mode of each core's transaction.
@@ -64,10 +66,10 @@ pub struct DynTm {
     suv_based: bool,
 }
 
-impl DynTm {
+impl<E: VersionManager> DynTm<E> {
     /// Original DynTM: FasTM eager half + write-buffer lazy half.
     #[must_use]
-    pub fn original(eager: Box<dyn VersionManager>, n_cores: usize, cfg: &DynTmConfig) -> Self {
+    pub fn original(eager: E, n_cores: usize, cfg: &DynTmConfig) -> Self {
         Self::original_with_buffer(eager, n_cores, cfg, 0)
     }
 
@@ -75,7 +77,7 @@ impl DynTm {
     /// distinct lines per transaction, 0 = unbounded).
     #[must_use]
     pub fn original_with_buffer(
-        eager: Box<dyn VersionManager>,
+        eager: E,
         n_cores: usize,
         cfg: &DynTmConfig,
         buffer_lines: usize,
@@ -92,7 +94,7 @@ impl DynTm {
 
     /// DynTM with SUV version management in both modes ("D+S").
     #[must_use]
-    pub fn with_suv(suv: Box<dyn VersionManager>, n_cores: usize, cfg: &DynTmConfig) -> Self {
+    pub fn with_suv(suv: E, n_cores: usize, cfg: &DynTmConfig) -> Self {
         DynTm {
             eager: suv,
             lazy_vm: None,
@@ -108,7 +110,7 @@ impl DynTm {
     }
 }
 
-impl VersionManager for DynTm {
+impl<E: VersionManager> VersionManager for DynTm<E> {
     fn kind(&self) -> SchemeKind {
         if self.suv_based {
             SchemeKind::DynTmSuv
@@ -227,9 +229,9 @@ mod tests {
     use suv_trace::Tracer;
     use suv_types::MachineConfig;
 
-    fn dyntm() -> DynTm {
+    fn dyntm() -> DynTm<FasTm> {
         let mc = MachineConfig::small_test();
-        DynTm::original(Box::new(FasTm::new(mc.n_cores, mc.htm)), mc.n_cores, &mc.dyntm)
+        DynTm::original(FasTm::new(mc.n_cores, mc.htm), mc.n_cores, &mc.dyntm)
     }
 
     #[test]
@@ -306,7 +308,7 @@ mod tests {
         let d = dyntm();
         assert_eq!(d.kind(), SchemeKind::DynTm);
         let ds = DynTm::with_suv(
-            Box::new(FasTm::new(mc.n_cores, mc.htm)), // stand-in inner VM
+            FasTm::new(mc.n_cores, mc.htm), // stand-in inner VM
             mc.n_cores,
             &mc.dyntm,
         );

@@ -43,11 +43,9 @@ fn build(cfg: &MachineConfig, scheme: Scheme) -> HtmMachine {
     let vm: Box<dyn VersionManager> = match scheme {
         Scheme::LogTm => Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)),
         Scheme::Lazy => Box::new(LazyVm::new(cfg.n_cores)),
-        Scheme::DynTm => Box::new(DynTm::original(
-            Box::new(FasTm::new(cfg.n_cores, cfg.htm)),
-            cfg.n_cores,
-            &cfg.dyntm,
-        )),
+        Scheme::DynTm => {
+            Box::new(DynTm::original(FasTm::new(cfg.n_cores, cfg.htm), cfg.n_cores, &cfg.dyntm))
+        }
     };
     HtmMachine::new(cfg, vm)
 }

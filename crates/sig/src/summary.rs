@@ -97,9 +97,10 @@ impl SummarySignature {
     }
 
     /// Might the line containing `addr` be redirected? Counts filter stats.
+    /// On every access of an SUV machine, hence inlined into its caller.
+    #[inline]
     pub fn query(&mut self, addr: Addr) -> bool {
-        let key = Self::key(addr);
-        let hit = (0..self.hashes.k()).all(|i| self.sig.get(self.hashes.hash(i, key)));
+        let hit = self.contains(addr);
         if hit {
             self.maybe += 1;
         } else {
@@ -109,9 +110,9 @@ impl SummarySignature {
     }
 
     /// Non-counting query.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
-        let key = Self::key(addr);
-        (0..self.hashes.k()).all(|i| self.sig.get(self.hashes.hash(i, key)))
+        self.hashes.indices(Self::key(addr)).all(|b| self.sig.get(b))
     }
 
     /// Accesses filtered out (no table lookup needed).

@@ -71,13 +71,13 @@ pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Box<dyn VersionManag
         SchemeKind::SuvTm => Box::new(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
         SchemeKind::Lazy => Box::new(AlwaysLazy(LazyVm::with_buffer_lines(n, buf_lines), 0)),
         SchemeKind::DynTm => Box::new(DynTm::original_with_buffer(
-            Box::new(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),
+            FasTm::with_log_bytes(n, cfg.htm, log_bytes),
             n,
             &cfg.dyntm,
             buf_lines,
         )),
         SchemeKind::DynTmSuv => Box::new(DynTm::with_suv(
-            Box::new(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
+            SuvVm::with_pool_pages(n, &cfg.suv, pool_pages),
             n,
             &cfg.dyntm,
         )),

@@ -24,14 +24,18 @@
 //!   `debug_assert!`, a `suv-check` audit, or a `suv-verify` predicate —
 //!   the invariant number is baked into the check's message string), so
 //!   the catalogue cannot drift into wishful documentation.
-//! * **siphash** — the crates an access crosses (`suv-htm`, `suv-core`,
-//!   `suv-coherence`, `suv-cache`, `suv-mem`, `suv-sig`) keep
+//! * **siphash** / **btree** — the crates an access crosses (`suv-htm`,
+//!   `suv-core`, `suv-coherence`, `suv-cache`, `suv-mem`, `suv-sig`) keep
 //!   `std::collections::{HashMap, HashSet}` out of their non-test code:
 //!   SipHash costs more than the bookkeeping it indexes, and its
 //!   per-process key makes iteration order a determinism hazard. The
 //!   `suv_types` `LineMap` / `LineSet` / `WordMap` / `FxHashMap` containers
-//!   replace them. A use off the simulated path is allowed by a
-//!   `// siphash-ok: <reason>` comment on the line or the line above.
+//!   replace them. `std::collections::{BTreeMap, BTreeSet}` stay out too:
+//!   a search that deepens with a transaction's size on every access is
+//!   the cost DESIGN.md §6 rules out — hash, and sort once where an order
+//!   is needed. A use off the simulated path is allowed by a
+//!   `// siphash-ok: <reason>` (resp. `// btree-ok: <reason>`) comment on
+//!   the line or the line above.
 //!
 //! The content rules match on a *token-aware scrub* of each source file
 //! ([`strip_noncode`]): comments (line, doc and nested block) and —
@@ -269,40 +273,70 @@ pub fn lint_unwrap(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// Crate directories whose non-test code the **siphash** rule covers.
+/// Crate directories whose non-test code the **siphash** and **btree**
+/// rules cover.
 const SIPHASH_FREE_CRATES: [&str; 6] = ["htm", "core", "coherence", "cache", "mem", "sig"];
 
-/// Flag `std::collections::{HashMap, HashSet}` in the non-test portion of
-/// a hot-path source file: every `std::collections::` path or `use` whose
-/// statement names one of the two, unless the line or the one above
-/// carries a `siphash-ok:` comment.
-pub fn lint_siphash(file: &str, src: &str) -> Vec<Violation> {
+/// One family of `std::collections` containers the access-path crates
+/// keep out of their non-test code.
+struct Banned {
+    rule: &'static str,
+    names: [&'static str; 2],
+    /// The comment that allows a use off the simulated path.
+    marker: &'static str,
+    msg: &'static str,
+}
+
+const BANNED_COLLECTIONS: [Banned; 2] = [
+    Banned {
+        rule: "siphash",
+        names: ["HashMap", "HashSet"],
+        marker: "siphash-ok:",
+        msg: "`std::collections::{HashMap, HashSet}` on the access path; use \
+              `suv_types::{LineMap, LineSet, WordMap, FxHashMap}`, or mark an \
+              off-path use with `// siphash-ok: <reason>`",
+    },
+    Banned {
+        rule: "btree",
+        names: ["BTreeMap", "BTreeSet"],
+        marker: "btree-ok:",
+        msg: "`std::collections::{BTreeMap, BTreeSet}` on the access path: a search \
+              that deepens with the set; hash (`suv_types::{LineMap, LineSet}`) and \
+              sort once where an order is needed, or mark an off-path use with \
+              `// btree-ok: <reason>`",
+    },
+];
+
+/// Flag `std::collections::{HashMap, HashSet, BTreeMap, BTreeSet}` in the
+/// non-test portion of a hot-path source file: every `std::collections::`
+/// path or `use` whose statement names one of them, unless the line or the
+/// one above carries that family's `siphash-ok:` / `btree-ok:` comment.
+pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
     const PATH: &str = "std::collections::";
     let mut out = Vec::new();
     let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
     let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
     let raw_lines: Vec<&str> = src.lines().collect();
-    let allowed = |line: usize| {
+    let allowed = |line: usize, marker: &str| {
         (line.saturating_sub(1)..=line)
-            .any(|l| raw_lines.get(l).is_some_and(|t| t.contains("siphash-ok:")))
+            .any(|l| raw_lines.get(l).is_some_and(|t| t.contains(marker)))
     };
     for (at, _) in nontest.match_indices(PATH) {
         let rest = &nontest[at + PATH.len()..];
         let stmt = &rest[..rest.find(';').unwrap_or(rest.len())];
-        let names_std_hash = stmt
-            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-            .any(|word| word == "HashMap" || word == "HashSet");
         let line = nontest[..at].matches('\n').count();
-        if names_std_hash && !allowed(line) {
-            out.push(Violation {
-                file: file.to_string(),
-                line: line + 1,
-                rule: "siphash",
-                msg: "`std::collections::{HashMap, HashSet}` on the access path; use \
-                      `suv_types::{LineMap, LineSet, WordMap, FxHashMap}`, or mark an \
-                      off-path use with `// siphash-ok: <reason>`"
-                    .to_string(),
-            });
+        for banned in &BANNED_COLLECTIONS {
+            let named = stmt
+                .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .any(|word| banned.names.contains(&word));
+            if named && !allowed(line, banned.marker) {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: line + 1,
+                    rule: banned.rule,
+                    msg: banned.msg.to_string(),
+                });
+            }
         }
     }
     out
@@ -325,7 +359,10 @@ pub fn lint_forbid_unsafe(file: &str, src: &str) -> Vec<Violation> {
 /// Check `VersionManager` implementation completeness in a file that
 /// contains at least one `impl VersionManager for`.
 pub fn lint_vm_impl(file: &str, src: &str) -> Vec<Violation> {
-    if !src.contains("impl VersionManager for") {
+    // `impl VersionManager for X` or `impl<E: ..> VersionManager for X<E>`.
+    let implements =
+        |l: &str| l.trim_start().starts_with("impl") && l.contains(" VersionManager for ");
+    if !src.lines().any(implements) {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -537,7 +574,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
                 }
             }
             if siphash_free && name.contains("/src/") {
-                violations.extend(lint_siphash(&name, &src));
+                violations.extend(lint_std_collections(&name, &src));
             }
             violations.extend(lint_vm_impl(&name, &src));
             inv_refs.extend(invariant_refs(&src));
@@ -646,30 +683,56 @@ mod tests {
 
     #[test]
     fn siphash_flags_std_hash_containers_outside_tests() {
-        let import = "use std::collections::{BTreeSet, HashMap};\nfn f() {}\n";
-        let v = lint_siphash("x.rs", import);
+        let import = "use std::collections::{VecDeque, HashMap};\nfn f() {}\n";
+        let v = lint_std_collections("x.rs", import);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].line, v[0].rule), (1, "siphash"));
         let inline = "fn f() {\n    let s = std::collections::HashSet::<u64>::new();\n}\n";
-        assert_eq!(lint_siphash("x.rs", inline)[0].line, 2);
+        assert_eq!(lint_std_collections("x.rs", inline)[0].line, 2);
         // A brace group split over lines is one statement.
-        let split = "use std::collections::{\n    BTreeMap,\n    HashSet,\n};\n";
-        assert_eq!(lint_siphash("x.rs", split).len(), 1);
+        let split = "use std::collections::{\n    VecDeque,\n    HashSet,\n};\n";
+        assert_eq!(lint_std_collections("x.rs", split).len(), 1);
     }
 
     #[test]
     fn siphash_accepts_other_collections_tests_and_marked_uses() {
-        let fine = "use std::collections::BTreeSet;\nuse suv_types::{FxHashMap, LineSet};\n\
+        let fine = "use std::collections::VecDeque;\nuse suv_types::{FxHashMap, LineSet};\n\
+                    use std::collections::hash_map::Entry;\n\
                     fn f() { let m: FxHashMap<u64, u64> = FxHashMap::default(); }\n";
-        assert!(lint_siphash("x.rs", fine).is_empty(), "{:?}", lint_siphash("x.rs", fine));
+        let v = lint_std_collections("x.rs", fine);
+        assert!(v.is_empty(), "{v:?}");
         let test_only = "fn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
-        assert!(lint_siphash("x.rs", test_only).is_empty());
+        assert!(lint_std_collections("x.rs", test_only).is_empty());
         let documented = "/// was a std::collections::HashMap once\nfn f() {}\n";
-        assert!(lint_siphash("x.rs", documented).is_empty());
+        assert!(lint_std_collections("x.rs", documented).is_empty());
         let marked = "// siphash-ok: ablation-only exact set\nuse std::collections::HashSet;\n";
-        assert!(lint_siphash("x.rs", marked).is_empty());
+        assert!(lint_std_collections("x.rs", marked).is_empty());
         let marker_too_far = "// siphash-ok: stale\n\nuse std::collections::HashSet;\n";
-        assert_eq!(lint_siphash("x.rs", marker_too_far).len(), 1);
+        assert_eq!(lint_std_collections("x.rs", marker_too_far).len(), 1);
+    }
+
+    #[test]
+    fn btree_flags_ordered_std_containers_outside_tests() {
+        let import = "use std::collections::BTreeSet;\nfn f() {}\n";
+        let v = lint_std_collections("x.rs", import);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (1, "btree"));
+        let inline = "struct S {\n    m: std::collections::BTreeMap<u64, u64>,\n}\n";
+        assert_eq!(lint_std_collections("x.rs", inline)[0].line, 2);
+        // One statement naming both families is one finding of each rule.
+        let both = "use std::collections::{BTreeMap, HashSet};\n";
+        let rules: Vec<_> = lint_std_collections("x.rs", both).iter().map(|v| v.rule).collect();
+        assert_eq!(rules, ["siphash", "btree"]);
+    }
+
+    #[test]
+    fn btree_accepts_tests_and_marked_uses_by_its_own_marker_only() {
+        let test_only = "fn f() {}\n#[cfg(test)]\nmod t { use std::collections::BTreeSet; }\n";
+        assert!(lint_std_collections("x.rs", test_only).is_empty());
+        let marked = "// btree-ok: audit-only ordered report\nuse std::collections::BTreeMap;\n";
+        assert!(lint_std_collections("x.rs", marked).is_empty());
+        let wrong_marker = "// siphash-ok: not this rule\nuse std::collections::BTreeMap;\n";
+        assert_eq!(lint_std_collections("x.rs", wrong_marker).len(), 1);
     }
 
     #[test]
@@ -689,6 +752,8 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("abort_level"));
         assert!(lint_vm_impl("x.rs", "no impls here").is_empty());
+        let generic = "impl<E: VersionManager> VersionManager for X<E> {\n fn commit(..) {}\n}";
+        assert_eq!(lint_vm_impl("x.rs", generic).len(), 1, "a generic impl is an impl");
     }
 
     #[test]
