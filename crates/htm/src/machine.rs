@@ -1399,6 +1399,36 @@ mod tests {
     }
 
     #[test]
+    fn lazy_commit_validates_at_the_token_grant_not_at_the_request() {
+        use crate::{dyntm::DynTm, fastm::FasTm};
+        let cfg = MachineConfig::small_test();
+        let n = cfg.n_cores;
+        let vm = DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm);
+        let mut m = HtmMachine::new(&cfg, Box::new(vm));
+        // Site 2 aborts until the predictor runs it lazy.
+        let mut now = 0;
+        for _ in 0..cfg.dyntm.lazy_threshold {
+            now += m.begin_tx(now, 1, TxSite(2));
+            now += m.abort_tx(now, 1);
+        }
+        now += m.begin_tx(now, 0, TxSite(1)).max(m.begin_tx(now, 1, TxSite(2)));
+        assert!(m.txs[1].lazy && !m.txs[0].lazy);
+        now += must_done(m.tx_load(now, 0, 0x900)).1;
+        now += must_done(m.tx_store(now, 1, 0x900, 7)).1;
+        // Core 0 aborts: its window defends the line it read until `until`.
+        let until = now + m.abort_tx(now, 0);
+        // Core 1 asks to commit while that window is open, but the token
+        // grant (arbitration later) falls after it has closed.
+        let request = until - 1;
+        assert!(request >= now && request + cfg.dyntm.commit_arbitration_cycles >= until);
+        match m.commit_tx(request, 1) {
+            CommitOutcome::Committed { .. } => {}
+            other => panic!("validated against a window closed by the grant: {other:?}"),
+        }
+        assert_eq!(m.tx_stats().lazy_validation_aborts, 0);
+    }
+
+    #[test]
     fn nontx_store_respects_strong_isolation() {
         let mut m = machine();
         m.poke(0x600, 1);

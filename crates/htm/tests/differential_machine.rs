@@ -116,6 +116,10 @@ struct Seen {
     sw_validation_failures: u64,
     sw_busy: u64,
     irrevocable_commits: u64,
+    /// Lazy commits granted the token after another core's isolation window
+    /// closed but requested while it was still open: validation must test
+    /// each window against the grant time, not the request time.
+    lazy_commits_past_a_window: u64,
 }
 
 struct Driver {
@@ -125,6 +129,8 @@ struct Driver {
     phase: Vec<Phase>,
     /// Earliest cycle at which each core may issue its next call.
     ready: Vec<Cycle>,
+    /// When each core's last abort or outermost commit stops defending.
+    window_end: Vec<Cycle>,
     seen: Seen,
 }
 
@@ -133,6 +139,7 @@ impl Driver {
         let lat = self.m.abort_tx(now, c);
         self.d.words(&[20, lat]);
         self.phase[c] = Phase::Idle;
+        self.window_end[c] = now + lat;
         lat
     }
 
@@ -231,6 +238,13 @@ impl Driver {
                         Phase::Hw { depth: depth - 1, irrevocable }
                     } else {
                         self.seen.irrevocable_commits += u64::from(irrevocable);
+                        // A lazy commit validates no earlier than this.
+                        let grant = now + self.m.config().dyntm.commit_arbitration_cycles;
+                        let past = |&end: &Cycle| now < end && end <= grant;
+                        if committing > 0 && self.window_end.iter().any(past) {
+                            self.seen.lazy_commits_past_a_window += 1;
+                        }
+                        self.window_end[c] = now + latency;
                         Phase::Idle
                     };
                     latency
@@ -318,6 +332,7 @@ fn run(cores: usize, scheme: Scheme, partial: bool, perfect: bool, seen: Seen) -
         d: Digest(0xcbf2_9ce4_8422_2325),
         phase: vec![Phase::Idle; cores],
         ready: vec![0; cores],
+        window_end: vec![0; cores],
         seen,
     };
     // The machine must see calls in global time order; a core whose last
@@ -424,6 +439,7 @@ fn machine_outcomes_are_pinned_per_configuration() {
         total.sw_validation_failures,
         total.sw_busy,
         total.irrevocable_commits,
+        total.lazy_commits_past_a_window,
     ];
     assert!(reached.iter().all(|&n| n > 0), "an outcome was never generated: {total:?}");
     assert_eq!(actual, PINS, "machine outcomes moved; the table now reads:\n{table}");
