@@ -4,8 +4,8 @@
 //! The directory tracks, per line, which cores hold the line and which (if
 //! any) owns it exclusively. It is the filter the coherence protocol uses to
 //! decide which cores must see a GETS/GETM request. Sharer vectors are
-//! [`SharerSet`]s: one word up to 64 cores, multi-word above, so core ids
-//! never wrap the way a bare `1u64 << core` did.
+//! [`SharerSet`]s: two inline words up to 128 cores, spilled above, so core
+//! ids never wrap the way a bare `1u64 << core` did.
 
 use suv_types::{CoreId, FxHashMap, LineAddr, SharerSet};
 
@@ -50,6 +50,9 @@ impl DirEntry {
 pub struct Directory {
     entries: FxHashMap<LineAddr, DirEntry>,
     lookups: u64,
+    /// What an untracked line reads as: lookups hand out borrows, and a
+    /// miss needs an entry to lend.
+    unshared: DirEntry,
 }
 
 impl Directory {
@@ -59,14 +62,14 @@ impl Directory {
     }
 
     /// Look up a line (counted for stats). Missing lines are unshared.
-    pub fn lookup(&mut self, line: LineAddr) -> DirEntry {
+    pub fn lookup(&mut self, line: LineAddr) -> &DirEntry {
         self.lookups += 1;
-        self.entries.get(&line).cloned().unwrap_or_default()
+        self.peek(line)
     }
 
     /// Peek without counting a lookup.
-    pub fn peek(&self, line: LineAddr) -> DirEntry {
-        self.entries.get(&line).cloned().unwrap_or_default()
+    pub fn peek(&self, line: LineAddr) -> &DirEntry {
+        self.entries.get(&line).unwrap_or(&self.unshared)
     }
 
     /// Record that core `c` obtained a shared copy. Any existing exclusive
@@ -81,8 +84,8 @@ impl Directory {
     /// are invalidated. Returns the set of cores that were invalidated.
     pub fn set_owner(&mut self, line: LineAddr, c: CoreId) -> SharerSet {
         let e = self.entries.entry(line).or_default();
-        let invalidated = e.sharers.without(c);
-        e.sharers = SharerSet::solo(c);
+        let mut invalidated = std::mem::replace(&mut e.sharers, SharerSet::solo(c));
+        invalidated.remove(c);
         e.owner = Some(c);
         invalidated
     }
@@ -113,8 +116,8 @@ impl Directory {
     /// Iterate over every tracked line and its entry (checker support;
     /// iteration order is unspecified, callers must not let it reach
     /// timing).
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DirEntry)> + '_ {
-        self.entries.iter().map(|(l, e)| (*l, e.clone()))
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &DirEntry)> + '_ {
+        self.entries.iter().map(|(l, e)| (*l, e))
     }
 }
 
@@ -174,7 +177,7 @@ mod tests {
         let mut d = Directory::new();
         d.set_owner(0x100, 4);
         d.remove_sharer(0x100, 4);
-        assert_eq!(d.peek(0x100), DirEntry::default());
+        assert_eq!(d.peek(0x100), &DirEntry::default());
         assert_eq!(d.tracked_lines(), 0);
     }
 

@@ -2,14 +2,40 @@
 
 use suv_types::{CacheGeom, LineAddr, LINE_SHIFT};
 
-/// One resident line.
-#[derive(Debug, Clone)]
+/// One way of one set. The default — all zeroes — is an empty way, so a
+/// fresh array is one zeroed allocation whose pages the host never touches
+/// until a set in them is used (two whole words and no padding when `M` is
+/// `()`, which is what lets the 131 072-way L2 array be exactly that).
+#[derive(Debug, Clone, Default)]
 struct Way<M> {
-    line: LineAddr,
-    dirty: bool,
-    /// LRU stamp: larger = more recently used.
-    lru: u64,
+    /// [`tag_of`] the resident line; 0 = an empty way.
+    tag: u64,
+    /// `tick << 1 | dirty`: the LRU stamp (larger = more recently used;
+    /// ticks are unique, so the low bit never decides an order) with the
+    /// dirty bit beneath it. 0 in an empty way.
+    stamp: u64,
     meta: M,
+}
+
+impl<M> Way<M> {
+    fn dirty(&self) -> bool {
+        self.stamp & 1 != 0
+    }
+
+    /// Stamp the way used at `tick`; `dirty` ORs into its dirty bit.
+    fn touch(&mut self, tick: u64, dirty: bool) {
+        self.stamp = tick << 1 | (self.stamp & 1) | u64::from(dirty);
+    }
+}
+
+/// The address bits of a tag.
+const LINE: u64 = !((1 << LINE_SHIFT) - 1);
+
+/// A resident line's tag: its address with the valid bit in bit 0, which a
+/// 64-byte-aligned address leaves free. Never 0, whatever the line.
+fn tag_of(line: LineAddr) -> u64 {
+    debug_assert_eq!(line & !LINE, 0, "{line:#x} is not a line address");
+    (line & LINE) | 1
 }
 
 /// A line evicted to make room.
@@ -24,9 +50,20 @@ pub struct Eviction<M> {
 }
 
 /// Set-associative tag array, generic over per-line metadata `M`.
+///
+/// One allocation holds every way: set `s` owns `slots[s * ways..][..ways]`,
+/// its resident lines packed at the front and empty ways behind them, so a
+/// lookup is one scan of the set with nothing else to load, and what the
+/// scan finds — stamp, dirty bit, metadata — sits in the way it matched.
+/// Within a set the order is the one a growable vector of ways would keep —
+/// a new line goes at the back, a removed line's place is taken by the
+/// last — because that order is observable: it breaks no LRU tie (stamps
+/// are unique) but it is the order [`TagArray::resident_lines`] reports,
+/// which `crates/cache/tests/tag_reference.rs` pins against exactly that
+/// model.
 #[derive(Debug, Clone)]
 pub struct TagArray<M> {
-    sets: Vec<Vec<Way<M>>>,
+    slots: Vec<Way<M>>,
     ways: usize,
     set_mask: u64,
     tick: u64,
@@ -40,7 +77,7 @@ impl<M: Clone + Default> TagArray<M> {
         let sets = geom.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two, got {sets}");
         TagArray {
-            sets: (0..sets).map(|_| Vec::with_capacity(geom.ways)).collect(),
+            slots: vec![Way::default(); sets * geom.ways],
             ways: geom.ways,
             set_mask: sets as u64 - 1,
             tick: 0,
@@ -59,10 +96,25 @@ impl<M: Clone + Default> TagArray<M> {
         self.set_of(line)
     }
 
+    /// Where in `slots` the ways of the set `line` maps to are.
+    fn set(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let base = self.set_of(line) * self.ways;
+        base..base + self.ways
+    }
+
+    fn find(&self, line: LineAddr) -> Option<&Way<M>> {
+        let tag = tag_of(line);
+        self.slots[self.set(line)].iter().find(|w| w.tag == tag)
+    }
+
+    fn find_mut(&mut self, line: LineAddr) -> Option<&mut Way<M>> {
+        let (set, tag) = (self.set(line), tag_of(line));
+        self.slots[set].iter_mut().find(|w| w.tag == tag)
+    }
+
     /// Is the line resident?
     pub fn contains(&self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        self.sets[s].iter().any(|w| w.line == line)
+        self.find(line).is_some()
     }
 
     /// Touch the line (LRU update). Returns true on hit. Counts hit/miss.
@@ -73,29 +125,22 @@ impl<M: Clone + Default> TagArray<M> {
     /// Service a load hit in one set scan: LRU touch plus metadata access.
     /// Counts hit/miss exactly as [`TagArray::touch`] does.
     pub fn hit_load(&mut self, line: LineAddr) -> Option<&mut M> {
-        self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_of(line);
-        if let Some(w) = self.sets[s].iter_mut().find(|w| w.line == line) {
-            w.lru = tick;
-            self.hits += 1;
-            Some(&mut w.meta)
-        } else {
-            self.misses += 1;
-            None
-        }
+        self.hit(line, false)
     }
 
     /// Service a store hit in one set scan: LRU touch, dirty mark, and
     /// metadata access (replaces a `touch` + `meta_mut` + `mark_dirty`
     /// triple scan on the hottest cache path). Counts hit/miss.
     pub fn hit_store(&mut self, line: LineAddr) -> Option<&mut M> {
+        self.hit(line, true)
+    }
+
+    fn hit(&mut self, line: LineAddr, store: bool) -> Option<&mut M> {
         self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_of(line);
-        if let Some(w) = self.sets[s].iter_mut().find(|w| w.line == line) {
-            w.lru = tick;
-            w.dirty = true;
+        let (tick, set, tag) = (self.tick, self.set(line), tag_of(line));
+        // (Not `find_mut`: the counters are updated beside the borrow.)
+        if let Some(w) = self.slots[set].iter_mut().find(|w| w.tag == tag) {
+            w.touch(tick, store);
             self.hits += 1;
             Some(&mut w.meta)
         } else {
@@ -104,15 +149,42 @@ impl<M: Clone + Default> TagArray<M> {
         }
     }
 
+    /// Service a hit only if `grant` accepts the resident line's metadata:
+    /// one set scan decides residency, permission and the LRU touch. An
+    /// accepted line is touched, counted as a hit and (with `store`) marked
+    /// dirty; an absent or refused one changes and counts nothing — the
+    /// caller goes on to a coherence request, whose [`TagArray::insert`]
+    /// does the touching.
+    pub fn hit_if(
+        &mut self,
+        line: LineAddr,
+        store: bool,
+        grant: impl FnOnce(&mut M) -> bool,
+    ) -> bool {
+        let tick = self.tick + 1;
+        let granted = self.find_mut(line).is_some_and(|w| {
+            let ok = grant(&mut w.meta);
+            if ok {
+                w.touch(tick, store);
+            }
+            ok
+        });
+        if granted {
+            self.tick = tick;
+            self.hits += 1;
+        }
+        granted
+    }
+
     /// Clear a resident line's dirty bit and report whether it was dirty,
     /// in one set scan (replaces an `is_dirty` + `clean` pair). A
     /// non-resident line reports `false`.
     pub fn take_dirty(&mut self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        match self.sets[s].iter_mut().find(|w| w.line == line) {
-            Some(w) => std::mem::replace(&mut w.dirty, false),
-            None => false,
-        }
+        self.find_mut(line).is_some_and(|w| {
+            let was = w.dirty();
+            w.stamp &= !1;
+            was
+        })
     }
 
     /// Insert (or touch) the line; returns the eviction needed to make
@@ -120,105 +192,92 @@ impl<M: Clone + Default> TagArray<M> {
     pub fn insert(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction<M>> {
         self.tick += 1;
         let tick = self.tick;
-        let ways = self.ways;
-        let s = self.set_of(line);
-        let set = &mut self.sets[s];
-        if let Some(w) = set.iter_mut().find(|w| w.line == line) {
-            w.lru = tick;
-            w.dirty |= dirty;
+        let (set, tag) = (self.set(line), tag_of(line));
+        let set = &mut self.slots[set];
+        // One pass finds the line itself, else where the new line goes: the
+        // first way with the smallest stamp. An empty way's stamp is 0 and
+        // a resident's at least 1, so that is the first empty way — the
+        // back of the resident run — while there is one, the LRU line after.
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, w) in set.iter_mut().enumerate() {
+            if w.tag == tag {
+                w.touch(tick, dirty);
+                return None;
+            }
+            if w.stamp < oldest {
+                (victim, oldest) = (i, w.stamp);
+            }
+        }
+        let new = Way { tag, stamp: tick << 1 | u64::from(dirty), meta: M::default() };
+        if set[victim].tag == 0 {
+            set[victim] = new;
             return None;
         }
-        let evicted = if set.len() == ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty full set");
-            let w = set.swap_remove(victim);
-            Some(Eviction { line: w.line, dirty: w.dirty, meta: w.meta })
-        } else {
-            None
-        };
-        set.push(Way { line, dirty, lru: tick, meta: M::default() });
-        evicted
+        // Full: the last way takes the victim's place, the new line the back.
+        let last = set.len() - 1;
+        set.swap(victim, last);
+        let w = std::mem::replace(&mut set[last], new);
+        Some(Eviction { line: w.tag & LINE, dirty: w.dirty(), meta: w.meta })
     }
 
     /// Remove a line (coherence invalidation). Returns its metadata and
     /// dirty bit if it was resident.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(bool, M)> {
-        let s = self.set_of(line);
-        let set = &mut self.sets[s];
-        if let Some(i) = set.iter().position(|w| w.line == line) {
-            let w = set.swap_remove(i);
-            Some((w.dirty, w.meta))
-        } else {
-            None
-        }
+        let (set, tag) = (self.set(line), tag_of(line));
+        let set = &mut self.slots[set];
+        let i = set.iter().position(|w| w.tag == tag)?;
+        // The last resident way takes its place.
+        let last = set.iter().rposition(|w| w.tag != 0).expect("way i is resident");
+        set.swap(i, last);
+        let w = std::mem::take(&mut set[last]);
+        Some((w.dirty(), w.meta))
     }
 
     /// Mark a resident line dirty. Returns false if not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        match self.sets[s].iter_mut().find(|w| w.line == line) {
-            Some(w) => {
-                w.dirty = true;
-                true
-            }
-            None => false,
-        }
+        self.find_mut(line).map(|w| w.stamp |= 1).is_some()
     }
 
     /// Clear a resident line's dirty bit (after write-back).
     pub fn clean(&mut self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        match self.sets[s].iter_mut().find(|w| w.line == line) {
-            Some(w) => {
-                w.dirty = false;
-                true
-            }
-            None => false,
-        }
+        self.find_mut(line).map(|w| w.stamp &= !1).is_some()
     }
 
     /// Is the line resident and dirty?
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        let s = self.set_of(line);
-        self.sets[s].iter().any(|w| w.line == line && w.dirty)
+        self.find(line).is_some_and(Way::dirty)
     }
 
     /// Mutable metadata access for a resident line.
     pub fn meta_mut(&mut self, line: LineAddr) -> Option<&mut M> {
-        let s = self.set_of(line);
-        self.sets[s].iter_mut().find(|w| w.line == line).map(|w| &mut w.meta)
+        self.find_mut(line).map(|w| &mut w.meta)
     }
 
     /// Metadata access for a resident line.
     pub fn meta(&self, line: LineAddr) -> Option<&M> {
-        let s = self.set_of(line);
-        self.sets[s].iter().find(|w| w.line == line).map(|w| &w.meta)
+        self.find(line).map(|w| &w.meta)
     }
 
     /// Iterate over all resident lines.
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.sets.iter().flat_map(|s| s.iter().map(|w| w.line))
+        self.slots.iter().filter(|w| w.tag != 0).map(|w| w.tag & LINE)
     }
 
     /// Iterate mutably over every resident line's metadata (gang
     /// operations like FasTM's speculative-bit clear, without re-finding
     /// each line by address).
     pub fn metas_mut(&mut self) -> impl Iterator<Item = &mut M> + '_ {
-        self.sets.iter_mut().flat_map(|s| s.iter_mut().map(|w| &mut w.meta))
+        self.slots.iter_mut().filter(|w| w.tag != 0).map(|w| &mut w.meta)
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(std::vec::Vec::len).sum()
+        self.resident_lines().count()
     }
 
     /// True when no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.resident_lines().next().is_none()
     }
 
     /// (hits, misses) recorded by [`TagArray::touch`].

@@ -66,6 +66,21 @@ impl RefArray {
         Some(&mut w.meta)
     }
 
+    /// `hit_if`: a hit only when `grant` accepts the resident metadata; a
+    /// refusal or an absent line counts nothing and stamps nothing.
+    fn hit_if(&mut self, line: u64, store: bool, grant: impl FnOnce(&mut u32) -> bool) -> bool {
+        let tick = self.tick + 1;
+        let Some(w) = self.find(line) else { return false };
+        if !grant(&mut w.meta) {
+            return false;
+        }
+        w.lru = tick;
+        w.dirty |= store;
+        self.tick = tick;
+        self.hits += 1;
+        true
+    }
+
     fn insert(&mut self, line: u64, dirty: bool) -> Option<Eviction<u32>> {
         self.tick += 1;
         let (tick, ways) = (self.tick, self.ways);
@@ -117,7 +132,7 @@ proptest! {
     #[test]
     fn every_observable_matches_the_reference(
         shape in 0usize..GEOMS.len(),
-        ops in proptest::collection::vec((0u8..12, 0u64..40, any::<u32>()), 1..600),
+        ops in proptest::collection::vec((0u8..14, 0u64..40, any::<u32>()), 1..600),
     ) {
         let (capacity_bytes, ways) = GEOMS[shape];
         let geom = CacheGeom { capacity_bytes, ways, line_bytes: 64, latency: 1 };
@@ -162,6 +177,16 @@ proptest! {
                         *r = r.wrapping_add(v);
                         w.meta = w.meta.wrapping_add(v);
                     }
+                }
+                11 | 12 => {
+                    // Grant even metadata, and leave a mark when granting.
+                    let grant = |m: &mut u32| {
+                        let ok = m.is_multiple_of(2);
+                        *m = m.wrapping_add(2 * u32::from(ok));
+                        ok
+                    };
+                    let store = op == 12;
+                    prop_assert_eq!(real.hit_if(line, store, grant), model.hit_if(line, store, grant));
                 }
                 _ => {
                     let want = model.find(line).map(|w| (w.dirty, w.meta));

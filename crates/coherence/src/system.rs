@@ -70,6 +70,7 @@ pub struct MemorySystem {
     /// A superset of the currently marked lines (a mark dies with its line
     /// on eviction or invalidation), so the clear visits these instead of
     /// sweeping the whole tag array.
+    // nested-vec-ok: one append-only list per core, drained at transaction end
     spec_lines: Vec<Vec<LineAddr>>,
     l2: TagArray<()>,
     dir: Directory,
@@ -130,26 +131,43 @@ impl MemorySystem {
         self.l1s[core].is_dirty(line_of(addr))
     }
 
-    /// Perform a permission-sufficient L1 hit: LRU touch, dirty/M update.
-    /// Returns the hit latency. One tag-array scan either way (the hottest
-    /// operation in the simulator).
+    /// Serve the access from `core`'s L1 if it holds the line with enough
+    /// permission: the permission test, the LRU touch and the dirty/M
+    /// update in one tag-array scan (the hottest operation in the
+    /// simulator). Returns the hit latency, or `None` — nothing touched,
+    /// nothing counted — when a coherence request is needed.
+    pub fn try_hit(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> Option<Cycle> {
+        let store = kind == AccessKind::Store;
+        let hit = self.l1s[core].hit_if(line_of(addr), store, |m| {
+            let granted = if store { m.state.grants_store() } else { m.state.grants_load() };
+            if granted && store {
+                m.state = Mesi::Modified;
+            }
+            granted
+        });
+        hit.then(|| {
+            self.stats.l1_hits += 1;
+            self.cfg.l1.latency
+        })
+    }
+
+    /// [`Self::try_hit`] for a caller that already knows the answer.
     ///
     /// # Panics
-    /// Debug-asserts that the caller checked [`Self::has_permission`].
+    /// When [`Self::has_permission`] does not hold.
     pub fn access_hit(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> Cycle {
-        let line = line_of(addr);
-        debug_assert!(self.has_permission(core, addr, kind));
-        match kind {
-            AccessKind::Load => {
-                self.l1s[core].hit_load(line);
-            }
-            AccessKind::Store => {
-                let meta = self.l1s[core].hit_store(line).expect("resident");
-                meta.state = Mesi::Modified;
-            }
+        self.try_hit(core, addr, kind).expect("access_hit without permission")
+    }
+
+    /// One hierarchy access with no conflict checks — an L1 hit, else a
+    /// coherence fill — for traffic no transaction can contend for (thread-
+    /// private log space) or that has already won its conflicts (abort
+    /// restoration, a committing write buffer's drain). Returns its latency.
+    pub fn access(&mut self, now: Cycle, core: CoreId, addr: Addr, kind: AccessKind) -> Cycle {
+        match self.try_hit(core, addr, kind) {
+            Some(hit) => hit,
+            None => self.fill(now, core, addr, kind).latency,
         }
-        self.stats.l1_hits += 1;
-        self.cfg.l1.latency
     }
 
     /// Latency of receiving a NACK for a request to `line`: the request
@@ -196,6 +214,9 @@ impl MemorySystem {
 
         // Locate the data.
         let remote_owner = entry.owner.filter(|o| *o != core);
+        // Does anyone else hold a copy? (Decides S vs E for a load.)
+        let others = remote_owner.is_some()
+            || entry.sharers.count() > u32::from(entry.sharers.contains(core));
         if let Some(owner) = remote_owner {
             // Forward to owner; cache-to-cache transfer to the requester.
             let owner_node = self.mesh.core_node(owner);
@@ -252,25 +273,17 @@ impl MemorySystem {
         // until the last sharer's ack reaches the requester; the ack leg
         // was previously un-charged).
         if kind == AccessKind::Store {
-            let victims = entry.sharers.without(core);
-            if !victims.is_empty() {
-                let mut worst = 0;
-                for v in victims.iter() {
-                    if Some(v) != remote_owner {
-                        self.l1s[v].invalidate(line);
-                        self.stats.invalidations += 1;
-                        let victim_node = self.mesh.core_node(v);
-                        let inv = self.mesh.route(now + latency, dir_node, victim_node);
-                        let ack = self.mesh.route(
-                            now + latency + inv,
-                            victim_node,
-                            self.mesh.core_node(core),
-                        );
-                        worst = worst.max(inv + ack);
-                    }
-                }
-                latency += worst;
+            let mut worst = 0;
+            for v in entry.sharers.iter().filter(|v| *v != core && Some(*v) != remote_owner) {
+                self.l1s[v].invalidate(line);
+                self.stats.invalidations += 1;
+                let victim_node = self.mesh.core_node(v);
+                let inv = self.mesh.route(now + latency, dir_node, victim_node);
+                let ack =
+                    self.mesh.route(now + latency + inv, victim_node, self.mesh.core_node(core));
+                worst = worst.max(inv + ack);
             }
+            latency += worst;
         }
 
         // Update the directory and install in the requester's L1.
@@ -280,7 +293,6 @@ impl MemorySystem {
                 Mesi::Modified
             }
             AccessKind::Load => {
-                let others = !entry.sharers.without(core).is_empty() || remote_owner.is_some();
                 if others {
                     self.dir.add_sharer(line, core);
                     Mesi::Shared
@@ -350,7 +362,7 @@ impl MemorySystem {
         }
         // INV-2: an exclusive holder is the sole holder.
         if let Some(o) = exclusive {
-            if holders != SharerSet::solo(o) {
+            if holders.count() != 1 {
                 return Err(format!(
                     "INV-2 line {line:#x}: core {o} exclusive but holders={holders:?}"
                 ));
@@ -495,7 +507,7 @@ impl MemorySystem {
 
     /// Directory entry for `addr`'s line (checker state fingerprinting).
     #[must_use]
-    pub fn dir_entry(&self, addr: Addr) -> DirEntry {
+    pub fn dir_entry(&self, addr: Addr) -> &DirEntry {
         self.dir.peek(line_of(addr))
     }
 

@@ -45,6 +45,7 @@ pub struct SuvVm {
     pool: PoolAllocator,
     cfg: SuvConfig,
     /// Open nested-level frames, per core.
+    // nested-vec-ok: one stack of frames per core, touched at level begin/end only
     levels: Vec<Vec<LevelFrame>>,
     /// Cores running in irrevocable serialized mode: their stores bypass
     /// pool allocation (in-place writes / redirect-back only), so they can

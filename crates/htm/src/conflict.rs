@@ -60,24 +60,43 @@ impl ConflictIndex {
         }
     }
 
+    /// Word `w` of a search: the cores `64·w..64·w + 64` whose write
+    /// signature — with `readers`, read or write signature — may cover `line`.
+    #[inline]
+    fn hits(&self, line: LineAddr, readers: bool, w: usize) -> u64 {
+        let hit = self.hashes.indices(line >> 6).fold([u64::MAX; 2], |acc, i| {
+            let row = self.rows[i * self.words + w];
+            [acc[0] & row[0], acc[1] & row[1]]
+        });
+        // A mask, not a branch: the branch cost 3 % of `stamp_eager`.
+        (hit[0] & if readers { u64::MAX } else { 0 }) | hit[1]
+    }
+
     /// The cores whose write signature — with `readers`, read or write
     /// signature — may cover `line`, in ascending order.
     pub fn candidates(&self, line: LineAddr, readers: bool) -> impl Iterator<Item = CoreId> + '_ {
-        // Masks, not a branch per word: the branch cost 3 % of `stamp_eager`.
-        let keep = [if readers { u64::MAX } else { 0 }, u64::MAX];
-        (0..self.words).flat_map(move |w| {
-            let hit = self.hashes.indices(line >> 6).fold([u64::MAX; 2], |acc, i| {
-                let row = self.rows[i * self.words + w];
-                [acc[0] & row[0], acc[1] & row[1]]
-            });
-            let mut cores = (hit[0] & keep[0]) | (hit[1] & keep[1]);
-            std::iter::from_fn(move || {
-                let bit = (cores != 0).then(|| cores.trailing_zeros() as usize)?;
-                cores &= cores - 1;
-                Some(w * 64 + bit)
-            })
-        })
+        (0..self.words).flat_map(move |w| cores_of(w, self.hits(line, readers, w)))
     }
+
+    /// [`Self::candidates`] that are also members of `within`: the AND runs
+    /// on whole words, so a core outside `within` costs the caller nothing.
+    pub fn candidates_in<'a>(
+        &'a self,
+        line: LineAddr,
+        readers: bool,
+        within: &'a SharerSet,
+    ) -> impl Iterator<Item = CoreId> + 'a {
+        (0..self.words).flat_map(move |w| cores_of(w, self.hits(line, readers, w) & within.word(w)))
+    }
+}
+
+/// The cores a row word lists, in ascending order.
+fn cores_of(word: usize, mut cores: u64) -> impl Iterator<Item = CoreId> {
+    std::iter::from_fn(move || {
+        let bit = (cores != 0).then(|| cores.trailing_zeros() as usize)?;
+        cores &= cores - 1;
+        Some(word * 64 + bit)
+    })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! and a software walk on abort.
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
-use suv_coherence::{AccessKind, L1Evict, MemorySystem};
+use suv_coherence::{AccessKind, L1Evict};
 use suv_mem::{LineData, Region};
 use suv_trace::TraceEvent;
 use suv_types::{line_of, Addr, CoreId, Cycle, HtmConfig, LineAddr, SchemeKind, LINE_BYTES};
@@ -76,20 +76,6 @@ impl FasTm {
     pub fn is_degenerate(&self, core: CoreId) -> bool {
         self.cores[core].degenerate
     }
-
-    fn charge(
-        sys: &mut MemorySystem,
-        now: Cycle,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-    ) -> Cycle {
-        if sys.has_permission(core, addr, kind) {
-            sys.access_hit(core, addr, kind)
-        } else {
-            sys.fill(now, core, addr, kind).latency
-        }
-    }
 }
 
 impl VersionManager for FasTm {
@@ -149,7 +135,7 @@ impl VersionManager for FasTm {
                 let st = &mut self.cores[core];
                 let rec = Region::log(core).base + st.log_ptr;
                 st.log_ptr += LINE_BYTES + 8;
-                lat += Self::charge(env.sys, env.now + lat, core, rec, AccessKind::Store);
+                lat += env.sys.access(env.now + lat, core, rec, AccessKind::Store);
             }
         }
         (StoreTarget::Mem(addr), lat)
@@ -179,8 +165,8 @@ impl VersionManager for FasTm {
             for (line, data) in old.iter().rev() {
                 log_ptr = log_ptr.saturating_sub(LINE_BYTES + 8);
                 let rec = Region::log(core).base + log_ptr;
-                lat += Self::charge(env.sys, env.now + lat, core, rec, AccessKind::Load);
-                lat += Self::charge(env.sys, env.now + lat, core, *line, AccessKind::Store);
+                lat += env.sys.access(env.now + lat, core, rec, AccessKind::Load);
+                lat += env.sys.access(env.now + lat, core, *line, AccessKind::Store);
                 env.mem.write_line(*line, *data);
             }
             self.cores[core].log_ptr = 0;
@@ -232,7 +218,7 @@ impl VersionManager for FasTm {
         let mut lat = if degenerate { self.cfg.software_trap_cycles } else { FAST_ABORT_CYCLES };
         for (line, data) in frame.iter().rev() {
             if degenerate {
-                lat += Self::charge(env.sys, env.now + lat, core, *line, AccessKind::Store);
+                lat += env.sys.access(env.now + lat, core, *line, AccessKind::Store);
             } else {
                 env.sys.invalidate_local(core, *line);
             }

@@ -122,11 +122,7 @@ impl VersionManager for LazyVm {
         );
         let mut lat = 0;
         for line in &b.lines {
-            lat += if env.sys.has_permission(core, *line, AccessKind::Store) {
-                env.sys.access_hit(core, *line, AccessKind::Store)
-            } else {
-                env.sys.fill(env.now + lat, core, *line, AccessKind::Store).latency
-            };
+            lat += env.sys.access(env.now + lat, core, *line, AccessKind::Store);
         }
         // The buffered words are distinct, so the merge order (the hash
         // table's) cannot show in memory.

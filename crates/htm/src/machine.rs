@@ -40,6 +40,8 @@ use crate::tx::{TxState, TxStatus};
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use suv_coherence::{AccessKind, MemorySystem};
 use suv_mem::Memory;
 use suv_trace::{ConflictDir, EscalationReason, FallbackAbortReason, TraceEvent, Tracer};
@@ -106,9 +108,22 @@ pub struct HtmMachine {
     txs: Vec<TxState>,
     /// The cores whose descriptor is not `Idle` (INV-14): inserted at the
     /// outermost begin, removed where [`HtmMachine::settle`] closes the
-    /// isolation window. Window bookkeeping and the audits walk this set
-    /// instead of all `n_cores` descriptors.
+    /// isolation window. The audits walk this set instead of all `n_cores`
+    /// descriptors; nothing on the access path reads it.
     live: SharerSet,
+    /// The cores whose descriptor [`TxState::defends`] (INV-16): eager from
+    /// begin, lazy from its transaction end, either until its window
+    /// closes. The conflict search ANDs it into the index rows, so a core
+    /// that does not defend is never looked at.
+    defenders: SharerSet,
+    /// The cores running an `Active` lazy transaction (INV-16): whom an
+    /// eager store may doom. Empty under every scheme but DynTM.
+    lazy_active: SharerSet,
+    /// The open Aborting/Committing windows as `(until, core)`, soonest
+    /// first (INV-16): one pushed per transaction end, popped by
+    /// [`HtmMachine::settle`] once due. Empty or not yet due, a settle is
+    /// one compare.
+    windows: BinaryHeap<Reverse<(Cycle, CoreId)>>,
     /// Every core's signatures, transposed (INV-15): each signature search
     /// runs its test on the cores this lists for the line, in ascending order.
     index: ConflictIndex,
@@ -119,11 +134,6 @@ pub struct HtmMachine {
     overflow: OverflowStats,
     /// Chip-wide lazy-commit token: free-at time.
     commit_token_free: Cycle,
-    /// Earliest `until` of any open Aborting/Committing isolation window
-    /// (`u64::MAX` when none): [`HtmMachine::settle`] is a no-op before
-    /// this instant, so the per-operation settle scan is skipped on the
-    /// vast majority of accesses.
-    settle_due: Cycle,
     rngs: Vec<StdRng>,
     /// Per-core xorshift64 state for the capped-backoff jitter
     /// (`RobustnessConfig::max_backoff_cycles`). A separate stream so
@@ -154,13 +164,15 @@ impl HtmMachine {
                 })
                 .collect(),
             live: SharerSet::new(),
+            defenders: SharerSet::new(),
+            lazy_active: SharerSet::new(),
+            windows: BinaryHeap::new(),
             index: ConflictIndex::new(cfg),
             vm,
             sw: SwVm::new(cfg.n_cores),
             tx_stats: vec![TxStats::default(); cfg.n_cores],
             overflow: OverflowStats::default(),
             commit_token_free: 0,
-            settle_due: u64::MAX,
             rngs: (0..cfg.n_cores).map(|c| StdRng::seed_from_u64(0x00BA_C0FF + c as u64)).collect(),
             backoff_xs: (0..cfg.n_cores)
                 .map(|c| 0x9E37_79B9_7F4A_7C15_u64 ^ (c as u64 + 1))
@@ -217,54 +229,75 @@ impl HtmMachine {
         f(self.vm.as_mut(), &mut env)
     }
 
-    /// Close expired isolation windows. Called at the head of every
-    /// operation; correctness relies on the engine dispatching operations
-    /// in global time order.
+    /// Close expired isolation windows, soonest first. Called at the head
+    /// of every operation; correctness relies on the engine dispatching
+    /// operations in global time order. Closing a window touches only its
+    /// own core's descriptor, index column and mask bits, so closings of
+    /// different cores commute and the order they are popped in is free.
     fn settle(&mut self, now: Cycle) {
-        if now < self.settle_due {
-            return; // no isolation window can have expired yet
-        }
-        let mut due = u64::MAX;
-        let (txs, index) = (&mut self.txs, &mut self.index);
-        self.live.retain(|c| {
-            let t = &mut txs[c];
-            if !t.isolation_live(now) {
-                // Closed below: the core's column empties with its signatures.
-                index.put_tx(c, t, false);
+        while let Some(&Reverse((until, c))) = self.windows.peek() {
+            if now < until {
+                break; // no later window can have expired either
             }
+            self.windows.pop();
+            let t = &mut self.txs[c];
+            // The core's column empties with its signatures.
+            self.index.put_tx(c, t, false);
             match t.status {
-                TxStatus::Aborting { until } if now >= until => t.clear_attempt(),
-                TxStatus::Committing { until } if now >= until => t.clear_dynamic(),
-                TxStatus::Aborting { until } | TxStatus::Committing { until } => {
-                    due = due.min(until);
+                TxStatus::Aborting { .. } => t.clear_attempt(),
+                TxStatus::Committing { .. } => t.clear_dynamic(),
+                TxStatus::Active | TxStatus::Idle => {
+                    unreachable!("core {c} has a window queued but is {:?}", t.status)
                 }
-                TxStatus::Active | TxStatus::Idle => {}
             }
-            t.status != TxStatus::Idle
-        });
-        self.settle_due = due;
+            self.live.remove(c);
+            self.defenders.remove(c);
+        }
     }
 
     /// `CheckLevel::Full` cross-check of an indexed search against the
     /// all-cores scan (INV-15): every core a signature of which covers
     /// `line` is a candidate, so a search's own test run on the candidates,
-    /// in ascending core order, answers what a scan over all cores would.
+    /// in ascending core order, answers what a scan over all cores would;
+    /// and a candidate the index is exact for ([`Self::index_is_exact`]) is
+    /// covered by a signature, so the searches that skip its re-probe are
+    /// right to.
     fn audit_candidates(&self, now: Cycle, line: LineAddr, readers: bool) {
         if self.cfg.check < CheckLevel::Full {
             return;
         }
-        let mut found = self.index.candidates(line, readers);
+        let listed: SharerSet = self.index.candidates(line, readers).collect();
         for (c, t) in self.txs.iter().enumerate() {
+            let hit = (readers && t.rsig_hit(line)) || t.wsig_hit(line);
             assert!(
-                !((readers && t.rsig_hit(line)) || t.wsig_hit(line)) || found.any(|f| f == c),
+                !hit || listed.contains(c),
                 "INV-15 violated at t={now}: core {c}'s signature covers {line:#x} but \
                  the signature index does not list the core"
+            );
+            assert!(
+                hit || !listed.contains(c) || !self.index_is_exact(t),
+                "INV-15 violated at t={now}: the signature index lists core {c} for \
+                 {line:#x}, which its one level of Bloom signatures does not cover"
             );
         }
     }
 
+    /// Does the index answer for `t` exactly what its signatures would?
+    /// A column is the union of the levels' Bloom bits: with one level of
+    /// Bloom signatures that *is* the signature, so a candidate needs no
+    /// second look. Stacked frames (the union may cover a line no single
+    /// level does) and perfect signatures (exact sets behind a Bloom
+    /// column) make the index a strict superset, and the candidate's own
+    /// signatures decide.
+    fn index_is_exact(&self, t: &TxState) -> bool {
+        !self.cfg.htm.perfect_signatures && t.frames.is_empty()
+    }
+
     /// Find a defender that conflicts with `requester`'s access to `line`.
-    /// Returns the lowest-numbered conflicting core.
+    /// Returns the lowest-numbered conflicting core. Every caller has
+    /// settled at `now`, so a defender's window is open (INV-16) and
+    /// membership in `defenders` is the whole liveness test: a candidate
+    /// that does not defend is masked out before its descriptor is loaded.
     fn find_conflict(
         &self,
         now: Cycle,
@@ -275,11 +308,12 @@ impl HtmMachine {
         self.audit_candidates(now, line, is_write);
         // A plain loop: this is the machine's hottest search, and
         // `Iterator::find` measured 3 % of end-to-end host time slower.
-        for c in self.index.candidates(line, is_write) {
+        for c in self.index.candidates_in(line, is_write, &self.defenders) {
             let t = &self.txs[c];
-            let defends = c != requester && t.isolation_live(now) && t.defends();
             // Against a write, readers conflict too (probed first: likelier).
-            if defends && ((is_write && t.rsig_hit(line)) || t.wsig_hit(line)) {
+            if c != requester
+                && (self.index_is_exact(t) || (is_write && t.rsig_hit(line)) || t.wsig_hit(line))
+            {
                 return Some(c);
             }
         }
@@ -292,12 +326,14 @@ impl HtmMachine {
     /// writers (DynTM's mixed-mode rule). Without this, a lazy transaction
     /// could commit stale reads over an eagerly-committed update.
     fn doom_lazy_conflictors(&mut self, now: Cycle, requester: CoreId, line: LineAddr) {
+        if self.lazy_active.is_empty() {
+            return;
+        }
         self.audit_candidates(now, line, true);
-        for c in self.index.candidates(line, true) {
-            let t = &mut self.txs[c];
-            let active_lazy = t.lazy && matches!(t.status, TxStatus::Active);
-            if c != requester && active_lazy && (t.rsig_hit(line) || t.wsig_hit(line)) {
-                t.doomed = true;
+        for c in self.index.candidates_in(line, true, &self.lazy_active) {
+            let t = &self.txs[c];
+            if c != requester && (self.index_is_exact(t) || t.rsig_hit(line) || t.wsig_hit(line)) {
+                self.txs[c].doomed = true;
             }
         }
     }
@@ -528,6 +564,7 @@ impl HtmMachine {
         debug_assert_eq!(t.status, TxStatus::Idle, "core {core} beginning while busy");
         t.status = TxStatus::Active;
         self.live.insert(core);
+        if lazy { &mut self.lazy_active } else { &mut self.defenders }.insert(core);
         t.depth = 1;
         t.site = site;
         t.lazy = lazy;
@@ -587,8 +624,8 @@ impl HtmMachine {
                 // (SUV's "a load/(store) that misses on block B generates a
                 // GETS(B)/(GETM(B))"); only the functional data location is
                 // redirected.
-                let lat = if self.sys.has_permission(core, addr, AccessKind::Load) {
-                    self.sys.access_hit(core, addr, AccessKind::Load)
+                let lat = if let Some(hit) = self.sys.try_hit(core, addr, AccessKind::Load) {
+                    hit
                 } else {
                     if let Some(nacker) = self.find_conflict(now, core, line, false) {
                         return self.nack(now, core, nacker, line, res_lat, TX);
@@ -657,10 +694,9 @@ impl HtmMachine {
                 // As with loads: GETM targets the original address; only
                 // the functional write lands at the (possibly redirected)
                 // location.
-                let lat = if self.sys.has_permission(core, addr, AccessKind::Store) {
-                    self.sys.access_hit(core, addr, AccessKind::Store)
-                } else {
-                    self.fill::<true>(now, vm_lat, core, addr, AccessKind::Store)
+                let lat = match self.sys.try_hit(core, addr, AccessKind::Store) {
+                    Some(hit) => hit,
+                    None => self.fill::<true>(now, vm_lat, core, addr, AccessKind::Store),
                 };
                 self.mem.write_word(word_of(phys), value);
                 self.sys.mark_speculative(core, addr);
@@ -724,7 +760,11 @@ impl HtmMachine {
         }
         // Validate: the committer's write set against every live
         // transaction. Eager transactions own their lines — the committer
-        // loses. Conflicting lazy transactions are doomed.
+        // loses. Conflicting lazy transactions are doomed. Validation
+        // happens at the token grant, `start`, which lies after `now`: a
+        // window still queued (INV-16 speaks of `now` only) may have closed
+        // by then, so this search keeps its own `until` test and cannot
+        // take the `defenders` mask for the liveness answer.
         let mut doom: Vec<CoreId> = Vec::new();
         for l in self.txs[core].write_lines() {
             self.audit_candidates(now, l, true);
@@ -836,7 +876,11 @@ impl HtmMachine {
             self.txs[core].attempts += 1;
             self.txs[core].status = TxStatus::Aborting { until: now + window };
         }
-        self.settle_due = self.settle_due.min(now + window);
+        // From here to the window's end the transaction defends, whatever
+        // its mode was.
+        self.lazy_active.remove(core);
+        self.defenders.insert(core);
+        self.windows.push(Reverse((now + window, core)));
         self.txs[core].depth = 0;
         self.sys.clear_speculative(core);
         let site = self.txs[core].site;
@@ -877,6 +921,7 @@ impl HtmMachine {
             }
             self.check_inv14(now);
             self.check_inv15(now);
+            self.check_inv16(now);
         }
     }
 
@@ -899,6 +944,41 @@ impl HtmMachine {
             want.put_tx(c, t, true);
         }
         assert!(self.index == want, "INV-15 violated at t={now}: stale signature index");
+    }
+
+    /// INV-16: the two masks equal the per-descriptor predicates they stand
+    /// for, the window queue lists exactly the Aborting/Committing cores
+    /// with their `until`, and — every operation settles first — no listed
+    /// window closed before `now`. (One closing *at* `now` is the
+    /// zero-length window this very transaction end pushed — an eager
+    /// commit of an empty write buffer — which the next operation's settle
+    /// pops before anything searches.) Together: at a search, a core in
+    /// `defenders` both `defends()` and is `isolation_live(now)`, which is
+    /// what lets `find_conflict` test membership instead.
+    fn check_inv16(&self, now: Cycle) {
+        let (mut defenders, mut lazy_active) = (SharerSet::new(), SharerSet::new());
+        let mut open: Vec<(Cycle, CoreId)> = Vec::new();
+        for (c, t) in self.txs.iter().enumerate() {
+            if t.defends() {
+                defenders.insert(c);
+            }
+            if t.lazy && t.status == TxStatus::Active {
+                lazy_active.insert(c);
+            }
+            if let TxStatus::Aborting { until } | TxStatus::Committing { until } = t.status {
+                open.push((until, c));
+            }
+        }
+        let mut queued: Vec<(Cycle, CoreId)> = self.windows.iter().map(|w| w.0).collect();
+        queued.sort_unstable_by_key(|w| w.1);
+        assert!(
+            (&self.defenders, &self.lazy_active, &queued) == (&defenders, &lazy_active, &open)
+                && open.iter().all(|w| w.0 >= now),
+            "INV-16 violated at t={now}: defenders {:?} / lazy {:?} / windows {queued:?} out \
+             of step with the descriptors ({defenders:?} / {lazy_active:?} / {open:?})",
+            self.defenders,
+            self.lazy_active
+        );
     }
 
     /// Record an escalation of `core`'s next attempt to the next ladder
@@ -1143,8 +1223,8 @@ impl HtmMachine {
             return a;
         }
         let (phys, vm_lat) = self.prepare_committed_store(now, core, addr, value);
-        let lat = if self.sys.has_permission(core, addr, AccessKind::Store) {
-            self.sys.access_hit(core, addr, AccessKind::Store)
+        let lat = if let Some(hit) = self.sys.try_hit(core, addr, AccessKind::Store) {
+            hit
         } else {
             if let Some(nacker) = self.find_conflict(now, core, line, true) {
                 return self.nack(now, core, nacker, line, vm_lat, false);
@@ -1387,6 +1467,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "does not cover")]
+    fn full_check_catches_a_stray_bit_in_the_index() {
+        let mut m = full_check_machine();
+        let t0 = m.begin_tx(0, 0, TxSite(1));
+        must_done(m.tx_load(t0, 0, 0x300));
+        // Seeded bug: core 0's column gains the bits of a line it never
+        // read. With one level of Bloom signatures the searches trust the
+        // index, so core 0 would NACK a store it has no claim on.
+        m.index.put(0, false, [&0x340], true);
+        let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
+        let _ = m.tx_store(t1, 1, 0x340, 2);
+    }
+
+    #[test]
     #[should_panic(expected = "INV-14")]
     fn full_check_catches_a_core_missing_from_the_live_set() {
         let mut m = full_check_machine();
@@ -1395,6 +1489,30 @@ mod tests {
         // next transaction boundary's audit sees the descriptor is busy.
         m.live.remove(0);
         let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
+        let _ = m.commit_tx(t1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "INV-16")]
+    fn full_check_catches_a_stale_defender_bit() {
+        let mut m = full_check_machine();
+        // Seeded bug: idle core 3's bit stays set in the defenders mask, so
+        // a leftover index bit of its would NACK on behalf of nobody.
+        m.defenders.insert(3);
+        let t1 = m.begin_tx(0, 1, TxSite(2));
+        let _ = m.commit_tx(t1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "INV-16")]
+    fn full_check_catches_a_window_missing_from_the_queue() {
+        let mut m = full_check_machine();
+        let t0 = m.begin_tx(0, 0, TxSite(1));
+        let _ = m.commit_tx(t0, 0);
+        // Seeded bug: core 0's committing window falls out of the queue;
+        // nothing would ever close it and the core would defend for good.
+        m.windows.clear();
+        let t1 = t0 + m.begin_tx(t0, 1, TxSite(2));
         let _ = m.commit_tx(t1, 1);
     }
 

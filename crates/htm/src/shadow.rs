@@ -26,6 +26,7 @@ pub struct ShadowOracle {
     committed: WordMap<u64>,
     /// Per-core pending-write frames, innermost last. Empty = not in a
     /// transaction.
+    // nested-vec-ok: the Full-check oracle's per-core stack of nesting levels
     frames: Vec<Vec<WordMap<u64>>>,
 }
 

@@ -100,28 +100,12 @@ impl UndoLog {
         let end = start + RECORD_BYTES - 1;
         self.write_ptr += RECORD_BYTES;
         for log_line in [line_of(start), line_of(end)] {
-            lat += Self::charge(sys, now + lat, core, log_line, AccessKind::Store);
+            lat += sys.access(now + lat, core, log_line, AccessKind::Store);
             if line_of(start) == line_of(end) {
                 break;
             }
         }
         lat
-    }
-
-    /// Charge one hierarchy access without conflict checks (log space is
-    /// thread-private; abort restoration must always make progress).
-    fn charge(
-        sys: &mut MemorySystem,
-        now: Cycle,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-    ) -> Cycle {
-        if sys.has_permission(core, addr, kind) {
-            sys.access_hit(core, addr, kind)
-        } else {
-            sys.fill(now, core, addr, kind).latency
-        }
     }
 
     /// Would logging `addr`'s line push the log past `cap_bytes`?
@@ -179,10 +163,10 @@ impl UndoLog {
         for rec in self.records[mark..].iter().rev() {
             // Read the record from the log...
             let rec_start = self.base + self.write_ptr.saturating_sub(RECORD_BYTES);
-            lat += Self::charge(sys, now + lat, core, rec_start, AccessKind::Load);
+            lat += sys.access(now + lat, core, rec_start, AccessKind::Load);
             self.write_ptr = self.write_ptr.saturating_sub(RECORD_BYTES);
             // ...and write the old value back in place.
-            lat += Self::charge(sys, now + lat, core, rec.line, AccessKind::Store);
+            lat += sys.access(now + lat, core, rec.line, AccessKind::Store);
             mem.write_line(rec.line, rec.old);
         }
         self.records.truncate(mark);

@@ -3,14 +3,18 @@
 //! The paper's 16-core machine fits a sharer vector in one word, and the
 //! first simulator versions hard-coded that: `1u64 << core` silently wraps
 //! for core >= 64, so a 65-core directory would corrupt core 1's sharer
-//! bit. [`SharerSet`] keeps the one-word representation (and its cost) for
-//! machines up to 64 cores and spills to a multi-word vector above, which
-//! is what unlocks the 256..1024-core scaling studies in ROADMAP item 1.
+//! bit. [`SharerSet`] keeps two words inline — every machine up to 128
+//! cores, the widest the benchmark and the figures run, never touches the
+//! heap — and spills to a vector above, which is what unlocks the
+//! 256..1024-core scaling studies.
 
 use crate::CoreId;
 
 /// Bits per sharer-vector word.
 const WORD_BITS: usize = 64;
+
+/// Words held inline: cores `0..128`.
+const INLINE_WORDS: usize = 2;
 
 /// Largest core id the set accepts. Far above any simulated machine; the
 /// guard exists to catch garbage ids (e.g. a wrapped subtraction) before
@@ -19,16 +23,18 @@ pub const MAX_SHARER_CORE: usize = 1 << 16;
 
 /// A set of core ids, used for directory sharer vectors.
 ///
-/// Cores `0..64` live in one inline word; cores `64..` spill into an
-/// extension vector whose word `i` covers cores `64*(i+1)..64*(i+2)`. The
-/// extension is kept *canonical* — trailing all-zero words are trimmed —
-/// so the derived `PartialEq`/`Hash` treat equal sets as equal regardless
-/// of their mutation history, and a sub-64-core machine never allocates
-/// (an empty `Vec` holds no heap block).
+/// Cores `0..128` live in two inline words; cores `128..` spill into an
+/// extension slice whose word `i` covers cores `64*(i+2)..64*(i+3)`. The
+/// extension is kept *canonical* — it ends in a non-zero word — so the
+/// derived `PartialEq`/`Hash` treat equal sets as equal regardless of
+/// their mutation history, and a machine of at most 128 cores never
+/// allocates (an empty boxed slice holds no heap block). A boxed slice,
+/// not a `Vec`: the set stays four words, what the one-inline-word set was,
+/// and the directory holds one per tracked line.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SharerSet {
-    inline: u64,
-    ext: Vec<u64>,
+    inline: [u64; INLINE_WORDS],
+    ext: Box<[u64]>,
 }
 
 impl SharerSet {
@@ -51,28 +57,23 @@ impl SharerSet {
     /// sharer bitmaps).
     #[must_use]
     pub fn from_word(w: u64) -> Self {
-        SharerSet { inline: w, ext: Vec::new() }
+        SharerSet { inline: [w, 0], ..SharerSet::new() }
     }
 
-    /// The inline word (cores `0..64`), `None` when the set holds a core
+    /// The first word (cores `0..64`), `None` when the set holds a core
     /// `>= 64` and therefore does not fit one word.
     #[must_use]
     pub fn to_word(&self) -> Option<u64> {
-        if self.ext.is_empty() {
-            Some(self.inline)
-        } else {
-            None
-        }
+        (self.inline[1] == 0 && self.ext.is_empty()).then_some(self.inline[0])
     }
 
     /// Word `i` of the vector (word 0 = cores `0..64`); 0 beyond the
     /// stored extent. Fixed-index access for state fingerprinting.
     #[must_use]
     pub fn word(&self, i: usize) -> u64 {
-        if i == 0 {
-            self.inline
-        } else {
-            self.ext.get(i - 1).copied().unwrap_or(0)
+        match self.inline.get(i) {
+            Some(w) => *w,
+            None => self.ext.get(i - INLINE_WORDS).copied().unwrap_or(0),
         }
     }
 
@@ -87,11 +88,21 @@ impl SharerSet {
         (c / WORD_BITS, 1u64 << (c % WORD_BITS))
     }
 
-    /// Drop trailing all-zero extension words (canonical form).
-    fn trim(&mut self) {
-        while self.ext.last() == Some(&0) {
-            self.ext.pop();
+    /// Resize the extension to `words` words. Out of line: only a set
+    /// above 128 cores gets here, and the inline-word paths around it stay
+    /// small.
+    #[inline(never)]
+    fn resize_ext(&mut self, words: usize) {
+        if words != self.ext.len() {
+            let mut ext = std::mem::take(&mut self.ext).into_vec();
+            ext.resize(words, 0);
+            self.ext = ext.into_boxed_slice();
         }
+    }
+
+    /// Every stored word, in order.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inline.iter().chain(&*self.ext).copied()
     }
 
     /// Is core `c` in the set?
@@ -104,13 +115,13 @@ impl SharerSet {
     /// Add core `c`. Returns true when it was newly inserted.
     pub fn insert(&mut self, c: CoreId) -> bool {
         let (w, bit) = Self::split(c);
-        let slot = if w == 0 {
-            &mut self.inline
+        let slot = if w < INLINE_WORDS {
+            &mut self.inline[w]
         } else {
-            if self.ext.len() < w {
-                self.ext.resize(w, 0);
+            if self.ext.len() <= w - INLINE_WORDS {
+                self.resize_ext(w - INLINE_WORDS + 1);
             }
-            &mut self.ext[w - 1]
+            &mut self.ext[w - INLINE_WORDS]
         };
         let fresh = *slot & bit == 0;
         *slot |= bit;
@@ -120,53 +131,37 @@ impl SharerSet {
     /// Remove core `c`. Returns true when it was present.
     pub fn remove(&mut self, c: CoreId) -> bool {
         let (w, bit) = Self::split(c);
-        if w == 0 {
-            let present = self.inline & bit != 0;
-            self.inline &= !bit;
-            present
-        } else if let Some(slot) = self.ext.get_mut(w - 1) {
-            let present = *slot & bit != 0;
-            *slot &= !bit;
-            self.trim();
-            present
+        let slot = if w < INLINE_WORDS {
+            &mut self.inline[w]
+        } else if let Some(slot) = self.ext.get_mut(w - INLINE_WORDS) {
+            slot
         } else {
-            false
+            return false;
+        };
+        let present = *slot & bit != 0;
+        *slot &= !bit;
+        if w >= INLINE_WORDS {
+            // Canonical form: the extension ends in its last non-zero word.
+            self.resize_ext(self.ext.iter().rposition(|w| *w != 0).map_or(0, |i| i + 1));
         }
+        present
     }
 
     /// Number of cores in the set.
     #[must_use]
     pub fn count(&self) -> u32 {
-        self.inline.count_ones() + self.ext.iter().map(|w| w.count_ones()).sum::<u32>()
+        self.words().map(u64::count_ones).sum()
     }
 
     /// Is the set empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inline == 0 && self.ext.is_empty()
+        self.inline == [0; INLINE_WORDS] && self.ext.is_empty()
     }
 
     /// Remove every core.
     pub fn clear(&mut self) {
-        self.inline = 0;
-        self.ext.clear();
-    }
-
-    /// Keep only the cores for which `keep` returns true, visiting members
-    /// in ascending order (in-place filter: no clone of a spilled set).
-    pub fn retain(&mut self, mut keep: impl FnMut(CoreId) -> bool) {
-        let words = std::iter::once(&mut self.inline).chain(self.ext.iter_mut());
-        for (wi, w) in words.enumerate() {
-            let mut bits = *w;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if !keep(wi * WORD_BITS + bit) {
-                    *w &= !(1u64 << bit);
-                }
-            }
-        }
-        self.trim();
+        *self = SharerSet::new();
     }
 
     /// The set minus core `c` (the "all other sharers" victim set).
@@ -180,38 +175,35 @@ impl SharerSet {
     /// Add every core of `other` to this set (directory merge on a
     /// sharer-vector union).
     pub fn union_with(&mut self, other: &SharerSet) {
-        self.inline |= other.inline;
         if self.ext.len() < other.ext.len() {
-            self.ext.resize(other.ext.len(), 0);
+            self.resize_ext(other.ext.len());
         }
-        for (mine, theirs) in self.ext.iter_mut().zip(&other.ext) {
-            *mine |= *theirs;
+        for (mine, theirs) in self.inline.iter_mut().chain(&mut *self.ext).zip(other.words()) {
+            *mine |= theirs;
         }
     }
 
     /// Is every core of `self` also in `other`?
     #[must_use]
     pub fn is_subset(&self, other: &SharerSet) -> bool {
-        if self.inline & !other.inline != 0 {
-            return false;
-        }
-        self.ext.iter().enumerate().all(|(i, w)| w & !other.word(i + 1) == 0)
+        self.words().enumerate().all(|(i, w)| w & !other.word(i) == 0)
     }
 
     /// Iterate the member core ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        std::iter::once(self.inline).chain(self.ext.iter().copied()).enumerate().flat_map(
-            |(wi, mut w)| {
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        return None;
-                    }
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * WORD_BITS + bit)
-                })
-            },
-        )
+        let (mut word, mut bits) = (0, self.inline[0]);
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                word += 1;
+                if word >= INLINE_WORDS + self.ext.len() {
+                    return None;
+                }
+                bits = self.word(word);
+            }
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(word * WORD_BITS + bit)
+        })
     }
 }
 
@@ -296,19 +288,6 @@ mod tests {
         let w = v.without(130);
         assert_eq!(w, [1usize, 63].into_iter().collect::<SharerSet>());
         assert_eq!(w.to_word(), Some((1 << 1) | (1 << 63)));
-    }
-
-    #[test]
-    fn retain_filters_in_order_and_stays_canonical() {
-        let mut s: SharerSet = [1usize, 63, 64, 130, 200].into_iter().collect();
-        let mut visited = Vec::new();
-        s.retain(|c| {
-            visited.push(c);
-            c % 2 == 1
-        });
-        assert_eq!(visited, vec![1, 63, 64, 130, 200], "ascending visit order");
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 63]);
-        assert_eq!(s, [1usize, 63].into_iter().collect::<SharerSet>(), "extension trimmed");
     }
 
     #[test]

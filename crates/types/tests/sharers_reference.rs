@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn every_observable_matches_a_btreeset(
-        ops in proptest::collection::vec((0u8..8, 0usize..IDS.len(), 0usize..IDS.len()), 1..300),
+        ops in proptest::collection::vec((0u8..7, 0usize..IDS.len(), 0usize..IDS.len()), 1..300),
     ) {
         let (mut a, mut b) = (SharerSet::new(), SharerSet::new());
         let (mut ma, mut mb) = (BTreeSet::new(), BTreeSet::new());
@@ -60,18 +60,9 @@ proptest! {
                     check(&w, &mw);
                     prop_assert!(w.is_subset(&a));
                 }
-                6 => {
+                _ => {
                     a.union_with(&b);
                     ma.extend(&mb);
-                }
-                _ => {
-                    let mut visited = Vec::new();
-                    a.retain(|x| {
-                        visited.push(x);
-                        x % 3 != c % 3
-                    });
-                    prop_assert_eq!(visited, ma.iter().copied().collect::<Vec<_>>());
-                    ma.retain(|x| x % 3 != c % 3);
                 }
             }
             check(&a, &ma);

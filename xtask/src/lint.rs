@@ -36,6 +36,12 @@
 //!   is needed. A use off the simulated path is allowed by a
 //!   `// siphash-ok: <reason>` (resp. `// btree-ok: <reason>`) comment on
 //!   the line or the line above.
+//! * **nested-vec** — the same six crates keep `Vec<Vec<` out of their
+//!   non-test code: a vector of vectors is one heap block per row and a
+//!   pointer chase per lookup, where the simulated structure it stands for
+//!   (a tag array, a table) is one indexed lookup — keep it flat, rows side
+//!   by side in one allocation. A per-core list that no access scans is
+//!   allowed by a `// nested-vec-ok: <reason>` comment, same placement.
 //!
 //! The content rules match on a *token-aware scrub* of each source file
 //! ([`strip_noncode`]): comments (line, doc and nested block) and —
@@ -307,6 +313,12 @@ const BANNED_COLLECTIONS: [Banned; 2] = [
     },
 ];
 
+/// Does 0-based `line` of `src`, or the line above it, carry `marker`?
+fn marked(src: &str, line: usize, marker: &str) -> bool {
+    let first = line.saturating_sub(1);
+    src.lines().skip(first).take(line - first + 1).any(|t| t.contains(marker))
+}
+
 /// Flag `std::collections::{HashMap, HashSet, BTreeMap, BTreeSet}` in the
 /// non-test portion of a hot-path source file: every `std::collections::`
 /// path or `use` whose statement names one of them, unless the line or the
@@ -316,11 +328,6 @@ pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
     let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let allowed = |line: usize, marker: &str| {
-        (line.saturating_sub(1)..=line)
-            .any(|l| raw_lines.get(l).is_some_and(|t| t.contains(marker)))
-    };
     for (at, _) in nontest.match_indices(PATH) {
         let rest = &nontest[at + PATH.len()..];
         let stmt = &rest[..rest.find(';').unwrap_or(rest.len())];
@@ -329,7 +336,7 @@ pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
             let named = stmt
                 .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
                 .any(|word| banned.names.contains(&word));
-            if named && !allowed(line, banned.marker) {
+            if named && !marked(src, line, banned.marker) {
                 out.push(Violation {
                     file: file.to_string(),
                     line: line + 1,
@@ -340,6 +347,26 @@ pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Flag `Vec<Vec<` in the non-test portion of a hot-path source file,
+/// unless the line or the one above carries a `nested-vec-ok:` comment.
+pub fn lint_nested_vec(file: &str, src: &str) -> Vec<Violation> {
+    let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
+    let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
+    let lines = nontest.lines().enumerate();
+    lines
+        .filter(|(i, l)| l.contains("Vec<Vec<") && !marked(src, *i, "nested-vec-ok:"))
+        .map(|(i, _)| Violation {
+            file: file.to_string(),
+            line: i + 1,
+            rule: "nested-vec",
+            msg: "`Vec<Vec<_>>` on the access path: one heap block per row and a pointer \
+                  chase per lookup; keep the rows side by side in one allocation, or mark \
+                  a per-core list no access scans with `// nested-vec-ok: <reason>`"
+                .to_string(),
+        })
+        .collect()
 }
 
 /// Require `#![forbid(unsafe_code)]` in a crate root.
@@ -575,6 +602,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
             }
             if siphash_free && name.contains("/src/") {
                 violations.extend(lint_std_collections(&name, &src));
+                violations.extend(lint_nested_vec(&name, &src));
             }
             violations.extend(lint_vm_impl(&name, &src));
             inv_refs.extend(invariant_refs(&src));
@@ -733,6 +761,38 @@ mod tests {
         assert!(lint_std_collections("x.rs", marked).is_empty());
         let wrong_marker = "// siphash-ok: not this rule\nuse std::collections::BTreeMap;\n";
         assert_eq!(lint_std_collections("x.rs", wrong_marker).len(), 1);
+    }
+
+    #[test]
+    fn nested_vec_flags_vectors_of_vectors_outside_tests() {
+        let field = "struct T {\n    sets: Vec<Vec<Way>>,\n}\n";
+        let v = lint_nested_vec("crates/cache/src/x.rs", field);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (2, "nested-vec"));
+        let built =
+            "fn f() {\n    let rows: Vec<Vec<u8>> = Vec::new();\n    g::<Vec<Vec<u8>>>();\n}\n";
+        let lines: Vec<usize> = lint_nested_vec("f.rs", built).iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 3]);
+    }
+
+    #[test]
+    fn nested_vec_accepts_flat_vectors_tests_and_marked_uses() {
+        let flat = "struct T {\n    ways: Vec<Way>,\n    lens: Vec<u32>,\n    v: Vec<Box<[Vec<u8>]>>,\n}\n";
+        assert!(lint_nested_vec("f.rs", flat).is_empty());
+        let test_only =
+            "fn f() {}\n#[cfg(test)]\nmod t { fn model() -> Vec<Vec<u8>> { vec![] } }\n";
+        assert!(lint_nested_vec("f.rs", test_only).is_empty());
+        let documented = "/// was a Vec<Vec<Way>> once\nfn f() { g(\"Vec<Vec<\"); }\n";
+        assert!(lint_nested_vec("f.rs", documented).is_empty());
+        let above =
+            "// nested-vec-ok: one list per core, drained at tx end\nstruct T(Vec<Vec<u64>>);\n";
+        assert!(lint_nested_vec("f.rs", above).is_empty());
+        let same_line = "struct T(Vec<Vec<u64>>); // nested-vec-ok: per-core stacks\n";
+        assert!(lint_nested_vec("f.rs", same_line).is_empty());
+        let marker_too_far = "// nested-vec-ok: stale\n\nstruct T(Vec<Vec<u64>>);\n";
+        assert_eq!(lint_nested_vec("f.rs", marker_too_far).len(), 1);
+        let wrong_marker = "// btree-ok: not this rule\nstruct T(Vec<Vec<u64>>);\n";
+        assert_eq!(lint_nested_vec("f.rs", wrong_marker).len(), 1);
     }
 
     #[test]
