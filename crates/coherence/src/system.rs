@@ -63,6 +63,7 @@ pub struct MemStats {
 }
 
 /// The memory hierarchy of the simulated CMP.
+#[derive(Clone)]
 pub struct MemorySystem {
     cfg: MachineConfig,
     l1s: Vec<TagArray<L1Meta>>,

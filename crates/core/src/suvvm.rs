@@ -31,7 +31,7 @@ const FLASH_CYCLES: Cycle = 2;
 /// saved pre-level values for lines an *outer* level had already
 /// redirected (the level writes into the same slot, so the slot's prior
 /// contents must be restorable).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct LevelFrame {
     new_lines: Vec<LineAddr>,
     saves: Vec<(LineAddr, LineData)>,
@@ -39,6 +39,7 @@ struct LevelFrame {
 }
 
 /// SUV-TM's version manager.
+#[derive(Clone)]
 pub struct SuvVm {
     table: RedirectTable,
     summary: SummarySignature,

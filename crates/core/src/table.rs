@@ -62,7 +62,7 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Redirect state of one line: a slot of the entry slab — 64 bytes,
 /// aligned so that a lookup's slot is one host cache line, not two.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[repr(align(64))]
 struct LineEntry {
     /// The line this slot describes, [`FREE`] while it describes none.
@@ -112,6 +112,7 @@ pub struct LookupHit {
 /// does not become a single serialization point. Bank selection is a pure
 /// function of the line address, so it is deterministic and needs no
 /// inter-bank coordination.
+#[derive(Clone)]
 pub struct RedirectTable {
     /// Entry slab; `index` names the slot of every line that has state,
     /// `free` the slots that describe none.

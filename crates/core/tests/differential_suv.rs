@@ -30,6 +30,10 @@
 //! that moves a digest changed what the table answered, what it evicted or
 //! the order it recycled pool slots in. Re-pin only when the change says why;
 //! the failure message prints the whole table.
+//!
+//! The same driver pins `HtmMachine: Clone` over SUV: a machine cloned
+//! mid-sequence and its original, fed the same remaining operations, must
+//! answer alike and agree with a run that never forked.
 
 #![allow(clippy::unreadable_literal)] // the pinned digests are pasted as printed
 
@@ -55,15 +59,7 @@ enum Scheme {
     DynTmSuv,
 }
 
-fn build(cfg: &MachineConfig, scheme: Scheme) -> HtmMachine {
-    let suv = SuvVm::with_pool_pages(cfg.n_cores, &cfg.suv, 1);
-    let vm: Box<dyn VersionManager> = match scheme {
-        Scheme::Suv => Box::new(suv),
-        Scheme::DynTmSuv => Box::new(DynTm::with_suv(suv, cfg.n_cores, &cfg.dyntm)),
-    };
-    HtmMachine::new(cfg, vm)
-}
-
+#[derive(Clone)]
 struct Rng(u64);
 
 impl Rng {
@@ -91,6 +87,7 @@ impl Rng {
     }
 }
 
+#[derive(Clone)]
 struct Digest(u64);
 
 impl Digest {
@@ -126,7 +123,7 @@ enum Phase {
 }
 
 /// How often each interesting outcome occurred (coverage, not pinned).
-#[derive(Default, Debug)]
+#[derive(Default, Debug, Clone)]
 struct Seen {
     nacks: u64,
     pool_overflows: u64,
@@ -143,8 +140,9 @@ struct Seen {
     false_positives: u64,
 }
 
-struct Driver {
-    m: HtmMachine,
+#[derive(Clone)]
+struct Driver<V> {
+    m: HtmMachine<V>,
     rng: Rng,
     d: Digest,
     phase: Vec<Phase>,
@@ -155,9 +153,10 @@ struct Driver {
     /// The line addresses each core's running transaction has stored to.
     written: Vec<Vec<u64>>,
     seen: Seen,
+    now: Cycle,
 }
 
-impl Driver {
+impl<V: VersionManager> Driver<V> {
     /// A transaction ended: fold the redirect-table overflow pair the
     /// machine took from the version manager (as running totals).
     fn tx_ended(&mut self, c: CoreId) {
@@ -306,21 +305,80 @@ impl Driver {
             },
         }
     }
+
+    /// Issue the next `n` generated steps. The machine must see calls in
+    /// global time order; a core whose last call has not finished yet sits
+    /// the step out.
+    fn steps(&mut self, n: usize) {
+        let cores = self.phase.len() as u64;
+        for _ in 0..n {
+            self.now += 1 + self.rng.below(4);
+            let (now, c) = (self.now, self.rng.below(cores) as usize);
+            if self.ready[c] > now {
+                continue;
+            }
+            self.d.words(&[now, c as u64]);
+            let lat = match self.phase[c] {
+                Phase::Idle => self.step_idle(now, c),
+                Phase::Tx { depth, irrevocable, lazy } => {
+                    self.step_tx(now, c, depth, irrevocable, lazy)
+                }
+            };
+            self.ready[c] = now + lat;
+        }
+    }
+
+    /// Fold the final statistics and the trace: `(outcome digest, trace
+    /// digest)`, the latter 0 for an untraced run.
+    fn finish(mut self, traced: bool) -> (u64, u64, Seen) {
+        let tx = self.m.tx_stats();
+        self.d.words(&[tx.commits, tx.aborts, tx.nacks_received, tx.lazy_validation_aborts]);
+        let rt = self.m.vm().redirect_stats();
+        self.d.words(&[
+            rt.l1_lookups,
+            rt.l1_misses,
+            rt.mem_lookups,
+            rt.entries_added,
+            rt.entries_redirected_back,
+            rt.summary_false_positives,
+            rt.summary_filtered,
+        ]);
+        let ovf = self.m.overflow_stats();
+        self.seen.lazy_txs += self.m.vm().lazy_tx_count();
+        self.seen.rt_l1_overflows += ovf.rt_l1_overflow_txns;
+        self.seen.rt_mem_overflows += ovf.rt_full_overflow_txns;
+        self.seen.mem_lookups += rt.mem_lookups;
+        self.seen.redirect_backs += rt.entries_redirected_back;
+        self.seen.false_positives += rt.summary_false_positives;
+
+        let out = self.m.take_tracer().finish();
+        let mut trace = Digest(0xcbf2_9ce4_8422_2325);
+        if traced {
+            assert_eq!(out.dropped, 0, "the ring must retain the whole run");
+            trace.words(&[out.hash, out.events]);
+            for rec in &out.records {
+                if let TraceEvent::TableSwapOut { line } = rec.ev {
+                    self.seen.swap_outs += 1;
+                    trace.words(&[rec.t, rec.core as u64, line]);
+                }
+            }
+        }
+        (self.d.0, if traced { trace.0 } else { 0 }, self.seen)
+    }
 }
 
-/// One configuration, traced or not: `(outcome digest, trace digest)`. The
-/// outcome digest folds nothing the tracer produced, so it must not depend
-/// on `traced`; the trace digest is 0 for an untraced run.
-fn run(cores: usize, scheme: Scheme, partial: bool, traced: bool, seen: &mut Seen) -> (u64, u64) {
-    let mut cfg = MachineConfig::small_test();
-    cfg.n_cores = cores;
-    cfg.check = CheckLevel::Full;
-    cfg.htm.partial_nesting = partial;
-    cfg.suv.l1_entries = 4;
-    cfg.suv.l2_entries = 16;
-    cfg.suv.l2_ways = 2;
-    cfg.suv.summary_bits = 256;
-    let mut m = build(&cfg, scheme);
+/// One configuration over `vm`, traced or not. With `fork_at`, the machine
+/// is cloned after that many steps and the clone fed the same remaining
+/// steps: it must end where the original does, trace included.
+fn drive<V: VersionManager + Clone>(
+    cfg: &MachineConfig,
+    vm: V,
+    rng_seed: u64,
+    traced: bool,
+    fork_at: Option<usize>,
+    seen: Seen,
+) -> (u64, u64, Seen) {
+    let mut m = HtmMachine::new(cfg, vm);
     if traced {
         m.set_tracer(Tracer::ring(RING));
     }
@@ -331,64 +389,65 @@ fn run(cores: usize, scheme: Scheme, partial: bool, traced: bool, seen: &mut See
     }
     let mut d = Driver {
         m,
-        rng: Rng(0x5EED_5075 ^ ((cores as u64) << 8) ^ ((scheme as u64) << 4) ^ u64::from(partial)),
+        rng: Rng(rng_seed),
         d: Digest(0xcbf2_9ce4_8422_2325),
-        phase: vec![Phase::Idle; cores],
-        ready: vec![0; cores],
-        last: vec![0; cores],
-        written: vec![Vec::new(); cores],
-        seen: std::mem::take(seen),
+        phase: vec![Phase::Idle; cfg.n_cores],
+        ready: vec![0; cfg.n_cores],
+        last: vec![0; cfg.n_cores],
+        written: vec![Vec::new(); cfg.n_cores],
+        seen,
+        now: 0,
     };
-    // The machine must see calls in global time order; a core whose last
-    // call has not finished yet sits the step out.
-    let mut now: Cycle = 0;
-    for _ in 0..STEPS {
-        now += 1 + d.rng.below(4);
-        let c = d.rng.below(cores as u64) as usize;
-        if d.ready[c] > now {
-            continue;
-        }
-        d.d.words(&[now, c as u64]);
-        let lat = match d.phase[c] {
-            Phase::Idle => d.step_idle(now, c),
-            Phase::Tx { depth, irrevocable, lazy } => d.step_tx(now, c, depth, irrevocable, lazy),
-        };
-        d.ready[c] = now + lat;
+    let Some(at) = fork_at else {
+        d.steps(STEPS);
+        return d.finish(traced);
+    };
+    d.steps(at);
+    let mut fork = d.clone();
+    d.steps(STEPS - at);
+    fork.steps(STEPS - at);
+    assert_eq!(d.m.tx_stats(), fork.m.tx_stats());
+    assert_eq!(d.m.vm().redirect_stats(), fork.m.vm().redirect_stats());
+    for vm in [d.m.vm(), fork.m.vm()] {
+        assert_eq!(vm.check_invariants(), Ok(()));
     }
-    let tx = d.m.tx_stats();
-    d.d.words(&[tx.commits, tx.aborts, tx.nacks_received, tx.lazy_validation_aborts]);
-    let rt = d.m.vm().redirect_stats();
-    d.d.words(&[
-        rt.l1_lookups,
-        rt.l1_misses,
-        rt.mem_lookups,
-        rt.entries_added,
-        rt.entries_redirected_back,
-        rt.summary_false_positives,
-        rt.summary_filtered,
-    ]);
-    let ovf = d.m.overflow_stats();
-    d.seen.lazy_txs += d.m.vm().lazy_tx_count();
-    d.seen.rt_l1_overflows += ovf.rt_l1_overflow_txns;
-    d.seen.rt_mem_overflows += ovf.rt_full_overflow_txns;
-    d.seen.mem_lookups += rt.mem_lookups;
-    d.seen.redirect_backs += rt.entries_redirected_back;
-    d.seen.false_positives += rt.summary_false_positives;
+    let (outcomes, trace, _) = fork.finish(traced);
+    let whole = d.finish(traced);
+    assert_eq!((outcomes, trace), (whole.0, whole.1), "the clone ended elsewhere");
+    whole
+}
 
-    let out = d.m.take_tracer().finish();
-    let mut trace = Digest(0xcbf2_9ce4_8422_2325);
-    if traced {
-        assert_eq!(out.dropped, 0, "the ring must retain the whole run");
-        trace.words(&[out.hash, out.events]);
-        for rec in &out.records {
-            if let TraceEvent::TableSwapOut { line } = rec.ev {
-                d.seen.swap_outs += 1;
-                trace.words(&[rec.t, rec.core as u64, line]);
-            }
+/// One configuration, traced or not: `(outcome digest, trace digest)`. The
+/// outcome digest folds nothing the tracer produced, so it must not depend
+/// on `traced`; the trace digest is 0 for an untraced run.
+fn run(
+    cores: usize,
+    scheme: Scheme,
+    partial: bool,
+    traced: bool,
+    fork_at: Option<usize>,
+    seen: &mut Seen,
+) -> (u64, u64) {
+    let mut cfg = MachineConfig::small_test();
+    cfg.n_cores = cores;
+    cfg.check = CheckLevel::Full;
+    cfg.htm.partial_nesting = partial;
+    cfg.suv.l1_entries = 4;
+    cfg.suv.l2_entries = 16;
+    cfg.suv.l2_ways = 2;
+    cfg.suv.summary_bits = 256;
+    let rng_seed =
+        0x5EED_5075 ^ ((cores as u64) << 8) ^ ((scheme as u64) << 4) ^ u64::from(partial);
+    let suv = SuvVm::with_pool_pages(cores, &cfg.suv, 1);
+    let before = std::mem::take(seen);
+    let (outcomes, trace, after) = match scheme {
+        Scheme::Suv => drive(&cfg, suv, rng_seed, traced, fork_at, before),
+        Scheme::DynTmSuv => {
+            drive(&cfg, DynTm::with_suv(suv, cores, &cfg.dyntm), rng_seed, traced, fork_at, before)
         }
-    }
-    *seen = d.seen;
-    (d.d.0, if traced { trace.0 } else { 0 })
+    };
+    *seen = after;
+    (outcomes, trace)
 }
 
 /// `(cores, scheme, partial_nesting, outcome digest, trace digest)`.
@@ -412,10 +471,10 @@ fn suv_outcomes_are_pinned_per_configuration() {
     for cores in [3, 16] {
         for scheme in [Scheme::Suv, Scheme::DynTmSuv] {
             for partial in [false, true] {
-                let (outcomes, trace) = run(cores, scheme, partial, true, &mut seen);
+                let (outcomes, trace) = run(cores, scheme, partial, true, None, &mut seen);
                 // Swap logging is off without a tracer; nothing simulated
                 // may depend on it.
-                let (untraced, _) = run(cores, scheme, partial, false, &mut Seen::default());
+                let (untraced, _) = run(cores, scheme, partial, false, None, &mut Seen::default());
                 assert_eq!(
                     outcomes, untraced,
                     "{cores} cores, {scheme:?}, partial={partial}: tracing changed an outcome"
@@ -447,4 +506,12 @@ fn suv_outcomes_are_pinned_per_configuration() {
     ];
     assert!(reached.iter().all(|&n| n > 0), "a path was never generated: {seen:?}");
     assert_eq!(actual, PINS, "SUV outcomes moved ({seen:?}); the table now reads:\n{table}");
+}
+
+#[test]
+fn a_machine_cloned_mid_sequence_ends_where_its_original_does() {
+    for &(cores, scheme, partial, outcomes, trace) in PINS {
+        let forked = run(cores, scheme, partial, true, Some(STEPS / 2), &mut Seen::default());
+        assert_eq!(forked, (outcomes, trace), "{cores} cores, {scheme:?}, partial={partial}");
+    }
 }

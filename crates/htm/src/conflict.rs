@@ -15,7 +15,7 @@ use crate::tx::TxState;
 use suv_sig::HashFamily;
 use suv_types::{CoreId, LineAddr, MachineConfig, SharerSet};
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ConflictIndex {
     hashes: HashFamily,
     /// Words per row: one up to 64 cores.

@@ -15,7 +15,7 @@ use suv_coherence::L1Evict;
 use suv_types::{Addr, CoreId, Cycle, DynTmConfig, RedirectStats, SchemeKind, TxSite};
 
 /// Per-site 2-bit saturating abort predictor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Selector {
     counters: Vec<u8>,
     threshold: u8,
@@ -54,8 +54,9 @@ impl Selector {
 ///
 /// `eager` handles eager-mode transactions (and, when `lazy_vm` is `None`,
 /// lazy-mode ones too — the D+S configuration where SUV serves both modes).
-/// It is held by value: the machine reaches the composite through one
-/// `dyn` call and the composite reaches its halves through none.
+/// It is held by value: neither the machine's call into the composite nor
+/// the composite's into its halves is an indirect one.
+#[derive(Clone)]
 pub struct DynTm<E> {
     eager: E,
     lazy_vm: Option<LazyVm>,

@@ -19,7 +19,7 @@ use suv_types::{line_of, Addr, CoreId, Cycle, HtmConfig, LineAddr, SchemeKind, L
 /// lines and switch the FSM, independent of the write-set size.
 const FAST_ABORT_CYCLES: Cycle = 10;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct CoreState {
     /// Old line values (conceptually the L2 copies), in write order.
     old: Vec<(LineAddr, LineData)>,
@@ -42,6 +42,7 @@ impl CoreState {
 }
 
 /// FasTM.
+#[derive(Clone)]
 pub struct FasTm {
     cores: Vec<CoreState>,
     cfg: HtmConfig,

@@ -11,7 +11,7 @@ use suv_coherence::AccessKind;
 use suv_trace::TraceEvent;
 use suv_types::{line_of, word_of, Addr, CoreId, Cycle, LineAddr, SchemeKind, WordMap};
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Buffer {
     /// Buffered word values.
     words: WordMap<u64>,
@@ -20,6 +20,7 @@ struct Buffer {
 }
 
 /// Write-buffer lazy VM.
+#[derive(Clone)]
 pub struct LazyVm {
     bufs: Vec<Buffer>,
     /// Distinct-buffered-lines budget per transaction (0 = unbounded); a

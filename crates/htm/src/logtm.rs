@@ -12,6 +12,7 @@ use suv_trace::TraceEvent;
 use suv_types::{Addr, CoreId, Cycle, HtmConfig, SchemeKind};
 
 /// LogTM-SE.
+#[derive(Clone)]
 pub struct LogTmSe {
     logs: Vec<UndoLog>,
     cfg: HtmConfig,

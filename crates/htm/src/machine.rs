@@ -98,8 +98,10 @@ pub enum SwCommitOutcome {
     MustAbort { reason: FallbackAbortReason, latency: Cycle },
 }
 
-/// The HTM controller.
-pub struct HtmMachine {
+/// The HTM controller, generic over its version manager so that no scheme
+/// call is an indirect one. A clone is a fork of the whole simulated state.
+#[derive(Clone)]
+pub struct HtmMachine<V> {
     cfg: MachineConfig,
     /// Functional memory (public for workload setup code).
     pub mem: Memory,
@@ -127,7 +129,7 @@ pub struct HtmMachine {
     /// Every core's signatures, transposed (INV-15): each signature search
     /// runs its test on the cores this lists for the line, in ascending order.
     index: ConflictIndex,
-    vm: Box<dyn VersionManager>,
+    vm: V,
     /// The STM-mode software fallback tier, alongside the hardware scheme.
     sw: SwVm,
     tx_stats: Vec<TxStats>,
@@ -146,10 +148,10 @@ pub struct HtmMachine {
     shadow: Option<ShadowOracle>,
 }
 
-impl HtmMachine {
+impl<V: VersionManager> HtmMachine<V> {
     /// Build a machine running the given version-management scheme.
     #[must_use]
-    pub fn new(cfg: &MachineConfig, vm: Box<dyn VersionManager>) -> Self {
+    pub fn new(cfg: &MachineConfig, vm: V) -> Self {
         HtmMachine {
             cfg: *cfg,
             mem: Memory::new(),
@@ -219,14 +221,10 @@ impl HtmMachine {
     /// Run `f` on the version manager, handing it the view of the machine
     /// it operates through at time `now`.
     #[inline]
-    fn with_vm<R>(
-        &mut self,
-        now: Cycle,
-        f: impl FnOnce(&mut dyn VersionManager, &mut VmEnv) -> R,
-    ) -> R {
+    fn with_vm<R>(&mut self, now: Cycle, f: impl FnOnce(&mut V, &mut VmEnv) -> R) -> R {
         let mut env =
             VmEnv { mem: &mut self.mem, sys: &mut self.sys, tracer: &mut self.tracer, now };
-        f(self.vm.as_mut(), &mut env)
+        f(&mut self.vm, &mut env)
     }
 
     /// Close expired isolation windows, soonest first. Called at the head
@@ -1275,8 +1273,8 @@ impl HtmMachine {
 
     /// Borrow the version manager (for scheme-specific statistics).
     #[must_use]
-    pub fn vm(&self) -> &dyn VersionManager {
-        self.vm.as_ref()
+    pub fn vm(&self) -> &V {
+        &self.vm
     }
 }
 
@@ -1286,9 +1284,9 @@ mod tests {
     use crate::logtm::LogTmSe;
     use suv_types::MachineConfig;
 
-    fn machine() -> HtmMachine {
+    fn machine() -> HtmMachine<LogTmSe> {
         let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
     }
 
     fn must_done(a: Access) -> (u64, Cycle) {
@@ -1428,10 +1426,10 @@ mod tests {
         assert_eq!(v, 3);
     }
 
-    fn full_check_machine() -> HtmMachine {
+    fn full_check_machine() -> HtmMachine<LogTmSe> {
         let mut cfg = MachineConfig::small_test();
         cfg.check = CheckLevel::Full;
-        HtmMachine::new(&cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
     }
 
     #[test]
@@ -1522,7 +1520,7 @@ mod tests {
         let cfg = MachineConfig::small_test();
         let n = cfg.n_cores;
         let vm = DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm);
-        let mut m = HtmMachine::new(&cfg, Box::new(vm));
+        let mut m = HtmMachine::new(&cfg, vm);
         // Site 2 aborts until the predictor runs it lazy.
         let mut now = 0;
         for _ in 0..cfg.dyntm.lazy_threshold {
@@ -1628,9 +1626,9 @@ mod nesting_tests {
     use crate::logtm::LogTmSe;
     use suv_types::MachineConfig;
 
-    fn machine() -> HtmMachine {
+    fn machine() -> HtmMachine<LogTmSe> {
         let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
     }
 
     fn done(a: Access) -> (u64, Cycle) {
@@ -1745,9 +1743,9 @@ mod sw_fallback_tests {
     use crate::logtm::LogTmSe;
     use suv_types::MachineConfig;
 
-    fn machine() -> HtmMachine {
+    fn machine() -> HtmMachine<LogTmSe> {
         let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
     }
 
     fn done(a: Access) -> (u64, Cycle) {
@@ -1953,7 +1951,7 @@ mod sw_fallback_tests {
         let mut cfg = MachineConfig::small_test();
         cfg.robust.max_backoff_cycles = 100;
         let draws = |cfg: &MachineConfig| -> Vec<Cycle> {
-            let mut m = HtmMachine::new(cfg, Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)));
+            let mut m = HtmMachine::new(cfg, LogTmSe::new(cfg.n_cores, cfg.htm));
             // Pile up attempts so the uncapped window would exceed the cap.
             for i in 0..8 {
                 let t = 1000 * (i + 1);

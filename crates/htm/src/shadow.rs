@@ -19,7 +19,7 @@
 use suv_types::{word_of, Addr, CoreId, WordMap};
 
 /// The shadow model. All addresses are normalized to word addresses.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShadowOracle {
     /// Committed word values; absent words are 0, matching the sparse
     /// functional [`suv_mem::Memory`].

@@ -50,7 +50,7 @@ struct SwLock {
 }
 
 /// Per-core software transaction descriptor.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct SwTx {
     doomed: bool,
     begin_time: Cycle,
@@ -80,6 +80,7 @@ impl SwTx {
 /// The software fallback version manager: one instance per machine, all
 /// cores, alongside the hardware scheme (which keeps resolving *committed*
 /// data locations — on SUV a software read still follows redirect entries).
+#[derive(Clone)]
 pub struct SwVm {
     txs: Vec<SwTx>,
     /// Cores inside a software transaction. Empty on every run that never

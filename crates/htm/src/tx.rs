@@ -24,7 +24,7 @@ pub enum TxStatus {
 /// One nesting level's conflict-detection state (LogTM-Nested stacked
 /// frame). The outermost level lives directly in [`TxState`]; each nested
 /// level pushes a frame.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NestFrame {
     /// This level's read signature.
     pub rsig: Signature,
@@ -37,7 +37,7 @@ pub struct NestFrame {
 }
 
 /// State of (at most) one transaction per core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TxState {
     /// Lifecycle stage.
     pub status: TxStatus,

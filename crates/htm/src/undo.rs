@@ -19,7 +19,7 @@ struct UndoRecord {
 }
 
 /// Per-thread undo log.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct UndoLog {
     records: Vec<UndoRecord>,
     /// Base of the thread's private log region (for charging accesses).

@@ -14,6 +14,10 @@
 //!
 //! A change that moves a digest changed who conflicts with whom. Re-pin only
 //! when the change says why; the failure message prints the whole table.
+//!
+//! The same driver pins `HtmMachine: Clone`: a machine cloned mid-sequence
+//! and its original, fed the same remaining operations, must answer alike
+//! and agree with a run that never forked.
 
 #![allow(clippy::unreadable_literal)] // the pinned digests are pasted as printed
 
@@ -37,19 +41,11 @@ enum Scheme {
     LogTm,
     Lazy,
     DynTm,
+    /// Forked only, not pinned (last, so the pinned schemes keep their seeds).
+    FasTm,
 }
 
-fn build(cfg: &MachineConfig, scheme: Scheme) -> HtmMachine {
-    let vm: Box<dyn VersionManager> = match scheme {
-        Scheme::LogTm => Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)),
-        Scheme::Lazy => Box::new(LazyVm::new(cfg.n_cores)),
-        Scheme::DynTm => {
-            Box::new(DynTm::original(FasTm::new(cfg.n_cores, cfg.htm), cfg.n_cores, &cfg.dyntm))
-        }
-    };
-    HtmMachine::new(cfg, vm)
-}
-
+#[derive(Clone)]
 struct Rng(u64);
 
 impl Rng {
@@ -69,6 +65,7 @@ impl Rng {
     }
 }
 
+#[derive(Clone)]
 struct Digest(u64);
 
 impl Digest {
@@ -105,7 +102,7 @@ enum Phase {
 }
 
 /// How often each interesting outcome occurred (coverage, not pinned).
-#[derive(Default, Debug)]
+#[derive(Default, Debug, Clone)]
 struct Seen {
     nacks: u64,
     doomed: u64,
@@ -122,8 +119,9 @@ struct Seen {
     lazy_commits_past_a_window: u64,
 }
 
-struct Driver {
-    m: HtmMachine,
+#[derive(Clone)]
+struct Driver<V> {
+    m: HtmMachine<V>,
     rng: Rng,
     d: Digest,
     phase: Vec<Phase>,
@@ -132,9 +130,10 @@ struct Driver {
     /// When each core's last abort or outermost commit stops defending.
     window_end: Vec<Cycle>,
     seen: Seen,
+    now: Cycle,
 }
 
-impl Driver {
+impl<V: VersionManager> Driver<V> {
     fn full_abort(&mut self, now: Cycle, c: CoreId) -> Cycle {
         let lat = self.m.abort_tx(now, c);
         self.d.words(&[20, lat]);
@@ -305,18 +304,56 @@ impl Driver {
             }
         }
     }
+
+    /// Issue the next `n` generated steps. The machine must see calls in
+    /// global time order; a core whose last call has not finished yet sits
+    /// the step out.
+    fn steps(&mut self, n: usize) {
+        let cores = self.phase.len() as u64;
+        for _ in 0..n {
+            self.now += 1 + self.rng.below(6);
+            let (now, c) = (self.now, self.rng.below(cores) as usize);
+            if self.ready[c] > now {
+                continue;
+            }
+            self.d.words(&[now, c as u64]);
+            let lat = match self.phase[c] {
+                Phase::Idle => self.step_idle(now, c),
+                Phase::Hw { depth, irrevocable } => self.step_hw(now, c, depth, irrevocable),
+                Phase::Sw => self.step_sw(now, c),
+            };
+            self.ready[c] = now + lat;
+        }
+    }
+
+    /// Fold the final statistics; the digest of the whole run.
+    fn finish(mut self) -> (u64, Seen) {
+        let s = self.m.tx_stats();
+        self.d.words(&[
+            s.commits,
+            s.aborts,
+            s.nacks_received,
+            s.cycle_aborts,
+            s.lazy_validation_aborts,
+            s.sw_commits,
+            s.sw_aborts,
+            s.hw_sw_conflicts,
+        ]);
+        (self.d.0, self.seen)
+    }
 }
 
-/// One configuration's digest; `seen` accumulates across configurations.
-fn run(cores: usize, scheme: Scheme, partial: bool, perfect: bool, seen: Seen) -> (u64, Seen) {
-    let mut cfg = MachineConfig::small_test();
-    cfg.n_cores = cores;
-    cfg.check = CheckLevel::Full;
-    cfg.htm.signature_bits = 64;
-    cfg.htm.signature_hashes = 2;
-    cfg.htm.partial_nesting = partial;
-    cfg.htm.perfect_signatures = perfect;
-    let mut m = build(&cfg, scheme);
+/// One configuration's digest over `vm`; with `fork_at`, the machine is
+/// cloned after that many steps and the clone fed the same remaining steps:
+/// it must end where the original does.
+fn drive<V: VersionManager + Clone>(
+    cfg: &MachineConfig,
+    vm: V,
+    rng_seed: u64,
+    fork_at: Option<usize>,
+    seen: Seen,
+) -> (u64, Seen) {
+    let mut m = HtmMachine::new(cfg, vm);
     for l in 0..LINES {
         for w in 0..4 {
             m.poke(BASE + l * 64 + w * 8, l * 4 + w);
@@ -324,46 +361,61 @@ fn run(cores: usize, scheme: Scheme, partial: bool, perfect: bool, seen: Seen) -
     }
     let mut d = Driver {
         m,
-        rng: Rng(0x5EED_0000
-            ^ ((cores as u64) << 8)
-            ^ ((scheme as u64) << 4)
-            ^ (u64::from(partial) << 1)
-            ^ u64::from(perfect)),
+        rng: Rng(rng_seed),
         d: Digest(0xcbf2_9ce4_8422_2325),
-        phase: vec![Phase::Idle; cores],
-        ready: vec![0; cores],
-        window_end: vec![0; cores],
+        phase: vec![Phase::Idle; cfg.n_cores],
+        ready: vec![0; cfg.n_cores],
+        window_end: vec![0; cfg.n_cores],
         seen,
+        now: 0,
     };
-    // The machine must see calls in global time order; a core whose last
-    // call has not finished yet sits the step out.
-    let mut now: Cycle = 0;
-    for _ in 0..STEPS {
-        now += 1 + d.rng.below(6);
-        let c = d.rng.below(cores as u64) as usize;
-        if d.ready[c] > now {
-            continue;
-        }
-        d.d.words(&[now, c as u64]);
-        let lat = match d.phase[c] {
-            Phase::Idle => d.step_idle(now, c),
-            Phase::Hw { depth, irrevocable } => d.step_hw(now, c, depth, irrevocable),
-            Phase::Sw => d.step_sw(now, c),
-        };
-        d.ready[c] = now + lat;
+    let Some(at) = fork_at else {
+        d.steps(STEPS);
+        return d.finish();
+    };
+    d.steps(at);
+    let mut fork = d.clone();
+    d.steps(STEPS - at);
+    fork.steps(STEPS - at);
+    assert_eq!(d.m.tx_stats(), fork.m.tx_stats());
+    assert_eq!(d.m.vm().redirect_stats(), fork.m.vm().redirect_stats());
+    for vm in [d.m.vm(), fork.m.vm()] {
+        assert_eq!(vm.check_invariants(), Ok(()));
     }
-    let s = d.m.tx_stats();
-    d.d.words(&[
-        s.commits,
-        s.aborts,
-        s.nacks_received,
-        s.cycle_aborts,
-        s.lazy_validation_aborts,
-        s.sw_commits,
-        s.sw_aborts,
-        s.hw_sw_conflicts,
-    ]);
-    (d.d.0, d.seen)
+    assert_eq!(d.d.0, fork.d.0, "the clone answered differently from its original");
+    d.finish()
+}
+
+/// One configuration's digest; `seen` accumulates across configurations.
+fn run(
+    cores: usize,
+    scheme: Scheme,
+    partial: bool,
+    perfect: bool,
+    fork_at: Option<usize>,
+    seen: Seen,
+) -> (u64, Seen) {
+    let mut cfg = MachineConfig::small_test();
+    cfg.n_cores = cores;
+    cfg.check = CheckLevel::Full;
+    cfg.htm.signature_bits = 64;
+    cfg.htm.signature_hashes = 2;
+    cfg.htm.partial_nesting = partial;
+    cfg.htm.perfect_signatures = perfect;
+    let rng_seed = 0x5EED_0000
+        ^ ((cores as u64) << 8)
+        ^ ((scheme as u64) << 4)
+        ^ (u64::from(partial) << 1)
+        ^ u64::from(perfect);
+    let fastm = FasTm::new(cores, cfg.htm);
+    match scheme {
+        Scheme::LogTm => drive(&cfg, LogTmSe::new(cores, cfg.htm), rng_seed, fork_at, seen),
+        Scheme::Lazy => drive(&cfg, LazyVm::new(cores), rng_seed, fork_at, seen),
+        Scheme::DynTm => {
+            drive(&cfg, DynTm::original(fastm, cores, &cfg.dyntm), rng_seed, fork_at, seen)
+        }
+        Scheme::FasTm => drive(&cfg, fastm, rng_seed, fork_at, seen),
+    }
 }
 
 /// `(cores, scheme, partial_nesting, perfect_signatures, digest)`.
@@ -416,7 +468,7 @@ fn machine_outcomes_are_pinned_per_configuration() {
         for scheme in [Scheme::LogTm, Scheme::Lazy, Scheme::DynTm] {
             for partial in [false, true] {
                 for perfect in [false, true] {
-                    let (digest, seen) = run(cores, scheme, partial, perfect, total);
+                    let (digest, seen) = run(cores, scheme, partial, perfect, None, total);
                     total = seen;
                     writeln!(
                         table,
@@ -443,4 +495,15 @@ fn machine_outcomes_are_pinned_per_configuration() {
     ];
     assert!(reached.iter().all(|&n| n > 0), "an outcome was never generated: {total:?}");
     assert_eq!(actual, PINS, "machine outcomes moved; the table now reads:\n{table}");
+}
+
+#[test]
+fn a_machine_cloned_mid_sequence_ends_where_its_original_does() {
+    for scheme in [Scheme::LogTm, Scheme::FasTm, Scheme::Lazy, Scheme::DynTm] {
+        for (cores, partial) in [(3, true), (16, false), (70, true)] {
+            let whole = run(cores, scheme, partial, false, None, Seen::default()).0;
+            let forked = run(cores, scheme, partial, false, Some(STEPS / 2), Seen::default()).0;
+            assert_eq!(forked, whole, "{cores} cores, {scheme:?}: forking changed the run");
+        }
+    }
 }

@@ -25,6 +25,7 @@
 
 use crate::fault::FaultInjector;
 use crate::sched::Scheduler;
+use crate::scheme::Vm;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{RefCell, RefMut};
@@ -102,13 +103,13 @@ pub struct Abort;
 /// executor keeps the last reference and unwraps the machine for stats
 /// harvesting once all cores finished.
 pub struct Engine {
-    pub(crate) machine: RefCell<Box<HtmMachine>>,
+    pub(crate) machine: RefCell<HtmMachine<Vm>>,
     pub(crate) sched: Scheduler,
 }
 
 impl Engine {
     /// Wrap a configured machine for an `n_cores`-way run.
-    pub fn new(machine: Box<HtmMachine>, n_cores: usize) -> Self {
+    pub fn new(machine: HtmMachine<Vm>, n_cores: usize) -> Self {
         Engine { machine: RefCell::new(machine), sched: Scheduler::new(n_cores) }
     }
 
@@ -118,7 +119,7 @@ impl Engine {
     }
 
     /// Take the machine back out (after every core finished).
-    pub fn into_machine(self) -> Box<HtmMachine> {
+    pub fn into_machine(self) -> HtmMachine<Vm> {
         self.machine.into_inner()
     }
 }
@@ -150,13 +151,13 @@ impl Future for YieldNow {
 /// allocator. Setup is not timed (it models pre-measurement initialization,
 /// as STAMP's timed region starts after input generation).
 pub struct SetupCtx<'a> {
-    machine: &'a mut HtmMachine,
+    machine: &'a mut HtmMachine<Vm>,
     heap: BumpAllocator,
 }
 
 impl<'a> SetupCtx<'a> {
     /// Wrap a machine for setup.
-    pub fn new(machine: &'a mut HtmMachine) -> Self {
+    pub fn new(machine: &'a mut HtmMachine<Vm>) -> Self {
         SetupCtx { machine, heap: BumpAllocator::new(Region::heap()) }
     }
 
@@ -275,7 +276,7 @@ impl ThreadCtx {
 
     /// The shared machine (a `RefCell` borrow, statement-scoped).
     #[inline]
-    fn m(&self) -> RefMut<'_, Box<HtmMachine>> {
+    fn m(&self) -> RefMut<'_, HtmMachine<Vm>> {
         self.engine.machine.borrow_mut()
     }
 

@@ -42,4 +42,4 @@ pub use runner::{
     Workload,
 };
 pub use sched::Scheduler;
-pub use scheme::build_vm;
+pub use scheme::{build_vm, Vm};

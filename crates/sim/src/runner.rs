@@ -17,6 +17,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use suv_htm::machine::HtmMachine;
+use suv_htm::vm::VersionManager;
 use suv_trace::{LatencyHistogram, TraceOutput, Tracer};
 use suv_types::{MachineConfig, MachineStats, SchemeKind};
 
@@ -146,7 +147,7 @@ pub fn run_workload_profiled(
     if let Some(tc) = trace {
         machine.set_tracer(Tracer::ring(tc.ring_capacity));
     }
-    let engine = Rc::new(Engine::new(Box::new(machine), cfg.n_cores));
+    let engine = Rc::new(Engine::new(machine, cfg.n_cores));
     let mut contexts: Vec<ThreadCtx> =
         (0..cfg.n_cores).map(|tid| ThreadCtx::new(Rc::clone(&engine), tid)).collect();
 

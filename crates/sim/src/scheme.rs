@@ -1,64 +1,109 @@
-//! Version-manager factory.
+//! The closed world of version managers: the [`Vm`] enum and its factory.
+//! It lives in the lowest crate that sees all six schemes (`suv-core`
+//! depends on `suv-htm` for the trait), under a machine that is generic, so
+//! `HtmMachine<Vm>` is monomorphised here, next to the engine that drives
+//! it, and every scheme call is a `match` (DESIGN.md §13.6).
 
+use suv_coherence::L1Evict;
 use suv_core::SuvVm;
 use suv_htm::dyntm::DynTm;
 use suv_htm::fastm::FasTm;
 use suv_htm::lazy::LazyVm;
 use suv_htm::logtm::LogTmSe;
-use suv_htm::vm::VersionManager;
-use suv_types::{MachineConfig, SchemeKind};
+use suv_htm::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use suv_types::{Addr, CoreId, Cycle, MachineConfig, RedirectStats, SchemeKind, TxSite};
 
-/// A lazy VM whose transactions all run in lazy mode (the pure TCC-like
-/// ablation baseline).
-struct AlwaysLazy(LazyVm, u64);
+/// The version manager of a machine: one variant per [`SchemeKind`], named
+/// after the scheme it holds.
+#[derive(Clone)]
+pub enum Vm {
+    LogTm(LogTmSe),
+    FasTm(FasTm),
+    Suv(SuvVm),
+    /// The pure TCC-like ablation baseline: every transaction runs lazy.
+    /// The counter is the number of transactions begun.
+    Lazy(LazyVm, u64),
+    DynTm(DynTm<FasTm>),
+    DynTmSuv(DynTm<SuvVm>),
+}
 
-impl VersionManager for AlwaysLazy {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Lazy
+/// Run `$call` on the scheme inside `$vm`, whichever it is.
+macro_rules! on_scheme {
+    ($vm:expr, $v:ident => $call:expr) => {
+        match $vm {
+            Vm::LogTm($v) => $call,
+            Vm::FasTm($v) => $call,
+            Vm::Suv($v) => $call,
+            Vm::Lazy($v, _) => $call,
+            Vm::DynTm($v) => $call,
+            Vm::DynTmSuv($v) => $call,
+        }
+    };
+}
+
+/// Define the listed trait methods (`ref`: taking `&self`, `mut`: taking
+/// `&mut self`) as the same call on the scheme inside.
+macro_rules! forward {
+    (ref { $(fn $r:ident($($ra:ident: $rt:ty),*) -> $rr:ty;)* }
+     mut { $(fn $m:ident($($ma:ident: $mt:ty),*) $(-> $mr:ty)?;)* }) => {
+        $(#[inline]
+        fn $r(&self, $($ra: $rt),*) -> $rr {
+            on_scheme!(self, v => v.$r($($ra),*))
+        })*
+        $(#[inline]
+        fn $m(&mut self, $($ma: $mt),*) $(-> $mr)? {
+            on_scheme!(self, v => v.$m($($ma),*))
+        })*
+    };
+}
+
+/// Every method of the trait is spelled out (`cargo xtask lint` checks the
+/// list against `htm/vm.rs`): an inherited default here would switch a
+/// scheme's own override off without a compile error.
+impl VersionManager for Vm {
+    forward! {
+        ref {
+            fn kind() -> SchemeKind;
+            fn supports_partial_abort() -> bool;
+            fn redirect_stats() -> RedirectStats;
+            fn check_invariants() -> Result<(), String>;
+        }
+        mut {
+            fn begin(env: &mut VmEnv, core: CoreId, lazy: bool) -> Cycle;
+            fn resolve_load(env: &mut VmEnv, core: CoreId, addr: Addr, in_tx: bool)
+                -> (LoadTarget, Cycle);
+            fn prepare_store(env: &mut VmEnv, core: CoreId, addr: Addr, value: u64, in_tx: bool)
+                -> (StoreTarget, Cycle);
+            fn commit(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn abort(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn on_eviction(core: CoreId, ev: &L1Evict);
+            fn take_rt_overflow(core: CoreId) -> (bool, bool);
+            fn begin_level(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn commit_level(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn abort_level(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn tx_finished(core: CoreId, site: TxSite, committed: bool);
+            fn set_irrevocable(core: CoreId, on: bool);
+        }
     }
-    fn choose_mode(&mut self, _core: usize, _site: suv_types::TxSite) -> bool {
-        self.1 += 1;
-        true
-    }
-    fn begin(&mut self, env: &mut suv_htm::vm::VmEnv, core: usize, lazy: bool) -> suv_types::Cycle {
-        self.0.begin(env, core, lazy)
-    }
-    fn resolve_load(
-        &mut self,
-        env: &mut suv_htm::vm::VmEnv,
-        core: usize,
-        addr: u64,
-        in_tx: bool,
-    ) -> (suv_htm::vm::LoadTarget, suv_types::Cycle) {
-        self.0.resolve_load(env, core, addr, in_tx)
-    }
-    fn prepare_store(
-        &mut self,
-        env: &mut suv_htm::vm::VmEnv,
-        core: usize,
-        addr: u64,
-        value: u64,
-        in_tx: bool,
-    ) -> (suv_htm::vm::StoreTarget, suv_types::Cycle) {
-        self.0.prepare_store(env, core, addr, value, in_tx)
-    }
-    fn commit(&mut self, env: &mut suv_htm::vm::VmEnv, core: usize) -> suv_types::Cycle {
-        self.0.commit(env, core)
-    }
-    fn abort(&mut self, env: &mut suv_htm::vm::VmEnv, core: usize) -> suv_types::Cycle {
-        self.0.abort(env, core)
-    }
-    fn set_irrevocable(&mut self, core: usize, on: bool) {
-        self.0.set_irrevocable(core, on);
+    #[inline]
+    fn choose_mode(&mut self, core: CoreId, site: TxSite) -> bool {
+        if let Vm::Lazy(_, begun) = self {
+            *begun += 1;
+            return true;
+        }
+        on_scheme!(self, v => v.choose_mode(core, site))
     }
     fn lazy_tx_count(&self) -> u64 {
-        self.1
+        if let Vm::Lazy(_, begun) = self {
+            return *begun;
+        }
+        on_scheme!(self, v => v.lazy_tx_count())
     }
 }
 
 /// Build the version manager implementing `scheme` for the configured
 /// machine.
-pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Box<dyn VersionManager> {
+pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
     let n = cfg.n_cores;
     // Capacity clamps from the robustness config (0 = unbounded, the
     // default — healthy runs are unaffected).
@@ -66,17 +111,17 @@ pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Box<dyn VersionManag
     let log_bytes = cfg.robust.log_bytes;
     let buf_lines = cfg.robust.write_buffer_lines as usize;
     match scheme {
-        SchemeKind::LogTmSe => Box::new(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
-        SchemeKind::FasTm => Box::new(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),
-        SchemeKind::SuvTm => Box::new(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
-        SchemeKind::Lazy => Box::new(AlwaysLazy(LazyVm::with_buffer_lines(n, buf_lines), 0)),
-        SchemeKind::DynTm => Box::new(DynTm::original_with_buffer(
+        SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
+        SchemeKind::FasTm => Vm::FasTm(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),
+        SchemeKind::SuvTm => Vm::Suv(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
+        SchemeKind::Lazy => Vm::Lazy(LazyVm::with_buffer_lines(n, buf_lines), 0),
+        SchemeKind::DynTm => Vm::DynTm(DynTm::original_with_buffer(
             FasTm::with_log_bytes(n, cfg.htm, log_bytes),
             n,
             &cfg.dyntm,
             buf_lines,
         )),
-        SchemeKind::DynTmSuv => Box::new(DynTm::with_suv(
+        SchemeKind::DynTmSuv => Vm::DynTmSuv(DynTm::with_suv(
             SuvVm::with_pool_pages(n, &cfg.suv, pool_pages),
             n,
             &cfg.dyntm,

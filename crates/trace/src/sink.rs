@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 /// counting what it had to drop. Memory use is bounded regardless of run
 /// length; the trace *hash* (kept by the tracer, not the ring) still covers
 /// every event.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RingRecorder {
     buf: VecDeque<TraceRecord>,
     capacity: usize,

@@ -76,6 +76,7 @@ pub struct TraceOutput {
 
 /// Embedded tracing front-end: one branch when disabled, full hashing +
 /// metrics + ring recording when enabled.
+#[derive(Clone)]
 pub struct Tracer {
     /// Cached enabled flag — the only thing the hot path reads.
     enabled: bool,

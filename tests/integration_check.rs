@@ -158,7 +158,7 @@ fn done(a: Access) -> u64 {
     }
 }
 
-fn load(m: &mut HtmMachine, t: Cycle, addr: Addr) -> u64 {
+fn load(m: &mut HtmMachine<suv::sim::Vm>, t: Cycle, addr: Addr) -> u64 {
     match m.tx_load(t, 0, addr) {
         Access::Done { value, .. } => value,
         other => panic!("expected Done, got {other:?}"),
@@ -212,9 +212,8 @@ impl VersionManager for NoUndoLogTm {
 
 #[test]
 fn shadow_oracle_catches_skipped_undo_walk() {
-    let cfg = cfg_with(CheckLevel::Full);
-    let drive = |vm: Box<dyn VersionManager>| {
-        let mut m = HtmMachine::new(&cfg, vm);
+    fn drive<V: VersionManager>(cfg: &MachineConfig, vm: V) -> u64 {
+        let mut m = HtmMachine::new(cfg, vm);
         m.poke(0x100, 7);
         let mut t = 0;
         t += m.begin_tx(t, 0, TxSite(1));
@@ -226,15 +225,16 @@ fn shadow_oracle_catches_skipped_undo_walk() {
             Access::Done { value, .. } => value,
             other => panic!("expected Done, got {other:?}"),
         }
-    };
+    }
+    let cfg = cfg_with(CheckLevel::Full);
 
     // Control: the real LogTM-SE rolls back and reads 7.
     let n = cfg.n_cores;
-    assert_eq!(drive(Box::new(LogTmSe::new(n, cfg.htm))), 7);
+    assert_eq!(drive(&cfg, LogTmSe::new(n, cfg.htm)), 7);
 
     // Seeded bug: the shadow oracle must panic with an INV-9 report.
     let result =
-        catch_unwind(AssertUnwindSafe(|| drive(Box::new(NoUndoLogTm(LogTmSe::new(n, cfg.htm))))));
+        catch_unwind(AssertUnwindSafe(|| drive(&cfg, NoUndoLogTm(LogTmSe::new(n, cfg.htm)))));
     let panic_msg = match result {
         Ok(v) => panic!("corrupted abort went undetected (read {v})"),
         Err(e) => e

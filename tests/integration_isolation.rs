@@ -3,9 +3,9 @@
 
 use suv::htm::machine::{Access, CommitOutcome, HtmMachine};
 use suv::prelude::*;
-use suv::sim::build_vm;
+use suv::sim::{build_vm, Vm};
 
-fn machine(scheme: SchemeKind) -> HtmMachine {
+fn machine(scheme: SchemeKind) -> HtmMachine<Vm> {
     let cfg = MachineConfig::small_test();
     HtmMachine::new(&cfg, build_vm(scheme, &cfg))
 }
@@ -19,7 +19,7 @@ fn done(a: Access) -> (u64, u64) {
 
 /// Run a `lines`-line write transaction on core 0 and return the duration
 /// of its end operation (commit or abort).
-fn end_window(m: &mut HtmMachine, lines: u64, commit: bool) -> (u64, u64) {
+fn end_window(m: &mut HtmMachine<Vm>, lines: u64, commit: bool) -> (u64, u64) {
     let mut t = 0;
     t += m.begin_tx(t, 0, TxSite(1));
     for i in 0..lines {

@@ -14,7 +14,11 @@
 //! * **vm-impl** — every `impl VersionManager for` block's file defines
 //!   the full `commit`/`abort` pair, and a file that overrides
 //!   `begin_level` also overrides `commit_level` *and* `abort_level`
-//!   (a partial nesting implementation corrupts rollback silently).
+//!   (a partial nesting implementation corrupts rollback silently). The
+//!   closed-world `impl VersionManager for Vm` (`sim/scheme.rs`) must define
+//!   *every* method the trait in `htm/vm.rs` declares: a default inherited
+//!   by the enum would switch a scheme's own override off without a compile
+//!   error.
 //! * **trace-reconcile** — every `TraceEvent` variant has its own arm in
 //!   `TraceEvent::decode`, the one match that yields kind id, payload and
 //!   magnitude (no catch-all arm may absorb a newly added variant, or
@@ -42,6 +46,13 @@
 //!   (a tag array, a table) is one indexed lookup — keep it flat, rows side
 //!   by side in one allocation. A per-core list that no access scans is
 //!   allowed by a `// nested-vec-ok: <reason>` comment, same placement.
+//! * **dyn-vm** — no `dyn VersionManager` in non-test code under `crates/`:
+//!   the scheme set is closed (`sim::Vm`) and the machine is generic over
+//!   it, so every scheme call on the access path is a static one.
+//! * **build-definition** — `.cargo/config.toml` carries `lto = "fat"` and
+//!   `codegen-units = 1` under `[profile.release]`, and no `Cargo.toml` in
+//!   the tree sets either key, so the root workspace and `benchmark/`'s own
+//!   cannot drift apart.
 //!
 //! The content rules match on a *token-aware scrub* of each source file
 //! ([`strip_noncode`]): comments (line, doc and nested block) and —
@@ -313,6 +324,12 @@ const BANNED_COLLECTIONS: [Banned; 2] = [
     },
 ];
 
+/// The non-test portion of a scrubbed source file: everything before the
+/// first `#[cfg(test)]` (the workspace convention keeps test modules last).
+fn nontest(scrubbed: &str) -> &str {
+    scrubbed.find("#[cfg(test)]").map_or(scrubbed, |at| &scrubbed[..at])
+}
+
 /// Does 0-based `line` of `src`, or the line above it, carry `marker`?
 fn marked(src: &str, line: usize, marker: &str) -> bool {
     let first = line.saturating_sub(1);
@@ -327,7 +344,7 @@ pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
     const PATH: &str = "std::collections::";
     let mut out = Vec::new();
     let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
-    let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
+    let nontest = nontest(&scrubbed);
     for (at, _) in nontest.match_indices(PATH) {
         let rest = &nontest[at + PATH.len()..];
         let stmt = &rest[..rest.find(';').unwrap_or(rest.len())];
@@ -353,7 +370,7 @@ pub fn lint_std_collections(file: &str, src: &str) -> Vec<Violation> {
 /// unless the line or the one above carries a `nested-vec-ok:` comment.
 pub fn lint_nested_vec(file: &str, src: &str) -> Vec<Violation> {
     let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
-    let nontest = scrubbed.find("#[cfg(test)]").map_or(&scrubbed[..], |at| &scrubbed[..at]);
+    let nontest = nontest(&scrubbed);
     let lines = nontest.lines().enumerate();
     lines
         .filter(|(i, l)| l.contains("Vec<Vec<") && !marked(src, *i, "nested-vec-ok:"))
@@ -416,6 +433,125 @@ pub fn lint_vm_impl(file: &str, src: &str) -> Vec<Violation> {
                     msg: format!(
                         "`begin_level` overridden without `{required}..)`: partial-abort \
                          support needs the full level trio"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The names of the `fn`s inside the first block of `src` whose header
+/// line satisfies `is_header` (a trait or an impl), or `None` when no line
+/// does: those declared directly in the block, or with `nested` at any
+/// brace depth (an impl may list its methods inside a macro invocation).
+/// `src` is scrubbed first, so a `fn` in a doc comment does not count.
+fn block_fns(src: &str, is_header: impl Fn(&str) -> bool, nested: bool) -> Option<Vec<String>> {
+    let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
+    let mut lines = scrubbed.lines().skip_while(|l| !is_header(l));
+    lines.next()?;
+    let (mut depth, mut fns) = (1i32, Vec::new());
+    for line in lines {
+        if let Some(rest) = line.trim_start().strip_prefix("fn ").filter(|_| nested || depth == 1) {
+            fns.push(rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect());
+        }
+        depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+        if depth <= 0 {
+            break;
+        }
+    }
+    Some(fns)
+}
+
+/// Check that `impl VersionManager for Vm` in `scheme_src` defines every
+/// method the trait in `trait_src` declares.
+pub fn lint_vm_enum(file: &str, trait_src: &str, scheme_src: &str) -> Vec<Violation> {
+    let whole_file =
+        |msg: String| Violation { file: file.to_string(), line: 0, rule: "vm-impl", msg };
+    let is_trait = |l: &str| l.contains("pub trait VersionManager");
+    let Some(declared) = block_fns(trait_src, is_trait, false) else {
+        return vec![whole_file("could not locate `pub trait VersionManager`".to_string())];
+    };
+    let is_impl = |l: &str| l.contains("impl VersionManager for Vm ");
+    let Some(defined) = block_fns(scheme_src, is_impl, true) else {
+        return vec![whole_file("could not locate `impl VersionManager for Vm`".to_string())];
+    };
+    let missing = declared.iter().filter(|m| !defined.contains(m));
+    missing
+        .map(|m| {
+            whole_file(format!(
+                "`impl VersionManager for Vm` does not define `{m}`: the trait's default \
+                 would replace every scheme's own `{m}`"
+            ))
+        })
+        .collect()
+}
+
+/// Flag `dyn VersionManager` in the non-test portion of a source file.
+pub fn lint_dyn_vm(file: &str, src: &str) -> Vec<Violation> {
+    let scrubbed = strip_noncode(src, Strip::CommentsAndStrings);
+    let nontest = nontest(&scrubbed);
+    let lines = nontest.lines().enumerate().filter(|(_, l)| l.contains("dyn VersionManager"));
+    lines
+        .map(|(i, _)| Violation {
+            file: file.to_string(),
+            line: i + 1,
+            rule: "dyn-vm",
+            msg: "`dyn VersionManager` outside test code: the scheme set is closed — take \
+                  `suv_sim::Vm`, or be generic over `V: VersionManager`"
+                .to_string(),
+        })
+        .collect()
+}
+
+/// The two keys of the release build definition, as `.cargo/config.toml`
+/// must spell them under `[profile.release]`.
+const BUILD_DEFINITION: [(&str, &str); 2] = [("lto", "\"fat\""), ("codegen-units", "1")];
+
+/// The `(line, section, key, value)` of every `key = value` line of a TOML
+/// text, comments dropped. (The subset the manifests here use: one pair
+/// per line, section headers on their own line.)
+fn toml_pairs(text: &str) -> Vec<(usize, String, String, String)> {
+    let mut section = String::new();
+    let mut out = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = name.trim().to_string();
+        } else if let Some((k, v)) = line.split_once('=') {
+            out.push((i + 1, section.clone(), k.trim().to_string(), v.trim().to_string()));
+        }
+    }
+    out
+}
+
+/// Check the one release build definition: `config` (`.cargo/config.toml`)
+/// sets both keys under `[profile.release]`, and none of `manifests`
+/// (`(path, text)` of every `Cargo.toml`) sets either anywhere.
+pub fn lint_build_definition(config: &str, manifests: &[(String, String)]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let pairs = toml_pairs(config);
+    for (key, want) in BUILD_DEFINITION {
+        let set = pairs.iter().any(|(_, s, k, v)| s == "profile.release" && k == key && v == want);
+        if !set {
+            out.push(Violation {
+                file: ".cargo/config.toml".to_string(),
+                line: 0,
+                rule: "build-definition",
+                msg: format!("`[profile.release]` must set `{key} = {want}`"),
+            });
+        }
+    }
+    for (file, text) in manifests {
+        for (line, _, key, _) in toml_pairs(text) {
+            if BUILD_DEFINITION.iter().any(|(k, _)| *k == key) {
+                out.push(Violation {
+                    file: file.clone(),
+                    line,
+                    rule: "build-definition",
+                    msg: format!(
+                        "`{key}` set in a manifest: the release build definition lives in \
+                         `.cargo/config.toml` alone, where both workspaces read it"
                     ),
                 });
             }
@@ -547,29 +683,32 @@ pub fn lint_invariant_coverage(design: &str, code_refs: &BTreeSet<u32>) -> Vec<V
 /// where check messages name the invariant), cut at `#[cfg(test)]`.
 pub fn invariant_refs(src: &str) -> BTreeSet<u32> {
     let scrubbed = strip_noncode(src, Strip::Comments);
-    let nontest = match scrubbed.find("#[cfg(test)]") {
-        Some(at) => &scrubbed[..at],
-        None => &scrubbed[..],
-    };
+    let nontest = nontest(&scrubbed);
     invariant_mentions(nontest).into_iter().map(|(n, _)| n).collect()
 }
 
-/// Recursively collect `.rs` files under `dir`, skipping `target/`.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Recursively collect the files under `dir` that `wanted` accepts,
+/// skipping `target/` and dot-directories.
+fn files_under(dir: &Path, wanted: fn(&Path) -> bool, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         if path.is_dir() {
-            if name != "target" {
-                rust_files(&path, out)?;
+            if name != "target" && !name.to_string_lossy().starts_with('.') {
+                files_under(&path, wanted, out)?;
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else if wanted(&path) {
             out.push(path);
         }
     }
     out.sort();
     Ok(())
+}
+
+/// Recursively collect `.rs` files under `dir`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    files_under(dir, |p| p.extension().is_some_and(|e| e == "rs"), out)
 }
 
 /// Run every rule over the workspace rooted at `root`.
@@ -600,6 +739,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
                     violations.extend(lint_unwrap(&name, &src));
                 }
             }
+            if name.contains("/src/") {
+                violations.extend(lint_dyn_vm(&name, &src));
+            }
             if siphash_free && name.contains("/src/") {
                 violations.extend(lint_std_collections(&name, &src));
                 violations.extend(lint_nested_vec(&name, &src));
@@ -620,6 +762,22 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 
     let event_rs = root.join("crates/trace/src/event.rs");
     violations.extend(lint_trace_reconciliation(&rel(&event_rs), &fs::read_to_string(&event_rs)?));
+
+    let scheme_rs = root.join("crates/sim/src/scheme.rs");
+    violations.extend(lint_vm_enum(
+        &rel(&scheme_rs),
+        &fs::read_to_string(root.join("crates/htm/src/vm.rs"))?,
+        &fs::read_to_string(&scheme_rs)?,
+    ));
+
+    let mut manifests = Vec::new();
+    files_under(root, |p| p.file_name().is_some_and(|n| n == "Cargo.toml"), &mut manifests)?;
+    let manifests: Vec<(String, String)> = manifests
+        .iter()
+        .map(|p| Ok((rel(p), fs::read_to_string(p)?)))
+        .collect::<io::Result<_>>()?;
+    let config = fs::read_to_string(root.join(".cargo/config.toml"))?;
+    violations.extend(lint_build_definition(&config, &manifests));
 
     let design = root.join("DESIGN.md");
     if design.exists() {
@@ -814,6 +972,82 @@ mod tests {
         assert!(lint_vm_impl("x.rs", "no impls here").is_empty());
         let generic = "impl<E: VersionManager> VersionManager for X<E> {\n fn commit(..) {}\n}";
         assert_eq!(lint_vm_impl("x.rs", generic).len(), 1, "a generic impl is an impl");
+    }
+
+    const VM_TRAIT: &str = "/// fn not_a_method() in a doc comment\n\
+        pub trait VersionManager: Send {\n    fn kind(&self) -> K;\n\
+        \x20   fn on_eviction(&mut self, _c: usize) {}\n\
+        \x20   fn abort_level(&mut self) -> u64 {\n        fn nested() {}\n        0\n    }\n}\n\
+        fn outside() {}\n";
+
+    #[test]
+    fn vm_enum_must_define_every_trait_method() {
+        let full = "impl VersionManager for Vm {\n    forward! {\n        ref {\n            \
+            fn kind() -> K;\n        }\n    }\n    fn on_eviction(&mut self, c: usize) {}\n    \
+            fn abort_level(&mut self) -> u64 {\n        0\n    }\n}\n";
+        let v = lint_vm_enum("s.rs", VM_TRAIT, full);
+        assert!(v.is_empty(), "{v:?}");
+        // A missing arm: the enum would inherit the no-op default.
+        let missing = full.replace("    fn on_eviction(&mut self, c: usize) {}\n", "");
+        let v = lint_vm_enum("s.rs", VM_TRAIT, &missing);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "vm-impl");
+        assert!(v[0].msg.contains("`on_eviction`"), "{}", v[0].msg);
+        // Another type's impl in the same file does not stand in for it.
+        let other =
+            format!("{missing}impl VersionManager for W {{\n    fn on_eviction() {{}}\n}}\n");
+        assert_eq!(lint_vm_enum("s.rs", VM_TRAIT, &other).len(), 1);
+        // Neither block found is a finding, not a pass.
+        assert_eq!(lint_vm_enum("s.rs", VM_TRAIT, "enum Vm {}\n").len(), 1);
+        assert_eq!(lint_vm_enum("s.rs", "trait Other {}\n", full).len(), 1);
+    }
+
+    #[test]
+    fn dyn_vm_flagged_outside_tests_only() {
+        let boxed = "struct M {\n    vm: Box<dyn VersionManager>,\n}\n";
+        let v = lint_dyn_vm("m.rs", boxed);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (2, "dyn-vm"));
+        assert_eq!(lint_dyn_vm("m.rs", "fn f(vm: &mut dyn VersionManager) {}\n").len(), 1);
+        let fine = "/// once a `Box<dyn VersionManager>`\nstruct M<V: VersionManager> { vm: V }\n\
+                    #[cfg(test)]\nmod t { fn f(_: Box<dyn VersionManager>) {} }\n";
+        assert!(lint_dyn_vm("m.rs", fine).is_empty());
+    }
+
+    #[test]
+    fn build_definition_lives_in_the_cargo_config_alone() {
+        let config = "[alias]\nxtask = \"run\"\n\n[profile.release] # both workspaces\n\
+                      lto = \"fat\"\ncodegen-units = 1\n";
+        let manifest = |text: &str| vec![("Cargo.toml".to_string(), text.to_string())];
+        let plain = manifest("[profile.release]\ndebug = \"line-tables-only\"\n# lto = true\n");
+        assert!(lint_build_definition(config, &plain).is_empty());
+        // A key missing, weakened, or under another profile.
+        let thin = config.replace("\"fat\"", "\"thin\"");
+        let v = lint_build_definition(&thin, &plain);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].file.as_str(), v[0].rule), (".cargo/config.toml", "build-definition"));
+        let elsewhere = config.replace("[profile.release]", "[profile.bench]");
+        assert_eq!(lint_build_definition(&elsewhere, &plain).len(), 2);
+        assert_eq!(lint_build_definition("[alias]\n", &plain).len(), 2);
+        // Either key in any manifest, whatever the value.
+        let drifted = manifest("[package]\nname = \"x\"\n\n[profile.release]\nlto = \"fat\"\n");
+        let v = lint_build_definition(config, &drifted);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].file.as_str(), v[0].line), ("Cargo.toml", 5));
+        let units = manifest("[profile.bench]\ncodegen-units=16\n");
+        assert_eq!(lint_build_definition(config, &units).len(), 1);
+    }
+
+    #[test]
+    fn manifest_walk_reaches_both_workspaces() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root");
+        let mut found = Vec::new();
+        files_under(root, |p| p.file_name().is_some_and(|n| n == "Cargo.toml"), &mut found)
+            .expect("walk");
+        for m in ["Cargo.toml", "xtask/Cargo.toml", "benchmark/Cargo.toml", "crates/sim/Cargo.toml"]
+        {
+            assert!(found.contains(&root.join(m)), "{m} missing from the build-definition walk");
+        }
     }
 
     #[test]

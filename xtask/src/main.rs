@@ -4,7 +4,8 @@
 //!
 //! * `lint` — run the workspace's custom lint pass (determinism, unwrap
 //!   hygiene, unsafe-code bans, `VersionManager` completeness, trace-event
-//!   reconciliation). Exits non-zero on any violation; CI gates on it.
+//!   reconciliation, no `dyn VersionManager`, the one release build
+//!   definition). Exits non-zero on any violation; CI gates on it.
 //! * `verify` — run the `suv-verify` small-scope model checkers (protocol
 //!   product machine over all six schemes + scheduler interleavings).
 //!   Exits non-zero on any violation; CI gates on it.
