@@ -1618,6 +1618,28 @@ mod tests {
         m.begin_tx(10_000, 0, TxSite(1));
         assert_ne!(m.txs[0].timestamp, ts1);
     }
+
+    fn machine_512() -> HtmMachine<LogTmSe> {
+        let mut cfg = MachineConfig::small_test();
+        cfg.n_cores = 512;
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
+    }
+
+    #[test]
+    fn ages_order_by_begin_time_on_cores_above_255() {
+        let mut m = machine_512();
+        m.begin_tx(2, 300, TxSite(1));
+        m.begin_tx(3, 0, TxSite(1));
+        assert!(m.txs[300].timestamp < m.txs[0].timestamp, "begun earlier is older");
+    }
+
+    #[test]
+    fn an_irrevocable_owner_on_a_core_above_255_is_the_oldest() {
+        let mut m = machine_512();
+        m.begin_tx(1, 5, TxSite(1));
+        m.begin_tx_irrevocable(2, 300, TxSite(1));
+        assert!(m.txs[300].timestamp < m.txs[5].timestamp);
+    }
 }
 
 #[cfg(test)]
