@@ -10,6 +10,7 @@ use crate::exp::{self, BenchMode, Cells, Experiment, Output};
 use suv::oltp::{parse_traffic_spec, TrafficConfig};
 use suv::prelude::*;
 use suv::registry::by_name;
+use suv::types::MAX_CORES;
 use suv_verify::hybrid::{HybridMutation, ALL_HYBRID_MUTATIONS};
 use suv_verify::protocol::{ProtocolMutation, ALL_PROTOCOL_MUTATIONS};
 use suv_verify::VerifyEngine;
@@ -190,11 +191,6 @@ pub enum Command {
     Help,
 }
 
-/// Upper bound on simulated cores. Directory sharer sets grow
-/// word-by-word above 64 cores, so the remaining ceiling is the
-/// scheduler's packed horizon word, whose core-id field holds 10 bits.
-pub const MAX_CORES: usize = 1024;
-
 /// The one flag walker: a cursor over an argument list that remembers
 /// the token it last handed out, so every value and error names its flag.
 struct Flags<'a> {
@@ -283,7 +279,7 @@ fn parse_cores(flag: &str, s: &str) -> Result<usize, CliError> {
         Err(_) => err(format!("{flag}: `{s}` is not a number")),
         Ok(0) => err(format!("{flag}: need at least 1 simulated core")),
         Ok(n) if n > MAX_CORES => {
-            err(format!("{flag}: {n} exceeds the {MAX_CORES}-core limit (scheduler core-id field)"))
+            err(format!("{flag}: {n} exceeds the {MAX_CORES}-core limit (10-bit core-id field)"))
         }
         Ok(n) => Ok(n),
     }

@@ -47,7 +47,7 @@ use suv_mem::Memory;
 use suv_trace::{ConflictDir, EscalationReason, FallbackAbortReason, TraceEvent, Tracer};
 use suv_types::{
     line_of, word_of, Addr, CheckLevel, CoreId, Cycle, LineAddr, MachineConfig, OverflowStats,
-    SharerSet, TxSite, TxStats,
+    SharerSet, TxSite, TxStats, CORE_ID_BITS, MAX_CORES,
 };
 
 /// Outcome of a memory access through the machine.
@@ -152,6 +152,11 @@ impl<V: VersionManager> HtmMachine<V> {
     /// Build a machine running the given version-management scheme.
     #[must_use]
     pub fn new(cfg: &MachineConfig, vm: V) -> Self {
+        assert!(
+            cfg.n_cores <= MAX_CORES,
+            "{} cores: a transaction age names at most {MAX_CORES}",
+            cfg.n_cores
+        );
         HtmMachine {
             cfg: *cfg,
             mem: Memory::new(),
@@ -570,14 +575,14 @@ impl<V: VersionManager> HtmMachine<V> {
         t.irrevocable = irrevocable;
         t.begin_time = now;
         if irrevocable {
-            // Oldest possible age: core ids are < 2^8, so this sorts below
-            // every normal `(now << 8) | core` timestamp and the LogTM rule
-            // makes every opponent in a dependence cycle yield.
+            // Oldest possible age: a bare core id sorts below every normal
+            // `(now, core)` timestamp begun after cycle 0, and the LogTM
+            // rule makes every opponent in a dependence cycle yield.
             t.timestamp = core as u64;
         } else if t.timestamp == u64::MAX {
             // Age is assigned once per dynamic transaction and kept across
             // retries so the oldest eventually wins.
-            t.timestamp = (now << 8) | core as u64;
+            t.timestamp = (now << CORE_ID_BITS) | core as u64;
         }
         self.tracer.emit(now, core, TraceEvent::TxBegin { site: site.0, lazy });
         self.shadow(|s| s.begin(core));

@@ -52,12 +52,7 @@
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use suv_types::Cycle;
-
-/// Bits of the packed horizon word reserved for the core id. 1024 cores
-/// (`MAX_CORES`) need exactly 10, which still caps clocks at 2^54 cycles,
-/// far above the simulator's runaway wall.
-const ID_BITS: u32 = 10;
+use suv_types::{Cycle, CORE_ID_BITS as ID_BITS};
 
 /// Pack a `(time, id)` pair so that `u64` order equals lexicographic
 /// `(time, id)` order.
