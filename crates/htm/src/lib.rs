@@ -30,6 +30,7 @@ pub mod fastm;
 pub mod lazy;
 pub mod logtm;
 pub mod machine;
+pub mod script;
 pub mod shadow;
 pub mod swvm;
 pub mod tx;

@@ -152,11 +152,7 @@ impl<V: VersionManager> HtmMachine<V> {
     /// Build a machine running the given version-management scheme.
     #[must_use]
     pub fn new(cfg: &MachineConfig, vm: V) -> Self {
-        assert!(
-            cfg.n_cores <= MAX_CORES,
-            "{} cores: a transaction age names at most {MAX_CORES}",
-            cfg.n_cores
-        );
+        assert!(cfg.n_cores <= MAX_CORES, "a transaction age names at most {MAX_CORES} cores");
         HtmMachine {
             cfg: *cfg,
             mem: Memory::new(),
@@ -1287,148 +1283,122 @@ impl<V: VersionManager> HtmMachine<V> {
 mod tests {
     use super::*;
     use crate::logtm::LogTmSe;
+    pub(super) use crate::script::{Answer, Op, Op::*, Phase, Run};
     use suv_types::MachineConfig;
 
-    fn machine() -> HtmMachine<LogTmSe> {
+    pub(super) fn machine() -> HtmMachine<LogTmSe> {
         let cfg = MachineConfig::small_test();
         HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
     }
 
-    fn must_done(a: Access) -> (u64, Cycle) {
+    /// A script run on [`machine`]: each op at the earliest legal cycle.
+    pub(super) fn run() -> Run<LogTmSe> {
+        Run::new(machine())
+    }
+
+    pub(super) fn begin(site: u32) -> Op {
+        Begin { site: TxSite(site) }
+    }
+
+    pub(super) fn done(a: Access) -> (u64, Cycle) {
         match a {
             Access::Done { value, latency } => (value, latency),
             other => panic!("expected Done, got {other:?}"),
         }
     }
 
+    /// Was the op NACKed by `by`, and told to abort or not?
+    pub(super) fn nacked(answer: Answer, by: CoreId, abort: bool) -> bool {
+        matches!(answer, Answer::Access(Access::Nacked { nacker, must_abort, latency })
+            if nacker == by && must_abort == abort && latency > 0)
+    }
+
+    pub(super) fn committed(answer: Answer) -> bool {
+        matches!(answer, Answer::Commit(CommitOutcome::Committed { .. }))
+    }
+
     #[test]
     fn single_tx_commit_flow() {
-        let mut m = machine();
-        m.poke(0x100, 5);
-        let mut now = 0;
-        now += m.begin_tx(now, 0, TxSite(1));
-        let (v, l) = must_done(m.tx_load(now, 0, 0x100));
-        assert_eq!(v, 5);
-        now += l;
-        let (_, l) = must_done(m.tx_store(now, 0, 0x100, 6));
-        now += l;
-        match m.commit_tx(now, 0) {
-            CommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.peek(0x100), 6);
-        assert_eq!(m.tx_stats().commits, 1);
+        let mut r = run();
+        r.m.poke(0x100, 5);
+        let out = r.play(&[(0, begin(1)), (0, Load(0x100)), (0, Store(0x100, 6)), (0, Commit)]);
+        let out = out.unwrap();
+        assert_eq!(out[1].value(), Some(5));
+        assert!(committed(out[3].answer));
+        assert_eq!(r.m.peek(0x100), 6);
+        assert_eq!(r.m.tx_stats().commits, 1);
     }
 
     #[test]
     fn abort_restores_memory() {
-        let mut m = machine();
-        m.poke(0x200, 10);
-        let mut now = 0;
-        now += m.begin_tx(now, 0, TxSite(1));
-        let (_, l) = must_done(m.tx_store(now, 0, 0x200, 99));
-        now += l;
-        assert_eq!(m.mem.read_word(0x200), 99, "eager update in place");
-        let d = m.abort_tx(now, 0);
-        assert!(d > 0);
-        assert_eq!(m.peek(0x200), 10, "undo log restored the old value");
-        assert_eq!(m.tx_stats().aborts, 1);
+        let mut r = run();
+        r.m.poke(0x200, 10);
+        r.play(&[(0, begin(1)), (0, Store(0x200, 99))]).unwrap();
+        assert_eq!(r.m.mem.read_word(0x200), 99, "eager update in place");
+        let out = r.play(&[(0, Abort)]).unwrap();
+        assert!(out[0].aborted.unwrap() > 0);
+        assert_eq!(r.m.peek(0x200), 10, "undo log restored the old value");
+        assert_eq!(r.m.tx_stats().aborts, 1);
     }
 
     #[test]
     fn conflicting_store_is_nacked() {
-        let mut m = machine();
-        m.poke(0x300, 1);
-        let mut t0 = 0;
-        t0 += m.begin_tx(t0, 0, TxSite(1));
-        let (_, l) = must_done(m.tx_load(t0, 0, 0x300));
-        t0 += l;
-        let _ = t0;
+        let mut r = run();
+        r.m.poke(0x300, 1);
         // Core 1 (younger) writes the line core 0 read.
-        let mut t1 = 50;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        match m.tx_store(t1, 1, 0x300, 2) {
-            Access::Nacked { nacker, must_abort, latency } => {
-                assert_eq!(nacker, 0);
-                assert!(!must_abort, "no cycle yet");
-                assert!(latency > 0);
-            }
-            other => panic!("expected NACK, got {other:?}"),
-        }
-        assert_eq!(m.tx_stats().nacks_received, 1);
+        let script = [(0, begin(1)), (0, Load(0x300)), (1, begin(2)), (1, Store(0x300, 2))];
+        let out = r.play(&script).unwrap();
+        assert!(nacked(out[3].answer, 0, false), "no cycle yet: {:?}", out[3]);
+        assert_eq!(r.m.tx_stats().nacks_received, 1);
     }
 
     #[test]
     fn read_read_is_no_conflict() {
-        let mut m = machine();
-        m.poke(0x340, 7);
-        let mut t0 = 0;
-        t0 += m.begin_tx(t0, 0, TxSite(1));
-        must_done(m.tx_load(t0, 0, 0x340));
-        let mut t1 = 30;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        let (v, _) = must_done(m.tx_load(t1, 1, 0x340));
-        assert_eq!(v, 7);
+        let mut r = run();
+        r.m.poke(0x340, 7);
+        let script = [(0, begin(1)), (0, Load(0x340)), (1, begin(2)), (1, Load(0x340))];
+        assert_eq!(r.play(&script).unwrap()[3].value(), Some(7));
     }
 
     #[test]
     fn possible_cycle_rule_aborts_younger() {
-        let mut m = machine();
-        m.poke(0x400, 0); // line A
-        m.poke(0x440, 0); // line B
-                          // T0 (older) reads A; T1 (younger) reads B.
-        let mut t0 = 0;
-        t0 += m.begin_tx(t0, 0, TxSite(1));
-        let (_, l) = must_done(m.tx_load(t0, 0, 0x400));
-        t0 += l;
-        let mut t1 = 20;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        let (_, l) = must_done(m.tx_load(t1, 1, 0x440));
-        t1 += l;
-        // T0 stores to B -> NACKed by T1; T1 NACKed an older tx, so its
-        // possible_cycle flag is set.
-        match m.tx_store(t0, 0, 0x440, 1) {
-            Access::Nacked { nacker, must_abort, .. } => {
-                assert_eq!(nacker, 1);
-                assert!(!must_abort, "the older transaction never cycle-aborts");
-            }
-            other => panic!("{other:?}"),
-        }
-        // T1 stores to A -> NACKed by T0 (older) while flagged: must abort.
-        match m.tx_store(t1, 1, 0x400, 1) {
-            Access::Nacked { nacker, must_abort, .. } => {
-                assert_eq!(nacker, 0);
-                assert!(must_abort, "possible-cycle rule must fire");
-            }
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.tx_stats().cycle_aborts, 1);
+        let mut r = run();
+        let (a, b) = (0x400, 0x440);
+        let out = r.play(&[
+            // T0 (older) reads A; T1 (younger) reads B.
+            (0, begin(1)),
+            (0, Load(a)),
+            (1, begin(2)),
+            (1, Load(b)),
+            // T0 stores to B -> NACKed by T1; T1 NACKed an older tx, so its
+            // possible_cycle flag is set.
+            (0, Store(b, 1)),
+            // T1 stores to A -> NACKed by T0 (older) while flagged: must abort.
+            (1, Store(a, 1)),
+        ]);
+        let out = out.unwrap();
+        assert!(nacked(out[4].answer, 1, false), "the older transaction never cycle-aborts");
+        assert!(nacked(out[5].answer, 0, true), "possible-cycle rule must fire");
+        assert_eq!(out[5].after, Phase::Idle, "and the step aborted the younger");
+        assert_eq!(r.m.tx_stats().cycle_aborts, 1);
     }
 
     #[test]
     fn isolation_window_defends_during_abort() {
-        let mut m = machine();
-        m.poke(0x500, 3);
-        let mut t0 = 0;
-        t0 += m.begin_tx(t0, 0, TxSite(1));
-        for i in 0..16u64 {
-            let (_, l) = must_done(m.tx_store(t0, 0, 0x500 + i * 64, i));
-            t0 += l;
-        }
-        let d = m.abort_tx(t0, 0);
+        let mut r = run();
+        r.m.poke(0x500, 3);
+        let mut script = vec![(0, begin(1))];
+        script.extend((0..16).map(|i| (0, Store(0x500 + i * 64, i))));
+        script.push((0, Abort));
+        let d = r.play(&script).unwrap()[17].aborted.unwrap();
         assert!(d > 50, "LogTM-SE abort must be slow ({d})");
         // During the abort window another core's access is still NACKed.
-        let mut t1 = t0 + d / 2;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        match m.tx_load(t1, 1, 0x500) {
-            Access::Nacked { nacker, .. } => assert_eq!(nacker, 0),
-            other => panic!("expected NACK during repair window, got {other:?}"),
-        }
+        let out = r.play(&[(1, begin(2)), (1, Load(0x500))]).unwrap();
+        assert!(nacked(out[1].answer, 0, false), "expected NACK during repair window");
         // After the window closes the same access succeeds and sees the
         // restored value.
-        let t2 = t0 + d + 100;
-        let (v, _) = must_done(m.tx_load(t2, 1, 0x500));
-        assert_eq!(v, 3);
+        let after = r.ready(0) + 100;
+        assert_eq!(r.step(after, 1, Load(0x500)).unwrap().value(), Some(3));
     }
 
     fn full_check_machine() -> HtmMachine<LogTmSe> {
@@ -1443,7 +1413,7 @@ mod tests {
         assert!(m.live.is_empty());
         let mut t0 = m.begin_tx(0, 2, TxSite(1));
         assert_eq!(m.live.iter().collect::<Vec<_>>(), vec![2]);
-        let (_, l) = must_done(m.tx_store(t0, 2, 0x700, 1));
+        let (_, l) = done(m.tx_store(t0, 2, 0x700, 1));
         t0 += l;
         let window = match m.commit_tx(t0, 2) {
             CommitOutcome::Committed { latency, .. } => latency,
@@ -1461,7 +1431,7 @@ mod tests {
     fn full_check_catches_a_signature_bit_missing_from_the_index() {
         let mut m = full_check_machine();
         let t0 = m.begin_tx(0, 0, TxSite(1));
-        must_done(m.tx_load(t0, 0, 0x300));
+        done(m.tx_load(t0, 0, 0x300));
         // Seeded bug: one of core 0's read bits falls out of its index
         // column while it is Active. Its signature still covers the line.
         m.index.put(0, false, [&0x300], false);
@@ -1474,7 +1444,7 @@ mod tests {
     fn full_check_catches_a_stray_bit_in_the_index() {
         let mut m = full_check_machine();
         let t0 = m.begin_tx(0, 0, TxSite(1));
-        must_done(m.tx_load(t0, 0, 0x300));
+        done(m.tx_load(t0, 0, 0x300));
         // Seeded bug: core 0's column gains the bits of a line it never
         // read. With one level of Bloom signatures the searches trust the
         // index, so core 0 would NACK a store it has no claim on.
@@ -1534,8 +1504,8 @@ mod tests {
         }
         now += m.begin_tx(now, 0, TxSite(1)).max(m.begin_tx(now, 1, TxSite(2)));
         assert!(m.txs[1].lazy && !m.txs[0].lazy);
-        now += must_done(m.tx_load(now, 0, 0x900)).1;
-        now += must_done(m.tx_store(now, 1, 0x900, 7)).1;
+        now += done(m.tx_load(now, 0, 0x900)).1;
+        now += done(m.tx_store(now, 1, 0x900, 7)).1;
         // Core 0 aborts: its window defends the line it read until `until`.
         let until = now + m.abort_tx(now, 0);
         // Core 1 asks to commit while that window is open, but the token
@@ -1551,42 +1521,25 @@ mod tests {
 
     #[test]
     fn nontx_store_respects_strong_isolation() {
-        let mut m = machine();
-        m.poke(0x600, 1);
-        let mut t0 = 0;
-        t0 += m.begin_tx(t0, 0, TxSite(1));
-        must_done(m.tx_load(t0, 0, 0x600));
+        let mut r = run();
+        r.m.poke(0x600, 1);
         // Core 1, not in a transaction, tries to write the line.
-        match m.nontx_store(10, 1, 0x600, 9) {
-            Access::Nacked { nacker, must_abort, .. } => {
-                assert_eq!(nacker, 0);
-                assert!(!must_abort);
-            }
-            other => panic!("strong isolation violated: {other:?}"),
-        }
+        let script = [(0, begin(1)), (0, Load(0x600)), (1, NonTxStore(0x600, 9))];
+        let out = r.play(&script).unwrap();
+        assert!(nacked(out[2].answer, 0, false), "strong isolation violated: {:?}", out[2]);
     }
 
     #[test]
     fn nested_begin_commit_flattened() {
-        let mut m = machine();
-        let mut now = 0;
-        now += m.begin_tx(now, 0, TxSite(1));
-        now += m.begin_tx(now, 0, TxSite(2));
-        assert_eq!(m.txs[0].depth, 2);
-        let (_, l) = must_done(m.tx_store(now, 0, 0x700, 1));
-        now += l;
-        match m.commit_tx(now, 0) {
-            CommitOutcome::Committed { latency, .. } => now += latency,
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.txs[0].depth, 1, "inner commit pops one level");
-        assert!(m.in_tx(0));
-        match m.commit_tx(now, 0) {
-            CommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.txs[0].depth, 0);
-        assert_eq!(m.tx_stats().commits, 1, "only the outermost commit counts");
+        let mut r = run();
+        r.play(&[(0, begin(1)), (0, NestedBegin { site: TxSite(2) })]).unwrap();
+        assert_eq!(r.m.txs[0].depth, 2);
+        r.play(&[(0, Store(0x700, 1)), (0, Commit)]).unwrap();
+        assert_eq!(r.m.txs[0].depth, 1, "inner commit pops one level");
+        assert!(r.m.in_tx(0));
+        assert!(committed(r.play(&[(0, Commit)]).unwrap()[0].answer));
+        assert_eq!(r.m.txs[0].depth, 0);
+        assert_eq!(r.m.tx_stats().commits, 1, "only the outermost commit counts");
     }
 
     #[test]
@@ -1649,328 +1602,250 @@ mod tests {
 
 #[cfg(test)]
 mod nesting_tests {
-    use super::*;
-    use crate::logtm::LogTmSe;
-    use suv_types::MachineConfig;
+    use super::tests::*;
+    use suv_types::TxSite;
 
-    fn machine() -> HtmMachine<LogTmSe> {
-        let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
-    }
-
-    fn done(a: Access) -> (u64, Cycle) {
-        match a {
-            Access::Done { value, latency } => (value, latency),
-            other => panic!("expected Done, got {other:?}"),
-        }
-    }
+    const NEST: Op = NestedBegin { site: TxSite(2) };
 
     #[test]
     fn partial_abort_keeps_outer_writes() {
-        let mut m = machine();
-        m.poke(0x100, 1);
-        m.poke(0x140, 2);
-        let mut t = 0;
-        t += m.begin_tx(t, 0, TxSite(1));
-        let (_, l) = done(m.tx_store(t, 0, 0x100, 10)); // outer write
-        t += l;
-        // Nested level writes a different line, then partially aborts.
-        t += m.begin_tx(t, 0, TxSite(2));
-        let (_, l) = done(m.tx_store(t, 0, 0x140, 20));
-        t += l;
-        let d = m.abort_nested(t, 0).expect("LogTM-SE supports partial abort");
-        t += d;
-        assert_eq!(m.txs[0].depth, 1, "back at the outer level");
-        assert_eq!(m.mem.read_word(0x140), 2, "inner write rolled back");
-        assert_eq!(m.mem.read_word(0x100), 10, "outer write survives");
-        match m.commit_tx(t, 0) {
-            CommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.peek(0x100), 10);
-        assert_eq!(m.peek(0x140), 2);
+        let mut r = run();
+        r.m.poke(0x100, 1);
+        r.m.poke(0x140, 2);
+        // The nested level writes a different line, then partially aborts.
+        let script = [(0, begin(1)), (0, Store(0x100, 10)), (0, NEST), (0, Store(0x140, 20))];
+        r.play(&script).unwrap();
+        let out = r.play(&[(0, AbortNested)]).unwrap();
+        assert!(matches!(out[0].answer, Answer::NestedAbort(Some(_))), "LogTM-SE supports it");
+        assert_eq!(r.phase(0), Phase::Hw { depth: 1, irrevocable: false, lazy: false });
+        assert_eq!(r.m.mem.read_word(0x140), 2, "inner write rolled back");
+        assert_eq!(r.m.mem.read_word(0x100), 10, "outer write survives");
+        assert!(committed(r.play(&[(0, Commit)]).unwrap()[0].answer));
+        assert_eq!(r.m.peek(0x100), 10);
+        assert_eq!(r.m.peek(0x140), 2);
     }
 
     #[test]
     fn partial_abort_restores_outer_speculative_value_on_shared_line() {
         // Outer writes X=10, inner overwrites X=20, inner aborts: X must
         // return to the OUTER speculative value 10, not the pre-tx 1.
-        let mut m = machine();
-        m.poke(0x200, 1);
-        let mut t = 0;
-        t += m.begin_tx(t, 0, TxSite(1));
-        let (_, l) = done(m.tx_store(t, 0, 0x200, 10));
-        t += l;
-        t += m.begin_tx(t, 0, TxSite(2));
-        let (_, l) = done(m.tx_store(t, 0, 0x200, 20));
-        t += l;
-        let d = m.abort_nested(t, 0).expect("partial abort");
-        t += d;
-        let (v, _) = done(m.tx_load(t, 0, 0x200));
-        assert_eq!(v, 10, "outer speculative value restored");
-        // And a full abort from here restores the pre-transaction value.
-        let d = m.abort_tx(t + 5, 0);
-        let _ = d;
-        assert_eq!(m.peek(0x200), 1);
+        let mut r = run();
+        r.m.poke(0x200, 1);
+        let out = r.play(&[
+            (0, begin(1)),
+            (0, Store(0x200, 10)),
+            (0, NEST),
+            (0, Store(0x200, 20)),
+            (0, AbortNested),
+            (0, Load(0x200)),
+            (0, Abort),
+        ]);
+        assert_eq!(out.unwrap()[5].value(), Some(10), "outer speculative value restored");
+        // And the full abort from there restores the pre-transaction value.
+        assert_eq!(r.m.peek(0x200), 1);
     }
 
     #[test]
     fn nested_commit_then_full_abort_unwinds_everything() {
-        let mut m = machine();
-        m.poke(0x300, 1);
-        m.poke(0x340, 2);
-        let mut t = 0;
-        t += m.begin_tx(t, 0, TxSite(1));
-        let (_, l) = done(m.tx_store(t, 0, 0x300, 10));
-        t += l;
-        t += m.begin_tx(t, 0, TxSite(2));
-        let (_, l) = done(m.tx_store(t, 0, 0x340, 20));
-        t += l;
-        match m.commit_tx(t, 0) {
-            CommitOutcome::Committed { latency, .. } => t += latency,
-            other => panic!("{other:?}"),
-        }
+        let mut r = run();
+        r.m.poke(0x300, 1);
+        r.m.poke(0x340, 2);
         // Inner committed into the outer; outer aborts: both revert.
-        m.abort_tx(t, 0);
-        assert_eq!(m.peek(0x300), 1);
-        assert_eq!(m.peek(0x340), 2, "inner-committed write dies with the outer abort");
+        r.play(&[
+            (0, begin(1)),
+            (0, Store(0x300, 10)),
+            (0, NEST),
+            (0, Store(0x340, 20)),
+            (0, Commit),
+            (0, Abort),
+        ])
+        .unwrap();
+        assert_eq!(r.m.peek(0x300), 1);
+        assert_eq!(r.m.peek(0x340), 2, "inner-committed write dies with the outer abort");
     }
 
     #[test]
     fn inner_frame_sets_stop_defending_after_partial_abort() {
-        let mut m = machine();
-        let mut t = 0;
-        t += m.begin_tx(t, 0, TxSite(1));
-        t += m.begin_tx(t, 0, TxSite(2));
-        let (_, l) = done(m.tx_store(t, 0, 0x400, 7));
-        t += l;
-        let d = m.abort_nested(t, 0).expect("partial abort");
-        t += d;
-        // Another core can now write the line the aborted level touched.
-        let mut t1 = t + 5;
-        t1 += m.begin_tx(t1, 1, TxSite(3));
-        match m.tx_store(t1, 1, 0x400, 9) {
-            Access::Done { .. } => {}
-            other => panic!("aborted inner level still defends: {other:?}"),
-        }
+        let mut r = run();
+        let out = r.play(&[
+            (0, begin(1)),
+            (0, NEST),
+            (0, Store(0x400, 7)),
+            (0, AbortNested),
+            // Another core can now write the line the aborted level touched.
+            (1, begin(3)),
+            (1, Store(0x400, 9)),
+        ]);
+        let last = out.unwrap()[5];
+        assert!(last.value().is_some(), "aborted inner level still defends: {last:?}");
     }
 
     #[test]
     fn abort_nested_returns_none_at_outer_level() {
-        let mut m = machine();
-        let mut t = 0;
-        t += m.begin_tx(t, 0, TxSite(1));
-        assert!(m.abort_nested(t, 0).is_none(), "outermost level needs a full abort");
+        let out = run().play(&[(0, begin(1)), (0, AbortNested)]).unwrap();
+        assert_eq!(out[1].answer, Answer::NestedAbort(None), "outermost level needs a full abort");
     }
 }
 
 #[cfg(test)]
 mod sw_fallback_tests {
+    use super::tests::*;
     use super::*;
     use crate::logtm::LogTmSe;
     use suv_types::MachineConfig;
 
-    fn machine() -> HtmMachine<LogTmSe> {
-        let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
+    fn sw_begin(site: u32) -> Op {
+        SwBegin { site: TxSite(site), attempt: 1 }
     }
 
-    fn done(a: Access) -> (u64, Cycle) {
-        match a {
-            Access::Done { value, latency } => (value, latency),
-            other => panic!("expected Done, got {other:?}"),
-        }
+    fn sw_must_abort(answer: Answer, why: FallbackAbortReason) -> bool {
+        matches!(answer, Answer::SwCommit(SwCommitOutcome::MustAbort { reason, .. }) if reason == why)
     }
 
     #[test]
     fn sw_tx_commits_and_publishes() {
-        let mut m = machine();
-        m.poke(0x100, 5);
-        let mut t = 0;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        assert!(m.sw.active(0));
-        let (v, l) = done(m.sw_load(t, 0, 0x100));
-        assert_eq!(v, 5);
-        t += l;
-        let (_, l) = done(m.sw_store(t, 0, 0x100, 6));
-        t += l;
-        let (v, _) = done(m.sw_load(t, 0, 0x100));
-        assert_eq!(v, 6, "read-own-write through the redo log");
-        assert_eq!(m.mem.read_word(0x100), 5, "nothing published before commit");
-        match m.commit_sw_tx(t, 0) {
-            SwCommitOutcome::Committed { latency } => assert!(latency > 0),
-            other => panic!("{other:?}"),
-        }
-        assert!(!m.sw.active(0));
-        assert_eq!(m.peek(0x100), 6);
-        let s = m.tx_stats();
-        assert_eq!(s.commits, 1);
-        assert_eq!(s.sw_commits, 1);
-        assert_eq!(s.sw_aborts, 0);
+        let mut r = run();
+        r.m.poke(0x100, 5);
+        let script =
+            [(0, sw_begin(1)), (0, SwLoad(0x100)), (0, SwStore(0x100, 6)), (0, SwLoad(0x100))];
+        let out = r.play(&script).unwrap();
+        assert!(r.m.sw.active(0));
+        assert_eq!(out[1].value(), Some(5));
+        assert_eq!(out[3].value(), Some(6), "read-own-write through the redo log");
+        assert_eq!(r.m.mem.read_word(0x100), 5, "nothing published before commit");
+        let out = r.play(&[(0, SwCommit)]).unwrap();
+        assert!(
+            matches!(out[0].answer, Answer::SwCommit(SwCommitOutcome::Committed { latency }) if latency > 0)
+        );
+        assert!(!r.m.sw.active(0));
+        assert_eq!(r.m.peek(0x100), 6);
+        let s = r.m.tx_stats();
+        assert_eq!((s.commits, s.sw_commits, s.sw_aborts), (1, 1, 0));
     }
 
     #[test]
     fn sw_commit_window_nacks_hardware_and_nontx_accesses() {
-        let mut m = machine();
-        m.poke(0x200, 1);
-        let mut t = 0;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        let (_, l) = done(m.sw_store(t, 0, 0x200, 2));
-        t += l;
-        let window = match m.commit_sw_tx(t, 0) {
-            SwCommitOutcome::Committed { latency } => latency,
-            other => panic!("{other:?}"),
-        };
-        // During the window a hardware transaction is NACKed...
-        let mut t1 = t + 1;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        assert!(t1 < t + window, "begin must land inside the commit window");
-        match m.tx_store(t1, 1, 0x200, 9) {
-            Access::Nacked { nacker, must_abort, .. } => {
-                assert_eq!(nacker, 0);
-                assert!(!must_abort, "lock windows close unconditionally: stall, never abort");
-            }
-            other => panic!("expected NACK inside the commit window, got {other:?}"),
-        }
-        // ...and so is a non-transactional store.
-        match m.nontx_store(t + 2, 2, 0x200, 9) {
-            Access::Nacked { nacker, .. } => assert_eq!(nacker, 0),
-            other => panic!("expected NACK inside the commit window, got {other:?}"),
-        }
-        assert!(m.tx_stats().hw_sw_conflicts >= 2);
-        // After the window the same store succeeds and sees the published
+        let mut r = run();
+        r.m.poke(0x200, 1);
+        let out = r.play(&[
+            (0, sw_begin(1)),
+            (0, SwStore(0x200, 2)),
+            (0, SwCommit),
+            // During the window a hardware transaction is NACKed...
+            (1, begin(2)),
+            (1, Store(0x200, 9)),
+            // ...and so is a non-transactional store.
+            (2, NonTxStore(0x200, 9)),
+        ]);
+        let out = out.unwrap();
+        assert!(r.ready(2) < r.ready(0), "both must land inside the commit window");
+        assert!(nacked(out[4].answer, 0, false), "lock windows close: stall, never abort");
+        assert!(nacked(out[5].answer, 0, false), "expected NACK inside the commit window");
+        assert!(r.m.tx_stats().hw_sw_conflicts >= 2);
+        // After the window the same access succeeds and sees the published
         // value underneath.
-        let t2 = t + window + 50;
-        let (v, _) = done(m.tx_load(t2, 1, 0x200));
-        assert_eq!(v, 2, "software commit published");
+        let after = r.ready(0) + 50;
+        assert_eq!(r.step(after, 1, Load(0x200)).unwrap().value(), Some(2), "commit published");
     }
 
     #[test]
     fn hardware_commit_dooms_overlapping_sw_reader() {
-        let mut m = machine();
-        m.poke(0x300, 7);
-        let mut t = 0;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        let (_, l) = done(m.sw_load(t, 0, 0x300));
-        t += l;
-        // Core 1 writes and commits the line in hardware. The store is not
-        // NACKed — software readers publish no ownership — but the commit
-        // invalidates the software read set.
-        let mut t1 = t;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        let (_, l) = done(m.tx_store(t1, 1, 0x300, 8));
-        t1 += l;
-        match m.commit_tx(t1, 1) {
-            CommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        match m.sw_load(t1 + 1, 0, 0x300) {
-            Access::MustAbort { .. } => {}
-            other => panic!("software tx must be doomed by the hardware commit, got {other:?}"),
-        }
-        let lat = m.abort_sw_tx(t1 + 2, 0, FallbackAbortReason::HwConflict);
-        assert!(lat > 0);
-        let s = m.tx_stats();
+        let mut r = run();
+        r.m.poke(0x300, 7);
+        let out = r.play(&[
+            (0, sw_begin(1)),
+            (0, SwLoad(0x300)),
+            // Core 1 writes and commits the line in hardware. The store is
+            // not NACKed — software readers publish no ownership — but the
+            // commit invalidates the software read set.
+            (1, begin(2)),
+            (1, Store(0x300, 8)),
+            (1, Commit),
+            (0, SwLoad(0x300)),
+        ]);
+        let out = out.unwrap();
+        assert!(committed(out[4].answer));
+        let doomed = matches!(out[5].answer, Answer::Access(Access::MustAbort { .. }));
+        assert!(doomed, "software tx must be doomed by the hardware commit, got {:?}", out[5]);
+        assert!(out[5].aborted.unwrap() > 0, "and the step aborts it");
+        let s = r.m.tx_stats();
         assert_eq!(s.sw_aborts, 1);
         assert!(s.hw_sw_conflicts >= 1);
     }
 
     #[test]
     fn live_hardware_writer_beats_sw_commit() {
-        let mut m = machine();
-        m.poke(0x400, 1);
-        let mut t1 = 0;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        let (_, l) = done(m.tx_store(t1, 1, 0x400, 9));
-        t1 += l;
-        let mut t = t1;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        let (_, l) = done(m.sw_store(t, 0, 0x400, 2)); // buffered, unchecked
-        t += l;
-        match m.commit_sw_tx(t, 0) {
-            SwCommitOutcome::MustAbort { reason: FallbackAbortReason::HwConflict, .. } => {}
-            other => panic!("hardware writer must win, got {other:?}"),
-        }
-        m.abort_sw_tx(t + 1, 0, FallbackAbortReason::HwConflict);
-        // The hardware transaction is untouched and commits its value.
-        match m.commit_tx(t + 2, 1) {
-            CommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.peek(0x400), 9);
+        let mut r = run();
+        r.m.poke(0x400, 1);
+        let out = r.play(&[
+            (1, begin(2)),
+            (1, Store(0x400, 9)),
+            (0, sw_begin(1)),
+            (0, SwStore(0x400, 2)), // buffered, unchecked
+            (0, SwCommit),
+            // The hardware transaction is untouched and commits its value.
+            (1, Commit),
+        ]);
+        let out = out.unwrap();
+        assert!(sw_must_abort(out[4].answer, FallbackAbortReason::HwConflict), "{:?}", out[4]);
+        assert!(committed(out[5].answer));
+        assert_eq!(r.m.peek(0x400), 9);
     }
 
     #[test]
     fn sw_commit_validation_catches_changed_value() {
-        let mut m = machine();
-        m.poke(0x500, 5);
-        let mut t = 0;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        let (v, l) = done(m.sw_load(t, 0, 0x500));
-        assert_eq!(v, 5);
-        t += l;
-        let (_, l) = done(m.sw_store(t, 0, 0x540, 1));
-        t += l;
-        // A non-transactional store slips in under the read (strong
-        // isolation lets it through: software readers do not defend).
-        done(m.nontx_store(t, 1, 0x500, 6));
-        match m.commit_sw_tx(t + 20, 0) {
-            SwCommitOutcome::MustAbort {
-                reason: FallbackAbortReason::ValidationFailed, ..
-            } => {}
-            other => panic!("value validation must fail, got {other:?}"),
-        }
-        m.abort_sw_tx(t + 21, 0, FallbackAbortReason::ValidationFailed);
-        assert_eq!(m.peek(0x540), 0, "aborted redo log never published");
+        let mut r = run();
+        r.m.poke(0x500, 5);
+        let out = r.play(&[
+            (0, sw_begin(1)),
+            (0, SwLoad(0x500)),
+            (0, SwStore(0x540, 1)),
+            // A non-transactional store slips in under the read (strong
+            // isolation lets it through: software readers do not defend).
+            (1, NonTxStore(0x500, 6)),
+            (0, SwCommit),
+        ]);
+        let out = out.unwrap();
+        assert_eq!(out[1].value(), Some(5));
+        assert!(out[3].value().is_some());
+        assert!(
+            sw_must_abort(out[4].answer, FallbackAbortReason::ValidationFailed),
+            "{:?}",
+            out[4]
+        );
+        assert_eq!(r.m.peek(0x540), 0, "aborted redo log never published");
     }
 
     #[test]
     fn sw_read_of_eager_speculative_line_is_nacked() {
-        let mut m = machine();
-        m.poke(0x600, 1);
-        let mut t1 = 0;
-        t1 += m.begin_tx(t1, 1, TxSite(2));
-        let (_, l) = done(m.tx_store(t1, 1, 0x600, 9)); // in place, speculative
-        t1 += l;
-        let mut t = t1;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        match m.sw_load(t, 0, 0x600) {
-            Access::Nacked { nacker, must_abort, .. } => {
-                assert_eq!(nacker, 1);
-                assert!(!must_abort);
-            }
-            other => panic!("speculative value must not leak into a software read: {other:?}"),
-        }
-        m.abort_sw_tx(t + 1, 0, FallbackAbortReason::HwConflict);
+        let mut r = run();
+        r.m.poke(0x600, 1);
+        // Core 1's store is in place, speculative.
+        let script = [(1, begin(2)), (1, Store(0x600, 9)), (0, sw_begin(1)), (0, SwLoad(0x600))];
+        let out = r.play(&script).unwrap();
+        assert!(nacked(out[3].answer, 1, false), "a speculative value leaked: {:?}", out[3]);
     }
 
     #[test]
     fn concurrent_sw_committer_reports_busy() {
-        let mut m = machine();
-        m.poke(0x700, 1);
-        let mut t = 0;
-        t += m.begin_sw_tx(t, 0, TxSite(1), 1);
-        let (_, l) = done(m.sw_store(t, 0, 0x700, 2));
-        t += l;
-        match m.commit_sw_tx(t, 0) {
-            SwCommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        // A second software transaction writing the same line inside the
-        // window must wait, then succeed after it closes.
-        let mut t1 = t + 1;
-        t1 += m.begin_sw_tx(t1, 1, TxSite(2), 1);
-        let (_, l) = done(m.sw_store(t1, 1, 0x700, 3));
-        t1 += l;
-        match m.commit_sw_tx(t1, 1) {
-            SwCommitOutcome::Busy { nacker, .. } => assert_eq!(nacker, 0),
-            other => panic!("expected Busy inside the lock window, got {other:?}"),
-        }
-        match m.commit_sw_tx(t1 + 500, 1) {
-            SwCommitOutcome::Committed { .. } => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(m.peek(0x700), 3);
+        let mut r = run();
+        r.m.poke(0x700, 1);
+        let out = r.play(&[
+            (0, sw_begin(1)),
+            (0, SwStore(0x700, 2)),
+            (0, SwCommit),
+            // A second software transaction writing the same line inside the
+            // window must wait, then succeed after it closes.
+            (1, sw_begin(2)),
+            (1, SwStore(0x700, 3)),
+            (1, SwCommit),
+        ]);
+        let busy = out.unwrap()[5];
+        assert!(matches!(busy.answer, Answer::SwCommit(SwCommitOutcome::Busy { nacker: 0, .. })));
+        let after = r.ready(1) + 500;
+        let retried = r.step(after, 1, SwCommit).unwrap();
+        assert!(matches!(retried.answer, Answer::SwCommit(SwCommitOutcome::Committed { .. })));
+        assert_eq!(r.m.peek(0x700), 3);
     }
 
     #[test]

@@ -31,13 +31,11 @@ pub type Cycle = u64;
 /// Identifier of a simulated core / hardware thread (0-based).
 pub type CoreId = usize;
 
-/// Bits a core id takes wherever a `(time, core)` pair is packed into one
+/// Bits a core id takes wherever a `(time, core)` pair packs into one
 /// ordered word: the scheduler's horizon key and a transaction's age. Time
 /// keeps 54 bits, far above the simulator's runaway wall.
 pub const CORE_ID_BITS: u32 = 10;
-
 /// Upper bound on simulated cores: what [`CORE_ID_BITS`] can name.
-/// (Directory sharer sets grow word-by-word and set no lower ceiling.)
 pub const MAX_CORES: usize = 1 << CORE_ID_BITS;
 
 /// Identifier of a static transaction site (the `TM_BEGIN` location in the
