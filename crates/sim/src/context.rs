@@ -124,24 +124,25 @@ impl Engine {
     }
 }
 
-/// Suspend the calling coroutine once, at the barrier: the first poll
-/// returns `Pending` (the function-return handoff into the executor), the
-/// next returns `Ready`. The scheduler's run queue — not a waker —
-/// decides when that next poll happens, so the noop waker is correct by
+/// Suspend the calling coroutine once, parked at the barrier or on the
+/// irrevocable token: the first poll returns `Pending` (the function-return
+/// handoff into the executor), the next returns `Ready`. The scheduler's
+/// run queue — not a waker — decides when that next poll happens (once
+/// another core has woken this one), so the noop waker is correct by
 /// construction. (Sync points carry the same one bit themselves: see
 /// [`ThreadCtx::poll_sync`].)
-struct YieldNow {
-    yielded: bool,
+#[derive(Default)]
+struct Parked {
+    polled: bool,
 }
 
-impl Future for YieldNow {
+impl Future for Parked {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
+        if std::mem::replace(&mut self.polled, true) {
             Poll::Ready(())
         } else {
-            self.yielded = true;
             Poll::Pending
         }
     }
@@ -489,9 +490,9 @@ impl ThreadCtx {
     pub async fn barrier(&mut self) {
         assert!(self.tier.is_none(), "barrier inside a transaction");
         if !self.engine.sched.barrier_arrive(self.tid, self.now) {
-            YieldNow { yielded: false }.await;
+            Parked::default().await;
         }
-        let released = self.engine.sched.barrier_release_time(self.tid);
+        let released = self.engine.sched.wake_time(self.tid);
         let waited = released.saturating_sub(self.now);
         self.now = released;
         self.breakdown.add(BreakdownKind::Barrier, waited);
@@ -567,7 +568,7 @@ impl ThreadCtx {
             };
             if committed {
                 if tier == Tier::Irrevocable {
-                    self.engine.sched.release_irrevocable(self.tid);
+                    self.engine.sched.release_irrevocable(self.tid, self.now);
                 }
                 return;
             }
@@ -579,16 +580,22 @@ impl ThreadCtx {
     }
 
     /// Move the transaction up to rung `to`, between attempts: record why,
-    /// and for the irrevocable rung claim the chip-wide token, spinning in
-    /// simulated time while another transaction holds it. No transactional
-    /// isolation is held here, so the current owner can always make
-    /// progress and eventually release — the wait cannot deadlock.
+    /// and for the irrevocable rung claim the chip-wide token, polling it
+    /// every `retry_interval` while another transaction holds it — parked
+    /// through the polls that would find it taken, which touch nothing
+    /// (DESIGN.md §8.1), and parked again if a newcomer got there first.
+    /// No transactional isolation is held here, so the current owner can
+    /// always make progress and eventually release — the wait cannot
+    /// deadlock.
     async fn escalate(&mut self, reason: EscalationReason, to: Tier) {
         self.sync().await;
         self.m().note_escalation(self.now, self.tid, reason);
         while to == Tier::Irrevocable && !self.engine.sched.try_acquire_irrevocable(self.tid) {
-            self.spend(BreakdownKind::Stalled, self.retry_interval);
-            self.sync().await;
+            let every = self.retry_interval;
+            self.engine.sched.park_on_token(self.tid, self.now + every, every);
+            Parked::default().await;
+            let woken = self.engine.sched.wake_time(self.tid);
+            self.spend(BreakdownKind::Stalled, woken - self.now);
         }
     }
 

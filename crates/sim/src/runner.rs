@@ -201,11 +201,7 @@ pub fn run_workload_profiled(
         latency.merge(ctx.latency());
     }
     let latency = if latency.is_empty() { None } else { Some(latency) };
-    let sched_counters = (
-        engine.sched.handoffs_taken(),
-        engine.sched.handoffs_elided(),
-        engine.sched.barrier_arrivals(),
-    );
+    let sched_counters = engine.sched.counters();
 
     drop(contexts);
     let engine = Rc::try_unwrap(engine).ok().expect("all contexts dropped their engine handle");
@@ -214,10 +210,9 @@ pub fn run_workload_profiled(
     // never pollute the event stream.
     let mut tracer = machine.take_tracer();
     let (trace_hash, trace_out) = if tracer.on() {
-        let m = tracer.metrics_mut();
-        m.inc("sched.handoffs_taken", sched_counters.0);
-        m.inc("sched.handoffs_elided", sched_counters.1);
-        m.inc("sched.barrier_arrivals", sched_counters.2);
+        for (name, count) in sched_counters {
+            tracer.metrics_mut().inc(name, count);
+        }
         let out = tracer.finish();
         (out.hash, Some(out))
     } else {

@@ -13,21 +13,25 @@
 //!
 //! # A handoff is a function return
 //!
-//! The previous engine gave every simulated core its own OS thread and
-//! passed a baton with `thread::unpark`/`thread::park`, which put one
-//! mandatory OS context switch (~1–2 µs of kernel time) under every
-//! *taken* handoff. Here a core that must give up the CPU leaves its wake
-//! key with the scheduler ([`Scheduler::yield_at`]) and returns
-//! `Poll::Pending` into the executor, whose [`Scheduler::dispatch`] swaps
-//! that key for the heap's head — the successor leaves and the yielder
-//! re-enters in **one** sift-down under one borrow, not a push followed
-//! by a pop — and polls the successor's coroutine: a function return plus
-//! one heap operation, no atomics, no parks, no locks, no allocation (the
-//! heap never grows past `n - 1` keys). Panic handling needs no protocol
-//! either: a panicking workload body unwinds straight through the
-//! executor on the one and only thread (the old poison/park-wake dance is
-//! gone), and the irrevocable single-owner token is an ordinary
-//! [`Cell`].
+//! A core that must give up the CPU leaves its wake key with the
+//! scheduler ([`Scheduler::yield_at`]) and returns `Poll::Pending` into
+//! the executor, whose [`Scheduler::dispatch`] swaps that key for the
+//! heap's head — the successor leaves and the yielder re-enters in **one**
+//! sift-down under one borrow — and polls the successor's coroutine: a
+//! function return plus one heap operation, no atomics, no locks, no
+//! allocation. A panicking workload body unwinds straight through the
+//! executor on the one and only thread.
+//!
+//! # Waiting is not running
+//!
+//! A core is running, runnable (in the queue), **parked** or finished. A
+//! parked core waits for another core's act — the last barrier arrival, a
+//! release of the irrevocable token — in no queue, at no cost, until that
+//! core re-queues it at an exact `(time, id)` key. A token waiter polls in
+//! simulated time, at `t0 + k·retry_interval`; a release at the owner's
+//! last passed sync `(t, owner)` wakes it at the first of those polls whose
+//! key sorts after `(t, owner)` — the first that could find the token
+//! free, every earlier one having touched nothing (DESIGN.md §8.1).
 //!
 //! # The zero-handoff fast path
 //!
@@ -35,7 +39,7 @@
 //! core" — the sync must decide that and return, thousands of times per
 //! baton pass. The scheduler caches the **horizon**: the packed
 //! `(wake time, id)` of the earliest *other* runnable core, refreshed at
-//! every point the run queue changes (start, yield, barrier, finish).
+//! every point the run queue changes (start, yield, wake, finish).
 //! The running core is never in the queue, so a single [`Cell`] load
 //! gives the *exact* answer to "am I still the minimum?" — the
 //! `(t, tid) <= (tmin, idmin)` predicate against the queue head itself,
@@ -44,10 +48,6 @@
 //! The schedule (and therefore every trace hash) is bit-identical to
 //! both earlier engines, asserted by the golden tuples in
 //! `tests/integration_engine.rs`.
-//!
-//! Cross-cell parallelism is unaffected: `bench` sweeps fan whole cells
-//! across host threads through `pool.rs`; within a cell there is nothing
-//! left to synchronize.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -79,10 +79,10 @@ struct State {
     /// Runnable cores as packed `(wake time, id)` keys, earliest first.
     /// The running core is never in the queue.
     queue: BinaryHeap<Reverse<u64>>,
-    /// Cores waiting at the barrier (id, arrival time).
+    /// Cores parked at the barrier (id, arrival time).
     barrier_waiters: Vec<(usize, Cycle)>,
-    /// Per-core barrier release time, written by the last arriver.
-    release_time: Vec<Cycle>,
+    /// Per-core wake time, written by whoever woke it.
+    wake_time: Vec<Cycle>,
     /// Cores that finished their body.
     finished: usize,
     /// Total cores.
@@ -90,12 +90,17 @@ struct State {
 }
 
 impl State {
+    /// Make parked core `id` runnable again at exactly `(t, id)`.
+    fn wake(&mut self, id: usize, t: Cycle) {
+        self.wake_time[id] = t;
+        self.queue.push(Reverse(pack(t, id)));
+    }
+
     /// Release all barrier waiters at the latest arrival time.
     fn release_barrier(&mut self) {
         let tmax = self.barrier_waiters.iter().map(|(_, t)| *t).max().expect("non-empty");
-        for (w, _) in std::mem::take(&mut self.barrier_waiters) {
-            self.release_time[w] = tmax;
-            self.queue.push(Reverse(pack(tmax, w)));
+        while let Some((w, _)) = self.barrier_waiters.pop() {
+            self.wake(w, tmax);
         }
     }
 
@@ -125,6 +130,12 @@ pub struct Scheduler {
     barrier_arrivals: Cell<u64>,
     /// Holder of the chip-wide irrevocable token (INV-11: at most one).
     irrevocable: Cell<Option<usize>>,
+    /// Cores parked on the irrevocable token (id, next check, check period),
+    /// then parks and the releases that woke a waiter. Cold, so behind the
+    /// fields every handoff touches (in `State`: `oltp_wide` +3.6 %).
+    token_waiters: RefCell<Vec<(usize, Cycle, Cycle)>>,
+    token_parks: Cell<u64>,
+    token_contended: Cell<u64>,
 }
 
 impl Scheduler {
@@ -134,7 +145,7 @@ impl Scheduler {
             state: RefCell::new(State {
                 queue: BinaryHeap::with_capacity(n),
                 barrier_waiters: Vec::new(),
-                release_time: vec![0; n],
+                wake_time: vec![0; n],
                 finished: 0,
                 n,
             }),
@@ -143,56 +154,69 @@ impl Scheduler {
             handoffs_taken: Cell::new(0),
             handoffs_elided: Cell::new(0),
             barrier_arrivals: Cell::new(0),
+            token_waiters: RefCell::new(Vec::new()),
+            token_parks: Cell::new(0),
+            token_contended: Cell::new(0),
             irrevocable: Cell::new(None),
         }
     }
 
     /// Try to claim the chip-wide irrevocable token for `tid`. Succeeds
-    /// when the token is free or already held by `tid`; a starving
-    /// transaction spins (in simulated time) on this until the current
-    /// owner commits and releases.
+    /// when the token is free or already held by `tid`; a claimant that
+    /// fails parks ([`Scheduler::park_on_token`]) until the owner releases.
     pub fn try_acquire_irrevocable(&self, tid: usize) -> bool {
-        match self.irrevocable.get() {
-            None => {
-                self.irrevocable.set(Some(tid));
-                true
-            }
-            Some(t) => t == tid,
+        if self.irrevocable.get().is_none() {
+            self.irrevocable.set(Some(tid));
         }
+        self.irrevocable.get() == Some(tid)
     }
 
-    /// Release the irrevocable token (called after the irrevocable
-    /// transaction commits).
-    pub fn release_irrevocable(&self, tid: usize) {
+    /// Park `tid`, which failed to claim the token and would look again at
+    /// `next`, `next + every`, …: the caller suspends, and a release wakes
+    /// it at the first of those checks that could see the token free.
+    #[cold] // the escape hatch's wait: rare, and kept out of `txn`'s inlined body
+    pub fn park_on_token(&self, tid: usize, next: Cycle, every: Cycle) {
+        self.token_parks.set(self.token_parks.get() + 1);
+        self.token_waiters.borrow_mut().push((tid, next, every));
+    }
+
+    /// Release the irrevocable token at time `at`, when its transaction has
+    /// committed: every waiter looks again one retry interval later.
+    #[cold] // as rare, with its call site in every commit's epilogue
+    pub fn release_irrevocable(&self, tid: usize, at: Cycle) {
         debug_assert_eq!(self.irrevocable.get(), Some(tid), "releasing a token not held");
-        if self.irrevocable.get() == Some(tid) {
-            self.irrevocable.set(None);
+        self.irrevocable.set(None);
+        let mut g = self.state.borrow_mut();
+        let mut waiters = self.token_waiters.borrow_mut();
+        let contended = u64::from(!waiters.is_empty());
+        self.token_contended.set(self.token_contended.get() + contended);
+        while let Some((w, _, every)) = waiters.pop() {
+            // Look again one retry interval after the release.
+            g.wake(w, at + every);
         }
+        self.horizon.set(g.horizon());
     }
 
-    /// Current irrevocable-token owner, if any (tests/diagnostics).
-    pub fn irrevocable_owner(&self) -> Option<usize> {
-        self.irrevocable.get()
+    /// The counters under their metric names (deterministic: the schedule is).
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("sched.handoffs_taken", self.handoffs_taken.get()),
+            ("sched.handoffs_elided", self.handoffs_elided.get()),
+            ("sched.barrier_arrivals", self.barrier_arrivals.get()),
+            ("sched.token_parks", self.token_parks.get()),
+            ("sched.token_contended", self.token_contended.get()),
+        ]
     }
 
-    /// Baton passes so far (deterministic, since the schedule is).
-    pub fn handoffs_taken(&self) -> u64 {
-        self.handoffs_taken.get()
-    }
-
-    /// Syncs resolved without a baton pass (deterministic too).
-    pub fn handoffs_elided(&self) -> u64 {
-        self.handoffs_elided.get()
-    }
-
-    /// Barrier arrivals so far.
-    pub fn barrier_arrivals(&self) -> u64 {
-        self.barrier_arrivals.get()
-    }
-
-    /// Number of cores.
-    pub fn n(&self) -> usize {
-        self.state.borrow().n
+    /// Nobody is runnable and not everyone finished: a wake was lost.
+    #[cold]
+    fn lost_wake(&self, g: &State) -> ! {
+        let (owner, on_token) = (self.irrevocable.get(), self.token_waiters.borrow());
+        panic!(
+            "suspended core left no successor ({} of {} finished): token owner {owner:?}, \
+             parked on the token {on_token:?}, at the barrier {:?}",
+            g.finished, g.n, g.barrier_waiters
+        )
     }
 
     /// Seed the run queue with all cores at time 0 and pick the first to
@@ -252,7 +276,7 @@ impl Scheduler {
                 debug_assert!(yielder > head.0, "the yielder was still the global minimum");
                 std::mem::replace(&mut head.0, yielder)
             }
-            None => g.queue.pop().expect("suspended core left no successor").0,
+            None => g.queue.pop().unwrap_or_else(|| self.lost_wake(&g)).0,
         };
         self.horizon.set(g.horizon());
         id_of(next)
@@ -263,8 +287,8 @@ impl Scheduler {
     /// `tid` itself is the next core to run (the release put it back at
     /// the queue head) — the caller keeps the baton and must *not*
     /// suspend. Otherwise the caller suspends (the executor's
-    /// [`Scheduler::dispatch`] counts the handoff) and reads
-    /// [`Scheduler::barrier_release_time`] on resume.
+    /// [`Scheduler::dispatch`] counts the handoff). Either way the release
+    /// time is its [`Scheduler::wake_time`].
     pub fn barrier_arrive(&self, tid: usize, t: Cycle) -> bool {
         self.barrier_arrivals.set(self.barrier_arrivals.get() + 1);
         let mut g = self.state.borrow_mut();
@@ -281,14 +305,15 @@ impl Scheduler {
         true
     }
 
-    /// The time the last barrier released `tid` at.
-    pub fn barrier_release_time(&self, tid: usize) -> Cycle {
-        self.state.borrow().release_time[tid]
+    /// The time `tid` was last woken at: its barrier's release, or the
+    /// token check a release re-queued it for.
+    pub fn wake_time(&self, tid: usize) -> Cycle {
+        self.state.borrow().wake_time[tid]
     }
 
     /// Mark this core finished and pick who runs next, if anyone. Called
     /// by the executor when a core's coroutine returns `Ready`; `None`
-    /// means the whole cell is done.
+    /// means the whole cell is done — every core finished, none parked.
     pub fn finish_core(&self, tid: usize) -> Option<usize> {
         let mut g = self.state.borrow_mut();
         g.finished += 1;
@@ -300,6 +325,8 @@ impl Scheduler {
         if let Some(next) = next {
             debug_assert_ne!(next, tid, "finished core re-dispatched");
             self.handoffs_taken.set(self.handoffs_taken.get() + 1);
+        } else if g.finished != g.n {
+            self.lost_wake(&g);
         }
         next
     }
@@ -310,43 +337,73 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One step of a scripted core: spend cycles then sync, or arrive at
-    /// the program barrier.
+    /// One step of a scripted core: spend cycles then sync, arrive at the
+    /// program barrier, or one of the two token steps [`token`] frames.
     #[derive(Debug, Clone, Copy)]
     enum Step {
         Work(u64),
         Barrier,
+        /// Claim the irrevocable token, looking again every retry interval
+        /// while another core holds it. Follows a sync.
+        Claim,
+        /// Run the clock on by the commit's latency, then release the token
+        /// at the sync the preceding `Work` passed.
+        Release(u64),
+    }
+
+    /// An irrevocable transaction as `ThreadCtx` runs one: the escalation
+    /// sync, the claim, `hold` cycles of body up to the commit's sync, and
+    /// the release with the clock `tail` cycles past that sync.
+    fn token(hold: u64, tail: u64) -> [Step; 4] {
+        [Step::Work(0), Step::Claim, Step::Work(hold), Step::Release(tail)]
     }
 
     /// What a scripted run observed.
     #[derive(Debug, PartialEq, Eq)]
     struct Observed {
-        /// Completed syncs as (time, id), in completion order.
+        /// Completed `Work` syncs as (time, id), in completion order.
         log: Vec<(u64, usize)>,
         /// Each core's barrier release times.
         releases: Vec<Vec<Cycle>>,
+        /// Token acquisitions as (time, id), in order: a waiter's clock
+        /// after its wait is its acquisition time.
+        claims: Vec<(u64, usize)>,
+        /// Each core's clock when its script ended.
+        end: Vec<u64>,
+        /// Retry intervals spent waiting for the token, over all cores:
+        /// looks that found it taken (the reference), intervals a parked
+        /// core was woken past (the scheduler).
+        spun: u64,
         /// The cores resumed, in order (the first is the starter).
         dispatched: Vec<usize>,
         /// `[handoffs_taken, handoffs_elided, barrier_arrivals]`.
         counters: [u64; 3],
     }
 
+    /// The scheduler's `i`-th counter.
+    fn counter(sched: &Scheduler, i: usize) -> u64 {
+        sched.counters()[i].1
+    }
+
     /// Drive scripted cores through the raw scheduler API exactly the way
     /// the executor + `ThreadCtx` pair does: advance the clock, try the
     /// fast path, fall back to [`Scheduler::yield_at`] +
-    /// [`Scheduler::dispatch`], suspend at barriers, finish via
-    /// [`Scheduler::finish_core`].
-    fn drive(scripts: &[Vec<Step>]) -> (Observed, Scheduler) {
+    /// [`Scheduler::dispatch`], park at barriers and on the token (retry
+    /// interval `every`), finish via [`Scheduler::finish_core`].
+    fn drive(scripts: &[Vec<Step>], every: u64) -> Observed {
         let n = scripts.len();
         let sched = Scheduler::new(n);
         let mut at: Vec<usize> = vec![0; n];
         let mut clock: Vec<u64> = vec![0; n];
-        // A sync completes when the core next runs; a barrier updates the
-        // clock to the release time when the core next runs.
+        // A sync completes when the core next runs; a parked core's clock
+        // moves to its wake time when it next runs.
         let mut pending_sync: Vec<Option<u64>> = vec![None; n];
         let mut pending_barrier: Vec<bool> = vec![false; n];
+        let mut pending_token: Vec<bool> = vec![false; n];
         let mut log = Vec::new();
         let mut releases: Vec<Vec<Cycle>> = vec![Vec::new(); n];
+        let mut claims = Vec::new();
+        let mut spun = 0;
         let mut dispatched = Vec::new();
         let mut current = sched.start();
         'outer: loop {
@@ -355,9 +412,15 @@ mod tests {
                 log.push((t, current));
             }
             if std::mem::take(&mut pending_barrier[current]) {
-                let r = sched.barrier_release_time(current);
+                let r = sched.wake_time(current);
                 clock[current] = r;
                 releases[current].push(r);
+            }
+            if std::mem::take(&mut pending_token[current]) {
+                let woken = sched.wake_time(current);
+                assert_eq!((woken - clock[current]) % every, 0, "woken off its check series");
+                spun += (woken - clock[current]) / every;
+                clock[current] = woken;
             }
             loop {
                 let Some(&step) = scripts[current].get(at[current]) else {
@@ -387,7 +450,7 @@ mod tests {
                     Step::Barrier => {
                         let t = clock[current];
                         if sched.barrier_arrive(current, t) {
-                            let r = sched.barrier_release_time(current);
+                            let r = sched.wake_time(current);
                             clock[current] = r;
                             releases[current].push(r);
                         } else {
@@ -396,11 +459,27 @@ mod tests {
                             continue 'outer;
                         }
                     }
+                    Step::Claim if sched.try_acquire_irrevocable(current) => {
+                        claims.push((clock[current], current));
+                    }
+                    Step::Claim => {
+                        at[current] -= 1;
+                        sched.park_on_token(current, clock[current] + every, every);
+                        pending_token[current] = true;
+                        current = sched.dispatch();
+                        continue 'outer;
+                    }
+                    Step::Release(tail) => {
+                        clock[current] += tail;
+                        sched.release_irrevocable(current, clock[current]);
+                    }
                 }
             }
         }
-        let counters = [sched.handoffs_taken(), sched.handoffs_elided(), sched.barrier_arrivals()];
-        (Observed { log, releases, dispatched, counters }, sched)
+        assert_eq!(counter(&sched, 3) > 0, spun > 0, "parks and spared looks come together");
+        assert!(counter(&sched, 3) <= spun, "a park spares at least one look");
+        let counters = [0, 1, 2].map(|i| counter(&sched, i));
+        Observed { log, releases, claims, end: clock, spun, dispatched, counters }
     }
 
     /// The schedule from its definition, with none of the scheduler's
@@ -408,18 +487,24 @@ mod tests {
     /// sorted, a yield is an insert followed by a remove, nothing is
     /// packed or cached. The running core keeps the baton while it is at
     /// or before every runnable core; a barrier releases everyone at the
-    /// latest arrival once every unfinished core waits at it.
-    fn reference(scripts: &[Vec<Step>]) -> Observed {
+    /// latest arrival once every unfinished core waits at it; and a core
+    /// that finds the token taken *literally spins* — `every` more cycles,
+    /// a sync, another look — so nothing here parks or computes a wake time.
+    fn reference(scripts: &[Vec<Step>], every: u64) -> Observed {
         let n = scripts.len();
         let mut runnable: Vec<(u64, usize)> = (1..n).map(|id| (0, id)).collect();
         let mut waiting: Vec<(u64, usize)> = Vec::new();
         let mut finished = 0;
+        let mut owner = None;
         let mut at = vec![0; n];
         let mut clock = vec![0u64; n];
         let mut unlogged: Vec<Option<u64>> = vec![None; n];
         let mut out = Observed {
             log: Vec::new(),
             releases: vec![Vec::new(); n],
+            claims: Vec::new(),
+            end: Vec::new(),
+            spun: 0,
             dispatched: vec![0],
             counters: [0; 3],
         };
@@ -428,15 +513,36 @@ mod tests {
             let step = scripts[current].get(at[current]).copied();
             at[current] += 1;
             match step {
-                Some(Step::Work(dt)) => {
+                Some(Step::Claim) if owner.is_none() => {
+                    owner = Some(current);
+                    out.claims.push((clock[current], current));
+                    continue;
+                }
+                Some(Step::Release(tail)) => {
+                    assert_eq!(owner.take(), Some(current), "releasing a token not held");
+                    clock[current] += tail;
+                    continue;
+                }
+                // Work, or a spin — one retry interval, then the claim
+                // again: the same sync, logged only for work.
+                Some(Step::Work(_) | Step::Claim) => {
+                    let (dt, work) = if let Some(Step::Work(dt)) = step {
+                        (dt, true)
+                    } else {
+                        at[current] -= 1;
+                        out.spun += 1;
+                        (every, false)
+                    };
                     clock[current] += dt;
                     let me = (clock[current], current);
                     if runnable.first().is_none_or(|&head| me <= head) {
                         out.counters[1] += 1;
-                        out.log.push(me);
+                        if work {
+                            out.log.push(me);
+                        }
                         continue;
                     }
-                    unlogged[current] = Some(me.0);
+                    unlogged[current] = work.then_some(me.0);
                     runnable.push(me);
                 }
                 Some(Step::Barrier) => {
@@ -457,6 +563,7 @@ mod tests {
             }
             runnable.sort_unstable();
             if runnable.is_empty() {
+                out.end = clock;
                 return out;
             }
             let (_, next) = runnable.remove(0);
@@ -471,33 +578,149 @@ mod tests {
         }
     }
 
-    /// Random scripts: a draw below 20 is that much work, the rest are
-    /// barriers (one step in six); zero-cycle work keeps ties in play.
+    /// Run `scripts` on the scheduler and on the reference and demand the
+    /// same simulated outcome: every `Work` sync in the same global order
+    /// at the same time, the same token acquisitions, barrier releases and
+    /// final clocks, and the scheduler sparing its waiters exactly the
+    /// looks the reference's spinners made. Where nothing spun the resumed
+    /// cores and all three counters agree too; where something did, parking
+    /// may only have removed handoffs.
+    fn agree(scripts: &[Vec<Step>], every: u64) -> Observed {
+        let (got, want) = (drive(scripts, every), reference(scripts, every));
+        let simulated = |o: &Observed| {
+            (o.log.clone(), o.releases.clone(), o.claims.clone(), o.end.clone(), o.spun)
+        };
+        assert_eq!(simulated(&got), simulated(&want), "{} cores, every {every}", scripts.len());
+        assert_eq!(got.counters[2], want.counters[2], "barrier arrivals");
+        if want.spun == 0 {
+            assert_eq!((&got.dispatched, got.counters), (&want.dispatched, want.counters));
+        }
+        assert!(got.counters[0] <= want.counters[0], "parking added a handoff");
+        got
+    }
+
+    /// Random scripts: a kind below 20 is that much work, the next four are
+    /// barriers (one step in seven), the rest an irrevocable transaction
+    /// whose body and commit latency straddle the retry intervals in use;
+    /// zero-cycle work keeps ties in play.
     fn scripts(n: usize) -> impl Strategy<Value = Vec<Vec<Step>>> {
-        proptest::collection::vec(proptest::collection::vec(0u64..24, 0..12), n..n + 1).prop_map(
-            |cores| {
-                let step = |draw| if draw < 20 { Step::Work(draw) } else { Step::Barrier };
-                cores.into_iter().map(|draws| draws.into_iter().map(step).collect()).collect()
-            },
-        )
+        let draws = proptest::collection::vec((0u64..28, 0u64..50), 0..12);
+        proptest::collection::vec(draws, n..n + 1).prop_map(|cores| {
+            let steps = |(kind, amount): (u64, u64)| match kind {
+                0..20 => vec![Step::Work(kind)],
+                20..24 => vec![Step::Barrier],
+                _ => token(amount, amount % 4 * 9).to_vec(),
+            };
+            cores.into_iter().map(|draws| draws.into_iter().flat_map(steps).collect()).collect()
+        })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Packed keys, the cached horizon and the one-sift-down dispatch
-        /// schedule exactly like the sorted list of tuples: same dispatch
-        /// order, same sync order, same release times, same counters — on
-        /// one core, two, a full 16 and past the 128 ids seven bits hold.
+        /// Packed keys, the cached horizon, the one-sift-down dispatch and
+        /// parked token waiters schedule exactly like the sorted list of
+        /// tuples with its spinning waiters — on one core, two, a full 16
+        /// and past the 128 ids seven bits would hold (`CORE_ID_BITS` is
+        /// 10) — at a retry interval of one cycle, a few, and the default.
         #[test]
         fn agrees_with_the_sorted_vec_reference(
             lone in scripts(1), pair in scripts(2), full in scripts(16), wide in scripts(130),
+            every in prop_oneof![Just(1u64), Just(3), Just(20)],
         ) {
             for scripts in [lone, pair, full, wide] {
-                let (observed, _) = drive(&scripts);
-                prop_assert_eq!(observed, reference(&scripts), "{} cores", scripts.len());
+                agree(&scripts, every);
             }
         }
+    }
+
+    /// Work `lead` cycles, then run an irrevocable transaction.
+    fn after(lead: u64, hold: u64, tail: u64) -> Vec<Step> {
+        [Step::Work(lead)].into_iter().chain(token(hold, tail)).collect()
+    }
+
+    /// A release exactly on a waiter's check time: the check comes after
+    /// the release when the waiter's id sorts after the owner's, and has
+    /// already failed when it sorts before.
+    #[test]
+    fn a_release_on_a_check_time_is_seen_only_by_ids_after_the_owners() {
+        // Core 0 owns from 0 and releases at (40, 0); core 1 looks at
+        // (0, 1), (20, 1), (40, 1): the third look sorts after the release.
+        let seen = agree(&[after(0, 40, 5), after(0, 3, 0)], 20);
+        assert_eq!(seen.claims, [(0, 0), (40, 1)]);
+        // Core 1 owns from 0 and releases at (41, 1); core 0 looks at
+        // (1, 0), (21, 0), (41, 0) — before the release — and at (61, 0).
+        let missed = agree(&[after(1, 3, 0), after(0, 41, 5)], 20);
+        assert_eq!(missed.claims, [(0, 1), (61, 0)]);
+        assert_eq!((seen.spun, missed.spun), (2, 3));
+    }
+
+    /// A waiter whose next check is already past the release wakes at that
+    /// check (`k = 0`), not a retry interval after the release.
+    #[test]
+    fn a_waiter_due_after_the_release_keeps_its_next_check() {
+        let got = agree(&[after(0, 10, 0), after(5, 1, 0)], 20);
+        assert_eq!(got.claims, [(0, 0), (25, 1)]);
+        assert_eq!(got.spun, 1);
+    }
+
+    /// The wake key comes from the sync the owner last passed, not from the
+    /// clock its commit latency ran on to: 7 cycles past a release at
+    /// (40, 0), the look at (40, 1) still succeeds.
+    #[test]
+    fn the_release_sits_at_the_owners_last_sync_not_at_its_clock() {
+        let got = agree(&[after(0, 40, 7), after(0, 1, 0)], 20);
+        assert_eq!(got.claims, [(0, 0), (40, 1)]);
+    }
+
+    /// At a retry interval of one cycle every time is a check time, and
+    /// the id still decides a tie.
+    #[test]
+    fn a_one_cycle_retry_interval_wakes_on_the_release_or_the_cycle_after() {
+        assert_eq!(agree(&[after(0, 7, 3), after(0, 1, 0)], 1).claims, [(0, 0), (7, 1)]);
+        assert_eq!(agree(&[after(1, 1, 0), after(0, 7, 3)], 1).claims, [(0, 1), (8, 0)]);
+    }
+
+    /// Two releases before the first waiter runs: core 1, woken for its
+    /// look at 25, finds the token core 2 took at 12 free again (released
+    /// at 20) — or still taken (held to 30), and parks once more to 45.
+    #[test]
+    fn a_newcomer_between_release_and_wake_is_waited_for_or_never_noticed() {
+        let free_again = agree(&[after(0, 10, 0), after(5, 1, 0), after(12, 8, 0)], 20);
+        assert_eq!(free_again.claims, [(0, 0), (12, 2), (25, 1)]);
+        let still_taken = agree(&[after(0, 10, 0), after(5, 1, 0), after(12, 18, 0)], 20);
+        assert_eq!(still_taken.claims, [(0, 0), (12, 2), (45, 1)]);
+        assert_eq!((free_again.spun, still_taken.spun), (1, 2));
+    }
+
+    /// The release refreshes the horizon: the owner runs on to its next
+    /// sync and there loses the baton to the waiter it woke.
+    #[test]
+    fn an_owner_yields_to_the_waiter_it_woke() {
+        let mut owner = after(0, 10, 0);
+        owner.push(Step::Work(100));
+        let got = agree(&[owner, after(5, 1, 0)], 20);
+        assert_eq!(got.log[got.log.len() - 2..], [(26, 1), (110, 0)]);
+    }
+
+    /// A parked core is neither at the barrier nor finished: the barrier
+    /// waits for it, and releases at its arrival after the token.
+    #[test]
+    fn the_barrier_waits_for_a_core_parked_on_the_token() {
+        let mut waiter = after(1, 2, 0);
+        waiter.push(Step::Barrier);
+        let got = agree(&[after(0, 100, 0), waiter, vec![Step::Barrier]], 20);
+        assert_eq!(got.claims, [(0, 0), (101, 1)]);
+        assert_eq!(got.releases, [vec![], vec![103], vec![103]]);
+    }
+
+    /// A wake that never comes is a panic that names the stuck cores, not
+    /// a short run.
+    #[test]
+    #[should_panic(expected = "token owner Some(0), parked on the token [(1, 21, 20)]")]
+    fn a_lost_wake_is_loud() {
+        // Core 0 claims and finishes without releasing.
+        drive(&[vec![Step::Claim], vec![Step::Work(1), Step::Claim]], 20);
     }
 
     /// Cores with interleaved clocks must observe a strictly time-ordered
@@ -510,13 +733,13 @@ mod tests {
                 (0..20u64).map(|step| Step::Work(1 + ((tid as u64 * 7 + step * 3) % 11))).collect()
             })
             .collect();
-        let (Observed { log, .. }, sched) = drive(&scripts);
+        let Observed { log, counters, .. } = drive(&scripts, 20);
         assert_eq!(log.len(), n * 20);
         for w in log.windows(2) {
             assert!(w[0].0 <= w[1].0, "events out of order: {:?} then {:?}", w[0], w[1]);
         }
-        assert!(sched.handoffs_taken() > 0, "interleaved clocks must pass the baton");
-        assert!(sched.handoffs_elided() > 0, "equal-clock stretches must elide");
+        assert!(counters[0] > 0, "interleaved clocks must pass the baton");
+        assert!(counters[1] > 0, "equal-clock stretches must elide");
     }
 
     #[test]
@@ -524,8 +747,8 @@ mod tests {
         let scripts: Vec<Vec<Step>> = (0..3)
             .map(|tid| (0..30u64).map(|step| Step::Work(1 + ((tid as u64 + step) % 5))).collect())
             .collect();
-        let (a, _) = drive(&scripts);
-        let (b, _) = drive(&scripts);
+        let a = drive(&scripts, 20);
+        let b = drive(&scripts, 20);
         assert_eq!(a.log, b.log, "scheduler must be deterministic");
         assert_eq!(a.counters, b.counters, "handoff counts must be deterministic");
     }
@@ -536,11 +759,11 @@ mod tests {
         // Arrive at 100..400; everyone must release at 400.
         let scripts: Vec<Vec<Step>> =
             (0..n).map(|tid| vec![Step::Work(100 * (tid as u64 + 1)), Step::Barrier]).collect();
-        let (Observed { releases, .. }, sched) = drive(&scripts);
+        let Observed { releases, counters, .. } = drive(&scripts, 20);
         for (tid, r) in releases.iter().enumerate() {
             assert_eq!(r, &vec![400], "core {tid} must release at max arrival");
         }
-        assert_eq!(sched.barrier_arrivals(), n as u64);
+        assert_eq!(counters[2], n as u64);
     }
 
     #[test]
@@ -556,7 +779,7 @@ mod tests {
                 ]
             })
             .collect();
-        let (Observed { releases, .. }, _) = drive(&scripts);
+        let Observed { releases, .. } = drive(&scripts, 20);
         for (tid, r) in releases.iter().enumerate() {
             assert_eq!(r, &vec![30, 45], "core {tid}");
         }
@@ -568,7 +791,7 @@ mod tests {
         // arrivers must still release.
         let scripts =
             vec![vec![Step::Work(10), Step::Barrier], vec![Step::Work(11), Step::Barrier], vec![]];
-        let (Observed { releases, .. }, _) = drive(&scripts);
+        let Observed { releases, .. } = drive(&scripts, 20);
         assert_eq!(releases[0], vec![11]);
         assert_eq!(releases[1], vec![11]);
         assert!(releases[2].is_empty());
@@ -586,8 +809,8 @@ mod tests {
             sched.credit_elided(1);
         }
         assert_eq!(sched.finish_core(0), None);
-        assert_eq!(sched.handoffs_taken(), 0);
-        assert_eq!(sched.handoffs_elided(), 1000);
+        assert_eq!(counter(&sched, 0), 0);
+        assert_eq!(counter(&sched, 1), 1000);
     }
 
     /// The irrevocable token admits at most one owner and is reentrant
@@ -595,15 +818,14 @@ mod tests {
     #[test]
     fn irrevocable_token_single_owner() {
         let sched = Scheduler::new(4);
-        assert_eq!(sched.irrevocable_owner(), None);
         assert!(sched.try_acquire_irrevocable(2));
         assert!(sched.try_acquire_irrevocable(2), "owner re-acquires freely");
         assert!(!sched.try_acquire_irrevocable(0), "second claimant must wait");
-        assert_eq!(sched.irrevocable_owner(), Some(2));
-        sched.release_irrevocable(2);
-        assert_eq!(sched.irrevocable_owner(), None);
+        assert!(!sched.try_acquire_irrevocable(3), "and so must a third");
+        sched.release_irrevocable(2, 0);
         assert!(sched.try_acquire_irrevocable(0), "token free after release");
-        sched.release_irrevocable(0);
+        assert!(!sched.try_acquire_irrevocable(2), "and taken again");
+        sched.release_irrevocable(0, 0);
     }
 
     /// The packed horizon must order exactly like (time, id) tuples,
@@ -637,6 +859,6 @@ mod tests {
         // but loses the id tie-break at t=1.
         assert!(sched.fast_path(1, 0));
         assert!(!sched.fast_path(1, 1), "id 1 loses the tie against queued id 0");
-        assert_eq!(sched.handoffs_taken(), 1);
+        assert_eq!(counter(&sched, 0), 1);
     }
 }
