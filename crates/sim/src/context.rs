@@ -567,9 +567,6 @@ impl ThreadCtx {
                 false
             };
             if committed {
-                if tier == Tier::Irrevocable {
-                    self.engine.sched.release_irrevocable(self.tid, self.now);
-                }
                 return;
             }
             tried.aborts = tried.aborts.saturating_add(1);
@@ -627,6 +624,11 @@ impl ThreadCtx {
         };
         match outcome {
             Ok((latency, committing)) => {
+                if self.tier == Some(Tier::Irrevocable) {
+                    // The clock still reads the sync this commit passed:
+                    // the release's place in the global order.
+                    self.engine.sched.release_irrevocable(self.tid, self.now);
+                }
                 self.tier = None;
                 self.breakdown.add(BreakdownKind::Trans, self.attempt_trans);
                 self.spend(BreakdownKind::Trans, latency - committing);

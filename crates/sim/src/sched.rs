@@ -180,19 +180,27 @@ impl Scheduler {
         self.token_waiters.borrow_mut().push((tid, next, every));
     }
 
-    /// Release the irrevocable token at time `at`, when its transaction has
-    /// committed: every waiter looks again one retry interval later.
+    /// Release the irrevocable token when its transaction commits. `at` is
+    /// the owner's last passed sync — `(at, tid)` is the release's place in
+    /// the global order, wherever the owner's clock has run to since — and
+    /// every waiter wakes at its first check whose key sorts after it.
     #[cold] // as rare, with its call site in every commit's epilogue
     pub fn release_irrevocable(&self, tid: usize, at: Cycle) {
         debug_assert_eq!(self.irrevocable.get(), Some(tid), "releasing a token not held");
         self.irrevocable.set(None);
         let mut g = self.state.borrow_mut();
+        let release = pack(at, tid);
         let mut waiters = self.token_waiters.borrow_mut();
         let contended = u64::from(!waiters.is_empty());
         self.token_contended.set(self.token_contended.get() + contended);
-        while let Some((w, _, every)) = waiters.pop() {
-            // Look again one retry interval after the release.
-            g.wake(w, at + every);
+        while let Some((w, next, every)) = waiters.pop() {
+            // Its last check at or before the release, and the one after
+            // unless that already sorts behind the release.
+            let mut t = next + at.saturating_sub(next) / every * every;
+            if pack(t, w) < release {
+                t += every;
+            }
+            g.wake(w, t);
         }
         self.horizon.set(g.horizon());
     }
@@ -470,8 +478,9 @@ mod tests {
                         continue 'outer;
                     }
                     Step::Release(tail) => {
+                        let synced = clock[current];
                         clock[current] += tail;
-                        sched.release_irrevocable(current, clock[current]);
+                        sched.release_irrevocable(current, synced);
                     }
                 }
             }
