@@ -278,7 +278,7 @@ fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
         let taken = c.sched_counter("sched.handoffs_taken");
         println!(
             "{} {:>12} cycles  {:>8.1} ms  {:>6.1} Mcyc/s  wait={:<7.1} machine={:<7.1} \
-             trace={:<6.1} ms  handoffs {taken}/{} taken",
+             trace={:<6.1} ms  handoffs {taken}/{} taken, {} token parks",
             cell_label(&c.spec),
             c.result.stats.cycles,
             c.host_ms,
@@ -287,6 +287,7 @@ fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
             c.machine_ms,
             c.trace_overhead_ms(),
             taken + c.sched_counter("sched.handoffs_elided"),
+            c.sched_counter("sched.token_parks"),
         );
     }
     let geomean = geomean_cycles_per_sec(&cells);

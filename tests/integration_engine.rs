@@ -1,12 +1,13 @@
 //! Schedule-equivalence tests for the execution engine.
 //!
-//! The zero-handoff engine (horizon fast path, quantum-scoped machine
-//! ownership, park/unpark baton) must produce *bit-identical* schedules to
-//! the original per-access-lock engine: the fast path only elides work
-//! whose outcome is already decided, so trace hashes, cycle counts and
-//! abort counts may not move by a single event. The golden tuples below
-//! were captured from the pre-change engine (PR 3, commit `bf5438d`) and
-//! are asserted against every future engine.
+//! The event-loop engine (one host thread, coroutine cores, horizon fast
+//! path, parked waiters) must produce *bit-identical* schedules to the
+//! original per-access-lock engine: the fast path only elides work whose
+//! outcome is already decided, and a parked core skips only polls that
+//! touch nothing, so trace hashes, cycle counts and abort counts may not
+//! move by a single event. The golden tuples below were captured from the
+//! pre-change engine (PR 3, commit `bf5438d`) and are asserted against
+//! every future engine.
 //!
 //! The probe workload is a randomized mix of transactional and plain
 //! reads/writes over a small shared array, driven entirely by seeded
@@ -89,7 +90,7 @@ impl Workload for MixedWorkload {
     }
 }
 
-/// The scheduler's three counters — `sched.handoffs_taken`,
+/// The scheduler's three handoff counters — `sched.handoffs_taken`,
 /// `sched.handoffs_elided`, `sched.barrier_arrivals` — as the runner folds
 /// them into a traced run's metrics. Two engines can agree on every
 /// simulated number and still disagree here (an elision counted twice on a
@@ -97,9 +98,33 @@ impl Workload for MixedWorkload {
 type Handoffs = [u64; 3];
 
 fn handoffs(r: &RunResult) -> Handoffs {
-    let m = &r.trace.as_ref().expect("golden cells run traced").metrics;
     ["sched.handoffs_taken", "sched.handoffs_elided", "sched.barrier_arrivals"]
-        .map(|name| m.counter(name))
+        .map(|name| sched_counter(r, name))
+}
+
+fn sched_counter(r: &RunResult, name: &str) -> u64 {
+    r.trace.as_ref().expect("golden cells run traced").metrics.counter(name)
+}
+
+/// Waiting for the irrevocable token costs the host O(releases), not
+/// O(cycles waited) — a relation between a run's own counters, with no
+/// stored constant. A core parks once when its escalation finds the token
+/// taken, and again only after a release woke it and another core won;
+/// a release can wake at most every other core.
+fn assert_token_waits_are_bounded_by_releases(r: &RunResult, cores: usize, fallback: FallbackMode) {
+    let t = &r.stats.tx;
+    let to_irrevocable = match fallback {
+        FallbackMode::Stm => t.esc_sw_validation,
+        _ => t.esc_overflow + t.esc_abort_watchdog + t.esc_starvation,
+    };
+    assert_eq!(to_irrevocable, t.irrevocable_commits, "every escalation to the last rung commits");
+    let parks = sched_counter(r, "sched.token_parks");
+    let contended = sched_counter(r, "sched.token_contended");
+    assert!(contended <= t.irrevocable_commits, "more contended releases than releases");
+    assert!(
+        parks <= to_irrevocable + contended * (cores as u64 - 1),
+        "{parks} parks for {to_irrevocable} escalations and {contended} contended releases"
+    );
 }
 
 /// One golden cell: (scheme, cores, seed) -> (trace_hash, cycles, aborts,
@@ -215,6 +240,7 @@ fn oltp_and_many_core_schedules_match_goldens() {
             assert!(r.latency.is_some(), "open-loop cell must record latency");
         }
         assert!(robust.3(&r.stats.tx) > 0, "row {row} no longer exercises what it pins");
+        assert_token_waits_are_bounded_by_releases(&r, cores, robust.0);
         assert_eq!(
             r.stats.tx.sw_commits > 0,
             robust.0 == FallbackMode::Stm,
@@ -275,7 +301,7 @@ fn print_goldens() {
         let t = &r.stats.tx;
         println!(
             "    row {row} {name}/{scheme:?}/{cores}c/{}/`{}`: {:#018x}, {}, {}, {:?}   \
-             [probe={} sw_commits={} irrevocable={} esc={}/{}/{}/{}]",
+             [probe={} sw_commits={} irrevocable={} esc={}/{}/{}/{} parks={} contended={}]",
             robust.0.name(),
             robust.1,
             r.trace_hash,
@@ -289,6 +315,8 @@ fn print_goldens() {
             t.esc_abort_watchdog,
             t.esc_starvation,
             t.esc_sw_validation,
+            sched_counter(&r, "sched.token_parks"),
+            sched_counter(&r, "sched.token_contended"),
         );
     }
 }
