@@ -173,21 +173,12 @@ impl MemorySystem {
 
     /// Latency of receiving a NACK for a request to `line`: the request
     /// travels to the directory, is forwarded to the conflicting core, and
-    /// the NACK returns to the requester. Each `Mesh` leg is one-way
-    /// ([`Mesh::core_to_bank`] routes the request leg only), so the three
-    /// legs below compose the full round trip exactly once. No state
-    /// changes.
+    /// the NACK returns to the requester — three one-way legs, one
+    /// [`Mesh::relay`]. No cache or directory state changes; the mesh counts
+    /// the legs as messages and, under `noc_contention`, reserves their links.
     pub fn nack_latency(&mut self, now: Cycle, core: CoreId, addr: Addr, nacker: CoreId) -> Cycle {
-        let line = line_of(addr);
-        let to_dir = self.mesh.core_to_bank(now, core, line);
-        let dir_node = self.mesh.l2_bank_node(line);
-        let fwd = self.mesh.route(now + to_dir, dir_node, self.mesh.core_node(nacker));
-        let back = self.mesh.route(
-            now + to_dir + fwd,
-            self.mesh.core_node(nacker),
-            self.mesh.core_node(core),
-        );
-        self.cfg.l1.latency + to_dir + self.cfg.dir_latency + fwd + back
+        let dir = self.mesh.bank_of(line_of(addr));
+        self.cfg.l1.latency + self.cfg.dir_latency + self.mesh.relay(now, [core, dir, nacker, core])
     }
 
     /// Resolve a miss (or upgrade) for `core` on `addr` with a full
@@ -206,8 +197,8 @@ impl MemorySystem {
 
         // Request: core -> home L2 bank, directory lookup.
         let mut latency = self.cfg.l1.latency + self.cfg.dir_latency;
-        latency += self.mesh.core_to_bank(now, core, line);
-        let dir_node = self.mesh.l2_bank_node(line);
+        let dir_node = self.mesh.bank_of(line);
+        latency += self.mesh.relay(now, [core, dir_node]);
         let entry = self.dir.lookup(line);
 
         let mut cache_to_cache = false;
@@ -220,10 +211,7 @@ impl MemorySystem {
             || entry.sharers.count() > u32::from(entry.sharers.contains(core));
         if let Some(owner) = remote_owner {
             // Forward to owner; cache-to-cache transfer to the requester.
-            let owner_node = self.mesh.core_node(owner);
-            let fwd = self.mesh.route(now + latency, dir_node, owner_node);
-            let xfer = self.mesh.route(now + latency + fwd, owner_node, self.mesh.core_node(core));
-            latency += fwd + self.cfg.l1.latency + xfer;
+            latency += self.mesh.relay(now + latency, [dir_node, owner, core]) + self.cfg.l1.latency;
             cache_to_cache = true;
             self.stats.c2c_transfers += 1;
             // Owner's copy: downgraded on GETS, invalidated on GETM.
@@ -253,8 +241,8 @@ impl MemorySystem {
                 self.stats.l2_misses += 1;
                 from_memory = true;
                 let bank = ((line >> 6) as usize) % self.cfg.mem_banks;
-                let ctrl = self.mesh.mem_ctrl_node(bank);
-                latency += self.mesh.route(now + latency, dir_node, ctrl);
+                let ctrl = self.mesh.mem_ctrl(bank);
+                latency += self.mesh.relay(now + latency, [dir_node, ctrl]);
                 let ready = now + latency;
                 let free = self.bank_busy[bank].max(ready);
                 latency += free - ready + self.cfg.mem_latency;
@@ -262,11 +250,11 @@ impl MemorySystem {
                 // The fetched line travels back to its home bank (it is
                 // installed in the L2 there) before being forwarded to the
                 // requester — a previously un-charged leg.
-                latency += self.mesh.route(now + latency, ctrl, dir_node);
+                latency += self.mesh.relay(now + latency, [ctrl, dir_node]);
                 self.l2.insert(line, false);
             }
             // Data returns to the requester.
-            latency += self.mesh.route(now + latency, dir_node, self.mesh.core_node(core));
+            latency += self.mesh.relay(now + latency, [dir_node, core]);
         }
 
         // Invalidate remote sharers on a store (parallel; pay the farthest
@@ -278,11 +266,7 @@ impl MemorySystem {
             for v in entry.sharers.iter().filter(|v| *v != core && Some(*v) != remote_owner) {
                 self.l1s[v].invalidate(line);
                 self.stats.invalidations += 1;
-                let victim_node = self.mesh.core_node(v);
-                let inv = self.mesh.route(now + latency, dir_node, victim_node);
-                let ack =
-                    self.mesh.route(now + latency + inv, victim_node, self.mesh.core_node(core));
-                worst = worst.max(inv + ack);
+                worst = worst.max(self.mesh.relay(now + latency, [dir_node, v, core]));
             }
             latency += worst;
         }
@@ -655,6 +639,27 @@ mod tests {
         let lat = s.nack_latency(0, 0, 0x40, 15);
         // At minimum: L1 detect + directory + some mesh hops.
         assert!(lat > s.config().dir_latency);
+    }
+
+    #[test]
+    fn nack_latency_is_its_three_legs() {
+        let mut s = sys();
+        let mut legs = Mesh::new(s.config());
+        for core in 0..16 {
+            for bank in 0..16u64 {
+                for nacker in 0..16 {
+                    let (c, d, n) =
+                        (legs.core_node(core), legs.l2_bank_node(bank * 64), legs.core_node(nacker));
+                    let want = s.config().l1.latency
+                        + legs.route(0, c, d)
+                        + s.config().dir_latency
+                        + legs.route(0, d, n)
+                        + legs.route(0, n, c);
+                    assert_eq!(s.nack_latency(0, core, bank * 64 + 8, nacker), want);
+                }
+            }
+        }
+        assert_eq!(s.mesh_mut().messages(), legs.messages(), "zero-hop legs are not messages");
     }
 
     #[test]

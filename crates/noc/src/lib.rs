@@ -11,9 +11,9 @@
 //!   it is next free; a message arriving earlier queues, which adds
 //!   deterministic contention delay.
 //!
-//! Endpoints are mesh nodes. Cores occupy nodes `0..n_cores`; the shared L2
-//! is banked by address across all nodes; memory controllers sit at the mesh
-//! corners (4 in the paper).
+//! Endpoints are mesh nodes, named by their row-major position. Cores occupy
+//! nodes `0..n_cores`; the shared L2 is banked by address across all nodes;
+//! memory controllers sit at the mesh corners (4 in the paper).
 //!
 //! Dimensions come from [`MachineConfig::mesh_dims`]: square by default
 //! (the paper's 4x4 at 16 cores), an explicit `rows x cols` rectangle when
@@ -40,6 +40,12 @@ const DIR_NORTH: usize = 3;
 const DIRS: usize = 4;
 
 /// Mesh interconnect.
+///
+/// With contention modelling off (the default) a message's latency is
+/// arithmetic on the two positions: [`Mesh::relay`] and everything built on
+/// it change nothing but the `messages` counter, and the `now` they are
+/// given is ignored. With it on, the same calls walk the path hop by hop and
+/// reserve its links. Placement and distance queries are pure either way.
 ///
 /// Per-link occupancy lives in a flat `Vec<Cycle>` indexed by a dense link
 /// id (`node * 4 + direction`) rather than a hash map keyed by endpoint
@@ -109,29 +115,38 @@ impl Mesh {
         self.cols
     }
 
-    /// Node of core `c` (row-major placement).
+    /// Node of core `c` (row-major placement: core `c` sits at position `c`).
     pub fn core_node(&self, c: usize) -> Node {
         self.nodes[c]
     }
 
-    /// Node of the L2 bank holding line `line_addr`: banks are interleaved
-    /// across all mesh nodes by line address.
-    pub fn l2_bank_node(&self, line_addr: u64) -> Node {
+    /// Position of the L2 bank holding line `line_addr`: banks are
+    /// interleaved across all mesh nodes by line address.
+    #[inline]
+    pub fn bank_of(&self, line_addr: u64) -> usize {
         let (b, banks) = ((line_addr >> 6) as usize, self.nodes.len());
-        self.nodes[if banks.is_power_of_two() { b & (banks - 1) } else { b % banks }]
+        if banks.is_power_of_two() {
+            b & (banks - 1)
+        } else {
+            b % banks
+        }
     }
 
-    /// Node of the memory controller serving `bank` (placed at corners,
+    /// Node of the L2 bank holding line `line_addr`.
+    pub fn l2_bank_node(&self, line_addr: u64) -> Node {
+        self.nodes[self.bank_of(line_addr)]
+    }
+
+    /// Position of the memory controller serving `bank` (placed at corners,
     /// then along the top edge if more than 4 banks are configured).
+    pub fn mem_ctrl(&self, bank: usize) -> usize {
+        let (right, bottom) = (self.cols - 1, (self.rows - 1) * self.cols);
+        [0, right, bottom, bottom + right][bank % 4]
+    }
+
+    /// Node of the memory controller serving `bank`.
     pub fn mem_ctrl_node(&self, bank: usize) -> Node {
-        let mx = self.cols.saturating_sub(1);
-        let my = self.rows.saturating_sub(1);
-        match bank % 4 {
-            0 => Node { x: 0, y: 0 },
-            1 => Node { x: mx, y: 0 },
-            2 => Node { x: 0, y: my },
-            _ => Node { x: mx, y: my },
-        }
+        self.nodes[self.mem_ctrl(bank)]
     }
 
     /// Manhattan hop count between nodes.
@@ -144,39 +159,55 @@ impl Mesh {
         self.hops(a, b) as Cycle * (self.wire + self.route)
     }
 
-    /// Route a message at time `now`; returns total network latency
-    /// (including any queuing when contention modeling is on).
-    ///
-    /// A zero-hop self-route (`a == b`, e.g. a core whose L2 bank shares
-    /// its mesh node) crosses no link: it is free, reserves nothing, and is
-    /// not counted as a message.
+    /// Latency of a message relayed along `path` (positions), each leg
+    /// leaving at `now` plus the legs before it; every coherence round trip
+    /// is one of these. A zero-hop leg (a core whose L2 bank shares its
+    /// node) crosses no link: it is free, reserves nothing, and is not
+    /// counted as a message. The contention switch is tested once per
+    /// path; without contention the legs are sums over the position table.
+    #[inline]
+    pub fn relay<const N: usize>(&mut self, now: Cycle, path: [usize; N]) -> Cycle {
+        if self.model_contention {
+            return self.walk(now, &path);
+        }
+        let mut hops = 0;
+        for leg in path.windows(2) {
+            let h = self.hops(self.nodes[leg[0]], self.nodes[leg[1]]);
+            hops += h;
+            self.messages += u64::from(h != 0);
+        }
+        hops as Cycle * (self.wire + self.route)
+    }
+
+    /// [`Self::relay`] between two nodes.
     pub fn route(&mut self, now: Cycle, a: Node, b: Node) -> Cycle {
-        if a == b {
-            return 0;
-        }
-        self.messages += 1;
-        if !self.model_contention {
-            return self.base_latency(a, b);
-        }
-        // XY routing: walk X first, then Y, reserving each link.
+        self.relay(now, [a.y * self.cols + a.x, b.y * self.cols + b.x])
+    }
+
+    /// The contended relay: XY routing, X first, then Y, each link reserved
+    /// for the wire time of the flit and queued for while busy.
+    #[inline(never)]
+    fn walk(&mut self, now: Cycle, path: &[usize]) -> Cycle {
         let mut t = now;
-        let mut cur = a;
-        while cur != b {
-            let next = if cur.x == b.x {
-                Node { x: cur.x, y: if b.y > cur.y { cur.y + 1 } else { cur.y - 1 } }
-            } else {
-                Node { x: if b.x > cur.x { cur.x + 1 } else { cur.x - 1 }, y: cur.y }
-            };
-            let link = self.link_id(cur, next);
-            let free = self.busy_until[link];
-            if free > t {
-                self.contention_cycles += free - t;
-                t = free;
+        for leg in path.windows(2) {
+            let (mut cur, b) = (self.nodes[leg[0]], self.nodes[leg[1]]);
+            self.messages += u64::from(cur != b);
+            while cur != b {
+                let next = if cur.x == b.x {
+                    Node { x: cur.x, y: if b.y > cur.y { cur.y + 1 } else { cur.y - 1 } }
+                } else {
+                    Node { x: if b.x > cur.x { cur.x + 1 } else { cur.x - 1 }, y: cur.y }
+                };
+                let link = self.link_id(cur, next);
+                let free = self.busy_until[link];
+                if free > t {
+                    self.contention_cycles += free - t;
+                    t = free;
+                }
+                self.busy_until[link] = t + self.wire;
+                t += self.wire + self.route;
+                cur = next;
             }
-            // Link is occupied for the wire time of this flit.
-            self.busy_until[link] = t + self.wire;
-            t += self.wire + self.route;
-            cur = next;
         }
         t - now
     }
@@ -184,12 +215,10 @@ impl Mesh {
     /// **One-way** latency of a message from a core to the L2 bank of a
     /// line (request leg only). Callers composing a full coherence
     /// transaction must charge every further leg — bank to owner, data
-    /// back to the requester, and so on — separately via [`Mesh::route`];
-    /// `suv-coherence::system` does exactly that.
+    /// back to the requester, and so on — as further positions of the
+    /// [`Mesh::relay`] path; `suv-coherence::system` does exactly that.
     pub fn core_to_bank(&mut self, now: Cycle, core: usize, line_addr: u64) -> Cycle {
-        let a = self.core_node(core);
-        let b = self.l2_bank_node(line_addr);
-        self.route(now, a, b)
+        self.relay(now, [core, self.bank_of(line_addr)])
     }
 
     /// Total queuing delay accumulated so far.
@@ -432,6 +461,29 @@ mod tests {
     }
 
     #[test]
+    fn relay_is_the_walk_of_an_idle_contended_mesh() {
+        // Every pair of a power-of-two, an odd rectangular and a 144-node
+        // mesh: the arithmetic leg equals `route()` walking idle links.
+        for (rows, cols) in [(4, 4), (3, 5), (12, 12)] {
+            let mut fast = rect_mesh(rows, cols);
+            let mut cfg = MachineConfig::default();
+            (cfg.n_cores, cfg.mesh_rows, cfg.mesh_cols) = (rows * cols, rows, cols);
+            cfg.noc_contention = true;
+            let mut walked = Mesh::new(&cfg);
+            for a in 0..rows * cols {
+                for b in 0..rows * cols {
+                    // Far enough apart that every link has drained.
+                    let now = ((a * rows * cols + b) * 1000) as Cycle;
+                    let want = walked.route(now, walked.core_node(a), walked.core_node(b));
+                    assert_eq!(fast.relay(0, [a, b]), want, "{rows}x{cols}: {a} -> {b}");
+                }
+            }
+            assert_eq!(fast.messages(), walked.messages());
+            assert_eq!(walked.contention_cycles(), 0);
+        }
+    }
+
+    #[test]
     fn no_contention_is_pure_distance() {
         let mut m = mesh();
         let a = Node { x: 0, y: 0 };
@@ -480,6 +532,33 @@ mod prop_tests {
                 prop_assert_eq!(lat2, base);
                 now += 1000;
             }
+        }
+
+        /// `relay` counts a message per leg that crosses a link and none
+        /// for a zero-hop leg, exactly as leg-by-leg `route` calls on an
+        /// idle contended mesh do, and a path's latency is the sum of its
+        /// legs'.
+        #[test]
+        fn relay_counts_messages_as_route_does(
+            paths in proptest::collection::vec((0usize..15, 0usize..15, 0usize..15, 0usize..3), 1..60),
+        ) {
+            let mut cfg = MachineConfig { n_cores: 15, mesh_rows: 3, mesh_cols: 5, ..Default::default() };
+            let mut relayed = Mesh::new(&cfg);
+            cfg.noc_contention = true;
+            let mut routed = Mesh::new(&cfg);
+            let mut now = 0;
+            for (a, b, c, shape) in paths {
+                // Round trips through one's own node, repeated nodes, one leg.
+                let path = [[a, b, c, a], [a, a, b, b], [a, b, b, b]][shape];
+                let mut legs = 0;
+                for l in path.windows(2) {
+                    now += 1000; // every link has drained
+                    legs += routed.route(now, routed.core_node(l[0]), routed.core_node(l[1]));
+                }
+                prop_assert_eq!(relayed.relay(0, path), legs);
+                prop_assert_eq!(relayed.messages(), routed.messages());
+            }
+            prop_assert_eq!(routed.contention_cycles(), 0);
         }
 
         /// Rectangular meshes obey the same laws: symmetric base latency,
