@@ -123,9 +123,11 @@ pub struct HtmMachine<V> {
     lazy_active: SharerSet,
     /// The open Aborting/Committing windows as `(until, core)`, soonest
     /// first (INV-16): one pushed per transaction end, popped by
-    /// [`HtmMachine::settle`] once due. Empty or not yet due, a settle is
-    /// one compare.
+    /// [`HtmMachine::settle`] once due.
     windows: BinaryHeap<Reverse<(Cycle, CoreId)>>,
+    /// When the soonest queued window closes, `Cycle::MAX` with none queued
+    /// (INV-16): a settle with nothing due is one compare against it.
+    next_window: Cycle,
     /// Every core's signatures, transposed (INV-15): each signature search
     /// runs its test on the cores this lists for the line, in ascending order.
     index: ConflictIndex,
@@ -170,6 +172,7 @@ impl<V: VersionManager> HtmMachine<V> {
             defenders: SharerSet::new(),
             lazy_active: SharerSet::new(),
             windows: BinaryHeap::new(),
+            next_window: Cycle::MAX,
             index: ConflictIndex::new(cfg),
             vm,
             sw: SwVm::new(cfg.n_cores),
@@ -233,25 +236,29 @@ impl<V: VersionManager> HtmMachine<V> {
     /// operations in global time order. Closing a window touches only its
     /// own core's descriptor, index column and mask bits, so closings of
     /// different cores commute and the order they are popped in is free.
+    #[inline]
     fn settle(&mut self, now: Cycle) {
-        while let Some(&Reverse((until, c))) = self.windows.peek() {
-            if now < until {
-                break; // no later window can have expired either
-            }
-            self.windows.pop();
-            let t = &mut self.txs[c];
-            // The core's column empties with its signatures.
-            self.index.put_tx(c, t, false);
-            match t.status {
-                TxStatus::Aborting { .. } => t.clear_attempt(),
-                TxStatus::Committing { .. } => t.clear_dynamic(),
-                TxStatus::Active | TxStatus::Idle => {
-                    unreachable!("core {c} has a window queued but is {:?}", t.status)
-                }
-            }
-            self.live.remove(c);
-            self.defenders.remove(c);
+        while now >= self.next_window {
+            self.close_next_window();
         }
+    }
+
+    #[inline(never)]
+    fn close_next_window(&mut self) {
+        let Reverse((_, c)) = self.windows.pop().expect("INV-16: next_window names a queued window");
+        let t = &mut self.txs[c];
+        // The core's column empties with its signatures.
+        self.index.put_tx(c, t, false);
+        match t.status {
+            TxStatus::Aborting { .. } => t.clear_attempt(),
+            TxStatus::Committing { .. } => t.clear_dynamic(),
+            TxStatus::Active | TxStatus::Idle => {
+                unreachable!("core {c} has a window queued but is {:?}", t.status)
+            }
+        }
+        self.live.remove(c);
+        self.defenders.remove(c);
+        self.next_window = self.windows.peek().map_or(Cycle::MAX, |w| w.0 .0);
     }
 
     /// `CheckLevel::Full` cross-check of an indexed search against the
@@ -880,6 +887,7 @@ impl<V: VersionManager> HtmMachine<V> {
         self.lazy_active.remove(core);
         self.defenders.insert(core);
         self.windows.push(Reverse((now + window, core)));
+        self.next_window = self.next_window.min(now + window);
         self.txs[core].depth = 0;
         self.sys.clear_speculative(core);
         let site = self.txs[core].site;
@@ -947,8 +955,9 @@ impl<V: VersionManager> HtmMachine<V> {
 
     /// INV-16: the two masks equal the per-descriptor predicates they stand
     /// for, the window queue lists exactly the Aborting/Committing cores
-    /// with their `until`, and — every operation settles first — no listed
-    /// window closed before `now`. (One closing *at* `now` is the
+    /// with their `until`, `next_window` is the soonest of them
+    /// (`Cycle::MAX` with none), and — every operation settles first — no
+    /// listed window closed before `now`. (One closing *at* `now` is the
     /// zero-length window this very transaction end pushed — an eager
     /// commit of an empty write buffer — which the next operation's settle
     /// pops before anything searches.) Together: at a search, a core in
@@ -970,6 +979,11 @@ impl<V: VersionManager> HtmMachine<V> {
         }
         let mut queued: Vec<(Cycle, CoreId)> = self.windows.iter().map(|w| w.0).collect();
         queued.sort_unstable_by_key(|w| w.1);
+        assert_eq!(
+            self.next_window,
+            queued.iter().map(|w| w.0).min().unwrap_or(Cycle::MAX),
+            "INV-16 violated at t={now}: stale next_window beside windows {queued:?}"
+        );
         assert!(
             (&self.defenders, &self.lazy_active, &queued) == (&defenders, &lazy_active, &open)
                 && open.iter().all(|w| w.0 >= now),
@@ -1485,6 +1499,19 @@ mod tests {
         // Seeded bug: core 0's committing window falls out of the queue;
         // nothing would ever close it and the core would defend for good.
         m.windows.clear();
+        let t1 = t0 + m.begin_tx(t0, 1, TxSite(2));
+        let _ = m.commit_tx(t1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale next_window")]
+    fn full_check_catches_a_stale_next_window() {
+        let mut m = full_check_machine();
+        let t0 = m.begin_tx(0, 0, TxSite(1));
+        let _ = m.commit_tx(t0, 0);
+        // Seeded bug: the cached closing time is not refreshed by the push;
+        // no settle would look at the queue and core 0 would defend for good.
+        m.next_window = Cycle::MAX;
         let t1 = t0 + m.begin_tx(t0, 1, TxSite(2));
         let _ = m.commit_tx(t1, 1);
     }
