@@ -268,10 +268,15 @@ impl<V: VersionManager> HtmMachine<V> {
     /// and a candidate the index is exact for ([`Self::index_is_exact`]) is
     /// covered by a signature, so the searches that skip its re-probe are
     /// right to.
+    #[inline]
     fn audit_candidates(&self, now: Cycle, line: LineAddr, readers: bool) {
-        if self.cfg.check < CheckLevel::Full {
-            return;
+        if self.cfg.check >= CheckLevel::Full {
+            self.audit_candidates_full(now, line, readers);
         }
+    }
+
+    #[inline(never)]
+    fn audit_candidates_full(&self, now: Cycle, line: LineAddr, readers: bool) {
         let listed: SharerSet = self.index.candidates(line, readers).collect();
         for (c, t) in self.txs.iter().enumerate() {
             let hit = (readers && t.rsig_hit(line)) || t.wsig_hit(line);
