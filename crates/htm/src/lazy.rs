@@ -8,15 +8,22 @@
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_coherence::AccessKind;
+use std::collections::hash_map::Entry;
 use suv_trace::TraceEvent;
-use suv_types::{line_of, word_of, Addr, CoreId, Cycle, LineAddr, SchemeKind, WordMap};
+use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, LineMap, SchemeKind};
 
 #[derive(Debug, Default, Clone)]
 struct Buffer {
-    /// Buffered word values.
-    words: WordMap<u64>,
+    /// Per buffered line, its eight words and the mask of the written ones:
+    /// one probe answers the budget test, the store and a load's snoop.
+    slots: LineMap<([u64; 8], u8)>,
     /// Lines touched, in first-write order (merge order is deterministic).
     lines: Vec<LineAddr>,
+}
+
+/// Index of `addr`'s word within its line.
+fn word_in_line(addr: Addr) -> usize {
+    (addr >> 3) as usize & 7
 }
 
 /// Write-buffer lazy VM.
@@ -63,7 +70,7 @@ impl VersionManager for LazyVm {
 
     fn begin(&mut self, _env: &mut VmEnv, core: CoreId, _lazy: bool) -> Cycle {
         let b = &mut self.bufs[core];
-        b.words.clear();
+        b.slots.clear();
         b.lines.clear();
         0
     }
@@ -76,8 +83,11 @@ impl VersionManager for LazyVm {
         in_tx: bool,
     ) -> (LoadTarget, Cycle) {
         if in_tx {
-            if let Some(v) = self.bufs[core].words.get(&word_of(addr)) {
-                return (LoadTarget::Value(*v), 0);
+            let w = word_in_line(addr);
+            if let Some((words, _)) =
+                self.bufs[core].slots.get(&line_of(addr)).filter(|s| s.1 >> w & 1 != 0)
+            {
+                return (LoadTarget::Value(words[w]), 0);
             }
         }
         (LoadTarget::Mem(addr), 0)
@@ -95,19 +105,23 @@ impl VersionManager for LazyVm {
             return (StoreTarget::Mem(addr), 0);
         }
         let b = &mut self.bufs[core];
-        let line = line_of(addr);
-        if !b.lines.contains(&line) {
-            if self.buffer_lines != 0
-                && !self.irrevocable[core]
-                && b.lines.len() >= self.buffer_lines
-            {
-                // Buffer budget exhausted before any bookkeeping: abort
-                // and escalate.
-                return (StoreTarget::Overflow, 0);
+        let (words, written) = match b.slots.entry(line_of(addr)) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                if self.buffer_lines != 0
+                    && !self.irrevocable[core]
+                    && b.lines.len() >= self.buffer_lines
+                {
+                    // Buffer budget exhausted before any bookkeeping: abort
+                    // and escalate.
+                    return (StoreTarget::Overflow, 0);
+                }
+                b.lines.push(line_of(addr));
+                slot.insert(([0; 8], 0))
             }
-            b.lines.push(line);
-        }
-        b.words.insert(word_of(addr), value);
+        };
+        words[word_in_line(addr)] = value;
+        *written |= 1 << word_in_line(addr);
         (StoreTarget::Buffered, 0)
     }
 
@@ -122,22 +136,21 @@ impl VersionManager for LazyVm {
             TraceEvent::WriteBufferDrain { lines: b.lines.len() as u64 },
         );
         let mut lat = 0;
-        for line in &b.lines {
-            lat += env.sys.access(env.now + lat, core, *line, AccessKind::Store);
+        for line in b.lines.drain(..) {
+            lat += env.sys.access(env.now + lat, core, line, AccessKind::Store);
+            let (words, written) = b.slots[&line];
+            for w in (0..8).filter(|w| written >> w & 1 != 0) {
+                env.mem.write_word(line + 8 * w as Addr, words[w]);
+            }
         }
-        // The buffered words are distinct, so the merge order (the hash
-        // table's) cannot show in memory.
-        for (addr, v) in b.words.drain() {
-            env.mem.write_word(addr, v);
-        }
-        b.lines.clear();
+        b.slots.clear();
         lat
     }
 
     fn abort(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
         // Discard the buffer: single-cycle flash clear.
         let b = &mut self.bufs[core];
-        b.words.clear();
+        b.slots.clear();
         b.lines.clear();
         1
     }
