@@ -106,7 +106,9 @@ pub(crate) struct Candidates<'a> {
 impl Iterator for Candidates<'_> {
     type Item = CoreId;
 
-    #[inline]
+    // `always`: left the choice, fat LTO keeps the search's one hot call out
+    // of line (1.6 % of `stamp_eager`).
+    #[inline(always)]
     fn next(&mut self) -> Option<CoreId> {
         while self.cores == 0 {
             if self.word == self.index.words {
