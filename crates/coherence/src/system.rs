@@ -211,7 +211,8 @@ impl MemorySystem {
             || entry.sharers.count() > u32::from(entry.sharers.contains(core));
         if let Some(owner) = remote_owner {
             // Forward to owner; cache-to-cache transfer to the requester.
-            latency += self.mesh.relay(now + latency, [dir_node, owner, core]) + self.cfg.l1.latency;
+            latency +=
+                self.mesh.relay(now + latency, [dir_node, owner, core]) + self.cfg.l1.latency;
             cache_to_cache = true;
             self.stats.c2c_transfers += 1;
             // Owner's copy: downgraded on GETS, invalidated on GETM.
@@ -648,8 +649,11 @@ mod tests {
         for core in 0..16 {
             for bank in 0..16u64 {
                 for nacker in 0..16 {
-                    let (c, d, n) =
-                        (legs.core_node(core), legs.l2_bank_node(bank * 64), legs.core_node(nacker));
+                    let (c, d, n) = (
+                        legs.core_node(core),
+                        legs.core_node(legs.bank_of(bank * 64)),
+                        legs.core_node(nacker),
+                    );
                     let want = s.config().l1.latency
                         + legs.route(0, c, d)
                         + s.config().dir_latency

@@ -7,9 +7,8 @@
 //! (resp. write) signature has Bloom bit `i` set" — so the cores whose
 //! signatures may cover a line are the AND of the line's `k` rows, one hash
 //! pass and `2·k` loads per 64 cores. The signatures stay the source of
-//! truth: a candidate is only a core to run the caller's own test on. A
-//! search is a hand-written word loop ([`Candidates`]): stacked iterator
-//! adapters over the row words were an eighth of a NACK storm's host time. A
+//! truth: a candidate is only a core to run the caller's own test on, and a
+//! search is a hand-written word loop ([`Candidates`]), not adapters. A
 //! column is kept from the levels' exact line sets, which a line enters
 //! together with its signature (`TxState::note`), so no hit is ever missed.
 

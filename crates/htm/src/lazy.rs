@@ -7,8 +7,8 @@
 //! the buffer. DynTM uses this as its lazy execution mode.
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
-use suv_coherence::AccessKind;
 use std::collections::hash_map::Entry;
+use suv_coherence::AccessKind;
 use suv_trace::TraceEvent;
 use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, LineMap, SchemeKind};
 
@@ -19,11 +19,6 @@ struct Buffer {
     slots: LineMap<([u64; 8], u8)>,
     /// Lines touched, in first-write order (merge order is deterministic).
     lines: Vec<LineAddr>,
-}
-
-/// Index of `addr`'s word within its line.
-fn word_in_line(addr: Addr) -> usize {
-    (addr >> 3) as usize & 7
 }
 
 /// Write-buffer lazy VM.
@@ -83,7 +78,7 @@ impl VersionManager for LazyVm {
         in_tx: bool,
     ) -> (LoadTarget, Cycle) {
         if in_tx {
-            let w = word_in_line(addr);
+            let w = (addr >> 3) as usize & 7;
             if let Some((words, _)) =
                 self.bufs[core].slots.get(&line_of(addr)).filter(|s| s.1 >> w & 1 != 0)
             {
@@ -120,8 +115,8 @@ impl VersionManager for LazyVm {
                 slot.insert(([0; 8], 0))
             }
         };
-        words[word_in_line(addr)] = value;
-        *written |= 1 << word_in_line(addr);
+        words[(addr >> 3) as usize & 7] = value;
+        *written |= 1 << ((addr >> 3) & 7);
         (StoreTarget::Buffered, 0)
     }
 

@@ -245,7 +245,8 @@ impl<V: VersionManager> HtmMachine<V> {
 
     #[inline(never)]
     fn close_next_window(&mut self) {
-        let Reverse((_, c)) = self.windows.pop().expect("INV-16: next_window names a queued window");
+        let Reverse((_, c)) =
+            self.windows.pop().expect("INV-16: next_window names a queued window");
         let t = &mut self.txs[c];
         // The core's column empties with its signatures.
         self.index.put_tx(c, t, false);

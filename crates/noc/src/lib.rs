@@ -115,7 +115,7 @@ impl Mesh {
         self.cols
     }
 
-    /// Node of core `c` (row-major placement: core `c` sits at position `c`).
+    /// Node at position `c`, where core `c` sits (row-major placement).
     pub fn core_node(&self, c: usize) -> Node {
         self.nodes[c]
     }
@@ -132,21 +132,11 @@ impl Mesh {
         }
     }
 
-    /// Node of the L2 bank holding line `line_addr`.
-    pub fn l2_bank_node(&self, line_addr: u64) -> Node {
-        self.nodes[self.bank_of(line_addr)]
-    }
-
     /// Position of the memory controller serving `bank` (placed at corners,
     /// then along the top edge if more than 4 banks are configured).
     pub fn mem_ctrl(&self, bank: usize) -> usize {
         let (right, bottom) = (self.cols - 1, (self.rows - 1) * self.cols);
         [0, right, bottom, bottom + right][bank % 4]
-    }
-
-    /// Node of the memory controller serving `bank`.
-    pub fn mem_ctrl_node(&self, bank: usize) -> Node {
-        self.nodes[self.mem_ctrl(bank)]
     }
 
     /// Manhattan hop count between nodes.
@@ -213,10 +203,8 @@ impl Mesh {
     }
 
     /// **One-way** latency of a message from a core to the L2 bank of a
-    /// line (request leg only). Callers composing a full coherence
-    /// transaction must charge every further leg — bank to owner, data
-    /// back to the requester, and so on — as further positions of the
-    /// [`Mesh::relay`] path; `suv-coherence::system` does exactly that.
+    /// line (request leg only); a full coherence transaction charges every
+    /// further leg as further positions of a [`Mesh::relay`] path.
     pub fn core_to_bank(&mut self, now: Cycle, core: usize, line_addr: u64) -> Cycle {
         self.relay(now, [core, self.bank_of(line_addr)])
     }
@@ -279,10 +267,10 @@ mod tests {
         assert_eq!(m.core_node(8), Node { x: 0, y: 1 });
         assert_eq!(m.core_node(15), Node { x: 7, y: 1 });
         // Corners of a 2x8 mesh.
-        assert_eq!(m.mem_ctrl_node(0), Node { x: 0, y: 0 });
-        assert_eq!(m.mem_ctrl_node(1), Node { x: 7, y: 0 });
-        assert_eq!(m.mem_ctrl_node(2), Node { x: 0, y: 1 });
-        assert_eq!(m.mem_ctrl_node(3), Node { x: 7, y: 1 });
+        assert_eq!(m.core_node(m.mem_ctrl(0)), Node { x: 0, y: 0 });
+        assert_eq!(m.core_node(m.mem_ctrl(1)), Node { x: 7, y: 0 });
+        assert_eq!(m.core_node(m.mem_ctrl(2)), Node { x: 0, y: 1 });
+        assert_eq!(m.core_node(m.mem_ctrl(3)), Node { x: 7, y: 1 });
         // Opposite corners: (8-1) + (2-1) = 8 hops.
         let lat = m.base_latency(Node { x: 0, y: 0 }, Node { x: 7, y: 1 });
         assert_eq!(lat, 8 * 3);
@@ -303,7 +291,7 @@ mod tests {
         let m = mesh();
         let mut seen = std::collections::HashSet::new();
         for i in 0..16u64 {
-            seen.insert(m.l2_bank_node(i * 64));
+            seen.insert(m.core_node(m.bank_of(i * 64)));
         }
         assert_eq!(seen.len(), 16);
     }
@@ -313,7 +301,7 @@ mod tests {
         let m = rect_mesh(3, 5);
         let mut seen = std::collections::HashSet::new();
         for i in 0..15u64 {
-            let n = m.l2_bank_node(i * 64);
+            let n = m.core_node(m.bank_of(i * 64));
             assert!(n.x < 5 && n.y < 3, "bank node {n:?} off the 3x5 mesh");
             seen.insert(n);
         }
@@ -330,7 +318,7 @@ mod tests {
             }
             for i in (0..1000u64).chain([u64::MAX >> 6]) {
                 let b = i as usize % banks;
-                assert_eq!(m.l2_bank_node(i * 64 + 63), Node { x: b % cols, y: b / cols });
+                assert_eq!(m.core_node(m.bank_of(i * 64 + 63)), Node { x: b % cols, y: b / cols });
             }
         }
     }
@@ -338,10 +326,10 @@ mod tests {
     #[test]
     fn memory_controllers_at_corners() {
         let m = mesh();
-        assert_eq!(m.mem_ctrl_node(0), Node { x: 0, y: 0 });
-        assert_eq!(m.mem_ctrl_node(1), Node { x: 3, y: 0 });
-        assert_eq!(m.mem_ctrl_node(2), Node { x: 0, y: 3 });
-        assert_eq!(m.mem_ctrl_node(3), Node { x: 3, y: 3 });
+        assert_eq!(m.core_node(m.mem_ctrl(0)), Node { x: 0, y: 0 });
+        assert_eq!(m.core_node(m.mem_ctrl(1)), Node { x: 3, y: 0 });
+        assert_eq!(m.core_node(m.mem_ctrl(2)), Node { x: 0, y: 3 });
+        assert_eq!(m.core_node(m.mem_ctrl(3)), Node { x: 3, y: 3 });
     }
 
     #[test]
@@ -392,7 +380,7 @@ mod tests {
         cfg.noc_contention = true;
         let mut m = Mesh::new(&cfg);
         let line = 9u64 * 64;
-        assert_eq!(m.l2_bank_node(line), m.core_node(9));
+        assert_eq!(m.core_node(m.bank_of(line)), m.core_node(9));
         for _ in 0..5 {
             assert_eq!(m.core_to_bank(0, 9, line), 0);
         }
@@ -408,7 +396,7 @@ mod tests {
         let mut m = mesh();
         // Core 5 sits at (1,1) = node 5; bank of line with (addr>>6)%16 == 5.
         let line = 5u64 * 64;
-        assert_eq!(m.l2_bank_node(line), m.core_node(5));
+        assert_eq!(m.core_node(m.bank_of(line)), m.core_node(5));
         assert_eq!(m.core_to_bank(0, 5, line), 0);
         assert_eq!(m.messages(), 0);
     }
