@@ -107,6 +107,7 @@ impl Iterator for Candidates<'_> {
 
     // `always`: left the choice, fat LTO keeps the search's one hot call out
     // of line (1.6 % of `stamp_eager`).
+    #[allow(clippy::inline_always)]
     #[inline(always)]
     fn next(&mut self) -> Option<CoreId> {
         while self.cores == 0 {

@@ -115,8 +115,9 @@ impl VersionManager for LazyVm {
                 slot.insert(([0; 8], 0))
             }
         };
-        words[(addr >> 3) as usize & 7] = value;
-        *written |= 1 << ((addr >> 3) & 7);
+        let w = (addr >> 3) as usize & 7;
+        words[w] = value;
+        *written |= 1 << w;
         (StoreTarget::Buffered, 0)
     }
 

@@ -243,6 +243,7 @@ impl<V: VersionManager> HtmMachine<V> {
         }
     }
 
+    /// Close the soonest window, which is due, and refresh `next_window`.
     #[inline(never)]
     fn close_next_window(&mut self) {
         let Reverse((_, c)) =
