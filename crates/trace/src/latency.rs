@@ -59,7 +59,7 @@ impl LatencyHistogram {
     }
 
     /// Bucket index for value `v`.
-    fn index(v: u64) -> usize {
+    pub(crate) fn index(v: u64) -> usize {
         if v < SUB as u64 {
             return v as usize; // group 0: exact
         }
@@ -70,7 +70,7 @@ impl LatencyHistogram {
     }
 
     /// Inclusive value range covered by bucket `i`.
-    fn bucket_range(i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_range(i: usize) -> (u64, u64) {
         let group = i / SUB;
         let within = (i % SUB) as u64;
         if group == 0 {
@@ -140,6 +140,146 @@ impl LatencyHistogram {
             return 0;
         }
         let p = p.clamp(0.0, 100.0);
+        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut cum = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if cum + c >= target {
+                let (lo, hi) = Self::bucket_range(i);
+                let frac = ((target - cum) as f64 - 0.5) / c as f64;
+                let est = lo as f64 + (hi - lo) as f64 * frac;
+                return (est.round() as u64).clamp(lo, self.max);
+            }
+            cum += c;
+        }
+        self.max
+    }
+
+    /// Count / mean / max / p50 / p99 / p999 in one call.
+    pub fn summary(&self) -> LatencySummary {
+        LatencySummary {
+            count: self.count,
+            mean: self.mean(),
+            max: self.max,
+            p50: self.percentile(50.0),
+            p99: self.percentile(99.0),
+            p999: self.percentile(99.9),
+        }
+    }
+}
+
+/// Histogram with `2^SUB_BITS` linear sub-buckets per power of two, held
+/// inline: `BUCKETS` must be `(64 - SUB_BITS + 1) << SUB_BITS` (one exact
+/// group below `2^SUB_BITS`, then one group per remaining power of two),
+/// which construction checks at compile time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogram<const SUB_BITS: u32, const BUCKETS: usize> {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl<const SUB_BITS: u32, const BUCKETS: usize> Default for LogHistogram<SUB_BITS, BUCKETS> {
+    fn default() -> Self {
+        const { assert!(BUCKETS == (64 - SUB_BITS as usize + 1) << SUB_BITS) };
+        LogHistogram { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
+    }
+}
+
+impl<const SUB_BITS: u32, const BUCKETS: usize> LogHistogram<SUB_BITS, BUCKETS> {
+    /// Sub-buckets per group.
+    const SUB: usize = 1 << SUB_BITS;
+
+    /// Empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bucket index for value `v`: its top `SUB_BITS + 1` significant bits
+    /// pick the sub-bucket, the `shift` that exposes them picks the group.
+    /// Below `2^SUB_BITS` the shift is 0 and the index is the value.
+    fn index(v: u64) -> usize {
+        let shift = (v | Self::SUB as u64).ilog2() - SUB_BITS;
+        ((shift as usize) << SUB_BITS) + (v >> shift) as usize
+    }
+
+    /// Inclusive value range covered by bucket `i`.
+    fn bucket_range(i: usize) -> (u64, u64) {
+        let group = i >> SUB_BITS;
+        let within = (i % Self::SUB) as u64;
+        if group == 0 {
+            (within, within)
+        } else {
+            let width = 1u64 << (group - 1);
+            let lo = (Self::SUB as u64 + within) * width;
+            (lo, lo + (width - 1))
+        }
+    }
+
+    /// Record one sample.
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[Self::index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+
+    /// Fold another histogram's samples into this one (bucket-wise sum;
+    /// equivalent to having observed the other's samples here).
+    pub fn merge(&mut self, other: &Self) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Largest sample (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Mean sample (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Any samples recorded?
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Estimate the `p`-th percentile (`p` in 0..=100, e.g. `99.9`).
+    ///
+    /// Walks the cumulative distribution to the covering bucket and
+    /// interpolates linearly inside it, assuming samples spread uniformly
+    /// there. The result is clamped to `[bucket_lo, max]`, so single-value
+    /// buckets report exactly, the error is bounded by the bucket width
+    /// and the top of the distribution never exceeds the observed maximum.
+    pub fn percentile(&self, p: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let p = p.clamp(0.0, 100.0);
+        // 1-based rank of the sample that sits at the requested quantile.
         let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
@@ -268,5 +408,78 @@ mod tests {
         h.observe(900);
         assert_eq!(h.percentile(0.0), 7);
         assert_eq!(h.percentile(100.0), h.max());
+    }
+
+    type Log2 = LogHistogram<0, 65>;
+    type Lat = LogHistogram<5, 1920>;
+    use crate::metrics::Histogram as ParentLog2;
+    use LatencyHistogram as ParentLatency;
+
+    /// Every value at which either layout starts or ends a bucket group.
+    fn boundaries() -> Vec<u64> {
+        let mut v = vec![0, 1, 31, 32, 33, u64::MAX];
+        for k in 1..64 {
+            v.extend([(1u64 << k) - 1, 1 << k]);
+        }
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// The pin for merging the two histogram implementations into
+    /// [`LogHistogram`]: at every bucket boundary the generic type indexes,
+    /// ranges and reports percentiles exactly as the type it replaces.
+    #[test]
+    fn both_layouts_are_pinned_at_every_bucket_boundary() {
+        let (mut log2, mut parent_log2) = (Log2::new(), ParentLog2::default());
+        let (mut lat, mut parent_lat) = (Lat::new(), ParentLatency::new());
+        for v in boundaries() {
+            let (i, pi) = (Log2::index(v), ParentLog2::bucket(v));
+            assert_eq!(i, pi, "log2 index of {v}");
+            assert_eq!(Log2::bucket_range(i), ParentLog2::bucket_range(pi), "log2 range of {v}");
+            let (i, pi) = (Lat::index(v), ParentLatency::index(v));
+            assert_eq!(i, pi, "latency index of {v}");
+            assert_eq!(
+                Lat::bucket_range(i),
+                ParentLatency::bucket_range(pi),
+                "latency range of {v}"
+            );
+
+            // One sample alone, then the running distribution of every
+            // boundary so far (while the sample sum still fits a u64).
+            let (mut one, mut parent_one) = (Log2::new(), ParentLog2::default());
+            let (mut one_lat, mut parent_one_lat) = (Lat::new(), ParentLatency::new());
+            one.observe(v);
+            parent_one.observe(v);
+            one_lat.observe(v);
+            parent_one_lat.observe(v);
+            if v < 1 << 57 {
+                log2.observe(v);
+                parent_log2.observe(v);
+                lat.observe(v);
+                parent_lat.observe(v);
+            }
+            for p in [50.0, 99.0, 99.9] {
+                assert_eq!(one.percentile(p), parent_one.percentile(p), "log2 p{p} of [{v}]");
+                assert_eq!(one_lat.percentile(p), parent_one_lat.percentile(p), "p{p} of [{v}]");
+                assert_eq!(log2.percentile(p), parent_log2.percentile(p), "log2 p{p} up to {v}");
+                assert_eq!(lat.percentile(p), parent_lat.percentile(p), "latency p{p} up to {v}");
+            }
+        }
+        assert_eq!(
+            (log2.count(), log2.sum(), log2.max()),
+            (parent_log2.count(), parent_log2.sum(), parent_log2.max())
+        );
+        assert_eq!(lat.summary(), parent_lat.summary());
+        // The literals stay when the parents go.
+        assert_eq!(
+            [50.0, 99.0, 99.9].map(|p| log2.percentile(p)),
+            [335_544_320, 90_071_992_547_409_920, 126_100_789_566_373_888]
+        );
+        let s = lat.summary();
+        assert_eq!(
+            (s.p50, s.p99, s.p999),
+            (272_629_760, 73_183_493_944_770_560, 142_989_288_169_013_248)
+        );
     }
 }

@@ -34,7 +34,7 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    fn bucket(v: u64) -> usize {
+    pub(crate) fn bucket(v: u64) -> usize {
         (64 - v.leading_zeros()) as usize
     }
 
