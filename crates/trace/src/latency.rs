@@ -1,24 +1,20 @@
-//! High-resolution latency histogram for per-transaction tail latency.
+//! Log-linear histograms of `u64` samples: one bucket layout at two
+//! resolutions.
 //!
-//! The log2 [`Histogram`](crate::metrics::Histogram) is fine for event
-//! magnitudes but its buckets double in width, so a p999 read off it can
-//! be off by ~2x. Tail-latency reporting needs bounded relative error:
-//! this variant subdivides every log2 bucket into `2^SUB_BITS` linear
-//! sub-buckets (the HdrHistogram layout), bounding the quantization
-//! error of any recorded value — and therefore of any reported
-//! percentile — to `2^-SUB_BITS` (~3.1% at `SUB_BITS = 5`).
+//! Every power of two is a *group* of `2^SUB_BITS` equal-width sub-buckets
+//! (the HdrHistogram layout) and values below `2^SUB_BITS` get a bucket
+//! each, so the quantization error of a recorded value — and therefore of
+//! a reported percentile — is at most `2^-SUB_BITS` of it:
+//!
+//! * [`Histogram`], 0 sub-bucket bits: plain log2 buckets, one histogram
+//!   per trace-event kind. Fine for event magnitudes, but a p999 read off
+//!   it can be off by ~2x.
+//! * [`LatencyHistogram`], 5 bits: ~3.1% worst-case error, for
+//!   per-transaction tail latency.
 //!
 //! Everything here is integer bucket arithmetic over `u64` cycle counts;
 //! two runs that record the same samples produce bit-identical
 //! summaries, which the determinism suite relies on.
-
-/// Linear sub-buckets per log2 range (as a power of two).
-const SUB_BITS: u32 = 5;
-const SUB: usize = 1 << SUB_BITS; // 32 sub-buckets per group
-/// Groups: values < 2^SUB_BITS are exact (group 0); each further group
-/// covers one power of two up to 2^63, so 64 - SUB_BITS groups follow.
-const GROUPS: usize = (64 - SUB_BITS as usize) + 1;
-const BUCKETS: usize = GROUPS * SUB;
 
 /// Fixed-point percentile summary of a latency distribution, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,139 +33,6 @@ pub struct LatencySummary {
     pub p999: u64,
 }
 
-/// Histogram with `2^-5` (~3.1%) worst-case relative quantization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: Box<[u64; BUCKETS]>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: Box::new([0; BUCKETS]), count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bucket index for value `v`.
-    pub(crate) fn index(v: u64) -> usize {
-        if v < SUB as u64 {
-            return v as usize; // group 0: exact
-        }
-        let msb = v.ilog2(); // >= SUB_BITS
-        let group = (msb - SUB_BITS + 1) as usize;
-        let within = ((v >> (group - 1)) as usize) - SUB;
-        group * SUB + within
-    }
-
-    /// Inclusive value range covered by bucket `i`.
-    pub(crate) fn bucket_range(i: usize) -> (u64, u64) {
-        let group = i / SUB;
-        let within = (i % SUB) as u64;
-        if group == 0 {
-            (within, within)
-        } else {
-            let width = 1u64 << (group - 1);
-            let lo = (SUB as u64 + within) * width;
-            (lo, lo + (width - 1))
-        }
-    }
-
-    /// Record one sample.
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[Self::index(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Fold another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Any samples recorded?
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Estimate the `p`-th percentile (`p` in 0..=100, e.g. `99.9`).
-    ///
-    /// Walks the cumulative distribution to the covering sub-bucket and
-    /// interpolates linearly inside it; the result is clamped to
-    /// `[bucket_lo, max]`, so quantization error is bounded by the
-    /// sub-bucket width (`2^-SUB_BITS` of the value).
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= target {
-                let (lo, hi) = Self::bucket_range(i);
-                let frac = ((target - cum) as f64 - 0.5) / c as f64;
-                let est = lo as f64 + (hi - lo) as f64 * frac;
-                return (est.round() as u64).clamp(lo, self.max);
-            }
-            cum += c;
-        }
-        self.max
-    }
-
-    /// Count / mean / max / p50 / p99 / p999 in one call.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            mean: self.mean(),
-            max: self.max,
-            p50: self.percentile(50.0),
-            p99: self.percentile(99.0),
-            p999: self.percentile(99.9),
-        }
-    }
-}
-
 /// Histogram with `2^SUB_BITS` linear sub-buckets per power of two, held
 /// inline: `BUCKETS` must be `(64 - SUB_BITS + 1) << SUB_BITS` (one exact
 /// group below `2^SUB_BITS`, then one group per remaining power of two),
@@ -181,6 +44,13 @@ pub struct LogHistogram<const SUB_BITS: u32, const BUCKETS: usize> {
     sum: u64,
     max: u64,
 }
+
+/// Log2-bucketed histogram: bucket 0 is `[0,0]` and bucket `i` is
+/// `[2^(i-1), 2^i - 1]`.
+pub type Histogram = LogHistogram<0, 65>;
+
+/// Histogram with `2^-5` (~3.1%) worst-case relative quantization error.
+pub type LatencyHistogram = LogHistogram<5, 1920>;
 
 impl<const SUB_BITS: u32, const BUCKETS: usize> Default for LogHistogram<SUB_BITS, BUCKETS> {
     fn default() -> Self {
@@ -297,6 +167,19 @@ impl<const SUB_BITS: u32, const BUCKETS: usize> LogHistogram<SUB_BITS, BUCKETS> 
         self.max
     }
 
+    /// Non-empty `(bucket_low, bucket_high, count)` triples, ascending.
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(i, c)| {
+                let (lo, hi) = Self::bucket_range(i);
+                (lo, hi, *c)
+            })
+            .collect()
+    }
+
     /// Count / mean / max / p50 / p99 / p999 in one call.
     pub fn summary(&self) -> LatencySummary {
         LatencySummary {
@@ -332,12 +215,12 @@ mod tests {
     fn index_and_range_roundtrip() {
         for v in [0u64, 1, 31, 32, 33, 63, 64, 100, 1 << 20, (1 << 20) + 12345, u64::MAX] {
             let i = LatencyHistogram::index(v);
-            assert!(i < BUCKETS, "index {i} out of range for v={v}");
+            assert!(i < 1920, "index {i} out of range for v={v}");
             let (lo, hi) = LatencyHistogram::bucket_range(i);
             assert!(lo <= v && v <= hi, "v={v} not in bucket [{lo},{hi}]");
             // Bounded relative width: (hi - lo) <= lo / 32 for group >= 1.
             if v >= 32 {
-                assert!(hi - lo <= lo >> SUB_BITS, "bucket [{lo},{hi}] too wide");
+                assert!(hi - lo <= lo >> 5, "bucket [{lo},{hi}] too wide");
             }
         }
     }
@@ -410,11 +293,6 @@ mod tests {
         assert_eq!(h.percentile(100.0), h.max());
     }
 
-    type Log2 = LogHistogram<0, 65>;
-    type Lat = LogHistogram<5, 1920>;
-    use crate::metrics::Histogram as ParentLog2;
-    use LatencyHistogram as ParentLatency;
-
     /// Every value at which either layout starts or ends a bucket group.
     fn boundaries() -> Vec<u64> {
         let mut v = vec![0, 1, 31, 32, 33, u64::MAX];
@@ -426,52 +304,38 @@ mod tests {
         v
     }
 
-    /// The pin for merging the two histogram implementations into
-    /// [`LogHistogram`]: at every bucket boundary the generic type indexes,
-    /// ranges and reports percentiles exactly as the type it replaces.
+    /// The pin under which `metrics::Histogram` (log2 buckets) and the old
+    /// `LatencyHistogram` became one type: at the parent of the merge this
+    /// test compared index, range and p50 / p99 / p999 against both at every
+    /// boundary, one sample at a time and as a running distribution. The
+    /// log2 closed form and the literals are what is left of them.
     #[test]
     fn both_layouts_are_pinned_at_every_bucket_boundary() {
-        let (mut log2, mut parent_log2) = (Log2::new(), ParentLog2::default());
-        let (mut lat, mut parent_lat) = (Lat::new(), ParentLatency::new());
+        let (mut log2, mut lat) = (Histogram::new(), LatencyHistogram::new());
         for v in boundaries() {
-            let (i, pi) = (Log2::index(v), ParentLog2::bucket(v));
-            assert_eq!(i, pi, "log2 index of {v}");
-            assert_eq!(Log2::bucket_range(i), ParentLog2::bucket_range(pi), "log2 range of {v}");
-            let (i, pi) = (Lat::index(v), ParentLatency::index(v));
-            assert_eq!(i, pi, "latency index of {v}");
-            assert_eq!(
-                Lat::bucket_range(i),
-                ParentLatency::bucket_range(pi),
-                "latency range of {v}"
-            );
+            // bucket(0) = 0, bucket(v) = 1 + floor(log2 v).
+            let i = Histogram::index(v);
+            assert_eq!(i, (64 - v.leading_zeros()) as usize, "log2 index of {v}");
+            let floor = if i == 0 { 0 } else { 1u64 << (i - 1) };
+            assert_eq!(Histogram::bucket_range(i), (floor, floor + floor.saturating_sub(1)));
+            let (lo, hi) = LatencyHistogram::bucket_range(LatencyHistogram::index(v));
+            assert!(lo <= v && v <= hi && hi - lo <= lo >> 5, "{v} in [{lo},{hi}]");
 
-            // One sample alone, then the running distribution of every
-            // boundary so far (while the sample sum still fits a u64).
-            let (mut one, mut parent_one) = (Log2::new(), ParentLog2::default());
-            let (mut one_lat, mut parent_one_lat) = (Lat::new(), ParentLatency::new());
+            // One sample alone reads back from inside its bucket, never
+            // above itself.
+            let (mut one, mut one_lat) = (Histogram::new(), LatencyHistogram::new());
             one.observe(v);
-            parent_one.observe(v);
             one_lat.observe(v);
-            parent_one_lat.observe(v);
+            for p in [50.0, 99.0, 99.9] {
+                assert!((floor..=v).contains(&one.percentile(p)), "log2 p{p} of [{v}]");
+                assert!((lo..=v).contains(&one_lat.percentile(p)), "latency p{p} of [{v}]");
+            }
+            // The running distribution, while the sample sum fits a u64.
             if v < 1 << 57 {
                 log2.observe(v);
-                parent_log2.observe(v);
                 lat.observe(v);
-                parent_lat.observe(v);
-            }
-            for p in [50.0, 99.0, 99.9] {
-                assert_eq!(one.percentile(p), parent_one.percentile(p), "log2 p{p} of [{v}]");
-                assert_eq!(one_lat.percentile(p), parent_one_lat.percentile(p), "p{p} of [{v}]");
-                assert_eq!(log2.percentile(p), parent_log2.percentile(p), "log2 p{p} up to {v}");
-                assert_eq!(lat.percentile(p), parent_lat.percentile(p), "latency p{p} up to {v}");
             }
         }
-        assert_eq!(
-            (log2.count(), log2.sum(), log2.max()),
-            (parent_log2.count(), parent_log2.sum(), parent_log2.max())
-        );
-        assert_eq!(lat.summary(), parent_lat.summary());
-        // The literals stay when the parents go.
         assert_eq!(
             [50.0, 99.0, 99.9].map(|p| log2.percentile(p)),
             [335_544_320, 90_071_992_547_409_920, 126_100_789_566_373_888]

@@ -43,8 +43,8 @@ pub use event::{
     TraceRecord,
 };
 pub use json::{escape_into, Json};
-pub use latency::{LatencyHistogram, LatencySummary};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use latency::{Histogram, LatencyHistogram, LatencySummary};
+pub use metrics::MetricsRegistry;
 pub use sink::RingRecorder;
 pub use summary::summary_report;
 pub use tracer::{TraceOutput, Tracer};

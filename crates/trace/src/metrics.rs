@@ -4,133 +4,8 @@
 //! dumps are stable across runs — the same property the rest of the
 //! simulator guarantees for its statistics.
 
+use crate::latency::Histogram;
 use std::collections::BTreeMap;
-
-/// Log2-bucketed histogram of `u64` samples.
-///
-/// Bucket `i` holds samples whose value `v` satisfies `bucket(v) == i`,
-/// where `bucket(0) = 0` and `bucket(v) = 1 + floor(log2 v)` otherwise —
-/// i.e. bucket 1 is `[1,1]`, bucket 2 is `[2,3]`, bucket 3 is `[4,7]`, ...
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: [0; 65], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[Self::bucket(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    pub(crate) fn bucket(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Inclusive value range covered by bucket `i`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 0)
-        } else {
-            (1 << (i - 1), (1u64 << (i - 1)) + ((1u64 << (i - 1)) - 1))
-        }
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Fold another histogram's samples into this one (bucket-wise sum;
-    /// equivalent to having observed the other's samples here).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Any samples recorded?
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Estimate the `p`-th percentile (`p` in 0..=100, e.g. `99.9`) by
-    /// linear interpolation inside the covering bucket.
-    ///
-    /// Log2 buckets bound the result to the true percentile's bucket
-    /// range; interpolation assumes samples spread uniformly within a
-    /// bucket. The result is clamped to `[bucket_lo, max]`, so exact
-    /// single-value buckets (0 and 1) report exactly and the top of the
-    /// distribution never exceeds the observed maximum.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 100.0);
-        // 1-based rank of the sample that sits at the requested quantile.
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= target {
-                let (lo, hi) = Self::bucket_range(i);
-                let frac = ((target - cum) as f64 - 0.5) / c as f64;
-                let est = lo as f64 + (hi - lo) as f64 * frac;
-                return (est.round() as u64).clamp(lo, self.max);
-            }
-            cum += c;
-        }
-        self.max
-    }
-
-    /// Non-empty `(bucket_low, bucket_high, count)` triples, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| {
-                let (lo, hi) = Self::bucket_range(i);
-                (lo, hi, *c)
-            })
-            .collect()
-    }
-}
 
 /// Named counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

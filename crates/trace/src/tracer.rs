@@ -23,7 +23,8 @@
 //! call, no allocation, no by-name lookup per event.
 
 use crate::event::{TraceEvent, TraceRecord, KIND_COUNT, KIND_NAMES};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::latency::Histogram;
+use crate::metrics::MetricsRegistry;
 use crate::sink::RingRecorder;
 use suv_types::{CoreId, Cycle};
 
