@@ -619,7 +619,6 @@ mod tests {
             pool_page_alloc_cycles: 30,
             summary_bits: 256,
             summary_hashes: 2,
-            l2_banks: 0,
         }
     }
 

@@ -139,10 +139,6 @@ pub struct HtmMachine<V> {
     /// Chip-wide lazy-commit token: free-at time.
     commit_token_free: Cycle,
     rngs: Vec<StdRng>,
-    /// Per-core xorshift64 state for the capped-backoff jitter
-    /// (`RobustnessConfig::max_backoff_cycles`). A separate stream so
-    /// enabling the cap never perturbs the uncapped `rngs` draws.
-    backoff_xs: Vec<u64>,
     /// Event/metrics sink; disabled by default (one predictable branch per
     /// emission point).
     tracer: Tracer,
@@ -180,9 +176,6 @@ impl<V: VersionManager> HtmMachine<V> {
             overflow: OverflowStats::default(),
             commit_token_free: 0,
             rngs: (0..cfg.n_cores).map(|c| StdRng::seed_from_u64(0x00BA_C0FF + c as u64)).collect(),
-            backoff_xs: (0..cfg.n_cores)
-                .map(|c| 0x9E37_79B9_7F4A_7C15_u64 ^ (c as u64 + 1))
-                .collect(),
             tracer: Tracer::disabled(),
             shadow: (cfg.check >= CheckLevel::Full).then(|| ShadowOracle::new(cfg.n_cores)),
         }
@@ -1020,26 +1013,14 @@ impl<V: VersionManager> HtmMachine<V> {
         self.tracer.emit(now, core, TraceEvent::OverflowAbort { line: 0 });
     }
 
-    /// Randomized exponential backoff after an abort, in cycles. With
-    /// `RobustnessConfig::max_backoff_cycles` set, the window is clamped
-    /// to that ceiling and the draw comes from a dedicated per-core
-    /// xorshift stream — deterministic jitter that bounds tail latency
-    /// without perturbing the uncapped RNG sequence (so the default
-    /// `max_backoff_cycles = 0` reproduces pre-cap runs bit for bit).
+    /// Randomized exponential backoff after an abort, in cycles: a draw
+    /// from the core's seeded stream over a window that doubles per
+    /// consecutive abort up to `BackoffConfig::cap`.
     pub fn backoff_cycles(&mut self, now: Cycle, core: CoreId) -> Cycle {
         let b = self.cfg.htm.backoff;
         let attempts = self.txs[core].attempts.min(16);
         let window = (b.base * b.multiplier.pow(attempts.saturating_sub(1))).min(b.cap);
-        let cap = self.cfg.robust.max_backoff_cycles;
-        let cycles = if cap != 0 {
-            let s = &mut self.backoff_xs[core];
-            *s ^= *s << 13;
-            *s ^= *s >> 7;
-            *s ^= *s << 17;
-            1 + *s % window.min(cap).max(1)
-        } else {
-            self.rngs[core].random_range(1..=window.max(1))
-        };
+        let cycles = self.rngs[core].random_range(1..=window.max(1));
         self.tracer.emit(now, core, TraceEvent::Backoff { cycles });
         cycles
     }
@@ -1725,8 +1706,6 @@ mod nesting_tests {
 mod sw_fallback_tests {
     use super::tests::*;
     use super::*;
-    use crate::logtm::LogTmSe;
-    use suv_types::MachineConfig;
 
     fn sw_begin(site: u32) -> Op {
         SwBegin { site: TxSite(site), attempt: 1 }
@@ -1880,26 +1859,5 @@ mod sw_fallback_tests {
         let retried = r.step(after, 1, SwCommit).unwrap();
         assert!(matches!(retried.answer, Answer::SwCommit(SwCommitOutcome::Committed { .. })));
         assert_eq!(r.m.peek(0x700), 3);
-    }
-
-    #[test]
-    fn capped_backoff_is_jittered_deterministic_and_bounded() {
-        let mut cfg = MachineConfig::small_test();
-        cfg.robust.max_backoff_cycles = 100;
-        let draws = |cfg: &MachineConfig| -> Vec<Cycle> {
-            let mut m = HtmMachine::new(cfg, LogTmSe::new(cfg.n_cores, cfg.htm));
-            // Pile up attempts so the uncapped window would exceed the cap.
-            for i in 0..8 {
-                let t = 1000 * (i + 1);
-                m.begin_tx(t, 0, TxSite(1));
-                m.abort_tx(t + 10, 0);
-            }
-            (0..64).map(|_| m.backoff_cycles(90_000, 0)).collect()
-        };
-        let a = draws(&cfg);
-        let b = draws(&cfg);
-        assert_eq!(a, b, "capped backoff must be deterministic");
-        assert!(a.iter().all(|&c| (1..=100).contains(&c)), "cap must bound every draw: {a:?}");
-        assert!(a.windows(2).any(|w| w[0] != w[1]), "jitter must vary the draws");
     }
 }

@@ -49,19 +49,6 @@ impl CacheGeom {
     }
 }
 
-/// Conflict-resolution policy. The paper uses the LogTM *Stall* policy
-/// ("stalling the requester and avoiding any possible cyclical dependence
-/// among those stalled transactions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictPolicy {
-    /// NACKed requester stalls and retries; LogTM possible-cycle rule aborts
-    /// the younger transaction to break potential deadlocks.
-    #[default]
-    Stall,
-    /// NACKed requester immediately aborts itself (requester-loses).
-    RequesterAborts,
-}
-
 /// Randomized exponential backoff applied after an abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffConfig {
@@ -95,8 +82,6 @@ pub struct HtmConfig {
     pub software_trap_cycles: u64,
     /// Interval between retries of a NACKed (stalled) request.
     pub retry_interval: u64,
-    /// Conflict-resolution policy.
-    pub policy: ConflictPolicy,
     /// Post-abort randomized exponential backoff.
     pub backoff: BackoffConfig,
     /// Maximum supported nesting depth (stacked frames, LogTM-Nested style).
@@ -119,7 +104,6 @@ impl Default for HtmConfig {
             restore_cycles: 4,
             software_trap_cycles: 100,
             retry_interval: 20,
-            policy: ConflictPolicy::Stall,
             backoff: BackoffConfig::default(),
             max_nest_depth: 8,
             perfect_signatures: false,
@@ -153,11 +137,6 @@ pub struct SuvConfig {
     pub summary_bits: usize,
     /// Hash functions used by the summary signature.
     pub summary_hashes: usize,
-    /// Banks the shared second-level table is sharded into; 0 derives a
-    /// count from the core count (one bank per 16 cores, the paper's
-    /// machine size) so the paper configuration keeps its single shared
-    /// table. See [`SuvConfig::l2_bank_count`].
-    pub l2_banks: usize,
 }
 
 impl Default for SuvConfig {
@@ -172,20 +151,19 @@ impl Default for SuvConfig {
             pool_page_alloc_cycles: 30,
             summary_bits: 2048,
             summary_hashes: 2,
-            l2_banks: 0,
         }
     }
 }
 
 impl SuvConfig {
-    /// Resolved number of second-level table banks for an `n_cores`
-    /// machine: the explicit `l2_banks` knob, or one bank per 16 cores
-    /// when 0 (auto). Rounded up to a power of two — each bank is a
-    /// set-associative tag array whose set count must stay a power of
-    /// two — and clamped so every bank keeps at least one full set of
-    /// `l2_ways` entries.
+    /// Banks the shared second-level table is sharded into on an
+    /// `n_cores` machine: one per 16 cores (the paper's machine size, so
+    /// the paper configuration keeps its single shared table). Rounded up
+    /// to a power of two — each bank is a set-associative tag array whose
+    /// set count must stay a power of two — and clamped so every bank
+    /// keeps at least one full set of `l2_ways` entries.
     pub fn l2_bank_count(&self, n_cores: usize) -> usize {
-        let raw = if self.l2_banks == 0 { n_cores.div_ceil(16) } else { self.l2_banks };
+        let raw = n_cores.div_ceil(16);
         let sets = (self.l2_entries / self.l2_ways).max(1);
         let cap = 1 << sets.ilog2(); // round the clamp DOWN to a power of two
         raw.next_power_of_two().clamp(1, cap)
@@ -320,10 +298,6 @@ pub struct RobustnessConfig {
     /// tier to the irrevocable token (0 = stay in software forever).
     /// Inert unless [`FallbackMode::Stm`] is selected.
     pub sw_retries: u32,
-    /// Hard cap on the post-abort backoff window, with deterministic
-    /// xorshift jitter replacing the default draw when set (0 = keep the
-    /// stock exponential curve bounded only by `BackoffConfig::cap`).
-    pub max_backoff_cycles: u64,
 }
 
 impl Default for RobustnessConfig {
@@ -338,7 +312,6 @@ impl Default for RobustnessConfig {
             faults: None,
             fallback: FallbackMode::IrrevocableOnly,
             sw_retries: 8,
-            max_backoff_cycles: 0,
         }
     }
 }
@@ -674,15 +647,9 @@ mod tests {
         assert_eq!(s.l2_bank_count(64), 4);
         assert_eq!(s.l2_bank_count(96), 8, "non-power-of-two raw counts round up");
         assert_eq!(s.l2_bank_count(256), 16);
-        // Explicit override wins (rounded to a power of two so per-bank
-        // set counts stay powers of two), clamped to one set per bank.
-        let mut e = s;
-        e.l2_banks = 7;
-        assert_eq!(e.l2_bank_count(256), 8);
-        e.l2_entries = 16;
-        e.l2_ways = 8;
-        e.l2_banks = 100;
-        assert_eq!(e.l2_bank_count(256), 2);
+        // A two-set table is clamped to one set per bank.
+        let small = SuvConfig { l2_entries: 16, l2_ways: 8, ..s };
+        assert_eq!(small.l2_bank_count(256), 2);
     }
 
     #[test]
@@ -712,11 +679,9 @@ mod tests {
         assert!(r.overflow_retries > 0);
         assert!(r.max_tx_aborts >= 1024);
         assert!(r.max_starvation_cycles >= 100_000_000);
-        // The hybrid-fallback knobs default to the pre-hybrid ladder shape
-        // and the stock backoff curve.
+        // The hybrid-fallback knobs default to the pre-hybrid ladder shape.
         assert_eq!(r.fallback, FallbackMode::IrrevocableOnly);
         assert!(r.sw_retries > 0);
-        assert_eq!(r.max_backoff_cycles, 0);
         assert_eq!(FaultSpec::default().overflow_pct, 0);
         assert_eq!(MachineConfig::default().robust, r);
     }

@@ -18,8 +18,8 @@ pub use addr::{
     PageAddr, LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT, WORDS_PER_LINE, WORD_BYTES,
 };
 pub use config::{
-    BackoffConfig, CacheGeom, CheckLevel, ConflictPolicy, DynTmConfig, FallbackMode, FaultSpec,
-    HtmConfig, MachineConfig, RobustnessConfig, SchemeKind, SuvConfig,
+    BackoffConfig, CacheGeom, CheckLevel, DynTmConfig, FallbackMode, FaultSpec, HtmConfig,
+    MachineConfig, RobustnessConfig, SchemeKind, SuvConfig,
 };
 pub use fx::{AlignedFxHasher, FxHashMap, FxHashSet, FxHasher, LineMap, LineSet, WordMap};
 pub use sharers::{SharerSet, MAX_SHARER_CORE};

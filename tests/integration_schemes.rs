@@ -102,43 +102,6 @@ fn backoff_is_deterministic_under_every_scheme() {
 }
 
 #[test]
-fn capped_backoff_is_deterministic_and_bounded() {
-    // `max_backoff_cycles` replaces the unbounded exponential draw with a
-    // capped, xorshift-jittered one. Capped runs must stay bit-reproducible
-    // (the jitter streams are seeded per core), every single draw must
-    // respect the cap — checked in aggregate as total backoff ≤ aborts ×
-    // cap — and under contention the capped curve must visibly diverge
-    // from the stock one.
-    const CAP: u64 = 64;
-    let mut capped = MachineConfig::small_test();
-    capped.robust.max_backoff_cycles = CAP;
-    let stock = MachineConfig::small_test();
-    for scheme in SchemeKind::ALL {
-        let a = run_workload(&capped, scheme, &mut bank());
-        let b = run_workload(&capped, scheme, &mut bank());
-        let backoff =
-            |r: &RunResult| r.stats.per_thread.iter().map(|t| t.backoff).collect::<Vec<_>>();
-        assert_eq!(backoff(&a), backoff(&b), "{scheme:?}: capped backoff drifted");
-        assert_eq!(a.stats.cycles, b.stats.cycles, "{scheme:?}: capped run not reproducible");
-        let total: u64 = backoff(&a).iter().sum();
-        assert!(
-            total <= a.stats.tx.aborts * CAP,
-            "{scheme:?}: {total} backoff cycles exceed {} aborts × cap {CAP}",
-            a.stats.tx.aborts
-        );
-        let s = run_workload(&stock, scheme, &mut bank());
-        if s.stats.tx.aborts > 0 {
-            assert_ne!(
-                (a.stats.cycles, backoff(&a)),
-                (s.stats.cycles, backoff(&s)),
-                "{scheme:?}: the cap changed nothing despite {} aborts",
-                s.stats.tx.aborts
-            );
-        }
-    }
-}
-
-#[test]
 fn commits_equal_across_schemes_for_fixed_work() {
     // The bank does a fixed number of dynamic transactions; commit counts
     // must agree across schemes even though timing differs.
