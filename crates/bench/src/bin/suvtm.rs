@@ -6,9 +6,9 @@
 //! for any `--jobs`; `verify` runs the small-scope model checkers.
 //!
 //! Exit status: 2 for a malformed invocation (with the usage message), 1
-//! for an oracle or model-checker violation, a throughput regression, a
-//! dead experiment cell, a failed write or an unreadable `--baseline`
-//! (each a one-line `suvtm: …` message), 3 for a simulated out-of-memory.
+//! for an oracle or model-checker violation, a dead experiment cell or a
+//! failed write (each a one-line `suvtm: …` message), 3 for a simulated
+//! out-of-memory.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -23,9 +23,7 @@ use suv_bench::engine::{
     CellSpec, HostMeta, SCALES,
 };
 use suv_bench::exp::{reports, run_experiment, BenchMode};
-use suv_bench::profile::{
-    baseline_geomean, check_regression, geomean_cycles_per_sec, host_json, run_cell_profiled,
-};
+use suv_bench::profile::{geomean_cycles_per_sec, host_json, run_cell_profiled};
 use suv_bench::{run_json, txns_per_kcycle};
 
 /// The machine `run` and `sweep` simulate: Table III with the requested
@@ -262,7 +260,7 @@ fn cell_label(spec: &CellSpec) -> String {
 }
 
 /// `suvtm bench --profile`: host-throughput profiling over the
-/// engine-sensitive matrix, with the optional baseline regression gate.
+/// engine-sensitive matrix.
 fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
     eprintln!(
         "suvtm bench --profile: {} cells ({}), min of {} rep{}, one worker",
@@ -296,18 +294,6 @@ fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
     if let Some(path) = &o.out {
         let doc = host_json(&cells, o.scale, o.reps, Some(HostMeta { workers: 1, wall_ms }));
         write_doc(path, &doc.render())?;
-    }
-    if let Some(path) = &o.baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-        let base = baseline_geomean(&text)
-            .ok_or_else(|| format!("baseline {path}: no geomean_cycles_per_sec field"))?;
-        check_regression(geomean, base, o.tolerance)?;
-        println!(
-            "baseline: {:.2} Mcyc/s, current is {:+.1}% — ok",
-            base / 1e6,
-            100.0 * (geomean / base - 1.0),
-        );
     }
     Ok(())
 }

@@ -46,10 +46,9 @@ usage: suvtm <run|sweep|bench|exp|verify|list> [options]
           `scale` inputs, all six schemes, default out
           results/SCALING_curve.json — written without host metadata so
           two runs of the same sweep are byte-identical)
-         [--profile] [--reps N] [--baseline PATH] [--tolerance PCT]
+         [--profile] [--reps N]
          (--profile: host-throughput profiling on the full paper matrix,
-          one worker, default out results/BENCH_host.json; with --baseline,
-          exits 1 on a geomean regression beyond PCT, def. 15)
+          one worker, default out results/BENCH_host.json)
   exp    NAME | --all  [--jobs N] [--out DIR] [--json PATH]
          (regenerate a figure or table of the evaluation at paper scale —
           `suvtm list` names them; the text report goes to stdout, or with
@@ -129,11 +128,6 @@ pub struct BenchOpts {
     pub mode: BenchMode,
     /// Wall-time repetitions per profiled cell (min is reported).
     pub reps: usize,
-    /// Committed `BENCH_host.json` to gate against (`--profile` only).
-    pub baseline: Option<String>,
-    /// Allowed geomean throughput regression vs the baseline, as a
-    /// fraction (0.15 = fail when more than 15% slower).
-    pub tolerance: f64,
     /// Skip cells already recorded (with `"status":"ok"`) in the `--out`
     /// file, carrying their rows forward — crash-resumable sweeps.
     pub resume: bool,
@@ -364,8 +358,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
         out: Some(out.into()),
         mode,
         reps: 3,
-        baseline: None,
-        tolerance: 0.15,
         resume: false,
     };
     let mut f = Flags::new(args);
@@ -380,16 +372,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
             "--out" => o.out = Some(f.value()?.to_string()),
             "--profile" | "--scaling" => {} // pre-scanned above
             "--reps" => o.reps = f.positive()?,
-            "--baseline" => o.baseline = Some(f.value()?.to_string()),
-            "--tolerance" => {
-                let s = f.value()?;
-                let pct: f64 =
-                    s.parse().map_err(|_| CliError(format!("{flag}: `{s}` is not a number")))?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return err("--tolerance: percent must be in 0..=100");
-                }
-                o.tolerance = pct / 100.0;
-            }
             _ => return f.unknown(),
         }
     }
@@ -400,8 +382,8 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
         if o.resume {
             return err("--resume does not apply to --profile runs");
         }
-    } else if args.iter().any(|a| matches!(a.as_str(), "--reps" | "--baseline" | "--tolerance")) {
-        return err("--reps/--baseline/--tolerance require --profile");
+    } else if args.iter().any(|a| a == "--reps") {
+        return err("--reps requires --profile");
     }
     if apps.is_empty() || schemes.is_empty() || core_counts.is_empty() {
         return err("bench: the matrix has an empty axis");
@@ -615,7 +597,14 @@ mod tests {
 
     #[test]
     fn removed_spellings_are_rejected() {
-        for gone in ["sweep --all", "run --all", "bench --serial", "bench --all"] {
+        for gone in [
+            "sweep --all",
+            "run --all",
+            "bench --serial",
+            "bench --all",
+            "bench --profile --baseline results/BENCH_host.json",
+            "bench --profile --tolerance 15",
+        ] {
             let e = parse(&args(gone)).expect_err(gone);
             assert!(e.0.contains("unknown option"), "{gone}: {e}");
         }

@@ -24,10 +24,10 @@
 //! tracing off, on one host thread and with **no probe attached**, and
 //! the minimum wall time of each group is reported (min-of-N is the
 //! standard de-noising estimator for a quantity with one-sided noise):
-//! `host_ms` — and so `cycles_per_sec` and the geomean the regression
-//! gate compares — is what `suvtm bench` pays for the cell, and
-//! `trace_overhead_ms`, the traced minus the untraced minimum clamped at
-//! zero, is the cost of the tracer alone. The dispatch / machine split
+//! `host_ms` — and so `cycles_per_sec` and the geomean — is what `suvtm
+//! bench` pays for the cell, and `trace_overhead_ms`, the traced minus the
+//! untraced minimum clamped at zero, is the cost of the tracer alone. The
+//! dispatch / machine split
 //! comes from one further traced repetition with the wall probe on,
 //! which reads the clock three times per scheduling quantum — on a
 //! handoff-heavy cell as much host time as the tracer itself, which is
@@ -200,42 +200,6 @@ pub fn host_json(
     Json::obj(doc)
 }
 
-/// Extract `"geomean_cycles_per_sec": <number>` from a committed
-/// `BENCH_host.json` baseline. A purpose-built scanner, not a JSON
-/// parser: the file is machine-written by [`host_json`], the key appears
-/// exactly once, and the workspace vendors no JSON reader.
-pub fn baseline_geomean(text: &str) -> Option<f64> {
-    let key = "\"geomean_cycles_per_sec\"";
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Gate the current geomean against a baseline: `Err` describes a
-/// regression beyond `tolerance` (a fraction, e.g. 0.30 = 30% slower
-/// than baseline fails). Improvements always pass.
-pub fn check_regression(current: f64, baseline: f64, tolerance: f64) -> Result<(), String> {
-    if baseline <= 0.0 {
-        return Err(format!("baseline geomean {baseline} is not positive"));
-    }
-    let floor = baseline * (1.0 - tolerance);
-    if current < floor {
-        Err(format!(
-            "host throughput regression: geomean {:.0} cycles/s is {:.1}% below the \
-             baseline {:.0} (tolerance {:.0}%)",
-            current,
-            100.0 * (1.0 - current / baseline),
-            baseline,
-            100.0 * tolerance,
-        ))
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,37 +230,6 @@ mod tests {
         assert!(!ja.contains("host_ms"), "host fields must be omitted");
         assert!(ja.contains("suv-bench-host/v1"));
         assert!(ja.contains("handoffs_taken"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_through_rendered_json() {
-        let c = run_cell_profiled(&spec(), SuiteScale::Tiny, 1);
-        let doc = host_json(
-            std::slice::from_ref(&c),
-            SuiteScale::Tiny,
-            1,
-            Some(HostMeta { workers: 1, wall_ms: c.host_ms }),
-        )
-        .render();
-        let g = baseline_geomean(&doc).expect("key present");
-        let want = geomean_cycles_per_sec(std::slice::from_ref(&c));
-        assert!((g - want).abs() <= want * 1e-9, "parsed {g} vs computed {want}");
-    }
-
-    #[test]
-    fn baseline_scanner_handles_absence_and_junk() {
-        assert_eq!(baseline_geomean("{}"), None);
-        assert_eq!(baseline_geomean("\"geomean_cycles_per_sec\": oops"), None);
-        assert_eq!(baseline_geomean("\"geomean_cycles_per_sec\": 12.5}"), Some(12.5));
-        assert_eq!(baseline_geomean("\"geomean_cycles_per_sec\":3e6,"), Some(3e6));
-    }
-
-    #[test]
-    fn regression_gate_tolerates_within_band() {
-        assert!(check_regression(70.0, 100.0, 0.30).is_ok(), "exactly at the floor passes");
-        assert!(check_regression(69.9, 100.0, 0.30).is_err());
-        assert!(check_regression(150.0, 100.0, 0.30).is_ok(), "improvements pass");
-        assert!(check_regression(1.0, 0.0, 0.30).is_err(), "degenerate baseline rejected");
     }
 
     #[test]

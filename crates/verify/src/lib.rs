@@ -13,10 +13,10 @@
 //!   lost-update freedom).
 //!
 //! Both print minimal counterexamples in the `suv-trace` event
-//! vocabulary. [`run_verify`] is the shared entry point behind
-//! `suvtm verify` and `cargo xtask verify`; seeded mutations
-//! ([`protocol::ProtocolMutation`], [`hybrid::HybridMutation`]) let CI
-//! and tests prove the checkers actually catch bugs.
+//! vocabulary. [`run_verify`] is the entry point behind `suvtm verify`;
+//! seeded mutations ([`protocol::ProtocolMutation`],
+//! [`hybrid::HybridMutation`]) let tests prove the checkers actually
+//! catch bugs.
 //!
 //! The execution engine's host concurrency (the sweep pool's cursor and
 //! result slots, the event loop's dispatch order and irrevocable token)
