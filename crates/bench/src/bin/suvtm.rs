@@ -27,24 +27,12 @@ use suv_bench::profile::{geomean_cycles_per_sec, host_json, run_cell_profiled};
 use suv_bench::{run_json, txns_per_kcycle};
 
 /// The machine `run` and `sweep` simulate: Table III with the requested
-/// core count, check level and fallback tier, and a `--faults` spec
-/// folded in — the injector armed and its resource clamps applied
-/// (`pool=`/`log=`/`wb=`, 0 = leave unclamped).
+/// core count, check level, fallback tier and `--faults` spec (injector
+/// and resource clamps both).
 fn machine(o: &RunOpts) -> MachineConfig {
     let mut cfg = MachineConfig { n_cores: o.cores, check: o.check, ..Default::default() };
     cfg.robust.fallback = o.fallback;
-    if let Some(spec) = o.faults {
-        cfg.robust.faults = Some(spec);
-        if spec.pool_pages != 0 {
-            cfg.robust.pool_pages = spec.pool_pages;
-        }
-        if spec.log_bytes != 0 {
-            cfg.robust.log_bytes = spec.log_bytes;
-        }
-        if spec.write_buffer_lines != 0 {
-            cfg.robust.write_buffer_lines = spec.write_buffer_lines;
-        }
-    }
+    cfg.robust.faults = o.faults;
     cfg
 }
 

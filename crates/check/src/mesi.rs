@@ -9,13 +9,13 @@
 //! The system is deliberately driven through its public interface — the
 //! same `has_permission`/`access_hit`/`fill`/`invalidate_local` calls the
 //! HTM layer makes — so the enumeration checks the implementation, not a
-//! re-derived abstract model. Because [`MemorySystem`] is not `Clone`
-//! (it owns timing state), breadth-first search re-reaches each frontier
-//! state by replaying its op path into a fresh system; state fingerprints
-//! (per-core MESI states plus the directory entry, per tracked line)
-//! deduplicate the graph. Timing components (bank queues, mesh clocks)
-//! are excluded from the fingerprint: they never influence protocol
-//! transitions, only latencies.
+//! re-derived abstract model. The breadth-first search carries a clone of
+//! the system with each frontier state and applies one op to a fresh clone
+//! per transition; state fingerprints (per-core MESI states plus the
+//! directory entry, per tracked line) deduplicate the graph. Timing
+//! components (bank queues, mesh clocks) are excluded from the
+//! fingerprint: they never influence protocol transitions, only
+//! latencies.
 
 use std::collections::{HashMap, VecDeque};
 use suv_coherence::{AccessKind, MemorySystem, Mesi};
@@ -97,15 +97,17 @@ pub fn enumerate_mutated(
         }
     }
 
-    // Search nodes: op paths stored as parent links so reaching a state
-    // again is a pure replay.
+    // Search nodes: op paths stored as parent links, for the violation
+    // message.
     struct Node {
         parent: usize,
         op: Option<Op>,
     }
     let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX, op: None }];
     let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    // Frontier: node, the system in that state, and the time of its next op
+    // (each op of a path is issued 100 cycles after the one before).
+    let mut queue: VecDeque<(usize, MemorySystem, Cycle)> = VecDeque::new();
     let mut report = MesiReport::default();
 
     let path_of = |nodes: &[Node], mut idx: usize| -> Vec<Op> {
@@ -118,25 +120,16 @@ pub fn enumerate_mutated(
         path
     };
 
-    let replay = |cfg: &MachineConfig, path: &[Op]| -> MemorySystem {
-        let mut sys = MemorySystem::new(cfg);
-        let mut now: Cycle = 0;
-        for &(core, addr, st) in path {
-            match st {
-                Stimulus::Load | Stimulus::Store => {
-                    let kind =
-                        if st == Stimulus::Store { AccessKind::Store } else { AccessKind::Load };
-                    if sys.has_permission(core, addr, kind) {
-                        sys.access_hit(core, addr, kind);
-                    } else {
-                        sys.fill(now, core, addr, kind);
-                    }
-                }
-                Stimulus::Evict => sys.invalidate_local(core, addr),
+    let apply = |sys: &mut MemorySystem, now: Cycle, (core, addr, st): Op| match st {
+        Stimulus::Load | Stimulus::Store => {
+            let kind = if st == Stimulus::Store { AccessKind::Store } else { AccessKind::Load };
+            if sys.has_permission(core, addr, kind) {
+                sys.access_hit(core, addr, kind);
+            } else {
+                sys.fill(now, core, addr, kind);
             }
-            now += 100;
         }
-        sys
+        Stimulus::Evict => sys.invalidate_local(core, addr),
     };
 
     let fingerprint = |sys: &MemorySystem, lines: &[Addr]| -> Vec<u64> {
@@ -161,21 +154,19 @@ pub fn enumerate_mutated(
         fp
     };
 
-    let root_sys = replay(&cfg, &[]);
+    let root_sys = MemorySystem::new(&cfg);
     seen.insert(fingerprint(&root_sys, lines), 0);
-    queue.push_back(0);
+    queue.push_back((0, root_sys, 0));
     report.states_explored = 1;
 
-    while let Some(idx) = queue.pop_front() {
+    while let Some((idx, base, now)) = queue.pop_front() {
         if report.states_explored >= max_states {
             report.truncated = true;
             break;
         }
-        let base_path = path_of(&nodes, idx);
         for &op in &ops {
-            let mut path = base_path.clone();
-            path.push(op);
-            let mut sys = replay(&cfg, &path);
+            let mut sys = base.clone();
+            apply(&mut sys, now, op);
             report.transitions += 1;
             let fp = fingerprint(&sys, lines);
             if seen.contains_key(&fp) {
@@ -184,8 +175,10 @@ pub fn enumerate_mutated(
             nodes.push(Node { parent: idx, op: Some(op) });
             let new_idx = nodes.len() - 1;
             seen.insert(fp, new_idx);
-            queue.push_back(new_idx);
+            queue.push_back((new_idx, sys.clone(), now + 100));
             report.states_explored += 1;
+            // The corruption is audited, never explored from.
+            let path = path_of(&nodes, new_idx);
             corrupt(&mut sys, &path);
             if let Err(v) = sys.check_invariants() {
                 report.violations.push(format!("{v}; reached via {path:?}"));

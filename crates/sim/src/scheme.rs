@@ -105,11 +105,15 @@ impl VersionManager for Vm {
 /// machine.
 pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
     let n = cfg.n_cores;
-    // Capacity clamps from the robustness config (0 = unbounded, the
-    // default — healthy runs are unaffected).
-    let pool_pages = cfg.robust.pool_pages;
-    let log_bytes = cfg.robust.log_bytes;
-    let buf_lines = cfg.robust.write_buffer_lines as usize;
+    // Capacity clamps (0 = unbounded, the default — healthy runs are
+    // unaffected): an installed fault spec's nonzero `pool=` / `log=` /
+    // `wb=` wins over the robustness config's own.
+    let robust = &cfg.robust;
+    let spec = robust.faults.unwrap_or_default();
+    let clamp = |spec: u64, configured: u64| if spec != 0 { spec } else { configured };
+    let pool_pages = clamp(spec.pool_pages, robust.pool_pages);
+    let log_bytes = clamp(spec.log_bytes, robust.log_bytes);
+    let buf_lines = clamp(spec.write_buffer_lines, robust.write_buffer_lines) as usize;
     match scheme {
         SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
         SchemeKind::FasTm => Vm::FasTm(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),

@@ -178,17 +178,21 @@ fn fault_injection_events_are_traced() {
     assert!(injected > 0, "a 25% NACK rate must leave FaultInjected events in the trace");
 }
 
-/// The `pool=` clamp inside a fault spec reaches the version pool: SUV
-/// under `pool=4` behaves like the explicit RobustnessConfig clamp.
+/// The `pool=` clamp inside a fault spec reaches the version pool from
+/// the installed spec alone: ssca2 never overflows an unclamped pool, and
+/// under `pool=1` it does.
 #[test]
 fn fault_spec_pool_clamp_reaches_the_allocator() {
-    let mut cfg = MachineConfig::small_test();
-    let spec = parse_fault_spec("seed=3,pool=4").expect("valid spec");
-    cfg.robust.faults = Some(spec);
-    cfg.robust.pool_pages = spec.pool_pages;
-    let mut w = by_name("labyrinth", SuiteScale::Tiny).expect("known app");
-    let r = run_workload(&cfg, SchemeKind::SuvTm, w.as_mut());
-    assert!(r.stats.tx.commits > 0);
+    let overflow_aborts = |spec: &str| {
+        let mut cfg = MachineConfig::small_test();
+        cfg.robust.faults = Some(parse_fault_spec(spec).expect("valid spec"));
+        let mut w = by_name("ssca2", SuiteScale::Tiny).expect("known app");
+        let r = run_workload(&cfg, SchemeKind::SuvTm, w.as_mut());
+        assert!(r.stats.tx.commits > 0);
+        r.stats.tx.overflow_aborts
+    };
+    assert_eq!(overflow_aborts("seed=3"), 0);
+    assert!(overflow_aborts("seed=3,pool=1") > 0, "a one-page pool must overflow");
 }
 
 fn faulted_robust_run(
