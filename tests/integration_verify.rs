@@ -24,7 +24,7 @@ fn assert_clean(subject: &str, r: &ExploreReport) {
     assert!(r.ok(), "{subject}: {why}");
 }
 
-/// The exhaustive clean pass the CI verify-smoke job gates on: all six
+/// The exhaustive clean pass CI gates on (this test is the gate): all six
 /// schemes at the 2-core / 2-address scope, plus the HW×SW fallback
 /// scenario (one hardware transaction racing one software one), with no
 /// truncation.
