@@ -75,7 +75,8 @@ pub struct RunResult {
     pub trace: Option<TraceOutput>,
     /// Request latencies merged across all threads (`None` when the
     /// workload recorded no samples — i.e. any non-open-loop workload).
-    pub latency: Option<LatencyHistogram>,
+    /// Boxed: the histogram holds its 15 KB of buckets inline.
+    pub latency: Option<Box<LatencyHistogram>>,
 }
 
 impl RunResult {
@@ -192,7 +193,7 @@ pub fn run_workload_profiled(
     let mut per_thread = Vec::with_capacity(cfg.n_cores);
     let mut per_thread_cycles = Vec::with_capacity(cfg.n_cores);
     let mut end = 0;
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Box::<LatencyHistogram>::default();
     for ctx in &contexts {
         engine.sched.credit_elided(ctx.elided_syncs());
         end = end.max(ctx.now());
