@@ -110,7 +110,7 @@ pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
     // `wb=` wins over the robustness config's own.
     let robust = &cfg.robust;
     let spec = robust.faults.unwrap_or_default();
-    let clamp = |spec: u64, configured: u64| if spec != 0 { spec } else { configured };
+    let clamp = |of_spec: u64, configured: u64| if of_spec != 0 { of_spec } else { configured };
     let pool_pages = clamp(spec.pool_pages, robust.pool_pages);
     let log_bytes = clamp(spec.log_bytes, robust.log_bytes);
     let buf_lines = clamp(spec.write_buffer_lines, robust.write_buffer_lines) as usize;

@@ -304,11 +304,10 @@ mod tests {
         v
     }
 
-    /// The pin under which `metrics::Histogram` (log2 buckets) and the old
-    /// `LatencyHistogram` became one type: at the parent of the merge this
-    /// test compared index, range and p50 / p99 / p999 against both at every
-    /// boundary, one sample at a time and as a running distribution. The
-    /// log2 closed form and the literals are what is left of them.
+    /// Both layouts at every bucket boundary. The percentile literals were
+    /// read off the two separate implementations this type replaced, which
+    /// this test matched on index, range and p50 / p99 / p999 at every
+    /// boundary before they were deleted.
     #[test]
     fn both_layouts_are_pinned_at_every_bucket_boundary() {
         let (mut log2, mut lat) = (Histogram::new(), LatencyHistogram::new());
