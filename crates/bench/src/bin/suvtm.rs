@@ -9,6 +9,7 @@
 //! for an oracle or model-checker violation, a dead experiment cell or a
 //! failed write (each a one-line `suvtm: …` message), 3 for a simulated
 //! out-of-memory.
+#![allow(clippy::disallowed_methods, reason = "the harness times the host, never the simulation")]
 
 use std::sync::Mutex;
 use std::time::Instant;

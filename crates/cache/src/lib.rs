@@ -6,8 +6,6 @@
 //! reconstruction). Data values live in the `suv-mem` crate's `Memory`; latency is
 //! charged by the coherence crate.
 
-#![forbid(unsafe_code)]
-
 pub mod directory;
 pub mod tag;
 

@@ -17,8 +17,6 @@
 //! * the paper's §V.C storage/energy/area arithmetic and the Table VI
 //!   processor reference data.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 pub mod processors;
 pub mod tech;

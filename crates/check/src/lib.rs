@@ -18,8 +18,6 @@
 //! per-fill MESI assertions, redirect-table audits) live with the
 //! structures they check, gated by `CheckLevel` — see DESIGN.md §7.
 
-#![forbid(unsafe_code)]
-
 pub mod mesi;
 pub mod serial;
 

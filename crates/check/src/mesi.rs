@@ -17,7 +17,7 @@
 //! fingerprint: they never influence protocol transitions, only
 //! latencies.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use suv_coherence::{AccessKind, MemorySystem, Mesi};
 use suv_types::{Addr, CheckLevel, Cycle, MachineConfig};
 
@@ -104,7 +104,8 @@ pub fn enumerate_mutated(
         op: Option<Op>,
     }
     let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX, op: None }];
-    let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
+    #[expect(clippy::disallowed_types, reason = "off the access path: the search's visited set")]
+    let mut seen: std::collections::HashMap<Vec<u64>, usize> = std::collections::HashMap::new();
     // Frontier: node, the system in that state, and the time of its next op
     // (each op of a path is issued 100 cycles after the one before).
     let mut queue: VecDeque<(usize, MemorySystem, Cycle)> = VecDeque::new();

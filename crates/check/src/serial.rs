@@ -27,7 +27,6 @@
 //! trace events, so this oracle sees a nested commit's net effect only —
 //! which is exactly the committed history it must serialize.
 
-use std::collections::HashMap;
 use suv_trace::{TraceEvent, TraceOutput, TraceRecord};
 use suv_types::CoreId;
 
@@ -106,7 +105,9 @@ struct ClosedTx {
 
 /// Check the conflict serializability of the committed transactions in a
 /// recorded event stream.
+#[expect(clippy::disallowed_types, reason = "off the access path; no map order escapes")]
 pub fn check_serializability(records: &[TraceRecord]) -> SerialReport {
+    use std::collections::HashMap;
     let mut report = SerialReport::default();
     let mut open: HashMap<CoreId, OpenTx> = HashMap::new();
     // Cores whose first `TxBegin` has not been seen yet: their early
@@ -215,8 +216,12 @@ struct Op {
     is_write: bool,
 }
 
-/// Build the conflict edges `(earlier tx, later tx)` across all lines.
+/// Build the conflict edges `(earlier tx, later tx)` across all lines,
+/// sorted: Tarjan walks them in this order, so it fixes the order of
+/// [`SerialReport::cycles`].
+#[expect(clippy::disallowed_types, reason = "off the access path; the edges leave sorted")]
 fn build_conflict_edges(closed: &[ClosedTx]) -> Vec<(usize, usize)> {
+    use std::collections::{HashMap, HashSet};
     let mut by_line: HashMap<u64, Vec<Op>> = HashMap::new();
     for (tx, c) in closed.iter().enumerate() {
         for &(line, pos) in &c.reads {
@@ -226,7 +231,7 @@ fn build_conflict_edges(closed: &[ClosedTx]) -> Vec<(usize, usize)> {
             by_line.entry(line).or_default().push(Op { pos, tx, is_write: true });
         }
     }
-    let mut edges = std::collections::HashSet::new();
+    let mut edges = HashSet::new();
     for ops in by_line.values_mut() {
         // Lazy writes share their commit's position; break the tie by
         // putting writes after reads at the same position (the merge
@@ -260,7 +265,9 @@ fn build_conflict_edges(closed: &[ClosedTx]) -> Vec<(usize, usize)> {
             }
         }
     }
-    edges.into_iter().collect()
+    let mut edges: Vec<_> = edges.into_iter().collect();
+    edges.sort_unstable();
+    edges
 }
 
 /// Iterative Tarjan strongly-connected components. Returns every SCC;
@@ -521,6 +528,37 @@ mod tests {
         let r = check_serializability(&trace);
         assert_eq!(r.cycles.len(), 1);
         assert_eq!(r.cycles[0].len(), 3);
+    }
+
+    #[test]
+    fn cycles_are_reported_in_one_order_on_every_call() {
+        // tx0 writes A and B, then precedes two write-skew pairs, one
+        // reading A and one reading B: Tarjan meets both cycles from tx0,
+        // in the order it walks tx0's edges.
+        let mut trace = vec![
+            begin(0),
+            rec(1, 0, E::TxWrite { line: 0xA0 }),
+            rec(2, 0, E::TxWrite { line: 0xB0 }),
+            rec(3, 0, E::TxCommit { window: 1, committing: 0 }),
+        ];
+        for (a, b, read, x, y) in [(1, 2, 0xA0, 0x100, 0x140), (3, 4, 0xB0, 0x200, 0x240)] {
+            trace.extend([
+                begin(a),
+                begin(b),
+                rec(4, a, E::TxRead { line: read }),
+                rec(5, a, E::TxRead { line: x }),
+                rec(6, b, E::TxRead { line: y }),
+                rec(7, a, E::TxWrite { line: y }),
+                rec(8, b, E::TxWrite { line: x }),
+                rec(9, a, E::TxCommit { window: 1, committing: 0 }),
+                rec(10, b, E::TxCommit { window: 1, committing: 0 }),
+            ]);
+        }
+        let first = check_serializability(&trace).violations();
+        assert_eq!(first.len(), 2, "{first:?}");
+        for _ in 0..50 {
+            assert_eq!(check_serializability(&trace).violations(), first);
+        }
     }
 
     #[test]

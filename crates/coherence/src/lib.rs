@@ -21,8 +21,6 @@
 //! * GETM invalidates remote sharers (latency of the farthest, since
 //!   invalidations fly in parallel).
 
-#![forbid(unsafe_code)]
-
 pub mod mesi;
 pub mod system;
 

@@ -21,8 +21,6 @@
 //! * [`suvvm`] — the [`suv_htm::VersionManager`] implementation tying the
 //!   table, the redirect pool and the summary signature together.
 
-#![forbid(unsafe_code)]
-
 pub mod entry;
 pub mod lru;
 pub mod suvvm;

@@ -16,7 +16,7 @@
 //!   titular *single update*.
 
 use crate::table::{LookupHit, RedirectTable, Transient};
-use suv_htm::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use suv_htm::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_mem::{LineData, PoolAllocator, Region};
 use suv_sig::SummarySignature;
 use suv_trace::{RedirectLevel, TraceEvent};
@@ -285,23 +285,24 @@ impl VersionManager for SuvVm {
         true
     }
 
-    fn begin_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        self.levels[core].push(LevelFrame::default());
-        1
-    }
-
-    fn commit_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        let f = self.levels[core].pop().expect("no level to merge");
-        if let Some(parent) = self.levels[core].last_mut() {
-            // The parent inherits the committed level's entries; the
-            // saves are pre-inner values and die with the inner level.
-            parent.new_lines.extend(f.new_lines);
-        }
-        1
-    }
-
-    fn abort_level(&mut self, env: &mut VmEnv, core: CoreId) -> Cycle {
-        let f = self.levels[core].pop().expect("no level to abort");
+    fn level(&mut self, env: &mut VmEnv, core: CoreId, op: LevelOp) -> Cycle {
+        let levels = &mut self.levels[core];
+        let f = match op {
+            LevelOp::Begin => {
+                levels.push(LevelFrame::default());
+                return 1;
+            }
+            LevelOp::Commit => {
+                let f = levels.pop().expect("no level to merge");
+                if let Some(parent) = levels.last_mut() {
+                    // The parent inherits the committed level's entries;
+                    // the saves are pre-inner values and die with it.
+                    parent.new_lines.extend(f.new_lines);
+                }
+                return 1;
+            }
+            LevelOp::Abort => levels.pop().expect("no level to abort"),
+        };
         // Entries this level created die (flash); lines an outer level
         // owned get their saved pre-level contents back.
         self.table.abort_lines(core, &f.new_lines, &mut self.pool);

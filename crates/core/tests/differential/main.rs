@@ -143,7 +143,7 @@ impl<V: VersionManager, M: Mix> Driver<V, M> {
 /// lines are seeded with distinct words. With `fork_at`, the run is cloned
 /// after that many steps and the clone fed the same remaining steps: it must
 /// end where the original does, trace included.
-fn drive<V: VersionManager + Clone, M: Mix>(
+fn drive<V: VersionManager, M: Mix>(
     mut m: HtmMachine<V>,
     lines: u64,
     rng_seed: u64,

@@ -103,7 +103,7 @@ fn legal(phase: Phase, op: Op) -> bool {
 /// Every op in every phase is issued or refused as [`legal`] says, with no
 /// assertion of the machine firing; then the refusals that depend on more
 /// than the core's own phase.
-fn every_bad_op_is_illegal<V: VersionManager + Clone>(vm: V) {
+fn every_bad_op_is_illegal<V: VersionManager>(vm: V) {
     let fresh = Run::new(HtmMachine::new(&config(), vm));
     for setup in PHASES {
         let mut base = fresh.clone();

@@ -9,7 +9,7 @@
 //! degenerates to LogTM-SE behaviour: log maintenance for subsequent writes
 //! and a software walk on abort.
 
-use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use crate::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_coherence::{AccessKind, L1Evict};
 use suv_mem::{LineData, Region};
 use suv_trace::TraceEvent;
@@ -47,7 +47,7 @@ pub struct FasTm {
     cores: Vec<CoreState>,
     cfg: HtmConfig,
     /// Degenerate-mode log byte budget (0 = unbounded); shares the
-    /// `RobustnessConfig::log_bytes` knob with LogTM-SE.
+    /// `FaultSpec::log_bytes` clamp with LogTM-SE.
     log_bytes: Addr,
     /// Cores in irrevocable serialized mode bypass the budget.
     irrevocable: Vec<bool>,
@@ -201,21 +201,21 @@ impl VersionManager for FasTm {
         true
     }
 
-    fn begin_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
+    fn level(&mut self, env: &mut VmEnv, core: CoreId, op: LevelOp) -> Cycle {
         let st = &mut self.cores[core];
-        st.marks.push(st.old.len());
-        1
-    }
-
-    fn commit_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        self.cores[core].marks.pop().expect("no level to merge");
-        1
-    }
-
-    fn abort_level(&mut self, env: &mut VmEnv, core: CoreId) -> Cycle {
-        let mark = self.cores[core].marks.pop().expect("no level to abort");
-        let degenerate = self.cores[core].degenerate;
-        let frame: Vec<(LineAddr, LineData)> = self.cores[core].old.split_off(mark);
+        let mark = match op {
+            LevelOp::Begin => {
+                st.marks.push(st.old.len());
+                return 1;
+            }
+            LevelOp::Commit => {
+                st.marks.pop().expect("no level to merge");
+                return 1;
+            }
+            LevelOp::Abort => st.marks.pop().expect("no level to abort"),
+        };
+        let degenerate = st.degenerate;
+        let frame: Vec<(LineAddr, LineData)> = st.old.split_off(mark);
         let mut lat = if degenerate { self.cfg.software_trap_cycles } else { FAST_ABORT_CYCLES };
         for (line, data) in frame.iter().rev() {
             if degenerate {

@@ -22,8 +22,6 @@
 //! other cores. Version-management schemes differ in how long those windows
 //! are; SUV makes both O(1).
 
-#![forbid(unsafe_code)]
-
 mod conflict;
 pub mod dyntm;
 pub mod fastm;
@@ -42,4 +40,4 @@ pub use shadow::ShadowOracle;
 pub use swvm::SwVm;
 pub use tx::{TxState, TxStatus};
 pub use undo::UndoLog;
-pub use vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+pub use vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};

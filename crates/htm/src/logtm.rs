@@ -7,7 +7,7 @@
 //! the transaction's signatures keep NACKing everyone else.
 
 use crate::undo::UndoLog;
-use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use crate::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_trace::TraceEvent;
 use suv_types::{Addr, CoreId, Cycle, HtmConfig, SchemeKind};
 
@@ -118,21 +118,19 @@ impl VersionManager for LogTmSe {
         true
     }
 
-    fn begin_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        self.logs[core].push_level();
+    fn level(&mut self, env: &mut VmEnv, core: CoreId, op: LevelOp) -> Cycle {
+        let log = &mut self.logs[core];
+        match op {
+            LevelOp::Begin => log.push_level(),
+            LevelOp::Commit => log.merge_level(),
+            // Partial aborts replay only the top log frame — still a
+            // software walk, but over the inner level's writes alone.
+            LevelOp::Abort => {
+                let trap = self.cfg.software_trap_cycles;
+                return trap + log.unwind_level(env.mem, env.sys, env.now + trap, core);
+            }
+        }
         1
-    }
-
-    fn commit_level(&mut self, _env: &mut VmEnv, core: CoreId) -> Cycle {
-        self.logs[core].merge_level();
-        1
-    }
-
-    fn abort_level(&mut self, env: &mut VmEnv, core: CoreId) -> Cycle {
-        // Partial aborts replay only the top log frame — still a software
-        // walk, but over the inner level's writes alone.
-        let trap = self.cfg.software_trap_cycles;
-        trap + self.logs[core].unwind_level(env.mem, env.sys, env.now + trap, core)
     }
 }
 

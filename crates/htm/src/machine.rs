@@ -37,7 +37,7 @@ use crate::conflict::ConflictIndex;
 use crate::shadow::ShadowOracle;
 use crate::swvm::{self, SwVm};
 use crate::tx::{TxState, TxStatus};
-use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use crate::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -547,7 +547,7 @@ impl<V: VersionManager> HtmMachine<V> {
                 // version-manager watermark, enabling partial abort.
                 self.txs[core].push_frame();
                 self.shadow(|s| s.push_level(core));
-                return 2 + self.with_vm(now, |vm, env| vm.begin_level(env, core));
+                return 2 + self.with_vm(now, |vm, env| vm.level(env, core, LevelOp::Begin));
             }
             return 1; // flattened (subsumed) nesting
         }
@@ -733,7 +733,7 @@ impl<V: VersionManager> HtmMachine<V> {
             if !self.txs[core].frames.is_empty() {
                 self.txs[core].merge_top_frame();
                 self.shadow(|s| s.merge_level(core));
-                latency += self.with_vm(now, |vm, env| vm.commit_level(env, core));
+                latency += self.with_vm(now, |vm, env| vm.level(env, core, LevelOp::Commit));
             }
             return CommitOutcome::Committed { latency, committing: 0 };
         }
@@ -817,7 +817,7 @@ impl<V: VersionManager> HtmMachine<V> {
         self.index.put(core, true, &f.write_set, false);
         self.index.put_tx(core, t, true);
         self.shadow(|s| s.drop_level(core));
-        Some(self.with_vm(now, |vm, env| vm.abort_level(env, core)) + 1)
+        Some(self.with_vm(now, |vm, env| vm.level(env, core, LevelOp::Abort)) + 1)
     }
 
     /// Abort the core's transaction. Returns the abort (repair) duration;

@@ -61,11 +61,27 @@ pub enum StoreTarget {
     Overflow,
 }
 
+/// One step of closed nesting with partial abort, on the core's innermost
+/// level (see [`VersionManager::level`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelOp {
+    /// A nested level begins: push a rollback watermark.
+    Begin,
+    /// The innermost level commits: merge its tracking into the parent.
+    Commit,
+    /// Partially abort the innermost level: restore only the data that
+    /// level wrote.
+    Abort,
+}
+
 /// A pluggable version-management scheme.
 ///
 /// One instance manages *all* cores (SUV's second-level redirect table is
-/// shared chip-wide), with per-core internal state keyed by `CoreId`.
-pub trait VersionManager: Send {
+/// shared chip-wide), with per-core internal state keyed by `CoreId`. The
+/// scheme set is closed and the machine generic over it, so every scheme
+/// call is static: `Clone` (forking the machine forks its scheme) makes
+/// `dyn VersionManager` a compile error.
+pub trait VersionManager: Clone + Send {
     /// Which scheme this is (for reporting).
     fn kind(&self) -> SchemeKind;
 
@@ -134,22 +150,12 @@ pub trait VersionManager: Send {
         false
     }
 
-    /// A nested level begins: push a rollback watermark. Returns extra
-    /// latency (the stacked-frame save).
-    fn begin_level(&mut self, _env: &mut VmEnv, _core: CoreId) -> Cycle {
-        0
-    }
-
-    /// The innermost nested level commits: merge its tracking into the
-    /// parent level. Returns extra latency.
-    fn commit_level(&mut self, _env: &mut VmEnv, _core: CoreId) -> Cycle {
-        0
-    }
-
-    /// Partially abort the innermost nested level: restore only the data
-    /// that level wrote. Returns the rollback duration.
-    fn abort_level(&mut self, _env: &mut VmEnv, _core: CoreId) -> Cycle {
-        unreachable!("abort_level called on a VM without partial-abort support")
+    /// Apply one nesting step and return its extra latency: the
+    /// stacked-frame save, the merge, or the rollback duration. Called only
+    /// when [`Self::supports_partial_abort`] holds; one exhaustive `match`
+    /// implements all three steps or none.
+    fn level(&mut self, _env: &mut VmEnv, _core: CoreId, _op: LevelOp) -> Cycle {
+        unreachable!("level called on a VM without partial-abort support")
     }
 
     /// Predictor feedback (DynTM): the transaction at `site` finished.
@@ -188,6 +194,7 @@ mod tests {
     use suv_types::MachineConfig;
 
     /// A trivial in-place VM used to exercise the trait's defaults.
+    #[derive(Clone)]
     struct Nop;
     impl VersionManager for Nop {
         fn kind(&self) -> SchemeKind {
@@ -227,6 +234,7 @@ mod tests {
     fn trait_defaults() {
         let mut vm = Nop;
         assert!(!vm.choose_mode(0, TxSite(1)));
+        assert!(!vm.supports_partial_abort(), "`level` is never called on it");
         assert_eq!(vm.take_rt_overflow(0), (false, false));
         assert_eq!(vm.redirect_stats(), RedirectStats::default());
         assert_eq!(vm.lazy_tx_count(), 0);

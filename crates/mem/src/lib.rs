@@ -8,8 +8,6 @@
 //! crate only guarantees that every scheme's data manipulation is real, so
 //! tests can assert value correctness across commits and aborts.
 
-#![forbid(unsafe_code)]
-
 pub mod alloc;
 pub mod layout;
 

@@ -21,8 +21,6 @@
 //! `rows`/`cols` — nothing assumes the mesh is square, and nothing assumes
 //! 16 nodes.
 
-#![forbid(unsafe_code)]
-
 use suv_types::{Cycle, MachineConfig};
 
 /// A node position in the mesh.

@@ -23,8 +23,6 @@
 //!   per request measured from intended arrival (no coordinated
 //!   omission).
 
-#![forbid(unsafe_code)]
-
 pub mod traffic;
 pub mod workload;
 

@@ -14,8 +14,6 @@
 //! and the signature masks to line granularity, matching the paper's
 //! 64-byte conflict-detection granularity.
 
-#![forbid(unsafe_code)]
-
 pub mod bitvec;
 pub mod hash;
 pub mod signature;

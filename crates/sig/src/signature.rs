@@ -1,9 +1,7 @@
 //! Read/write Bloom-filter signatures (LogTM-SE style).
 
 use crate::{BitVec, HashFamily};
-// siphash-ok: `exact` exists only in the perfect-signature ablation, never on a default run.
-use std::collections::HashSet;
-use suv_types::{line_of, Addr};
+use suv_types::{line_of, Addr, FxHashSet};
 
 /// A Bloom-filter signature over cache-line addresses.
 ///
@@ -22,7 +20,7 @@ pub struct Signature {
     bits: BitVec,
     hashes: HashFamily,
     inserted: u64,
-    exact: Option<HashSet<u64>>,
+    exact: Option<FxHashSet<u64>>,
 }
 
 impl Signature {
@@ -39,7 +37,7 @@ impl Signature {
     /// An exact (false-positive-free) signature — the ablation ideal.
     pub fn perfect(nbits: usize, k: usize) -> Self {
         let mut s = Self::new(nbits, k);
-        s.exact = Some(HashSet::new());
+        s.exact = Some(FxHashSet::default());
         s
     }
 

@@ -23,8 +23,6 @@
 //! breakdown: every consumed cycle is attributed to NoTrans, Trans,
 //! Barrier, Backoff, Stalled, Wasted, Aborting or Committing.
 
-#![forbid(unsafe_code)]
-
 pub mod context;
 pub mod fault;
 pub mod pool;

@@ -10,7 +10,7 @@ use suv_htm::dyntm::DynTm;
 use suv_htm::fastm::FasTm;
 use suv_htm::lazy::LazyVm;
 use suv_htm::logtm::LogTmSe;
-use suv_htm::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use suv_htm::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_types::{Addr, CoreId, Cycle, MachineConfig, RedirectStats, SchemeKind, TxSite};
 
 /// The version manager of a machine: one variant per [`SchemeKind`], named
@@ -57,9 +57,10 @@ macro_rules! forward {
     };
 }
 
-/// Every method of the trait is spelled out (`cargo xtask lint` checks the
-/// list against `htm/vm.rs`): an inherited default here would switch a
-/// scheme's own override off without a compile error.
+/// Every method of the trait is spelled out (clippy denies a missing one):
+/// an inherited default here would switch a scheme's own override off
+/// without a compile error.
+#[deny(clippy::missing_trait_methods)]
 impl VersionManager for Vm {
     forward! {
         ref {
@@ -78,9 +79,7 @@ impl VersionManager for Vm {
             fn abort(env: &mut VmEnv, core: CoreId) -> Cycle;
             fn on_eviction(core: CoreId, ev: &L1Evict);
             fn take_rt_overflow(core: CoreId) -> (bool, bool);
-            fn begin_level(env: &mut VmEnv, core: CoreId) -> Cycle;
-            fn commit_level(env: &mut VmEnv, core: CoreId) -> Cycle;
-            fn abort_level(env: &mut VmEnv, core: CoreId) -> Cycle;
+            fn level(env: &mut VmEnv, core: CoreId, op: LevelOp) -> Cycle;
             fn tx_finished(core: CoreId, site: TxSite, committed: bool);
             fn set_irrevocable(core: CoreId, on: bool);
         }
@@ -105,15 +104,11 @@ impl VersionManager for Vm {
 /// machine.
 pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
     let n = cfg.n_cores;
-    // Capacity clamps (0 = unbounded, the default — healthy runs are
-    // unaffected): an installed fault spec's nonzero `pool=` / `log=` /
-    // `wb=` wins over the robustness config's own.
-    let robust = &cfg.robust;
-    let spec = robust.faults.unwrap_or_default();
-    let clamp = |of_spec: u64, configured: u64| if of_spec != 0 { of_spec } else { configured };
-    let pool_pages = clamp(spec.pool_pages, robust.pool_pages);
-    let log_bytes = clamp(spec.log_bytes, robust.log_bytes);
-    let buf_lines = clamp(spec.write_buffer_lines, robust.write_buffer_lines) as usize;
+    // Capacity clamps come from an installed fault spec's `pool=` / `log=`
+    // / `wb=` (0 = unbounded, the default — healthy runs are unaffected).
+    let spec = cfg.robust.faults.unwrap_or_default();
+    let (pool_pages, log_bytes) = (spec.pool_pages, spec.log_bytes);
+    let buf_lines = spec.write_buffer_lines as usize;
     match scheme {
         SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
         SchemeKind::FasTm => Vm::FasTm(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),

@@ -20,8 +20,6 @@
 //! share (everything lives in *simulated* memory and is accessed through
 //! `Tx`, so every operation is timed and conflict-checked).
 
-#![forbid(unsafe_code)]
-
 pub mod ds;
 pub mod workloads;
 

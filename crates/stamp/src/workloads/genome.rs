@@ -115,6 +115,7 @@ impl Workload for Genome {
     fn verify(&self, ctx: &mut SetupCtx<'_>) {
         // The deduplicated set must contain exactly the distinct segments
         // of the input stream.
+        #[expect(clippy::disallowed_types, reason = "off the simulated path: a setup-time count")]
         let distinct: std::collections::HashSet<u64> =
             (0..self.n_segments).map(|i| self.segment(i)).collect();
         assert_eq!(self.segments_table.len_setup(ctx), distinct.len() as u64, "dedup wrong");

@@ -34,8 +34,6 @@
 //! println!("speedup: {:.2}x", suv.speedup_over(&logtm));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use cacti_lite as cacti;
 pub use suv_cache as cache;
 pub use suv_coherence as coherence;

@@ -385,9 +385,10 @@ const fn sized(kind: u64, p0: u64, p1: u64, magnitude: u64) -> Decoded {
 impl TraceEvent {
     /// Kind id, payload words and magnitude in one match: the tracer pays
     /// one dispatch on the variant per event, and a new variant cannot be
-    /// wired into one of the three and forgotten in another (`cargo xtask
-    /// lint` keeps every variant named here, with no catch-all arm).
+    /// wired into one of the three and forgotten in another (every variant
+    /// is named here: clippy denies a catch-all arm).
     #[inline]
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn decode(&self) -> Decoded {
         match *self {
             TraceEvent::TxBegin { site, lazy } => plain(1, u64::from(site), u64::from(lazy)),

@@ -26,8 +26,6 @@
 //! (coherence, HTM machine, version managers, scheduler, runner) can hook
 //! into it without dependency cycles.
 
-#![forbid(unsafe_code)]
-
 pub mod chrome;
 pub mod event;
 pub mod json;

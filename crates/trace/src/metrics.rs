@@ -5,13 +5,15 @@
 //! simulator guarantees for its statistics.
 
 use crate::latency::Histogram;
-use std::collections::BTreeMap;
+
+#[expect(clippy::disallowed_types, reason = "off the access path: report order is key order")]
+type ByName<V> = std::collections::BTreeMap<String, V>;
 
 /// Named counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: ByName<u64>,
+    histograms: ByName<Histogram>,
 }
 
 impl MetricsRegistry {

@@ -2,7 +2,7 @@
 
 use crate::event::TraceEvent;
 use crate::tracer::TraceOutput;
-use std::collections::HashMap;
+use suv_types::FxHashMap;
 
 /// Render a terminal-friendly summary of a run's trace: event counts,
 /// latency histograms, the hottest conflict lines and the most
@@ -39,11 +39,12 @@ pub fn summary_report(out: &TraceOutput, top_n: usize) -> String {
     }
 
     // Hottest conflict lines: stalls carry the conflicting line.
-    let mut by_line: HashMap<u64, (u64, u64)> = HashMap::new(); // line -> (stalls, cycles)
-                                                                // Abort-prone sites: replay per-core open site from TxBegin.
-    let mut open_site: HashMap<usize, u32> = HashMap::new();
-    let mut site_aborts: HashMap<u32, u64> = HashMap::new();
-    let mut site_commits: HashMap<u32, u64> = HashMap::new();
+    // line -> (stalls, cycles); both reports below sort their rows fully.
+    let mut by_line: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
+    // Abort-prone sites: replay per-core open site from TxBegin.
+    let mut open_site: FxHashMap<usize, u32> = FxHashMap::default();
+    let mut site_aborts: FxHashMap<u32, u64> = FxHashMap::default();
+    let mut site_commits: FxHashMap<u32, u64> = FxHashMap::default();
     for rec in &out.records {
         match rec.ev {
             TraceEvent::Stall { line, cycles } => {

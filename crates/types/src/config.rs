@@ -170,12 +170,15 @@ impl SuvConfig {
     }
 }
 
-/// Deterministic fault-injection parameters (`suvtm run --faults`).
+/// Deterministic fault-injection parameters and capacity clamps (`suvtm
+/// run --faults`).
 ///
 /// All perturbations are drawn from per-core seeded RNGs in simulated-time
 /// order, so a given spec reproduces the same schedule — and the same
-/// trace hash — on every run. The spec grammar (`seed=`, `nack=`, `delay=`,
-/// `pool=`) is parsed in `suv-sim`'s `fault` module.
+/// trace hash — on every run. The spec grammar (`seed=`, `nack=`,
+/// `delay=`, `overflow=`, `pool=`, `log=`, `wb=`) is parsed in
+/// `suv-sim`'s `fault` module; installing a spec with only clamps set
+/// (every percentage 0) clamps without perturbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// RNG seed the per-core injector streams derive from.
@@ -188,14 +191,16 @@ pub struct FaultSpec {
     pub delay_pct: u8,
     /// Extra cycles an injected NoC delay adds to the access.
     pub delay_cycles: u64,
-    /// Clamp the SUV redirect pool to this many pages (0 = leave the
-    /// configured [`RobustnessConfig::pool_pages`] alone).
+    /// Clamp the SUV redirect pool to this many demand pages (0 = bounded
+    /// only by the pool region).
     pub pool_pages: u64,
-    /// Clamp per-core undo logs to this many bytes (0 = leave
-    /// [`RobustnessConfig::log_bytes`] alone).
+    /// Cap each core's undo-log footprint in bytes for the log-based
+    /// schemes (LogTM-SE, degenerated FasTM); exceeding it is a capacity
+    /// overflow abort (0 = unbounded).
     pub log_bytes: u64,
-    /// Clamp lazy write buffers to this many distinct lines (0 = leave
-    /// [`RobustnessConfig::write_buffer_lines`] alone).
+    /// Cap the lazy write buffer at this many distinct lines per
+    /// transaction; exceeding it is a capacity overflow abort
+    /// (0 = unbounded).
     pub write_buffer_lines: u64,
     /// Percent (0..=100) of transactional stores that spuriously report
     /// version-manager pool exhaustion (a capacity-overflow abort), so the
@@ -258,9 +263,10 @@ impl FallbackMode {
     }
 }
 
-/// Graceful-degradation knobs: resource-capacity clamps, the escalation
-/// ladder for overflowing transactions, and the livelock/starvation
-/// watchdog. A threshold of 0 disables that trigger.
+/// Graceful-degradation knobs: the escalation ladder for overflowing
+/// transactions, the livelock/starvation watchdog, and the fault spec that
+/// carries the resource-capacity clamps. A threshold of 0 disables that
+/// trigger.
 ///
 /// The defaults arm the overflow ladder (it only fires where the old code
 /// would have panicked) and set watchdog thresholds far beyond anything a
@@ -277,18 +283,7 @@ pub struct RobustnessConfig {
     /// Watchdog: cycles since a dynamic transaction's first begin before
     /// it is deemed starving and escalates (0 = disabled).
     pub max_starvation_cycles: u64,
-    /// Clamp the SUV redirect pool to this many demand pages
-    /// (0 = bounded only by the pool region).
-    pub pool_pages: u64,
-    /// Cap each core's undo-log footprint in bytes for the log-based
-    /// schemes (LogTM-SE, degenerated FasTM); exceeding it is a capacity
-    /// overflow abort (0 = unbounded).
-    pub log_bytes: u64,
-    /// Cap the lazy write buffer at this many distinct lines per
-    /// transaction; exceeding it is a capacity overflow abort
-    /// (0 = unbounded).
-    pub write_buffer_lines: u64,
-    /// Deterministic fault injection, when armed.
+    /// Deterministic fault injection and capacity clamps, when armed.
     pub faults: Option<FaultSpec>,
     /// Which tier the ladder escalates into once a hardware retry budget
     /// is spent. The default keeps the pre-hybrid two-tier behaviour.
@@ -306,9 +301,6 @@ impl Default for RobustnessConfig {
             overflow_retries: 2,
             max_tx_aborts: 1024,
             max_starvation_cycles: 100_000_000,
-            pool_pages: 0,
-            log_bytes: 0,
-            write_buffer_lines: 0,
             faults: None,
             fallback: FallbackMode::IrrevocableOnly,
             sw_retries: 8,
@@ -666,13 +658,12 @@ mod tests {
     #[test]
     fn robustness_defaults_are_inert_for_healthy_runs() {
         let r = RobustnessConfig::default();
-        // The capacity clamps default to "unbounded" and the injector to
-        // "off": default-config schedules must be bit-identical to
+        // The injector defaults to "off", and a spec's capacity clamps to
+        // "unbounded": default-config schedules must be bit-identical to
         // pre-robustness builds.
-        assert_eq!(r.pool_pages, 0);
-        assert_eq!(r.log_bytes, 0);
-        assert_eq!(r.write_buffer_lines, 0);
         assert_eq!(r.faults, None);
+        let spec = FaultSpec::default();
+        assert_eq!((spec.pool_pages, spec.log_bytes, spec.write_buffer_lines), (0, 0, 0));
         // The ladder itself stays armed — it only fires where the old
         // code panicked — and the watchdog thresholds sit far beyond any
         // healthy transaction.
@@ -682,7 +673,7 @@ mod tests {
         // The hybrid-fallback knobs default to the pre-hybrid ladder shape.
         assert_eq!(r.fallback, FallbackMode::IrrevocableOnly);
         assert!(r.sw_retries > 0);
-        assert_eq!(FaultSpec::default().overflow_pct, 0);
+        assert_eq!(spec.overflow_pct, 0);
         assert_eq!(MachineConfig::default().robust, r);
     }
 

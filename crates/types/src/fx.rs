@@ -19,6 +19,7 @@
 //! inside [`FxHasher`] would fix the same thing for every key at the cost
 //! of the page-number maps, whose sequential keys the bare multiply
 //! already spreads perfectly.)
+#![expect(clippy::disallowed_types, reason = "the deterministic-hasher aliases the ban points to")]
 
 use crate::addr::{Addr, LineAddr, LINE_SHIFT, WORD_BYTES};
 use std::collections::{HashMap, HashSet};

@@ -5,8 +5,6 @@
 //! every other crate in the workspace. It is dependency-free so that leaf
 //! crates (caches, signatures, the interconnect) can be tested in isolation.
 
-#![forbid(unsafe_code)]
-
 pub mod addr;
 pub mod config;
 pub mod fx;

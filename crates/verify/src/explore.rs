@@ -11,7 +11,7 @@
 //! `suv-trace` vocabulary so counterexamples print in the exact language
 //! the simulator's `--trace-summary` uses.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::Hash;
 use suv_trace::TraceRecord;
 
@@ -110,7 +110,8 @@ pub fn explore<M: Model>(model: &M, max_states: usize) -> ExploreReport {
     }
     let mut report = ExploreReport::default();
     let mut nodes: Vec<Node<M::Action>> = vec![Node { parent: usize::MAX, action: None }];
-    let mut seen: HashMap<M::State, usize> = HashMap::new();
+    #[expect(clippy::disallowed_types, reason = "off the access path: the search's visited set")]
+    let mut seen: std::collections::HashMap<M::State, usize> = std::collections::HashMap::new();
     let mut queue: VecDeque<(usize, M::State)> = VecDeque::new();
 
     let trace_of = |model: &M, nodes: &[Node<M::Action>], mut idx: usize| -> Vec<TraceRecord> {

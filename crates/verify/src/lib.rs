@@ -24,8 +24,6 @@
 //! runs, by the unit tests of `suv-sim`'s `pool` and `sched` modules
 //! (DESIGN.md §11 has the property → test table).
 
-#![forbid(unsafe_code)]
-
 pub mod explore;
 pub mod hybrid;
 pub mod protocol;

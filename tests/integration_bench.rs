@@ -1,6 +1,7 @@
 //! Integration tests for the parallel experiment engine: the parallel
 //! sweep must be bit-identical to the serial one, and the deterministic
 //! part of `BENCH_sweep.json` must be byte-identical across runs.
+#![allow(clippy::disallowed_methods, reason = "times the host, never the simulation")]
 
 use suv::prelude::*;
 use suv::sim::default_workers;

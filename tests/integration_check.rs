@@ -1,6 +1,7 @@
 //! Checker-subsystem integration: the STAMP suite under full runtime
 //! checking, the offline oracles over real traces, and seeded-bug tests
 //! proving each checker actually catches the corruption it exists for.
+#![allow(clippy::disallowed_methods, reason = "times the host, never the simulation")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -172,6 +173,7 @@ fn load(m: &mut HtmMachine<suv::sim::Vm>, t: Cycle, addr: Addr) -> u64 {
 /// A deliberately broken LogTM-SE: abort discards the undo log *without*
 /// walking it, leaving the transaction's in-place writes visible — the
 /// classic version-management bug the shadow oracle (INV-9) exists for.
+#[derive(Clone)]
 struct NoUndoLogTm(LogTmSe);
 
 impl VersionManager for NoUndoLogTm {

@@ -29,6 +29,12 @@ fn run_with(app: &str, scheme: SchemeKind, robust: RobustnessConfig) -> RunResul
     run_scaled(app, scheme, SuiteScale::Tiny, robust)
 }
 
+/// The default config with `spec` installed: a spec whose percentages are
+/// all 0 clamps capacity without injecting anything.
+fn clamped(spec: FaultSpec) -> RobustnessConfig {
+    RobustnessConfig { faults: Some(spec), ..Default::default() }
+}
+
 /// The headline acceptance criterion: every STAMP application completes —
 /// and still verifies — under SUV with the version pool clamped to 4
 /// pages, and the fallback machinery visibly engages across the suite.
@@ -36,7 +42,7 @@ fn run_with(app: &str, scheme: SchemeKind, robust: RobustnessConfig) -> RunResul
 /// hold 256 live redirect slots at once.
 #[test]
 fn all_stamp_apps_complete_with_a_four_page_pool() {
-    let robust = RobustnessConfig { pool_pages: 4, ..Default::default() };
+    let robust = clamped(FaultSpec { pool_pages: 4, ..Default::default() });
     let mut overflow_aborts = 0;
     let mut irrevocable_commits = 0;
     for app in STAMP_APPS {
@@ -52,7 +58,7 @@ fn all_stamp_apps_complete_with_a_four_page_pool() {
 /// DynTM+SUV shares the pool-overflow path through its SUV inner manager.
 #[test]
 fn dyntm_suv_survives_pool_clamp() {
-    let robust = RobustnessConfig { pool_pages: 4, ..Default::default() };
+    let robust = clamped(FaultSpec { pool_pages: 4, ..Default::default() });
     let r = run_with("vacation", SchemeKind::DynTmSuv, robust);
     assert!(r.stats.tx.commits > 0);
 }
@@ -61,7 +67,7 @@ fn dyntm_suv_survives_pool_clamp() {
 /// ladder on LogTM-SE (which logs on every first write to a line).
 #[test]
 fn log_clamp_escalates_to_irrevocable_on_logtm() {
-    let robust = RobustnessConfig { log_bytes: 72, ..Default::default() };
+    let robust = clamped(FaultSpec { log_bytes: 72, ..Default::default() });
     let r = run_with("kmeans", SchemeKind::LogTmSe, robust);
     assert!(r.stats.tx.commits > 0, "no commits with a clamped log");
     assert!(r.stats.tx.overflow_aborts > 0, "clamped log never overflowed");
@@ -72,7 +78,7 @@ fn log_clamp_escalates_to_irrevocable_on_logtm() {
 /// log is rarely exercised — but it must never break a run.
 #[test]
 fn log_clamp_is_harmless_on_fastm() {
-    let robust = RobustnessConfig { log_bytes: 72, ..Default::default() };
+    let robust = clamped(FaultSpec { log_bytes: 72, ..Default::default() });
     let r = run_with("kmeans", SchemeKind::FasTm, robust);
     assert!(r.stats.tx.commits > 0);
 }
@@ -81,7 +87,7 @@ fn log_clamp_is_harmless_on_fastm() {
 /// (vacation's transactions write well past two distinct lines).
 #[test]
 fn write_buffer_clamp_escalates_to_irrevocable_on_lazy() {
-    let robust = RobustnessConfig { write_buffer_lines: 2, ..Default::default() };
+    let robust = clamped(FaultSpec { write_buffer_lines: 2, ..Default::default() });
     let r = run_with("vacation", SchemeKind::Lazy, robust);
     assert!(r.stats.tx.commits > 0);
     assert!(r.stats.tx.overflow_aborts > 0);
@@ -382,8 +388,10 @@ fn quarantined_cell_releases_the_irrevocable_token() {
 /// the whole chip serializing behind the irrevocable token.
 #[test]
 fn stamp_and_oltp_complete_with_a_one_page_pool_under_stm_fallback() {
-    let robust =
-        RobustnessConfig { pool_pages: 1, fallback: FallbackMode::Stm, ..Default::default() };
+    let robust = RobustnessConfig {
+        fallback: FallbackMode::Stm,
+        ..clamped(FaultSpec { pool_pages: 1, ..Default::default() })
+    };
     let mut sw_commits = 0;
     let mut hw_sw_conflicts = 0;
     for app in STAMP_APPS.iter().copied().chain(["oltp"]) {
