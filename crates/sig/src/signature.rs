@@ -1,7 +1,10 @@
 //! Read/write Bloom-filter signatures (LogTM-SE style).
 
 use crate::{BitVec, HashFamily};
-use suv_types::{line_of, Addr, FxHashSet};
+use suv_types::{line_of, Addr};
+
+#[expect(clippy::disallowed_types, reason = "only the perfect-signature ablation has an exact set")]
+type ExactSet = std::collections::HashSet<u64>;
 
 /// A Bloom-filter signature over cache-line addresses.
 ///
@@ -20,7 +23,7 @@ pub struct Signature {
     bits: BitVec,
     hashes: HashFamily,
     inserted: u64,
-    exact: Option<FxHashSet<u64>>,
+    exact: Option<ExactSet>,
 }
 
 impl Signature {
@@ -37,7 +40,7 @@ impl Signature {
     /// An exact (false-positive-free) signature — the ablation ideal.
     pub fn perfect(nbits: usize, k: usize) -> Self {
         let mut s = Self::new(nbits, k);
-        s.exact = Some(FxHashSet::default());
+        s.exact = Some(ExactSet::new());
         s
     }
 

@@ -386,9 +386,10 @@ impl TraceEvent {
     /// Kind id, payload words and magnitude in one match: the tracer pays
     /// one dispatch on the variant per event, and a new variant cannot be
     /// wired into one of the three and forgotten in another (every variant
-    /// is named here: clippy denies a catch-all arm).
+    /// is named here: clippy denies a catch-all arm, whether it absorbs one
+    /// variant or several).
     #[inline]
-    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn decode(&self) -> Decoded {
         match *self {
             TraceEvent::TxBegin { site, lazy } => plain(1, u64::from(site), u64::from(lazy)),
