@@ -219,6 +219,7 @@ impl Mesh {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "std containers as reference models")]
 mod tests {
     use super::*;
     use suv_types::MachineConfig;

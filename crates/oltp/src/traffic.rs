@@ -360,6 +360,7 @@ impl TrafficGen {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "std containers as reference models")]
 mod tests {
     use super::*;
 

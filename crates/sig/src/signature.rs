@@ -198,6 +198,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "std containers as reference models")]
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;

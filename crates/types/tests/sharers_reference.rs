@@ -6,6 +6,7 @@
 //! be `==` and hash alike regardless of how they were reached (the
 //! directory compares and the checkers fingerprint them), iteration is
 //! ascending, and `word(i)` / `to_word` expose the same 64-core words.
+#![expect(clippy::disallowed_types, reason = "a BTreeSet is the reference model")]
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;

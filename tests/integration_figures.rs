@@ -8,6 +8,7 @@
 //! regenerates those at Paper scale and CI diffs them against
 //! `results/`); they pin the *qualitative* claims so a regression that
 //! flips a comparison fails CI.
+#![expect(clippy::disallowed_types, reason = "ordered name sets in test code")]
 
 use std::collections::BTreeSet;
 use std::path::Path;
