@@ -105,7 +105,7 @@ pub fn enumerate_mutated(
     }
     let mut nodes: Vec<Node> = vec![Node { parent: usize::MAX, op: None }];
     #[expect(clippy::disallowed_types, reason = "off the access path: the search's visited set")]
-    let mut seen: std::collections::HashMap<Vec<u64>, usize> = std::collections::HashMap::new();
+    let mut seen = std::collections::HashMap::<Vec<u64>, usize>::new();
     // Frontier: node, the system in that state, and the time of its next op
     // (each op of a path is issued 100 cycles after the one before).
     let mut queue: VecDeque<(usize, MemorySystem, Cycle)> = VecDeque::new();

@@ -111,7 +111,7 @@ pub fn explore<M: Model>(model: &M, max_states: usize) -> ExploreReport {
     let mut report = ExploreReport::default();
     let mut nodes: Vec<Node<M::Action>> = vec![Node { parent: usize::MAX, action: None }];
     #[expect(clippy::disallowed_types, reason = "off the access path: the search's visited set")]
-    let mut seen: std::collections::HashMap<M::State, usize> = std::collections::HashMap::new();
+    let mut seen = std::collections::HashMap::<M::State, usize>::new();
     let mut queue: VecDeque<(usize, M::State)> = VecDeque::new();
 
     let trace_of = |model: &M, nodes: &[Node<M::Action>], mut idx: usize| -> Vec<TraceRecord> {
