@@ -190,7 +190,7 @@ impl super::Mix for Mix {
         ]);
         let ovf = m.overflow_stats();
         let s = &mut self.seen;
-        s.lazy_txs += m.vm().lazy_tx_count();
+        s.lazy_txs += m.lazy_txns();
         s.rt_l1_overflows += ovf.rt_l1_overflow_txns;
         s.rt_mem_overflows += ovf.rt_full_overflow_txns;
         s.mem_lookups += rt.mem_lookups;

@@ -63,7 +63,6 @@ pub struct DynTm<E> {
     selector: Selector,
     /// Current mode of each core's transaction.
     mode_lazy: Vec<bool>,
-    lazy_count: u64,
     suv_based: bool,
 }
 
@@ -88,7 +87,6 @@ impl<E: VersionManager> DynTm<E> {
             lazy_vm: Some(LazyVm::with_buffer_lines(n_cores, buffer_lines)),
             selector: Selector::new(cfg),
             mode_lazy: vec![false; n_cores],
-            lazy_count: 0,
             suv_based: false,
         }
     }
@@ -101,7 +99,6 @@ impl<E: VersionManager> DynTm<E> {
             lazy_vm: None,
             selector: Selector::new(cfg),
             mode_lazy: vec![false; n_cores],
-            lazy_count: 0,
             suv_based: true,
         }
     }
@@ -123,9 +120,6 @@ impl<E: VersionManager> VersionManager for DynTm<E> {
     fn choose_mode(&mut self, core: CoreId, site: TxSite) -> bool {
         let lazy = self.selector.predict_lazy(site);
         self.mode_lazy[core] = lazy;
-        if lazy {
-            self.lazy_count += 1;
-        }
         lazy
     }
 
@@ -212,10 +206,6 @@ impl<E: VersionManager> VersionManager for DynTm<E> {
         self.eager.redirect_stats()
     }
 
-    fn lazy_tx_count(&self) -> u64 {
-        self.lazy_count
-    }
-
     fn check_invariants(&self) -> Result<(), String> {
         self.eager.check_invariants()
     }
@@ -294,13 +284,17 @@ mod tests {
 
     #[test]
     fn choose_mode_counts_lazy_transactions() {
-        let mut vm = dyntm();
+        let mc = MachineConfig::small_test();
+        let mut m = crate::HtmMachine::new(&mc, dyntm());
         let site = TxSite(3);
-        assert!(!vm.choose_mode(0, site));
-        vm.tx_finished(0, site, false);
-        vm.tx_finished(0, site, false);
-        assert!(vm.choose_mode(0, site));
-        assert_eq!(vm.lazy_tx_count(), 1);
+        let mut now = 0;
+        for _ in 0..2 {
+            now += m.begin_tx(now, 0, site);
+            now += m.abort_tx(now, 0);
+        }
+        assert_eq!(m.lazy_txns(), 0, "both training begins ran eager");
+        m.begin_tx(now, 0, site);
+        assert_eq!(m.lazy_txns(), 1, "the machine counts the begin it ran lazy");
     }
 
     #[test]

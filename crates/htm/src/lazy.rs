@@ -4,13 +4,14 @@
 //! first. Commit merges the buffer into memory line by line, acquiring
 //! ownership of each line — the *merge* time that stretches the isolation
 //! window of lazy schemes (Figure 1's merge pathology). Abort just drops
-//! the buffer. DynTM uses this as its lazy execution mode.
+//! the buffer. Alone it is the always-lazy Lazy(TCC) baseline; DynTM uses
+//! it as its lazy execution mode.
 
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
 use std::collections::hash_map::Entry;
 use suv_coherence::AccessKind;
 use suv_trace::TraceEvent;
-use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, LineMap, SchemeKind};
+use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, LineMap, SchemeKind, TxSite};
 
 #[derive(Debug, Default, Clone)]
 struct Buffer {
@@ -61,6 +62,11 @@ impl LazyVm {
 impl VersionManager for LazyVm {
     fn kind(&self) -> SchemeKind {
         SchemeKind::Lazy
+    }
+
+    /// TCC: every transaction runs lazy.
+    fn choose_mode(&mut self, _core: CoreId, _site: TxSite) -> bool {
+        true
     }
 
     fn begin(&mut self, _env: &mut VmEnv, core: CoreId, _lazy: bool) -> Cycle {

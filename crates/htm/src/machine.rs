@@ -138,6 +138,8 @@ pub struct HtmMachine<V> {
     overflow: OverflowStats,
     /// Chip-wide lazy-commit token: free-at time.
     commit_token_free: Cycle,
+    /// Outermost begins run lazy.
+    lazy_txns: u64,
     rngs: Vec<StdRng>,
     /// Event/metrics sink; disabled by default (one predictable branch per
     /// emission point).
@@ -175,6 +177,7 @@ impl<V: VersionManager> HtmMachine<V> {
             tx_stats: vec![TxStats::default(); cfg.n_cores],
             overflow: OverflowStats::default(),
             commit_token_free: 0,
+            lazy_txns: 0,
             rngs: (0..cfg.n_cores).map(|c| StdRng::seed_from_u64(0x00BA_C0FF + c as u64)).collect(),
             tracer: Tracer::disabled(),
             shadow: (cfg.check >= CheckLevel::Full).then(|| ShadowOracle::new(cfg.n_cores)),
@@ -555,6 +558,7 @@ impl<V: VersionManager> HtmMachine<V> {
         // rests on the NACK/possible-cycle machinery resolving conflicts
         // in the oldest transaction's favour.
         let lazy = if irrevocable { false } else { self.vm.choose_mode(core, site) };
+        self.lazy_txns += u64::from(lazy);
         if irrevocable {
             if self.cfg.check >= CheckLevel::Cheap {
                 if let Some(other) = self.live.iter().find(|&c| self.txs[c].irrevocable) {
@@ -1272,6 +1276,12 @@ impl<V: VersionManager> HtmMachine<V> {
     #[must_use]
     pub fn overflow_stats(&self) -> OverflowStats {
         self.overflow
+    }
+
+    /// Transactions begun in lazy mode (Lazy(TCC), DynTM).
+    #[must_use]
+    pub fn lazy_txns(&self) -> u64 {
+        self.lazy_txns
     }
 
     /// Borrow the version manager (for scheme-specific statistics).

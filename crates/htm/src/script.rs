@@ -48,8 +48,8 @@ pub type Script = Vec<(CoreId, Op)>;
 
 /// What a core is inside of, which decides the ops it may issue next: a
 /// hardware transaction `depth` levels deep (`lazy` is read off
-/// [`VersionManager::lazy_tx_count`] at the outermost begin), a software
-/// one, or neither.
+/// [`HtmMachine::lazy_txns`] at the outermost begin), a software one, or
+/// neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     Idle,
@@ -217,7 +217,7 @@ impl<V: VersionManager> Run<V> {
             !matches!(op, Op::BeginIrrevocable { .. }) || self.irrevocable_owner().is_none();
         let m = &mut self.m;
         let max_depth = m.config().htm.max_nest_depth;
-        let lazy_before = m.vm().lazy_tx_count();
+        let lazy_before = m.lazy_txns();
         let answer = match (before, op) {
             (Idle, Op::Begin { site }) => Answer::Begun(m.begin_tx(now, core, site)),
             (Idle, Op::BeginIrrevocable { site }) if token_free => {
@@ -271,7 +271,7 @@ impl<V: VersionManager> Run<V> {
             (Idle, _, Answer::Begun(_)) => Hw {
                 depth: 1,
                 irrevocable: matches!(op, Op::BeginIrrevocable { .. }),
-                lazy: m.vm().lazy_tx_count() > lazy_before,
+                lazy: m.lazy_txns() > lazy_before,
             },
             (Hw { depth, irrevocable, lazy }, _, Answer::Begun(_)) => {
                 Hw { depth: depth + 1, irrevocable, lazy }

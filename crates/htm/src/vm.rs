@@ -86,8 +86,9 @@ pub trait VersionManager: Clone + Send {
     fn kind(&self) -> SchemeKind;
 
     /// Decide the execution mode for a transaction about to begin at
-    /// `site`. `true` = lazy conflict detection (DynTM); the default is
-    /// eager for every non-DynTM scheme.
+    /// `site`. `true` = lazy conflict detection: always under Lazy(TCC),
+    /// by prediction under DynTM; the default is eager. The machine counts
+    /// the lazy begins (`HtmMachine::lazy_txns`).
     fn choose_mode(&mut self, _core: CoreId, _site: TxSite) -> bool {
         false
     }
@@ -173,11 +174,6 @@ pub trait VersionManager: Clone + Send {
         RedirectStats::default()
     }
 
-    /// Number of transactions this VM ran in lazy mode (DynTM).
-    fn lazy_tx_count(&self) -> u64 {
-        0
-    }
-
     /// Audit the version manager's own data structures for internal
     /// consistency (SUV's redirect-table invariants INV-5..INV-8 in
     /// DESIGN.md). Called by the machine at every transaction boundary
@@ -237,7 +233,6 @@ mod tests {
         assert!(!vm.supports_partial_abort(), "`level` is never called on it");
         assert_eq!(vm.take_rt_overflow(0), (false, false));
         assert_eq!(vm.redirect_stats(), RedirectStats::default());
-        assert_eq!(vm.lazy_tx_count(), 0);
         vm.set_irrevocable(0, true); // default is a no-op
         vm.set_irrevocable(0, false);
         let mut mem = Memory::new();

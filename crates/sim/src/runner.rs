@@ -226,7 +226,7 @@ pub fn run_workload_profiled(
 
     let tx = machine.tx_stats();
     let mem_stats = machine.sys.stats();
-    let lazy_txns = machine.vm().lazy_tx_count();
+    let lazy_txns = machine.lazy_txns();
     let stats = MachineStats {
         cycles: end,
         per_thread,

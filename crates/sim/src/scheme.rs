@@ -21,8 +21,7 @@ pub enum Vm {
     FasTm(FasTm),
     Suv(SuvVm),
     /// The pure TCC-like ablation baseline: every transaction runs lazy.
-    /// The counter is the number of transactions begun.
-    Lazy(LazyVm, u64),
+    Lazy(LazyVm),
     DynTm(DynTm<FasTm>),
     DynTmSuv(DynTm<SuvVm>),
 }
@@ -34,7 +33,7 @@ macro_rules! on_scheme {
             Vm::LogTm($v) => $call,
             Vm::FasTm($v) => $call,
             Vm::Suv($v) => $call,
-            Vm::Lazy($v, _) => $call,
+            Vm::Lazy($v) => $call,
             Vm::DynTm($v) => $call,
             Vm::DynTmSuv($v) => $call,
         }
@@ -70,6 +69,7 @@ impl VersionManager for Vm {
             fn check_invariants() -> Result<(), String>;
         }
         mut {
+            fn choose_mode(core: CoreId, site: TxSite) -> bool;
             fn begin(env: &mut VmEnv, core: CoreId, lazy: bool) -> Cycle;
             fn resolve_load(env: &mut VmEnv, core: CoreId, addr: Addr, in_tx: bool)
                 -> (LoadTarget, Cycle);
@@ -83,20 +83,6 @@ impl VersionManager for Vm {
             fn tx_finished(core: CoreId, site: TxSite, committed: bool);
             fn set_irrevocable(core: CoreId, on: bool);
         }
-    }
-    #[inline]
-    fn choose_mode(&mut self, core: CoreId, site: TxSite) -> bool {
-        if let Vm::Lazy(_, begun) = self {
-            *begun += 1;
-            return true;
-        }
-        on_scheme!(self, v => v.choose_mode(core, site))
-    }
-    fn lazy_tx_count(&self) -> u64 {
-        if let Vm::Lazy(_, begun) = self {
-            return *begun;
-        }
-        on_scheme!(self, v => v.lazy_tx_count())
     }
 }
 
@@ -113,7 +99,7 @@ pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
         SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
         SchemeKind::FasTm => Vm::FasTm(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),
         SchemeKind::SuvTm => Vm::Suv(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
-        SchemeKind::Lazy => Vm::Lazy(LazyVm::with_buffer_lines(n, buf_lines), 0),
+        SchemeKind::Lazy => Vm::Lazy(LazyVm::with_buffer_lines(n, buf_lines)),
         SchemeKind::DynTm => Vm::DynTm(DynTm::original_with_buffer(
             FasTm::with_log_bytes(n, cfg.htm, log_bytes),
             n,
