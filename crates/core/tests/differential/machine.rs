@@ -197,10 +197,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (3, Scheme::LogTm, false, true, 0x8418c8814f895a9f),
     (3, Scheme::LogTm, true, false, 0x382b2c8def82abff),
     (3, Scheme::LogTm, true, true, 0xd1c5afdd2a884ec2),
-    (3, Scheme::Lazy, false, false, 0x3b268e803433439a),
-    (3, Scheme::Lazy, false, true, 0x57beee39e7595468),
-    (3, Scheme::Lazy, true, false, 0x349a911878f8c034),
-    (3, Scheme::Lazy, true, true, 0xc9bf2e56fe3b736b),
+    (3, Scheme::Lazy, false, false, 0xb5b0d26784c6c5fa),
+    (3, Scheme::Lazy, false, true, 0xbf46f388ab1195bd),
+    (3, Scheme::Lazy, true, false, 0xa627d6b565c52991),
+    (3, Scheme::Lazy, true, true, 0x220ec1359be74672),
     (3, Scheme::DynTm, false, false, 0x4b0bd03a26f94db0),
     (3, Scheme::DynTm, false, true, 0x54dd4213efe48cc8),
     (3, Scheme::DynTm, true, false, 0xa52f3b1267166351),
@@ -209,10 +209,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (16, Scheme::LogTm, false, true, 0xfac3ef6d0cb69d4f),
     (16, Scheme::LogTm, true, false, 0x94eb267a7dfbd843),
     (16, Scheme::LogTm, true, true, 0xbfdd17f66ccf6cce),
-    (16, Scheme::Lazy, false, false, 0x9640fd67ce0ef521),
-    (16, Scheme::Lazy, false, true, 0x5cb43dc8319348ba),
-    (16, Scheme::Lazy, true, false, 0x8ad669de4ff3cd58),
-    (16, Scheme::Lazy, true, true, 0xbace7b93817d9bc6),
+    (16, Scheme::Lazy, false, false, 0x60d169d90f69e395),
+    (16, Scheme::Lazy, false, true, 0x0141d9c6d18c7159),
+    (16, Scheme::Lazy, true, false, 0xb24cc921ca3d93d2),
+    (16, Scheme::Lazy, true, true, 0x79bcaa005a21d5e8),
     (16, Scheme::DynTm, false, false, 0xd859cf29ed0fc24a),
     (16, Scheme::DynTm, false, true, 0x89bae0cf383f430a),
     (16, Scheme::DynTm, true, false, 0x71b349238e73aee3),
@@ -221,10 +221,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (70, Scheme::LogTm, false, true, 0x10d118d39c4b024b),
     (70, Scheme::LogTm, true, false, 0xe34824434ba3ee6a),
     (70, Scheme::LogTm, true, true, 0xa9a64c0a5d91d952),
-    (70, Scheme::Lazy, false, false, 0x01d40fa79ddb9651),
-    (70, Scheme::Lazy, false, true, 0xf38ba183a8646ee4),
-    (70, Scheme::Lazy, true, false, 0x9bf640913b742d92),
-    (70, Scheme::Lazy, true, true, 0xcc9d9dc265ebeb99),
+    (70, Scheme::Lazy, false, false, 0x576df7f2f25766c8),
+    (70, Scheme::Lazy, false, true, 0xc23cc2c5356c647b),
+    (70, Scheme::Lazy, true, false, 0x8f7978f071699837),
+    (70, Scheme::Lazy, true, true, 0x8973fed02766e2e5),
     (70, Scheme::DynTm, false, false, 0x9d599789615315a4),
     (70, Scheme::DynTm, false, true, 0x4deff12606841c0b),
     (70, Scheme::DynTm, true, false, 0xd0bf34f479247fc3),
