@@ -1515,6 +1515,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "INV-13")]
+    fn cheap_check_catches_a_software_lock_over_an_eager_write_set() {
+        let mut cfg = MachineConfig::small_test();
+        cfg.check = CheckLevel::Cheap;
+        let mut m = HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm));
+        let mut now = m.begin_tx(0, 0, TxSite(1));
+        now += done(m.tx_store(now, 0, 0x300, 1)).1;
+        // Seeded bug: core 1's software commit window opens over the line
+        // core 0 owns in place, as if the commit had not seen the live
+        // hardware writer. Core 0's commit is the next boundary audit.
+        m.sw.lock(1, &[0x300], now, now + 1000);
+        let _ = m.commit_tx(now, 0);
+    }
+
+    #[test]
     fn lazy_commit_validates_at_the_token_grant_not_at_the_request() {
         use crate::{dyntm::DynTm, fastm::FasTm};
         let cfg = MachineConfig::small_test();
