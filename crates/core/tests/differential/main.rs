@@ -19,6 +19,11 @@
 //! * [`scripts`] — hand-written scripts: the B9 interleaving and the table
 //!   that shows `step` answers every bad op with `Illegal`.
 //!
+//! Beside the pins, [`hybrid`] walks every schedule of one hardware (or
+//! non-transactional) and one software transaction under all six schemes:
+//! each must end where one of the two serial orders does. It is the check
+//! of the cross-tier rules (DESIGN.md §9, §11), run on the machine itself.
+//!
 //! A change that moves a digest changed who conflicts with whom, or what the
 //! redirect table answered, evicted or recycled. Re-pin only when the change
 //! says why; the failure message prints the whole table.
@@ -29,6 +34,7 @@
 
 #![allow(clippy::unreadable_literal)] // the pinned digests are pasted as printed
 
+mod hybrid;
 mod machine;
 mod scripts;
 mod suv;
