@@ -3,7 +3,7 @@
 //!
 //! `run` simulates one cell; `sweep`, `bench` and `exp` fan theirs out
 //! through the one parallel engine (`suv_bench::engine`), bit-identically
-//! for any `--jobs`; `verify` runs the small-scope model checkers.
+//! for any `--jobs`; `verify` runs the small-scope model checker.
 //!
 //! Exit status: 2 for a malformed invocation (with the usage message), 1
 //! for an oracle or model-checker violation, a dead experiment cell or a
@@ -248,8 +248,8 @@ fn cell_label(spec: &CellSpec) -> String {
     format!("{:<14} {:<10} {:>2} cores", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
-/// `suvtm bench --profile`: host-throughput profiling over the
-/// engine-sensitive matrix.
+/// `suvtm bench --profile`: host-throughput profiling over the full paper
+/// matrix.
 fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
     eprintln!(
         "suvtm bench --profile: {} cells ({}), min of {} rep{}, one worker",
@@ -370,16 +370,15 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// `suvtm verify`: run the small-scope model checkers and exit 1 on any
-/// violation, leaving the rendered counterexamples where CI can pick
-/// them up as an artifact.
+/// `suvtm verify`: run the small-scope model checker, one exploration per
+/// scheme, and exit 1 on any violation, leaving the rendered
+/// counterexamples where CI can pick them up as an artifact.
 fn cmd_verify(o: &VerifyOpts) -> Result<(), String> {
     let req = suv_verify::VerifyRequest {
-        engine: o.engine,
         scheme: o.scheme,
         protocol_mutation: o.mutate_protocol,
-        hybrid_mutation: o.mutate_hybrid,
         max_states: o.max_states,
+        ..suv_verify::VerifyRequest::default()
     };
     let runs = suv_verify::run_verify(&req);
     let mut failures = String::new();

@@ -11,9 +11,7 @@ use suv::oltp::{parse_traffic_spec, TrafficConfig};
 use suv::prelude::*;
 use suv::registry::by_name;
 use suv::types::MAX_CORES;
-use suv_verify::hybrid::{HybridMutation, ALL_HYBRID_MUTATIONS};
 use suv_verify::protocol::{ProtocolMutation, ALL_PROTOCOL_MUTATIONS};
-use suv_verify::VerifyEngine;
 
 /// The usage banner: printed to stderr on any parse error (exit code 2)
 /// and to stdout by `suvtm --help` (exit code 0).
@@ -55,13 +53,11 @@ usage: suvtm <run|sweep|bench|exp|verify|list> [options]
           --out to DIR/NAME.txt plus DIR/NAME.json for the experiments that
           have a JSON report; --json PATH writes just that report;
           `exp --all --out results` regenerates everything committed there)
-  verify [--engine protocol|hybrid|both] [--scheme NAME] [--max-states N]
-         [--mutate-protocol NAME] [--mutate-hybrid NAME] [--out PATH]
-         (exhaustive small-scope model checking: the HTM protocol product
-          machine for every scheme and the HW×SW fallback product machine
-          (lock/validation discipline); exit 1 with counterexample traces —
+  verify [--scheme NAME] [--max-states N] [--mutate-protocol NAME] [--out PATH]
+         (exhaustive small-scope model checking of the HTM protocol product
+          machine for every scheme; exit 1 with counterexample traces —
           written to --out, default results/VERIFY_counterexamples.txt — on
-          any violation; --mutate-* seeds a known-broken variant the
+          any violation; --mutate-protocol seeds a known-broken variant the
           checker must catch)
   list   show workloads, schemes, scales, check levels and experiments
   help   (also --help, -h) print this text
@@ -147,18 +143,13 @@ pub struct ExpOpts {
     pub json: Option<String>,
 }
 
-/// Options for `suvtm verify` (the small-scope model checkers).
+/// Options for `suvtm verify` (the small-scope model checker).
 #[derive(Debug, Clone)]
 pub struct VerifyOpts {
-    /// Which engine(s) to run.
-    pub engine: VerifyEngine,
-    /// Restrict the protocol engine to one scheme (`None` = all six).
+    /// Restrict the run to one scheme (`None` = all six).
     pub scheme: Option<SchemeKind>,
     /// Seeded protocol mutation (the run must then FAIL to be healthy).
     pub mutate_protocol: Option<ProtocolMutation>,
-    /// Seeded hybrid-fallback mutation (the run must then FAIL to be
-    /// healthy).
-    pub mutate_hybrid: Option<HybridMutation>,
     /// State budget per exploration.
     pub max_states: usize,
     /// Where to write counterexample traces on failure.
@@ -429,36 +420,20 @@ fn parse_exp_opts(args: &[String]) -> Result<ExpOpts, CliError> {
 
 fn parse_verify_opts(args: &[String]) -> Result<VerifyOpts, CliError> {
     let mut o = VerifyOpts {
-        engine: VerifyEngine::Both,
         scheme: None,
         mutate_protocol: None,
-        mutate_hybrid: None,
         max_states: suv_verify::DEFAULT_MAX_STATES,
         out: "results/VERIFY_counterexamples.txt".into(),
-    };
-    let engine = |s: &str| match s {
-        "protocol" => Some(VerifyEngine::Protocol),
-        "hybrid" => Some(VerifyEngine::Hybrid),
-        "both" => Some(VerifyEngine::Both),
-        _ => None,
     };
     let mut f = Flags::new(args);
     while let Some(flag) = f.token() {
         match flag {
-            "--engine" => o.engine = f.choice("engine", engine, &["protocol", "hybrid", "both"])?,
             "--scheme" => o.scheme = Some(parse_scheme(flag, f.value()?)?),
             "--mutate-protocol" => {
                 o.mutate_protocol = Some(f.choice(
                     "mutation",
                     ProtocolMutation::parse,
                     &ALL_PROTOCOL_MUTATIONS.map(ProtocolMutation::name),
-                )?);
-            }
-            "--mutate-hybrid" => {
-                o.mutate_hybrid = Some(f.choice(
-                    "mutation",
-                    HybridMutation::parse,
-                    &ALL_HYBRID_MUTATIONS.map(HybridMutation::name),
                 )?);
             }
             "--max-states" => o.max_states = f.positive()?,
@@ -608,8 +583,15 @@ mod tests {
             let e = parse(&args(gone)).expect_err(gone);
             assert!(e.0.contains("unknown option"), "{gone}: {e}");
         }
-        assert!(parse(&args("verify --engine sched")).is_err());
-        assert!(parse(&args("verify --mutate-sched stale-horizon")).is_err());
+        for gone in [
+            "verify --engine sched",
+            "verify --mutate-sched stale-horizon",
+            "verify --engine protocol",
+            "verify --mutate-hybrid sw-skip-validation",
+        ] {
+            let e = parse(&args(gone)).expect_err(gone);
+            assert!(e.0.contains("unknown option"), "{gone}: {e}");
+        }
     }
 
     #[test]
@@ -806,23 +788,19 @@ mod tests {
     fn verify_defaults_and_flags_parse() {
         match parse(&args("verify")).expect("valid") {
             Command::Verify(o) => {
-                assert_eq!(o.engine, suv_verify::VerifyEngine::Both);
                 assert!(o.scheme.is_none());
                 assert!(o.mutate_protocol.is_none());
-                assert!(o.mutate_hybrid.is_none());
                 assert_eq!(o.max_states, suv_verify::DEFAULT_MAX_STATES);
                 assert_eq!(o.out, "results/VERIFY_counterexamples.txt");
             }
             other => panic!("expected Verify, got {other:?}"),
         }
         match parse(&args(
-            "verify --engine protocol --scheme suv --mutate-protocol skip-flash \
-             --max-states 1000 --out /tmp/cex.txt",
+            "verify --scheme suv --mutate-protocol skip-flash --max-states 1000 --out /tmp/cex.txt",
         ))
         .expect("valid")
         {
             Command::Verify(o) => {
-                assert_eq!(o.engine, suv_verify::VerifyEngine::Protocol);
                 assert_eq!(o.scheme, Some(SchemeKind::SuvTm));
                 assert_eq!(
                     o.mutate_protocol,
@@ -833,28 +811,12 @@ mod tests {
             }
             other => panic!("expected Verify, got {other:?}"),
         }
-        match parse(&args("verify --engine hybrid --mutate-hybrid sw-skip-validation"))
-            .expect("valid")
-        {
-            Command::Verify(o) => {
-                assert_eq!(o.engine, suv_verify::VerifyEngine::Hybrid);
-                assert_eq!(
-                    o.mutate_hybrid,
-                    Some(suv_verify::hybrid::HybridMutation::SwSkipValidation)
-                );
-            }
-            other => panic!("expected Verify, got {other:?}"),
-        }
     }
 
     #[test]
     fn verify_rejects_bad_values_with_candidates() {
-        let e = parse(&args("verify --engine bogus")).expect_err("must reject");
-        assert!(e.0.contains("protocol|hybrid|both"), "{e}");
         let e = parse(&args("verify --mutate-protocol bogus")).expect_err("must reject");
         assert!(e.0.contains("skip-flash"), "{e}");
-        let e = parse(&args("verify --mutate-hybrid bogus")).expect_err("must reject");
-        assert!(e.0.contains("sw-skip-validation"), "{e}");
         let e = parse(&args("verify --max-states 0")).expect_err("must reject");
         assert!(e.0.contains("--max-states"), "{e}");
         assert!(parse(&args("verify --bogus")).is_err());

@@ -12,8 +12,8 @@
 //!
 //! Host wall-time is measured here (the bench crate is the one workspace
 //! crate allowed to read the wall clock) and reported per cell and for the
-//! whole sweep in `BENCH_sweep.json`, so simulator throughput
-//! (cycles/second) is tracked from this PR onward. The JSON splits into a
+//! whole sweep in `BENCH_sweep.json`, which thus records simulator
+//! throughput (cycles/second). The JSON splits into a
 //! deterministic part (simulated results, byte-identical across runs and
 //! across worker counts) and host-timing fields; [`sweep_json`] with
 //! `host: None` renders only the former, which is what the determinism

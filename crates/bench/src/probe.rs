@@ -1,6 +1,6 @@
 //! The wall-clock [`HostProbe`] — the only implementation in the
 //! workspace that reads a real clock (the simulation crates are barred
-//! from doing so by the `cargo xtask lint` entropy rule; `suv-bench` is
+//! from doing so by `clippy.toml`'s `disallowed-methods`; `suv-bench` is
 //! the one crate exempted).
 //!
 //! A cell's event loop (one host thread, every simulated core a

@@ -137,8 +137,8 @@ pub fn run_cell_profiled(spec: &CellSpec, scale: SuiteScale, reps: usize) -> Pro
     }
 }
 
-/// Geometric-mean throughput over the profiled cells, the single summary
-/// number the regression gate compares.
+/// Geometric-mean throughput over the profiled cells: the one summary
+/// number `--profile` prints and records (a report, not a gate).
 pub fn geomean_cycles_per_sec(cells: &[ProfiledCell]) -> f64 {
     if cells.is_empty() {
         return 0.0;

@@ -1,7 +1,7 @@
 //! Host-side profiling hooks.
 //!
 //! The simulation crates are bit-deterministic and may not read the wall
-//! clock (the `cargo xtask lint` entropy rule), but the bench harness
+//! clock (`clippy.toml`'s `disallowed-methods`), but the bench harness
 //! needs to know where *host* time goes: in the scheduler's dispatch,
 //! running the machine, or tracing. [`HostProbe`] inverts the dependency — the
 //! engine reports durations through the trait, and the only

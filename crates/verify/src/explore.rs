@@ -1,9 +1,11 @@
-//! The generic explicit-state explorer every engine runs on.
+//! The generic explicit-state explorer the protocol engine runs on.
 //!
 //! [`explore`] is a plain breadth-first search with parent links, so the
 //! first path that reaches a violating state is also a *minimal* one
-//! (fewest actions). The protocol and hybrid state graphs are heavily
-//! confluent and dedup well, so no partial-order reduction is needed.
+//! (fewest actions). The protocol state graph is heavily confluent and
+//! dedups well, so no partial-order reduction is needed. [`Model`] stays a
+//! trait: its own tests implement it, and so will an explorer over the
+//! production machine.
 //!
 //! Liveness comes for free: a state with no enabled action that the
 //! model does not declare terminal is a deadlock, reported with the

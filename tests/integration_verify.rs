@@ -1,13 +1,12 @@
-//! Integration tests for the `suvtm verify` model checkers: the CLI
+//! Integration tests for the `suvtm verify` model checker: the CLI
 //! contract (exit codes, counterexample artifact) and the seeded-mutation
-//! matrix — every committed protocol and hybrid-fallback bug must be
-//! caught with a printed counterexample trace, and the clean product
-//! machines must pass exhaustively for all six schemes.
+//! matrix — every committed protocol bug must be caught with a printed
+//! counterexample trace, and the clean product machine must pass
+//! exhaustively for all six schemes.
 
 use std::path::PathBuf;
 use std::process::Command;
 use suv::prelude::SchemeKind;
-use suv_verify::hybrid::{check_hybrid, ALL_HYBRID_MUTATIONS};
 use suv_verify::protocol::{check_protocol, ALL_PROTOCOL_MUTATIONS};
 use suv_verify::{ExploreReport, DEFAULT_MAX_STATES};
 
@@ -25,15 +24,12 @@ fn assert_clean(subject: &str, r: &ExploreReport) {
 }
 
 /// The exhaustive clean pass CI gates on (this test is the gate): all six
-/// schemes at the 2-core / 2-address scope, plus the HW×SW fallback
-/// scenario (one hardware transaction racing one software one), with no
-/// truncation.
+/// schemes at the 2-core / 2-address scope, with no truncation.
 #[test]
 fn all_schemes_and_scenarios_verify_clean() {
     for scheme in SchemeKind::ALL {
         assert_clean(scheme.name(), &check_protocol(scheme, None, DEFAULT_MAX_STATES));
     }
-    assert_clean("hw-sw fallback", &check_hybrid(None, DEFAULT_MAX_STATES));
 }
 
 /// Every committed seeded mutation is caught, and the counterexample is
@@ -49,17 +45,11 @@ fn every_seeded_mutation_is_caught_with_a_trace() {
     for m in ALL_PROTOCOL_MUTATIONS {
         caught(m.name(), &check_protocol(m.target_scheme(), Some(m), DEFAULT_MAX_STATES));
     }
-    for m in ALL_HYBRID_MUTATIONS {
-        caught(m.name(), &check_hybrid(Some(m), DEFAULT_MAX_STATES));
-    }
 }
 
 #[test]
 fn cli_clean_run_exits_zero_and_prints_pass() {
-    let out = suvtm()
-        .args(["verify", "--engine", "protocol", "--scheme", "suv"])
-        .output()
-        .expect("spawn suvtm");
+    let out = suvtm().args(["verify", "--scheme", "suv"]).output().expect("spawn suvtm");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stdout: {stdout}");
     assert!(stdout.contains("[PASS] SUV-TM"), "{stdout}");
@@ -70,8 +60,7 @@ fn cli_clean_run_exits_zero_and_prints_pass() {
 fn cli_seeded_mutation_exits_one_and_writes_counterexample() {
     let cex = tmp("verify_cex.txt");
     let out = suvtm()
-        .args(["verify", "--engine", "protocol", "--scheme", "suv"])
-        .args(["--mutate-protocol", "skip-flash"])
+        .args(["verify", "--scheme", "suv", "--mutate-protocol", "skip-flash"])
         .args(["--out", cex.to_str().expect("utf8 tmpdir")])
         .output()
         .expect("spawn suvtm");
