@@ -579,11 +579,6 @@ mod tests {
             "bench --all",
             "bench --profile --baseline results/BENCH_host.json",
             "bench --profile --tolerance 15",
-        ] {
-            let e = parse(&args(gone)).expect_err(gone);
-            assert!(e.0.contains("unknown option"), "{gone}: {e}");
-        }
-        for gone in [
             "verify --engine sched",
             "verify --mutate-sched stale-horizon",
             "verify --engine protocol",

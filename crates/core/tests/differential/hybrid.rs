@@ -38,7 +38,7 @@ const A2: Addr = BASE + 8;
 const B: Addr = BASE + 64;
 
 /// One access of a program.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 enum Step {
     Read(Addr),
     /// Store what this attempt read from the word, plus `k`.
@@ -48,7 +48,7 @@ enum Step {
 }
 use Step::{Add, Put, Read};
 
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq)]
 enum Tier {
     Hw,
     NonTx,

@@ -138,7 +138,7 @@ pub struct HtmMachine<V> {
     overflow: OverflowStats,
     /// Chip-wide lazy-commit token: free-at time.
     commit_token_free: Cycle,
-    /// Outermost begins run lazy.
+    /// Outermost begins that ran lazy.
     lazy_txns: u64,
     rngs: Vec<StdRng>,
     /// Event/metrics sink; disabled by default (one predictable branch per
