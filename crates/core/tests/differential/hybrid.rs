@@ -1,8 +1,9 @@
-//! Every schedule of one hardware and one software transaction, on the
-//! machine that runs.
+//! Every schedule of two transactions, on the machine that runs.
 //!
 //! Core 0 runs a fixed program — a hardware transaction, or a
-//! non-transactional store — and core 1 a fixed software-tier transaction. A
+//! non-transactional store — and core 1 a fixed software-tier or hardware
+//! transaction. Core `c`'s transactions begin at site `c + 1`, so DynTM's
+//! predictor can run one core's site lazy and leave the other's eager. A
 //! depth-first walk issues their ops in every order, each through
 //! [`Run::play`] at its earliest legal cycle, under `CheckLevel::Full`:
 //!
@@ -11,7 +12,9 @@
 //!   core has moved, or when it is the only core left, so a retry against an
 //!   unchanged opponent adds no branch;
 //! * a branch in which a core aborts [`MAX_ATTEMPTS`] times is cut and
-//!   counted: it starves the other core.
+//!   counted: it starves the other core;
+//! * a branch that issues [`MAX_REFUSALS`] refused ops in a row, with no
+//!   completed op or abort between them, fails as a livelock.
 //!
 //! At every leaf each touched word must hold what one of the two serial
 //! orders leaves there. The walk keeps no visited set: two cores with one
@@ -31,7 +34,9 @@ use suv_types::{Addr, CheckLevel, CoreId, MachineConfig, TxSite};
 
 /// A core's third abort cuts the branch.
 const MAX_ATTEMPTS: u32 = 3;
-const SITE: TxSite = TxSite(1);
+/// Refused ops in a row that make a livelock (the longest streak any shape
+/// reaches under every scheme is 16).
+const MAX_REFUSALS: u32 = 64;
 /// Two words of one line, and a word of the next line.
 const A: Addr = BASE;
 const A2: Addr = BASE + 8;
@@ -68,13 +73,13 @@ impl Program {
         self.body.len() + if self.tier == Tier::NonTx { 0 } else { 2 }
     }
 
-    /// The op at `pc`, given the values this attempt has read.
-    fn op(self, pc: usize, seen: &[(Addr, u64)], aborts: u32) -> Op {
+    /// Core `c`'s op at `pc`, given the values this attempt has read.
+    fn op(self, c: CoreId, pc: usize, seen: &[(Addr, u64)], aborts: u32) -> Op {
         let body = if self.tier == Tier::NonTx { pc } else { pc.wrapping_sub(1) };
         let Some(&step) = self.body.get(body) else {
             return match (self.tier, pc) {
-                (Tier::Hw, 0) => Op::Begin { site: SITE },
-                (Tier::Sw, 0) => Op::SwBegin { site: SITE, attempt: aborts + 1 },
+                (Tier::Hw, 0) => Op::Begin { site: site(c) },
+                (Tier::Sw, 0) => Op::SwBegin { site: site(c), attempt: aborts + 1 },
                 (Tier::Hw, _) => Op::Commit,
                 _ => Op::SwCommit,
             };
@@ -98,6 +103,10 @@ impl Program {
     }
 }
 
+fn site(c: CoreId) -> TxSite {
+    TxSite(c as u32 + 1)
+}
+
 fn read(words: &[(Addr, u64)], addr: Addr) -> u64 {
     words.iter().find(|w| w.0 == addr).expect("a program stores only a word it read").1
 }
@@ -116,7 +125,7 @@ const fn sw(body: &'static [Step]) -> Program {
     Program { tier: Tier::Sw, body }
 }
 
-const SHAPES: [Shape; 7] = [
+const SHAPES: [Shape; 12] = [
     Shape {
         name: "+10 / +1, one word",
         programs: [hw(&[Read(A), Add(A, 10)]), sw(&[Read(A), Add(A, 1)])],
@@ -145,9 +154,39 @@ const SHAPES: [Shape; 7] = [
         name: "blind non-tx / +1",
         programs: [Program { tier: Tier::NonTx, body: &[Put(A, 100)] }, sw(&[Read(A), Add(A, 1)])],
     },
+    Shape {
+        name: "HW +10 / +1, one word",
+        programs: [hw(&[Read(A), Add(A, 10)]), hw(&[Read(A), Add(A, 1)])],
+    },
+    Shape {
+        name: "HW +10 / +1, two words",
+        programs: [hw(&[Read(A), Add(A, 10)]), hw(&[Read(A2), Add(A2, 1)])],
+    },
+    Shape {
+        name: "HW A,B / B,A, two lines",
+        programs: [
+            hw(&[Read(A), Add(A, 10), Read(B), Add(B, 10)]),
+            hw(&[Read(B), Add(B, 1), Read(A), Add(A, 1)]),
+        ],
+    },
+    Shape { name: B9.1, programs: [hw(&[Put(A, 100)]), hw(&[Put(A2, 200)])] },
+    Shape {
+        name: "HW blind A / +1 A2, A",
+        programs: [hw(&[Put(A, 100)]), hw(&[Read(A2), Add(A2, 1), Read(A), Add(A, 1)])],
+    },
 ];
 
+/// B9 (ROADMAP item 2), the one scheme × shape the main walk leaves out: a
+/// lazy store loses an eager transaction's committed word.
+const B9: (&str, &str) = ("DynTM+SUV trained", "HW blind / blind, two words");
+
 impl Shape {
+    /// The core whose site a trained scheme runs lazy: the last hardware
+    /// program's.
+    fn trained(&self) -> CoreId {
+        usize::from(self.programs[1].tier == Tier::Hw)
+    }
+
     /// The words the programs touch, ascending.
     fn words(&self) -> Vec<Addr> {
         let mut words: Vec<Addr> = self
@@ -208,6 +247,8 @@ struct Node<V> {
     cores: [Core; 2],
     /// The ops issued so far, for the failure message.
     script: Vec<(CoreId, Op)>,
+    /// Refused ops since the last completed op or abort.
+    refusals: u32,
 }
 
 /// What the walks reached (coverage), and how many schedules ended.
@@ -216,6 +257,8 @@ struct Tally {
     schedules: u64,
     cut: u64,
     nacks: u64,
+    longest_refusal_streak: u32,
+    cycle_aborts: u64,
     doomed_hw: u64,
     sw_lost_to_hw: u64,
     lost_lazy_commits: u64,
@@ -227,7 +270,10 @@ impl Tally {
         let (hw, lazy) =
             (out.before != Phase::Sw, matches!(out.before, Phase::Hw { lazy: true, .. }));
         match out.answer {
-            Answer::Access(Access::Nacked { .. }) => self.nacks += 1,
+            Answer::Access(Access::Nacked { must_abort, .. }) => {
+                self.nacks += 1;
+                self.cycle_aborts += u64::from(must_abort && hw);
+            }
             Answer::Access(Access::MustAbort { .. }) if hw => self.doomed_hw += 1,
             Answer::Commit(CommitOutcome::MustAbort { .. }) if lazy => self.lost_lazy_commits += 1,
             Answer::Commit(CommitOutcome::MustAbort { .. }) => self.doomed_hw += 1,
@@ -243,21 +289,35 @@ impl Tally {
 /// Issue core `c`'s next op on `node`. `false` when the branch is cut.
 fn advance<V: VersionManager>(
     shape: &Shape,
-    lazy: bool,
+    lazy: [bool; 2],
     node: &mut Node<V>,
     c: CoreId,
     tally: &mut Tally,
 ) -> bool {
     let program = shape.programs[c];
     let core = &node.cores[c];
-    let op = program.op(core.pc, &core.seen, core.aborts);
+    let op = program.op(c, core.pc, &core.seen, core.aborts);
     let out = node.run.play(&[(c, op)]).expect("the walk issues legal ops only")[0];
     if matches!(op, Op::Begin { .. }) && core.aborts == 0 {
+        let lazy = lazy[c];
         assert_eq!(out.after, Phase::Hw { depth: 1, irrevocable: false, lazy }, "{}", shape.name);
     }
     node.script.push((c, op));
     node.cores[1 - c].blocked = false;
     tally.saw(&out);
+    let refused = out.aborted.is_none()
+        && matches!(
+            out.answer,
+            Answer::Access(Access::Nacked { .. }) | Answer::SwCommit(SwCommitOutcome::Busy { .. })
+        );
+    node.refusals = if refused { node.refusals + 1 } else { 0 };
+    tally.longest_refusal_streak = tally.longest_refusal_streak.max(node.refusals);
+    assert!(
+        node.refusals < MAX_REFUSALS,
+        "{}: livelock, {MAX_REFUSALS} refused ops in a row; schedule {:?}",
+        shape.name,
+        node.script
+    );
     let core = &mut node.cores[c];
     if out.aborted.is_some() {
         core.aborts += 1;
@@ -267,10 +327,7 @@ fn advance<V: VersionManager>(
             tally.cut += 1;
             return false;
         }
-    } else if matches!(
-        out.answer,
-        Answer::Access(Access::Nacked { .. }) | Answer::SwCommit(SwCommitOutcome::Busy { .. })
-    ) {
+    } else if refused {
         core.blocked = true;
     } else {
         if let (Op::Load(addr) | Op::NonTxLoad(addr) | Op::SwLoad(addr), Some(v)) =
@@ -284,18 +341,18 @@ fn advance<V: VersionManager>(
     true
 }
 
-/// Walk every schedule of `shape` from `run`; `lazy` is the mode core 0's
-/// first hardware attempt must begin in.
+/// Walk every schedule of `shape` from `run`; `lazy[c]` is the mode core
+/// `c`'s first hardware attempt must begin in.
 fn walk<V: VersionManager>(
     scheme: &str,
     shape: &Shape,
-    lazy: bool,
+    lazy: [bool; 2],
     run: Run<V>,
     tally: &mut Tally,
 ) {
     let words = shape.words();
     let serial = [shape.serial(0), shape.serial(1)];
-    let mut stack = vec![Node { run, cores: Default::default(), script: Vec::new() }];
+    let mut stack = vec![Node { run, cores: Default::default(), script: Vec::new(), refusals: 0 }];
     while let Some(mut node) = stack.pop() {
         let enabled: Vec<CoreId> = (0..2)
             .filter(|&c| {
@@ -327,59 +384,86 @@ fn walk<V: VersionManager>(
     }
 }
 
-/// Every shape under one scheme; `train` first aborts core 0's site until
-/// DynTM's predictor runs it lazy, the way `scripts::B9` trains it.
+/// Every shape `keep` lets through under one scheme; `lazy` says every
+/// hardware transaction runs lazy, and `train` first aborts the site of
+/// [`Shape::trained`] on its core until DynTM's predictor runs it lazy, the
+/// way `scripts::B9` trains it.
 fn scheme<V: VersionManager>(
     name: &str,
     vm: V,
-    lazy: bool,
-    train: bool,
+    (lazy, train): (bool, bool),
+    keep: impl Fn(&str, &Shape) -> bool,
     table: &mut String,
     tally: &mut Tally,
 ) {
     let mut cfg = MachineConfig::small_test();
     cfg.n_cores = 2;
     cfg.check = CheckLevel::Full;
-    let mut base = Run::new(HtmMachine::new(&cfg, vm));
-    if train {
-        let again = [(0, Op::Begin { site: SITE }), (0, Op::Abort)];
-        for _ in 0..cfg.dyntm.lazy_threshold {
-            base.play(&again).expect("legal");
-        }
-    }
-    for shape in &SHAPES {
+    let base = Run::new(HtmMachine::new(&cfg, vm));
+    for shape in SHAPES.iter().filter(|s| keep(name, s)) {
         let mut run = base.clone();
+        let t = shape.trained();
+        if train {
+            let again = [(t, Op::Begin { site: site(t) }), (t, Op::Abort)];
+            for _ in 0..cfg.dyntm.lazy_threshold {
+                run.play(&again).expect("legal");
+            }
+        }
+        let lazy =
+            [0, 1].map(|c| shape.programs[c].tier == Tier::Hw && (lazy || (train && c == t)));
         for a in shape.words() {
             run.m.poke(a, initial(a));
         }
         let (schedules, cut) = (tally.schedules, tally.cut);
         walk(name, shape, lazy, run, tally);
         let (schedules, cut) = (tally.schedules - schedules, tally.cut - cut);
-        writeln!(table, "{name:<18} {:<22} {schedules:>5} schedules {cut:>4} cut", shape.name)
+        writeln!(table, "{name:<18} {:<27} {schedules:>5} schedules {cut:>4} cut", shape.name)
             .expect("writing to a String");
         assert!(schedules > 0, "{name}, {}: no schedule finished", shape.name);
     }
 }
 
-#[test]
-fn every_hw_sw_schedule_ends_in_a_serial_outcome_under_all_six_schemes() {
+/// Every scheme: all six untrained, and DynTM and DynTM+SUV trained.
+fn all_schemes(keep: impl Fn(&str, &Shape) -> bool + Copy, table: &mut String, t: &mut Tally) {
     let cfg = MachineConfig::small_test();
     let n = 2;
     let suv = SuvVm::new(n, &cfg.suv);
     let dyntm = || DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm);
     let dyntm_suv = || DynTm::with_suv(suv.clone(), n, &cfg.dyntm);
+    let (eager, lazy, trained) = ((false, false), (true, false), (false, true));
+    scheme("LogTM-SE", LogTmSe::new(n, cfg.htm), eager, keep, table, t);
+    scheme("FasTM", FasTm::new(n, cfg.htm), eager, keep, table, t);
+    scheme("SUV-TM", suv.clone(), eager, keep, table, t);
+    scheme("Lazy(TCC)", LazyVm::new(n), lazy, keep, table, t);
+    scheme("DynTM", dyntm(), eager, keep, table, t);
+    scheme("DynTM trained", dyntm(), trained, keep, table, t);
+    scheme("DynTM+SUV", dyntm_suv(), eager, keep, table, t);
+    scheme("DynTM+SUV trained", dyntm_suv(), trained, keep, table, t);
+}
+
+#[test]
+fn every_hw_sw_schedule_ends_in_a_serial_outcome_under_all_six_schemes() {
     let (mut table, mut t) = (String::new(), Tally::default());
-    scheme("LogTM-SE", LogTmSe::new(n, cfg.htm), false, false, &mut table, &mut t);
-    scheme("FasTM", FasTm::new(n, cfg.htm), false, false, &mut table, &mut t);
-    scheme("SUV-TM", suv.clone(), false, false, &mut table, &mut t);
-    scheme("Lazy(TCC)", LazyVm::new(n), true, false, &mut table, &mut t);
-    scheme("DynTM", dyntm(), false, false, &mut table, &mut t);
-    scheme("DynTM trained", dyntm(), true, true, &mut table, &mut t);
-    scheme("DynTM+SUV", dyntm_suv(), false, false, &mut table, &mut t);
-    scheme("DynTM+SUV trained", dyntm_suv(), true, true, &mut table, &mut t);
+    all_schemes(|scheme, shape| (scheme, shape.name) != B9, &mut table, &mut t);
     println!("{table}{t:?}");
-    // The walk is only worth something if it reaches every cross-tier rule.
-    let reached =
-        [t.nacks, t.doomed_hw, t.sw_lost_to_hw, t.lost_lazy_commits, t.sw_validation_failures];
+    // The walk is only worth something if it reaches every conflict rule.
+    let reached = [
+        t.nacks,
+        t.cycle_aborts,
+        t.doomed_hw,
+        t.sw_lost_to_hw,
+        t.lost_lazy_commits,
+        t.sw_validation_failures,
+    ];
     assert!(reached.iter().all(|&n| n > 0), "an outcome was never reached: {t:?}\n{table}");
+}
+
+/// The failing-test-first half of B9 in the walk: some schedule of two
+/// blind stores to two words of one line, core 1's run lazy under DynTM+SUV,
+/// leaves core 0's committed word overwritten with its old value.
+#[test]
+#[should_panic(expected = "INV-9")]
+fn b9_the_walk_finds_a_lazy_store_losing_an_eager_commit() {
+    let (mut table, mut t) = (String::new(), Tally::default());
+    all_schemes(|scheme, shape| (scheme, shape.name) == B9, &mut table, &mut t);
 }

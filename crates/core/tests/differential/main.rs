@@ -20,9 +20,11 @@
 //!   that shows `step` answers every bad op with `Illegal`.
 //!
 //! Beside the pins, [`hybrid`] walks every schedule of one hardware (or
-//! non-transactional) and one software transaction under all six schemes:
-//! each must end where one of the two serial orders does. It is the check
-//! of the cross-tier rules (DESIGN.md §9, §11), run on the machine itself.
+//! non-transactional) transaction against one software or one hardware
+//! transaction under all six schemes, DynTM's two trained lazy on one core:
+//! each must end where one of the two serial orders does, and no branch may
+//! livelock. It is the check of the conflict rule table (DESIGN.md §6.1),
+//! run on the machine itself.
 //!
 //! A change that moves a digest changed who conflicts with whom, or what the
 //! redirect table answered, evicted or recycled. Re-pin only when the change
