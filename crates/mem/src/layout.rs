@@ -5,7 +5,7 @@
 //! regions disjoint lets tests assert that, e.g., SUV pool writes never
 //! alias workload data.
 
-use suv_types::Addr;
+use suv_types::{Addr, MAX_CORES};
 
 /// Base of the global/static data region used by workload setup code.
 pub const GLOBAL_BASE: Addr = 0x0000_1000;
@@ -15,14 +15,22 @@ pub const HEAP_BASE: Addr = 0x1000_0000;
 
 /// Base of the per-thread private regions (LogTM-SE undo logs, stacked
 /// nesting frames). Thread `t` owns `[LOG_BASE + t*LOG_STRIDE, +LOG_STRIDE)`;
-/// up to 64 threads fit below the redirect pool.
+/// all `MAX_CORES` threads fit below the redirect pool.
 pub const LOG_BASE: Addr = 0x4000_0000;
 
 /// Size of each thread's private log region.
 pub const LOG_STRIDE: Addr = 0x0100_0000;
 
-/// Base of SUV's reserved redirect pool ("preserved memory pool").
-pub const POOL_BASE: Addr = 0x8000_0000;
+/// Base of SUV's reserved redirect pool ("preserved memory pool"): right
+/// above the last thread's log region.
+pub const POOL_BASE: Addr = LOG_BASE + MAX_CORES as Addr * LOG_STRIDE;
+
+// The regions are disjoint, in address order, for `MAX_CORES` threads.
+const _: () = assert!(
+    GLOBAL_BASE < HEAP_BASE
+        && HEAP_BASE < LOG_BASE
+        && LOG_BASE + MAX_CORES as Addr * LOG_STRIDE <= POOL_BASE
+);
 
 /// A half-open address range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +96,9 @@ mod tests {
         let p = Region::pool();
         assert!(g.end <= h.base);
         assert!(h.end <= l0.base);
-        // 64 per-thread log regions fit exactly below the pool.
-        assert!(Region::log(63).end <= p.base);
-        assert_eq!(Region::log(64).base, p.base);
+        // Every thread's log region fits below the pool.
+        assert_eq!(Region::log(MAX_CORES - 1).end, p.base);
+        assert!(!Region::log(MAX_CORES - 1).contains(p.base));
     }
 
     #[test]

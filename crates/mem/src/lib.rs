@@ -30,7 +30,7 @@ const LEAF_PAGES: usize = 512;
 /// Simulated physical addresses lie below this (1 TiB), which bounds the
 /// page table's root at 2^19 slots however sparse the touched pages are.
 /// Every region of [`layout`] a workload or scheme allocates from starts
-/// below 4 GiB.
+/// below 18 GiB (the redirect pool, the highest, at 17 GiB).
 const ADDR_LIMIT: Addr = 1 << 40;
 
 /// One 4 KiB backing page: a flat line array plus a bitmask of the lines
