@@ -503,12 +503,6 @@ impl MemorySystem {
         self.stats
     }
 
-    /// Number of lines currently resident in `core`'s L1.
-    #[must_use]
-    pub fn l1_len(&self, core: CoreId) -> usize {
-        self.l1s[core].len()
-    }
-
     /// Borrow the mesh (for latency estimates by the HTM layer).
     pub fn mesh_mut(&mut self) -> &mut Mesh {
         &mut self.mesh

@@ -44,11 +44,6 @@ impl Signature {
         s
     }
 
-    /// Is this the exact-set variant?
-    pub fn is_perfect(&self) -> bool {
-        self.exact.is_some()
-    }
-
     /// Add the line containing `addr`.
     pub fn insert(&mut self, addr: Addr) {
         let key = line_of(addr) >> 6;

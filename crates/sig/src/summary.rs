@@ -44,19 +44,6 @@ impl SummarySignature {
         }
     }
 
-    /// Construct with externally chosen hash functions (used by the Figure 5
-    /// reproduction test, which needs the paper's `H1(x) = x mod 8`,
-    /// `H2(x) = (x xor 2x) mod 8`).
-    pub fn with_hashes(nbits: usize, hashes: HashFamily) -> Self {
-        SummarySignature {
-            sig: BitVec::new(nbits),
-            once: BitVec::new(nbits),
-            hashes,
-            filtered: 0,
-            maybe: 0,
-        }
-    }
-
     fn key(addr: Addr) -> u64 {
         line_of(addr) >> 6
     }
@@ -128,11 +115,6 @@ impl SummarySignature {
     /// The raw signature bits (for display/tests).
     pub fn sig_bits(&self) -> &BitVec {
         &self.sig
-    }
-
-    /// The raw written-once bits (for display/tests).
-    pub fn once_bits(&self) -> &BitVec {
-        &self.once
     }
 }
 

@@ -66,17 +66,4 @@ impl TxList {
         }
         Ok((n, sum))
     }
-
-    /// Untimed (length, sum) for verification.
-    pub fn fold_setup(&self, ctx: &mut SetupCtx<'_>) -> (u64, u64) {
-        let mut node = ctx.peek(self.head);
-        let mut n = 0;
-        let mut sum = 0u64;
-        while node != NIL {
-            sum = sum.wrapping_add(ctx.peek(node));
-            node = ctx.peek(node + 8);
-            n += 1;
-        }
-        (n, sum)
-    }
 }

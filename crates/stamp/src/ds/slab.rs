@@ -49,19 +49,4 @@ impl TxSlab {
         tx.store(cell, next).await?;
         Ok(p)
     }
-
-    /// Untimed setup-side allocation from a thread's slab.
-    pub fn alloc_setup(&self, ctx: &mut SetupCtx<'_>, tid: usize, words: u64) -> Addr {
-        let cell = self.ptr_cells[tid];
-        let p = ctx.peek(cell);
-        let next = p + words * 8;
-        assert!(next <= self.limits[tid], "thread {tid} slab exhausted (setup)");
-        ctx.poke(cell, next);
-        p
-    }
-
-    /// Words still available to thread `tid` (untimed).
-    pub fn remaining_words(&self, ctx: &mut SetupCtx<'_>, tid: usize) -> u64 {
-        (self.limits[tid] - ctx.peek(self.ptr_cells[tid])) / 8
-    }
 }
