@@ -108,7 +108,7 @@ fn report(r: &RunResult, breakdown: bool) {
                  {} sw commits ({} sw aborts), {} hw/sw conflicts",
                 t.overflow_aborts,
                 t.irrevocable_commits,
-                t.watchdog_escalations,
+                t.watchdog_escalations(),
                 t.sw_commits,
                 t.sw_aborts,
                 t.hw_sw_conflicts,
@@ -296,7 +296,7 @@ fn run_or_resume(o: &BenchOpts, workers: usize) -> Vec<CellOutcome> {
     }
     // No (readable) previous file plans nothing: every cell runs.
     let previous = o.out.as_ref().and_then(|path| std::fs::read_to_string(path).ok());
-    let plan = resume_plan(&o.cells, &previous.unwrap_or_default());
+    let plan = resume_plan(&o.cells, &previous.unwrap_or_default(), o.scale);
     let todo: Vec<_> =
         o.cells.iter().zip(&plan).filter(|(_, p)| p.is_none()).map(|(c, _)| c.clone()).collect();
     eprintln!(

@@ -337,16 +337,22 @@ fn balanced_object(s: &str) -> Option<&str> {
 /// Split the matrix for `--resume`: cells whose ok rows already exist in
 /// `previous` (the old `--out` contents) come back as
 /// [`CellOutcome::Resumed`] in their matrix slot; the rest are `None` and
-/// must be run.
-pub fn resume_plan(cells: &[CellSpec], previous: &str) -> Vec<Option<CellOutcome>> {
+/// must be run. A `previous` document simulated at another `scale` than
+/// this run's plans nothing: its rows are other workloads' cycles.
+pub fn resume_plan(
+    cells: &[CellSpec],
+    previous: &str,
+    scale: SuiteScale,
+) -> Vec<Option<CellOutcome>> {
+    // The document's own "scale" key precedes its rows (see `sweep_json`).
+    let tag = format!("\"scale\":\"{}\"", scale_name(scale));
+    let same_scale = previous.find("\"scale\":").is_some_and(|i| previous[i..].starts_with(&tag));
     cells
         .iter()
         .map(|spec| {
-            previous_ok_row(previous, &cell_key(spec)).map(|(row, cycles)| CellOutcome::Resumed {
-                spec: spec.clone(),
-                row,
-                cycles,
-            })
+            let (row, cycles) =
+                previous_ok_row(previous, &cell_key(spec)).filter(|_| same_scale)?;
+            Some(CellOutcome::Resumed { spec: spec.clone(), row, cycles })
         })
         .collect()
 }
@@ -432,7 +438,7 @@ mod tests {
         let doc = sweep_json(&first, SuiteScale::Tiny, None).render();
 
         // Every cell has an ok row in the old doc, so a resume plan is full.
-        let plan = resume_plan(&cells, &doc);
+        let plan = resume_plan(&cells, &doc, SuiteScale::Tiny);
         assert!(plan.iter().all(Option::is_some));
         let resumed: Vec<CellOutcome> = plan.into_iter().map(Option::unwrap).collect();
         assert_eq!(
@@ -447,6 +453,14 @@ mod tests {
         // An unseen cell yields no row and must be re-run.
         let fresh = CellSpec::new("vacation", SchemeKind::SuvTm, 2);
         assert!(previous_ok_row(&doc, &cell_key(&fresh)).is_none());
+    }
+
+    #[test]
+    fn resume_at_another_scale_plans_no_cell() {
+        let cells = vec![CellSpec::new("kmeans", SchemeKind::SuvTm, 2)];
+        let doc = sweep_json(&run_matrix(&cells, SuiteScale::Tiny, 1), SuiteScale::Tiny, None);
+        let plan = resume_plan(&cells, &doc.render(), SuiteScale::Paper);
+        assert!(plan.iter().all(Option::is_none), "tiny-scale rows must not resume a paper run");
     }
 
     #[test]

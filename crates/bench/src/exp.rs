@@ -23,7 +23,11 @@ use suv::sim::build_vm;
 use suv::stamp::workloads::HIGH_CONTENTION;
 use suv::stamp::WORKLOAD_NAMES;
 use suv::trace::Json;
-use suv::types::Cycle;
+use suv::types::config::{
+    DIR_LATENCY, L1_LATENCY, L2_LATENCY, MEM_BANKS, MEM_LATENCY, NOC_ROUTE_LATENCY,
+    NOC_WIRE_LATENCY,
+};
+use suv::types::{Cycle, LINE_BYTES};
 
 /// Which document `suvtm bench` writes; the modes are mutually exclusive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -494,19 +498,19 @@ fn table3(_: &[BenchCell], r: &mut Report) -> fmt::Result {
     writeln!(
         t,
         "{:<22} {kb} KB {}-way, {}-byte line, write-back, {}-cycle latency",
-        "L1 cache", l1.ways, l1.line_bytes, l1.latency
+        "L1 cache", l1.ways, LINE_BYTES, L1_LATENCY
     )?;
     writeln!(
         t,
         "{:<22} {mb} MB {}-way, write-back, {}-cycle latency",
-        "L2 cache", l2.ways, l2.latency
+        "L2 cache", l2.ways, L2_LATENCY
     )?;
-    writeln!(t, "{:<22} {} banks, {}-cycle latency", "Main memory", c.mem_banks, c.mem_latency)?;
-    writeln!(t, "{:<22} bit vector of sharers, {}-cycle latency", "L2 directory", c.dir_latency)?;
+    writeln!(t, "{:<22} {} banks, {}-cycle latency", "Main memory", MEM_BANKS, MEM_LATENCY)?;
+    writeln!(t, "{:<22} bit vector of sharers, {}-cycle latency", "L2 directory", DIR_LATENCY)?;
     writeln!(
         t,
         "{:<22} {side}x{side} mesh, {}-cycle wire latency, {}-cycle route latency",
-        "Interconnect", c.noc_wire_latency, c.noc_route_latency
+        "Interconnect", NOC_WIRE_LATENCY, NOC_ROUTE_LATENCY
     )?;
     writeln!(t, "{:<22} {} Kbit Bloom filters", "Signature", c.htm.signature_bits / 1024)?;
     writeln!(

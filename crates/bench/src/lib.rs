@@ -66,7 +66,7 @@ pub fn run_json(r: &RunResult) -> Json {
             Json::obj([
                 ("overflow_aborts", Json::U64(r.stats.tx.overflow_aborts)),
                 ("irrevocable_commits", Json::U64(r.stats.tx.irrevocable_commits)),
-                ("watchdog_escalations", Json::U64(r.stats.tx.watchdog_escalations)),
+                ("watchdog_escalations", Json::U64(r.stats.tx.watchdog_escalations())),
                 ("sw_commits", Json::U64(r.stats.tx.sw_commits)),
                 ("sw_aborts", Json::U64(r.stats.tx.sw_aborts)),
                 ("hw_sw_conflicts", Json::U64(r.stats.tx.hw_sw_conflicts)),

@@ -293,7 +293,7 @@ mod tests {
 
     fn small() -> TagArray<()> {
         // 4 sets x 2 ways.
-        TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 })
+        TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2 })
     }
 
     #[test]
@@ -351,8 +351,7 @@ mod tests {
 
     #[test]
     fn metadata_per_line() {
-        let mut c: TagArray<u32> =
-            TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 });
+        let mut c: TagArray<u32> = TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2 });
         c.insert(0x80, false);
         *c.meta_mut(0x80).unwrap() = 7;
         assert_eq!(c.meta(0x80), Some(&7));
@@ -376,8 +375,7 @@ mod tests {
 
     #[test]
     fn hit_store_is_touch_plus_dirty_plus_meta() {
-        let mut c: TagArray<u32> =
-            TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 });
+        let mut c: TagArray<u32> = TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2 });
         assert!(c.hit_store(0x40).is_none(), "miss counted");
         c.insert(0x40, false);
         *c.hit_store(0x40).expect("resident") = 9;
@@ -405,8 +403,7 @@ mod tests {
 
     #[test]
     fn metas_mut_visits_every_resident_line() {
-        let mut c: TagArray<u32> =
-            TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 });
+        let mut c: TagArray<u32> = TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2 });
         for i in 0..4u64 {
             c.insert(i * 64, false);
         }
@@ -441,7 +438,7 @@ mod prop_tests {
         /// always resident.
         #[test]
         fn capacity_invariant(lines in proptest::collection::vec(0u64..64, 1..500)) {
-            let geom = CacheGeom { capacity_bytes: 1024, ways: 2, line_bytes: 64, latency: 1 };
+            let geom = CacheGeom { capacity_bytes: 1024, ways: 2 };
             let mut c: TagArray<()> = TagArray::new(&geom);
             for l in lines {
                 let line = l * 64;
@@ -454,7 +451,7 @@ mod prop_tests {
         /// The most recently used line in a set is never the one evicted.
         #[test]
         fn mru_survives(lines in proptest::collection::vec(0u64..32, 2..200)) {
-            let geom = CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 };
+            let geom = CacheGeom { capacity_bytes: 512, ways: 2 };
             let mut c: TagArray<()> = TagArray::new(&geom);
             let mut last: Option<u64> = None;
             for l in lines {

@@ -135,7 +135,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..14, 0u64..40, any::<u32>()), 1..600),
     ) {
         let (capacity_bytes, ways) = GEOMS[shape];
-        let geom = CacheGeom { capacity_bytes, ways, line_bytes: 64, latency: 1 };
+        let geom = CacheGeom { capacity_bytes, ways };
         let mut real: TagArray<u32> = TagArray::new(&geom);
         let mut model = RefArray::new(&geom);
         for (op, l, v) in ops {

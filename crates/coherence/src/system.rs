@@ -4,7 +4,11 @@ use crate::mesi::Mesi;
 use suv_cache::{DirEntry, Directory, TagArray};
 use suv_noc::Mesh;
 use suv_trace::{TraceEvent, Tracer};
+use suv_types::config::{DIR_LATENCY, L1_LATENCY, L2_LATENCY, MEM_BANKS, MEM_LATENCY};
 use suv_types::{line_of, Addr, CheckLevel, CoreId, Cycle, LineAddr, MachineConfig, SharerSet};
+
+/// Fixed service time a memory bank is occupied per request.
+const BANK_OCCUPANCY: Cycle = 20;
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +81,7 @@ pub struct MemorySystem {
     dir: Directory,
     mesh: Mesh,
     /// Per-bank time at which the bank is next free (deterministic queuing).
-    bank_busy: Vec<Cycle>,
-    /// Fixed service time a bank is occupied per request.
-    bank_occupancy: Cycle,
+    bank_busy: [Cycle; MEM_BANKS],
     stats: MemStats,
 }
 
@@ -94,8 +96,7 @@ impl MemorySystem {
             l2: TagArray::new(&cfg.l2),
             dir: Directory::new(),
             mesh: Mesh::new(cfg),
-            bank_busy: vec![0; cfg.mem_banks],
-            bank_occupancy: 20,
+            bank_busy: [0; MEM_BANKS],
             stats: MemStats::default(),
         }
     }
@@ -148,7 +149,7 @@ impl MemorySystem {
         });
         hit.then(|| {
             self.stats.l1_hits += 1;
-            self.cfg.l1.latency
+            L1_LATENCY
         })
     }
 
@@ -178,7 +179,7 @@ impl MemorySystem {
     /// the legs as messages and, under `noc_contention`, reserves their links.
     pub fn nack_latency(&mut self, now: Cycle, core: CoreId, addr: Addr, nacker: CoreId) -> Cycle {
         let dir = self.mesh.bank_of(line_of(addr));
-        self.cfg.l1.latency + self.cfg.dir_latency + self.mesh.relay(now, [core, dir, nacker, core])
+        L1_LATENCY + DIR_LATENCY + self.mesh.relay(now, [core, dir, nacker, core])
     }
 
     /// Resolve a miss (or upgrade) for `core` on `addr` with a full
@@ -196,7 +197,7 @@ impl MemorySystem {
         self.stats.l1_misses += 1;
 
         // Request: core -> home L2 bank, directory lookup.
-        let mut latency = self.cfg.l1.latency + self.cfg.dir_latency;
+        let mut latency = L1_LATENCY + DIR_LATENCY;
         let dir_node = self.mesh.bank_of(line);
         latency += self.mesh.relay(now, [core, dir_node]);
         let entry = self.dir.lookup(line);
@@ -211,8 +212,7 @@ impl MemorySystem {
             || entry.sharers.count() > u32::from(entry.sharers.contains(core));
         if let Some(owner) = remote_owner {
             // Forward to owner; cache-to-cache transfer to the requester.
-            latency +=
-                self.mesh.relay(now + latency, [dir_node, owner, core]) + self.cfg.l1.latency;
+            latency += self.mesh.relay(now + latency, [dir_node, owner, core]) + L1_LATENCY;
             cache_to_cache = true;
             self.stats.c2c_transfers += 1;
             // Owner's copy: downgraded on GETS, invalidated on GETM.
@@ -235,19 +235,19 @@ impl MemorySystem {
             self.l2.insert(line, kind == AccessKind::Load);
         } else {
             // Served by the L2 bank or memory.
-            latency += self.cfg.l2.latency;
+            latency += L2_LATENCY;
             if !self.l2.touch(line) {
                 // L2 miss: go to the line's memory bank (banked by address),
                 // with deterministic queuing on the bank.
                 self.stats.l2_misses += 1;
                 from_memory = true;
-                let bank = ((line >> 6) as usize) % self.cfg.mem_banks;
+                let bank = ((line >> 6) as usize) % MEM_BANKS;
                 let ctrl = self.mesh.mem_ctrl(bank);
                 latency += self.mesh.relay(now + latency, [dir_node, ctrl]);
                 let ready = now + latency;
                 let free = self.bank_busy[bank].max(ready);
-                latency += free - ready + self.cfg.mem_latency;
-                self.bank_busy[bank] = free + self.bank_occupancy;
+                latency += free - ready + MEM_LATENCY;
+                self.bank_busy[bank] = free + BANK_OCCUPANCY;
                 // The fetched line travels back to its home bank (it is
                 // installed in the L2 there) before being forwarded to the
                 // requester — a previously un-charged leg.
@@ -485,7 +485,7 @@ impl MemorySystem {
         if self.l1s[core].take_dirty(line) {
             self.l2.insert(line, true);
             self.stats.writebacks += 1;
-            self.cfg.l2.latency + self.mesh.core_to_bank(now, core, line)
+            L2_LATENCY + self.mesh.core_to_bank(now, core, line)
         } else {
             0
         }
@@ -524,7 +524,7 @@ mod tests {
         assert!(!s.has_permission(0, 0x1000, AccessKind::Load));
         let f = s.fill(0, 0, 0x1000, AccessKind::Load);
         assert!(f.from_memory);
-        assert!(f.latency >= s.config().mem_latency, "must pay memory latency");
+        assert!(f.latency >= MEM_LATENCY, "must pay memory latency");
         assert_eq!(s.l1_state(0, 0x1000), Some(Mesi::Exclusive), "sole copy gets E");
         assert!(s.has_permission(0, 0x1000, AccessKind::Load));
         assert!(s.has_permission(0, 0x1000, AccessKind::Store), "E grants silent store");
@@ -633,7 +633,7 @@ mod tests {
         let mut s = sys();
         let lat = s.nack_latency(0, 0, 0x40, 15);
         // At minimum: L1 detect + directory + some mesh hops.
-        assert!(lat > s.config().dir_latency);
+        assert!(lat > DIR_LATENCY);
     }
 
     #[test]
@@ -648,9 +648,9 @@ mod tests {
                         legs.core_node(legs.bank_of(bank * 64)),
                         legs.core_node(nacker),
                     );
-                    let want = s.config().l1.latency
+                    let want = L1_LATENCY
                         + legs.route(0, c, d)
-                        + s.config().dir_latency
+                        + DIR_LATENCY
                         + legs.route(0, d, n)
                         + legs.route(0, n, c);
                     assert_eq!(s.nack_latency(0, core, bank * 64 + 8, nacker), want);
@@ -665,7 +665,7 @@ mod tests {
         let mut s = sys();
         // Two back-to-back memory fills to lines in the same bank: the
         // second waits for the bank.
-        let banks = s.config().mem_banks as u64;
+        let banks = MEM_BANKS as u64;
         let a = s.fill(0, 0, 0x10_0000, AccessKind::Load).latency;
         let b = s.fill(0, 1, 0x10_0000 + banks * 64, AccessKind::Load).latency;
         assert!(b >= a, "queued access can't be faster ({b} < {a})");

@@ -276,12 +276,7 @@ mod prop_tests {
 
     /// The scan model the set replaced: one set of `ways` ways.
     fn reference(ways: usize) -> TagArray<()> {
-        TagArray::new(&CacheGeom {
-            capacity_bytes: ways as u64 * 64,
-            ways,
-            line_bytes: 64,
-            latency: 0,
-        })
+        TagArray::new(&CacheGeom { capacity_bytes: ways as u64 * 64, ways })
     }
 
     impl LruSet {

@@ -20,6 +20,7 @@ use suv_htm::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_mem::{LineData, PoolAllocator, Region};
 use suv_sig::SummarySignature;
 use suv_trace::{RedirectLevel, TraceEvent};
+use suv_types::config::POOL_PAGE_ALLOC_CYCLES;
 use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, RedirectStats, SchemeKind, SuvConfig};
 
 /// Flash commit/abort cost: the gang state-bit transition plus the summary
@@ -44,7 +45,6 @@ pub struct SuvVm {
     table: RedirectTable,
     summary: SummarySignature,
     pool: PoolAllocator,
-    cfg: SuvConfig,
     /// Open nested-level frames, per core.
     // nested-vec-ok: one stack of frames per core, touched at level begin/end only
     levels: Vec<Vec<LevelFrame>>,
@@ -55,20 +55,14 @@ pub struct SuvVm {
 }
 
 impl SuvVm {
-    /// Build for `n_cores` cores with an unbounded redirect pool.
-    pub fn new(n_cores: usize, cfg: &SuvConfig) -> Self {
-        Self::with_pool_pages(n_cores, cfg, 0)
-    }
-
-    /// Build with the redirect pool clamped to at most `pool_pages` pages
-    /// (0 = unbounded). A dry pool turns fresh-slot stores into
-    /// [`StoreTarget::Overflow`].
-    pub fn with_pool_pages(n_cores: usize, cfg: &SuvConfig, pool_pages: u64) -> Self {
+    /// Build for `n_cores` cores with the redirect pool clamped to at most
+    /// `pool_pages` pages (0 = unbounded). A dry pool turns fresh-slot
+    /// stores into [`StoreTarget::Overflow`].
+    pub fn new(n_cores: usize, cfg: &SuvConfig, pool_pages: u64) -> Self {
         SuvVm {
             table: RedirectTable::new(n_cores, cfg),
             summary: SummarySignature::new(cfg.summary_bits, cfg.summary_hashes),
             pool: PoolAllocator::bounded(Region::pool(), pool_pages),
-            cfg: *cfg,
             levels: (0..n_cores).map(|_| Vec::new()).collect(),
             irrevocable: vec![false; n_cores],
         }
@@ -253,7 +247,7 @@ impl VersionManager for SuvVm {
                 };
                 env.tracer.emit(env.now, core, TraceEvent::PoolAlloc { fresh_page });
                 if fresh_page {
-                    lat += self.cfg.pool_page_alloc_cycles;
+                    lat += POOL_PAGE_ALLOC_CYCLES;
                 }
                 Self::seed_line(env, current.unwrap_or(line), slot);
                 self.table.insert_transient(core, line, Transient::New { slot });
@@ -341,7 +335,7 @@ mod tests {
 
     fn setup() -> (Memory, MemorySystem, SuvVm) {
         let mc = MachineConfig::small_test();
-        (Memory::new(), MemorySystem::new(&mc), SuvVm::new(mc.n_cores, &mc.suv))
+        (Memory::new(), MemorySystem::new(&mc), SuvVm::new(mc.n_cores, &mc.suv, 0))
     }
 
     /// Figure 4 walkthrough: un-redirected load, un-redirected store,
@@ -504,7 +498,7 @@ mod tests {
     fn overflow_flags_reach_the_machine_interface() {
         let mc = MachineConfig::small_test(); // 32-entry first-level table
         let (mut mem, mut sys, mut vm) =
-            (Memory::new(), MemorySystem::new(&mc), SuvVm::new(mc.n_cores, &mc.suv));
+            (Memory::new(), MemorySystem::new(&mc), SuvVm::new(mc.n_cores, &mc.suv, 0));
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
@@ -540,7 +534,7 @@ mod tests {
         let mc = MachineConfig::small_test();
         let (mut mem, mut sys) = (Memory::new(), MemorySystem::new(&mc));
         // One pool page = 64 slots.
-        let mut vm = SuvVm::with_pool_pages(mc.n_cores, &mc.suv, 1);
+        let mut vm = SuvVm::new(mc.n_cores, &mc.suv, 1);
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);

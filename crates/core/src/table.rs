@@ -24,6 +24,7 @@ use suv_cache::TagArray;
 use suv_mem::PoolAllocator;
 use suv_sig::SummarySignature;
 use suv_trace::RedirectLevel;
+use suv_types::config::MEM_SEARCH_CYCLES;
 use suv_types::{
     CacheGeom, CoreId, Cycle, LineAddr, LineMap, LineSet, RedirectStats, SharerSet, SuvConfig,
     LINE_SHIFT,
@@ -150,8 +151,6 @@ impl RedirectTable {
         let l2_geom = CacheGeom {
             capacity_bytes: (cfg.l2_entries / banks).max(cfg.l2_ways) as u64 * 64,
             ways: cfg.l2_ways,
-            line_bytes: 64,
-            latency: cfg.l2_latency,
         };
         RedirectTable {
             entries: Vec::new(),
@@ -274,7 +273,7 @@ impl RedirectTable {
         self.stats.l1_lookups += 1;
         if let Some(tag) = self.l1[core].touch(line) {
             let slot = Self::cached_slot(&self.entries, &self.index, line, known, tag);
-            return (self.cfg.l1_latency, RedirectLevel::L1, slot);
+            return (0, RedirectLevel::L1, slot);
         }
         self.stats.l1_misses += 1;
         let bank = self.bank_of(line);
@@ -283,7 +282,7 @@ impl RedirectTable {
             // line there again would only stamp it once more.
             let slot = Self::cached_slot(&self.entries, &self.index, line, known, tag);
             self.install_l1(core, line, slot);
-            return (self.cfg.l1_latency + self.cfg.l2_latency, RedirectLevel::L2, slot);
+            return (self.cfg.l2_latency, RedirectLevel::L2, slot);
         }
         let slot = known.or_else(|| self.index.get(&line).copied());
         if slot.is_none() {
@@ -291,13 +290,13 @@ impl RedirectTable {
             // overlaps the second-level probe and the memory search
             // entirely — the access proceeds with the original address at
             // no extra cost (paper SIV.A).
-            return (self.cfg.l1_latency, RedirectLevel::L1, None);
+            return (0, RedirectLevel::L1, None);
         }
         // Swapped out: the software search in main memory.
         self.stats.mem_lookups += 1;
         self.install_l1(core, line, slot);
         self.install_l2(line, slot);
-        let lat = self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.mem_search_cycles;
+        let lat = self.cfg.l2_latency + MEM_SEARCH_CYCLES;
         (lat, RedirectLevel::Memory, slot)
     }
 
@@ -611,12 +610,9 @@ mod tests {
     pub(super) fn small_cfg() -> SuvConfig {
         SuvConfig {
             l1_entries: 4,
-            l1_latency: 0,
             l2_entries: 16,
             l2_ways: 2,
             l2_latency: 10,
-            mem_search_cycles: 150,
-            pool_page_alloc_cycles: 30,
             summary_bits: 256,
             summary_hashes: 2,
         }
@@ -733,7 +729,7 @@ mod tests {
         // refilled since, so it lives in memory. Look it up from core 1.
         let (hit, lat) = t.lookup(1, 0x10_0000);
         assert!(hit.is_some());
-        assert_eq!(lat, cfg.l2_latency + cfg.mem_search_cycles);
+        assert_eq!(lat, cfg.l2_latency + MEM_SEARCH_CYCLES);
         assert_eq!(t.stats().mem_lookups, 1);
         // The search brought it back into both hardware levels.
         assert_eq!(t.lookup(1, 0x10_0000).1, 0);

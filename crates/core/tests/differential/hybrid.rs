@@ -405,7 +405,7 @@ fn scheme<V: VersionManager>(
         let t = shape.trained();
         if train {
             let again = [(t, Op::Begin { site: site(t) }), (t, Op::Abort)];
-            for _ in 0..cfg.dyntm.lazy_threshold {
+            for _ in 0..suv_types::config::LAZY_THRESHOLD {
                 run.play(&again).expect("legal");
             }
         }
@@ -427,14 +427,14 @@ fn scheme<V: VersionManager>(
 fn all_schemes(keep: impl Fn(&str, &Shape) -> bool + Copy, table: &mut String, t: &mut Tally) {
     let cfg = MachineConfig::small_test();
     let n = 2;
-    let suv = SuvVm::new(n, &cfg.suv);
-    let dyntm = || DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm);
-    let dyntm_suv = || DynTm::with_suv(suv.clone(), n, &cfg.dyntm);
+    let suv = SuvVm::new(n, &cfg.suv, 0);
+    let dyntm = || DynTm::original(FasTm::new(n, 0), n, 0);
+    let dyntm_suv = || DynTm::with_suv(suv.clone(), n);
     let (eager, lazy, trained) = ((false, false), (true, false), (false, true));
-    scheme("LogTM-SE", LogTmSe::new(n, cfg.htm), eager, keep, table, t);
-    scheme("FasTM", FasTm::new(n, cfg.htm), eager, keep, table, t);
+    scheme("LogTM-SE", LogTmSe::new(n, 0), eager, keep, table, t);
+    scheme("FasTM", FasTm::new(n, 0), eager, keep, table, t);
     scheme("SUV-TM", suv.clone(), eager, keep, table, t);
-    scheme("Lazy(TCC)", LazyVm::new(n), lazy, keep, table, t);
+    scheme("Lazy(TCC)", LazyVm::new(n, 0), lazy, keep, table, t);
     scheme("DynTM", dyntm(), eager, keep, table, t);
     scheme("DynTM trained", dyntm(), trained, keep, table, t);
     scheme("DynTM+SUV", dyntm_suv(), eager, keep, table, t);

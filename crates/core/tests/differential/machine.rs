@@ -98,7 +98,7 @@ impl super::Mix for Mix {
 
     fn saw<V: VersionManager>(
         &mut self,
-        run: &Run<V>,
+        _: &Run<V>,
         now: Cycle,
         c: CoreId,
         _: Op,
@@ -117,7 +117,7 @@ impl super::Mix for Mix {
                 s.irrevocable_commits +=
                     u64::from(matches!(out.before, Phase::Hw { irrevocable: true, .. }));
                 // A lazy commit validates no earlier than this.
-                let grant = now + run.m.config().dyntm.commit_arbitration_cycles;
+                let grant = now + suv_types::config::COMMIT_ARBITRATION_CYCLES;
                 let past = |&end: &Cycle| now < end && end <= grant;
                 if committing > 0 && self.window_end.iter().any(past) {
                     s.lazy_commits_past_a_window += 1;
@@ -175,16 +175,16 @@ fn run(
         ^ (u64::from(partial) << 1)
         ^ u64::from(perfect);
     let mix = Mix { window_end: vec![0; cores], seen };
-    let fastm = FasTm::new(cores, cfg.htm);
+    let fastm = FasTm::new(cores, 0);
     macro_rules! over {
         ($vm:expr) => {
             drive(HtmMachine::new(&cfg, $vm), LINES, rng_seed, mix, STEPS, fork_at)
         };
     }
     let (digest, _, mix) = match scheme {
-        Scheme::LogTm => over!(LogTmSe::new(cores, cfg.htm)),
-        Scheme::Lazy => over!(LazyVm::new(cores)),
-        Scheme::DynTm => over!(DynTm::original(fastm, cores, &cfg.dyntm)),
+        Scheme::LogTm => over!(LogTmSe::new(cores, 0)),
+        Scheme::Lazy => over!(LazyVm::new(cores, 0)),
+        Scheme::DynTm => over!(DynTm::original(fastm, cores, 0)),
         Scheme::FasTm => over!(fastm),
     };
     (digest, mix.seen)

@@ -49,7 +49,7 @@ const B9: &[(CoreId, Op)] = &[
 #[should_panic(expected = "INV-9")]
 fn b9_a_lazy_store_loses_an_eager_commit_under_dyntm_suv() {
     let cfg = config();
-    let vm = DynTm::with_suv(SuvVm::new(2, &cfg.suv), 2, &cfg.dyntm);
+    let vm = DynTm::with_suv(SuvVm::new(2, &cfg.suv, 0), 2);
     let mut run = Run::new(HtmMachine::new(&cfg, vm));
     let (interleaving, read_back) = B9.split_at(B9.len() - 1);
     let out = run.play(interleaving).expect("every op of the script is legal");
@@ -134,7 +134,7 @@ fn every_bad_op_is_illegal<V: VersionManager>(vm: V) {
     assert!(run.step(11, 1, Op::NonTxLoad(L)).is_ok(), "none of which disturbed the run");
 
     let mut run = fresh;
-    let depth = run.m.config().htm.max_nest_depth;
+    let depth = suv_types::config::MAX_NEST_DEPTH;
     let nest = vec![(0, Op::NestedBegin { site: SITE }); depth - 1];
     run.play(&[(0, Op::Begin { site: SITE })]).expect("legal");
     run.play(&nest).expect("nesting up to the limit is legal");
@@ -144,11 +144,11 @@ fn every_bad_op_is_illegal<V: VersionManager>(vm: V) {
 #[test]
 fn step_answers_every_bad_op_with_illegal_under_all_six_schemes() {
     let cfg = config();
-    let (n, suv) = (cfg.n_cores, SuvVm::new(cfg.n_cores, &cfg.suv));
-    every_bad_op_is_illegal(LogTmSe::new(n, cfg.htm));
-    every_bad_op_is_illegal(FasTm::new(n, cfg.htm));
-    every_bad_op_is_illegal(LazyVm::new(n));
-    every_bad_op_is_illegal(DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm));
+    let (n, suv) = (cfg.n_cores, SuvVm::new(cfg.n_cores, &cfg.suv, 0));
+    every_bad_op_is_illegal(LogTmSe::new(n, 0));
+    every_bad_op_is_illegal(FasTm::new(n, 0));
+    every_bad_op_is_illegal(LazyVm::new(n, 0));
+    every_bad_op_is_illegal(DynTm::original(FasTm::new(n, 0), n, 0));
     every_bad_op_is_illegal(suv.clone());
-    every_bad_op_is_illegal(DynTm::with_suv(suv, n, &cfg.dyntm));
+    every_bad_op_is_illegal(DynTm::with_suv(suv, n));
 }

@@ -241,7 +241,7 @@ fn run(
         traced,
         seen: std::mem::take(seen),
     };
-    let suv = SuvVm::with_pool_pages(cores, &cfg.suv, 1);
+    let suv = SuvVm::new(cores, &cfg.suv, 1);
     macro_rules! over {
         ($vm:expr) => {{
             let mut m = HtmMachine::new(&cfg, $vm);
@@ -253,7 +253,7 @@ fn run(
     }
     let (outcomes, trace, mix) = match scheme {
         Scheme::Suv => over!(suv),
-        Scheme::DynTmSuv => over!(DynTm::with_suv(suv, cores, &cfg.dyntm)),
+        Scheme::DynTmSuv => over!(DynTm::with_suv(suv, cores)),
     };
     *seen = mix.seen;
     (outcomes, trace)

@@ -12,20 +12,19 @@
 use crate::lazy::LazyVm;
 use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_coherence::L1Evict;
-use suv_types::{Addr, CoreId, Cycle, DynTmConfig, RedirectStats, SchemeKind, TxSite};
+use suv_types::config::{LAZY_THRESHOLD, PREDICTOR_SITES};
+use suv_types::{Addr, CoreId, Cycle, RedirectStats, SchemeKind, TxSite};
 
 /// Per-site 2-bit saturating abort predictor.
 #[derive(Debug, Clone)]
-pub struct Selector {
+struct Selector {
     counters: Vec<u8>,
-    threshold: u8,
 }
 
 impl Selector {
-    /// `sites` predictor entries with the given lazy threshold.
-    #[must_use]
-    pub fn new(cfg: &DynTmConfig) -> Self {
-        Selector { counters: vec![0; cfg.predictor_sites], threshold: cfg.lazy_threshold }
+    /// [`PREDICTOR_SITES`] predictor entries, all predicting eager.
+    fn new() -> Self {
+        Selector { counters: vec![0; PREDICTOR_SITES] }
     }
 
     fn idx(&self, site: TxSite) -> usize {
@@ -33,13 +32,12 @@ impl Selector {
     }
 
     /// Should a transaction at `site` run lazy?
-    #[must_use]
-    pub fn predict_lazy(&self, site: TxSite) -> bool {
-        self.counters[self.idx(site)] >= self.threshold
+    fn predict_lazy(&self, site: TxSite) -> bool {
+        self.counters[self.idx(site)] >= LAZY_THRESHOLD
     }
 
     /// Record an outcome for `site`.
-    pub fn update(&mut self, site: TxSite, committed: bool) {
+    fn update(&mut self, site: TxSite, committed: bool) {
         let i = self.idx(site);
         let c = &mut self.counters[i];
         if committed {
@@ -63,43 +61,30 @@ pub struct DynTm<E> {
     selector: Selector,
     /// Current mode of each core's transaction.
     mode_lazy: Vec<bool>,
-    suv_based: bool,
 }
 
 impl<E: VersionManager> DynTm<E> {
-    /// Original DynTM: FasTM eager half + write-buffer lazy half.
+    /// Original DynTM: FasTM eager half + write-buffer lazy half, the
+    /// buffer capped at `buffer_lines` distinct lines per transaction
+    /// (0 = unbounded).
     #[must_use]
-    pub fn original(eager: E, n_cores: usize, cfg: &DynTmConfig) -> Self {
-        Self::original_with_buffer(eager, n_cores, cfg, 0)
-    }
-
-    /// Original DynTM with a bounded lazy write buffer (`buffer_lines`
-    /// distinct lines per transaction, 0 = unbounded).
-    #[must_use]
-    pub fn original_with_buffer(
-        eager: E,
-        n_cores: usize,
-        cfg: &DynTmConfig,
-        buffer_lines: usize,
-    ) -> Self {
+    pub fn original(eager: E, n_cores: usize, buffer_lines: usize) -> Self {
         DynTm {
             eager,
-            lazy_vm: Some(LazyVm::with_buffer_lines(n_cores, buffer_lines)),
-            selector: Selector::new(cfg),
+            lazy_vm: Some(LazyVm::new(n_cores, buffer_lines)),
+            selector: Selector::new(),
             mode_lazy: vec![false; n_cores],
-            suv_based: false,
         }
     }
 
     /// DynTM with SUV version management in both modes ("D+S").
     #[must_use]
-    pub fn with_suv(suv: E, n_cores: usize, cfg: &DynTmConfig) -> Self {
+    pub fn with_suv(suv: E, n_cores: usize) -> Self {
         DynTm {
             eager: suv,
             lazy_vm: None,
-            selector: Selector::new(cfg),
+            selector: Selector::new(),
             mode_lazy: vec![false; n_cores],
-            suv_based: true,
         }
     }
 
@@ -110,7 +95,7 @@ impl<E: VersionManager> DynTm<E> {
 
 impl<E: VersionManager> VersionManager for DynTm<E> {
     fn kind(&self) -> SchemeKind {
-        if self.suv_based {
+        if self.lazy_vm.is_none() {
             SchemeKind::DynTmSuv
         } else {
             SchemeKind::DynTm
@@ -222,13 +207,12 @@ mod tests {
 
     fn dyntm() -> DynTm<FasTm> {
         let mc = MachineConfig::small_test();
-        DynTm::original(FasTm::new(mc.n_cores, mc.htm), mc.n_cores, &mc.dyntm)
+        DynTm::original(FasTm::new(mc.n_cores, 0), mc.n_cores, 0)
     }
 
     #[test]
     fn selector_learns_from_aborts() {
-        let cfg = DynTmConfig::default();
-        let mut s = Selector::new(&cfg);
+        let mut s = Selector::new();
         let site = TxSite(7);
         assert!(!s.predict_lazy(site), "fresh sites start eager");
         s.update(site, false);
@@ -241,8 +225,7 @@ mod tests {
 
     #[test]
     fn selector_saturates() {
-        let cfg = DynTmConfig::default();
-        let mut s = Selector::new(&cfg);
+        let mut s = Selector::new();
         let site = TxSite(1);
         for _ in 0..10 {
             s.update(site, false);
@@ -302,11 +285,7 @@ mod tests {
         let mc = MachineConfig::small_test();
         let d = dyntm();
         assert_eq!(d.kind(), SchemeKind::DynTm);
-        let ds = DynTm::with_suv(
-            FasTm::new(mc.n_cores, mc.htm), // stand-in inner VM
-            mc.n_cores,
-            &mc.dyntm,
-        );
+        let ds = DynTm::with_suv(FasTm::new(mc.n_cores, 0), mc.n_cores); // stand-in inner VM
         assert_eq!(ds.kind(), SchemeKind::DynTmSuv);
     }
 }

@@ -13,7 +13,8 @@ use crate::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_coherence::{AccessKind, L1Evict};
 use suv_mem::{LineData, Region};
 use suv_trace::TraceEvent;
-use suv_types::{line_of, Addr, CoreId, Cycle, HtmConfig, LineAddr, SchemeKind, LINE_BYTES};
+use suv_types::config::SOFTWARE_TRAP_CYCLES;
+use suv_types::{line_of, Addr, CoreId, Cycle, LineAddr, SchemeKind, LINE_BYTES};
 
 /// Fixed cost of the fast abort path: gang-invalidate the speculative L1
 /// lines and switch the FSM, independent of the write-set size.
@@ -45,7 +46,6 @@ impl CoreState {
 #[derive(Clone)]
 pub struct FasTm {
     cores: Vec<CoreState>,
-    cfg: HtmConfig,
     /// Degenerate-mode log byte budget (0 = unbounded); shares the
     /// `FaultSpec::log_bytes` clamp with LogTM-SE.
     log_bytes: Addr,
@@ -54,19 +54,12 @@ pub struct FasTm {
 }
 
 impl FasTm {
-    /// Per-core state for `n_cores`, unbounded degenerate log.
+    /// Per-core state for `n_cores`, with the degenerate-mode log capped at
+    /// `log_bytes` bytes (0 = unbounded).
     #[must_use]
-    pub fn new(n_cores: usize, cfg: HtmConfig) -> Self {
-        Self::with_log_bytes(n_cores, cfg, 0)
-    }
-
-    /// Per-core state with the degenerate-mode log capped at `log_bytes`
-    /// bytes (0 = unbounded).
-    #[must_use]
-    pub fn with_log_bytes(n_cores: usize, cfg: HtmConfig, log_bytes: Addr) -> Self {
+    pub fn new(n_cores: usize, log_bytes: Addr) -> Self {
         FasTm {
             cores: (0..n_cores).map(|_| CoreState::default()).collect(),
-            cfg,
             log_bytes,
             irrevocable: vec![false; n_cores],
         }
@@ -161,7 +154,7 @@ impl VersionManager for FasTm {
             // LogTM-SE path: software trap, then walk every written line,
             // reading the log record and storing the old value in place.
             env.tracer.emit(env.now, core, TraceEvent::UndoWalk { entries: old.len() as u64 });
-            lat = self.cfg.software_trap_cycles;
+            lat = SOFTWARE_TRAP_CYCLES;
             let mut log_ptr = self.cores[core].log_ptr;
             for (line, data) in old.iter().rev() {
                 log_ptr = log_ptr.saturating_sub(LINE_BYTES + 8);
@@ -216,7 +209,7 @@ impl VersionManager for FasTm {
         };
         let degenerate = st.degenerate;
         let frame: Vec<(LineAddr, LineData)> = st.old.split_off(mark);
-        let mut lat = if degenerate { self.cfg.software_trap_cycles } else { FAST_ABORT_CYCLES };
+        let mut lat = if degenerate { SOFTWARE_TRAP_CYCLES } else { FAST_ABORT_CYCLES };
         for (line, data) in frame.iter().rev() {
             if degenerate {
                 lat += env.sys.access(env.now + lat, core, *line, AccessKind::Store);
@@ -239,7 +232,7 @@ mod tests {
 
     fn setup() -> (Memory, MemorySystem, FasTm) {
         let mc = MachineConfig::small_test();
-        (Memory::new(), MemorySystem::new(&mc), FasTm::new(mc.n_cores, mc.htm))
+        (Memory::new(), MemorySystem::new(&mc), FasTm::new(mc.n_cores, 0))
     }
 
     #[test]

@@ -35,16 +35,10 @@ pub struct LazyVm {
 }
 
 impl LazyVm {
-    /// One buffer per core, unbounded.
-    #[must_use]
-    pub fn new(n_cores: usize) -> Self {
-        Self::with_buffer_lines(n_cores, 0)
-    }
-
     /// One buffer per core, capped at `buffer_lines` distinct lines per
     /// transaction (0 = unbounded).
     #[must_use]
-    pub fn with_buffer_lines(n_cores: usize, buffer_lines: usize) -> Self {
+    pub fn new(n_cores: usize, buffer_lines: usize) -> Self {
         LazyVm {
             bufs: (0..n_cores).map(|_| Buffer::default()).collect(),
             buffer_lines,
@@ -172,7 +166,7 @@ mod tests {
 
     fn setup() -> (Memory, MemorySystem, LazyVm) {
         let mc = MachineConfig::small_test();
-        (Memory::new(), MemorySystem::new(&mc), LazyVm::new(mc.n_cores))
+        (Memory::new(), MemorySystem::new(&mc), LazyVm::new(mc.n_cores, 0))
     }
 
     #[test]

@@ -9,13 +9,13 @@
 use crate::undo::UndoLog;
 use crate::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
 use suv_trace::TraceEvent;
-use suv_types::{Addr, CoreId, Cycle, HtmConfig, SchemeKind};
+use suv_types::config::SOFTWARE_TRAP_CYCLES;
+use suv_types::{Addr, CoreId, Cycle, SchemeKind};
 
 /// LogTM-SE.
 #[derive(Clone)]
 pub struct LogTmSe {
     logs: Vec<UndoLog>,
-    cfg: HtmConfig,
     /// Per-core undo-log byte budget (0 = unbounded). A store that would
     /// exceed it becomes [`StoreTarget::Overflow`].
     log_bytes: Addr,
@@ -25,17 +25,11 @@ pub struct LogTmSe {
 }
 
 impl LogTmSe {
-    /// One undo log per core, unbounded.
-    #[must_use]
-    pub fn new(n_cores: usize, cfg: HtmConfig) -> Self {
-        Self::with_log_bytes(n_cores, cfg, 0)
-    }
-
     /// One undo log per core, capped at `log_bytes` bytes (0 = unbounded).
-    pub fn with_log_bytes(n_cores: usize, cfg: HtmConfig, log_bytes: Addr) -> Self {
+    #[must_use]
+    pub fn new(n_cores: usize, log_bytes: Addr) -> Self {
         LogTmSe {
             logs: (0..n_cores).map(UndoLog::new).collect(),
-            cfg,
             log_bytes,
             irrevocable: vec![false; n_cores],
         }
@@ -105,9 +99,8 @@ impl VersionManager for LogTmSe {
             core,
             TraceEvent::UndoWalk { entries: self.logs[core].len() as u64 },
         );
-        let trap = self.cfg.software_trap_cycles;
-        let walk = self.logs[core].unwind(env.mem, env.sys, env.now + trap, core);
-        trap + walk
+        let walk = self.logs[core].unwind(env.mem, env.sys, env.now + SOFTWARE_TRAP_CYCLES, core);
+        SOFTWARE_TRAP_CYCLES + walk
     }
 
     fn set_irrevocable(&mut self, core: CoreId, on: bool) {
@@ -126,8 +119,8 @@ impl VersionManager for LogTmSe {
             // Partial aborts replay only the top log frame — still a
             // software walk, but over the inner level's writes alone.
             LevelOp::Abort => {
-                let trap = self.cfg.software_trap_cycles;
-                return trap + log.unwind_level(env.mem, env.sys, env.now + trap, core);
+                let walk = log.unwind_level(env.mem, env.sys, env.now + SOFTWARE_TRAP_CYCLES, core);
+                return SOFTWARE_TRAP_CYCLES + walk;
             }
         }
         1
@@ -144,7 +137,7 @@ mod tests {
 
     fn setup() -> (Memory, MemorySystem, LogTmSe) {
         let mc = MachineConfig::small_test();
-        (Memory::new(), MemorySystem::new(&mc), LogTmSe::new(mc.n_cores, mc.htm))
+        (Memory::new(), MemorySystem::new(&mc), LogTmSe::new(mc.n_cores, 0))
     }
 
     #[test]

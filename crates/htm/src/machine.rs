@@ -4,7 +4,7 @@
 //! memory. It owns the functional memory, the timing model, the per-core
 //! transaction descriptors and the pluggable version manager, and
 //! implements what every compared scheme shares: who wins a conflict — one
-//! `const` table, [`crate::conflict::RULES`] (NACKs under LogTM's
+//! `const` table, `conflict::RULES` (NACKs under LogTM's
 //! possible-cycle rule, DynTM's lazy mode, strong isolation, the software
 //! tier) — and isolation windows: a transaction keeps defending its sets
 //! while `Aborting` or `Committing`, and how long those windows last is
@@ -34,6 +34,10 @@ use std::collections::BinaryHeap;
 use suv_coherence::{AccessKind, MemorySystem};
 use suv_mem::Memory;
 use suv_trace::{ConflictDir, EscalationReason, FallbackAbortReason, TraceEvent, Tracer};
+use suv_types::config::{
+    BACKOFF_BASE, BACKOFF_CAP, CHECKPOINT_CYCLES, COMMIT_ARBITRATION_CYCLES, L1_LATENCY,
+    L2_LATENCY, MAX_NEST_DEPTH, RESTORE_CYCLES,
+};
 use suv_types::{
     line_of, word_of, Addr, CheckLevel, CoreId, Cycle, LineAddr, MachineConfig, OverflowStats,
     SharerSet, TxSite, TxStats, CORE_ID_BITS, MAX_CORES,
@@ -532,10 +536,7 @@ impl<V: VersionManager> HtmMachine<V> {
     ) -> Cycle {
         self.settle(now);
         if self.txs[core].depth > 0 {
-            assert!(
-                self.txs[core].depth < self.cfg.htm.max_nest_depth,
-                "nesting depth limit exceeded"
-            );
+            assert!(self.txs[core].depth < MAX_NEST_DEPTH, "nesting depth limit exceeded");
             self.txs[core].depth += 1;
             if self.cfg.htm.partial_nesting
                 && !self.txs[core].lazy
@@ -588,7 +589,7 @@ impl<V: VersionManager> HtmMachine<V> {
         }
         self.tracer.emit(now, core, TraceEvent::TxBegin { site: site.0, lazy });
         self.shadow(|s| s.begin(core));
-        self.cfg.htm.checkpoint_cycles + self.with_vm(now, |vm, env| vm.begin(env, core, lazy))
+        CHECKPOINT_CYCLES + self.with_vm(now, |vm, env| vm.begin(env, core, lazy))
     }
 
     /// Transactional load.
@@ -623,7 +624,7 @@ impl<V: VersionManager> HtmMachine<V> {
         let (value, lat) = match target {
             // A private-buffer hit never leaves the core: an L1 access
             // inside a transaction, a single cycle outside one.
-            LoadTarget::Value(v) => (v, if TX { self.cfg.l1.latency } else { 1 }),
+            LoadTarget::Value(v) => (v, if TX { L1_LATENCY } else { 1 }),
             LoadTarget::Mem(phys) => {
                 // Coherence and caching always key on the ORIGINAL address
                 // (SUV's "a load/(store) that misses on block B generates a
@@ -686,7 +687,7 @@ impl<V: VersionManager> HtmMachine<V> {
                 self.tracer.emit(now, core, TraceEvent::OverflowAbort { line });
                 return Access::Overflow { latency: vm_lat + 1 };
             }
-            StoreTarget::Buffered => self.cfg.l1.latency,
+            StoreTarget::Buffered => L1_LATENCY,
             StoreTarget::Mem(phys) if lazy => {
                 // Lazy conflict detection: the store stays private until
                 // commit — no ownership request, no invalidations. With
@@ -694,7 +695,7 @@ impl<V: VersionManager> HtmMachine<V> {
                 // (redirected) location *is* the final data movement; the
                 // commit merely flips the entry.
                 self.mem.write_word(word_of(phys), value);
-                self.cfg.l1.latency
+                L1_LATENCY
             }
             StoreTarget::Mem(phys) => {
                 // As with loads: GETM targets the original address; only
@@ -751,7 +752,7 @@ impl<V: VersionManager> HtmMachine<V> {
 
     fn commit_lazy(&mut self, now: Cycle, core: CoreId) -> CommitOutcome {
         // Arbitrate for the chip-wide commit token.
-        let start = now.max(self.commit_token_free) + self.cfg.dyntm.commit_arbitration_cycles;
+        let start = now.max(self.commit_token_free) + COMMIT_ARBITRATION_CYCLES;
         let wait = start - now;
         self.tracer.emit(now, core, TraceEvent::CommitArbitration { wait });
         // The lazy commit's row, at the token grant `start`, which lies
@@ -818,7 +819,7 @@ impl<V: VersionManager> HtmMachine<V> {
             "irrevocable transaction on core {core} aborted at t={now} — the escalation \
              ladder's commit guarantee is broken"
         );
-        let lat = self.with_vm(now, |vm, env| vm.abort(env, core)) + self.cfg.htm.restore_cycles;
+        let lat = self.with_vm(now, |vm, env| vm.abort(env, core)) + RESTORE_CYCLES;
         self.tracer.emit(now, core, TraceEvent::TxAbort { window: lat });
         self.finish_tx(now, core, false, lat);
         lat
@@ -987,9 +988,7 @@ impl<V: VersionManager> HtmMachine<V> {
     /// rung. Called by the sim layer when a rung's budget or the watchdog
     /// fires.
     pub fn note_escalation(&mut self, now: Cycle, core: CoreId, reason: EscalationReason) {
-        let st = &mut self.tx_stats[core];
-        st.watchdog_escalations += 1;
-        *reason.counter(st) += 1;
+        *reason.counter(&mut self.tx_stats[core]) += 1;
         self.tracer.emit(now, core, TraceEvent::WatchdogEscalation { reason });
     }
 
@@ -1003,12 +1002,11 @@ impl<V: VersionManager> HtmMachine<V> {
     }
 
     /// Randomized exponential backoff after an abort, in cycles: a draw
-    /// from the core's seeded stream over a window that doubles per
-    /// consecutive abort up to `BackoffConfig::cap`.
+    /// from the core's seeded stream over a window of [`BACKOFF_BASE`] that
+    /// doubles per consecutive abort up to [`BACKOFF_CAP`].
     pub fn backoff_cycles(&mut self, now: Cycle, core: CoreId) -> Cycle {
-        let b = self.cfg.htm.backoff;
         let attempts = self.txs[core].attempts.min(16);
-        let window = (b.base * b.multiplier.pow(attempts.saturating_sub(1))).min(b.cap);
+        let window = (BACKOFF_BASE << attempts.saturating_sub(1)).min(BACKOFF_CAP);
         let cycles = self.rngs[core].random_range(1..=window.max(1));
         self.tracer.emit(now, core, TraceEvent::Backoff { cycles });
         cycles
@@ -1025,7 +1023,7 @@ impl<V: VersionManager> HtmMachine<V> {
         self.tracer.emit(now, core, TraceEvent::FallbackBegin { attempt });
         self.tracer.emit(now, core, TraceEvent::TxBegin { site: site.0, lazy: true });
         self.sw.begin_sw(core, now);
-        self.cfg.htm.checkpoint_cycles + swvm::SW_BEGIN_CYCLES
+        CHECKPOINT_CYCLES + swvm::SW_BEGIN_CYCLES
     }
 
     /// Software-fallback load: redo-log hit, else the *committed* value,
@@ -1044,7 +1042,7 @@ impl<V: VersionManager> HtmMachine<V> {
         let line = line_of(addr);
         if let Some(value) = self.sw.buffered_value(core, addr) {
             self.count_tx_load(now, core, line);
-            return Access::Done { value, latency: swvm::SW_ACCESS_CYCLES + self.cfg.l1.latency };
+            return Access::Done { value, latency: swvm::SW_ACCESS_CYCLES + L1_LATENCY };
         }
         if let Some(a) = self.sw_lock_nack(now, core, (Req::Sw, Event::Read), line) {
             return a;
@@ -1060,7 +1058,7 @@ impl<V: VersionManager> HtmMachine<V> {
         // Software reads run through instrumented barriers and are not
         // cached speculatively: charge an L2-class access plus the
         // software bookkeeping.
-        Access::Done { value, latency: res_lat + swvm::SW_ACCESS_CYCLES + self.cfg.l2.latency }
+        Access::Done { value, latency: res_lat + swvm::SW_ACCESS_CYCLES + L2_LATENCY }
     }
 
     /// Software-fallback store: buffered in the redo log, published at
@@ -1074,7 +1072,7 @@ impl<V: VersionManager> HtmMachine<V> {
         }
         self.sw.buffer_store(core, addr, value);
         self.count_tx_store(now, core, line_of(addr));
-        Access::Done { value: 0, latency: swvm::SW_ACCESS_CYCLES + self.cfg.l1.latency }
+        Access::Done { value: 0, latency: swvm::SW_ACCESS_CYCLES + L1_LATENCY }
     }
 
     /// Commit a software-fallback transaction. All phases happen at the
@@ -1274,7 +1272,7 @@ mod tests {
 
     pub(super) fn machine() -> HtmMachine<LogTmSe> {
         let cfg = MachineConfig::small_test();
-        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, 0))
     }
 
     /// A script run on [`machine`]: each op at the earliest legal cycle.
@@ -1390,7 +1388,7 @@ mod tests {
     fn full_check_machine() -> HtmMachine<LogTmSe> {
         let mut cfg = MachineConfig::small_test();
         cfg.check = CheckLevel::Full;
-        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, 0))
     }
 
     #[test]
@@ -1493,7 +1491,7 @@ mod tests {
     fn cheap_check_catches_a_software_lock_over_an_eager_write_set() {
         let mut cfg = MachineConfig::small_test();
         cfg.check = CheckLevel::Cheap;
-        let mut m = HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm));
+        let mut m = HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, 0));
         let mut now = m.begin_tx(0, 0, TxSite(1));
         now += done(m.tx_store(now, 0, 0x300, 1)).1;
         // Seeded bug: core 1's software commit window opens over the line
@@ -1506,13 +1504,14 @@ mod tests {
     #[test]
     fn lazy_commit_validates_at_the_token_grant_not_at_the_request() {
         use crate::{dyntm::DynTm, fastm::FasTm};
+        use suv_types::config::LAZY_THRESHOLD;
         let cfg = MachineConfig::small_test();
         let n = cfg.n_cores;
-        let vm = DynTm::original(FasTm::new(n, cfg.htm), n, &cfg.dyntm);
+        let vm = DynTm::original(FasTm::new(n, 0), n, 0);
         let mut m = HtmMachine::new(&cfg, vm);
         // Site 2 aborts until the predictor runs it lazy.
         let mut now = 0;
-        for _ in 0..cfg.dyntm.lazy_threshold {
+        for _ in 0..LAZY_THRESHOLD {
             now += m.begin_tx(now, 1, TxSite(2));
             now += m.abort_tx(now, 1);
         }
@@ -1525,7 +1524,7 @@ mod tests {
         // Core 1 asks to commit while that window is open, but the token
         // grant (arbitration later) falls after it has closed.
         let request = until - 1;
-        assert!(request >= now && request + cfg.dyntm.commit_arbitration_cycles >= until);
+        assert!(request >= now && request + COMMIT_ARBITRATION_CYCLES >= until);
         match m.commit_tx(request, 1) {
             CommitOutcome::Committed { .. } => {}
             other => panic!("validated against a window closed by the grant: {other:?}"),
@@ -1570,7 +1569,7 @@ mod tests {
         }
         let b7: Cycle = (0..32).map(|_| m.backoff_cycles(8000, 0)).max().unwrap();
         assert!(b7 > b1, "backoff must grow ({b1} -> {b7})");
-        assert!(b7 <= m.config().htm.backoff.cap);
+        assert!(b7 <= BACKOFF_CAP);
     }
 
     #[test]
@@ -1594,7 +1593,7 @@ mod tests {
     fn machine_512() -> HtmMachine<LogTmSe> {
         let mut cfg = MachineConfig::small_test();
         cfg.n_cores = 512;
-        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, cfg.htm))
+        HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, 0))
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::machine::{Access, CommitOutcome, HtmMachine, SwCommitOutcome};
 use crate::vm::VersionManager;
 use suv_trace::FallbackAbortReason;
+use suv_types::config::MAX_NEST_DEPTH;
 use suv_types::{Addr, CoreId, Cycle, TxSite};
 
 /// One call a core makes on the machine. `Begin` lets the version manager
@@ -204,7 +205,7 @@ impl<V: VersionManager> Run<V> {
     /// Issue `op` on `core` at cycle `now`, then whatever abort the answer
     /// leaves the caller owing. `Illegal` if the protocol forbids the op in
     /// the core's phase (a second irrevocable owner and nesting past
-    /// `max_nest_depth` included), if `now` lies before the last op issued,
+    /// [`MAX_NEST_DEPTH`] included), if `now` lies before the last op issued,
     /// or before `core` is ready; the machine is untouched then.
     pub fn step(&mut self, now: Cycle, core: CoreId, op: Op) -> Result<Outcome, Illegal> {
         use Phase::{Hw, Idle, Sw};
@@ -216,7 +217,6 @@ impl<V: VersionManager> Run<V> {
         let token_free =
             !matches!(op, Op::BeginIrrevocable { .. }) || self.irrevocable_owner().is_none();
         let m = &mut self.m;
-        let max_depth = m.config().htm.max_nest_depth;
         let lazy_before = m.lazy_txns();
         let answer = match (before, op) {
             (Idle, Op::Begin { site }) => Answer::Begun(m.begin_tx(now, core, site)),
@@ -228,7 +228,7 @@ impl<V: VersionManager> Run<V> {
             }
             (Idle, Op::NonTxLoad(addr)) => Answer::Access(m.nontx_load(now, core, addr)),
             (Idle, Op::NonTxStore(addr, v)) => Answer::Access(m.nontx_store(now, core, addr, v)),
-            (Hw { depth, .. }, Op::NestedBegin { site }) if depth < max_depth => {
+            (Hw { depth, .. }, Op::NestedBegin { site }) if depth < MAX_NEST_DEPTH => {
                 Answer::Begun(m.begin_tx(now, core, site))
             }
             (Hw { .. }, Op::Load(addr)) => Answer::Access(m.tx_load(now, core, addr)),

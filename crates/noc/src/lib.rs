@@ -21,6 +21,7 @@
 //! `rows`/`cols` — nothing assumes the mesh is square, and nothing assumes
 //! 16 nodes.
 
+use suv_types::config::{NOC_ROUTE_LATENCY, NOC_WIRE_LATENCY};
 use suv_types::{Cycle, MachineConfig};
 
 /// A node position in the mesh.
@@ -36,6 +37,9 @@ const DIR_WEST: usize = 1;
 const DIR_SOUTH: usize = 2;
 const DIR_NORTH: usize = 3;
 const DIRS: usize = 4;
+
+/// Latency of one uncontended hop: wire plus route.
+const HOP: Cycle = NOC_WIRE_LATENCY + NOC_ROUTE_LATENCY;
 
 /// Mesh interconnect.
 ///
@@ -54,8 +58,6 @@ const DIRS: usize = 4;
 pub struct Mesh {
     rows: usize,
     cols: usize,
-    wire: Cycle,
-    route: Cycle,
     model_contention: bool,
     /// The node at each of the `rows * cols` positions, row-major: cores and
     /// L2 banks are placed by position, up to six lookups per fill.
@@ -77,8 +79,6 @@ impl Mesh {
         Mesh {
             rows,
             cols,
-            wire: cfg.noc_wire_latency,
-            route: cfg.noc_route_latency,
             model_contention: cfg.noc_contention,
             nodes: (0..rows * cols).map(|p| Node { x: p % cols, y: p / cols }).collect(),
             busy_until: vec![0; rows * cols * DIRS],
@@ -144,7 +144,7 @@ impl Mesh {
 
     /// Un-contended latency of a message from `a` to `b`.
     pub fn base_latency(&self, a: Node, b: Node) -> Cycle {
-        self.hops(a, b) as Cycle * (self.wire + self.route)
+        self.hops(a, b) as Cycle * HOP
     }
 
     /// Latency of a message relayed along `path` (positions), each leg
@@ -164,7 +164,7 @@ impl Mesh {
             hops += h;
             self.messages += u64::from(h != 0);
         }
-        hops as Cycle * (self.wire + self.route)
+        hops as Cycle * HOP
     }
 
     /// [`Self::relay`] between two nodes.
@@ -192,8 +192,8 @@ impl Mesh {
                     self.contention_cycles += free - t;
                     t = free;
                 }
-                self.busy_until[link] = t + self.wire;
-                t += self.wire + self.route;
+                self.busy_until[link] = t + NOC_WIRE_LATENCY;
+                t += HOP;
                 cur = next;
             }
         }

@@ -6,7 +6,7 @@
 //! body into a resumable state machine and *suspending is a function
 //! return* into the executor loop (`runner.rs`) — no OS thread, no park,
 //! no context switch. The leaf of that state machine is written by hand:
-//! a load or store is one [`Future`] ([`AccessFuture`]: sync check, `Pending`
+//! a load or store is one [`Future`] (`AccessFuture`: sync check, `Pending`
 //! at most once per issue slot, then the machine call) that the four
 //! public access methods return directly, so a suspend or resume crosses
 //! the workload's own frames and one more — not a chain of nested
@@ -37,6 +37,7 @@ use std::task::{ready, Context, Poll};
 use suv_htm::machine::{Access, CommitOutcome, HtmMachine, SwCommitOutcome};
 use suv_mem::{BumpAllocator, Region};
 use suv_trace::{EscalationReason, FallbackAbortReason, FaultKind, LatencyHistogram, TraceEvent};
+use suv_types::config::RETRY_INTERVAL;
 use suv_types::{Addr, Breakdown, BreakdownKind, Cycle, FallbackMode, RobustnessConfig, TxSite};
 
 /// A rung of the escalation ladder: the tier a transaction attempt runs on.
@@ -202,7 +203,6 @@ pub struct ThreadCtx {
     /// irrevocable attempt — which can never abort — is exempt from the
     /// spurious-overflow fault.
     tier: Option<Tier>,
-    retry_interval: Cycle,
     /// Deterministic per-thread RNG for workload decisions.
     pub rng: StdRng,
     /// Hard wall on simulated time to catch runaway configurations.
@@ -230,9 +230,9 @@ pub struct ThreadCtx {
 impl ThreadCtx {
     /// Build the context for simulated core `tid` on a shared engine.
     pub fn new(engine: Rc<Engine>, tid: usize) -> Self {
-        let (retry_interval, trace_on, robust) = {
+        let (trace_on, robust) = {
             let m = engine.machine.borrow();
-            (m.config().htm.retry_interval, m.tracer().on(), m.config().robust)
+            (m.tracer().on(), m.config().robust)
         };
         let faults = robust.faults.map(|spec| FaultInjector::new(&spec, tid));
         ThreadCtx {
@@ -242,7 +242,6 @@ impl ThreadCtx {
             breakdown: Breakdown::default(),
             attempt_trans: 0,
             tier: None,
-            retry_interval,
             rng: StdRng::seed_from_u64(0x57A3F + tid as u64 * 0x9E37),
             max_cycles: 50_000_000_000,
             trace_on,
@@ -364,8 +363,8 @@ impl ThreadCtx {
         if !f.spurious_nack() {
             return false;
         }
-        self.trace_fault(FaultKind::SpuriousNack, self.retry_interval);
-        self.spend(BreakdownKind::Stalled, self.retry_interval);
+        self.trace_fault(FaultKind::SpuriousNack, RETRY_INTERVAL);
+        self.spend(BreakdownKind::Stalled, RETRY_INTERVAL);
         true
     }
 
@@ -456,7 +455,7 @@ impl ThreadCtx {
                 if must_abort {
                     return Some(Err(Abort));
                 }
-                self.spend(BreakdownKind::Stalled, self.retry_interval);
+                self.spend(BreakdownKind::Stalled, RETRY_INTERVAL);
                 None
             }
             Access::MustAbort { latency } => {
@@ -507,9 +506,9 @@ impl ThreadCtx {
     ///
     /// # The escalation ladder
     ///
-    /// A transaction that keeps dying climbs the [`ladder`] its
+    /// A transaction that keeps dying climbs the `ladder` its
     /// [`RobustnessConfig::fallback`] mode selects, one rung per retry
-    /// boundary, whenever the rung it is on is [`exhausted`]:
+    /// boundary, whenever the rung it is on is `exhausted`:
     ///
     /// * `Hw` is exhausted by [`RobustnessConfig::overflow_retries`]
     ///   capacity-overflow aborts, [`RobustnessConfig::max_tx_aborts`]
@@ -578,7 +577,7 @@ impl ThreadCtx {
 
     /// Move the transaction up to rung `to`, between attempts: record why,
     /// and for the irrevocable rung claim the chip-wide token, polling it
-    /// every `retry_interval` while another transaction holds it — parked
+    /// every [`RETRY_INTERVAL`] while another transaction holds it — parked
     /// through the polls that would find it taken, which touch nothing
     /// (DESIGN.md §8.1), and parked again if a newcomer got there first.
     /// No transactional isolation is held here, so the current owner can
@@ -588,8 +587,7 @@ impl ThreadCtx {
         self.sync().await;
         self.m().note_escalation(self.now, self.tid, reason);
         while to == Tier::Irrevocable && !self.engine.sched.try_acquire_irrevocable(self.tid) {
-            let every = self.retry_interval;
-            self.engine.sched.park_on_token(self.tid, self.now + every, every);
+            self.engine.sched.park_on_token(self.tid, self.now + RETRY_INTERVAL, RETRY_INTERVAL);
             Parked::default().await;
             let woken = self.engine.sched.wake_time(self.tid);
             self.spend(BreakdownKind::Stalled, woken - self.now);
@@ -618,7 +616,7 @@ impl ThreadCtx {
                 SwCommitOutcome::Committed { latency } => break Ok((latency, latency)),
                 SwCommitOutcome::MustAbort { reason, latency } => break Err((latency, reason)),
                 SwCommitOutcome::Busy { latency, .. } => {
-                    self.spend(BreakdownKind::Stalled, latency + self.retry_interval);
+                    self.spend(BreakdownKind::Stalled, latency + RETRY_INTERVAL);
                 }
             }
         };

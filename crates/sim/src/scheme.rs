@@ -96,21 +96,14 @@ pub fn build_vm(scheme: SchemeKind, cfg: &MachineConfig) -> Vm {
     let (pool_pages, log_bytes) = (spec.pool_pages, spec.log_bytes);
     let buf_lines = spec.write_buffer_lines as usize;
     match scheme {
-        SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::with_log_bytes(n, cfg.htm, log_bytes)),
-        SchemeKind::FasTm => Vm::FasTm(FasTm::with_log_bytes(n, cfg.htm, log_bytes)),
-        SchemeKind::SuvTm => Vm::Suv(SuvVm::with_pool_pages(n, &cfg.suv, pool_pages)),
-        SchemeKind::Lazy => Vm::Lazy(LazyVm::with_buffer_lines(n, buf_lines)),
-        SchemeKind::DynTm => Vm::DynTm(DynTm::original_with_buffer(
-            FasTm::with_log_bytes(n, cfg.htm, log_bytes),
-            n,
-            &cfg.dyntm,
-            buf_lines,
-        )),
-        SchemeKind::DynTmSuv => Vm::DynTmSuv(DynTm::with_suv(
-            SuvVm::with_pool_pages(n, &cfg.suv, pool_pages),
-            n,
-            &cfg.dyntm,
-        )),
+        SchemeKind::LogTmSe => Vm::LogTm(LogTmSe::new(n, log_bytes)),
+        SchemeKind::FasTm => Vm::FasTm(FasTm::new(n, log_bytes)),
+        SchemeKind::SuvTm => Vm::Suv(SuvVm::new(n, &cfg.suv, pool_pages)),
+        SchemeKind::Lazy => Vm::Lazy(LazyVm::new(n, buf_lines)),
+        SchemeKind::DynTm => Vm::DynTm(DynTm::original(FasTm::new(n, log_bytes), n, buf_lines)),
+        SchemeKind::DynTmSuv => {
+            Vm::DynTmSuv(DynTm::with_suv(SuvVm::new(n, &cfg.suv, pool_pages), n))
+        }
     }
 }
 

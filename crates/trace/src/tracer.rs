@@ -12,7 +12,7 @@
 //! dependent ones. A little-endian word's zero run is its high bytes, and
 //! the hashed words are small (a cycle count, a core id, a kind id below
 //! 29, a line address, often a zero second payload): ~15 significant
-//! bytes of the 40. [`fnv1a_word`] spends one multiply per significant
+//! bytes of the 40. `fnv1a_word` spends one multiply per significant
 //! byte (one for a zero word), so the hash costs what the significant
 //! bytes cost and is equal, bit for bit, to the byte-at-a-time loop (kept
 //! in the tests as the reference, and checked against it by proptest).

@@ -1,68 +1,104 @@
 //! Machine and HTM configuration.
 //!
-//! [`MachineConfig::default`] reproduces Table III of the paper:
+//! [`MachineConfig::default`] reproduces Table III of the paper. What no
+//! configuration varies is a constant here rather than a field; the rows
+//! name the field or constant that holds each value:
 //!
-//! | Component       | Paper value                                          |
-//! |-----------------|------------------------------------------------------|
-//! | Processor core  | 1.2 GHz in-order, single issue                       |
-//! | L1 cache        | 32 KB 4-way, 64-byte line, write-back, 1-cycle       |
-//! | L2 cache        | 8 MB 8-way, write-back, 15-cycle                     |
-//! | Main memory     | 4 GB, 4 banks, 150-cycle                             |
-//! | L2 directory    | bit vector of sharers, 6-cycle                       |
-//! | Interconnect    | mesh, 2-cycle wire latency, 1-cycle route latency    |
-//! | Signature       | 2 Kbit Bloom filters                                 |
-//! | 1st-level table | 512-entry zero-latency fully-associative             |
-//! | 2nd-level table | 10-cycle latency, 16384-entry 8-way, shared          |
+//! | Component       | Paper value                                          | Held by |
+//! |-----------------|------------------------------------------------------|---------|
+//! | Processor core  | 1.2 GHz in-order, single issue                       | — |
+//! | L1 cache        | 32 KB 4-way, 64-byte line, write-back, 1-cycle       | [`MachineConfig::l1`], [`LINE_BYTES`], [`L1_LATENCY`] |
+//! | L2 cache        | 8 MB 8-way, write-back, 15-cycle                     | [`MachineConfig::l2`], [`L2_LATENCY`] |
+//! | Main memory     | 4 GB, 4 banks, 150-cycle                             | [`MEM_BANKS`], [`MEM_LATENCY`] |
+//! | L2 directory    | bit vector of sharers, 6-cycle                       | [`DIR_LATENCY`] |
+//! | Interconnect    | mesh, 2-cycle wire latency, 1-cycle route latency    | [`NOC_WIRE_LATENCY`], [`NOC_ROUTE_LATENCY`] |
+//! | Signature       | 2 Kbit Bloom filters                                 | [`HtmConfig::signature_bits`] |
+//! | 1st-level table | 512-entry zero-latency fully-associative             | [`SuvConfig::l1_entries`] |
+//! | 2nd-level table | 10-cycle latency, 16384-entry 8-way, shared          | [`SuvConfig::l2_entries`], [`SuvConfig::l2_ways`], [`SuvConfig::l2_latency`] |
+//!
+//! The costs the paper leaves open (checkpoint, trap, retry and backoff
+//! cycles, nesting depth, redirect-pool and DynTM costs) are constants
+//! too, alike for every scheme.
 
-/// Geometry of a set-associative cache.
+use crate::{Cycle, LINE_BYTES};
+
+/// L1 hit latency in cycles.
+pub const L1_LATENCY: Cycle = 1;
+/// L2 hit latency in cycles.
+pub const L2_LATENCY: Cycle = 15;
+/// Main-memory access latency in cycles.
+pub const MEM_LATENCY: Cycle = 150;
+/// Interleaved memory banks (controllers); a line's bank is its line
+/// index modulo this.
+pub const MEM_BANKS: usize = 4;
+/// Directory lookup latency in cycles.
+pub const DIR_LATENCY: Cycle = 6;
+/// Per-hop wire latency of the mesh.
+pub const NOC_WIRE_LATENCY: Cycle = 2;
+/// Per-hop route (switch) latency of the mesh.
+pub const NOC_ROUTE_LATENCY: Cycle = 1;
+
+/// Cycles to take a register checkpoint at transaction begin.
+pub const CHECKPOINT_CYCLES: Cycle = 4;
+/// Cycles to restore the register checkpoint on abort.
+pub const RESTORE_CYCLES: Cycle = 4;
+/// Fixed cost of trapping into the software abort handler (LogTM-SE, and
+/// FasTM once degenerate, walk the undo log in software).
+pub const SOFTWARE_TRAP_CYCLES: Cycle = 100;
+/// Interval between retries of a NACKed (stalled) request.
+pub const RETRY_INTERVAL: Cycle = 20;
+/// Width in cycles of the first post-abort backoff window (a backoff is a
+/// uniform draw from it); the window doubles per consecutive abort of the
+/// same transaction.
+pub const BACKOFF_BASE: Cycle = 40;
+/// Upper bound on the backoff window.
+pub const BACKOFF_CAP: Cycle = 4096;
+/// Maximum nesting depth (stacked frames, LogTM-Nested style).
+pub const MAX_NEST_DEPTH: usize = 8;
+
+/// Cycles to search swapped-out redirect entries in main memory on a full
+/// two-level table miss (software-managed routine).
+pub const MEM_SEARCH_CYCLES: Cycle = 150;
+/// Cycles to allocate a fresh page in the preserved redirect pool
+/// (hardware-managed, charged once per page).
+pub const POOL_PAGE_ALLOC_CYCLES: Cycle = 30;
+
+/// Entries in DynTM's per-site predictor table.
+pub const PREDICTOR_SITES: usize = 1024;
+/// DynTM's saturating-counter threshold at or above which a site runs lazy.
+/// Counters saturate at 3; aborts increment, commits decrement.
+pub const LAZY_THRESHOLD: u8 = 2;
+/// Cycles to acquire commit permission (arbitration) for a lazy commit.
+pub const COMMIT_ARBITRATION_CYCLES: Cycle = 20;
+
+/// Geometry of a set-associative cache with [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeom {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-    /// Access (hit) latency in cycles.
-    pub latency: u64,
 }
 
 impl CacheGeom {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
-        (self.capacity_bytes / (self.ways as u64 * self.line_bytes)) as usize
+        (self.capacity_bytes / (self.ways as u64 * LINE_BYTES)) as usize
     }
 
     /// Total number of lines the cache can hold.
     pub fn lines(&self) -> usize {
-        (self.capacity_bytes / self.line_bytes) as usize
+        (self.capacity_bytes / LINE_BYTES) as usize
     }
 
-    /// Paper L1: 32 KB, 4-way, 64-byte line, 1-cycle.
+    /// Paper L1: 32 KB, 4-way.
     pub fn l1_default() -> Self {
-        CacheGeom { capacity_bytes: 32 * 1024, ways: 4, line_bytes: 64, latency: 1 }
+        CacheGeom { capacity_bytes: 32 * 1024, ways: 4 }
     }
 
-    /// Paper L2: 8 MB, 8-way, 64-byte line, 15-cycle.
+    /// Paper L2: 8 MB, 8-way.
     pub fn l2_default() -> Self {
-        CacheGeom { capacity_bytes: 8 * 1024 * 1024, ways: 8, line_bytes: 64, latency: 15 }
-    }
-}
-
-/// Randomized exponential backoff applied after an abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Mean of the first backoff window, in cycles.
-    pub base: u64,
-    /// Multiplier applied per consecutive abort of the same transaction.
-    pub multiplier: u64,
-    /// Upper bound on the backoff window.
-    pub cap: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig { base: 40, multiplier: 2, cap: 4096 }
+        CacheGeom { capacity_bytes: 8 * 1024 * 1024, ways: 8 }
     }
 }
 
@@ -73,19 +109,6 @@ pub struct HtmConfig {
     pub signature_bits: usize,
     /// Number of hash functions per signature.
     pub signature_hashes: usize,
-    /// Cycles to take a register checkpoint at transaction begin.
-    pub checkpoint_cycles: u64,
-    /// Cycles to restore the register checkpoint on abort.
-    pub restore_cycles: u64,
-    /// Fixed cost of trapping into the software abort handler (LogTM-SE
-    /// walks the undo log in software).
-    pub software_trap_cycles: u64,
-    /// Interval between retries of a NACKed (stalled) request.
-    pub retry_interval: u64,
-    /// Post-abort randomized exponential backoff.
-    pub backoff: BackoffConfig,
-    /// Maximum supported nesting depth (stacked frames, LogTM-Nested style).
-    pub max_nest_depth: usize,
     /// Ablation: replace the Bloom-filter signatures with exact sets
     /// (physically unrealizable; isolates the cost of false conflicts).
     pub perfect_signatures: bool,
@@ -100,38 +123,25 @@ impl Default for HtmConfig {
         HtmConfig {
             signature_bits: 2048,
             signature_hashes: 4,
-            checkpoint_cycles: 4,
-            restore_cycles: 4,
-            software_trap_cycles: 100,
-            retry_interval: 20,
-            backoff: BackoffConfig::default(),
-            max_nest_depth: 8,
             perfect_signatures: false,
             partial_nesting: true,
         }
     }
 }
 
-/// SUV redirect-table parameters (Table III, bottom rows).
+/// SUV redirect-table parameters (Table III, bottom rows). The first-level
+/// table is the paper's "zero-latency" one: its fully-associative lookup is
+/// folded into the pipeline, so a first-level hit costs nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuvConfig {
     /// Entries in the per-core first-level fully-associative redirect table.
     pub l1_entries: usize,
-    /// Access latency of the first-level table ("zero-latency" in the paper:
-    /// the fully-associative lookup is folded into the pipeline).
-    pub l1_latency: u64,
     /// Entries in the shared second-level redirect table.
     pub l2_entries: usize,
     /// Associativity of the second-level table.
     pub l2_ways: usize,
     /// Access latency of the second-level table.
     pub l2_latency: u64,
-    /// Cycles to search swapped-out entries in main memory on a full
-    /// two-level miss (software-managed routine).
-    pub mem_search_cycles: u64,
-    /// Cycles to allocate a fresh page in the preserved redirect pool
-    /// (hardware-managed, charged once per page).
-    pub pool_page_alloc_cycles: u64,
     /// Bits in the redirect summary signature (and its once-written
     /// companion bit-vector), 2 Kbit each in the paper.
     pub summary_bits: usize,
@@ -143,12 +153,9 @@ impl Default for SuvConfig {
     fn default() -> Self {
         SuvConfig {
             l1_entries: 512,
-            l1_latency: 0,
             l2_entries: 16384,
             l2_ways: 8,
             l2_latency: 10,
-            mem_search_cycles: 150,
-            pool_page_alloc_cycles: 30,
             summary_bits: 2048,
             summary_hashes: 2,
         }
@@ -308,24 +315,6 @@ impl Default for RobustnessConfig {
     }
 }
 
-/// DynTM selector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynTmConfig {
-    /// Number of entries in the per-site predictor table.
-    pub predictor_sites: usize,
-    /// Saturating-counter threshold at or above which a site runs lazy.
-    /// Counters saturate at 3; aborts increment, commits decrement.
-    pub lazy_threshold: u8,
-    /// Cycles to acquire commit permission (arbitration) for a lazy commit.
-    pub commit_arbitration_cycles: u64,
-}
-
-impl Default for DynTmConfig {
-    fn default() -> Self {
-        DynTmConfig { predictor_sites: 1024, lazy_threshold: 2, commit_arbitration_cycles: 20 }
-    }
-}
-
 /// Which HTM scheme a simulation runs. Mirrors the paper's comparison set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
@@ -451,7 +440,7 @@ impl CheckLevel {
     }
 }
 
-/// Full machine configuration (Table III plus HTM/SUV/DynTM knobs).
+/// Full machine configuration (Table III plus the HTM and SUV knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of cores (16 in the paper, arranged in a 4x4 mesh).
@@ -465,16 +454,6 @@ pub struct MachineConfig {
     pub l1: CacheGeom,
     /// Shared L2 geometry.
     pub l2: CacheGeom,
-    /// Main-memory access latency in cycles.
-    pub mem_latency: u64,
-    /// Number of interleaved memory banks / controllers.
-    pub mem_banks: usize,
-    /// Directory lookup latency in cycles.
-    pub dir_latency: u64,
-    /// Per-hop wire latency of the mesh.
-    pub noc_wire_latency: u64,
-    /// Per-hop route (switch) latency of the mesh.
-    pub noc_route_latency: u64,
     /// Whether the NoC models per-link occupancy (queuing) in addition to
     /// the base hop latency.
     pub noc_contention: bool,
@@ -482,8 +461,6 @@ pub struct MachineConfig {
     pub htm: HtmConfig,
     /// SUV redirect-table parameters.
     pub suv: SuvConfig,
-    /// DynTM selector parameters.
-    pub dyntm: DynTmConfig,
     /// Runtime invariant-checking level (see [`CheckLevel`]).
     pub check: CheckLevel,
     /// Graceful-degradation parameters (see [`RobustnessConfig`]).
@@ -498,15 +475,9 @@ impl Default for MachineConfig {
             mesh_cols: 0,
             l1: CacheGeom::l1_default(),
             l2: CacheGeom::l2_default(),
-            mem_latency: 150,
-            mem_banks: 4,
-            dir_latency: 6,
-            noc_wire_latency: 2,
-            noc_route_latency: 1,
             noc_contention: false,
             htm: HtmConfig::default(),
             suv: SuvConfig::default(),
-            dyntm: DynTmConfig::default(),
             check: CheckLevel::Off,
             robust: RobustnessConfig::default(),
         }
@@ -520,8 +491,8 @@ impl MachineConfig {
     pub fn small_test() -> Self {
         let mut c = MachineConfig::default();
         c.n_cores = 4;
-        c.l1 = CacheGeom { capacity_bytes: 4 * 1024, ways: 2, line_bytes: 64, latency: 1 };
-        c.l2 = CacheGeom { capacity_bytes: 64 * 1024, ways: 4, line_bytes: 64, latency: 15 };
+        c.l1 = CacheGeom { capacity_bytes: 4 * 1024, ways: 2 };
+        c.l2 = CacheGeom { capacity_bytes: 64 * 1024, ways: 4 };
         c.suv.l1_entries = 32;
         c.suv.l2_entries = 256;
         c
@@ -569,18 +540,17 @@ mod tests {
         assert_eq!(c.n_cores, 16);
         assert_eq!(c.l1.capacity_bytes, 32 * 1024);
         assert_eq!(c.l1.ways, 4);
-        assert_eq!(c.l1.latency, 1);
+        assert_eq!(L1_LATENCY, 1);
         assert_eq!(c.l2.capacity_bytes, 8 * 1024 * 1024);
         assert_eq!(c.l2.ways, 8);
-        assert_eq!(c.l2.latency, 15);
-        assert_eq!(c.mem_latency, 150);
-        assert_eq!(c.mem_banks, 4);
-        assert_eq!(c.dir_latency, 6);
-        assert_eq!(c.noc_wire_latency, 2);
-        assert_eq!(c.noc_route_latency, 1);
+        assert_eq!(L2_LATENCY, 15);
+        assert_eq!(MEM_LATENCY, 150);
+        assert_eq!(MEM_BANKS, 4);
+        assert_eq!(DIR_LATENCY, 6);
+        assert_eq!(NOC_WIRE_LATENCY, 2);
+        assert_eq!(NOC_ROUTE_LATENCY, 1);
         assert_eq!(c.htm.signature_bits, 2048);
         assert_eq!(c.suv.l1_entries, 512);
-        assert_eq!(c.suv.l1_latency, 0);
         assert_eq!(c.suv.l2_entries, 16384);
         assert_eq!(c.suv.l2_ways, 8);
         assert_eq!(c.suv.l2_latency, 10);

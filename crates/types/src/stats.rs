@@ -149,9 +149,6 @@ pub struct TxStats {
     /// Transactions that committed in irrevocable (serialized) mode after
     /// climbing the escalation ladder.
     pub irrevocable_commits: u64,
-    /// Escalations to the next ladder rung — the software tier or
-    /// irrevocable mode (every reason; the `esc_*` fields split it).
-    pub watchdog_escalations: u64,
     /// Transactions that committed in the STM-mode software fallback tier.
     pub sw_commits: u64,
     /// Software-fallback attempts that aborted (failed value validation
@@ -193,6 +190,12 @@ impl TxStats {
         }
     }
 
+    /// Escalations to the next ladder rung — the software tier or
+    /// irrevocable mode — for every reason: the sum of the `esc_*` fields.
+    pub fn watchdog_escalations(&self) -> u64 {
+        self.esc_overflow + self.esc_abort_watchdog + self.esc_starvation + self.esc_sw_validation
+    }
+
     /// Element-wise accumulation (max for `max_write_set`).
     pub fn merge(&mut self, o: &TxStats) {
         self.commits += o.commits;
@@ -207,7 +210,6 @@ impl TxStats {
         self.committed_tx_cycles += o.committed_tx_cycles;
         self.overflow_aborts += o.overflow_aborts;
         self.irrevocable_commits += o.irrevocable_commits;
-        self.watchdog_escalations += o.watchdog_escalations;
         self.sw_commits += o.sw_commits;
         self.sw_aborts += o.sw_aborts;
         self.hw_sw_conflicts += o.hw_sw_conflicts;

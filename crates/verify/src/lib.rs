@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! [`protocol`] is the protocol product machine, run on the generic explorer
-//! ([`explore`]): {2 cores × 2 addresses} × MESI × tx read/write sets ×
+//! ([`mod@explore`]): {2 cores × 2 addresses} × MESI × tx read/write sets ×
 //! redirect-entry lifecycle, parameterized by all six schemes, with safety
 //! predicates subsuming the runtime invariants INV-5..INV-10 and liveness via
 //! deadlock detection. It prints minimal counterexamples in the `suv-trace`

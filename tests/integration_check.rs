@@ -232,11 +232,10 @@ fn shadow_oracle_catches_skipped_undo_walk() {
 
     // Control: the real LogTM-SE rolls back and reads 7.
     let n = cfg.n_cores;
-    assert_eq!(drive(&cfg, LogTmSe::new(n, cfg.htm)), 7);
+    assert_eq!(drive(&cfg, LogTmSe::new(n, 0)), 7);
 
     // Seeded bug: the shadow oracle must panic with an INV-9 report.
-    let result =
-        catch_unwind(AssertUnwindSafe(|| drive(&cfg, NoUndoLogTm(LogTmSe::new(n, cfg.htm)))));
+    let result = catch_unwind(AssertUnwindSafe(|| drive(&cfg, NoUndoLogTm(LogTmSe::new(n, 0)))));
     let panic_msg = match result {
         Ok(v) => panic!("corrupted abort went undetected (read {v})"),
         Err(e) => e
@@ -263,7 +262,7 @@ fn coherence_audit_catches_dropped_sharer_bit() {
 #[test]
 fn redirect_audit_catches_forgotten_tx_entry() {
     let cfg = MachineConfig::small_test();
-    let mut vm = SuvVm::new(cfg.n_cores, &cfg.suv);
+    let mut vm = SuvVm::new(cfg.n_cores, &cfg.suv, 0);
     let mut mem = Memory::new();
     let mut sys = MemorySystem::new(&cfg);
     let mut tracer = Tracer::disabled();

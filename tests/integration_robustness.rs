@@ -102,7 +102,7 @@ fn abort_count_watchdog_escalates_and_completes() {
     let r = run_with("intruder", SchemeKind::SuvTm, robust);
     assert!(r.stats.tx.commits > 0);
     assert!(r.stats.tx.aborts > 0, "intruder must see contention for this test to bite");
-    assert!(r.stats.tx.watchdog_escalations > 0, "watchdog never fired at max_tx_aborts=1");
+    assert!(r.stats.tx.watchdog_escalations() > 0, "watchdog never fired at max_tx_aborts=1");
     assert!(r.stats.tx.irrevocable_commits > 0, "escalated transactions must commit");
     // Reason code 1 (abort-count) must be the attributed trigger.
     assert!(r.stats.tx.esc_abort_watchdog > 0, "escalations not attributed to reason 1");
@@ -116,7 +116,7 @@ fn starvation_watchdog_escalates_and_completes() {
     let robust = RobustnessConfig { max_starvation_cycles: 1, ..Default::default() };
     let r = run_with("intruder", SchemeKind::SuvTm, robust);
     assert!(r.stats.tx.commits > 0);
-    assert!(r.stats.tx.watchdog_escalations > 0, "starvation watchdog never fired");
+    assert!(r.stats.tx.watchdog_escalations() > 0, "starvation watchdog never fired");
     // Reason code 2 (starvation-cycles) must be the attributed trigger.
     assert!(r.stats.tx.esc_starvation > 0, "escalations not attributed to reason 2");
 }
@@ -135,7 +135,7 @@ fn disabled_watchdogs_change_nothing() {
     let r = run_with("kmeans", SchemeKind::SuvTm, disabled);
     assert_eq!(r.stats.cycles, defaults.stats.cycles);
     assert_eq!(r.stats.tx, defaults.stats.tx);
-    assert_eq!(r.stats.tx.watchdog_escalations, 0);
+    assert_eq!(r.stats.tx.watchdog_escalations(), 0);
     assert_eq!(r.stats.tx.irrevocable_commits, 0);
 }
 
@@ -228,7 +228,7 @@ fn overflow_retries_zero_disables_the_overflow_trigger() {
     let r = faulted_robust_run("genome", SchemeKind::SuvTm, "seed=7,overflow=20", off);
     assert!(r.stats.tx.commits > 0, "retry-only run must still complete");
     assert!(r.stats.tx.overflow_aborts > 0, "a 20% overflow rate must abort somewhere");
-    assert_eq!(r.stats.tx.watchdog_escalations, 0, "disabled ladder must never escalate");
+    assert_eq!(r.stats.tx.watchdog_escalations(), 0, "disabled ladder must never escalate");
     assert_eq!(r.stats.tx.irrevocable_commits, 0);
     assert_eq!(r.stats.tx.sw_commits, 0);
 }
