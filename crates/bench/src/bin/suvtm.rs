@@ -9,10 +9,8 @@
 //! for an oracle or model-checker violation, a dead experiment cell or a
 //! failed write (each a one-line `suvtm: …` message), 3 for a simulated
 //! out-of-memory.
-#![allow(clippy::disallowed_methods, reason = "the harness times the host, never the simulation")]
 
 use std::sync::Mutex;
-use std::time::Instant;
 use suv::oltp::Oltp;
 use suv::prelude::*;
 use suv::registry::workload_names;
@@ -20,11 +18,9 @@ use suv::sim::default_workers;
 use suv::trace::{EscalationReason, Json};
 use suv_bench::cli::{self, BenchOpts, Command, ExpOpts, RunOpts, VerifyOpts, USAGE};
 use suv_bench::engine::{
-    cell_key, cycles_per_sec, resume_plan, run_matrix, scale_name, sweep_json, CellOutcome,
-    CellSpec, HostMeta, SCALES,
+    cell_key, resume_plan, run_matrix, scale_name, CellOutcome, CellSpec, SCALES,
 };
-use suv_bench::exp::{reports, run_experiment, BenchMode};
-use suv_bench::profile::{geomean_cycles_per_sec, host_json, run_cell_profiled};
+use suv_bench::exp::{reports, run_experiment};
 use suv_bench::{run_json, txns_per_kcycle};
 
 /// The machine `run` and `sweep` simulate: Table III with the requested
@@ -140,8 +136,9 @@ fn report(r: &RunResult, breakdown: bool) {
 }
 
 fn cmd_run(o: &RunOpts) -> Result<(), String> {
-    // A `--traffic` spec parameterizes the oltp kernel directly; every
-    // other app comes from the registry.
+    // A `--traffic` spec parameterizes the oltp kernel directly (the
+    // parser allows it with `--app oltp` only); every app without one
+    // comes from the registry.
     let mut w: Box<dyn Workload> = match o.traffic {
         Some(traffic) => Box::new(Oltp::with_traffic(o.scale, traffic)),
         None => by_name(&o.app, o.scale).expect("app validated by the parser"),
@@ -248,45 +245,6 @@ fn cell_label(spec: &CellSpec) -> String {
     format!("{:<14} {:<10} {:>2} cores", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
-/// `suvtm bench --profile`: host-throughput profiling over the full paper
-/// matrix.
-fn cmd_bench_profile(o: &BenchOpts) -> Result<(), String> {
-    eprintln!(
-        "suvtm bench --profile: {} cells ({}), min of {} rep{}, one worker",
-        o.cells.len(),
-        scale_name(o.scale),
-        o.reps,
-        if o.reps == 1 { "" } else { "s" },
-    );
-    let start = Instant::now();
-    let cells: Vec<_> = o.cells.iter().map(|c| run_cell_profiled(c, o.scale, o.reps)).collect();
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-    for c in &cells {
-        let taken = c.sched_counter("sched.handoffs_taken");
-        println!(
-            "{} {:>12} cycles  {:>8.1} ms  {:>6.1} Mcyc/s  wait={:<7.1} machine={:<7.1} \
-             trace={:<6.1} ms  handoffs {taken}/{} taken, {} token parks",
-            cell_label(&c.spec),
-            c.result.stats.cycles,
-            c.host_ms,
-            c.cycles_per_sec() / 1e6,
-            c.sched_wait_ms,
-            c.machine_ms,
-            c.trace_overhead_ms(),
-            taken + c.sched_counter("sched.handoffs_elided"),
-            c.sched_counter("sched.token_parks"),
-        );
-    }
-    let geomean = geomean_cycles_per_sec(&cells);
-    let n = cells.len();
-    println!("geomean: {:.2} Mcyc/s over {n} cells ({wall_ms:.1} ms host wall)", geomean / 1e6);
-    if let Some(path) = &o.out {
-        let doc = host_json(&cells, o.scale, o.reps, Some(HostMeta { workers: 1, wall_ms }));
-        write_doc(path, &doc.render())?;
-    }
-    Ok(())
-}
-
 /// Under `--resume`, carry completed ok rows forward from the previous
 /// `--out` file; only the remaining cells are simulated. Returns the full
 /// matrix of outcomes in matrix order.
@@ -310,9 +268,6 @@ fn run_or_resume(o: &BenchOpts, workers: usize) -> Vec<CellOutcome> {
 }
 
 fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
-    if o.mode == BenchMode::Profile {
-        return cmd_bench_profile(o);
-    }
     let workers = o.jobs.unwrap_or_else(default_workers);
     eprintln!(
         "suvtm bench: {} cells ({}), {} host worker{}",
@@ -321,25 +276,18 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
         workers,
         if workers == 1 { "" } else { "s" },
     );
-    let start = Instant::now();
     let cells = run_or_resume(o, workers);
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     for outcome in &cells {
         let label = cell_label(outcome.spec());
         match outcome {
             CellOutcome::Ok(c) => println!(
-                "{label} {:>12} cycles  commits={:<6} aborts={:<6} hash={:016x}  {:>8.1} ms  \
-                 {:>6.1} Mcyc/s",
+                "{label} {:>12} cycles  commits={:<6} aborts={:<6} hash={:016x}",
                 c.result.stats.cycles,
                 c.result.stats.tx.commits,
                 c.result.stats.tx.aborts,
                 c.result.trace_hash,
-                c.host_ms,
-                c.cycles_per_sec() / 1e6,
             ),
-            CellOutcome::Quarantined { error, host_ms, .. } => {
-                println!("{label} QUARANTINED after {host_ms:.1} ms: {error}");
-            }
+            CellOutcome::Quarantined { error, .. } => println!("{label} QUARANTINED: {error}"),
             CellOutcome::Resumed { cycles, .. } => {
                 println!("{label} {cycles:>12} cycles  (resumed from previous run)");
             }
@@ -349,23 +297,15 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
     let quarantined: Vec<_> =
         cells.iter().filter(|c| matches!(c, CellOutcome::Quarantined { .. })).collect();
     println!(
-        "total: {} cells ({} quarantined), {total_cycles} simulated cycles, {wall_ms:.1} ms host \
-         wall ({:.1} Mcyc/s aggregate)",
+        "total: {} cells ({} quarantined), {total_cycles} simulated cycles",
         cells.len(),
         quarantined.len(),
-        cycles_per_sec(total_cycles, wall_ms) / 1e6,
     );
     for q in &quarantined {
         eprintln!("suvtm: quarantined cell {}", cell_key(q.spec()));
     }
     if let Some(path) = &o.out {
-        // `--scaling` omits host metadata so two runs of the same sweep
-        // render byte-identical files (the CI determinism gate `cmp`s
-        // them directly).
-        let host =
-            if o.mode == BenchMode::Scaling { None } else { Some(HostMeta { workers, wall_ms }) };
-        let doc = sweep_json(&cells, o.scale, host);
-        write_doc(path, &doc.render())?;
+        write_doc(path, &(o.render)(&cells, o.scale)?.render())?;
     }
     Ok(())
 }

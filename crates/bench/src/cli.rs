@@ -5,8 +5,8 @@
 //! back as a [`CliError`] so `main` can print the usage message and exit
 //! with a non-zero status instead of panicking with a backtrace.
 
-use crate::engine::{matrix, CellSpec, SCALES};
-use crate::exp::{self, BenchMode, Cells, Experiment, Output};
+use crate::engine::{matrix, CellSpec, RenderDoc, SCALES};
+use crate::exp::{self, Cells, Experiment, Output};
 use suv::oltp::{parse_traffic_spec, TrafficConfig};
 use suv::prelude::*;
 use suv::registry::by_name;
@@ -27,26 +27,28 @@ usage: suvtm <run|sweep|bench|exp|verify|list> [options]
           `stm` retries overflowing transactions as software transactions
           before the serial irrevocable token; `off` never escalates;
           default irrevocable-only — the pre-hybrid ladder)
-         [--traffic SPEC] (oltp apps only; SPEC:
+         [--traffic SPEC] (--app oltp only; SPEC:
           zipf=THETA,rw=R:W,rate=C,reqs=N,keys=N,seed=N,storm=E:L:H,tenants=N
           — open-loop traffic shape: Zipfian skew, read/write mix, mean
-          inter-arrival cycles, hot-key storms, tenant phases)
+          inter-arrival cycles, hot-key storms, tenant phases; the
+          oltp-storm app is rw=50:50,storm=32:16:2)
          [--json]         (print the machine-readable run report, incl. the
           `latency` block with p50/p99/p999 cycles and txns/kcycle, to
           stdout; forces tracing so the payload carries the trace hash)
   sweep  --app NAME  (every scheme on one app, with speedups vs LogTM-SE)
          [--cores N] [--scale tiny|paper|scale] [--breakdown] [--check LEVEL]
+         [--faults SPEC] [--fallback MODE]
   bench  [--apps A,B,..] [--schemes S,..] [--cores N,M,..] [--scale tiny|paper|scale]
          [--jobs N] [--out PATH] (default out: results/BENCH_sweep.json)
          [--resume]  (skip cells already present in --out; panicking cells
           are quarantined as \"status\":\"quarantined\" rows, not fatal)
          [--scaling] (many-core scaling curve: sweep cores 1..512 on the
           `scale` inputs, all six schemes, default out
-          results/SCALING_curve.json — written without host metadata so
-          two runs of the same sweep are byte-identical)
-         [--profile] [--reps N]
-         (--profile: host-throughput profiling on the full paper matrix,
-          one worker, default out results/BENCH_host.json)
+          results/SCALING_curve.json)
+         [--profile] (the schedule pin of the full paper matrix: cycles,
+          trace hash and scheduler handoffs per cell, default out
+          results/BENCH_host.json; host time is benchmark/run.sh's)
+         (every document is byte-identical across runs and any --jobs)
   exp    NAME | --all  [--jobs N] [--out DIR] [--json PATH]
          (regenerate a figure or table of the evaluation at paper scale —
           `suvtm list` names them; the text report goes to stdout, or with
@@ -78,7 +80,8 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// Options for `suvtm run` and `suvtm sweep`.
+/// Options for `suvtm run` and `suvtm sweep` (which takes no `--scheme`,
+/// `--trace`, `--trace-summary`, `--traffic` or `--json`).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Workload name.
@@ -103,7 +106,7 @@ pub struct RunOpts {
     /// transaction becomes after its hardware retries run out.
     pub fallback: FallbackMode,
     /// Open-loop traffic shape (`--traffic`), already parsed; only valid
-    /// with the oltp workload family.
+    /// with `--app oltp`.
     pub traffic: Option<TrafficConfig>,
     /// Print the machine-readable JSON run report to stdout (`--json`).
     pub json: bool,
@@ -120,10 +123,8 @@ pub struct BenchOpts {
     pub jobs: Option<usize>,
     /// Where to write the matrix document (`None` = don't write).
     pub out: Option<String>,
-    /// Sweep / profile / scaling mode (see [`BenchMode`]).
-    pub mode: BenchMode,
-    /// Wall-time repetitions per profiled cell (min is reported).
-    pub reps: usize,
+    /// The preset's document renderer (sweep, scaling curve or profile).
+    pub render: RenderDoc,
     /// Skip cells already recorded (with `"status":"ok"`) in the `--out`
     /// file, carrying their rows forward — crash-resumable sweeps.
     pub resume: bool,
@@ -278,7 +279,11 @@ fn validate_app<'a>(flag: &str, name: &'a str) -> Result<&'a str, CliError> {
     }
 }
 
-fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
+/// The `run` flags `sweep` rejects: it runs every scheme on a registry
+/// workload and writes no trace, trace summary or JSON report.
+const RUN_ONLY: [&str; 5] = ["--scheme", "--trace", "--trace-summary", "--traffic", "--json"];
+
+fn parse_run_opts(args: &[String], sweep: bool) -> Result<RunOpts, CliError> {
     let mut o = RunOpts {
         app: "genome".into(),
         scheme: SchemeKind::SuvTm,
@@ -296,6 +301,9 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
     let mut f = Flags::new(args);
     while let Some(flag) = f.token() {
         match flag {
+            _ if sweep && RUN_ONLY.contains(&flag) => {
+                return err(format!("{flag} is only valid with `run`"));
+            }
             "--app" => o.app = validate_app(flag, f.value()?)?.to_string(),
             "--scheme" => o.scheme = parse_scheme(flag, f.value()?)?,
             "--cores" => o.cores = parse_cores(flag, f.value()?)?,
@@ -319,24 +327,28 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
             _ => return f.unknown(),
         }
     }
-    if o.traffic.is_some() && !o.app.starts_with("oltp") {
-        return err(format!("--traffic only applies to the oltp workloads (got `{}`)", o.app));
+    if o.traffic.is_some() && o.app != "oltp" {
+        return err(format!(
+            "--traffic only applies to --app oltp (got `{}`); \
+             oltp-storm is --app oltp --traffic rw=50:50,storm=32:16:2",
+            o.app
+        ));
     }
     Ok(o)
 }
 
 fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
-    // `--profile` and `--scaling` pick the preset row whose axes, scale
-    // and output path are the defaults, so detect them before walking
-    // the flags in order.
-    let mode = match (args.iter().any(|a| a == "--profile"), args.iter().any(|a| a == "--scaling"))
-    {
+    // `--profile` and `--scaling` pick the preset row whose axes, scale,
+    // output path and renderer are the defaults, so detect them before
+    // walking the flags in order.
+    let profile = args.iter().any(|a| a == "--profile");
+    let name = match (profile, args.iter().any(|a| a == "--scaling")) {
         (true, true) => return err("--profile and --scaling are mutually exclusive"),
-        (true, false) => BenchMode::Profile,
-        (false, true) => BenchMode::Scaling,
-        (false, false) => BenchMode::Sweep,
+        (true, false) => "profile",
+        (false, true) => "scaling",
+        (false, false) => "sweep",
     };
-    let (preset, out) = exp::preset(mode);
+    let (preset, out, render) = exp::preset(name);
     let Cells::Matrix { apps, schemes, cores } = preset.cells else {
         unreachable!("bench presets are matrices")
     };
@@ -347,8 +359,7 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
         scale: preset.scale,
         jobs: None,
         out: Some(out.into()),
-        mode,
-        reps: 3,
+        render,
         resume: false,
     };
     let mut f = Flags::new(args);
@@ -362,19 +373,12 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
             "--resume" => o.resume = true,
             "--out" => o.out = Some(f.value()?.to_string()),
             "--profile" | "--scaling" => {} // pre-scanned above
-            "--reps" => o.reps = f.positive()?,
             _ => return f.unknown(),
         }
     }
-    if mode == BenchMode::Profile {
-        if o.jobs.is_some() {
-            return err("--profile runs on one worker; --jobs does not apply");
-        }
-        if o.resume {
-            return err("--resume does not apply to --profile runs");
-        }
-    } else if args.iter().any(|a| a == "--reps") {
-        return err("--reps requires --profile");
+    if profile && o.resume {
+        // Its rows carry no status for `--resume` to match.
+        return err("--resume does not apply to --profile runs");
     }
     if apps.is_empty() || schemes.is_empty() || core_counts.is_empty() {
         return err("bench: the matrix has an empty axis");
@@ -450,14 +454,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         return err("no command given");
     };
     match command.as_str() {
-        "run" => Ok(Command::Run(parse_run_opts(rest)?)),
-        "sweep" => {
-            let o = parse_run_opts(rest)?;
-            if o.json {
-                return err("--json is only valid with `run`");
-            }
-            Ok(Command::Sweep(o))
-        }
+        "run" => Ok(Command::Run(parse_run_opts(rest, false)?)),
+        "sweep" => Ok(Command::Sweep(parse_run_opts(rest, true)?)),
         "bench" => Ok(Command::Bench(parse_bench_opts(rest)?)),
         "exp" => Ok(Command::Exp(parse_exp_opts(rest)?)),
         "verify" => Ok(Command::Verify(parse_verify_opts(rest)?)),
@@ -579,6 +577,7 @@ mod tests {
             "bench --all",
             "bench --profile --baseline results/BENCH_host.json",
             "bench --profile --tolerance 15",
+            "bench --profile --reps 3",
             "verify --engine sched",
             "verify --mutate-sched stale-horizon",
             "verify --engine protocol",
@@ -666,7 +665,6 @@ mod tests {
     fn scaling_defaults_cover_the_curve() {
         match parse(&args("bench --scaling")).expect("valid") {
             Command::Bench(o) => {
-                assert_eq!(o.mode, BenchMode::Scaling);
                 assert_eq!(o.scale, SuiteScale::Scale);
                 assert_eq!(o.out.as_deref(), Some("results/SCALING_curve.json"));
                 // 3 apps x 6 schemes x 10 core counts, 1 -> 512.
@@ -771,12 +769,31 @@ mod tests {
         assert!(e.0.contains("oltp"), "{e}");
         // Default app (genome) is not oltp either.
         assert!(parse(&args("run --traffic zipf=0.5")).is_err());
+        // `oltp-storm` is a preset of its own: a spec beside it would run
+        // plain `oltp` under that spec instead.
+        let e = parse(&args("run --app oltp-storm --traffic reqs=8")).expect_err("must reject");
+        assert!(e.0.contains("rw=50:50,storm=32:16:2"), "{e}");
     }
 
     #[test]
     fn json_is_run_only() {
         let e = parse(&args("sweep --app kmeans --json")).expect_err("must reject");
         assert!(e.0.contains("--json"), "{e}");
+    }
+
+    #[test]
+    fn sweep_rejects_the_flags_it_cannot_honour() {
+        for (flag, extra) in [
+            ("--scheme", "--scheme logtm"),
+            ("--trace", "--trace /tmp/sweep.json"),
+            ("--trace-summary", "--trace-summary"),
+            ("--traffic", "--traffic reqs=8"),
+        ] {
+            let e = parse(&args(&format!("sweep --app oltp {extra}"))).expect_err(extra);
+            assert!(e.0.starts_with(flag) && e.0.contains("only valid with `run`"), "{extra}: {e}");
+        }
+        // What the sweep does read still parses.
+        assert!(parse(&args("sweep --app oltp --cores 4 --breakdown --faults seed=3")).is_ok());
     }
 
     #[test]

@@ -10,17 +10,12 @@
 //! unaffected by ring overflow) so its `trace_hash` doubles as the
 //! serial-vs-parallel bit-reproducibility oracle.
 //!
-//! Host wall-time is measured here (the bench crate is the one workspace
-//! crate allowed to read the wall clock) and reported per cell and for the
-//! whole sweep in `BENCH_sweep.json`, which thus records simulator
-//! throughput (cycles/second). The JSON splits into a
-//! deterministic part (simulated results, byte-identical across runs and
-//! across worker counts) and host-timing fields; [`sweep_json`] with
-//! `host: None` renders only the former, which is what the determinism
-//! tests compare.
+//! Nothing here reads a clock: the documents [`sweep_json`] and
+//! [`host_json`] render hold simulated results only, byte-identical
+//! across runs and across worker counts. Host time is measured by
+//! `benchmark/`.
 
 use crate::run_json;
-use std::time::Instant;
 use suv::prelude::*;
 use suv::sim::run_jobs;
 use suv::trace::Json;
@@ -44,33 +39,13 @@ impl CellSpec {
     }
 }
 
-/// A completed cell: the deterministic simulation results plus the host
-/// wall-time this cell's simulation took.
+/// A completed cell: the matrix point and its simulation results.
 #[derive(Debug, Clone)]
 pub struct BenchCell {
     /// The matrix point this cell measured.
     pub spec: CellSpec,
     /// Full run result (stats + trace hash).
     pub result: RunResult,
-    /// Host wall-time of the run, in milliseconds (not deterministic).
-    pub host_ms: f64,
-}
-
-/// Simulated cycles per host second — the throughput figure the perf
-/// trajectory tracks; 0 when no host time was measured.
-pub fn cycles_per_sec(cycles: u64, host_ms: f64) -> f64 {
-    if host_ms <= 0.0 {
-        0.0
-    } else {
-        cycles as f64 / (host_ms / 1000.0)
-    }
-}
-
-impl BenchCell {
-    /// This cell's [`cycles_per_sec`].
-    pub fn cycles_per_sec(&self) -> f64 {
-        cycles_per_sec(self.result.stats.cycles, self.host_ms)
-    }
 }
 
 /// Build the full cross-product of the matrix axes, in deterministic
@@ -102,8 +77,6 @@ pub enum CellOutcome {
         spec: CellSpec,
         /// The panic message.
         error: String,
-        /// Host wall-time until the panic, in milliseconds.
-        host_ms: f64,
     },
     /// Skipped under `--resume`: the previous results file already holds
     /// an ok row for this cell, spliced into the new document verbatim.
@@ -156,18 +129,16 @@ pub fn cell_key(spec: &CellSpec) -> String {
     format!("{}/{}/{}", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
-/// Run one cell: build a fresh workload and machine, simulate with tracing
-/// on (for the reproducibility hash), and time the run on the host clock.
+/// Run one cell: build a fresh workload and machine and simulate with
+/// tracing on (for the reproducibility hash).
 pub fn run_cell(spec: &CellSpec, scale: SuiteScale) -> BenchCell {
     let mut w = by_name(&spec.app, scale)
         .unwrap_or_else(|| panic!("unknown workload {} reached the engine", spec.app));
     // 4K-event ring: the stream hash covers every event regardless of ring
     // occupancy, and a small ring keeps the engine's memory bounded.
     let tc = TraceConfig { ring_capacity: 1 << 12 };
-    let start = Instant::now();
     let result = run_workload_traced(&spec.cfg, spec.scheme, w.as_mut(), Some(tc));
-    let host_ms = start.elapsed().as_secs_f64() * 1000.0;
-    BenchCell { spec: spec.clone(), result, host_ms }
+    BenchCell { spec: spec.clone(), result }
 }
 
 /// Render a panic payload as a one-line message.
@@ -189,15 +160,10 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// [`CellOutcome::Quarantined`] instead of unwinding through the job pool
 /// and killing the sweep.
 pub fn run_cell_guarded(spec: &CellSpec, scale: SuiteScale) -> CellOutcome {
-    let start = Instant::now();
     let owned = spec.clone();
     match std::panic::catch_unwind(move || run_cell(&owned, scale)) {
         Ok(cell) => CellOutcome::Ok(Box::new(cell)),
-        Err(p) => CellOutcome::Quarantined {
-            spec: spec.clone(),
-            error: panic_message(p.as_ref()),
-            host_ms: start.elapsed().as_secs_f64() * 1000.0,
-        },
+        Err(p) => CellOutcome::Quarantined { spec: spec.clone(), error: panic_message(p.as_ref()) },
     }
 }
 
@@ -210,72 +176,75 @@ pub fn run_matrix(cells: &[CellSpec], scale: SuiteScale, workers: usize) -> Vec<
     run_jobs(cells.len(), workers, |i| run_cell_guarded(&cells[i], scale))
 }
 
-/// Host-side metadata for the sweep report.
-#[derive(Debug, Clone, Copy)]
-pub struct HostMeta {
-    /// Worker threads the pool actually used.
-    pub workers: usize,
-    /// Wall-time of the whole sweep, in milliseconds.
-    pub wall_ms: f64,
-}
+/// Renders a finished `suvtm bench` matrix, in matrix order, into its
+/// document; `Err` names an outcome the document cannot hold.
+pub type RenderDoc = fn(&[CellOutcome], SuiteScale) -> Result<Json, String>;
 
 /// Render the `BENCH_sweep.json` document (schema `suv-bench-sweep/v1`,
-/// documented in README.md). With `host: None` every non-deterministic
-/// field (worker count, wall times, throughput) is omitted and the output
-/// is byte-identical across runs and worker counts — the form the
-/// determinism tests compare. Quarantined cells become
-/// `"status":"quarantined"` rows carrying the panic message; resumed
-/// cells splice their previous row in verbatim.
-pub fn sweep_json(cells: &[CellOutcome], scale: SuiteScale, host: Option<HostMeta>) -> Json {
+/// documented in README.md), byte-identical across runs and worker
+/// counts. Quarantined cells become `"status":"quarantined"` rows
+/// carrying the panic message; resumed cells splice their previous row
+/// in verbatim.
+pub fn sweep_json(cells: &[CellOutcome], scale: SuiteScale) -> Json {
     let rows = cells
         .iter()
         .map(|o| match o {
-            CellOutcome::Ok(c) => {
-                let mut row = vec![
-                    ("cell", Json::Str(cell_key(&c.spec))),
-                    ("status", Json::from("ok")),
-                    ("cores", Json::U64(c.spec.cfg.n_cores as u64)),
-                    ("trace_hash", Json::Str(format!("{:016x}", c.result.trace_hash))),
-                    ("run", run_json(&c.result)),
-                ];
-                if host.is_some() {
-                    row.push(("host_ms", Json::F64(c.host_ms)));
-                    row.push(("cycles_per_sec", Json::F64(c.cycles_per_sec())));
-                }
-                Json::obj(row)
-            }
-            CellOutcome::Quarantined { spec, error, host_ms } => {
-                let mut row = vec![
-                    ("cell", Json::Str(cell_key(spec))),
-                    ("status", Json::from("quarantined")),
-                    ("cores", Json::U64(spec.cfg.n_cores as u64)),
-                    ("app", Json::Str(spec.app.clone())),
-                    ("scheme", Json::from(spec.scheme.name())),
-                    ("error", Json::Str(error.clone())),
-                ];
-                if host.is_some() {
-                    row.push(("host_ms", Json::F64(*host_ms)));
-                }
-                Json::obj(row)
-            }
+            CellOutcome::Ok(c) => Json::obj([
+                ("cell", Json::Str(cell_key(&c.spec))),
+                ("status", Json::from("ok")),
+                ("cores", Json::U64(c.spec.cfg.n_cores as u64)),
+                ("trace_hash", Json::Str(format!("{:016x}", c.result.trace_hash))),
+                ("run", run_json(&c.result)),
+            ]),
+            CellOutcome::Quarantined { spec, error } => Json::obj([
+                ("cell", Json::Str(cell_key(spec))),
+                ("status", Json::from("quarantined")),
+                ("cores", Json::U64(spec.cfg.n_cores as u64)),
+                ("app", Json::Str(spec.app.clone())),
+                ("scheme", Json::from(spec.scheme.name())),
+                ("error", Json::Str(error.clone())),
+            ]),
             CellOutcome::Resumed { row, .. } => Json::Raw(row.clone()),
         })
         .collect();
     let quarantined = cells.iter().filter(|o| matches!(o, CellOutcome::Quarantined { .. })).count();
     let total_cycles = cells.iter().map(CellOutcome::sim_cycles).sum();
-    let mut doc = vec![
+    Json::obj([
         ("schema", Json::from("suv-bench-sweep/v1")),
         ("scale", Json::from(scale_name(scale))),
         ("cells", Json::Arr(rows)),
         ("sim_cycles_total", Json::U64(total_cycles)),
         ("quarantined", Json::U64(quarantined as u64)),
-    ];
-    if let Some(h) = host {
-        doc.push(("workers", Json::U64(h.workers as u64)));
-        doc.push(("host_wall_ms", Json::F64(h.wall_ms)));
-        doc.push(("cycles_per_sec", Json::F64(cycles_per_sec(total_cycles, h.wall_ms))));
-    }
-    Json::obj(doc)
+    ])
+}
+
+/// Render the `BENCH_host.json` document (schema `suv-bench-host/v1`):
+/// the schedule pin of the paper matrix. Each cell carries its cycles,
+/// trace hash and the scheduler counters of its traced run — taken and
+/// elided handoffs, barrier arrivals — so a change that moves the
+/// schedule moves this file. Every cell must have completed.
+pub fn host_json(cells: &[CellOutcome], scale: SuiteScale) -> Result<Json, String> {
+    let row = |o: &CellOutcome| {
+        let CellOutcome::Ok(c) = o else {
+            return Err(format!("cell {} did not complete", cell_key(o.spec())));
+        };
+        let counter = |name| c.result.trace.as_ref().map_or(0, |t| t.metrics.counter(name));
+        Ok(Json::obj([
+            ("app", Json::from(c.spec.app.as_str())),
+            ("scheme", Json::from(c.spec.scheme.name())),
+            ("cores", Json::U64(c.spec.cfg.n_cores as u64)),
+            ("cycles", Json::U64(c.result.stats.cycles)),
+            ("trace_hash", Json::Str(format!("{:016x}", c.result.trace_hash))),
+            ("handoffs_taken", Json::U64(counter("sched.handoffs_taken"))),
+            ("handoffs_elided", Json::U64(counter("sched.handoffs_elided"))),
+            ("barrier_arrivals", Json::U64(counter("sched.barrier_arrivals"))),
+        ]))
+    };
+    Ok(Json::obj([
+        ("schema", Json::from("suv-bench-host/v1")),
+        ("scale", Json::from(scale_name(scale))),
+        ("cells", Json::Arr(cells.iter().map(row).collect::<Result<_, _>>()?)),
+    ]))
 }
 
 /// Find the rendered row for `key` in a previous sweep document, provided
@@ -381,22 +350,13 @@ mod tests {
 
     #[test]
     fn default_axes_cover_the_paper_matrix() {
-        let (sweep, _) = crate::exp::preset(crate::exp::BenchMode::Sweep);
+        let (sweep, _, _) = crate::exp::preset("sweep");
         let crate::exp::Cells::Matrix { apps, schemes, cores } = sweep.cells else {
             panic!("the sweep preset is a matrix");
         };
         assert_eq!(apps.len(), 8);
         assert_eq!(schemes.len(), 6);
         assert_eq!(cores, [16]);
-    }
-
-    #[test]
-    fn cycles_per_sec_guards_zero_time() {
-        let spec = CellSpec::new("kmeans", SchemeKind::SuvTm, 4);
-        let mut cell = run_cell(&spec, SuiteScale::Tiny);
-        assert!(cell.cycles_per_sec() > 0.0);
-        cell.host_ms = 0.0;
-        assert_eq!(cell.cycles_per_sec(), 0.0);
     }
 
     #[test]
@@ -423,7 +383,7 @@ mod tests {
             other => panic!("expected quarantine, got {other:?}"),
         }
         assert!(matches!(got[1], CellOutcome::Ok(_)));
-        let doc = sweep_json(&got, SuiteScale::Tiny, None).render();
+        let doc = sweep_json(&got, SuiteScale::Tiny).render();
         assert!(doc.contains(r#""status":"quarantined""#));
         assert!(doc.contains(r#""quarantined":1"#));
     }
@@ -435,14 +395,14 @@ mod tests {
             CellSpec::new("kmeans", SchemeKind::LogTmSe, 2),
         ];
         let first = run_matrix(&cells, SuiteScale::Tiny, 1);
-        let doc = sweep_json(&first, SuiteScale::Tiny, None).render();
+        let doc = sweep_json(&first, SuiteScale::Tiny).render();
 
         // Every cell has an ok row in the old doc, so a resume plan is full.
         let plan = resume_plan(&cells, &doc, SuiteScale::Tiny);
         assert!(plan.iter().all(Option::is_some));
         let resumed: Vec<CellOutcome> = plan.into_iter().map(Option::unwrap).collect();
         assert_eq!(
-            sweep_json(&resumed, SuiteScale::Tiny, None).render(),
+            sweep_json(&resumed, SuiteScale::Tiny).render(),
             doc,
             "resumed document must be byte-identical to the original"
         );
@@ -458,7 +418,7 @@ mod tests {
     #[test]
     fn resume_at_another_scale_plans_no_cell() {
         let cells = vec![CellSpec::new("kmeans", SchemeKind::SuvTm, 2)];
-        let doc = sweep_json(&run_matrix(&cells, SuiteScale::Tiny, 1), SuiteScale::Tiny, None);
+        let doc = sweep_json(&run_matrix(&cells, SuiteScale::Tiny, 1), SuiteScale::Tiny);
         let plan = resume_plan(&cells, &doc.render(), SuiteScale::Paper);
         assert!(plan.iter().all(Option::is_none), "tiny-scale rows must not resume a paper run");
     }
@@ -467,11 +427,55 @@ mod tests {
     fn previous_ok_row_skips_quarantined_rows() {
         let spec = CellSpec::new("no-such-app", SchemeKind::SuvTm, 2);
         let got = run_matrix(std::slice::from_ref(&spec), SuiteScale::Tiny, 1);
-        let doc = sweep_json(&got, SuiteScale::Tiny, None).render();
+        let doc = sweep_json(&got, SuiteScale::Tiny).render();
         assert!(
             previous_ok_row(&doc, &cell_key(&spec)).is_none(),
             "a quarantined row must not satisfy --resume"
         );
+    }
+
+    #[test]
+    fn host_json_is_byte_identical_at_any_worker_count() {
+        let (profile, _, _) = crate::exp::preset("profile");
+        let cells = profile.cells();
+        let render = |workers| {
+            host_json(&run_matrix(&cells, SuiteScale::Tiny, workers), SuiteScale::Tiny)
+                .expect("every tiny cell completes")
+        };
+        let doc = render(1);
+        assert_eq!(doc.render(), render(suv::sim::default_workers()).render());
+        let Json::Obj(top) = &doc else { panic!("the document is an object") };
+        let keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "scale", "cells"]);
+        let Some((_, Json::Arr(rows))) = top.iter().find(|(k, _)| k == "cells") else {
+            panic!("no cells array");
+        };
+        assert_eq!(rows.len(), cells.len());
+        for row in rows {
+            let Json::Obj(fields) = row else { panic!("a cell is an object") };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "app",
+                    "scheme",
+                    "cores",
+                    "cycles",
+                    "trace_hash",
+                    "handoffs_taken",
+                    "handoffs_elided",
+                    "barrier_arrivals"
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn host_json_refuses_a_cell_that_did_not_complete() {
+        let cells = [CellSpec::new("no-such-app", SchemeKind::SuvTm, 2)];
+        let e = host_json(&run_matrix(&cells, SuiteScale::Tiny, 1), SuiteScale::Tiny)
+            .expect_err("a quarantined cell has no schedule to pin");
+        assert!(e.contains("no-such-app/SUV-TM/2"), "{e}");
     }
 
     #[test]

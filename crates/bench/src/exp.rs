@@ -3,14 +3,16 @@
 //! description, the cells it needs (as data) and what becomes of their
 //! results. `suvtm exp NAME | --all` runs a report row's cells through
 //! the parallel engine ([`run_matrix`]) and renders them; `suvtm bench`
-//! takes its three presets' default axes, scale and output path from
-//! the same table; `suvtm sweep --app` and `suvtm list` read it too.
+//! takes its three presets' default axes, scale, output path and
+//! document renderer from the same table; `suvtm list` reads it too.
 //!
 //! Report rows run at [`SuiteScale::Paper`] from the CLI; the library
 //! entry point [`run_experiment`] takes the scale as an argument so the
 //! tests can pin every row's text and JSON at `Tiny`.
 
-use crate::engine::{matrix, run_matrix, BenchCell, CellOutcome, CellSpec};
+use crate::engine::{
+    host_json, matrix, run_matrix, sweep_json, BenchCell, CellOutcome, CellSpec, RenderDoc,
+};
 use crate::{geomean, run_json, txns_per_kcycle};
 use std::fmt::{self, Write as _};
 use suv::cacti::{
@@ -28,22 +30,6 @@ use suv::types::config::{
     NOC_WIRE_LATENCY,
 };
 use suv::types::{Cycle, LINE_BYTES};
-
-/// Which document `suvtm bench` writes; the modes are mutually exclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BenchMode {
-    /// The plain parallel sweep, writing `BENCH_sweep.json`.
-    #[default]
-    Sweep,
-    /// Host-throughput profiling (`--profile`): min-of-`reps` wall-time
-    /// per cell with the host-time breakdown, always one worker, writing
-    /// `BENCH_host.json`.
-    Profile,
-    /// Many-core scaling curve (`--scaling`): sweep core counts 1..=512
-    /// on the `scale` inputs and write a host-metadata-free
-    /// `SCALING_curve.json` (byte-identical across runs).
-    Scaling,
-}
 
 /// The cells a row needs.
 #[derive(Debug, Clone, Copy)]
@@ -92,9 +78,9 @@ pub enum Output {
         /// Whether the row has a JSON document (`--json` is valid).
         json: bool,
     },
-    /// A `suvtm bench` preset: the matrix document of this mode, written
-    /// to this default `--out` path.
-    Bench(BenchMode, &'static str),
+    /// A `suvtm bench` preset: its default `--out` path and the renderer
+    /// of the document written there.
+    Bench(&'static str, RenderDoc),
 }
 
 /// One row of the experiment table.
@@ -136,6 +122,10 @@ const fn report(
     }
 }
 
+/// [`sweep_json`] as a preset's renderer: a sweep document holds every
+/// outcome, quarantined and resumed cells included.
+const SWEEP_DOC: RenderDoc = |cells, scale| Ok(sweep_json(cells, scale));
+
 /// The table. `suvtm exp --all` runs the report rows in this order.
 #[rustfmt::skip]
 pub static EXPERIMENTS: [Experiment; 17] = [
@@ -158,7 +148,7 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         about: "`suvtm bench`: STAMP x all schemes at 16 cores",
         scale: SuiteScale::Tiny,
         cells: paper(&WORKLOAD_NAMES, &SchemeKind::ALL),
-        output: Output::Bench(BenchMode::Sweep, "results/BENCH_sweep.json"),
+        output: Output::Bench("results/BENCH_sweep.json", SWEEP_DOC),
     },
     // A low-contention STAMP kernel, a high-contention one and the OLTP
     // server: varied enough to show where SUV's flash commit keeps
@@ -176,15 +166,16 @@ pub static EXPERIMENTS: [Experiment; 17] = [
             schemes: &SchemeKind::ALL,
             cores: &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
         },
-        output: Output::Bench(BenchMode::Scaling, "results/SCALING_curve.json"),
+        output: Output::Bench("results/SCALING_curve.json", SWEEP_DOC),
     },
-    // The full paper matrix (see `profile.rs` for why nothing is excluded).
+    // The full paper matrix: the schedule (cycles, trace hash, handoffs)
+    // of every cell `benchmark/`'s stamp_* workloads time.
     Experiment {
         name: "profile",
-        about: "`suvtm bench --profile`: host throughput over the full paper matrix",
+        about: "`suvtm bench --profile`: the schedule pin of the full paper matrix",
         scale: SuiteScale::Paper,
         cells: Cells::Matrix { apps: &WORKLOAD_NAMES, schemes: &SchemeKind::ALL, cores: &[8, 16] },
-        output: Output::Bench(BenchMode::Profile, "results/BENCH_host.json"),
+        output: Output::Bench("results/BENCH_host.json", host_json),
     },
 ];
 
@@ -208,12 +199,13 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     reports().find(|e| e.name == name)
 }
 
-/// The `suvtm bench` preset of `mode` and its default `--out` path.
-pub fn preset(mode: BenchMode) -> (&'static Experiment, &'static str) {
+/// The `suvtm bench` preset row `name` (`sweep`, `scaling` or
+/// `profile`), its default `--out` path and its document's renderer.
+pub fn preset(name: &str) -> (&'static Experiment, &'static str, RenderDoc) {
     EXPERIMENTS
         .iter()
         .find_map(|e| match e.output {
-            Output::Bench(m, out) if m == mode => Some((e, out)),
+            Output::Bench(out, render) if e.name == name => Some((e, out, render)),
             _ => None,
         })
         .expect("every bench mode has a preset row")
@@ -791,12 +783,26 @@ mod tests {
         for (i, e) in EXPERIMENTS.iter().enumerate() {
             assert!(EXPERIMENTS[..i].iter().all(|o| o.name != e.name), "duplicate {}", e.name);
         }
-        for mode in [BenchMode::Sweep, BenchMode::Scaling, BenchMode::Profile] {
-            let (e, out) = preset(mode);
+        for mode in ["sweep", "scaling", "profile"] {
+            let (e, out, _) = preset(mode);
             assert!(matches!(e.cells, Cells::Matrix { .. }), "{}: presets are matrices", e.name);
             assert!(out.starts_with("results/"));
             assert!(find(e.name).is_none(), "presets are not `exp` reports");
         }
+    }
+
+    #[test]
+    fn profile_axes_are_valid_cells() {
+        let (profile, _, _) = preset("profile");
+        assert_eq!(profile.scale, SuiteScale::Paper);
+        let Cells::Matrix { apps, schemes, cores } = profile.cells else {
+            panic!("the profile preset is a matrix");
+        };
+        assert!(!apps.is_empty() && !schemes.is_empty() && !cores.is_empty());
+        for a in apps {
+            assert!(by_name(a, SuiteScale::Tiny).is_some(), "unknown profile app {a}");
+        }
+        assert!(cores.iter().all(|c| *c >= 2), "profile cells must be multi-core");
     }
 
     #[test]

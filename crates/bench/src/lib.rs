@@ -1,13 +1,9 @@
 //! The `suvtm` harness: the experiment table ([`exp`]), the parallel
-//! cell engine ([`engine`]), host-throughput profiling ([`profile`]) and
-//! the validated argument parser ([`cli`]).
-#![allow(clippy::disallowed_methods, reason = "the harness times the host, never the simulation")]
+//! cell engine ([`engine`]) and the validated argument parser ([`cli`]).
 
 pub mod cli;
 pub mod engine;
 pub mod exp;
-pub mod probe;
-pub mod profile;
 
 use suv::prelude::*;
 use suv::trace::{EscalationReason, Json};
