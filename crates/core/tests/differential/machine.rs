@@ -30,7 +30,7 @@ enum Scheme {
     LogTm,
     Lazy,
     DynTm,
-    /// Forked only, not pinned (last, so the pinned schemes keep their seeds).
+    /// Last, so the schemes pinned before it keep their seeds.
     FasTm,
 }
 
@@ -205,6 +205,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (3, Scheme::DynTm, false, true, 0x54dd4213efe48cc8),
     (3, Scheme::DynTm, true, false, 0xa52f3b1267166351),
     (3, Scheme::DynTm, true, true, 0x6d1beae540f0adae),
+    (3, Scheme::FasTm, false, false, 0x206c75d2b555acfc),
+    (3, Scheme::FasTm, false, true, 0x1bc94f786fba7c1f),
+    (3, Scheme::FasTm, true, false, 0x6301ac550b520734),
+    (3, Scheme::FasTm, true, true, 0x05f6306edb62cc09),
     (16, Scheme::LogTm, false, false, 0xc4d009ea6b79f10e),
     (16, Scheme::LogTm, false, true, 0xfac3ef6d0cb69d4f),
     (16, Scheme::LogTm, true, false, 0x94eb267a7dfbd843),
@@ -217,6 +221,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (16, Scheme::DynTm, false, true, 0x89bae0cf383f430a),
     (16, Scheme::DynTm, true, false, 0x71b349238e73aee3),
     (16, Scheme::DynTm, true, true, 0x3fda766c0604cac2),
+    (16, Scheme::FasTm, false, false, 0xe88a61e48fd2d5ee),
+    (16, Scheme::FasTm, false, true, 0x47ceef2527d70756),
+    (16, Scheme::FasTm, true, false, 0x66d48fe09adc7089),
+    (16, Scheme::FasTm, true, true, 0x3ef504e581d5c53b),
     (70, Scheme::LogTm, false, false, 0x1c3155e674e4ffcf),
     (70, Scheme::LogTm, false, true, 0x10d118d39c4b024b),
     (70, Scheme::LogTm, true, false, 0xe34824434ba3ee6a),
@@ -229,6 +237,10 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (70, Scheme::DynTm, false, true, 0x4deff12606841c0b),
     (70, Scheme::DynTm, true, false, 0xd0bf34f479247fc3),
     (70, Scheme::DynTm, true, true, 0xb7aefb9ec0a5f5cf),
+    (70, Scheme::FasTm, false, false, 0x75226f687f712dae),
+    (70, Scheme::FasTm, false, true, 0x2655dc37ce4b5e7b),
+    (70, Scheme::FasTm, true, false, 0x88eedec27214bc90),
+    (70, Scheme::FasTm, true, true, 0xf0b8ec910e56e490),
 ];
 
 #[test]
@@ -237,7 +249,7 @@ fn machine_outcomes_are_pinned_per_configuration() {
     let mut total = Seen::default();
     let mut actual = Vec::new();
     for cores in [3, 16, 70] {
-        for scheme in [Scheme::LogTm, Scheme::Lazy, Scheme::DynTm] {
+        for scheme in [Scheme::LogTm, Scheme::Lazy, Scheme::DynTm, Scheme::FasTm] {
             for partial in [false, true] {
                 for perfect in [false, true] {
                     let (digest, seen) = run(cores, scheme, partial, perfect, None, total);
