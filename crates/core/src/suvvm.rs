@@ -16,7 +16,7 @@
 //!   titular *single update*.
 
 use crate::table::{LookupHit, RedirectTable, Transient};
-use suv_htm::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
+use suv_htm::vm::{LevelOp, LoadTarget, StoreMode, StoreTarget, VersionManager, VmEnv};
 use suv_mem::{LineData, PoolAllocator, Region};
 use suv_sig::SummarySignature;
 use suv_trace::{RedirectLevel, TraceEvent};
@@ -48,10 +48,6 @@ pub struct SuvVm {
     /// Open nested-level frames, per core.
     // nested-vec-ok: one stack of frames per core, touched at level begin/end only
     levels: Vec<Vec<LevelFrame>>,
-    /// Cores running in irrevocable serialized mode: their stores bypass
-    /// pool allocation (in-place writes / redirect-back only), so they can
-    /// always make progress even with the pool completely dry.
-    irrevocable: Vec<bool>,
 }
 
 impl SuvVm {
@@ -64,7 +60,6 @@ impl SuvVm {
             summary: SummarySignature::new(cfg.summary_bits, cfg.summary_hashes),
             pool: PoolAllocator::bounded(Region::pool(), pool_pages),
             levels: (0..n_cores).map(|_| Vec::new()).collect(),
-            irrevocable: vec![false; n_cores],
         }
     }
 
@@ -182,12 +177,12 @@ impl VersionManager for SuvVm {
         core: CoreId,
         addr: Addr,
         _value: u64,
-        in_tx: bool,
+        mode: StoreMode,
     ) -> (StoreTarget, Cycle) {
-        if !in_tx {
+        if mode == StoreMode::NonTx {
             // Non-transactional stores write wherever the current version
             // lives; they never create redirections.
-            let (target, lat) = self.resolve(env, core, addr, in_tx);
+            let (target, lat) = self.resolve(env, core, addr, false);
             return (StoreTarget::Mem(target), lat);
         }
         let line = line_of(addr);
@@ -215,8 +210,8 @@ impl VersionManager for SuvVm {
         let (hit, mut lat) = self.lookup_committed(env, core, addr);
         let committed = hit.and_then(|h| h.committed);
         let foreign_delete = hit.is_some_and(|h| h.foreign_delete);
-        if self.irrevocable[core] && (committed.is_none() || foreign_delete) {
-            // Irrevocable mode with no redirect-back opportunity: write in
+        if mode == StoreMode::Irrevocable && (committed.is_none() || foreign_delete) {
+            // An irrevocable store with no redirect-back opportunity: write in
             // place at the current version's location, with no transient
             // and no pool allocation. The transaction is guaranteed to
             // commit, so no rollback mapping is needed — this is what lets
@@ -310,10 +305,6 @@ impl VersionManager for SuvVm {
         self.table.take_overflow(core)
     }
 
-    fn set_irrevocable(&mut self, core: CoreId, on: bool) {
-        self.irrevocable[core] = on;
-    }
-
     fn redirect_stats(&self) -> RedirectStats {
         let mut s = self.table.stats();
         s.summary_filtered = self.summary.filtered();
@@ -350,7 +341,7 @@ mod tests {
 
         // (a) a previous transaction left @0x90 redirected.
         vm.begin(&mut env, 0, false);
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x90, 54, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x90, 54, StoreMode::Tx);
         let slot90 = match t {
             StoreTarget::Mem(p) => p,
             other => panic!("{other:?}"),
@@ -366,7 +357,7 @@ mod tests {
         assert_eq!(lat, 0, "summary filters the lookup entirely");
 
         // (c) un-redirected store to @0x40 goes to a fresh slot.
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x40, 99, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x40, 99, StoreMode::Tx);
         let slot40 = match t {
             StoreTarget::Mem(p) => p,
             other => panic!("{other:?}"),
@@ -379,7 +370,7 @@ mod tests {
         assert_eq!(lt, LoadTarget::Mem(slot90));
         assert_eq!(env.mem.read_word(slot90), 54);
         // ...and a store to @0x90 redirects *back* to the original.
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x90, 55, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x90, 55, StoreMode::Tx);
         assert_eq!(t, StoreTarget::Mem(0x90), "redirect-back targets the original");
         env.mem.write_word(0x90, 55);
         // Within the transaction the load now resolves to the original.
@@ -404,7 +395,7 @@ mod tests {
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
         for i in 0..50u64 {
-            let (t, _) = vm.prepare_store(&mut env, 0, 0x1000 + i * 64, i, true);
+            let (t, _) = vm.prepare_store(&mut env, 0, 0x1000 + i * 64, i, StoreMode::Tx);
             if let StoreTarget::Mem(p) = t {
                 env.mem.write_word(p, i);
             }
@@ -426,7 +417,7 @@ mod tests {
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
         // Write only the second word of the line.
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x2008, 99, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x2008, 99, StoreMode::Tx);
         let slot = match t {
             StoreTarget::Mem(p) => p,
             other => panic!("{other:?}"),
@@ -455,7 +446,7 @@ mod tests {
         // entry count must not grow (the paper's entry-reduction feature).
         for round in 0..10u64 {
             vm.begin(&mut env, 0, false);
-            let (t, _) = vm.prepare_store(&mut env, 0, 0x3000, round, true);
+            let (t, _) = vm.prepare_store(&mut env, 0, 0x3000, round, StoreMode::Tx);
             if let StoreTarget::Mem(p) = t {
                 env.mem.write_word(p, round);
             }
@@ -481,7 +472,7 @@ mod tests {
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x4000, 1, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x4000, 1, StoreMode::Tx);
         let slot = match t {
             StoreTarget::Mem(p) => p,
             other => panic!("{other:?}"),
@@ -490,7 +481,7 @@ mod tests {
         vm.commit(&mut env, 0);
         // A non-transactional store from another core updates the pool
         // slot (current version), not the stale original.
-        let (t, _) = vm.prepare_store(&mut env, 1, 0x4000, 2, false);
+        let (t, _) = vm.prepare_store(&mut env, 1, 0x4000, 2, StoreMode::NonTx);
         assert_eq!(t, StoreTarget::Mem(slot));
     }
 
@@ -503,7 +494,7 @@ mod tests {
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
         for i in 0..40u64 {
-            vm.prepare_store(&mut env, 0, 0x10_0000 + i * 64, i, true);
+            vm.prepare_store(&mut env, 0, 0x10_0000 + i * 64, i, StoreMode::Tx);
         }
         vm.commit(&mut env, 0);
         let (l1_ovf, _) = vm.take_rt_overflow(0);
@@ -516,7 +507,7 @@ mod tests {
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false);
-        let (t, _) = vm.prepare_store(&mut env, 0, 0x5000, 1, true);
+        let (t, _) = vm.prepare_store(&mut env, 0, 0x5000, 1, StoreMode::Tx);
         if let StoreTarget::Mem(p) = t {
             env.mem.write_word(p, 1);
         }
@@ -540,7 +531,7 @@ mod tests {
         vm.begin(&mut env, 0, false);
         let mut overflowed = false;
         for i in 0..100u64 {
-            let (t, _) = vm.prepare_store(&mut env, 0, 0x9000 + i * 64, i, true);
+            let (t, _) = vm.prepare_store(&mut env, 0, 0x9000 + i * 64, i, StoreMode::Tx);
             if t == StoreTarget::Overflow {
                 overflowed = true;
                 break;
@@ -550,15 +541,13 @@ mod tests {
         vm.abort(&mut env, 0);
         vm.check_invariants().expect("abort reclaimed every slot");
         // Escalated retry: irrevocable stores write in place, no slots.
-        vm.set_irrevocable(0, true);
         vm.begin(&mut env, 0, false);
         for i in 0..100u64 {
-            let (t, _) = vm.prepare_store(&mut env, 0, 0x9000 + i * 64, i, true);
+            let (t, _) = vm.prepare_store(&mut env, 0, 0x9000 + i * 64, i, StoreMode::Irrevocable);
             assert_eq!(t, StoreTarget::Mem(0x9000 + i * 64), "in-place under irrevocable");
             env.mem.write_word(0x9000 + i * 64, i);
         }
         vm.commit(&mut env, 0);
-        vm.set_irrevocable(0, false);
         vm.check_invariants().expect("irrevocable commit left the table consistent");
         let (lt, _) = vm.resolve_load(&mut env, 1, 0x9000 + 64, false);
         assert_eq!(lt, LoadTarget::Mem(0x9000 + 64));

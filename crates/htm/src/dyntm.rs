@@ -10,7 +10,7 @@
 //! abort become O(1) flash operations.
 
 use crate::lazy::LazyVm;
-use crate::vm::{LoadTarget, StoreTarget, VersionManager, VmEnv};
+use crate::vm::{LoadTarget, StoreMode, StoreTarget, VersionManager, VmEnv};
 use suv_coherence::L1Evict;
 use suv_types::config::{LAZY_THRESHOLD, PREDICTOR_SITES};
 use suv_types::{Addr, CoreId, Cycle, RedirectStats, SchemeKind, TxSite};
@@ -137,12 +137,12 @@ impl<E: VersionManager> VersionManager for DynTm<E> {
         core: CoreId,
         addr: Addr,
         value: u64,
-        in_tx: bool,
+        mode: StoreMode,
     ) -> (StoreTarget, Cycle) {
-        if self.use_lazy_vm(core, in_tx) {
-            self.lazy_vm.as_mut().expect("checked").prepare_store(env, core, addr, value, in_tx)
+        if self.use_lazy_vm(core, mode != StoreMode::NonTx) {
+            self.lazy_vm.as_mut().expect("checked").prepare_store(env, core, addr, value, mode)
         } else {
-            self.eager.prepare_store(env, core, addr, value, in_tx)
+            self.eager.prepare_store(env, core, addr, value, mode)
         }
     }
 
@@ -176,15 +176,6 @@ impl<E: VersionManager> VersionManager for DynTm<E> {
         self.selector.update(site, committed);
         self.mode_lazy[core] = false;
         self.eager.tx_finished(core, site, committed);
-    }
-
-    fn set_irrevocable(&mut self, core: CoreId, on: bool) {
-        // Both halves must see the flag: the irrevocable retry always runs
-        // eager, but each half keeps its own bypass state.
-        self.eager.set_irrevocable(core, on);
-        if let Some(lv) = self.lazy_vm.as_mut() {
-            lv.set_irrevocable(core, on);
-        }
     }
 
     fn redirect_stats(&self) -> RedirectStats {
@@ -246,7 +237,7 @@ mod tests {
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, true); // lazy
-        let (tgt, _) = vm.prepare_store(&mut env, 0, 0x100, 9, true);
+        let (tgt, _) = vm.prepare_store(&mut env, 0, 0x100, 9, StoreMode::Tx);
         assert_eq!(tgt, StoreTarget::Buffered);
         assert_eq!(env.mem.read_word(0x100), 5);
         let (lt, _) = vm.resolve_load(&mut env, 0, 0x100, true);
@@ -261,7 +252,7 @@ mod tests {
         let mut tr = Tracer::disabled();
         let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
         vm.begin(&mut env, 0, false); // eager
-        let (tgt, _) = vm.prepare_store(&mut env, 0, 0x200, 9, true);
+        let (tgt, _) = vm.prepare_store(&mut env, 0, 0x200, 9, StoreMode::Tx);
         assert_eq!(tgt, StoreTarget::Mem(0x200));
     }
 

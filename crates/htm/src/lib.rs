@@ -40,4 +40,4 @@ pub use shadow::ShadowOracle;
 pub use swvm::SwVm;
 pub use tx::{TxState, TxStatus};
 pub use undo::UndoLog;
-pub use vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
+pub use vm::{LevelOp, LoadTarget, StoreMode, StoreTarget, VersionManager, VmEnv};

@@ -6,6 +6,11 @@
 //! with), and the software abort walk replays it *backwards*, restoring
 //! old values through the memory system — which is exactly the *repair*
 //! time that stretches the isolation window.
+//!
+//! FasTM keeps its old values in the same log: a record costs nothing
+//! while the old value is still safe in the L2, one record store once the
+//! transaction has degenerated, and a fast abort puts the records back by
+//! gang-invalidating the L1 copies instead of walking the log.
 
 use suv_coherence::{AccessKind, MemorySystem};
 use suv_mem::{LineData, Memory, Region};
@@ -92,13 +97,12 @@ impl UndoLog {
         if self.has_logged(line) {
             return 0;
         }
-        self.records.push(UndoRecord { line, old: mem.read_line(line) });
+        self.record(mem, line);
         // Charge the stores that place the record in the (cached) log:
         // the record spans up to two log lines.
         let mut lat = 0;
-        let start = self.base + self.write_ptr;
+        let start = self.claim_slot();
         let end = start + RECORD_BYTES - 1;
-        self.write_ptr += RECORD_BYTES;
         for log_line in [line_of(start), line_of(end)] {
             lat += sys.access(now + lat, core, log_line, AccessKind::Store);
             if line_of(start) == line_of(end) {
@@ -106,6 +110,21 @@ impl UndoLog {
             }
         }
         lat
+    }
+
+    /// Append a record of `line`'s current contents without charging it or
+    /// moving the write pointer (the caller has checked
+    /// [`Self::has_logged`]).
+    pub fn record(&mut self, mem: &Memory, line: LineAddr) {
+        self.records.push(UndoRecord { line, old: mem.read_line(line) });
+    }
+
+    /// Claim the next record slot in the log region: returns the address
+    /// of its first byte and advances the write pointer past it.
+    pub fn claim_slot(&mut self) -> Addr {
+        let start = self.base + self.write_ptr;
+        self.write_ptr += RECORD_BYTES;
+        start
     }
 
     /// Would logging `addr`'s line push the log past `cap_bytes`?
@@ -148,6 +167,34 @@ impl UndoLog {
     ) -> Cycle {
         self.level_marks.clear();
         self.unwind_from(mem, sys, now, core, 0)
+    }
+
+    /// Hardware restore (FasTM's fast abort): put every logged line back,
+    /// newest first, invalidating `core`'s L1 copy so the old value is
+    /// re-fetched from the L2, then discard the log. Nothing is walked, so
+    /// nothing is charged.
+    pub fn gang_restore(&mut self, mem: &mut Memory, sys: &mut MemorySystem, core: CoreId) {
+        self.gang_restore_from(mem, sys, core, 0);
+        self.reset();
+    }
+
+    /// [`Self::gang_restore`] of the top frame only (partial abort).
+    pub fn gang_restore_level(&mut self, mem: &mut Memory, sys: &mut MemorySystem, core: CoreId) {
+        let mark = self.level_marks.pop().expect("no log frame to restore");
+        self.gang_restore_from(mem, sys, core, mark);
+    }
+
+    fn gang_restore_from(
+        &mut self,
+        mem: &mut Memory,
+        sys: &mut MemorySystem,
+        core: CoreId,
+        mark: usize,
+    ) {
+        for rec in self.records.drain(mark..).rev() {
+            sys.invalidate_local(core, rec.line);
+            mem.write_line(rec.line, rec.old);
+        }
     }
 
     /// Replay and discard records `[mark..]`, newest first.

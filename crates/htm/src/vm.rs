@@ -61,6 +61,21 @@ pub enum StoreTarget {
     Overflow,
 }
 
+/// Who issues a store (see [`VersionManager::prepare_store`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreMode {
+    /// A non-transactional store, or a software commit publishing its redo
+    /// log: it allocates no version-manager capacity, so it can neither be
+    /// buffered nor overflow.
+    NonTx,
+    /// A hardware transaction's store.
+    Tx,
+    /// A store of the irrevocable transaction. It is guaranteed to commit,
+    /// so the VM may bypass its capacity limits and must never answer
+    /// [`StoreTarget::Overflow`].
+    Irrevocable,
+}
+
 /// One step of closed nesting with partial abort, on the core's innermost
 /// level (see [`VersionManager::level`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +135,7 @@ pub trait VersionManager: Clone + Send {
         core: CoreId,
         addr: Addr,
         value: u64,
-        in_tx: bool,
+        mode: StoreMode,
     ) -> (StoreTarget, Cycle);
 
     /// Commit the core's transaction: make its updates globally visible
@@ -161,13 +176,6 @@ pub trait VersionManager: Clone + Send {
 
     /// Predictor feedback (DynTM): the transaction at `site` finished.
     fn tx_finished(&mut self, _core: CoreId, _site: TxSite, _committed: bool) {}
-
-    /// The machine switched `core` into (or out of) irrevocable serialized
-    /// mode. An irrevocable transaction is guaranteed to commit, so the VM
-    /// may bypass its capacity limits — and must never return
-    /// [`StoreTarget::Overflow`] — while the flag is set. The default
-    /// (capacity-unlimited VMs) ignores it.
-    fn set_irrevocable(&mut self, _core: CoreId, _on: bool) {}
 
     /// Redirect-table statistics (SUV; zero elsewhere).
     fn redirect_stats(&self) -> RedirectStats {
@@ -214,7 +222,7 @@ mod tests {
             _: CoreId,
             addr: Addr,
             _: u64,
-            _: bool,
+            _: StoreMode,
         ) -> (StoreTarget, Cycle) {
             (StoreTarget::Mem(addr), 0)
         }
@@ -233,8 +241,6 @@ mod tests {
         assert!(!vm.supports_partial_abort(), "`level` is never called on it");
         assert_eq!(vm.take_rt_overflow(0), (false, false));
         assert_eq!(vm.redirect_stats(), RedirectStats::default());
-        vm.set_irrevocable(0, true); // default is a no-op
-        vm.set_irrevocable(0, false);
         let mut mem = Memory::new();
         let mut sys = MemorySystem::new(&MachineConfig::small_test());
         let mut tr = Tracer::disabled();

@@ -10,7 +10,7 @@ use suv_htm::dyntm::DynTm;
 use suv_htm::fastm::FasTm;
 use suv_htm::lazy::LazyVm;
 use suv_htm::logtm::LogTmSe;
-use suv_htm::vm::{LevelOp, LoadTarget, StoreTarget, VersionManager, VmEnv};
+use suv_htm::vm::{LevelOp, LoadTarget, StoreMode, StoreTarget, VersionManager, VmEnv};
 use suv_types::{Addr, CoreId, Cycle, MachineConfig, RedirectStats, SchemeKind, TxSite};
 
 /// The version manager of a machine: one variant per [`SchemeKind`], named
@@ -73,7 +73,7 @@ impl VersionManager for Vm {
             fn begin(env: &mut VmEnv, core: CoreId, lazy: bool) -> Cycle;
             fn resolve_load(env: &mut VmEnv, core: CoreId, addr: Addr, in_tx: bool)
                 -> (LoadTarget, Cycle);
-            fn prepare_store(env: &mut VmEnv, core: CoreId, addr: Addr, value: u64, in_tx: bool)
+            fn prepare_store(env: &mut VmEnv, core: CoreId, addr: Addr, value: u64, mode: StoreMode)
                 -> (StoreTarget, Cycle);
             fn commit(env: &mut VmEnv, core: CoreId) -> Cycle;
             fn abort(env: &mut VmEnv, core: CoreId) -> Cycle;
@@ -81,7 +81,6 @@ impl VersionManager for Vm {
             fn take_rt_overflow(core: CoreId) -> (bool, bool);
             fn level(env: &mut VmEnv, core: CoreId, op: LevelOp) -> Cycle;
             fn tx_finished(core: CoreId, site: TxSite, committed: bool);
-            fn set_irrevocable(core: CoreId, on: bool);
         }
     }
 }
