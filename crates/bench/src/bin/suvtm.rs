@@ -5,11 +5,14 @@
 //! through the one parallel engine (`suv_bench::engine`), bit-identically
 //! for any `--jobs`; `verify` runs the small-scope model checker.
 //!
-//! Exit status: 2 for a malformed invocation (with the usage message), 1
-//! for an oracle or model-checker violation, a dead experiment cell or a
-//! failed write (each a one-line `suvtm: …` message), 3 for a simulated
-//! out-of-memory.
+//! Exit status: 0 on success, also when the reader of stdout went away
+//! (`suvtm list | head -1`); 2 for a malformed invocation (with the usage
+//! message); 1 for an oracle or model-checker violation, a dead experiment
+//! cell, a quarantined `bench` cell or a failed write (each a one-line
+//! `suvtm: …` message); 3 for a simulated out-of-memory.
+#![deny(clippy::print_stdout)]
 
+use std::io::{ErrorKind, Write};
 use std::sync::Mutex;
 use suv::oltp::Oltp;
 use suv::prelude::*;
@@ -18,10 +21,32 @@ use suv::sim::default_workers;
 use suv::trace::{EscalationReason, Json};
 use suv_bench::cli::{self, BenchOpts, Command, ExpOpts, RunOpts, VerifyOpts, USAGE};
 use suv_bench::engine::{
-    cell_key, resume_plan, run_matrix, scale_name, CellOutcome, CellSpec, SCALES,
+    cell_key, quarantine_status, run_matrix, scale_name, CellOutcome, CellSpec, SCALES,
 };
 use suv_bench::exp::{reports, run_experiment};
 use suv_bench::{run_json, txns_per_kcycle};
+
+/// Every stdout write goes through here: a reader that went away ends the
+/// process with status 0, any other failed write with status 1.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("suvtm: cannot write stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// The machine `run` and `sweep` simulate: Table III with the requested
 /// core count, check level, fallback tier and `--faults` spec (injector
@@ -39,7 +64,7 @@ fn run_oracles(r: &RunResult) -> bool {
     let mut clean = true;
     if let Some(out) = &r.trace {
         let s = suv_check::check_trace(out);
-        println!(
+        outln!(
             "    check: serializability over {} committed tx ({} aborted, {} conflict edges): {}",
             s.committed,
             s.aborted,
@@ -47,19 +72,19 @@ fn run_oracles(r: &RunResult) -> bool {
             if s.ok() { "ok" } else { "VIOLATED" }
         );
         for v in s.violations() {
-            println!("      {v}");
+            outln!("      {v}");
         }
         clean &= s.ok();
     }
     let m = suv_check::check_mesi_reachability();
-    println!(
+    outln!(
         "    check: MESI reachability, {} states / {} transitions: {}",
         m.states_explored,
         m.transitions,
         if m.ok() { "ok" } else { "VIOLATED" }
     );
     for v in &m.violations {
-        println!("      {v}");
+        outln!("      {v}");
     }
     clean && m.ok()
 }
@@ -75,7 +100,7 @@ fn escalation_report(indent: &str, t: &suv::types::TxStats) -> String {
 
 fn report(r: &RunResult, breakdown: bool) {
     let t = &r.stats.tx;
-    println!(
+    outln!(
         "{:<10} {:<10} {:>10} cycles  commits={} aborts={} (ratio {:.1}%) nacks={}",
         r.workload,
         r.scheme.name(),
@@ -91,15 +116,16 @@ fn report(r: &RunResult, breakdown: bool) {
         for k in BreakdownKind::ALL {
             let pct = 100.0 * b.get(k) as f64 / total;
             if pct >= 0.05 {
-                println!("    {:<10} {:>5.1}%", k.label(), pct);
+                outln!("    {:<10} {:>5.1}%", k.label(), pct);
             }
         }
-        println!(
+        outln!(
             "    write set: max {} lines; {} possible-cycle aborts",
-            t.max_write_set, t.cycle_aborts
+            t.max_write_set,
+            t.cycle_aborts
         );
         if t.overflow_aborts + t.irrevocable_commits + t.sw_commits + t.hw_sw_conflicts > 0 {
-            println!(
+            outln!(
                 "    resilience: {} overflow aborts, {} irrevocable commits, {} watchdog escalations, \
                  {} sw commits ({} sw aborts), {} hw/sw conflicts",
                 t.overflow_aborts,
@@ -109,10 +135,10 @@ fn report(r: &RunResult, breakdown: bool) {
                 t.sw_aborts,
                 t.hw_sw_conflicts,
             );
-            print!("{}", escalation_report("    ", t));
+            out!("{}", escalation_report("    ", t));
         }
         if r.scheme == SchemeKind::SuvTm || r.scheme == SchemeKind::DynTmSuv {
-            println!(
+            outln!(
                 "    redirect: +{} entries, {} redirected back, L1-table miss {:.2}%, {} mem lookups",
                 r.stats.redirect.entries_added,
                 r.stats.redirect.entries_redirected_back,
@@ -123,7 +149,7 @@ fn report(r: &RunResult, breakdown: bool) {
     }
     if let Some(lat) = &r.latency {
         let s = lat.summary();
-        println!(
+        outln!(
             "    latency: {} reqs  p50={} p99={} p999={} max={} cycles  ({:.2} txns/kcycle)",
             s.count,
             s.p50,
@@ -168,9 +194,11 @@ fn cmd_run(o: &RunOpts) -> Result<(), String> {
     }
     if let Some(out) = &r.trace {
         if !o.json {
-            println!(
+            outln!(
                 "    trace: {} events, {} dropped, hash {:016x}",
-                out.events, out.dropped, r.trace_hash
+                out.events,
+                out.dropped,
+                r.trace_hash
             );
         }
         if let Some(path) = &o.trace_path {
@@ -178,8 +206,8 @@ fn cmd_run(o: &RunOpts) -> Result<(), String> {
             eprintln!("(open it in chrome://tracing)");
         }
         if o.trace_summary && !o.json {
-            print!("{}", summary_report(out, 10));
-            print!("{}", escalation_report("  ", &r.stats.tx));
+            out!("{}", summary_report(out, 10));
+            out!("{}", escalation_report("  ", &r.stats.tx));
         }
     }
     if o.json {
@@ -189,7 +217,7 @@ fn cmd_run(o: &RunOpts) -> Result<(), String> {
             pairs.push(("scale".to_string(), Json::from(scale_name(o.scale))));
             pairs.push(("trace_hash".to_string(), Json::Str(format!("{:016x}", r.trace_hash))));
         }
-        println!("{}", doc.render());
+        outln!("{}", doc.render());
     }
     Ok(())
 }
@@ -203,7 +231,7 @@ fn cmd_sweep_one(o: &RunOpts) -> Result<(), String> {
         let r = outcome.into_ok()?.result;
         let b = *base.get_or_insert(r.stats.cycles);
         report(&r, o.breakdown);
-        println!("    speedup vs LogTM-SE: {:.2}x", b as f64 / r.stats.cycles as f64);
+        outln!("    speedup vs LogTM-SE: {:.2}x", b as f64 / r.stats.cycles as f64);
     }
     Ok(())
 }
@@ -228,7 +256,7 @@ fn cmd_exp(o: &ExpOpts) -> Result<(), String> {
         let (text, json) = run_experiment(e, e.scale, workers)?;
         match &o.out {
             Some(dir) => write_doc(&format!("{dir}/{}.txt", e.name), &text)?,
-            None => print!("{text}"),
+            None => out!("{text}"),
         }
         if let Some(doc) = json {
             let in_dir = o.out.iter().map(|dir| format!("{dir}/{}.json", e.name));
@@ -245,28 +273,6 @@ fn cell_label(spec: &CellSpec) -> String {
     format!("{:<14} {:<10} {:>2} cores", spec.app, spec.scheme.name(), spec.cfg.n_cores)
 }
 
-/// Under `--resume`, carry completed ok rows forward from the previous
-/// `--out` file; only the remaining cells are simulated. Returns the full
-/// matrix of outcomes in matrix order.
-fn run_or_resume(o: &BenchOpts, workers: usize) -> Vec<CellOutcome> {
-    if !o.resume {
-        return run_matrix(&o.cells, o.scale, workers);
-    }
-    // No (readable) previous file plans nothing: every cell runs.
-    let previous = o.out.as_ref().and_then(|path| std::fs::read_to_string(path).ok());
-    let plan = resume_plan(&o.cells, &previous.unwrap_or_default(), o.scale);
-    let todo: Vec<_> =
-        o.cells.iter().zip(&plan).filter(|(_, p)| p.is_none()).map(|(c, _)| c.clone()).collect();
-    eprintln!(
-        "suvtm bench --resume: {} of {} cells carried forward, {} to run",
-        plan.len() - todo.len(),
-        plan.len(),
-        todo.len(),
-    );
-    let mut fresh = run_matrix(&todo, o.scale, workers).into_iter();
-    plan.into_iter().filter_map(|slot| slot.or_else(|| fresh.next())).collect()
-}
-
 fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
     let workers = o.jobs.unwrap_or_else(default_workers);
     eprintln!(
@@ -276,27 +282,24 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
         workers,
         if workers == 1 { "" } else { "s" },
     );
-    let cells = run_or_resume(o, workers);
+    let cells = run_matrix(&o.cells, o.scale, workers);
     for outcome in &cells {
         let label = cell_label(outcome.spec());
         match outcome {
-            CellOutcome::Ok(c) => println!(
+            CellOutcome::Ok(c) => outln!(
                 "{label} {:>12} cycles  commits={:<6} aborts={:<6} hash={:016x}",
                 c.result.stats.cycles,
                 c.result.stats.tx.commits,
                 c.result.stats.tx.aborts,
                 c.result.trace_hash,
             ),
-            CellOutcome::Quarantined { error, .. } => println!("{label} QUARANTINED: {error}"),
-            CellOutcome::Resumed { cycles, .. } => {
-                println!("{label} {cycles:>12} cycles  (resumed from previous run)");
-            }
+            CellOutcome::Quarantined { error, .. } => outln!("{label} QUARANTINED: {error}"),
         }
     }
     let total_cycles: u64 = cells.iter().map(CellOutcome::sim_cycles).sum();
     let quarantined: Vec<_> =
         cells.iter().filter(|c| matches!(c, CellOutcome::Quarantined { .. })).collect();
-    println!(
+    outln!(
         "total: {} cells ({} quarantined), {total_cycles} simulated cycles",
         cells.len(),
         quarantined.len(),
@@ -307,7 +310,7 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
     if let Some(path) = &o.out {
         write_doc(path, &(o.render)(&cells, o.scale)?.render())?;
     }
-    Ok(())
+    quarantine_status(&cells)
 }
 
 /// `suvtm verify`: run the small-scope model checker, one exploration per
@@ -323,13 +326,13 @@ fn cmd_verify(o: &VerifyOpts) -> Result<(), String> {
     let runs = suv_verify::run_verify(&req);
     let mut failures = String::new();
     for r in &runs {
-        print!("{}", r.render());
+        out!("{}", r.render());
         if !r.ok() {
             failures.push_str(&r.render());
         }
     }
     let failed = runs.iter().filter(|r| !r.ok()).count();
-    println!("verify: {}/{} explorations passed", runs.len() - failed, runs.len());
+    outln!("verify: {}/{} explorations passed", runs.len() - failed, runs.len());
     if failed > 0 {
         write_doc(&o.out, &failures)?;
         std::process::exit(1);
@@ -338,13 +341,13 @@ fn cmd_verify(o: &VerifyOpts) -> Result<(), String> {
 }
 
 fn cmd_list() {
-    println!("workloads: {}", workload_names().join(" "));
-    println!("schemes:   {}", SchemeKind::ALL.map(SchemeKind::flag).join(" "));
-    println!("scales:    {}", SCALES.map(|(name, _)| name).join(" "));
-    println!("checks:    off cheap full");
-    println!("experiments (`suvtm exp NAME`):");
+    outln!("workloads: {}", workload_names().join(" "));
+    outln!("schemes:   {}", SchemeKind::ALL.map(SchemeKind::flag).join(" "));
+    outln!("scales:    {}", SCALES.map(|(name, _)| name).join(" "));
+    outln!("checks:    off cheap full");
+    outln!("experiments (`suvtm exp NAME`):");
     for e in reports() {
-        println!("  {:<14} {}", e.name, e.about);
+        outln!("  {:<14} {}", e.name, e.about);
     }
 }
 
@@ -390,7 +393,7 @@ fn main() {
             Ok(())
         }
         Command::Help => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
     }));

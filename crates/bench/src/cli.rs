@@ -39,9 +39,9 @@ usage: suvtm <run|sweep|bench|exp|verify|list> [options]
          [--cores N] [--scale tiny|paper|scale] [--breakdown] [--check LEVEL]
          [--faults SPEC] [--fallback MODE]
   bench  [--apps A,B,..] [--schemes S,..] [--cores N,M,..] [--scale tiny|paper|scale]
-         [--jobs N] [--out PATH] (default out: results/BENCH_sweep.json)
-         [--resume]  (skip cells already present in --out; panicking cells
-          are quarantined as \"status\":\"quarantined\" rows, not fatal)
+         [--jobs N] [--out PATH] (default out: results/BENCH_sweep.json;
+          a panicking cell is quarantined as a \"status\":\"quarantined\"
+          row, the rest of the matrix completes, and the run exits 1)
          [--scaling] (many-core scaling curve: sweep cores 1..512 on the
           `scale` inputs, all six schemes, default out
           results/SCALING_curve.json)
@@ -125,9 +125,6 @@ pub struct BenchOpts {
     pub out: Option<String>,
     /// The preset's document renderer (sweep, scaling curve or profile).
     pub render: RenderDoc,
-    /// Skip cells already recorded (with `"status":"ok"`) in the `--out`
-    /// file, carrying their rows forward — crash-resumable sweeps.
-    pub resume: bool,
 }
 
 /// Options for `suvtm exp`.
@@ -360,7 +357,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
         jobs: None,
         out: Some(out.into()),
         render,
-        resume: false,
     };
     let mut f = Flags::new(args);
     while let Some(flag) = f.token() {
@@ -370,15 +366,10 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
             "--cores" => core_counts = f.list(parse_cores)?,
             "--scale" => o.scale = parse_scale(&mut f)?,
             "--jobs" => o.jobs = Some(f.positive()?),
-            "--resume" => o.resume = true,
             "--out" => o.out = Some(f.value()?.to_string()),
             "--profile" | "--scaling" => {} // pre-scanned above
             _ => return f.unknown(),
         }
-    }
-    if profile && o.resume {
-        // Its rows carry no status for `--resume` to match.
-        return err("--resume does not apply to --profile runs");
     }
     if apps.is_empty() || schemes.is_empty() || core_counts.is_empty() {
         return err("bench: the matrix has an empty axis");
@@ -578,6 +569,7 @@ mod tests {
             "bench --profile --baseline results/BENCH_host.json",
             "bench --profile --tolerance 15",
             "bench --profile --reps 3",
+            "bench --resume",
             "verify --engine sched",
             "verify --mutate-sched stale-horizon",
             "verify --engine protocol",
@@ -706,15 +698,6 @@ mod tests {
         }
         let e = parse(&args("run --scale huge")).expect_err("must reject");
         assert!(e.0.contains("tiny|paper|scale"), "{e}");
-    }
-
-    #[test]
-    fn bench_resume_parses_and_excludes_profile() {
-        match parse(&args("bench --resume")).expect("valid") {
-            Command::Bench(o) => assert!(o.resume),
-            other => panic!("expected Bench, got {other:?}"),
-        }
-        assert!(parse(&args("bench --profile --resume")).is_err());
     }
 
     #[test]

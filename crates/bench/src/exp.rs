@@ -123,7 +123,7 @@ const fn report(
 }
 
 /// [`sweep_json`] as a preset's renderer: a sweep document holds every
-/// outcome, quarantined and resumed cells included.
+/// outcome, quarantined cells included.
 const SWEEP_DOC: RenderDoc = |cells, scale| Ok(sweep_json(cells, scale));
 
 /// The table. `suvtm exp --all` runs the report rows in this order.

@@ -133,7 +133,7 @@ fn fmt_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
 }
 
 /// Append `s` as a quoted, escaped JSON string.
-pub fn escape_into(s: &str, out: &mut String) {
+fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

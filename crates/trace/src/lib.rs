@@ -40,7 +40,7 @@ pub use event::{
     ConflictDir, EscalationReason, FallbackAbortReason, FaultKind, RedirectLevel, TraceEvent,
     TraceRecord,
 };
-pub use json::{escape_into, Json};
+pub use json::Json;
 pub use latency::{Histogram, LatencyHistogram, LatencySummary};
 pub use metrics::MetricsRegistry;
 pub use sink::RingRecorder;

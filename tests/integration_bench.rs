@@ -1,6 +1,7 @@
 //! Integration tests for the parallel experiment engine: the parallel
 //! sweep must be bit-identical to the serial one, and `BENCH_sweep.json`
-//! must be byte-identical across runs.
+//! must be byte-identical across runs. Also the `suvtm` binary's stdout
+//! contract.
 #![allow(clippy::disallowed_methods, reason = "times the host, never the simulation")]
 
 use suv::prelude::*;
@@ -155,4 +156,20 @@ fn parallel_sweep_speedup_on_multicore_hosts() {
         "parallel sweep only {speedup:.2}x faster ({serial_ms:.0} ms -> {parallel_ms:.0} ms) \
          on a {workers}-core host"
     );
+}
+
+/// A reader that went away (`suvtm list | head -1`) ends `suvtm` with
+/// status 0, not a "failed printing to stdout" panic.
+#[test]
+fn a_closed_stdout_ends_suvtm_with_status_zero() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_suvtm"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("spawn suvtm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
