@@ -8,17 +8,15 @@
 //! found through [`ConflictIndex`], the rest through the software tier.
 //!
 //! The bit-sliced signature index (INV-15): the simulated hardware checks a
-//! request against every core's read/write
-//! signature at once; probing the per-core `Signature`s one by one costs
-//! the host `cores × 2 × k` hashed loads. This index is their transpose:
-//! row `i` holds one bit per core — "some nesting level of core `c`'s read
-//! (resp. write) signature has Bloom bit `i` set" — so the cores whose
-//! signatures may cover a line are the AND of the line's `k` rows, one hash
-//! pass and `2·k` loads per 64 cores. The signatures stay the source of
-//! truth: a candidate is only a core to run the caller's own test on, and a
-//! search is a hand-written word loop ([`Candidates`]), not adapters. A
-//! column is kept from the levels' exact line sets, which a line enters
-//! together with its signature (`TxState::note`), so no hit is ever missed.
+//! request against every core's read and write signature at once. The
+//! index *is* those signatures, stored transposed: row `i` holds one bit
+//! per core — "core `c`'s read (resp. write) signature has Bloom bit `i`
+//! set" — so the cores whose signatures may cover a line are the AND of the
+//! line's `k` rows, one hash pass and `2·k` loads per 64 cores, and the same
+//! AND tells each candidate's read hit from its write hit. A search is a
+//! hand-written word loop ([`Candidates`]), not adapters. A column is the
+//! Bloom image of the union of the core's levels' exact line sets
+//! (`TxState::note`), so no line a level holds is ever missed.
 
 use crate::tx::{TxState, TxStatus};
 use suv_sig::HashFamily;
@@ -235,7 +233,7 @@ pub(crate) struct ConflictIndex {
 }
 
 impl ConflictIndex {
-    /// An empty index over `cfg`'s signatures (the hash family `Signature::new` builds).
+    /// Every core's signatures empty, in `cfg`'s geometry.
     pub fn new(cfg: &MachineConfig) -> Self {
         let (bits, words) = (cfg.htm.signature_bits, SharerSet::words_for(cfg.n_cores));
         let hashes = HashFamily::new(bits, cfg.htm.signature_hashes);
@@ -269,22 +267,24 @@ impl ConflictIndex {
         }
     }
 
-    /// Word `w` of a search: the cores `64·w..64·w + 64` whose write
-    /// signature — with `readers`, read or write signature — may cover `line`.
+    /// Word `w` of a search: of the cores `64·w..64·w + 64`, those whose
+    /// read signature may cover `line` (with `readers`; else none), and
+    /// those whose write signature may.
     #[inline]
-    fn hits(&self, line: LineAddr, readers: bool, w: usize) -> u64 {
-        let hit = self.hashes.indices(line >> 6).fold([u64::MAX; 2], |acc, i| {
+    fn hits(&self, line: LineAddr, readers: bool, w: usize) -> [u64; 2] {
+        let [r, w] = self.hashes.indices(line >> 6).fold([u64::MAX; 2], |acc, i| {
             let row = self.rows[i * self.words + w];
             [acc[0] & row[0], acc[1] & row[1]]
         });
         // A mask, not a branch: the branch cost 3 % of `stamp_eager`.
-        (hit[0] & if readers { u64::MAX } else { 0 }) | hit[1]
+        [r & if readers { u64::MAX } else { 0 }, w]
     }
 
     /// The cores whose write signature — with `readers`, read or write
-    /// signature — may cover `line`, in ascending order.
+    /// signature — may cover `line`, in ascending order, each with its read
+    /// hit (never without `readers`) and its write hit.
     pub fn candidates(&self, line: LineAddr, readers: bool) -> Candidates<'_> {
-        Candidates { index: self, within: None, line, readers, word: 0, cores: 0 }
+        Candidates { index: self, within: None, line, readers, word: 0, hits: [0; 2], cores: 0 }
     }
 
     /// [`Self::candidates`] that are also members of `within` or of `also`:
@@ -307,19 +307,22 @@ pub(crate) struct Candidates<'a> {
     within: Option<(&'a SharerSet, Option<&'a SharerSet>)>,
     line: LineAddr,
     readers: bool,
-    /// Row words fetched so far; `cores` is what is left of word `word - 1`.
+    /// Row words fetched so far; `hits` are word `word - 1`'s read and write
+    /// hits, `cores` what is left of their union.
     word: usize,
+    hits: [u64; 2],
     cores: u64,
 }
 
 impl Iterator for Candidates<'_> {
-    type Item = CoreId;
+    /// A candidate core, its read hit and its write hit.
+    type Item = (CoreId, bool, bool);
 
     // `always`: left the choice, fat LTO keeps the search's one hot call out
     // of line (1.6 % of `stamp_eager`).
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn next(&mut self) -> Option<CoreId> {
+    fn next(&mut self) -> Option<Self::Item> {
         while self.cores == 0 {
             if self.word == self.index.words {
                 return None;
@@ -327,12 +330,14 @@ impl Iterator for Candidates<'_> {
             let w = self.word;
             let within =
                 self.within.map_or(u64::MAX, |(s, t)| s.word(w) | t.map_or(0, |t| t.word(w)));
-            self.cores = self.index.hits(self.line, self.readers, self.word) & within;
+            self.hits = self.index.hits(self.line, self.readers, w);
+            self.cores = (self.hits[0] | self.hits[1]) & within;
             self.word += 1;
         }
         let bit = self.cores.trailing_zeros() as usize;
         self.cores &= self.cores - 1;
-        Some((self.word - 1) * 64 + bit)
+        let [r, w] = self.hits.map(|h| h >> bit & 1 != 0);
+        Some(((self.word - 1) * 64 + bit, r, w))
     }
 }
 
@@ -353,21 +358,21 @@ mod prop_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// After any history of the five ways the machine changes a
-        /// signature — insert, nest, merge a level, drop a level, clear —
-        /// each mirrored into the index the way the machine mirrors it,
-        /// the candidates of every line are strictly ascending and include
-        /// every core one of whose levels' signatures `contains` the line,
-        /// and each column is exactly the union of its core's levels. One
-        /// word per row, two and three; 64-bit signatures alias freely.
+        /// After any history of the five ways the machine changes a core's
+        /// sets — note a line, nest, merge a level, drop a level, clear —
+        /// each mirrored into the index the way the machine mirrors it, the
+        /// candidates of every line are strictly ascending, include every
+        /// core one of whose levels holds the line (read only with
+        /// `readers`), and report its read and write hits; and each column
+        /// is exactly the Bloom image of its core's levels. One word per
+        /// row, two and three; 64-bit signatures alias freely.
         #[test]
-        fn candidates_never_miss_a_signature_hit(
+        fn candidates_never_miss_a_line_a_level_holds(
             shape in 0usize..3,
-            perfect in any::<bool>(),
             ops in proptest::collection::vec((0u8..10, any::<u16>(), 0u64..LINES), 1..400),
         ) {
             let n = [16usize, 70, 130][shape];
-            let mut txs: Vec<TxState> = (0..n).map(|_| TxState::with_mode(64, 2, perfect)).collect();
+            let mut txs = vec![TxState::default(); n];
             let mut index = ConflictIndex::new(&cfg(n));
             for (kind, raw, l) in ops {
                 // Half the traffic lands on the last few cores, so the top
@@ -376,11 +381,7 @@ mod prop_tests {
                 let c = if raw & 1 == 0 { raw / 2 % n } else { n - 1 - raw / 2 % 3 };
                 let (t, line) = (&mut txs[c], l * 64);
                 match kind {
-                    0..=5 => {
-                        if t.note(kind > 2, line) {
-                            index.put(c, kind > 2, [&line], true);
-                        }
-                    }
+                    0..=5 if t.note(kind > 2, line) => index.put(c, kind > 2, [&line], true),
                     6 if t.frames.len() < 3 => t.push_frame(),
                     7 if !t.frames.is_empty() => t.merge_top_frame(),
                     8 if !t.frames.is_empty() => {
@@ -398,12 +399,17 @@ mod prop_tests {
             }
             for line in (0..LINES).map(|l| l * 64) {
                 for readers in [false, true] {
-                    let found: Vec<CoreId> = index.candidates(line, readers).collect();
-                    let ascending = found.windows(2).all(|w| w[0] < w[1]);
+                    let found: Vec<(CoreId, bool, bool)> = index.candidates(line, readers).collect();
+                    let ascending = found.windows(2).all(|w| w[0].0 < w[1].0);
                     prop_assert!(ascending, "not ascending: {:?}", found);
+                    prop_assert!(readers || found.iter().all(|f| !f.1), "a read hit without readers");
                     for (c, t) in txs.iter().enumerate() {
-                        let hit = (readers && t.rsig_hit(line)) || t.wsig_hit(line);
-                        prop_assert!(!hit || found.contains(&c), "core {} missed {:#x}", c, line);
+                        let (r, w) = (readers && t.reads_contain(line), t.writes_contain(line));
+                        let hit = found.iter().find(|f| f.0 == c);
+                        prop_assert!(!(r || w) || hit.is_some(), "core {} missed {:#x}", c, line);
+                        if let Some(&(_, hit_r, hit_w)) = hit {
+                            prop_assert!((!r || hit_r) && (!w || hit_w), "core {} lost a hit on {:#x}", c, line);
+                        }
                     }
                 }
             }
@@ -411,7 +417,7 @@ mod prop_tests {
             for (c, t) in txs.iter().enumerate() {
                 rebuilt.put_tx(c, t, true);
             }
-            prop_assert!(index == rebuilt, "a column is not the union of its core's levels");
+            prop_assert!(index == rebuilt, "a column is not the Bloom image of its core's levels");
         }
 
         /// A masked search lists exactly the candidates of the plain search
@@ -432,14 +438,14 @@ mod prop_tests {
             let within: SharerSet = members.iter().map(|&c| c as usize % n).collect();
             for line in (0..LINES).map(|l| l * 64) {
                 for readers in [false, true] {
-                    let masked: Vec<CoreId> =
+                    let masked: Vec<_> =
                         index.candidates_in(line, readers, &within, None).collect();
-                    let filtered: Vec<CoreId> =
-                        index.candidates(line, readers).filter(|c| within.contains(*c)).collect();
+                    let filtered: Vec<_> =
+                        index.candidates(line, readers).filter(|c| within.contains(c.0)).collect();
                     prop_assert_eq!(masked, filtered);
                     let (evens, odds): (SharerSet, SharerSet) =
                         (within.iter().filter(|c| c % 2 == 0).collect(), within.iter().filter(|c| c % 2 == 1).collect());
-                    let union: Vec<CoreId> =
+                    let union: Vec<_> =
                         index.candidates_in(line, readers, &evens, Some(&odds)).collect();
                     prop_assert_eq!(union, filtered);
                 }

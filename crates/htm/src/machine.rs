@@ -121,8 +121,9 @@ pub struct HtmMachine<V> {
     /// When the soonest queued window closes, `Cycle::MAX` with none queued
     /// (INV-16): a settle with nothing due is one compare against it.
     next_window: Cycle,
-    /// Every core's signatures, transposed (INV-15): each signature search
-    /// runs its test on the cores this lists for the line, in ascending order.
+    /// Every core's read and write signatures, stored transposed (INV-15):
+    /// each search runs its test on the cores this lists for the line, in
+    /// ascending order.
     index: ConflictIndex,
     vm: V,
     /// The STM-mode software fallback tier, alongside the hardware scheme.
@@ -150,15 +151,7 @@ impl<V: VersionManager> HtmMachine<V> {
             cfg: *cfg,
             mem: Memory::new(),
             sys: MemorySystem::new(cfg),
-            txs: (0..cfg.n_cores)
-                .map(|_| {
-                    TxState::with_mode(
-                        cfg.htm.signature_bits,
-                        cfg.htm.signature_hashes,
-                        cfg.htm.perfect_signatures,
-                    )
-                })
-                .collect(),
+            txs: vec![TxState::default(); cfg.n_cores],
             live: SharerSet::new(),
             defenders: SharerSet::new(),
             lazy_active: SharerSet::new(),
@@ -238,7 +231,7 @@ impl<V: VersionManager> HtmMachine<V> {
         let Reverse((_, c)) =
             self.windows.pop().expect("INV-16: next_window names a queued window");
         let t = &mut self.txs[c];
-        // The core's column empties with its signatures.
+        // The core's signatures empty with its sets.
         self.index.put_tx(c, t, false);
         match t.status {
             TxStatus::Aborting { .. } => t.clear_attempt(),
@@ -253,12 +246,11 @@ impl<V: VersionManager> HtmMachine<V> {
     }
 
     /// `CheckLevel::Full` cross-check of an indexed search against the
-    /// all-cores scan (INV-15): every core a signature of which covers
-    /// `line` is a candidate, so a search's own test run on the candidates,
-    /// in ascending core order, answers what a scan over all cores would;
-    /// and a candidate the index is exact for ([`Self::index_is_exact`]) is
-    /// covered by a signature, so the searches that skip its re-probe are
-    /// right to.
+    /// all-cores scan (INV-15): every core one of whose levels holds `line`
+    /// (read, with `readers`, or written) is a candidate, so no conflict a
+    /// scan of the exact sets would find is missed. A stray column bit is a
+    /// false positive here, like any other; the rebuild at the next
+    /// transaction end catches it.
     #[inline]
     fn audit_candidates(&self, now: Cycle, line: LineAddr, readers: bool) {
         if self.cfg.check >= CheckLevel::Full {
@@ -268,31 +260,15 @@ impl<V: VersionManager> HtmMachine<V> {
 
     #[inline(never)]
     fn audit_candidates_full(&self, now: Cycle, line: LineAddr, readers: bool) {
-        let listed: SharerSet = self.index.candidates(line, readers).collect();
+        let listed: SharerSet = self.index.candidates(line, readers).map(|h| h.0).collect();
         for (c, t) in self.txs.iter().enumerate() {
-            let hit = (readers && t.rsig_hit(line)) || t.wsig_hit(line);
+            let held = (readers && t.reads_contain(line)) || t.writes_contain(line);
             assert!(
-                !hit || listed.contains(c),
-                "INV-15 violated at t={now}: core {c}'s signature covers {line:#x} but \
-                 the signature index does not list the core"
-            );
-            assert!(
-                hit || !listed.contains(c) || !self.index_is_exact(t),
-                "INV-15 violated at t={now}: the signature index lists core {c} for \
-                 {line:#x}, which its one level of Bloom signatures does not cover"
+                !held || listed.contains(c),
+                "INV-15 violated at t={now}: core {c}'s sets hold {line:#x} but the \
+                 signature index does not list the core"
             );
         }
-    }
-
-    /// Does the index answer for `t` exactly what its signatures would?
-    /// A column is the union of the levels' Bloom bits: with one level of
-    /// Bloom signatures that *is* the signature, so a candidate needs no
-    /// second look. Stacked frames (the union may cover a line no single
-    /// level does) and perfect signatures (exact sets behind a Bloom
-    /// column) make the index a strict superset, and the candidate's own
-    /// signatures decide.
-    fn index_is_exact(&self, t: &TxState) -> bool {
-        !self.cfg.htm.perfect_signatures && t.frames.is_empty()
     }
 
     /// What `core`'s hardware transaction is as a requester.
@@ -324,19 +300,20 @@ impl<V: VersionManager> HtmMachine<V> {
         let lazy = (plan.lazy && !self.lazy_active.is_empty()).then_some(&self.lazy_active);
         // The machine's hottest search: a plain loop over the index's word
         // loop, no adapter in between.
-        for c in self.index.candidates_in(line, plan.readers, &self.defenders, lazy) {
+        for (c, r, w) in self.index.candidates_in(line, plan.readers, &self.defenders, lazy) {
             let t = &self.txs[c];
             let Some(holder) = Holder::of(t, at).filter(|_| c != core) else { continue };
-            // Unless its two cells differ, a reader (probed first: likelier)
-            // counts as a writer.
-            let written = if plan.split {
-                t.wsig_hit(line)
+            // Perfect signatures: the candidate's exact sets decide.
+            let (r, w) = if self.cfg.htm.perfect_signatures {
+                (plan.readers && t.reads_contain(line), t.writes_contain(line))
             } else {
-                self.index_is_exact(t) || (plan.readers && t.rsig_hit(line)) || t.wsig_hit(line)
+                (r, w)
             };
-            if !(written || (plan.split && t.rsig_hit(line))) {
+            if !(r || w) {
                 continue;
             }
+            // Unless its two cells differ, a reader counts as a writer.
+            let written = w || (!plan.split && r);
             let r = rule(req, ev, holder, written);
             match r.verdict() {
                 Verdict::Pass => {}
@@ -543,7 +520,7 @@ impl<V: VersionManager> HtmMachine<V> {
                 && !self.txs[core].lazy
                 && self.vm.supports_partial_abort()
             {
-                // LogTM-Nested stacked frame: per-level signatures plus a
+                // LogTM-Nested stacked frame: per-level sets plus a
                 // version-manager watermark, enabling partial abort.
                 self.txs[core].push_frame();
                 self.shadow(|s| s.push_level(core));
@@ -931,8 +908,9 @@ impl<V: VersionManager> HtmMachine<V> {
         );
     }
 
-    /// INV-15: a core's column of the signature index is the union of its
-    /// levels' signature bits — no hit is missed, only a live core has bits.
+    /// INV-15: a core's column of the signature index is the Bloom image of
+    /// the union of its levels' exact sets — no line is missed, no stray bit
+    /// answers, only a live core has bits.
     fn check_inv15(&self, now: Cycle) {
         let mut want = ConflictIndex::new(&self.cfg);
         for (c, t) in self.txs.iter().enumerate() {
@@ -1415,24 +1393,28 @@ mod tests {
         let t0 = m.begin_tx(0, 0, TxSite(1));
         done(m.tx_load(t0, 0, 0x300));
         // Seeded bug: one of core 0's read bits falls out of its index
-        // column while it is Active. Its signature still covers the line.
+        // column while it is Active. Its read set still holds the line, so
+        // the next search over it finds the core missing.
         m.index.put(0, false, [&0x300], false);
         let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
         let _ = m.tx_store(t1, 1, 0x300, 2);
     }
 
     #[test]
-    #[should_panic(expected = "does not cover")]
+    #[should_panic(expected = "INV-15")]
     fn full_check_catches_a_stray_bit_in_the_index() {
         let mut m = full_check_machine();
         let t0 = m.begin_tx(0, 0, TxSite(1));
         done(m.tx_load(t0, 0, 0x300));
         // Seeded bug: core 0's column gains the bits of a line it never
-        // read. With one level of Bloom signatures the searches trust the
-        // index, so core 0 would NACK a store it has no claim on.
+        // read. The column is its signature, so core 0 NACKs a store it has
+        // no claim on, as for any false positive; the rebuild at the next
+        // transaction end finds the column stale.
         m.index.put(0, false, [&0x340], true);
         let t1 = 50 + m.begin_tx(50, 1, TxSite(2));
-        let _ = m.tx_store(t1, 1, 0x340, 2);
+        let nacked = matches!(m.tx_store(t1, 1, 0x340, 2), Access::Nacked { nacker: 0, .. });
+        assert!(nacked, "a stray bit answers as a false positive");
+        let _ = m.commit_tx(t1 + 100, 1);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Per-core transaction descriptors.
 
-use suv_sig::Signature;
 use suv_types::{Cycle, LineAddr, LineSet, TxSite};
 
 /// Lifecycle of a core's hardware transaction.
 ///
 /// `Aborting` and `Committing` carry the end of the isolation window: until
-/// that time the transaction's signatures keep defending its read/write
+/// that time the transaction's sets keep defending its read/write
 /// sets — this is the repair/merge pathology mechanism of Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxStatus {
@@ -21,22 +20,20 @@ pub enum TxStatus {
     Committing { until: Cycle },
 }
 
-/// One nesting level's conflict-detection state (LogTM-Nested stacked
-/// frame). The outermost level lives directly in [`TxState`]; each nested
-/// level pushes a frame.
-#[derive(Debug, Clone)]
+/// One nesting level's exact sets (LogTM-Nested stacked frame). The
+/// outermost level lives directly in [`TxState`]; each nested level pushes
+/// a frame.
+#[derive(Debug, Clone, Default)]
 pub struct NestFrame {
-    /// This level's read signature.
-    pub rsig: Signature,
-    /// This level's write signature.
-    pub wsig: Signature,
     /// This level's exact write set.
     pub write_set: LineSet,
     /// This level's exact read set.
     pub read_set: LineSet,
 }
 
-/// State of (at most) one transaction per core.
+/// State of (at most) one transaction per core. Its read and write
+/// signatures are the core's two columns of the machine's signature index,
+/// kept from the levels' exact sets.
 #[derive(Debug, Clone)]
 pub struct TxState {
     /// Lifecycle stage.
@@ -62,15 +59,11 @@ pub struct TxState {
     pub possible_cycle: bool,
     /// Nesting depth (0 = not in a transaction).
     pub depth: usize,
-    /// Read signature.
-    pub rsig: Signature,
-    /// Write signature.
-    pub wsig: Signature,
     /// Exact write set (distinct lines) — used for lazy commit validation
     /// and overflow statistics; the signatures remain the *detection*
     /// mechanism.
     pub write_set: LineSet,
-    /// Distinct lines read (statistics only).
+    /// Distinct lines read.
     pub read_set: LineSet,
     /// Consecutive aborts of the current dynamic transaction (backoff).
     pub attempts: u32,
@@ -83,15 +76,10 @@ pub struct TxState {
     /// depth <= 1). `frames.len() == depth - 1` when partial-abort
     /// nesting is active.
     pub frames: Vec<NestFrame>,
-    /// Signature geometry, for allocating new frames.
-    sig_geom: (usize, usize, bool),
 }
 
-impl TxState {
-    /// Fresh descriptor; `perfect` selects exact-set signatures (ablation).
-    #[must_use]
-    pub fn with_mode(sig_bits: usize, sig_hashes: usize, perfect: bool) -> Self {
-        let make = if perfect { Signature::perfect } else { Signature::new };
+impl Default for TxState {
+    fn default() -> Self {
         TxState {
             status: TxStatus::Idle,
             timestamp: u64::MAX,
@@ -101,55 +89,32 @@ impl TxState {
             irrevocable: false,
             possible_cycle: false,
             depth: 0,
-            rsig: make(sig_bits, sig_hashes),
-            wsig: make(sig_bits, sig_hashes),
             write_set: LineSet::default(),
             read_set: LineSet::default(),
             attempts: 0,
             begin_time: 0,
             overflowed_l1: false,
             frames: Vec::new(),
-            sig_geom: (sig_bits, sig_hashes, perfect),
         }
     }
+}
 
-    fn make_sig(&self) -> Signature {
-        let (bits, k, perfect) = self.sig_geom;
-        if perfect {
-            Signature::perfect(bits, k)
-        } else {
-            Signature::new(bits, k)
-        }
-    }
-
+impl TxState {
     /// Push a stacked frame for a nested level.
     pub fn push_frame(&mut self) {
-        self.frames.push(NestFrame {
-            rsig: self.make_sig(),
-            wsig: self.make_sig(),
-            write_set: LineSet::default(),
-            read_set: LineSet::default(),
-        });
+        self.frames.push(NestFrame::default());
     }
 
     /// Pop the top frame, merging it into the level below (closed-nest
     /// commit: the inner sets become part of the parent's).
     pub fn merge_top_frame(&mut self) {
         let f = self.frames.pop().expect("no frame to merge");
-        match self.frames.last_mut() {
-            Some(parent) => {
-                parent.rsig.union_with(&f.rsig);
-                parent.wsig.union_with(&f.wsig);
-                parent.write_set.extend(f.write_set);
-                parent.read_set.extend(f.read_set);
-            }
-            None => {
-                self.rsig.union_with(&f.rsig);
-                self.wsig.union_with(&f.wsig);
-                self.write_set.extend(f.write_set);
-                self.read_set.extend(f.read_set);
-            }
-        }
+        let (reads, writes) = match self.frames.last_mut() {
+            Some(parent) => (&mut parent.read_set, &mut parent.write_set),
+            None => (&mut self.read_set, &mut self.write_set),
+        };
+        reads.extend(f.read_set);
+        writes.extend(f.write_set);
     }
 
     /// Drop the top frame and return it (partial abort: its sets stop defending).
@@ -164,31 +129,22 @@ impl TxState {
     }
 
     /// Record a read (with `write`, a write) at the current level. True when
-    /// the line is new to the level's exact set (else its bits are set already).
+    /// the line is new to the level's exact set: its bits must then enter
+    /// the core's signature (else they are set already).
     pub fn note(&mut self, write: bool, line: LineAddr) -> bool {
-        let (sig, set) = match (self.frames.last_mut(), write) {
-            (Some(f), false) => (&mut f.rsig, &mut f.read_set),
-            (Some(f), true) => (&mut f.wsig, &mut f.write_set),
-            (None, false) => (&mut self.rsig, &mut self.read_set),
-            (None, true) => (&mut self.wsig, &mut self.write_set),
+        let set = match (self.frames.last_mut(), write) {
+            (Some(f), false) => &mut f.read_set,
+            (Some(f), true) => &mut f.write_set,
+            (None, false) => &mut self.read_set,
+            (None, true) => &mut self.write_set,
         };
-        let fresh = set.insert(line);
-        if fresh {
-            sig.insert(line);
-        }
-        fresh
+        set.insert(line)
     }
 
-    /// Does any level's read signature cover this line?
+    /// Exact: has any level of this transaction read this line?
     #[must_use]
-    pub fn rsig_hit(&self, line: LineAddr) -> bool {
-        self.rsig.contains(line) || self.frames.iter().any(|f| f.rsig.contains(line))
-    }
-
-    /// Does any level's write signature cover this line?
-    #[must_use]
-    pub fn wsig_hit(&self, line: LineAddr) -> bool {
-        self.wsig.contains(line) || self.frames.iter().any(|f| f.wsig.contains(line))
+    pub fn reads_contain(&self, line: LineAddr) -> bool {
+        self.read_set.contains(&line) || self.frames.iter().any(|f| f.read_set.contains(&line))
     }
 
     /// Exact: has any level of this transaction written this line?
@@ -246,8 +202,6 @@ impl TxState {
         self.irrevocable = false;
         self.possible_cycle = false;
         self.depth = 0;
-        self.rsig.clear();
-        self.wsig.clear();
         self.write_set.clear();
         self.read_set.clear();
         self.overflowed_l1 = false;
@@ -266,13 +220,9 @@ impl TxState {
 mod tests {
     use super::*;
 
-    fn tx() -> TxState {
-        TxState::with_mode(256, 2, false)
-    }
-
     #[test]
     fn fresh_state_idle() {
-        let t = tx();
+        let t = TxState::default();
         assert_eq!(t.status, TxStatus::Idle);
         assert!(!t.isolation_live(0));
         assert_eq!(t.depth, 0);
@@ -280,8 +230,7 @@ mod tests {
 
     #[test]
     fn isolation_window_semantics() {
-        let mut t = tx();
-        t.status = TxStatus::Active;
+        let mut t = TxState { status: TxStatus::Active, ..TxState::default() };
         assert!(t.isolation_live(123));
         t.status = TxStatus::Aborting { until: 100 };
         assert!(t.isolation_live(99));
@@ -293,17 +242,17 @@ mod tests {
 
     #[test]
     fn clear_attempt_keeps_retry_state() {
-        let mut t = tx();
-        t.status = TxStatus::Active;
-        t.attempts = 3;
-        t.timestamp = 42;
-        t.wsig.insert(0x40);
-        t.write_set.insert(0x40);
-        t.possible_cycle = true;
+        let mut t = TxState {
+            status: TxStatus::Active,
+            attempts: 3,
+            timestamp: 42,
+            possible_cycle: true,
+            ..TxState::default()
+        };
+        t.note(true, 0x40);
         t.clear_attempt();
         assert_eq!(t.status, TxStatus::Idle);
-        assert!(t.wsig.is_clear());
-        assert!(t.write_set.is_empty());
+        assert!(!t.writes_contain(0x40));
         assert!(!t.possible_cycle);
         assert_eq!(t.attempts, 3, "retry count survives an attempt");
         assert_eq!(t.timestamp, 42, "age survives an attempt (LogTM rule)");
@@ -311,9 +260,7 @@ mod tests {
 
     #[test]
     fn clear_dynamic_resets_everything() {
-        let mut t = tx();
-        t.attempts = 5;
-        t.timestamp = 7;
+        let mut t = TxState { attempts: 5, timestamp: 7, ..TxState::default() };
         t.clear_dynamic();
         assert_eq!(t.attempts, 0);
         assert_eq!(t.timestamp, u64::MAX);

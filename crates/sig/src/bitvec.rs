@@ -13,16 +13,6 @@ impl BitVec {
         BitVec { words: vec![0; nbits.div_ceil(64)], nbits }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.nbits
-    }
-
-    /// True when `nbits == 0`.
-    pub fn is_empty(&self) -> bool {
-        self.nbits == 0
-    }
-
     /// Read bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -44,33 +34,9 @@ impl BitVec {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Zero every bit.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Do the two vectors share any set bit?
-    pub fn intersects(&self, other: &BitVec) -> bool {
-        debug_assert_eq!(self.nbits, other.nbits);
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// OR `other` into `self`.
-    pub fn union_with(&mut self, other: &BitVec) {
-        debug_assert_eq!(self.nbits, other.nbits);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Population count.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// True when no bit is set.
-    pub fn all_zero(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
     }
 }
 
@@ -93,36 +59,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_zeroes_everything() {
-        let mut b = BitVec::new(256);
-        for i in (0..256).step_by(7) {
-            b.set(i);
-        }
-        assert!(!b.all_zero());
-        b.clear();
-        assert!(b.all_zero());
-        assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    fn intersection_and_union() {
-        let mut a = BitVec::new(128);
-        let mut b = BitVec::new(128);
-        a.set(5);
-        b.set(70);
-        assert!(!a.intersects(&b));
-        b.set(5);
-        assert!(a.intersects(&b));
-        a.union_with(&b);
-        assert!(a.get(70));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
     fn non_multiple_of_64_width() {
         let mut b = BitVec::new(2048);
         b.set(2047);
         assert!(b.get(2047));
-        assert_eq!(b.len(), 2048);
+        assert_eq!(b.count_ones(), 1);
     }
 }
