@@ -223,7 +223,7 @@ const PINS: &[(usize, Scheme, bool, bool, u64)] = &[
     (16, Scheme::DynTm, true, true, 0x3fda766c0604cac2),
     (16, Scheme::FasTm, false, false, 0xe88a61e48fd2d5ee),
     (16, Scheme::FasTm, false, true, 0x47ceef2527d70756),
-    (16, Scheme::FasTm, true, false, 0x66d48fe09adc7089),
+    (16, Scheme::FasTm, true, false, 0xcd59e54ffcff8a34),
     (16, Scheme::FasTm, true, true, 0x3ef504e581d5c53b),
     (70, Scheme::LogTm, false, false, 0x1c3155e674e4ffcf),
     (70, Scheme::LogTm, false, true, 0x10d118d39c4b024b),
