@@ -23,6 +23,7 @@
 //! DESIGN.md §9 tabulates them.
 
 use crate::conflict::{rule, ConflictIndex, Event, Found, Holder, Plan, Req, Rule, Verdict};
+use crate::script::Phase;
 use crate::shadow::ShadowOracle;
 use crate::swvm::{self, SwVm};
 use crate::tx::{TxState, TxStatus};
@@ -202,6 +203,20 @@ impl<V: VersionManager> HtmMachine<V> {
     #[must_use]
     pub fn in_tx(&self, core: CoreId) -> bool {
         self.txs[core].depth > 0 && matches!(self.txs[core].status, TxStatus::Active)
+    }
+
+    /// What `core` is inside of: a hardware transaction, by depth and mode,
+    /// a software one, or neither.
+    #[must_use]
+    pub fn phase(&self, core: CoreId) -> Phase {
+        let t = &self.txs[core];
+        if self.in_tx(core) {
+            Phase::Hw { depth: t.depth, irrevocable: t.irrevocable, lazy: t.lazy }
+        } else if self.sw.active(core) {
+            Phase::Sw
+        } else {
+            Phase::Idle
+        }
     }
 
     /// Run `f` on the version manager, handing it the view of the machine

@@ -48,9 +48,8 @@ pub enum Op {
 pub type Script = Vec<(CoreId, Op)>;
 
 /// What a core is inside of, which decides the ops it may issue next: a
-/// hardware transaction `depth` levels deep (`lazy` is read off
-/// [`HtmMachine::lazy_txns`] at the outermost begin), a software one, or
-/// neither.
+/// hardware transaction `depth` levels deep, a software one, or neither.
+/// The machine's descriptors say which ([`HtmMachine::phase`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     Idle,
@@ -170,7 +169,6 @@ impl Outcome {
 pub struct Run<V> {
     /// The machine: public for setup and inspection; a direct call bypasses the protocol.
     pub m: HtmMachine<V>,
-    phase: Vec<Phase>,
     /// Earliest cycle at which each core's previous op has finished.
     ready: Vec<Cycle>,
     /// Time of the last op issued.
@@ -182,12 +180,12 @@ impl<V: VersionManager> Run<V> {
     #[must_use]
     pub fn new(m: HtmMachine<V>) -> Self {
         let n = m.config().n_cores;
-        Run { m, phase: vec![Phase::Idle; n], ready: vec![0; n], now: 0 }
+        Run { m, ready: vec![0; n], now: 0 }
     }
 
     #[must_use]
     pub fn phase(&self, core: CoreId) -> Phase {
-        self.phase[core]
+        self.m.phase(core)
     }
 
     /// The earliest cycle at which `core` may issue its next op.
@@ -199,7 +197,8 @@ impl<V: VersionManager> Run<V> {
     /// The core running an irrevocable transaction, if any.
     #[must_use]
     pub fn irrevocable_owner(&self) -> Option<CoreId> {
-        self.phase.iter().position(|p| matches!(p, Phase::Hw { irrevocable: true, .. }))
+        (0..self.ready.len())
+            .find(|&c| matches!(self.phase(c), Phase::Hw { irrevocable: true, .. }))
     }
 
     /// Issue `op` on `core` at cycle `now`, then whatever abort the answer
@@ -209,15 +208,15 @@ impl<V: VersionManager> Run<V> {
     /// or before `core` is ready; the machine is untouched then.
     pub fn step(&mut self, now: Cycle, core: CoreId, op: Op) -> Result<Outcome, Illegal> {
         use Phase::{Hw, Idle, Sw};
-        let before = self.phase.get(core).copied().unwrap_or(Idle);
+        let exists = core < self.ready.len();
+        let before = if exists { self.phase(core) } else { Idle };
         let illegal = Err(Illegal { core, op, phase: before });
-        if core >= self.phase.len() || now < self.now || now < self.ready[core] {
+        if !exists || now < self.now || now < self.ready[core] {
             return illegal;
         }
         let token_free =
             !matches!(op, Op::BeginIrrevocable { .. }) || self.irrevocable_owner().is_none();
         let m = &mut self.m;
-        let lazy_before = m.lazy_txns();
         let answer = match (before, op) {
             (Idle, Op::Begin { site }) => Answer::Begun(m.begin_tx(now, core, site)),
             (Idle, Op::BeginIrrevocable { site }) if token_free => {
@@ -265,26 +264,8 @@ impl<V: VersionManager> Run<V> {
             (Sw, ..) => m.abort_sw_tx(now, core, FallbackAbortReason::HwConflict),
             _ => m.abort_tx(now, core),
         });
-        let after = match (before, op, answer) {
-            _ if owes_abort => Idle,
-            (Idle, Op::SwBegin { .. }, _) => Sw,
-            (Idle, _, Answer::Begun(_)) => Hw {
-                depth: 1,
-                irrevocable: matches!(op, Op::BeginIrrevocable { .. }),
-                lazy: m.lazy_txns() > lazy_before,
-            },
-            (Hw { depth, irrevocable, lazy }, _, Answer::Begun(_)) => {
-                Hw { depth: depth + 1, irrevocable, lazy }
-            }
-            (Hw { depth: 1, .. }, _, Answer::Commit(_))
-            | (Sw, _, Answer::SwCommit(SwCommitOutcome::Committed { .. })) => Idle,
-            (Hw { depth, irrevocable, lazy }, _, Answer::Commit(_) | Answer::NestedAbort(_)) => {
-                Hw { depth: depth - 1, irrevocable, lazy }
-            }
-            _ => before,
-        };
+        let after = m.phase(core);
         let out = Outcome { before, answer, aborted, after };
-        self.phase[core] = after;
         self.ready[core] = now + out.latency();
         self.now = now;
         Ok(out)
