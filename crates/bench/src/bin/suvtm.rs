@@ -283,6 +283,16 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
         if workers == 1 { "" } else { "s" },
     );
     let cells = run_matrix(&o.cells, o.scale, workers);
+    // The document and the stderr lines first: a reader of stdout that goes
+    // away ends the process at the next line.
+    let quarantined: Vec<_> =
+        cells.iter().filter(|c| matches!(c, CellOutcome::Quarantined { .. })).collect();
+    for q in &quarantined {
+        eprintln!("suvtm: quarantined cell {}", cell_key(q.spec()));
+    }
+    if let Some(path) = &o.out {
+        write_doc(path, &(o.render)(&cells, o.scale)?.render())?;
+    }
     for outcome in &cells {
         let label = cell_label(outcome.spec());
         match outcome {
@@ -297,19 +307,11 @@ fn cmd_bench(o: &BenchOpts) -> Result<(), String> {
         }
     }
     let total_cycles: u64 = cells.iter().map(CellOutcome::sim_cycles).sum();
-    let quarantined: Vec<_> =
-        cells.iter().filter(|c| matches!(c, CellOutcome::Quarantined { .. })).collect();
     outln!(
         "total: {} cells ({} quarantined), {total_cycles} simulated cycles",
         cells.len(),
         quarantined.len(),
     );
-    for q in &quarantined {
-        eprintln!("suvtm: quarantined cell {}", cell_key(q.spec()));
-    }
-    if let Some(path) = &o.out {
-        write_doc(path, &(o.render)(&cells, o.scale)?.render())?;
-    }
     quarantine_status(&cells)
 }
 

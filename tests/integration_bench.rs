@@ -173,3 +173,28 @@ fn a_closed_stdout_ends_suvtm_with_status_zero() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
+
+/// `suvtm bench` writes its `--out` document before its first stdout line,
+/// so a reader that goes away at once (`suvtm bench … | head -1`) still
+/// leaves the whole document behind: the one the engine renders in process.
+#[test]
+fn a_closed_stdout_still_leaves_the_bench_document() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("closed-stdout-bench");
+    let path = dir.join("b.json");
+    let _ = std::fs::remove_file(&path);
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_suvtm"))
+        .args(["bench", "--apps", "genome", "--schemes", "suv", "--cores", "4"])
+        .args(["--scale", "tiny", "--out"])
+        .arg(&path)
+        .stdout(writer)
+        .output()
+        .expect("spawn suvtm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let doc = std::fs::read_to_string(&path).expect("the bench document was written");
+    let cells = run_matrix(&matrix(&["genome"], &[SchemeKind::SuvTm], &[4]), SuiteScale::Tiny, 1);
+    assert_eq!(doc, sweep_json(&cells, SuiteScale::Tiny).render());
+}
