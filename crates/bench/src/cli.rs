@@ -674,7 +674,7 @@ mod tests {
             .expect("valid")
         {
             Command::Bench(o) => {
-                assert_eq!(o.cells.len(), 1 * 2 * 2);
+                assert_eq!(o.cells.len(), 2 * 2, "one app, two core counts, two schemes");
                 assert_eq!(o.scale, SuiteScale::Scale, "--scaling keeps the scale inputs");
             }
             other => panic!("expected Bench, got {other:?}"),

@@ -230,10 +230,12 @@ mod tests {
 
     /// An explicit (non-square unless rows == cols) rows x cols mesh.
     fn rect_mesh(rows: usize, cols: usize) -> Mesh {
-        let mut cfg = MachineConfig::default();
-        cfg.n_cores = rows * cols;
-        cfg.mesh_rows = rows;
-        cfg.mesh_cols = cols;
+        let cfg = MachineConfig {
+            n_cores: rows * cols,
+            mesh_rows: rows,
+            mesh_cols: cols,
+            ..MachineConfig::default()
+        };
         Mesh::new(&cfg)
     }
 
@@ -248,8 +250,7 @@ mod tests {
 
     #[test]
     fn large_core_counts_get_square_meshes() {
-        let mut cfg = MachineConfig::default();
-        cfg.n_cores = 128;
+        let mut cfg = MachineConfig { n_cores: 128, ..MachineConfig::default() };
         let m = Mesh::new(&cfg);
         assert_eq!((m.rows(), m.cols()), (12, 12));
         assert_eq!(m.core_node(127), Node { x: 127 % 12, y: 127 / 12 });
@@ -372,11 +373,13 @@ mod tests {
         // 2x8 rectangle, core 9 sits at (1,1) and line 9 banks to (1,1) —
         // a self-route that must stay free and uncounted even though
         // node index 9 would be off-grid in the old 4x4-implied math.
-        let mut cfg = MachineConfig::default();
-        cfg.n_cores = 16;
-        cfg.mesh_rows = 2;
-        cfg.mesh_cols = 8;
-        cfg.noc_contention = true;
+        let cfg = MachineConfig {
+            n_cores: 16,
+            mesh_rows: 2,
+            mesh_cols: 8,
+            noc_contention: true,
+            ..MachineConfig::default()
+        };
         let mut m = Mesh::new(&cfg);
         let line = 9u64 * 64;
         assert_eq!(m.core_node(m.bank_of(line)), m.core_node(9));
@@ -556,11 +559,13 @@ mod prop_tests {
             cols in 1usize..9,
             msgs in proptest::collection::vec((0usize..32, 0usize..32), 1..30),
         ) {
-            let mut cfg = MachineConfig::default();
-            cfg.n_cores = rows * cols;
-            cfg.mesh_rows = rows;
-            cfg.mesh_cols = cols;
-            cfg.noc_contention = true;
+            let cfg = MachineConfig {
+                n_cores: rows * cols,
+                mesh_rows: rows,
+                mesh_cols: cols,
+                noc_contention: true,
+                ..MachineConfig::default()
+            };
             let mut m = Mesh::new(&cfg);
             let mut now = 0u64;
             for (c1, c2) in msgs {

@@ -516,7 +516,8 @@ mod tests {
             [0, 1, 2, 3]
         );
         // Each reason bumps exactly its own counter and keeps its JSON key.
-        let fields: [(fn(&mut TxStats) -> &mut u64, &str); 4] = [
+        type Counter = fn(&mut TxStats) -> &mut u64;
+        let fields: [(Counter, &str); 4] = [
             (|t| &mut t.esc_overflow, "overflow"),
             (|t| &mut t.esc_abort_watchdog, "abort_watchdog"),
             (|t| &mut t.esc_starvation, "starvation_watchdog"),

@@ -592,9 +592,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot seat")]
     fn undersized_mesh_override_is_rejected() {
-        let mut c = MachineConfig::default();
-        c.mesh_rows = 2;
-        c.mesh_cols = 2;
+        let c = MachineConfig { mesh_rows: 2, mesh_cols: 2, ..MachineConfig::default() };
         let _ = c.mesh_dims();
     }
 

@@ -342,9 +342,8 @@ fn quarantined_cell_releases_the_irrevocable_token() {
                     // Attempt 1 dies of the injected overflow; attempt 2
                     // (overflow_retries = 1) runs irrevocable — the token
                     // is held when the body panics mid-transaction.
-                    if self.calls.fetch_add(1, Ordering::Relaxed) >= 1 {
-                        panic!("seeded panic mid-irrevocable");
-                    }
+                    let first = self.calls.fetch_add(1, Ordering::Relaxed) == 0;
+                    assert!(first, "seeded panic mid-irrevocable");
                     tx.store(self.word, 1).await?;
                     Ok(())
                 })
