@@ -9,6 +9,11 @@
 //! abort (STAMP never nests), the software commit's hardware-conflict and
 //! reader-doom searches, irrevocable owners, and the three shapes of the
 //! per-core bit vectors (3 and 16 cores in one word, 70 cores in two).
+//!
+//! The main rows spread their lines over as many L1 sets; the one-set rows
+//! put every line in one set of the two-way L1, so speculative lines are
+//! evicted and FasTM (alone and under DynTM) takes its degenerate path, one
+//! of them with a degenerate-mode log budget that binds.
 
 use super::{drive, pin_row, Digest, Rng, BASE};
 use suv_htm::dyntm::DynTm;
@@ -24,6 +29,9 @@ const STEPS: usize = 2500;
 /// Distinct lines the generated accesses touch: few enough that real
 /// conflicts are frequent, enough that 64-bit signatures alias.
 const LINES: u64 = 24;
+/// The small-test L1 (4 KiB, two ways) indexes its 32 sets by these bits
+/// of a line address: lines this far apart share one set.
+const ONE_SET: u64 = 2048;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Scheme {
@@ -32,10 +40,6 @@ enum Scheme {
     DynTm,
     /// Last, so the schemes pinned before it keep their seeds.
     FasTm,
-}
-
-fn addr(rng: &mut Rng) -> u64 {
-    BASE + rng.below(LINES) * 64 + rng.below(4) * 8
 }
 
 /// How often each interesting outcome occurred (coverage, not pinned).
@@ -54,13 +58,23 @@ struct Seen {
     /// closed but requested while it was still open: validation must test
     /// each window against the grant time, not the request time.
     lazy_commits_past_a_window: u64,
+    overflows: u64,
+    speculative_evictions: u64,
 }
 
 #[derive(Clone)]
 struct Mix {
+    /// Bytes between two of the lines the accesses touch.
+    stride: u64,
     /// When each core's last abort or outermost commit stops defending.
     window_end: Vec<Cycle>,
     seen: Seen,
+}
+
+impl Mix {
+    fn addr(&self, rng: &mut Rng) -> u64 {
+        BASE + rng.below(LINES) * self.stride + rng.below(4) * 8
+    }
 }
 
 impl super::Mix for Mix {
@@ -75,21 +89,21 @@ impl super::Mix for Mix {
                     60..=64 if run.irrevocable_owner().is_some() => return None,
                     60..=64 => Op::BeginIrrevocable { site },
                     65..=79 => Op::SwBegin { site, attempt: 1 },
-                    80..=89 => Op::NonTxLoad(addr(rng)),
-                    _ => Op::NonTxStore(addr(rng), rng.next()),
+                    80..=89 => Op::NonTxLoad(self.addr(rng)),
+                    _ => Op::NonTxStore(self.addr(rng), rng.next()),
                 }
             }
             Phase::Hw { depth, irrevocable, .. } => match rng.below(100) {
-                0..=34 => Op::Load(addr(rng)),
-                35..=64 => Op::Store(addr(rng), rng.next()),
+                0..=34 => Op::Load(self.addr(rng)),
+                35..=64 => Op::Store(self.addr(rng), rng.next()),
                 65..=72 if depth < 4 => Op::NestedBegin { site: TxSite(7) },
                 73..=80 if depth > 1 && !irrevocable => Op::AbortNested,
                 81..=84 if !irrevocable => Op::Abort,
                 _ => Op::Commit,
             },
             Phase::Sw => match rng.below(100) {
-                0..=39 => Op::SwLoad(addr(rng)),
-                40..=69 => Op::SwStore(addr(rng), rng.next()),
+                0..=39 => Op::SwLoad(self.addr(rng)),
+                40..=69 => Op::SwStore(self.addr(rng), rng.next()),
                 70..=74 => Op::SwAbort { reason: FallbackAbortReason::HwConflict },
                 _ => Op::SwCommit,
             },
@@ -108,7 +122,8 @@ impl super::Mix for Mix {
         let s = &mut self.seen;
         match out.answer {
             Answer::Access(Access::Nacked { .. }) => s.nacks += 1,
-            Answer::Access(Access::MustAbort { .. } | Access::Overflow { .. }) => s.doomed += 1,
+            Answer::Access(Access::MustAbort { .. }) => s.doomed += 1,
+            Answer::Access(Access::Overflow { .. }) => s.overflows += 1,
             Answer::NestedAbort(Some(_)) => s.partial_aborts += 1,
             Answer::Commit(CommitOutcome::MustAbort { .. }) => s.lazy_commit_losses += 1,
             Answer::Commit(CommitOutcome::Committed { latency, committing })
@@ -149,16 +164,26 @@ impl super::Mix for Mix {
             s.sw_aborts,
             s.hw_sw_conflicts,
         ]);
+        self.seen.speculative_evictions += m.overflow_stats().speculative_evictions;
         0
     }
 }
 
+/// Where a row's lines sit, and FasTM's degenerate-mode log budget in
+/// bytes (0 = unbounded).
+#[derive(Clone, Copy)]
+struct Layout {
+    stride: u64,
+    log_bytes: u64,
+}
+
+/// The main rows' layout: each line in a set of its own.
+const SPREAD: Layout = Layout { stride: 64, log_bytes: 0 };
+
 /// One configuration's digest; `seen` accumulates across configurations.
 fn run(
-    cores: usize,
-    scheme: Scheme,
-    partial: bool,
-    perfect: bool,
+    (cores, scheme, partial, perfect): (usize, Scheme, bool, bool),
+    layout: Layout,
     fork_at: Option<usize>,
     seen: Seen,
 ) -> (u64, Seen) {
@@ -174,11 +199,12 @@ fn run(
         ^ ((scheme as u64) << 4)
         ^ (u64::from(partial) << 1)
         ^ u64::from(perfect);
-    let mix = Mix { window_end: vec![0; cores], seen };
-    let fastm = FasTm::new(cores, 0);
+    let mix = Mix { stride: layout.stride, window_end: vec![0; cores], seen };
+    let fastm = FasTm::new(cores, layout.log_bytes);
+    let lines = (LINES, layout.stride);
     macro_rules! over {
         ($vm:expr) => {
-            drive(HtmMachine::new(&cfg, $vm), LINES, rng_seed, mix, STEPS, fork_at)
+            drive(HtmMachine::new(&cfg, $vm), lines, rng_seed, mix, STEPS, fork_at)
         };
     }
     let (digest, _, mix) = match scheme {
@@ -252,7 +278,8 @@ fn machine_outcomes_are_pinned_per_configuration() {
         for scheme in [Scheme::LogTm, Scheme::Lazy, Scheme::DynTm, Scheme::FasTm] {
             for partial in [false, true] {
                 for perfect in [false, true] {
-                    let (digest, seen) = run(cores, scheme, partial, perfect, None, total);
+                    let row = (cores, scheme, partial, perfect);
+                    let (digest, seen) = run(row, SPREAD, None, total);
                     total = seen;
                     let config = format!("{cores}, Scheme::{scheme:?}, {partial}, {perfect}");
                     pin_row(&mut table, &config, &[digest]);
@@ -278,12 +305,49 @@ fn machine_outcomes_are_pinned_per_configuration() {
     assert_eq!(actual, PINS, "machine outcomes moved; the table now reads:\n{table}");
 }
 
+/// `(cores, scheme, partial_nesting, log_bytes, digest)` with every line in
+/// one L1 set.
+#[rustfmt::skip]
+const ONE_SET_PINS: &[(usize, Scheme, bool, u64, u64)] = &[
+    (3, Scheme::FasTm, false, 0, 0xe31b423e298a65d9),
+    (3, Scheme::FasTm, true, 0, 0x5ed7a21c937b847d),
+    (16, Scheme::FasTm, false, 0, 0x7b01eefaf8c32175),
+    (16, Scheme::FasTm, true, 0, 0x58374b2f556b1cbb),
+    (3, Scheme::DynTm, false, 0, 0x2b4dafc885a2cb7f),
+    (3, Scheme::DynTm, true, 0, 0x59f45e04fcf5f5cf),
+    (16, Scheme::DynTm, false, 0, 0xa68c1ce971ea1410),
+    (16, Scheme::DynTm, true, 0, 0x315193c3d627ae9d),
+    (16, Scheme::FasTm, false, 144, 0x252b7283ea33585b),
+];
+
+#[test]
+fn speculative_evictions_are_pinned_with_every_line_in_one_set() {
+    let mut table = String::new();
+    let mut actual = Vec::new();
+    let rows = [Scheme::FasTm, Scheme::DynTm]
+        .into_iter()
+        .flat_map(|s| [3, 16].map(|c| (c, s)))
+        .flat_map(|(c, s)| [false, true].map(|p| (c, s, p, 0)))
+        .chain([(16, Scheme::FasTm, false, 144)]);
+    for (cores, scheme, partial, log_bytes) in rows {
+        let layout = Layout { stride: ONE_SET, log_bytes };
+        let (digest, seen) = run((cores, scheme, partial, false), layout, None, Seen::default());
+        let config = format!("{cores}, Scheme::{scheme:?}, {partial}, {log_bytes}");
+        assert!(seen.speculative_evictions > 0, "{config}: no speculative line evicted");
+        assert!(log_bytes == 0 || seen.overflows > 0, "{config}: the log budget never bound");
+        pin_row(&mut table, &config, &[digest]);
+        actual.push((cores, scheme, partial, log_bytes, digest));
+    }
+    assert_eq!(actual, ONE_SET_PINS, "one-set outcomes moved; the table now reads:\n{table}");
+}
+
 #[test]
 fn a_machine_cloned_mid_sequence_ends_where_its_original_does() {
     for scheme in [Scheme::LogTm, Scheme::FasTm, Scheme::Lazy, Scheme::DynTm] {
         for (cores, partial) in [(3, true), (16, false), (70, true)] {
-            let whole = run(cores, scheme, partial, false, None, Seen::default()).0;
-            let forked = run(cores, scheme, partial, false, Some(STEPS / 2), Seen::default()).0;
+            let row = (cores, scheme, partial, false);
+            let whole = run(row, SPREAD, None, Seen::default()).0;
+            let forked = run(row, SPREAD, Some(STEPS / 2), Seen::default()).0;
             assert_eq!(forked, whole, "{cores} cores, {scheme:?}: forking changed the run");
         }
     }

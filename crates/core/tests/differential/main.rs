@@ -11,9 +11,10 @@
 //! and readiness loop, outcome folding, the clone-and-fork check and the
 //! table printer. What is a driver's own is its [`Mix`]:
 //!
-//! * [`machine`] — the conflict searches under LogTM-SE / Lazy / DynTM (and
-//!   FasTM, forked only): nesting with partial abort, the software tier,
-//!   irrevocable owners, 3 / 16 / 70 cores;
+//! * [`machine`] — the conflict searches under LogTM-SE / Lazy / DynTM /
+//!   FasTM: nesting with partial abort, the software tier, irrevocable
+//!   owners, 3 / 16 / 70 cores; and FasTM's degenerate path, with every
+//!   line in one L1 set;
 //! * [`suv`] — SUV's redirect bookkeeping (SUV-TM and DynTM+SUV) on a tiny
 //!   table with a one-page pool, trace stream included;
 //! * [`scripts`] — hand-written scripts: the B9 interleaving and the table
@@ -147,13 +148,14 @@ impl<V: VersionManager, M: Mix> Driver<V, M> {
     }
 }
 
-/// One configuration: `steps` generated steps on `m`, whose first `lines`
-/// lines are seeded with distinct words. With `fork_at`, the run is cloned
-/// after that many steps and the clone fed the same remaining steps: it must
-/// end where the original does, trace included.
+/// One configuration: `steps` generated steps on `m`, whose `lines` lines
+/// from [`BASE`], `stride` bytes apart, are seeded with distinct words.
+/// With `fork_at`, the run is cloned after that many steps and the clone
+/// fed the same remaining steps: it must end where the original does,
+/// trace included.
 fn drive<V: VersionManager, M: Mix>(
     mut m: HtmMachine<V>,
-    lines: u64,
+    (lines, stride): (u64, u64),
     rng_seed: u64,
     mix: M,
     steps: usize,
@@ -161,7 +163,7 @@ fn drive<V: VersionManager, M: Mix>(
 ) -> (u64, u64, M) {
     for l in 0..lines {
         for w in 0..4 {
-            m.poke(BASE + l * 64 + w * 8, l * 4 + w);
+            m.poke(BASE + l * stride + w * 8, l * 4 + w);
         }
     }
     let mut d = Driver { run: Run::new(m), rng: Rng(rng_seed), d: Digest::new(), mix, now: 0 };

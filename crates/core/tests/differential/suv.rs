@@ -248,7 +248,7 @@ fn run(
             if traced {
                 m.set_tracer(Tracer::ring(RING));
             }
-            drive(m, LINES, rng_seed, mix, STEPS, fork_at)
+            drive(m, (LINES, 64), rng_seed, mix, STEPS, fork_at)
         }};
     }
     let (outcomes, trace, mix) = match scheme {
