@@ -1599,6 +1599,47 @@ mod tests {
         assert!(m.txs[300].timestamp < m.txs[0].timestamp, "begun earlier is older");
     }
 
+    /// A 64-bit, `k`-hash signature's Bloom bits of `line`.
+    pub(super) fn bloom(k: usize, line: LineAddr) -> u64 {
+        suv_sig::HashFamily::new(64, k).indices(line >> 6).fold(0, |m, i| m | 1 << i)
+    }
+
+    /// A machine with 64-bit, `k`-hash signatures, audited in full.
+    pub(super) fn run_64(k: usize, perfect: bool) -> Run<LogTmSe> {
+        let mut cfg = MachineConfig::small_test();
+        (cfg.htm.signature_bits, cfg.htm.signature_hashes) = (64, k);
+        (cfg.htm.perfect_signatures, cfg.check) = (perfect, CheckLevel::Full);
+        Run::new(HtmMachine::new(&cfg, LogTmSe::new(cfg.n_cores, 0)))
+    }
+
+    #[test]
+    fn a_signature_false_positive_conflicts_unless_signatures_are_perfect() {
+        let a = 0x1000;
+        let alias = (1..256).map(|i| a + i * 64).find(|&l| bloom(1, l) == bloom(1, a));
+        let b = alias.expect("64 one-hash bits alias within 256 lines");
+        for perfect in [false, true] {
+            let script = [(0, begin(1)), (0, Load(a)), (1, begin(2)), (1, Store(b, 1))];
+            let out = run_64(1, perfect).play(&script).unwrap();
+            assert_eq!(nacked(out[3].answer, 0, false), !perfect, "perfect: {perfect}");
+        }
+    }
+
+    #[test]
+    fn phase_is_read_off_the_descriptors() {
+        let mut r = run();
+        let nest = NestedBegin { site: TxSite(2) };
+        let sw = SwBegin { site: TxSite(3), attempt: 1 };
+        r.play(&[(0, begin(1)), (0, nest), (1, sw), (2, BeginIrrevocable { site: TxSite(4) })])
+            .unwrap();
+        assert_eq!(r.m.phase(0), Phase::Hw { depth: 2, irrevocable: false, lazy: false });
+        assert_eq!(r.m.phase(1), Phase::Sw);
+        assert_eq!(r.m.phase(2), Phase::Hw { depth: 1, irrevocable: true, lazy: false });
+        assert_eq!((r.m.phase(3), r.irrevocable_owner()), (Phase::Idle, Some(2)));
+        r.play(&[(0, Commit), (0, Commit), (2, Commit)]).unwrap();
+        assert_eq!(r.m.phase(0), Phase::Idle, "a committing window is no transaction");
+        assert_eq!(r.irrevocable_owner(), None);
+    }
+
     #[test]
     fn an_irrevocable_owner_on_a_core_above_255_is_the_oldest() {
         let mut m = machine_512();
@@ -1686,6 +1727,29 @@ mod nesting_tests {
         ]);
         let last = out.unwrap()[5];
         assert!(last.value().is_some(), "aborted inner level still defends: {last:?}");
+    }
+
+    /// With nested levels open a core has one signature pair, the union of
+    /// its levels' bits: a line that only the union covers conflicts, and
+    /// stops once a partial abort takes its level's bits out.
+    #[test]
+    fn a_nested_core_has_one_signature_pair_and_a_partial_abort_shrinks_it() {
+        let (a, line) = (0x1000, |i: u64| 0x1000 + i * 64);
+        let covered = |b: u64, c: u64| {
+            let (ma, mb, mc) = (bloom(2, a), bloom(2, b), bloom(2, c));
+            mc & !(ma | mb) == 0 && mc & !ma != 0 && mc & !mb != 0
+        };
+        let (b, c) = (1..64)
+            .flat_map(|i| (1..256).map(move |j| (line(i), line(j))))
+            .find(|&(b, c)| b != c && covered(b, c))
+            .expect("some line is covered by the union of two others alone");
+        let mut r = run_64(2, false);
+        let out = r.play(&[(0, begin(1)), (0, Load(a)), (0, NEST), (0, Load(b))]).unwrap();
+        assert!(out.iter().all(|o| o.aborted.is_none()));
+        let out = r.play(&[(1, begin(2)), (1, Store(c, 1))]).unwrap();
+        assert!(nacked(out[1].answer, 0, false), "the union covers {c:#x}: {:?}", out[1]);
+        let out = r.play(&[(0, AbortNested), (1, Store(c, 1))]).unwrap();
+        assert!(out[1].value().is_some(), "level 1 alone does not cover {c:#x}: {:?}", out[1]);
     }
 
     #[test]

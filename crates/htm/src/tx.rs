@@ -259,6 +259,22 @@ mod tests {
     }
 
     #[test]
+    fn sets_follow_the_nesting_levels() {
+        let mut t = TxState::default();
+        assert!(t.note(false, 0x40));
+        t.push_frame();
+        assert!(t.note(false, 0x40), "new to the nested level");
+        assert!(t.note(true, 0x80));
+        assert!(t.reads_contain(0x40) && t.writes_contain(0x80));
+        assert!(t.drop_top_frame().write_set.contains(&0x80));
+        assert!(t.reads_contain(0x40) && !t.writes_contain(0x80), "the outer read survives");
+        t.push_frame();
+        t.note(true, 0xc0);
+        t.merge_top_frame();
+        assert!(t.frames.is_empty() && !t.note(true, 0xc0), "merged into the outer level");
+    }
+
+    #[test]
     fn clear_dynamic_resets_everything() {
         let mut t = TxState { attempts: 5, timestamp: 7, ..TxState::default() };
         t.clear_dynamic();

@@ -70,6 +70,15 @@ mod tests {
     }
 
     #[test]
+    fn inserted_counts_calls_not_lines() {
+        let mut s = Signature::new(2048, 4);
+        s.insert(0x40);
+        s.insert(0x40 + 8);
+        assert_eq!(s.inserted(), 2);
+        assert!((1..=4).contains(&s.bits().count_ones()), "one line sets at most k bits");
+    }
+
+    #[test]
     fn false_positive_rate_sane() {
         // 64 lines in a 2Kbit/4-hash signature: the false-positive rate on
         // 10_000 probes of *other* lines should be small (<5%).
