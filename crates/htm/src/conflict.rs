@@ -367,7 +367,7 @@ mod prop_tests {
         /// is exactly the Bloom image of its core's levels. One word per
         /// row, two and three; 64-bit signatures alias freely.
         #[test]
-        fn candidates_never_miss_a_line_a_level_holds(
+        fn candidates_never_miss_a_signature_hit(
             shape in 0usize..3,
             ops in proptest::collection::vec((0u8..10, any::<u16>(), 0u64..LINES), 1..400),
         ) {

@@ -315,20 +315,20 @@ impl<V: VersionManager> HtmMachine<V> {
         let lazy = (plan.lazy && !self.lazy_active.is_empty()).then_some(&self.lazy_active);
         // The machine's hottest search: a plain loop over the index's word
         // loop, no adapter in between.
-        for (c, r, w) in self.index.candidates_in(line, plan.readers, &self.defenders, lazy) {
+        for (c, rhit, whit) in self.index.candidates_in(line, plan.readers, &self.defenders, lazy) {
             let t = &self.txs[c];
             let Some(holder) = Holder::of(t, at).filter(|_| c != core) else { continue };
             // Perfect signatures: the candidate's exact sets decide.
-            let (r, w) = if self.cfg.htm.perfect_signatures {
+            let (rhit, whit) = if self.cfg.htm.perfect_signatures {
                 (plan.readers && t.reads_contain(line), t.writes_contain(line))
             } else {
-                (r, w)
+                (rhit, whit)
             };
-            if !(r || w) {
+            if !(rhit || whit) {
                 continue;
             }
             // Unless its two cells differ, a reader counts as a writer.
-            let written = w || (!plan.split && r);
+            let written = whit || (!plan.split && rhit);
             let r = rule(req, ev, holder, written);
             match r.verdict() {
                 Verdict::Pass => {}
