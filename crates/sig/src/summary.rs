@@ -111,11 +111,6 @@ impl SummarySignature {
     pub fn maybe_count(&self) -> u64 {
         self.maybe
     }
-
-    /// The raw signature bits (for display/tests).
-    pub fn sig_bits(&self) -> &BitVec {
-        &self.sig
-    }
 }
 
 #[cfg(test)]
