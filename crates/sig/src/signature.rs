@@ -78,6 +78,51 @@ mod tests {
         assert!((1..=4).contains(&s.bits().count_ones()), "one line sets at most k bits");
     }
 
+    /// Do the two signatures share a set bit? The hardware conflict test,
+    /// which the signature index makes as the AND of a line's rows.
+    pub(super) fn share_a_bit(a: &Signature, b: &Signature, nbits: usize) -> bool {
+        (0..nbits).any(|i| a.bits().get(i) && b.bits().get(i))
+    }
+
+    #[test]
+    fn disjoint_small_sets_rarely_intersect() {
+        let mut a = Signature::new(2048, 4);
+        let mut b = Signature::new(2048, 4);
+        a.insert(0x0);
+        b.insert(0x10000);
+        // With 2 Kbit and 4 hashes, two single-line signatures colliding on
+        // a bit is unlikely, and this fixed seed has no collision.
+        assert!(!share_a_bit(&a, &b, 2048));
+        b.insert(0x0);
+        assert!(share_a_bit(&a, &b, 2048));
+    }
+
+    #[test]
+    fn union_is_superset() {
+        // One signature fed both sets holds exactly the OR of their bits:
+        // the column a core keeps over its open nesting levels.
+        let mut a = Signature::new(1024, 2);
+        let mut b = Signature::new(1024, 2);
+        let mut u = Signature::new(1024, 2);
+        a.insert(0x40);
+        b.insert(0x80);
+        u.insert(0x40);
+        u.insert(0x80);
+        assert!(u.contains(0x40) && u.contains(0x80));
+        assert!((0..1024).all(|i| u.bits().get(i) == (a.bits().get(i) || b.bits().get(i))));
+    }
+
+    #[test]
+    fn fill_grows_with_inserts() {
+        let mut s = Signature::new(2048, 4);
+        assert_eq!(s.bits().count_ones(), 0);
+        for i in 0..64u64 {
+            s.insert(i * 64);
+        }
+        assert!(s.bits().count_ones() > 0);
+        assert!(s.bits().count_ones() <= 2048);
+    }
+
     #[test]
     fn false_positive_rate_sane() {
         // 64 lines in a 2Kbit/4-hash signature: the false-positive rate on
@@ -92,7 +137,9 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "std containers as reference models")]
 mod prop_tests {
+    use super::tests::share_a_bit;
     use super::*;
     use proptest::prelude::*;
 
@@ -107,6 +154,22 @@ mod prop_tests {
             }
             for a in &addrs {
                 prop_assert!(s.contains(*a));
+            }
+        }
+
+        /// The hardware test is conservative: if the true sets share a
+        /// line, the signatures share a bit.
+        #[test]
+        fn intersection_conservative(xs in proptest::collection::vec(0u64..1000, 1..50),
+                                     ys in proptest::collection::vec(0u64..1000, 1..50)) {
+            let mut a = Signature::new(2048, 4);
+            let mut b = Signature::new(2048, 4);
+            let xset: std::collections::HashSet<u64> = xs.iter().map(|x| x * 64).collect();
+            let yset: std::collections::HashSet<u64> = ys.iter().map(|y| y * 64).collect();
+            for x in &xset { a.insert(*x); }
+            for y in &yset { b.insert(*y); }
+            if xset.intersection(&yset).next().is_some() {
+                prop_assert!(share_a_bit(&a, &b, 2048));
             }
         }
     }
