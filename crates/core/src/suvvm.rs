@@ -171,6 +171,14 @@ impl VersionManager for SuvVm {
         (LoadTarget::Mem(target), lat)
     }
 
+    /// The committed redirection without the summary test or the walk: a
+    /// summary negative means no committed entry (INV-10), and otherwise
+    /// the walk answers this same entry's target.
+    fn committed_location(&self, addr: Addr) -> Addr {
+        let line = line_of(addr);
+        self.table.committed(line).map_or(addr, |p| p + (addr - line))
+    }
+
     fn prepare_store(
         &mut self,
         env: &mut VmEnv,
@@ -320,13 +328,26 @@ impl VersionManager for SuvVm {
 mod tests {
     use super::*;
     use suv_coherence::MemorySystem;
+    use suv_htm::machine::HtmMachine;
+    use suv_htm::script::{Op, Run, Script};
     use suv_mem::Memory;
     use suv_trace::Tracer;
-    use suv_types::MachineConfig;
+    use suv_types::{MachineConfig, TxSite};
 
     fn setup() -> (Memory, MemorySystem, SuvVm) {
         let mc = MachineConfig::small_test();
         (Memory::new(), MemorySystem::new(&mc), SuvVm::new(mc.n_cores, &mc.suv, 0))
+    }
+
+    /// The small-test machine with the SUV differential driver's table: a
+    /// 4-entry first level and a 16-entry two-way second level, which a
+    /// few dozen redirected lines overflow into memory.
+    pub(super) fn small_table() -> MachineConfig {
+        let mut mc = MachineConfig::small_test();
+        mc.suv.l1_entries = 4;
+        mc.suv.l2_entries = 16;
+        mc.suv.l2_ways = 2;
+        mc
     }
 
     /// Figure 4 walkthrough: un-redirected load, un-redirected store,
@@ -567,5 +588,125 @@ mod tests {
         let s = vm.redirect_stats();
         assert_eq!(s.summary_filtered, 100);
         assert_eq!(s.l1_lookups, 0);
+    }
+
+    /// A peek is untimed: a sweep of them over redirected lines, swapped-out
+    /// ones included, moves no redirect statistic, and the timed loads that
+    /// follow answer what they answer without it, latency included.
+    #[test]
+    fn a_sweep_of_peeks_moves_no_statistic_and_no_latency() {
+        let mc = small_table();
+        let lines: Vec<Addr> = (0..40).map(|i| 0x10_0000 + i * 64).collect();
+        let mut script: Script = Vec::new();
+        for (i, chunk) in lines.chunks(4).enumerate() {
+            let core = i % 2;
+            script.push((core, Op::Begin { site: TxSite(1) }));
+            script.extend(chunk.iter().map(|&a| (core, Op::Store(a, i as u64 + 1))));
+            script.push((core, Op::Commit));
+        }
+        let mut quiet = Run::new(HtmMachine::new(&mc, SuvVm::new(mc.n_cores, &mc.suv, 0)));
+        quiet.play(&script).expect("legal");
+        let mut peeked = quiet.clone();
+        for _ in 0..3 {
+            for (i, &a) in lines.iter().enumerate() {
+                assert_eq!(peeked.m.peek(a), i as u64 / 4 + 1);
+            }
+        }
+        assert_eq!(peeked.m.vm().redirect_stats(), quiet.m.vm().redirect_stats());
+        let loads: Script = lines.iter().map(|&a| (0, Op::NonTxLoad(a))).collect();
+        assert_eq!(peeked.play(&loads), quiet.play(&loads));
+        assert!(quiet.m.vm().redirect_stats().mem_lookups > 0, "some loads searched memory");
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use suv_coherence::MemorySystem;
+    use suv_mem::Memory;
+    use suv_trace::Tracer;
+
+    const LINES: u64 = 24;
+
+    fn line_at(i: u64) -> LineAddr {
+        0x9000 + i * 64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `committed_location` against the timed non-transactional lookup,
+        /// run on a clone so its walk does not steer the history, after
+        /// every step of a random two-core history of transactional stores
+        /// (redirect-backs included), nested levels whose partial aborts
+        /// free lines one by one, commits, aborts, non-transactional stores
+        /// and timed loads — on a table small enough to swap entries out.
+        #[test]
+        fn committed_location_is_the_timed_lookups_answer(
+            ops in proptest::collection::vec((0usize..2, 0u8..12, 0u64..LINES * 8), 1..150)
+        ) {
+            let mc = super::tests::small_table();
+            let (mut mem, mut sys) = (Memory::new(), MemorySystem::new(&mc));
+            let mut tr = Tracer::disabled();
+            let mut env = VmEnv { mem: &mut mem, sys: &mut sys, now: 0, tracer: &mut tr };
+            let mut vm = SuvVm::new(mc.n_cores, &mc.suv, 0);
+            let (mut in_tx, mut depth) = ([false; 2], [0usize; 2]);
+            for (core, kind, w) in ops {
+                let addr = line_at(w / 8) + w % 8 * 8;
+                // Eager conflict detection refuses a store to a line the
+                // other core's transaction holds.
+                let free = vm.table().own_transient(1 - core, line_of(addr)).is_none();
+                match kind {
+                    0..=4 if free => {
+                        if !in_tx[core] {
+                            vm.begin(&mut env, core, false);
+                            in_tx[core] = true;
+                        }
+                        if let (StoreTarget::Mem(p), _) =
+                            vm.prepare_store(&mut env, core, addr, w, StoreMode::Tx)
+                        {
+                            env.mem.write_word(p, w);
+                        }
+                    }
+                    5 if in_tx[core] => {
+                        vm.level(&mut env, core, LevelOp::Begin);
+                        depth[core] += 1;
+                    }
+                    6 | 7 if depth[core] > 0 => {
+                        let op = if kind == 6 { LevelOp::Abort } else { LevelOp::Commit };
+                        vm.level(&mut env, core, op);
+                        depth[core] -= 1;
+                    }
+                    8 | 9 if in_tx[core] => {
+                        if kind == 8 {
+                            vm.commit(&mut env, core);
+                        } else {
+                            vm.abort(&mut env, core);
+                        }
+                        (in_tx[core], depth[core]) = (false, 0);
+                    }
+                    10 if free && !in_tx[core] => {
+                        if let (StoreTarget::Mem(p), _) =
+                            vm.prepare_store(&mut env, core, addr, w, StoreMode::NonTx)
+                        {
+                            env.mem.write_word(p, w);
+                        }
+                    }
+                    _ => {
+                        vm.resolve_load(&mut env, core, addr, in_tx[core]);
+                    }
+                }
+                let mut timed = vm.clone();
+                for line in (0..LINES).map(line_at) {
+                    for addr in [line, line + 56] {
+                        let (target, _) = timed.resolve_load(&mut env, core, addr, false);
+                        prop_assert_eq!(
+                            target, LoadTarget::Mem(vm.committed_location(addr)), "{:#x}", addr
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -326,6 +326,12 @@ impl RedirectTable {
         (hit, lat, level)
     }
 
+    /// `line`'s committed redirection target: one probe of the index, with
+    /// no walk, so nothing is counted, cached or swapped.
+    pub fn committed(&self, line: LineAddr) -> Option<LineAddr> {
+        self.index.get(&line).and_then(|&slot| self.entries[slot as usize].committed)
+    }
+
     /// The lookup of a line `core`'s running transaction may already hold
     /// a transient on: `None`, with nothing counted, when it holds none;
     /// otherwise that transient and the lookup's latency and level — one

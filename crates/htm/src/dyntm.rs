@@ -131,6 +131,10 @@ impl<E: VersionManager> VersionManager for DynTm<E> {
         }
     }
 
+    fn committed_location(&self, addr: Addr) -> Addr {
+        self.eager.committed_location(addr)
+    }
+
     fn prepare_store(
         &mut self,
         env: &mut VmEnv,

@@ -445,8 +445,8 @@ impl<V: VersionManager> HtmMachine<V> {
     /// The *committed* value of `addr` and the resolution latency: the
     /// hardware scheme resolves the location non-transactionally (on SUV
     /// that follows committed redirect entries), then the word is read
-    /// functionally. Software loads, software commit validation and
-    /// [`Self::peek`] all read through here.
+    /// functionally. Software loads and software commit validation read
+    /// through here: they are simulated accesses, unlike [`Self::peek`].
     fn read_committed(&mut self, now: Cycle, core: CoreId, addr: Addr) -> (u64, Cycle) {
         match self.with_vm(now, |vm, env| vm.resolve_load(env, core, addr, false)) {
             (LoadTarget::Mem(p), lat) => (self.mem.read_word(word_of(p)), lat),
@@ -1212,15 +1212,15 @@ impl<V: VersionManager> HtmMachine<V> {
         self.shadow(|s| s.note_nontx_store(addr, value));
     }
 
-    /// Fast functional read for result verification (no timing). Resolves
-    /// committed redirections through the version manager.
-    pub fn peek(&mut self, addr: Addr) -> u64 {
-        let now = u64::MAX / 2;
-        let (value, _) = self.read_committed(now, 0, addr);
+    /// Fast functional read for setup and result verification: the
+    /// committed value, found through the version manager's
+    /// `committed_location`, with no timing and no timed structure touched.
+    pub fn peek(&self, addr: Addr) -> u64 {
+        let value = self.mem.read_word(word_of(self.vm.committed_location(addr)));
         // With no speculative state pending, a peek must see exactly the
         // committed shadow state — the end-of-run value oracle.
         if self.shadow.as_ref().is_some_and(ShadowOracle::quiescent) {
-            self.shadow_check_load(now, 0, addr, value, false);
+            self.shadow_check_load(u64::MAX / 2, 0, addr, value, false);
         }
         value
     }

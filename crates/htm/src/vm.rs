@@ -124,6 +124,15 @@ pub trait VersionManager: Clone + Send {
         in_tx: bool,
     ) -> (LoadTarget, Cycle);
 
+    /// Where `addr`'s committed value lives: the location a
+    /// non-transactional [`Self::resolve_load`] answers, found untimed and
+    /// uncounted, touching no timed structure (the machine's `peek`). The
+    /// default is the original address, where in-place and buffering
+    /// schemes keep committed data.
+    fn committed_location(&self, addr: Addr) -> Addr {
+        addr
+    }
+
     /// Perform version-management bookkeeping for a store of `value` to
     /// `addr` and return the target plus extra latency. For transactional
     /// stores this is where undo logging / redirect-entry insertion / write

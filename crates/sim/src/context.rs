@@ -184,7 +184,7 @@ impl<'a> SetupCtx<'a> {
     }
 
     /// Untimed functional read.
-    pub fn peek(&mut self, addr: Addr) -> u64 {
+    pub fn peek(&self, addr: Addr) -> u64 {
         self.machine.peek(addr)
     }
 }

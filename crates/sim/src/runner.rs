@@ -207,8 +207,8 @@ pub fn run_workload_profiled(
     drop(contexts);
     let engine = Rc::try_unwrap(engine).ok().expect("all contexts dropped their engine handle");
     let mut machine = engine.into_machine();
-    // Harvest the tracer before verify so untimed verification accesses
-    // never pollute the event stream.
+    // Harvest the tracer and the statistics before verify, so untimed
+    // verification reads reach neither.
     let mut tracer = machine.take_tracer();
     let (trace_hash, trace_out) = if tracer.on() {
         for (name, count) in sched_counters {
@@ -219,11 +219,6 @@ pub fn run_workload_profiled(
     } else {
         (0, None)
     };
-    {
-        let mut setup = SetupCtx::new(&mut machine);
-        workload.verify(&mut setup);
-    }
-
     let tx = machine.tx_stats();
     let mem_stats = machine.sys.stats();
     let lazy_txns = machine.lazy_txns();
@@ -239,6 +234,7 @@ pub fn run_workload_profiled(
         lazy_txns,
         eager_txns: (tx.commits + tx.aborts).saturating_sub(lazy_txns),
     };
+    workload.verify(&mut SetupCtx::new(&mut machine));
     RunResult {
         scheme,
         workload: workload.name().to_string(),
@@ -330,6 +326,63 @@ mod tests {
     #[test]
     fn counter_exact_under_dyntm_suv() {
         run_counter(SchemeKind::DynTmSuv);
+    }
+
+    /// Each thread writes its own stripe of lines in transactions; `verify`
+    /// peeks every written word `reads` times.
+    struct Stripes {
+        base: u64,
+        lines: u64,
+        reads: usize,
+    }
+
+    impl Stripes {
+        fn word(&self, tid: usize, i: u64) -> u64 {
+            self.base + (tid as u64 * self.lines + i) * 64
+        }
+    }
+
+    impl Workload for Stripes {
+        fn name(&self) -> &'static str {
+            "stripes"
+        }
+        fn setup(&mut self, ctx: &mut SetupCtx<'_>) {
+            self.base = ctx.alloc_lines(ctx.n_cores() as u64 * self.lines * 64);
+        }
+        fn run<'a>(&'a self, tid: usize, ctx: &'a mut ThreadCtx) -> CoreFuture<'a> {
+            Box::pin(async move {
+                for round in 0..3 {
+                    ctx.txn(TxSite(1), async |tx| {
+                        for i in 0..self.lines {
+                            tx.store(self.word(tid, i), round + i).await?;
+                        }
+                        Ok(())
+                    })
+                    .await;
+                }
+                ctx.barrier().await;
+            })
+        }
+        fn verify(&self, ctx: &mut SetupCtx<'_>) {
+            for _ in 0..self.reads {
+                for tid in 0..ctx.n_cores() {
+                    for i in 0..self.lines {
+                        assert_eq!(ctx.peek(self.word(tid, i)), 2 + i);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verify_reads_reach_no_statistic() {
+        let cfg = MachineConfig::small_test();
+        let run = |reads| {
+            run_workload(&cfg, SchemeKind::SuvTm, &mut Stripes { base: 0, lines: 24, reads })
+        };
+        let (quiet, read) = (run(0), run(3));
+        assert!(quiet.stats.redirect.entries_added > 0, "the stripes must be redirected");
+        assert_eq!(read.stats.redirect, quiet.stats.redirect);
     }
 
     #[test]

@@ -65,6 +65,7 @@ impl VersionManager for Vm {
         ref {
             fn kind() -> SchemeKind;
             fn supports_partial_abort() -> bool;
+            fn committed_location(addr: Addr) -> Addr;
             fn redirect_stats() -> RedirectStats;
             fn check_invariants() -> Result<(), String>;
         }

@@ -247,7 +247,9 @@ impl OverflowStats {
     }
 }
 
-/// Redirect-table behaviour statistics (Figures 7 and 8).
+/// Redirect-table behaviour statistics (Figures 7 and 8). They count
+/// simulated accesses only: an untimed `peek` of setup or verification
+/// reaches none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RedirectStats {
     /// Lookups that consulted the first-level table.
